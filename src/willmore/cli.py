@@ -73,13 +73,21 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: cannot read: {exc}") from exc
+
+
 def load_dataset(name_or_path: str) -> ShapeOperatorSet:
     if name_or_path in BUILTIN_NAMES:
         return builtin(name_or_path)
     path = Path(name_or_path)
     if path.exists():
+        text = _read_text(path)
         try:
-            return parse_dataset(path.read_text(encoding="utf-8"))
+            return parse_dataset(text)
         except (DatasetFormatError, ValueError) as exc:
             raise InputError(f"{name_or_path}: {exc}") from exc
     raise InputError(
@@ -88,9 +96,9 @@ def load_dataset(name_or_path: str) -> ShapeOperatorSet:
     )
 
 
-def _riemann_spot_suite(data: ShapeOperatorSet) -> tuple[dict[str, bool], int]:
+def _riemann_spot_suite(data: ShapeOperatorSet, report: CurvatureReport) -> tuple[dict[str, bool], int]:
     """Curvature-tensor symmetries on a deterministic quadruple sample, plus
-    the full contraction check against the Ricci tensor."""
+    the full contraction check against the report's Ricci tensor."""
     n = data.n
     stride = 1 if n <= 6 else (n + 5) // 6
     indices = range(0, n, stride)
@@ -109,7 +117,6 @@ def _riemann_spot_suite(data: ShapeOperatorSet) -> tuple[dict[str, bool], int]:
         not (table[i, j, k, l] + table[i, k, l, j] + table[i, l, j, k])
         for (i, j, k, l) in table
     )
-    report = curvature_report(data)
     contraction = True
     if report.ricci is not None:
         for i in range(n):
@@ -179,7 +186,7 @@ def verify_certificate(data: ShapeOperatorSet, timestamp: bool = False) -> tuple
         fields.append(("consistency", "pass" if willmore.consistent else "FAIL"))
         ok = ok and willmore.willmore and willmore.willmore_ricci_form and willmore.consistent
 
-        checks, count = _riemann_spot_suite(data)
+        checks, count = _riemann_spot_suite(data, report)
         fields = cert.section("riemann")
         fields.append(("quadruples", str(count)))
         for name, passed in checks.items():
@@ -230,9 +237,14 @@ def cmd_sweep(args) -> int:
             fields.append(("witness", str(verdict.witness)))
         ok = verdict.constant
     else:
+        if args.samples < 2:
+            raise InputError("--samples must be >= 2 (one sample has nothing to compare with)")
         fields.append(("samples", str(args.samples)))
         fields.append(("seed", str(args.seed)))
-        deviation = numeric_sweep(data, args.samples, args.seed)
+        try:
+            deviation = numeric_sweep(data, args.samples, args.seed)
+        except OverflowError as exc:
+            raise InputError(f"{args.dataset}: a coefficient is too large for a float: {exc}") from exc
         fields.append(("max_deviation", repr(deviation)))
         fields.append(("tolerance", repr(NUMERIC_TOLERANCE)))
         ok = deviation < NUMERIC_TOLERANCE
@@ -251,8 +263,9 @@ def cmd_tracecheck(args) -> int:
         path = Path(args.rules)
         if not path.exists():
             raise InputError(f"rules file {args.rules!r} not found")
+        text = _read_text(path)
         try:
-            relations = parse_identity_file(path.read_text(encoding="utf-8"))
+            relations = parse_identity_file(text)
         except TraceParseError as exc:
             raise InputError(f"{args.rules}: {exc}") from exc
     try:

@@ -45,8 +45,11 @@ def ricci(data: ShapeOperatorSet) -> Matrix:
     """Ricci tensor (n-1)*I - sum_a A_a^2; requires minimal data."""
     if not minimality_check(data):
         raise NotMinimalError(f"{data.name}: shape operators are not trace-free")
-    ident = Matrix.identity(data.n, ONE)
-    return ident * QuadExt(data.n - 1) - squared_operator_sum(data)
+    return _ricci(data.n, squared_operator_sum(data))
+
+
+def _ricci(n: int, squared: Matrix) -> Matrix:
+    return Matrix.identity(n, ONE) * QuadExt(n - 1) - squared
 
 
 def riemann(data: ShapeOperatorSet, i: int, j: int, k: int, l: int) -> QuadExt:
@@ -80,7 +83,11 @@ def willmore_check(data: ShapeOperatorSet) -> WillmoreReport:
     if not minimality_check(data):
         raise NotMinimalError(f"{data.name}: Willmore criterion needs minimal data")
     squared = squared_operator_sum(data)
-    ric = ricci(data)
+    return _willmore(data, squared, _ricci(data.n, squared))
+
+
+def _willmore(data: ShapeOperatorSet, squared: Matrix, ric: Matrix) -> WillmoreReport:
+    """willmore_check from the precomputed sum_a A_a^2 and Ricci tensor."""
     cubic = tuple((squared @ op).trace() for op in data.operators)
     ricci_form = tuple((ric @ op).trace() for op in data.operators)
     edge = QuadExt(data.n - 1)
@@ -128,9 +135,10 @@ class CurvatureReport:
 
 
 def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
-    minimal = minimality_check(data)
-    norm = square_norm(data)
-    if not minimal:
+    """Every pointwise quantity, with sum_a A_a^2 and Ric computed once."""
+    squared = squared_operator_sum(data)
+    norm = squared.trace()
+    if not minimality_check(data):
         return CurvatureReport(False, norm, None, None, None)
-    ric = ricci(data)
-    return CurvatureReport(True, norm, ric, einstein_check(ric), willmore_check(data))
+    ric = _ricci(data.n, squared)
+    return CurvatureReport(True, norm, ric, einstein_check(ric), _willmore(data, squared, ric))

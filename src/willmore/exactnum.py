@@ -93,6 +93,9 @@ class QuadExt:
         return self.x == other.x and self.y == other.y and self.d == other.d
 
     def __hash__(self) -> int:
+        # a rational value hashes like the int or Fraction it equals
+        if not self.y:
+            return hash(Fraction(self.x, self.d))
         return hash((self.x, self.y, self.d))
 
     def __bool__(self) -> bool:

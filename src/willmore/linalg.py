@@ -3,8 +3,10 @@
 Ring contract for entries: they support +, -, * among themselves, tolerate
 int operands (so `e * 0` is the ring zero and `e * 0 + 1` the ring one), and
 `e / k` is exact division by a nonzero Python int.  QuadExt and MultiPoly
-both satisfy it, which lets one characteristic-polynomial code path serve the
-curvature checks and the symbolic normal-sphere sweep.
+both satisfy it.  The curvature checks use QuadExt matrices.  The normal-sphere
+sweeps take the characteristic polynomial of A(t) from their own kernel,
+`sweep.normal_char_poly`; `Matrix.char_poly` over MultiPoly is the reference
+the tests hold that kernel to.
 """
 
 from __future__ import annotations

@@ -1,12 +1,18 @@
 """Spectral invariance over the normal sphere.
 
 For a unit normal with coordinates (t1..tp) the shape operator is
-A(t) = sum_a t_a A_a.  The symbolic sweep computes its characteristic
-polynomial over the polynomial ring and reduces every lambda-coefficient
-modulo the unit-sphere relation; the spectrum is direction-independent
-exactly when every reduced coefficient is a constant.  The symbolic verdict
-is authoritative; the numeric sweep is a seeded floating cross-check meant
-to catch implementation bugs, never to decide.
+A(t) = sum_a t_a A_a.  Both sweeps take its characteristic polynomial, with
+coefficients in the polynomial ring, from `normal_char_poly`: a
+Faddeev-LeVerrier kernel for A(t) alone, on integer pairs over a common
+denominator, that skips zero entries and zero monomials.  The generic
+`Matrix.char_poly` of `normal_shape_operator(data)` gives the same
+polynomial and serves as its reference.
+
+The symbolic sweep reduces every lambda-coefficient modulo the unit-sphere
+relation; the spectrum is direction-independent exactly when every reduced
+coefficient is a constant.  The symbolic verdict is authoritative; the
+numeric sweep is a seeded floating cross-check meant to catch implementation
+bugs, never to decide.
 """
 
 from __future__ import annotations
@@ -14,10 +20,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
+from operator import or_
 
 from .catalog import ShapeOperatorSet
+from .exactnum import QuadExt
 from .linalg import Matrix, UniPoly
 from .polyring import MultiPoly, eval_float, reduce_mod_sphere
+
+# A sparse matrix row: (column, x, y) for each nonzero entry (x + y*sqrt3)/D,
+# with the denominator D shared by the whole matrix polynomial.
+Row = list[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -45,9 +58,116 @@ def _unit(p: int, index: int) -> tuple[int, ...]:
     return tuple(1 if i == index else 0 for i in range(p))
 
 
+def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
+    """char_poly of A(t) = sum_a t_a A_a, with MultiPoly coefficients.
+
+    Faddeev-LeVerrier on A(t) as a polynomial with matrix coefficients:
+    P_1 = A and P_(k+1) = A P_k + c_(n-k) A with c_(n-k) = -Tr(P_k) / k.
+    P_k(t) = sum_m t^m P_m is kept as {monomial m: sparse rows of P_m} in
+    integer pairs over one common denominator, and each product A_a P_m runs
+    over the nonzero entries of the rows of A_a and P_m only.  Each step ends
+    with one gcd normalisation; zero entries and zero monomials are never
+    stored, and one dense n x n accumulator is alive at a time.  The result
+    equals normal_shape_operator(data).char_poly() exactly.
+    """
+    n, p = data.n, data.p
+    ops, op_den = _integer_rows(data.operators)
+    active = [(ops[a], _unit(p, a)) for a in range(p) if any(ops[a])]
+    product = {unit: rows for rows, unit in active}  # P_1 = A
+    den = op_den
+    coeffs = [MultiPoly(p)] * n + [MultiPoly.constant(p, 1)]
+    traces = {m: _trace(rows) for m, rows in product.items()}
+    for k in range(1, n + 1):
+        coeffs[n - k] = MultiPoly(
+            p, {m: QuadExt._make(-tx, -ty, k * den) for m, (tx, ty) in traces.items() if tx or ty}
+        )
+        if k == n:
+            break
+        # P_(k+1) = (k A N - Tr(N) A) / (k op_den den) for P_k = N / den;
+        # the terms of the monomial t^m' are the (A_a, N_m) with m + e_a = m'.
+        sources: dict[tuple[int, ...], list] = {}
+        for m, rows in product.items():
+            for a_rows, unit in active:
+                target = tuple(e + f for e, f in zip(m, unit))
+                sources.setdefault(target, []).append((a_rows, rows, traces[m]))
+        den *= k * op_den
+        g = den
+        product = {}
+        for target, terms in sources.items():
+            rows = _product(terms, n, k)
+            if any(rows):
+                product[target] = rows
+                for row in rows:
+                    if g == 1:
+                        break
+                    for _, x, y in row:
+                        g = math.gcd(g, x, y)
+        if g != 1:
+            product = {
+                m: [[(l, x // g, y // g) for l, x, y in row] for row in rows]
+                for m, rows in product.items()
+            }
+            den //= g
+        traces = {m: _trace(rows) for m, rows in product.items()}
+    return UniPoly(coeffs)
+
+
+def _integer_rows(operators) -> tuple[list[list[Row]], int]:
+    """Sparse integer-pair rows of every operator over one common denominator."""
+    den = 1
+    for op in operators:
+        for row in op.rows:
+            for e in row:
+                den = math.lcm(den, e.d)
+    return [
+        [[(j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e] for row in op.rows]
+        for op in operators
+    ], den
+
+
+def _trace(rows: list[Row]) -> tuple[int, int]:
+    tx = ty = 0
+    for i, row in enumerate(rows):
+        for l, x, y in row:
+            if l == i:
+                tx += x
+                ty += y
+    return tx, ty
+
+
+def _product(terms, n: int, k: int) -> list[Row]:
+    """Sparse rows of the sum of k A_a N_m - Tr(N_m) A_a over the terms
+    (A_a, N_m, Tr(N_m)).  The sum is symmetric, so only its lower triangle
+    is accumulated (rows are sorted by column), then mirrored."""
+    accx = [[0] * n for _ in range(n)]
+    accy = [[0] * n for _ in range(n)]
+    for a_rows, m_rows, (tx, ty) in terms:
+        for i, (a_row, rx, ry) in enumerate(zip(a_rows, accx, accy)):
+            for j, ax, ay in a_row:
+                if j <= i and (tx or ty):
+                    rx[j] -= ax * tx + 3 * ay * ty
+                    ry[j] -= ax * ty + ay * tx
+                ax *= k
+                ay *= k
+                ay3 = 3 * ay
+                for l, mx, my in m_rows[j]:
+                    if l > i:
+                        break
+                    rx[l] += ax * mx + ay3 * my
+                    ry[l] += ax * my + ay * mx
+    rows: list[Row] = []
+    for i, (rx, ry) in enumerate(zip(accx, accy)):
+        row = [(l, rx[l], ry[l]) for l in compress(range(i + 1), map(or_, rx, ry))]
+        for l, x, y in row:
+            if l < i:
+                rows[l].append((i, x, y))
+        rows.append(row)
+    return rows
+
+
 def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:
     """Exact verdict: is char_poly(A(t)) the same for every unit normal t?"""
-    poly = normal_shape_operator(data).char_poly()
+    poly = normal_char_poly(data)
     reduced = [reduce_mod_sphere(c) for c in poly.coeffs]
     for power, coeff in enumerate(reduced):
         if not coeff.is_constant():
@@ -82,12 +202,22 @@ def unit_normal_samples(p: int, samples: int, seed: int) -> list[tuple[float, ..
 
 
 def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
-    """Max absolute drift of any char_poly coefficient across sampled normals."""
-    poly = normal_shape_operator(data).char_poly()
+    """Max absolute drift of any char_poly coefficient across sampled normals.
+
+    NaN as soon as one drift is NaN (an evaluation overflowed both ways), so
+    that no tolerance test can pass it.  At least two samples are needed:
+    one sample has nothing to be compared with.
+    """
+    if samples < 2:
+        raise ValueError("samples must be >= 2")
+    poly = normal_char_poly(data)
     points = unit_normal_samples(data.p, samples, seed)
     baseline = [eval_float(c, points[0]) for c in poly.coeffs]
     deviation = 0.0
     for point in points[1:]:
         for base, coeff in zip(baseline, poly.coeffs):
-            deviation = max(deviation, abs(eval_float(coeff, point) - base))
+            drift = abs(eval_float(coeff, point) - base)
+            if math.isnan(drift):
+                return drift
+            deviation = max(deviation, drift)
     return deviation

@@ -1,7 +1,8 @@
 import pytest
 
 from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
-from willmore.cli import main
+from willmore.cli import main, verify_certificate
+from willmore.linalg import Matrix
 
 NON_MINIMAL = """\
 dataset lopsided
@@ -60,6 +61,17 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert "codim" in capsys.readouterr().err
 
+    def test_directory_is_an_input_error(self, capsys, tmp_path):
+        assert main(["verify", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_undecodable_file_is_an_input_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.dat"
+        path.write_bytes("dataset caf\xe9\n".encode("latin-1"))
+        assert main(["verify", str(path)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+
     def test_file_dataset_roundtrips_through_cli(self, capsys, tmp_path):
         path = tmp_path / "m1.dat"
         path.write_text(serialize_dataset(builtin("g6_m1_M1")), encoding="utf-8")
@@ -71,6 +83,22 @@ class TestVerify:
         assert main(["verify", "g6_m2_M1"]) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("name", ["g6_m1_M2", "g6_m2_M2"])
+    def test_certificate_computes_curvature_once(self, monkeypatch, name):
+        # sum_a A_a^2, then Tr((sum A_b^2) A_a) and Tr(Ric A_a): 3p products
+        calls = []
+        product = Matrix.__matmul__
+
+        def counted(self, other):
+            calls.append(1)
+            return product(self, other)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        data = builtin(name)
+        _, ok = verify_certificate(data)
+        assert ok
+        assert len(calls) == 3 * data.p
 
     def test_timestamp_is_opt_in(self, capsys):
         assert main(["verify", "g6_m1_M1"]) == 0
@@ -96,6 +124,33 @@ class TestSweep:
         assert "constant: no" in out
         assert "witness" in out
         assert main(["sweep", non_minimal_file, "--mode", "numeric", "--samples", "4"]) == 1
+
+    def test_zero_samples_is_an_input_error(self, capsys):
+        assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --samples") and err.count("\n") == 1
+
+    def test_one_sample_is_an_input_error(self, capsys, non_minimal_file):
+        # one sample compares a point with itself and would always pass
+        assert main(["sweep", non_minimal_file, "--mode", "numeric", "--samples", "1"]) == 2
+        assert "--samples" in capsys.readouterr().err
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr("willmore.sweep.eval_float", lambda coeff, point: float("nan"))
+        assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", "10"]) == 1
+        out = capsys.readouterr().out
+        assert "max_deviation: nan" in out
+        assert "verdict: FAIL" in out
+
+    def test_float_overflow_is_an_input_error(self, capsys, tmp_path):
+        huge = "1" + "0" * 400
+        path = tmp_path / "huge.dat"
+        path.write_text(
+            f"dataset huge\ndim 2\ncodim 1\noperator B1\n{huge} 0\n0 -{huge}\n", encoding="utf-8"
+        )
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "too large" in err and err.count("\n") == 1
 
     def test_mode_is_required(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -137,6 +192,16 @@ class TestTracecheck:
     def test_goal_parse_error(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A0)", "--indices", "2"]) == 2
         assert "goal" in capsys.readouterr().err
+
+    def test_rules_directory_is_an_input_error(self, capsys, tmp_path):
+        assert main(["tracecheck", "--rules", str(tmp_path), "--goal", "Tr(A1)", "--indices", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_rules_file_is_an_input_error(self, capsys, tmp_path):
+        rules = tmp_path / "latin1.rules"
+        rules.write_bytes("Tr(A1) = 0 # caf\xe9\n".encode("latin-1"))
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "1"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_index_beyond_p(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A5)", "--indices", "2"]) == 2

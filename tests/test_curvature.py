@@ -222,3 +222,13 @@ class TestReport:
         assert not report.minimal
         assert not report.verified
         assert report.ricci is None and report.willmore is None
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_report_matches_the_public_checks(self, name):
+        data = builtin(name)
+        report = curvature_report(data)
+        assert report.square_norm == square_norm(data)
+        assert report.ricci == ricci(data)
+        assert report.einstein == einstein_check(ricci(data))
+        assert report.willmore == willmore_check(data)
+

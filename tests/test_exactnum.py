@@ -134,3 +134,22 @@ class TestFloat:
             if lhs == rhs:
                 continue
             assert abs(lhs - rhs) <= 4 * math.ulp(max(abs(lhs), abs(rhs)))
+
+
+class TestHash:
+    @pytest.mark.parametrize(
+        "value", [0, 1, -2, 10**30, Fraction(1, 3), Fraction(-7, 2), Fraction(10**20, 3)]
+    )
+    def test_rational_values_hash_like_int_and_fraction(self, value):
+        q = QuadExt(value)
+        assert q == value
+        assert hash(q) == hash(value) == hash(Fraction(value))
+        assert q in {value} and value in {q}
+        assert len({q, value, Fraction(value)}) == 1
+
+    def test_irrational_values_hash_by_value(self):
+        q = QuadExt(Fraction(2, 4), Fraction(-1, 3))
+        same = parse_scalar("1/2-1/3*sqrt3")
+        assert q == same and hash(q) == hash(same)
+        assert len({q, same, QuadExt(Fraction(1, 2))}) == 2
+

@@ -1,13 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly
 from willmore.sweep import (
     SweepVerdict,
+    normal_char_poly,
     normal_shape_operator,
     numeric_sweep,
     symbolic_sweep,
@@ -24,6 +28,76 @@ QUINTIC = UniPoly(
 def single_operator(entries, name="single"):
     m = Matrix.diagonal([S(e) for e in entries])
     return ShapeOperatorSet(name, m.nrows, 1, (m,), ("B1",))
+
+
+def rational_inverse(m):
+    """Gauss-Jordan inverse of a square list of Fractions."""
+    n = len(m)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if work[r][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        lead = work[col][col]
+        work[col] = [v / lead for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                factor = work[r][col]
+                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def cayley_frame(n, rng):
+    """Rational orthogonal Q = (I - S)(I + S)^-1 for a random skew S."""
+    skew = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+            skew[i][j], skew[j][i] = v, -v
+    minus = Matrix([[QuadExt(int(i == j) - skew[i][j]) for j in range(n)] for i in range(n)])
+    plus = [[int(i == j) + skew[i][j] for j in range(n)] for i in range(n)]
+    return minus @ Matrix([[QuadExt(v) for v in row] for row in rational_inverse(plus)])
+
+
+def signed_permutation(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    return Matrix(
+        [[QuadExt(rng.choice((1, -1)) if j == order[i] else 0) for j in range(n)] for i in range(n)]
+    )
+
+
+def change_frame(data, q):
+    ops = tuple(q @ op @ q.transpose() for op in data.operators)
+    return ShapeOperatorSet(data.name, data.n, data.p, ops, data.labels)
+
+
+def rotate_normals(data, r):
+    ops = []
+    for a in range(data.p):
+        acc = data.operators[0] * r[a, 0]
+        for b in range(1, data.p):
+            acc = acc + data.operators[b] * r[a, b]
+        ops.append(acc)
+    return ShapeOperatorSet(data.name, data.n, data.p, tuple(ops), data.labels)
+
+
+def direct_sum(first, second):
+    n = first.n + second.n
+    zero = QuadExt(0)
+    ops = []
+    for x, y in zip(first.operators, second.operators):
+        rows = [list(row) + [zero] * second.n for row in x.rows]
+        rows += [[zero] * first.n + list(row) for row in y.rows]
+        ops.append(Matrix(rows))
+    return ShapeOperatorSet("sum", n, first.p, tuple(ops), first.labels)
+
+
+def assert_kernel_matches_reference(data):
+    poly = normal_char_poly(data)
+    assert poly == normal_shape_operator(data).char_poly()
+    assert poly.degree() == data.n
+    for coeff in poly.coeffs:
+        assert coeff.nvars == data.p
 
 
 def convolve(a, b):
@@ -110,6 +184,71 @@ class TestSymbolic:
             SweepVerdict(True, None, None, None)
 
 
+class TestNormalCharPoly:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        assert_kernel_matches_reference(builtin(name))
+
+    def test_signed_permutation_frame(self):
+        rng = random.Random(3)
+        data = builtin("g6_m2_M1")
+        data = change_frame(data, signed_permutation(data.n, rng))
+        assert_kernel_matches_reference(rotate_normals(data, signed_permutation(data.p, rng)))
+
+    def test_cayley_frame_with_normal_rotation(self):
+        rng = random.Random(5)
+        data = builtin("g6_m1_M2")
+        q = cayley_frame(data.n, rng)
+        assert q @ q.transpose() == Matrix.identity(data.n, QuadExt(1))
+        data = rotate_normals(change_frame(data, q), cayley_frame(data.p, rng))
+        assert all(e for op in data.operators for row in op.rows for e in row)  # dense
+        assert_kernel_matches_reference(data)
+
+    def test_direct_sum(self):
+        data = direct_sum(builtin("g6_m1_M1"), builtin("g6_m1_M2"))
+        assert_kernel_matches_reference(data)
+        assert symbolic_sweep(data).char_poly == QUINTIC * QUINTIC
+
+    def test_single_normal(self):
+        m = Matrix([[S("1"), S("sqrt3"), S("0")], [S("sqrt3"), S("-1/2"), S("2/3")], [S("0"), S("2/3"), S("1/2")]])
+        data = ShapeOperatorSet("p1", 3, 1, (m,), ("B1",))
+        assert_kernel_matches_reference(data)
+        assert_kernel_matches_reference(single_operator(["1", "-1"]))
+
+    def test_zero_operator(self):
+        data = ShapeOperatorSet("flat", 3, 2, (Matrix.filled(3, 3, QuadExt(0)),) * 2, ("B1", "B2"))
+        assert_kernel_matches_reference(data)
+        assert [bool(c) for c in normal_char_poly(data).coeffs] == [False, False, False, True]
+
+    def test_one_zero_operator_among_others(self):
+        a = builtin("g6_m1_M1")
+        zero = Matrix.filled(a.n, a.n, QuadExt(0))
+        data = ShapeOperatorSet("padded", a.n, 3, (a.operators[0], zero, a.operators[1]), ("B1", "B2", "B3"))
+        assert_kernel_matches_reference(data)
+
+    def test_non_constant_single_operator(self):
+        data = single_operator(["1", "0"])
+        assert_kernel_matches_reference(data)
+        assert not symbolic_sweep(data).constant
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_symmetric_operators(self, draw):
+        n = draw.draw(st.integers(1, 4), label="n")
+        p = draw.draw(st.integers(1, 3), label="p")
+        rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        scalar = st.builds(QuadExt, rational, st.one_of(st.just(Fraction(0)), rational))
+        ops = []
+        for _ in range(p):
+            rows = [[QuadExt(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = draw.draw(st.one_of(st.just(QuadExt(0)), scalar))
+            ops.append(Matrix(rows))
+        data = ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
+        assert_kernel_matches_reference(data)
+
+
 class TestNormalOperator:
     def test_entries_are_linear_forms(self):
         a = normal_shape_operator(builtin("g6_m1_M1"))
@@ -133,6 +272,14 @@ class TestNumeric:
     def test_samples_must_be_positive(self):
         with pytest.raises(ValueError):
             numeric_sweep(builtin("g6_m1_M1"), 0, 0)
+
+    def test_one_sample_compares_nothing_and_is_rejected(self):
+        with pytest.raises(ValueError):
+            numeric_sweep(single_operator(["1", "0"]), 1, 0)
+
+    def test_nan_drift_is_not_dropped(self, monkeypatch):
+        monkeypatch.setattr("willmore.sweep.eval_float", lambda coeff, point: math.nan)
+        assert math.isnan(numeric_sweep(builtin("g6_m1_M1"), 10, 0))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_symbolically_constant_implies_tiny_deviation(self, name):
