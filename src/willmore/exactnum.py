@@ -3,12 +3,16 @@
 Every quantity this package computes with lives in Q(sqrt(3)).  Elements are
 kept in a canonical form so that exact equality is plain field-wise equality;
 radicals are never stored in denominators (1/sqrt(3) is held as (1/3)*sqrt(3)).
+The module also holds the one parser of the scalar grammar and `accumulate`,
+the one helper for sparse linear combinations {key: coefficient}.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
+from typing import Hashable, Iterable
 
 Rational = Fraction
 
@@ -18,6 +22,7 @@ class ScalarParseError(ValueError):
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 
@@ -253,82 +258,49 @@ def format_scalar(value: QuadExt) -> str:
     return f"{a}+{mag}" if b > 0 else f"{a}-{mag}"
 
 
-class _Cursor:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, message: str) -> ScalarParseError:
-        return ScalarParseError(message, self.pos)
-
-    def expect_sqrt3(self) -> None:
-        if self.text.startswith("sqrt3", self.pos):
-            self.pos += 5
-        else:
-            raise self.error("expected 'sqrt3'")
-
-    def take_digits(self) -> int:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise self.error("expected digits")
-        return int(self.text[start : self.pos])
+# One term: "sqrt3", a rational "p" or "p/q", or "p*sqrt3" / "p/q*sqrt3",
+# each with an optional leading minus; whitespace may separate the parts.
+# "sqrt3" must end a word, so "sqrt3x" is no term.  The digits after a '/' may
+# match empty so that _term_value can report them missing.
+_TERM = re.compile(r"\s*(-\s*)?(?:(sqrt3(?!\w))|(\d+)(?:\s*/\s*(\d*))?(?:\s*\*\s*(sqrt3(?!\w)))?)")
+_SPACE = re.compile(r"\s*")
+_SIGN = re.compile(r"\s*(?:-\s*)?")
 
 
-def _parse_rational(cur: _Cursor) -> Fraction:
-    cur.skip_ws()
-    negative = False
-    if cur.peek() == "-":
-        negative = True
-        cur.pos += 1
-        cur.skip_ws()
-    numerator = cur.take_digits()
-    cur.skip_ws()
-    if cur.peek() == "/":
-        cur.pos += 1
-        cur.skip_ws()
-        at = cur.pos
-        denominator = cur.take_digits()
-        if denominator == 0:
-            raise ScalarParseError("zero denominator", at)
+def _term_value(match: re.Match) -> QuadExt:
+    negative, root, numerator, denominator, times_root = match.groups()
+    if root:
+        value = SQRT3
     else:
-        denominator = 1
-    value = Fraction(numerator, denominator)
+        if denominator == "":
+            raise ScalarParseError("expected digits after '/'", match.start(4))
+        if denominator is not None and int(denominator) == 0:
+            raise ScalarParseError("zero denominator", match.start(4))
+        rational = Fraction(int(numerator), int(denominator or 1))
+        value = QuadExt(0, rational) if times_root else QuadExt(rational)
     return -value if negative else value
 
 
-def _parse_term(cur: _Cursor) -> tuple[QuadExt, bool]:
-    """One grammar term; returns (value, term_contains_sqrt3)."""
-    cur.skip_ws()
-    ch = cur.peek()
-    if ch == "s":
-        cur.expect_sqrt3()
-        return SQRT3, True
-    if ch == "-":
-        ahead = cur.pos + 1
-        while ahead < len(cur.text) and cur.text[ahead].isspace():
-            ahead += 1
-        if cur.text.startswith("sqrt3", ahead):
-            cur.pos = ahead + 5
-            return -SQRT3, True
-    if not (ch.isdigit() or ch == "-"):
-        raise cur.error("expected a rational or 'sqrt3'")
-    r = _parse_rational(cur)
-    cur.skip_ws()
-    if cur.peek() == "*":
-        cur.pos += 1
-        cur.skip_ws()
-        cur.expect_sqrt3()
-        return QuadExt(0, r), True
-    return QuadExt(r, 0), False
+def scan_scalar(text: str, pos: int = 0) -> tuple[QuadExt, int]:
+    """Read the longest scalar that starts at text[pos]; return (value, end).
+
+    The scalar is one term or two terms joined by '+' or '-'.  It stops before
+    a '*' that is not followed by 'sqrt3' and before a '+' or '-' that does
+    not start a term, so a caller can read on from `end`.
+    """
+    first = _TERM.match(text, pos)
+    if first is None:
+        raise ScalarParseError("expected a rational or 'sqrt3'", _SIGN.match(text, pos).end())
+    value, end = _term_value(first), first.end()
+    sign = _SPACE.match(text, end).end()
+    second = _TERM.match(text, sign + 1) if text.startswith(("+", "-"), sign) else None
+    if second is not None:
+        if "sqrt3" in first.group() and "sqrt3" in second.group():
+            raise ScalarParseError("'sqrt3' may appear at most once", sign)
+        term = _term_value(second)
+        value = value - term if text[sign] == "-" else value + term
+        end = second.end()
+    return value, end
 
 
 def parse_scalar(text: str) -> QuadExt:
@@ -336,18 +308,31 @@ def parse_scalar(text: str) -> QuadExt:
 
     Whitespace-insensitive; 'sqrt3' may appear at most once.
     """
-    cur = _Cursor(text)
-    value, used_sqrt3 = _parse_term(cur)
-    cur.skip_ws()
-    if cur.peek() in ("+", "-"):
-        sign_pos = cur.pos
-        negative = cur.peek() == "-"
-        cur.pos += 1
-        second, second_sqrt3 = _parse_term(cur)
-        if used_sqrt3 and second_sqrt3:
-            raise ScalarParseError("'sqrt3' may appear at most once", sign_pos)
-        value = value - second if negative else value + second
-    cur.skip_ws()
-    if cur.pos != len(cur.text):
-        raise cur.error("unexpected trailing text")
-    return value
+    value, end = scan_scalar(text)
+    end = _SPACE.match(text, end).end()
+    if end == len(text):
+        return value
+    if text[end] in "+-*/":
+        # the operator is not the offence, what follows it is
+        raise ScalarParseError(f"unexpected text after {text[end]!r}", _SPACE.match(text, end + 1).end())
+    raise ScalarParseError("unexpected trailing text", end)
+
+
+def accumulate(table: dict, items: Iterable[tuple[Hashable, QuadExt]], factor: QuadExt | None = None) -> dict:
+    """table += factor * items, in place, for a sparse linear combination.
+
+    `table` maps keys to nonzero coefficients and `items` yields (key,
+    coefficient) pairs; a key whose sum cancels to zero is dropped.  A missing
+    factor means 1.  Returns `table`.
+    """
+    for key, coeff in items:
+        if factor is not None:
+            coeff = factor * coeff
+        acc = table.get(key)
+        if acc is not None:
+            coeff = acc + coeff
+        if coeff:
+            table[key] = coeff
+        elif acc is not None:
+            del table[key]
+    return table

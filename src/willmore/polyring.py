@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .exactnum import QuadExt, ZERO
+from .exactnum import QuadExt, ZERO, accumulate
 
 
 class MultiPoly:
@@ -32,6 +32,14 @@ class MultiPoly:
                 if coeff:
                     clean[exps] = coeff
         self.terms = clean
+
+    @staticmethod
+    def _of(nvars: int, terms: dict[tuple[int, ...], QuadExt]) -> MultiPoly:
+        """Trusted constructor: exponent vectors of length nvars, nonzero coefficients."""
+        out = object.__new__(MultiPoly)
+        out.nvars = nvars
+        out.terms = terms
+        return out
 
     @classmethod
     def constant(cls, nvars: int, value) -> MultiPoly:
@@ -79,24 +87,13 @@ class MultiPoly:
         return f"MultiPoly({self.nvars}, {self})"
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __add__(self, other) -> MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = merged.get(exps)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                merged[exps] = acc
-            elif exps in merged:
-                del merged[exps]
-        out = object.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out.terms = merged
-        return out
+        return MultiPoly._of(self.nvars, accumulate(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -117,28 +114,13 @@ class MultiPoly:
             scalar = QuadExt._coerce(other)
             if scalar is None:
                 return NotImplemented
-            if not scalar:
-                return MultiPoly(self.nvars)
-            out = object.__new__(MultiPoly)
-            out.nvars = self.nvars
-            out.terms = {e: c * scalar for e, c in self.terms.items()}
-            return out
+            return MultiPoly._of(self.nvars, {e: c * scalar for e, c in self.terms.items()} if scalar else {})
         other = self._coerce(other)
         product: dict[tuple[int, ...], QuadExt] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                coeff = c1 * c2
-                acc = product.get(exps)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    product[exps] = acc
-                elif exps in product:
-                    del product[exps]
-        out = object.__new__(MultiPoly)
-        out.nvars = self.nvars
-        out.terms = product
-        return out
+            shifted = ((tuple(a + b for a, b in zip(e1, e2)), c2) for e2, c2 in other.terms.items())
+            accumulate(product, shifted, c1)
+        return MultiPoly._of(self.nvars, product)
 
     __rmul__ = __mul__
 
@@ -191,15 +173,6 @@ class MultiPoly:
         return " ".join(parts)
 
 
-def _accumulate(table: dict, exps: tuple[int, ...], coeff: QuadExt) -> None:
-    acc = table.get(exps)
-    acc = coeff if acc is None else acc + coeff
-    if acc:
-        table[exps] = acc
-    elif exps in table:
-        del table[exps]
-
-
 def reduce_mod_sphere(f: MultiPoly) -> MultiPoly:
     """Canonical remainder of f modulo t1^2 + ... + tp^2 - 1.
 
@@ -216,13 +189,11 @@ def reduce_mod_sphere(f: MultiPoly) -> MultiPoly:
         exps, coeff = work.popitem()
         if exps[0] >= 2:
             base = (exps[0] - 2,) + exps[1:]
-            _accumulate(work, base, coeff)
-            for j in range(1, p):
-                raised = base[:j] + (base[j] + 2,) + base[j + 1 :]
-                _accumulate(work, raised, -coeff)
+            raised = [(base[:j] + (base[j] + 2,) + base[j + 1 :], -coeff) for j in range(1, p)]
+            accumulate(work, [(base, coeff)] + raised)
         else:
-            _accumulate(done, exps, coeff)
-    return MultiPoly(p, done)
+            accumulate(done, [(exps, coeff)])
+    return MultiPoly._of(p, done)
 
 
 def eval_float(f: MultiPoly, point: Iterable[float]) -> float:

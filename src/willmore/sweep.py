@@ -201,8 +201,23 @@ def unit_normal_samples(p: int, samples: int, seed: int) -> list[tuple[float, ..
     return points
 
 
+def _scale_exponent(data: ShapeOperatorSet) -> int:
+    """Smallest e >= 0 that brings every |entry| / 2^e below 2, in floats
+    (OverflowError for an entry beyond the float range)."""
+    e = 0
+    for op in data.operators:
+        for row in op.rows:
+            for entry in row:
+                e = max(e, math.frexp(entry.to_float())[1] - 1)
+    return e
+
+
 def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
     """Max absolute drift of any char_poly coefficient across sampled normals.
+
+    The drift is that of A(t) / 2^e, with e from _scale_exponent: constancy
+    does not depend on scale, and an absolute tolerance then means the same
+    at every scale.  Data whose entries are all below 2 is not scaled.
 
     NaN as soon as one drift is NaN (an evaluation overflowed both ways), so
     that no tolerance test can pass it.  At least two samples are needed:
@@ -210,12 +225,16 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
-    poly = normal_char_poly(data)
+    coeffs = normal_char_poly(data).coeffs
+    e = _scale_exponent(data)
+    if e:
+        # char_poly(A / 2^e) has the coefficient of lambda^j divided by 2^(e(n-j))
+        coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
     points = unit_normal_samples(data.p, samples, seed)
-    baseline = [eval_float(c, points[0]) for c in poly.coeffs]
+    baseline = [eval_float(c, points[0]) for c in coeffs]
     deviation = 0.0
     for point in points[1:]:
-        for base, coeff in zip(baseline, poly.coeffs):
+        for base, coeff in zip(baseline, coeffs):
             drift = abs(eval_float(coeff, point) - base)
             if math.isnan(drift):
                 return drift

@@ -21,9 +21,13 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .exactnum import QuadExt, ScalarParseError
+from .exactnum import QuadExt, ScalarParseError, accumulate, scan_scalar
 
 Word = tuple[int, ...]
+
+# Longest trace word a parsed expression may hold, checked before a power
+# A_i^k is expanded, so that a short text cannot ask for a huge word.
+MAX_WORD_LEN = 10_000
 
 # A concrete matrix identity: a formal combination sum c_i * word_i == 0.
 MatrixIdentity = tuple[tuple[QuadExt, Word], ...]
@@ -43,7 +47,37 @@ def canonicalize_cyclic(word: Iterable[int]) -> Word:
         raise ValueError("empty trace word")
     if any(not isinstance(i, int) or i < 1 for i in word):
         raise ValueError(f"operator indices must be positive integers: {word}")
-    return min(word[k:] + word[:k] for k in range(len(word)))
+    start = _least_rotation(word)
+    return word[start:] + word[:start]
+
+
+def _least_rotation(word: Word) -> int:
+    """Start of the lexicographically least rotation, in linear time (Booth,
+    Inf. Process. Lett. 10, 1980): a failure function over word + word."""
+    doubled = word + word
+    fail = [-1] * len(doubled)
+    start = 0
+    for j in range(1, len(doubled)):
+        letter = doubled[j]
+        i = fail[j - start - 1]
+        while i != -1 and letter != doubled[start + i + 1]:
+            if letter < doubled[start + i + 1]:
+                start = j - i - 1
+            i = fail[i]
+        if letter != doubled[start + i + 1]:  # here i == -1
+            if letter < doubled[start]:
+                start = j
+            fail[j - start] = -1
+        else:
+            fail[j - start] = i + 1
+    return start
+
+
+def _coefficient(value) -> QuadExt:
+    coeff = QuadExt._coerce(value)
+    if coeff is None:
+        raise TypeError(f"bad coefficient {value!r}")
+    return coeff
 
 
 def _order(word: Word) -> tuple[int, Word]:
@@ -68,19 +102,15 @@ class TraceExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Iterable[int], object] | None = None) -> None:
-        clean: dict[Word, QuadExt] = {}
-        for word, coeff in (terms or {}).items():
-            value = QuadExt._coerce(coeff)
-            if value is None:
-                raise TypeError(f"bad coefficient {coeff!r}")
-            key = canonicalize_cyclic(word)
-            acc = clean.get(key)
-            acc = value if acc is None else acc + value
-            if acc:
-                clean[key] = acc
-            elif key in clean:
-                del clean[key]
-        self.terms = clean
+        items = ((canonicalize_cyclic(word), _coefficient(coeff)) for word, coeff in (terms or {}).items())
+        self.terms = accumulate({}, items)
+
+    @staticmethod
+    def _of(terms: dict[Word, QuadExt]) -> TraceExpr:
+        """Trusted constructor: canonical words, nonzero coefficients."""
+        expr = object.__new__(TraceExpr)
+        expr.terms = terms
+        return expr
 
     @classmethod
     def single(cls, word: Iterable[int], coeff=1) -> TraceExpr:
@@ -95,22 +125,12 @@ class TraceExpr:
         return self.terms == other.terms
 
     def __neg__(self) -> TraceExpr:
-        return TraceExpr({w: -c for w, c in self.terms.items()})
+        return TraceExpr._of({w: -c for w, c in self.terms.items()})
 
     def __add__(self, other: TraceExpr) -> TraceExpr:
         if not isinstance(other, TraceExpr):
             return NotImplemented
-        merged = dict(self.terms)
-        for word, coeff in other.terms.items():
-            acc = merged.get(word)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                merged[word] = acc
-            elif word in merged:
-                del merged[word]
-        out = object.__new__(TraceExpr)
-        out.terms = merged
-        return out
+        return TraceExpr._of(accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: TraceExpr) -> TraceExpr:
         if not isinstance(other, TraceExpr):
@@ -121,7 +141,7 @@ class TraceExpr:
         value = QuadExt._coerce(scalar)
         if value is None:
             return NotImplemented
-        return TraceExpr({w: c * value for w, c in self.terms.items()})
+        return TraceExpr._of({w: c * value for w, c in self.terms.items()} if value else {})
 
     __rmul__ = __mul__
 
@@ -213,29 +233,7 @@ def instantiate(identity: SchematicIdentity, p: int) -> list[MatrixIdentity]:
 
 def trace_of(identity: MatrixIdentity) -> TraceExpr:
     """Apply Tr term-wise; cyclic canonicalization merges rotated words."""
-    merged: dict[Word, QuadExt] = {}
-    for coeff, word in identity:
-        key = canonicalize_cyclic(word)
-        acc = merged.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc:
-            merged[key] = acc
-        elif key in merged:
-            del merged[key]
-    expr = object.__new__(TraceExpr)
-    expr.terms = merged
-    return expr
-
-
-def _row_submul(row: dict[Word, QuadExt], other: Mapping[Word, QuadExt], factor: QuadExt) -> None:
-    for word, coeff in other.items():
-        acc = row.get(word)
-        delta = factor * coeff
-        acc = -delta if acc is None else acc - delta
-        if acc:
-            row[word] = acc
-        elif word in row:
-            del row[word]
+    return TraceExpr._of(accumulate({}, ((canonicalize_cyclic(word), coeff) for coeff, word in identity)))
 
 
 def _echelon(relations: Iterable[TraceExpr]) -> dict[Word, dict[Word, QuadExt]]:
@@ -253,7 +251,7 @@ def _echelon(relations: Iterable[TraceExpr]) -> dict[Word, dict[Word, QuadExt]]:
             pivot_row = pivots.get(lead)
             if pivot_row is None:
                 break
-            _row_submul(row, pivot_row, row[lead])
+            accumulate(row, pivot_row.items(), -row[lead])
         if not row:
             continue
         inverse = row[lead].inverse()
@@ -261,7 +259,7 @@ def _echelon(relations: Iterable[TraceExpr]) -> dict[Word, dict[Word, QuadExt]]:
     for lead in sorted(pivots, key=_order, reverse=True):
         row = pivots[lead]
         for word in [w for w in row if w != lead and w in pivots]:
-            _row_submul(row, pivots[word], row[word])
+            accumulate(row, pivots[word].items(), -row[word])
     return pivots
 
 
@@ -273,12 +271,9 @@ def _normal_form(
     for word in sorted((w for w in residual if w in pivots), key=_order):
         if word not in residual:
             continue
-        factor = residual[word]
         row = pivots[word]
-        _row_submul(residual, row, factor)
-        expr = object.__new__(TraceExpr)
-        expr.terms = dict(row)
-        steps.append(f"eliminate Tr({_word_str(word)}) using {expr} = 0")
+        accumulate(residual, row.items(), -residual[word])
+        steps.append(f"eliminate Tr({_word_str(word)}) using {TraceExpr._of(row)} = 0")
     return residual, steps
 
 
@@ -292,9 +287,7 @@ def reduce_goal_with_steps(
 ) -> tuple[TraceExpr, tuple[str, ...]]:
     """Residual plus a rendering of each elimination step taken."""
     residual, steps = _normal_form(goal.terms, _echelon(relations))
-    expr = object.__new__(TraceExpr)
-    expr.terms = residual
-    return expr, tuple(steps)
+    return TraceExpr._of(residual), tuple(steps)
 
 
 def minimality_relations(p: int) -> list[TraceExpr]:
@@ -342,9 +335,7 @@ def verify_g4(p: int) -> ProofReport:
     for alpha in range(1, p + 1):
         goal = TraceExpr({(b, b, alpha): 1 for b in range(1, p + 1)})
         residual, steps = _normal_form(goal.terms, pivots)
-        rexpr = object.__new__(TraceExpr)
-        rexpr.terms = residual
-        goals.append(GoalReduction(alpha, goal, tuple(steps), rexpr))
+        goals.append(GoalReduction(alpha, goal, tuple(steps), TraceExpr._of(residual)))
     return ProofReport(p, len(relations), tuple(goals))
 
 
@@ -372,9 +363,8 @@ class _TraceParser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self, offset: int = 0) -> tuple[str, str, int] | None:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
+    def peek(self) -> tuple[str, str, int] | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def take(self) -> tuple[str, str, int]:
         token = self.peek()
@@ -383,87 +373,26 @@ class _TraceParser:
         self.pos += 1
         return token
 
-    def expect_op(self, op: str) -> None:
+    def where(self) -> int:
+        """Text position of the next token."""
         token = self.peek()
-        if token is None or token[0] != "op" or token[1] != op:
-            where = token[2] if token else len(self.text)
-            raise TraceParseError(f"expected {op!r}", where)
+        return token[2] if token else len(self.text)
+
+    def expect_op(self, op: str) -> None:
+        if not self.at_op(op):
+            raise TraceParseError(f"expected {op!r}", self.where())
         self.pos += 1
 
     def at_op(self, *ops: str) -> bool:
         token = self.peek()
         return token is not None and token[0] == "op" and token[1] in ops
 
-    def at_name(self, name: str, offset: int = 0) -> bool:
-        token = self.peek(offset)
+    def at_name(self, name: str) -> bool:
+        token = self.peek()
         return token is not None and token[0] == "name" and token[1] == name
 
-    # scalar sub-grammar over tokens -------------------------------------
-
-    def parse_rational(self) -> QuadExt:
-        negative = False
-        if self.at_op("-"):
-            negative = True
-            self.pos += 1
-        token = self.peek()
-        if token is None or token[0] != "num":
-            where = token[2] if token else len(self.text)
-            raise TraceParseError("expected digits", where)
-        self.pos += 1
-        numerator = int(token[1])
-        denominator = 1
-        if self.at_op("/"):
-            self.pos += 1
-            den_token = self.peek()
-            if den_token is None or den_token[0] != "num":
-                where = den_token[2] if den_token else len(self.text)
-                raise TraceParseError("expected digits after '/'", where)
-            if int(den_token[1]) == 0:
-                raise TraceParseError("zero denominator", den_token[2])
-            denominator = int(den_token[1])
-            self.pos += 1
-        value = QuadExt._make(numerator, 0, denominator)
-        return -value if negative else value
-
-    def parse_scalar_term(self) -> tuple[QuadExt, bool]:
-        if self.at_name("sqrt3"):
-            self.pos += 1
-            return QuadExt(0, 1), True
-        if self.at_op("-") and self.at_name("sqrt3", 1):
-            self.pos += 2
-            return QuadExt(0, -1), True
-        r = self.parse_rational()
-        if self.at_op("*") and self.at_name("sqrt3", 1):
-            self.pos += 2
-            return QuadExt(0, 1) * r, True
-        return r, False
-
-    def _starts_scalar_term(self, offset: int) -> bool:
-        token = self.peek(offset)
-        if token is None:
-            return False
-        if token[0] == "num" or (token[0] == "name" and token[1] == "sqrt3"):
-            return True
-        if token[0] == "op" and token[1] == "-":
-            nxt = self.peek(offset + 1)
-            return nxt is not None and (
-                nxt[0] == "num" or (nxt[0] == "name" and nxt[1] == "sqrt3")
-            )
-        return False
-
-    def parse_scalar(self) -> QuadExt:
-        value, used_sqrt3 = self.parse_scalar_term()
-        if self.at_op("+", "-") and self._starts_scalar_term(1):
-            sign_token = self.take()
-            second, second_sqrt3 = self.parse_scalar_term()
-            if used_sqrt3 and second_sqrt3:
-                raise TraceParseError("'sqrt3' may appear at most once", sign_token[2])
-            value = value - second if sign_token[1] == "-" else value + second
-        return value
-
-    # trace grammar ------------------------------------------------------
-
-    def parse_factor(self) -> Word:
+    def parse_factor(self, room: int) -> Word:
+        """A_i or A_i^k with k <= room, the letters the word has left."""
         token = self.take()
         if token[0] != "gen":
             raise TraceParseError("expected an operator like 'A1'", token[2])
@@ -479,16 +408,32 @@ class _TraceParser:
             exponent = int(exp_token[1])
             if exponent < 1:
                 raise TraceParseError("exponent must be positive", exp_token[2])
+        if exponent > room:
+            raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", token[2])
         return (index,) * exponent
 
     def parse_word(self) -> Word:
-        word = self.parse_factor()
+        factors = [self.parse_factor(MAX_WORD_LEN)]
+        room = MAX_WORD_LEN - len(factors[0])
         while self.at_op("*"):
             self.pos += 1
-            word += self.parse_factor()
-        return word
+            factors.append(self.parse_factor(room))
+            room -= len(factors[-1])
+        return tuple(itertools.chain.from_iterable(factors))
 
-    def parse_term(self) -> TraceExpr:
+    def parse_coefficient(self) -> QuadExt:
+        """A scalar of the `exactnum` grammar, read from the text at the next token."""
+        try:
+            value, end = scan_scalar(self.text, self.where())
+        except ScalarParseError as exc:
+            raise TraceParseError(exc.message, exc.position) from exc
+        # the scalar grammar ends every scalar at a token boundary
+        while self.pos < len(self.tokens) and self.tokens[self.pos][2] < end:
+            self.pos += 1
+        return value
+
+    def parse_term(self) -> tuple[Word, QuadExt]:
+        """(canonical word, coefficient) of one term c*Tr(w)."""
         if self.at_name("Tr"):
             coeff = QuadExt(1)
         else:
@@ -496,30 +441,28 @@ class _TraceParser:
             parens = self.at_op("(")
             if parens:
                 self.pos += 1
-            coeff = self.parse_scalar()
+            coeff = self.parse_coefficient()
             if parens:
                 self.expect_op(")")
             self.expect_op("*")
             if not self.at_name("Tr"):
-                token = self.peek()
-                where = token[2] if token else len(self.text)
-                raise TraceParseError("expected 'Tr'", where)
+                raise TraceParseError("expected 'Tr'", self.where())
         self.pos += 1  # consume 'Tr'
         self.expect_op("(")
         word = self.parse_word()
         self.expect_op(")")
-        return TraceExpr({word: coeff})
+        return canonicalize_cyclic(word), coeff
 
     def parse_expr(self) -> TraceExpr:
-        expr = self.parse_term()
+        terms = [self.parse_term()]
         while self.at_op("+", "-"):
-            sign = self.take()[1]
-            term = self.parse_term()
-            expr = expr - term if sign == "-" else expr + term
+            negative = self.take()[1] == "-"
+            word, coeff = self.parse_term()
+            terms.append((word, -coeff if negative else coeff))
         token = self.peek()
         if token is not None:
             raise TraceParseError(f"unexpected token {token[1]!r}", token[2])
-        return expr
+        return TraceExpr._of(accumulate({}, terms))
 
 
 def parse_trace_expr(text: str) -> TraceExpr:
@@ -540,7 +483,7 @@ def parse_identity_file(text: str) -> list[TraceExpr]:
         try:
             lhs = parse_trace_expr(parts[0])
             rhs = TraceExpr() if parts[1].strip() == "0" else parse_trace_expr(parts[1])
-        except (TraceParseError, ScalarParseError) as exc:
+        except TraceParseError as exc:
             raise TraceParseError(f"line {number}: {exc}") from exc
         relations.append(lhs - rhs)
     return relations

@@ -1,5 +1,6 @@
 import pytest
 
+from frames import scaled
 from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
 from willmore.cli import main, verify_certificate
 from willmore.linalg import Matrix
@@ -152,6 +153,12 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "too large" in err and err.count("\n") == 1
 
+    def test_scaled_constant_data_passes_the_numeric_check(self, capsys, tmp_path):
+        path = tmp_path / "scaled.dat"
+        path.write_text(serialize_dataset(scaled(builtin("g6_m2_M2"), 10)), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric"]) == 0
+        assert "verdict: pass" in capsys.readouterr().out
+
     def test_mode_is_required(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["sweep", "g6_m1_M1"])
@@ -202,6 +209,13 @@ class TestTracecheck:
         rules.write_bytes("Tr(A1) = 0 # caf\xe9\n".encode("latin-1"))
         assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "1"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("exponent", ["10001", "1000000000"])
+    def test_word_beyond_the_length_bound_is_an_input_error(self, capsys, exponent):
+        goal = f"Tr(A2*A1^{exponent})"
+        assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "longer than" in err and err.count("\n") == 1
 
     def test_index_beyond_p(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A5)", "--indices", "2"]) == 2

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
+from willmore.cli import NUMERIC_TOLERANCE
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly
 from willmore.sweep import (
@@ -28,68 +30,6 @@ QUINTIC = UniPoly(
 def single_operator(entries, name="single"):
     m = Matrix.diagonal([S(e) for e in entries])
     return ShapeOperatorSet(name, m.nrows, 1, (m,), ("B1",))
-
-
-def rational_inverse(m):
-    """Gauss-Jordan inverse of a square list of Fractions."""
-    n = len(m)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if work[r][col])
-        work[col], work[pivot] = work[pivot], work[col]
-        lead = work[col][col]
-        work[col] = [v / lead for v in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
-def cayley_frame(n, rng):
-    """Rational orthogonal Q = (I - S)(I + S)^-1 for a random skew S."""
-    skew = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-            skew[i][j], skew[j][i] = v, -v
-    minus = Matrix([[QuadExt(int(i == j) - skew[i][j]) for j in range(n)] for i in range(n)])
-    plus = [[int(i == j) + skew[i][j] for j in range(n)] for i in range(n)]
-    return minus @ Matrix([[QuadExt(v) for v in row] for row in rational_inverse(plus)])
-
-
-def signed_permutation(n, rng):
-    order = list(range(n))
-    rng.shuffle(order)
-    return Matrix(
-        [[QuadExt(rng.choice((1, -1)) if j == order[i] else 0) for j in range(n)] for i in range(n)]
-    )
-
-
-def change_frame(data, q):
-    ops = tuple(q @ op @ q.transpose() for op in data.operators)
-    return ShapeOperatorSet(data.name, data.n, data.p, ops, data.labels)
-
-
-def rotate_normals(data, r):
-    ops = []
-    for a in range(data.p):
-        acc = data.operators[0] * r[a, 0]
-        for b in range(1, data.p):
-            acc = acc + data.operators[b] * r[a, b]
-        ops.append(acc)
-    return ShapeOperatorSet(data.name, data.n, data.p, tuple(ops), data.labels)
-
-
-def direct_sum(first, second):
-    n = first.n + second.n
-    zero = QuadExt(0)
-    ops = []
-    for x, y in zip(first.operators, second.operators):
-        rows = [list(row) + [zero] * second.n for row in x.rows]
-        rows += [[zero] * first.n + list(row) for row in y.rows]
-        ops.append(Matrix(rows))
-    return ShapeOperatorSet("sum", n, first.p, tuple(ops), first.labels)
 
 
 def assert_kernel_matches_reference(data):
@@ -285,6 +225,24 @@ class TestNumeric:
     def test_symbolically_constant_implies_tiny_deviation(self, name):
         assert symbolic_sweep(builtin(name)).constant
         assert numeric_sweep(builtin(name), 1000, 0) < 1e-9
+
+    @pytest.mark.parametrize("factor", [10, 1000])
+    def test_scaled_constant_data_stays_within_tolerance(self, factor):
+        # the coefficient of lambda^(n-k) grows like factor^k; the sweep
+        # compares A / 2^e, whose entries are below 2
+        data = scaled(builtin("g6_m2_M2"), factor)
+        assert numeric_sweep(data, 1000, 0) < NUMERIC_TOLERANCE
+
+    def test_entries_below_two_are_not_scaled(self):
+        from willmore.sweep import _scale_exponent
+
+        for name in BUILTIN_NAMES:
+            assert _scale_exponent(builtin(name)) == 0  # largest entry sqrt3
+        assert _scale_exponent(scaled(builtin("g6_m2_M2"), 10)) == 4  # 10*sqrt3 / 16 < 2
+
+    def test_scaled_non_constant_data_still_fails(self):
+        data = scaled(single_operator(["1", "0"]), 10)
+        assert numeric_sweep(data, 1000, 0) >= NUMERIC_TOLERANCE
 
     def test_samples_are_deterministic_and_unit_length(self):
         for p in (1, 2, 3):

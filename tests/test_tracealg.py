@@ -66,6 +66,11 @@ class TestCanonicalize:
         rotated = word[k:] + word[:k]
         assert canonicalize_cyclic(rotated) == canonicalize_cyclic(word)
 
+    @given(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=40))
+    def test_least_rotation_equals_min_over_all_rotations(self, letters):
+        word = tuple(letters)
+        assert canonicalize_cyclic(word) == min(word[k:] + word[:k] for k in range(len(word)))
+
 
 class TestInstantiate:
     def test_cube_over_two_indices(self):
@@ -190,6 +195,24 @@ class TestParse:
         with pytest.raises(TraceParseError):
             parse_trace_expr(text)
 
+    def test_scalar_error_is_a_trace_error_at_its_position(self):
+        with pytest.raises(TraceParseError) as info:
+            parse_trace_expr("Tr(A1) + 2/0*Tr(A2)")
+        assert info.value.position == 11
+        assert "zero denominator" in str(info.value)
+
+    def test_word_at_the_length_bound(self):
+        expr = parse_trace_expr("Tr(A2*A1^9999)")
+        assert [len(word) for word in expr.terms] == [10_000]
+
+    @pytest.mark.parametrize(
+        "text", ["Tr(A2*A1^10000)", "Tr(A1^5000*A2^5000*A1)", "Tr(A2*A1^1000000000)"]
+    )
+    def test_word_beyond_the_length_bound(self, text):
+        with pytest.raises(TraceParseError) as info:
+            parse_trace_expr(text)
+        assert "longer than 10000" in str(info.value)
+
     def test_error_carries_position(self):
         with pytest.raises(TraceParseError) as info:
             parse_trace_expr("Tr(A1) - 3*Tr(A0)")
@@ -225,6 +248,11 @@ class TestIdentityFile:
         with pytest.raises(TraceParseError) as info:
             parse_identity_file("Tr(A1) = 0\nTr(A2) == 0\n")
         assert "line 2" in str(info.value)
+
+    def test_bad_scalar_reports_line_number(self):
+        with pytest.raises(TraceParseError) as info:
+            parse_identity_file("Tr(A1) = 0\n1/0*Tr(A2) = 0\n")
+        assert "line 2" in str(info.value) and "zero denominator" in str(info.value)
 
     def test_missing_equals(self):
         with pytest.raises(TraceParseError):
