@@ -22,7 +22,7 @@ from .catalog import (
     builtin,
     parse_dataset,
 )
-from .curvature import CurvatureReport, curvature_report, riemann
+from .curvature import CurvatureReport, curvature_report, riemann_suite
 from .exactnum import format_scalar
 from .sweep import numeric_sweep, symbolic_sweep
 from .tracealg import (
@@ -97,42 +97,10 @@ def load_dataset(name_or_path: str) -> ShapeOperatorSet:
 
 
 def _riemann_spot_suite(data: ShapeOperatorSet, report: CurvatureReport) -> tuple[dict[str, bool], int]:
-    """Curvature-tensor symmetries on a deterministic quadruple sample, plus
-    the full contraction check against the report's Ricci tensor."""
-    n = data.n
-    stride = 1 if n <= 6 else (n + 5) // 6
-    indices = range(0, n, stride)
-    table = {}
-    for i in indices:
-        for j in indices:
-            for k in indices:
-                for l in indices:
-                    table[i, j, k, l] = riemann(data, i, j, k, l)
-    anti = all(
-        table[i, j, k, l] == -table[j, i, k, l] and table[i, j, k, l] == -table[i, j, l, k]
-        for (i, j, k, l) in table
-    )
-    pair = all(table[i, j, k, l] == table[k, l, i, j] for (i, j, k, l) in table)
-    bianchi = all(
-        not (table[i, j, k, l] + table[i, k, l, j] + table[i, l, j, k])
-        for (i, j, k, l) in table
-    )
-    contraction = True
-    if report.ricci is not None:
-        for i in range(n):
-            for j in range(n):
-                total = riemann(data, i, 0, j, 0)
-                for k in range(1, n):
-                    total = total + riemann(data, i, k, j, k)
-                if total != report.ricci[i, j]:
-                    contraction = False
-    checks = {
-        "antisymmetry": anti,
-        "pair_symmetry": pair,
-        "bianchi": bianchi,
-        "contraction": contraction,
-    }
-    return checks, len(table)
+    """The certificate's Riemann spot suite: `riemann_suite` against the
+    report's Ricci tensor.  A step of its own, so that the benchmark's tracer
+    (perfbench/tracing.py) times it apart from the curvature pass."""
+    return riemann_suite(data, report.ricci)
 
 
 def _matrix_rows(fields: list[tuple[str, str]], matrix) -> None:

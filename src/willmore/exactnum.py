@@ -267,6 +267,13 @@ _SPACE = re.compile(r"\s*")
 _SIGN = re.compile(r"\s*(?:-\s*)?")
 
 
+def _digits(text: str, position: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        raise ScalarParseError("number has too many digits", position) from None
+
+
 def _term_value(match: re.Match) -> QuadExt:
     negative, root, numerator, denominator, times_root = match.groups()
     if root:
@@ -274,9 +281,10 @@ def _term_value(match: re.Match) -> QuadExt:
     else:
         if denominator == "":
             raise ScalarParseError("expected digits after '/'", match.start(4))
-        if denominator is not None and int(denominator) == 0:
+        denominator = _digits(denominator or "1", match.start(4))
+        if denominator == 0:
             raise ScalarParseError("zero denominator", match.start(4))
-        rational = Fraction(int(numerator), int(denominator or 1))
+        rational = Fraction(_digits(numerator, match.start(3)), denominator)
         value = QuadExt(0, rational) if times_root else QuadExt(rational)
     return -value if negative else value
 

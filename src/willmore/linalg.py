@@ -3,15 +3,23 @@
 Ring contract for entries: they support +, -, * among themselves, tolerate
 int operands (so `e * 0` is the ring zero and `e * 0 + 1` the ring one), and
 `e / k` is exact division by a nonzero Python int.  QuadExt and MultiPoly
-both satisfy it.  The curvature checks use QuadExt matrices.  The normal-sphere
-sweeps take the characteristic polynomial of A(t) from their own kernel,
-`sweep.normal_char_poly`; `Matrix.char_poly` over MultiPoly is the reference
-the tests hold that kernel to.
+both satisfy it.
+
+The exact kernels of the curvature pass (`curvature.curvature_report`) and
+of the normal-sphere sweeps (`sweep.normal_char_poly`) do not multiply
+`Matrix` objects: they read QuadExt matrices as sparse integer-pair rows
+from `integer_rows`.  `Matrix @` and `Matrix.char_poly` are the generic
+reference the tests hold those kernels to.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable
+
+# A sparse matrix row: (column, x, y) for each nonzero entry (x + y*sqrt3)/D,
+# in increasing column order, with the denominator D shared by every row.
+Row = list[tuple[int, int, int]]
 
 
 class DimensionError(ValueError):
@@ -291,3 +299,21 @@ class UniPoly:
         return " ".join(parts)
 
     __str__ = render
+
+
+def integer_rows(matrices: Iterable[Matrix]) -> tuple[list[list[Row]], int]:
+    """Sparse integer-pair rows of QuadExt matrices over one common denominator.
+
+    Returns (rows of each matrix, D): the entry (x + y*sqrt3)/D at (i, j) of a
+    matrix is (j, x, y) in its row i; zero entries are left out.
+    """
+    matrices = tuple(matrices)
+    den = 1
+    for m in matrices:
+        for row in m.rows:
+            for e in row:
+                den = math.lcm(den, e.d)
+    return [
+        [[(j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e] for row in m.rows]
+        for m in matrices
+    ], den

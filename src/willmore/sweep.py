@@ -25,12 +25,8 @@ from operator import or_
 
 from .catalog import ShapeOperatorSet
 from .exactnum import QuadExt
-from .linalg import Matrix, UniPoly
+from .linalg import Matrix, Row, UniPoly, integer_rows
 from .polyring import MultiPoly, eval_float, reduce_mod_sphere
-
-# A sparse matrix row: (column, x, y) for each nonzero entry (x + y*sqrt3)/D,
-# with the denominator D shared by the whole matrix polynomial.
-Row = list[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -71,7 +67,7 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
     equals normal_shape_operator(data).char_poly() exactly.
     """
     n, p = data.n, data.p
-    ops, op_den = _integer_rows(data.operators)
+    ops, op_den = integer_rows(data.operators)
     active = [(ops[a], _unit(p, a)) for a in range(p) if any(ops[a])]
     product = {unit: rows for rows, unit in active}  # P_1 = A
     den = op_den
@@ -110,19 +106,6 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
             den //= g
         traces = {m: _trace(rows) for m, rows in product.items()}
     return UniPoly(coeffs)
-
-
-def _integer_rows(operators) -> tuple[list[list[Row]], int]:
-    """Sparse integer-pair rows of every operator over one common denominator."""
-    den = 1
-    for op in operators:
-        for row in op.rows:
-            for e in row:
-                den = math.lcm(den, e.d)
-    return [
-        [[(j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e] for row in op.rows]
-        for op in operators
-    ], den
 
 
 def _trace(rows: list[Row]) -> tuple[int, int]:

@@ -396,7 +396,10 @@ class _TraceParser:
         token = self.take()
         if token[0] != "gen":
             raise TraceParseError("expected an operator like 'A1'", token[2])
-        index = int(token[1][1:])
+        try:
+            index = int(token[1][1:])
+        except ValueError:  # more digits than int() converts
+            raise TraceParseError("operator index has too many digits", token[2]) from None
         if index == 0:
             raise TraceParseError("operator index must be positive", token[2])
         exponent = 1
@@ -405,7 +408,10 @@ class _TraceParser:
             exp_token = self.take()
             if exp_token[0] != "num":
                 raise TraceParseError("expected digits after '^'", exp_token[2])
-            exponent = int(exp_token[1])
+            digits = exp_token[1].lstrip("0")
+            if len(digits) > len(str(MAX_WORD_LEN)):
+                raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", token[2])
+            exponent = int(digits or "0")
             if exponent < 1:
                 raise TraceParseError("exponent must be positive", exp_token[2])
         if exponent > room:

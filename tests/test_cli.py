@@ -1,13 +1,21 @@
+import sys
+
 import pytest
 
 from frames import scaled
-from willmore import tracealg
+from willmore import cli, tracealg
 from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
 from willmore.cli import main, verify_certificate
+from willmore.curvature import curvature_report
 from willmore.linalg import Matrix
 
 # Code without the word bound would expand A1^1000000000 into 8 GB.
 NEEDS_WORD_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_WORD_LEN"), reason="no trace-word bound")
+
+# int() refuses digit strings longer than this (0: no limit, as before Python 3.11)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit")
+TOO_MANY_DIGITS = "9" * max(INT_DIGIT_LIMIT + 1, 5000)
 
 NON_MINIMAL = """\
 dataset lopsided
@@ -91,19 +99,26 @@ class TestVerify:
 
     @pytest.mark.parametrize("name", ["g6_m1_M2", "g6_m2_M2"])
     def test_certificate_computes_curvature_once(self, monkeypatch, name):
-        # sum_a A_a^2, then Tr((sum A_b^2) A_a) and Tr(Ric A_a): 3p products
+        # one curvature pass on integer pairs, and no Matrix product at all
         calls = []
+        reports = []
         product = Matrix.__matmul__
 
         def counted(self, other):
             calls.append(1)
             return product(self, other)
 
+        def counted_report(data):
+            reports.append(1)
+            return curvature_report(data)
+
         monkeypatch.setattr(Matrix, "__matmul__", counted)
+        monkeypatch.setattr(cli, "curvature_report", counted_report)
         data = builtin(name)
         _, ok = verify_certificate(data)
         assert ok
-        assert len(calls) == 3 * data.p
+        assert len(calls) == 0
+        assert len(reports) == 1
 
     def test_timestamp_is_opt_in(self, capsys):
         assert main(["verify", "g6_m1_M1"]) == 0
@@ -220,6 +235,21 @@ class TestTracecheck:
         assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", "2"]) == 2
         err = capsys.readouterr().err
         assert "longer than" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "goal",
+        [
+            f"Tr(A1^{TOO_MANY_DIGITS})",
+            pytest.param(f"Tr(A{TOO_MANY_DIGITS})", marks=NEEDS_INT_DIGIT_LIMIT),
+            pytest.param(f"{TOO_MANY_DIGITS}*Tr(A1)", marks=NEEDS_INT_DIGIT_LIMIT),
+            pytest.param(f"1/{TOO_MANY_DIGITS}*Tr(A1)", marks=NEEDS_INT_DIGIT_LIMIT),
+        ],
+        ids=["exponent", "index", "numerator", "denominator"],
+    )
+    def test_digit_string_beyond_the_int_limit_is_an_input_error(self, capsys, goal):
+        assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: goal: ") and err.count("\n") == 1
 
     def test_index_beyond_p(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A5)", "--indices", "2"]) == 2

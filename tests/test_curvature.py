@@ -2,21 +2,28 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from frames import cayley_frame, change_frame, direct_sum, rotate_normals, signed_permutation
+from willmore import curvature
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
 from willmore.curvature import (
     NotMinimalError,
+    _riemann_table,
+    _ricci_contraction,
     curvature_report,
     einstein_check,
     minimality_check,
     ricci,
     riemann,
+    riemann_suite,
     square_norm,
     squared_operator_sum,
     willmore_check,
 )
 from willmore.exactnum import QuadExt, parse_scalar
-from willmore.linalg import Matrix
+from willmore.linalg import Matrix, integer_rows
 
 S = parse_scalar
 
@@ -232,3 +239,139 @@ class TestReport:
         assert report.einstein == einstein_check(ricci(data))
         assert report.willmore == willmore_check(data)
 
+
+
+def trace_free(m):
+    return m - Matrix.identity(m.nrows, m.trace() / m.nrows)
+
+
+def sampled_indices(n):
+    stride = 1 if n <= 6 else (n + 5) // 6
+    return range(0, n, stride)
+
+
+def assert_pass_matches_reference(data):
+    """curvature_report and riemann_suite against Matrix products, QuadExt
+    sums and riemann(); returns the report and the suite's quadruple count
+    (None for non-minimal data, which gets no suite)."""
+    n = data.n
+    report = curvature_report(data)
+    assert report.square_norm == squared_operator_sum(data).trace() == square_norm(data)
+    assert report.minimal == minimality_check(data)
+    if not report.minimal:
+        assert report.ricci is report.willmore is None
+        return report, None
+    assert report.ricci == ricci(data)
+    assert report.einstein == einstein_check(ricci(data))
+    assert report.willmore == willmore_check(data)
+    ops, den = integer_rows(data.operators)
+    den2 = den * den
+    table = _riemann_table(ops, den2, range(n) if n <= 6 else sampled_indices(n))
+    for (i, j, k, l), (x, y) in table.items():
+        assert QuadExt._make(x, y, den2) == riemann(data, i, j, k, l)
+    cx, cy = _ricci_contraction(ops, den2, n)
+    for i in range(n):
+        for j in range(n):
+            total = riemann(data, i, 0, j, 0)
+            for k in range(1, n):
+                total = total + riemann(data, i, k, j, k)
+            assert QuadExt._make(cx[i][j], cy[i][j], den2) == total
+    checks, count = riemann_suite(data, report.ricci)
+    assert count == len(sampled_indices(n)) ** 4
+    assert all(checks.values())
+    assert report.verified == report.willmore.willmore
+    return report, count
+
+
+class TestCurvaturePass:
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins(self, name):
+        assert assert_pass_matches_reference(builtin(name))[0].verified
+
+    def test_cayley_frame_with_normal_rotation(self):
+        rng = random.Random(11)
+        data = builtin("g6_m2_M2")
+        data = rotate_normals(change_frame(data, cayley_frame(data.n, rng)), cayley_frame(data.p, rng))
+        assert all(e for op in data.operators for row in op.rows for e in row)  # dense
+        assert assert_pass_matches_reference(data)[0].verified
+
+    def test_signed_permutation_frame(self):
+        rng = random.Random(12)
+        data = builtin("g6_m1_M2")
+        data = rotate_normals(change_frame(data, signed_permutation(data.n, rng)), signed_permutation(data.p, rng))
+        assert assert_pass_matches_reference(data)[0].verified
+
+    def test_direct_sum_n20(self):
+        data = direct_sum(builtin("g6_m2_M1"), builtin("g6_m2_M2"))
+        assert data.n == 20
+        assert assert_pass_matches_reference(data)[0].verified
+
+    def test_single_normal(self):
+        report, _ = assert_pass_matches_reference(single_operator(["1", "-1", "0"]))
+        assert report.verified and report.einstein is None
+
+    def test_non_minimal_data_skips_the_suite(self):
+        report, count = assert_pass_matches_reference(single_operator(["1", "0"], "lopsided"))
+        assert not report.verified and count is None
+
+    def test_minimal_but_not_willmore(self):
+        # diag(2, -1, -1): trace-free, Tr(A^3) = 6
+        report, _ = assert_pass_matches_reference(single_operator(["2", "-1", "-1"], "lopsided"))
+        assert not report.willmore.willmore and not report.verified
+        assert report.willmore.cubic_traces == (QuadExt(6),)
+
+    def test_mixed_denominators_with_sqrt3_parts(self):
+        a = Matrix([
+            [S("1/2"), S("1/3*sqrt3"), S("2/5")],
+            [S("1/3*sqrt3"), S("-1/7+1/2*sqrt3"), S("0")],
+            [S("2/5"), S("0"), S("-5/14-1/2*sqrt3")],
+        ])
+        b = Matrix([[S("0"), S("3/4"), S("-1/6*sqrt3")], [S("3/4"), S("1/9"), S("1")], [S("-1/6*sqrt3"), S("1"), S("-1/9")]])
+        data = ShapeOperatorSet("mixed", 3, 2, (a, b), ("B1", "B2"))
+        assert integer_rows(data.operators)[1] > 1
+        assert assert_pass_matches_reference(data)[0].minimal
+
+    def test_sampled_table_above_six(self):
+        rng = random.Random(13)
+        data = rand_dataset(rng, 8, 2)
+        data = ShapeOperatorSet("eight", 8, 2, tuple(trace_free(op) for op in data.operators), data.labels)
+        assert assert_pass_matches_reference(data)[1] == 4 ** 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_symmetric_operators(self, draw):
+        n = draw.draw(st.integers(1, 7), label="n")
+        p = draw.draw(st.integers(1, 3), label="p")
+        rational = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+        scalar = st.builds(QuadExt, rational, st.one_of(st.just(Fraction(0)), rational))
+        ops = []
+        for _ in range(p):
+            rows = [[QuadExt(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = draw.draw(st.one_of(st.just(QuadExt(0)), scalar))
+            ops.append(Matrix(rows))
+        if draw.draw(st.booleans(), label="minimal"):
+            ops = [trace_free(op) for op in ops]
+        data = ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
+        assert_pass_matches_reference(data)
+
+    @pytest.mark.parametrize("name", ["g6_m1_M1", "g6_m2_M2"])
+    def test_a_wrong_ricci_entry_fails_the_contraction(self, name):
+        data = builtin(name)
+        ric = ricci(data)
+        assert riemann_suite(data, ric)[0]["contraction"]
+        rows = [list(row) for row in ric.rows]
+        rows[2][0] = rows[2][0] + QuadExt(1)
+        checks, _ = riemann_suite(data, Matrix(rows))
+        assert checks == {"antisymmetry": True, "pair_symmetry": True, "bianchi": True, "contraction": False}
+
+    def test_a_wrong_table_entry_fails_the_symmetry_checks(self, monkeypatch):
+        data = builtin("g6_m1_M1")
+        ops, den = integer_rows(data.operators)
+        table = _riemann_table(ops, den * den, range(data.n))
+        x, y = table[0, 1, 2, 3]
+        table[0, 1, 2, 3] = (x + 1, y)
+        monkeypatch.setattr(curvature, "_riemann_table", lambda *args: table)
+        checks, _ = riemann_suite(data, ricci(data))
+        assert checks == {"antisymmetry": False, "pair_symmetry": False, "bianchi": False, "contraction": True}
