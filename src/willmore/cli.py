@@ -262,7 +262,16 @@ def cmd_paper(args) -> int:
         cert, good = verify_certificate(builtin(name))
         ok = ok and good
         chunks.append(cert.render("text"))
-    lines = ["[g4proof]"]
+    lines = ["[sweep]"]
+    for name in BUILTIN_NAMES:
+        verdict = symbolic_sweep(builtin(name))
+        if verdict.constant:
+            lines.append(f"{name}: pass (constant {verdict.char_poly})")
+        else:
+            lines.append(f"{name}: FAIL (l^{verdict.witness_power} coefficient {verdict.witness})")
+        ok = ok and verdict.constant
+    lines.append("")
+    lines.append("[g4proof]")
     for p in range(1, 11):
         report = verify_g4(p)
         lines.append(f"p{p}: {'pass' if report.verdict else 'FAIL'} ({report.relation_count} relations)")

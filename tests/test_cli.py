@@ -4,10 +4,12 @@ import pytest
 
 from frames import scaled
 from willmore import cli, tracealg
-from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
+from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main, verify_certificate
 from willmore.curvature import curvature_report
+from willmore.exactnum import QuadExt
 from willmore.linalg import Matrix
+from willmore.sweep import symbolic_sweep
 
 # Code without the word bound would expand A1^1000000000 into 8 GB.
 NEEDS_WORD_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_WORD_LEN"), reason="no trace-word bound")
@@ -264,6 +266,19 @@ class TestPaper:
         for p in range(1, 11):
             assert f"p{p}: pass" in out
         assert "verified: yes" in out
+
+    def test_non_constant_sweep_fails_the_suite(self, capsys, monkeypatch):
+        # the sweep of g6_m2_M1 replaced by that of non-constant data
+        lopsided = ShapeOperatorSet("lopsided", 2, 1, (Matrix.diagonal([QuadExt(1), QuadExt(0)]),), ("B1",))
+
+        def sweep(data):
+            return symbolic_sweep(lopsided if data.name == "g6_m2_M1" else data)
+
+        monkeypatch.setattr(cli, "symbolic_sweep", sweep)
+        assert main(["paper"]) == 1
+        out = capsys.readouterr().out
+        assert "g6_m2_M1: FAIL (l^" in out
+        assert out.endswith("verified: no\n")
 
     def test_no_arguments_runs_paper_suite(self, capsys):
         assert main([]) == 0
