@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .exactnum import QuadExt, ScalarParseError, accumulate, scan_scalar
+from .exactnum import ONE, QuadExt, ScalarParseError, accumulate, scan_scalar
 
 Word = tuple[int, ...]
 
@@ -217,17 +217,13 @@ def instantiate(identity: SchematicIdentity, p: int) -> list[MatrixIdentity]:
     """All concrete instances over indices 1..p honoring the side conditions."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    terms = [(QuadExt(coeff), word) for coeff, word in identity.terms]
     instances: list[MatrixIdentity] = []
     for assignment in itertools.product(range(1, p + 1), repeat=len(identity.variables)):
         env = dict(zip(identity.variables, assignment))
         if any(env[a] == env[b] for a, b in identity.distinct):
             continue
-        instances.append(
-            tuple(
-                (QuadExt(coeff), tuple(env[s] for s in word))
-                for coeff, word in identity.terms
-            )
-        )
+        instances.append(tuple((coeff, tuple(env[s] for s in word)) for coeff, word in terms))
     return instances
 
 
@@ -240,11 +236,13 @@ def _echelon(relations: Iterable[TraceExpr]) -> dict[Word, dict[Word, QuadExt]]:
     """Reduced row echelon form of the relation span.
 
     Pivots are the smallest words (length, then lex) of monic rows; after
-    back-substitution no row contains another row's pivot, so normal forms
-    against the result are canonical whatever the input order was.
+    back-substitution no row contains another row's pivot.  That form of a
+    span is unique, so the result does not depend on the input order, and
+    the relations are taken sparsest first: the short rows such as Tr(a)
+    become pivots early and reduce the longer rows in one step each.
     """
     pivots: dict[Word, dict[Word, QuadExt]] = {}
-    for relation in relations:
+    for relation in sorted(relations, key=lambda relation: len(relation.terms)):
         row = dict(relation.terms)
         while row:
             lead = min(row, key=_order)
@@ -340,20 +338,19 @@ def verify_g4(p: int) -> ProofReport:
 
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])"
+    r"(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise TraceParseError(f"unexpected character {text[pos]!r}", pos)
-        if match.lastgroup != "ws":
-            tokens.append((match.lastgroup, match.group(), pos))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise TraceParseError(f"unexpected character {match.group()!r}", match.start())
+        if kind != "ws":
+            tokens.append((kind, match.group(), match.start()))
     return tokens
 
 
@@ -441,7 +438,7 @@ class _TraceParser:
     def parse_term(self) -> tuple[Word, QuadExt]:
         """(canonical word, coefficient) of one term c*Tr(w)."""
         if self.at_name("Tr"):
-            coeff = QuadExt(1)
+            coeff = ONE
         else:
             # optionally parenthesized, so canonical renderings re-parse
             parens = self.at_op("(")
