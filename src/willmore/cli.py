@@ -26,6 +26,7 @@ from .curvature import CurvatureReport, curvature_report, riemann_suite
 from .exactnum import format_scalar
 from .sweep import numeric_sweep, symbolic_sweep
 from .tracealg import (
+    MAX_G4_INDICES,
     TraceParseError,
     g4_relations,
     parse_identity_file,
@@ -226,6 +227,8 @@ def cmd_tracecheck(args) -> int:
     if p < 1:
         raise InputError("--indices must be >= 1")
     if args.rules == "g4":
+        if p > MAX_G4_INDICES:
+            raise InputError(f"--indices must be <= {MAX_G4_INDICES} for --rules g4")
         relations = g4_relations(p)
     else:
         path = Path(args.rules)

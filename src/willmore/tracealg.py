@@ -29,6 +29,10 @@ Word = tuple[int, ...]
 # A_i^k is expanded, so that a short text cannot ask for a huge word.
 MAX_WORD_LEN = 10_000
 
+# Largest p for which the built-in g=4 relations are built: there are about
+# p^2 of them, so a short --indices must not ask for an unbounded set.
+MAX_G4_INDICES = 300
+
 # A concrete matrix identity: a formal combination sum c_i * word_i == 0.
 MatrixIdentity = tuple[tuple[QuadExt, Word], ...]
 

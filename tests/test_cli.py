@@ -14,6 +14,9 @@ from willmore.sweep import symbolic_sweep
 # Code without the word bound would expand A1^1000000000 into 8 GB.
 NEEDS_WORD_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_WORD_LEN"), reason="no trace-word bound")
 
+# Code without the --indices bound would build about 10^10 g=4 relations.
+NEEDS_INDEX_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_G4_INDICES"), reason="no --indices bound")
+
 # int() refuses digit strings longer than this (0: no limit, as before Python 3.11)
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit")
@@ -252,6 +255,23 @@ class TestTracecheck:
         assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", "2"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: goal: ") and err.count("\n") == 1
+
+    @NEEDS_INDEX_BOUND
+    @pytest.mark.parametrize("excess", [1, 99999])
+    def test_indices_beyond_the_g4_bound_is_an_input_error(self, capsys, monkeypatch, excess):
+        def unbuilt(p):
+            raise AssertionError("g4 relations built past the bound")
+
+        monkeypatch.setattr(cli, "g4_relations", unbuilt)
+        p = tracealg.MAX_G4_INDICES + excess
+        assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A1)", "--indices", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "--indices" in err and err.count("\n") == 1
+
+    def test_rules_file_needs_no_indices_bound(self, capsys, tmp_path):
+        rules = tmp_path / "min.rules"
+        rules.write_text("Tr(A1) = 0\n", encoding="utf-8")
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "99999"]) == 0
 
     def test_index_beyond_p(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A5)", "--indices", "2"]) == 2

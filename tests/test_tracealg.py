@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from willmore import tracealg
-from willmore.exactnum import QuadExt
+from willmore.exactnum import QuadExt, accumulate
 from willmore.linalg import Matrix
 from willmore.tracealg import (
     SchematicIdentity,
@@ -44,6 +44,50 @@ def eval_trace_word(word, matrices):
     for index in word[1:]:
         prod = prod @ matrices[index - 1]
     return prod.trace()
+
+
+def reference_rref(relations):
+    """Dense Gauss-Jordan over the words of the relations, in word order:
+    {pivot word: monic row} of the reduced row echelon form."""
+    columns = sorted({word for relation in relations for word in relation.terms}, key=tracealg._order)
+    rows = [[relation.terms.get(word, QuadExt(0)) for word in columns] for relation in relations]
+    rank = 0
+    for col in range(len(columns)):
+        found = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        inverse = rows[rank][col].inverse()
+        rows[rank] = [entry * inverse for entry in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [entry - factor * pivot for entry, pivot in zip(rows[r], rows[rank])]
+        rank += 1
+    result = {}
+    for row in rows[:rank]:
+        terms = {word: entry for word, entry in zip(columns, row) if entry}
+        result[min(terms, key=tracealg._order)] = terms
+    return result
+
+
+WORD = st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple)
+RATIONAL = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+COEFF = st.builds(QuadExt, RATIONAL, RATIONAL)
+
+
+@st.composite
+def relation_with_repeats(draw):
+    """A relation summed from terms that may repeat a word, rotate it, or
+    cancel an earlier term outright."""
+    terms = draw(st.lists(st.tuples(WORD, COEFF), min_size=1, max_size=5))
+    for word, coeff in draw(st.lists(st.sampled_from(terms), max_size=2)):
+        shift = draw(st.integers(0, len(word) - 1))
+        terms.append((word[shift:] + word[:shift], -coeff))
+    return sum((TraceExpr.single(word, coeff) for word, coeff in terms), TraceExpr())
+
+
+RELATION = relation_with_repeats()
 
 
 class TestCanonicalize:
@@ -142,6 +186,31 @@ class TestReduceGoal:
         goal = TraceExpr({(1,): 2})
         assert not reduce_goal(goal, [TraceExpr({(1,): 1})])
 
+    def test_g4_elimination_reduces_each_relation_at_most_once(self, monkeypatch):
+        # Sparsest rows first: the Tr(a) pivots come before the rows that
+        # lead with Tr(a), so each of those needs a single reduction.
+        relations = g4_relations(40)
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return accumulate(*args)
+
+        monkeypatch.setattr(tracealg, "accumulate", counting)
+        tracealg._echelon(relations)
+        assert calls <= len(relations) == 1640
+
+    @given(st.lists(RELATION, max_size=8))
+    def test_echelon_is_the_reduced_row_echelon_form(self, relations):
+        pivots = tracealg._echelon(relations)
+        assert pivots == reference_rref(relations)
+        for lead, row in pivots.items():
+            assert min(row, key=tracealg._order) == lead and row[lead] == 1
+            assert not any(word in pivots for word in row if word != lead)
+        for relation in relations:
+            assert not tracealg._normal_form(relation.terms, pivots)[0]
+
     def test_residual_independent_of_relation_order(self):
         rng = random.Random(7)
         relations = g4_relations(4)
@@ -219,6 +288,22 @@ class TestParse:
             parse_trace_expr(text)
         assert "longer than 10000" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "text, char, position",
+        [
+            ("$Tr(A1)", "$", 0),
+            ("Tr(A1) $ Tr(A2)", "$", 7),
+            ("Tr(A1)$", "$", 6),
+            ("Tr(A1)\u00b7Tr(A2)", "\u00b7", 6),
+        ],
+        ids=["start", "middle", "end", "non-ascii"],
+    )
+    def test_unexpected_character(self, text, char, position):
+        with pytest.raises(TraceParseError) as info:
+            parse_trace_expr(text)
+        assert str(info.value) == f"unexpected character {char!r} (at position {position})"
+        assert info.value.position == position
+
     def test_error_carries_position(self):
         with pytest.raises(TraceParseError) as info:
             parse_trace_expr("Tr(A1) - 3*Tr(A0)")
@@ -259,6 +344,12 @@ class TestIdentityFile:
         with pytest.raises(TraceParseError) as info:
             parse_identity_file("Tr(A1) = 0\n1/0*Tr(A2) = 0\n")
         assert "line 2" in str(info.value) and "zero denominator" in str(info.value)
+
+    def test_unexpected_character_keeps_the_line_number(self):
+        with pytest.raises(TraceParseError) as info:
+            parse_identity_file("Tr(A1) = 0\nTr(A2) = Tr(A1)$\n")
+        assert str(info.value) == "line 2: unexpected character '$' (at position 7)"
+        assert info.value.__cause__.position == 7
 
     def test_missing_equals(self):
         with pytest.raises(TraceParseError):
