@@ -87,9 +87,6 @@ def relation_with_repeats(draw):
     return sum((TraceExpr.single(word, coeff) for word, coeff in terms), TraceExpr())
 
 
-RELATION = relation_with_repeats()
-
-
 class TestCanonicalize:
     def test_minimal_rotation(self):
         assert canonicalize_cyclic((2, 2, 1)) == (1, 2, 2)
@@ -201,7 +198,7 @@ class TestReduceGoal:
         tracealg._echelon(relations)
         assert calls <= len(relations) == 1640
 
-    @given(st.lists(RELATION, max_size=8))
+    @given(st.lists(relation_with_repeats(), max_size=8))
     def test_echelon_is_the_reduced_row_echelon_form(self, relations):
         pivots = tracealg._echelon(relations)
         assert pivots == reference_rref(relations)
