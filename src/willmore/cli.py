@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .curvature import CurvatureReport, curvature_report, riemann_suite
 from .exactnum import format_scalar
-from .sweep import numeric_sweep, symbolic_sweep
+from .sweep import MAX_SAMPLES, numeric_sweep, symbolic_sweep
 from .tracealg import (
     MAX_G4_INDICES,
     TraceParseError,
@@ -208,6 +208,8 @@ def cmd_sweep(args) -> int:
     else:
         if args.samples < 2:
             raise InputError("--samples must be >= 2 (one sample has nothing to compare with)")
+        if args.samples > MAX_SAMPLES:
+            raise InputError(f"--samples must be <= {MAX_SAMPLES}")
         fields.append(("samples", str(args.samples)))
         fields.append(("seed", str(args.seed)))
         try:

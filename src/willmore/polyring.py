@@ -5,11 +5,16 @@ reduction modulo the single relation polynomial r = t1^2 + ... + tp^2 - 1
 (lex order, t1 highest, leading monomial t1^2).  A polynomial is constant on
 the unit sphere exactly when its remainder is a constant: the complex quadric
 cut out by r is irreducible and the real sphere is Zariski-dense in it, so no
-nonconstant remainder can vanish on every unit normal.
+nonconstant remainder can vanish on every unit normal.  For a homogeneous
+polynomial `sphere_constant` decides the same from the term table alone,
+without rewriting.  Floating evaluation runs a Horner plan (`horner_plan`),
+which holds every coefficient already converted to float.
 """
 
 from __future__ import annotations
 
+import math
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
 
 from .exactnum import QuadExt, ZERO, accumulate
@@ -196,29 +201,68 @@ def reduce_mod_sphere(f: MultiPoly) -> MultiPoly:
     return MultiPoly._of(p, done)
 
 
+def sphere_constant(f: MultiPoly, degree: int) -> QuadExt | None:
+    """f(e1) if f = f(e1) * (t1^2 + ... + tp^2)^(degree/2), else None.
+
+    For f homogeneous of degree k this is exactly constancy on the unit
+    sphere, at p = 1 too: f(t) = |t|^k f(t/|t|), so f is constant c on the
+    sphere iff f = c |t|^k.  For odd k that is a polynomial only if c = 0; for
+    k = 2h the multinomial expansion of (sum t_a^2)^h gives t^(2m) the
+    coefficient c h! / prod m_a! for |m| = h, and no other monomial.  The
+    whole term table is compared, so a polynomial that is not homogeneous of
+    degree k is never reported constant.
+    """
+    if not f.terms:
+        return ZERO
+    lead = f.terms.get((degree,) + (0,) * (f.nvars - 1))
+    if degree % 2 or lead is None:
+        return None
+    half = degree // 2
+    expected = {}
+    for combo in combinations_with_replacement(range(f.nvars), half):
+        m = [combo.count(a) for a in range(f.nvars)]
+        expected[tuple(2 * e for e in m)] = lead * (math.factorial(half) // math.prod(map(math.factorial, m)))
+    return lead if f.terms == expected else None
+
+
 def eval_float(f: MultiPoly, point: Iterable[float]) -> float:
     """Floating evaluation, Horner in each variable in turn."""
     point = tuple(point)
     if len(point) != f.nvars:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.nvars}")
-    return _horner(f.terms, point)
+    return eval_plan(horner_plan(f), point)
 
 
-def _horner(terms: Mapping[tuple[int, ...], QuadExt], point: tuple[float, ...]) -> float:
-    if not terms:
-        return 0.0
-    if not point:
-        coeff = terms.get(())
-        return coeff.to_float() if coeff is not None else 0.0
+def horner_plan(f: MultiPoly):
+    """f as nested Horner tuples for `eval_plan`, coefficients converted once.
+
+    A plan in no variable is a float; a plan in t_i..t_p is a tuple, from the
+    highest power of t_i down to 0, of the plans in t_(i+1)..t_p of the
+    coefficients of those powers, with None for a power that does not occur.
+    The zero polynomial is 0.0.
+    """
+    return _plan(f.terms) if f.terms else 0.0
+
+
+def _plan(terms: Mapping[tuple[int, ...], QuadExt]):
+    if () in terms:
+        return terms[()].to_float()
     groups: dict[int, dict[tuple[int, ...], QuadExt]] = {}
     for exps, coeff in terms.items():
         groups.setdefault(exps[0], {})[exps[1:]] = coeff
-    x = point[0]
-    rest = point[1:]
+    return tuple(_plan(groups[e]) if e in groups else None for e in range(max(groups), -1, -1))
+
+
+def eval_plan(plan, point: tuple[float, ...], depth: int = 0) -> float:
+    """Evaluate a `horner_plan` at a point of its dimension: acc *= x for every
+    power from the highest down to 0, and acc += the coefficient's value where
+    the power occurs."""
+    if type(plan) is float:
+        return plan
+    x = point[depth]
     acc = 0.0
-    for e in range(max(groups), -1, -1):
+    for sub in plan:
         acc *= x
-        sub = groups.get(e)
         if sub is not None:
-            acc += _horner(sub, rest)
+            acc += sub if type(sub) is float else eval_plan(sub, point, depth + 1)
     return acc

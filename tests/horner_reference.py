@@ -1,0 +1,48 @@
+"""The recursive Horner evaluation that `polyring.eval_float` used before
+Horner plans: the groups of each variable are rebuilt and every coefficient
+is converted to float at each call.  The tests hold the plans to it bit for
+bit, since the golden files leave numeric sweeps out (libm differs between
+platforms) and a same-machine reference is the only exact one."""
+
+import math
+
+from willmore.catalog import ShapeOperatorSet
+from willmore.sweep import _scale_exponent, normal_char_poly, unit_normal_samples
+
+
+def _horner(terms, point):
+    if not terms:
+        return 0.0
+    if not point:
+        coeff = terms.get(())
+        return coeff.to_float() if coeff is not None else 0.0
+    groups = {}
+    for exps, coeff in terms.items():
+        groups.setdefault(exps[0], {})[exps[1:]] = coeff
+    x = point[0]
+    rest = point[1:]
+    acc = 0.0
+    for e in range(max(groups), -1, -1):
+        acc *= x
+        sub = groups.get(e)
+        if sub is not None:
+            acc += _horner(sub, rest)
+    return acc
+
+
+def reference_numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int) -> float:
+    """`sweep.numeric_sweep` with every coefficient evaluated by `_horner`."""
+    coeffs = normal_char_poly(data).coeffs
+    e = _scale_exponent(data)
+    if e:
+        coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
+    points = unit_normal_samples(data.p, samples, seed)
+    baseline = [_horner(c.terms, points[0]) for c in coeffs]
+    deviation = 0.0
+    for point in points[1:]:
+        for base, coeff in zip(baseline, coeffs):
+            drift = abs(_horner(coeff.terms, point) - base)
+            if math.isnan(drift):
+                return drift
+            deviation = max(deviation, drift)
+    return deviation

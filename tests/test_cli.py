@@ -3,7 +3,7 @@ import sys
 import pytest
 
 from frames import scaled
-from willmore import cli, tracealg
+from willmore import cli, sweep, tracealg
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main, verify_certificate
 from willmore.curvature import curvature_report
@@ -16,6 +16,9 @@ NEEDS_WORD_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_WORD_LEN"), rea
 
 # Code without the --indices bound would build about 10^10 g=4 relations.
 NEEDS_INDEX_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_G4_INDICES"), reason="no --indices bound")
+
+# Code without the --samples bound would draw 10^9 sample points.
+NEEDS_SAMPLES_BOUND = pytest.mark.skipif(not hasattr(sweep, "MAX_SAMPLES"), reason="no --samples bound")
 
 # int() refuses digit strings longer than this (0: no limit, as before Python 3.11)
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -160,8 +163,20 @@ class TestSweep:
         assert main(["sweep", non_minimal_file, "--mode", "numeric", "--samples", "1"]) == 2
         assert "--samples" in capsys.readouterr().err
 
+    @NEEDS_SAMPLES_BOUND
+    @pytest.mark.parametrize("excess", [1, 999_999_999])
+    def test_samples_beyond_the_bound_is_an_input_error(self, capsys, monkeypatch, excess):
+        def undrawn(p, samples, seed):
+            raise AssertionError("sample points drawn past the bound")
+
+        monkeypatch.setattr(sweep, "unit_normal_samples", undrawn)
+        samples = sweep.MAX_SAMPLES + excess
+        assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", str(samples)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --samples") and err.count("\n") == 1
+
     def test_nan_deviation_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr("willmore.sweep.eval_float", lambda coeff, point: float("nan"))
+        monkeypatch.setattr("willmore.sweep.eval_plan", lambda coeff, point: float("nan"))
         assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", "10"]) == 1
         out = capsys.readouterr().out
         assert "max_deviation: nan" in out

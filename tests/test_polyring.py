@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horner_reference import _horner
 from willmore.catalog import builtin
-from willmore.exactnum import QuadExt
-from willmore.polyring import MultiPoly, eval_float, reduce_mod_sphere
+from willmore.exactnum import ZERO, QuadExt
+from willmore.polyring import MultiPoly, eval_float, eval_plan, horner_plan, reduce_mod_sphere, sphere_constant
 
 
 def rand_poly(rng, nvars, max_terms=6, max_exp=4, span=4):
@@ -116,7 +119,30 @@ class TestReduceModSphere:
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
+RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+SCALAR = st.builds(QuadExt, RATIONAL, st.one_of(st.just(Fraction(0)), RATIONAL))
+COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def polys_and_points(draw):
+    """Sparse polynomials with exponent gaps (the zero polynomial too) and
+    points with zero and negative coordinates."""
+    p = draw(st.integers(0, 4), label="p")
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 6)] * p), SCALAR, max_size=8), label="terms")
+    return MultiPoly(p, terms), draw(st.tuples(*[COORDINATE] * p), label="point")
+
+
 class TestEvalFloat:
+    @settings(max_examples=300, deadline=None)
+    @given(polys_and_points())
+    def test_plan_is_bit_identical_to_recursive_horner(self, case):
+        f, point = case
+        expected = repr(_horner(f.terms, point))  # repr tells -0.0 from 0.0
+        assert repr(eval_plan(horner_plan(f), point)) == expected
+        assert repr(eval_float(f, point)) == expected
+
+
     def test_unit_circle_point(self):
         f = sphere_relation(2) + 1
         assert abs(eval_float(f, (0.6, 0.8)) - 1.0) < 1e-15
@@ -132,3 +158,34 @@ class TestEvalFloat:
     def test_point_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_float(MultiPoly.variable(2, 0), (1.0,))
+
+
+class TestSphereConstant:
+    def test_power_of_the_square_norm(self):
+        norm2 = sphere_relation(3) + 1
+        f = norm2 * norm2 * QuadExt(Fraction(5, 3), 1)
+        assert sphere_constant(f, 4) == QuadExt(Fraction(5, 3), 1)
+
+    def test_stray_lower_degree_term_is_rejected(self):
+        # the exact degree-2 table of 2*(t1^2 + t2^2) plus a constant: it is
+        # constant on the sphere, but not homogeneous of degree 2
+        f = (sphere_relation(2) + 1) * 2
+        assert sphere_constant(f, 2) == QuadExt(2)
+        assert sphere_constant(f + 1, 2) is None
+        assert reduce_mod_sphere(f + 1) == MultiPoly.constant(2, 3)
+
+    def test_same_term_count_with_a_wrong_monomial_is_rejected(self):
+        f = MultiPoly(2, {(2, 0): QuadExt(1), (1, 1): QuadExt(1)})
+        assert sphere_constant(f, 2) is None
+
+    def test_odd_degree_is_constant_only_when_zero(self):
+        assert sphere_constant(MultiPoly(2), 3) == ZERO
+        assert sphere_constant(MultiPoly.monomial(2, (1, 2), QuadExt(1)), 3) is None
+
+    def test_single_variable(self):
+        # the p=1 sphere is {1, -1}: c*t1^k is constant iff k is even or c = 0
+        assert sphere_constant(MultiPoly.monomial(1, (4,), QuadExt(0, 1)), 4) == QuadExt(0, 1)
+        assert sphere_constant(MultiPoly.monomial(1, (3,), QuadExt(0, 1)), 3) is None
+
+    def test_zero_value_at_e1_with_other_terms_is_rejected(self):
+        assert sphere_constant(MultiPoly.monomial(2, (0, 2), QuadExt(1)), 2) is None

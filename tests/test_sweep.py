@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
+from horner_reference import reference_numeric_sweep
+from willmore import sweep
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
 from willmore.cli import NUMERIC_TOLERANCE
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly
+from willmore.polyring import reduce_mod_sphere, sphere_constant
 from willmore.sweep import (
     SweepVerdict,
     normal_char_poly,
@@ -38,6 +41,56 @@ def assert_kernel_matches_reference(data):
     assert poly.degree() == data.n
     for coeff in poly.coeffs:
         assert coeff.nvars == data.p
+
+
+def single_normal():
+    m = Matrix([[S("1"), S("sqrt3"), S("0")], [S("sqrt3"), S("-1/2"), S("2/3")], [S("0"), S("2/3"), S("1/2")]])
+    return ShapeOperatorSet("p1", 3, 1, (m,), ("B1",))
+
+
+def sum20():
+    return direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that every call is recorded; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+SCALAR = st.builds(QuadExt, RATIONAL, st.one_of(st.just(Fraction(0)), RATIONAL))
+
+
+@st.composite
+def operator_sets(draw):
+    """Random symmetric operators (all zero at times, p=1 too), or a scaled
+    pair diag(c, -c), [[0, c], [c, 0]] padded with zero operators, whose
+    spectrum +-c|t| is constant."""
+    p = draw(st.integers(1, 3), label="p")
+    if draw(st.booleans(), label="constant pair"):
+        c = draw(SCALAR, label="c")
+        zero = QuadExt(0)
+        pair = [Matrix([[c, zero], [zero, -c]]), Matrix([[zero, c], [c, zero]])]
+        ops = (pair + [Matrix.filled(2, 2, zero)] * 2)[:p]
+        n = 2
+    else:
+        n = draw(st.integers(1, 4), label="n")
+        ops = []
+        for _ in range(p):
+            rows = [[QuadExt(0)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = draw(st.one_of(st.just(QuadExt(0)), SCALAR))
+            ops.append(Matrix(rows))
+    return ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
 
 
 def convolve(a, b):
@@ -118,6 +171,29 @@ class TestSymbolic:
                 poly, remainder = divmod(poly, factor)
                 assert not remainder
         assert poly == UniPoly([QuadExt(1)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(operator_sets())
+    def test_homogeneity_agrees_with_sphere_reduction(self, data):
+        for power, coeff in enumerate(normal_char_poly(data).coeffs):
+            value = sphere_constant(coeff, data.n - power)
+            reduced = reduce_mod_sphere(coeff)
+            assert (value is not None) == reduced.is_constant()
+            if value is not None:
+                assert value == reduced.constant_value()
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES + ("sum20",))
+    def test_constant_data_is_never_reduced(self, monkeypatch, name):
+        data = sum20() if name == "sum20" else builtin(name)
+        calls = count_calls(monkeypatch, sweep, "reduce_mod_sphere")
+        assert symbolic_sweep(data).constant
+        assert calls == []
+
+    def test_only_the_witness_is_reduced(self, monkeypatch):
+        calls = count_calls(monkeypatch, sweep, "reduce_mod_sphere")
+        verdict = symbolic_sweep(single_operator(["1", "0"], "lopsided"))
+        assert not verdict.constant
+        assert len(calls) == 1
 
     def test_verdict_fields_must_match_flag(self):
         with pytest.raises(ValueError):
@@ -218,7 +294,7 @@ class TestNumeric:
             numeric_sweep(single_operator(["1", "0"]), 1, 0)
 
     def test_nan_drift_is_not_dropped(self, monkeypatch):
-        monkeypatch.setattr("willmore.sweep.eval_float", lambda coeff, point: math.nan)
+        monkeypatch.setattr("willmore.sweep.eval_plan", lambda coeff, point: math.nan)
         assert math.isnan(numeric_sweep(builtin("g6_m1_M1"), 10, 0))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -243,6 +319,34 @@ class TestNumeric:
     def test_scaled_non_constant_data_still_fails(self):
         data = scaled(single_operator(["1", "0"]), 10)
         assert numeric_sweep(data, 1000, 0) >= NUMERIC_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda name=name: builtin(name) for name in BUILTIN_NAMES]
+        + [
+            lambda: single_operator(["1", "0"], "lopsided"),
+            lambda: scaled(builtin("g6_m2_M2"), 10),
+            single_normal,
+            sum20,
+        ],
+        ids=list(BUILTIN_NAMES) + ["lopsided", "scaled10", "p1", "sum20"],
+    )
+    def test_equals_the_recursive_horner_loop(self, make):
+        data = make()
+        for samples, seed in ((2, 0), (300, 7)):
+            assert repr(numeric_sweep(data, samples, seed)) == repr(reference_numeric_sweep(data, samples, seed))
+
+    @pytest.mark.parametrize("data", [builtin("g6_m2_M1"), scaled(builtin("g6_m2_M2"), 10)], ids=["plain", "scaled"])
+    def test_plans_and_conversions_do_not_grow_with_samples(self, monkeypatch, data):
+        entries = data.n * data.n * data.p  # _scale_exponent reads each once
+        terms = sum(len(c.terms) for c in normal_char_poly(data).coeffs)
+        for samples in (2, 300):
+            plans = count_calls(monkeypatch, sweep, "horner_plan")
+            floats = count_calls(monkeypatch, QuadExt, "to_float")
+            numeric_sweep(data, samples, 0)
+            monkeypatch.undo()
+            assert len(plans) == data.n + 1
+            assert len(floats) == entries + terms
 
     def test_samples_are_deterministic_and_unit_length(self):
         for p in (1, 2, 3):
