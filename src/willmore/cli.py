@@ -9,6 +9,7 @@ grammar, and floats appear only as numeric-sweep deviations.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,6 +29,7 @@ from .sweep import MAX_SAMPLES, numeric_sweep, symbolic_sweep
 from .tracealg import (
     MAX_G4_INDICES,
     TraceParseError,
+    _word_str,
     g4_relations,
     parse_identity_file,
     parse_trace_expr,
@@ -245,9 +247,9 @@ def cmd_tracecheck(args) -> int:
         goal = parse_trace_expr(args.goal)
     except TraceParseError as exc:
         raise InputError(f"goal: {exc}") from exc
-    for word in list(goal.terms) + [w for rel in relations for w in rel.terms]:
-        if any(i > p for i in word):
-            raise InputError(f"operator index in Tr({'*'.join(f'A{i}' for i in word)}) exceeds p={p}")
+    for word in itertools.chain(goal.terms, *(relation.terms for relation in relations)):
+        if max(word) > p:
+            raise InputError(f"operator index in Tr({_word_str(word)}) exceeds p={p}")
 
     lines = [f"tool: willmore {__version__}", f"relations: {len(relations)}", f"goal: {goal}"]
     residual, steps = reduce_goal_with_steps(goal, relations)

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .exactnum import ONE, QuadExt, ScalarParseError, accumulate, scan_scalar
+from .exactnum import _SPACE, ONE, QuadExt, ScalarParseError, accumulate, scan_scalar
 
 Word = tuple[int, ...]
 
@@ -51,6 +51,12 @@ def canonicalize_cyclic(word: Iterable[int]) -> Word:
         raise ValueError("empty trace word")
     if any(not isinstance(i, int) or i < 1 for i in word):
         raise ValueError(f"operator indices must be positive integers: {word}")
+    # most traced words are this short: compare their rotations directly
+    if len(word) == 3:
+        a, b, c = word
+        return min(word, (b, c, a), (c, a, b))
+    if len(word) < 3:
+        return word if len(word) == 1 or word[0] <= word[1] else word[::-1]
     start = _least_rotation(word)
     return word[start:] + word[:start]
 
@@ -287,8 +293,32 @@ def reduce_goal(goal: TraceExpr, relations: Iterable[TraceExpr]) -> TraceExpr:
 def reduce_goal_with_steps(
     goal: TraceExpr, relations: Iterable[TraceExpr]
 ) -> tuple[TraceExpr, tuple[str, ...]]:
-    """Residual plus a rendering of each elimination step taken."""
-    residual, steps = _normal_form(goal.terms, _echelon(relations))
+    """Residual plus a rendering of each elimination step taken.
+
+    Only the goal's block is eliminated: the relations joined to the goal's
+    words through shared words, as in the block decomposition of sparse
+    systems (Pothen & Fan, ACM TOMS 16, 1990).  The span of all relations is
+    the direct sum of the block spans, on disjoint sets of words, so its
+    reduced row echelon form is the union of the blocks' forms, and reducing
+    the goal looks up no pivot outside its block: the residual and the steps
+    are those of the full elimination.
+    """
+    relations = list(relations)
+    by_word: dict[Word, list[int]] = {}
+    for k, relation in enumerate(relations):
+        for word in relation.terms:
+            by_word.setdefault(word, []).append(k)
+    words = list(goal.terms)
+    seen = set(words)
+    block: set[int] = set()
+    for word in words:  # grows while the loop runs, until the block is closed
+        for k in by_word.get(word, ()):
+            if k not in block:
+                block.add(k)
+                new = [w for w in relations[k].terms if w not in seen]
+                seen.update(new)
+                words += new
+    residual, steps = _normal_form(goal.terms, _echelon([relations[k] for k in sorted(block)]))
     return TraceExpr._of(residual), tuple(steps)
 
 
@@ -341,140 +371,111 @@ def verify_g4(p: int) -> ProofReport:
     return ProofReport(p, len(relations), tuple(goals))
 
 
+# Characters that can start or continue a token; the first one outside them
+# is reported before any other error in the text.
+_OUTSIDE = re.compile(r"[^\s\dA-Za-z_()*/^+\-]")
 _TOKEN_RE = re.compile(
     r"(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)",
     re.DOTALL,
 )
+# 'Tr' as a whole name, then its '(' if there is one
+_TRACE = re.compile(r"Tr(?![A-Za-z0-9_])\s*(\()?\s*")
+# The longest run of factors A_i or A_i^k joined by '*'; _FACTOR reads them.
+# A '^' without digits ends a factor, so that it fails in its turn.
+_WORD = re.compile(r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*")
+_FACTOR = re.compile(r"A(\d+)(?:\s*\^\s*(\d*))?")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise TraceParseError(f"unexpected character {match.group()!r}", match.start())
-        if kind != "ws":
-            tokens.append((kind, match.group(), match.start()))
-    return tokens
+def _missing(expected: str, text: str, at: int) -> TraceParseError:
+    """The error for a token that should start at text[at]."""
+    return TraceParseError("unexpected end of expression" if at == len(text) else expected, at)
 
 
-class _TraceParser:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _read_word(text: str, pos: int) -> tuple[Word, int]:
+    """The word of a Tr( ) whose '(' ends before pos, and the end of its ')'.
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str, int]:
-        token = self.peek()
-        if token is None:
-            raise TraceParseError("unexpected end of expression", len(self.text))
-        self.pos += 1
-        return token
-
-    def where(self) -> int:
-        """Text position of the next token."""
-        token = self.peek()
-        return token[2] if token else len(self.text)
-
-    def expect_op(self, op: str) -> None:
-        if not self.at_op(op):
-            raise TraceParseError(f"expected {op!r}", self.where())
-        self.pos += 1
-
-    def at_op(self, *ops: str) -> bool:
-        token = self.peek()
-        return token is not None and token[0] == "op" and token[1] in ops
-
-    def at_name(self, name: str) -> bool:
-        token = self.peek()
-        return token is not None and token[0] == "name" and token[1] == name
-
-    def parse_factor(self, room: int) -> Word:
-        """A_i or A_i^k with k <= room, the letters the word has left."""
-        token = self.take()
-        if token[0] != "gen":
-            raise TraceParseError("expected an operator like 'A1'", token[2])
+    Errors come in text order: those of the factors read, then the token at
+    which the run of factors stops short of the ')'.
+    """
+    run = _WORD.match(text, pos)
+    end = run.end() if run else pos
+    letters: list[int] = []
+    for factor in _FACTOR.finditer(text, pos, end):
+        start = factor.start()
         try:
-            index = int(token[1][1:])
+            index = int(factor[1])
         except ValueError:  # more digits than int() converts
-            raise TraceParseError("operator index has too many digits", token[2]) from None
+            raise TraceParseError("operator index has too many digits", start) from None
         if index == 0:
-            raise TraceParseError("operator index must be positive", token[2])
+            raise TraceParseError("operator index must be positive", start)
         exponent = 1
-        if self.at_op("^"):
-            self.pos += 1
-            exp_token = self.take()
-            if exp_token[0] != "num":
-                raise TraceParseError("expected digits after '^'", exp_token[2])
-            digits = exp_token[1].lstrip("0")
+        if factor[2] is not None:
+            if not factor[2]:
+                raise _missing("expected digits after '^'", text, factor.start(2))
+            digits = factor[2].lstrip("0")
             if len(digits) > len(str(MAX_WORD_LEN)):
-                raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", token[2])
+                raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", start)
             exponent = int(digits or "0")
             if exponent < 1:
-                raise TraceParseError("exponent must be positive", exp_token[2])
-        if exponent > room:
-            raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", token[2])
-        return (index,) * exponent
-
-    def parse_word(self) -> Word:
-        factors = [self.parse_factor(MAX_WORD_LEN)]
-        room = MAX_WORD_LEN - len(factors[0])
-        while self.at_op("*"):
-            self.pos += 1
-            factors.append(self.parse_factor(room))
-            room -= len(factors[-1])
-        return tuple(itertools.chain.from_iterable(factors))
-
-    def parse_coefficient(self) -> QuadExt:
-        """A scalar of the `exactnum` grammar, read from the text at the next token."""
-        try:
-            value, end = scan_scalar(self.text, self.where())
-        except ScalarParseError as exc:
-            raise TraceParseError(exc.message, exc.position) from exc
-        # the scalar grammar ends every scalar at a token boundary
-        while self.pos < len(self.tokens) and self.tokens[self.pos][2] < end:
-            self.pos += 1
-        return value
-
-    def parse_term(self) -> tuple[Word, QuadExt]:
-        """(canonical word, coefficient) of one term c*Tr(w)."""
-        if self.at_name("Tr"):
-            coeff = ONE
-        else:
-            # optionally parenthesized, so canonical renderings re-parse
-            parens = self.at_op("(")
-            if parens:
-                self.pos += 1
-            coeff = self.parse_coefficient()
-            if parens:
-                self.expect_op(")")
-            self.expect_op("*")
-            if not self.at_name("Tr"):
-                raise TraceParseError("expected 'Tr'", self.where())
-        self.pos += 1  # consume 'Tr'
-        self.expect_op("(")
-        word = self.parse_word()
-        self.expect_op(")")
-        return canonicalize_cyclic(word), coeff
-
-    def parse_expr(self) -> TraceExpr:
-        terms = [self.parse_term()]
-        while self.at_op("+", "-"):
-            negative = self.take()[1] == "-"
-            word, coeff = self.parse_term()
-            terms.append((word, -coeff if negative else coeff))
-        token = self.peek()
-        if token is not None:
-            raise TraceParseError(f"unexpected token {token[1]!r}", token[2])
-        return TraceExpr._of(accumulate({}, terms))
+                raise TraceParseError("exponent must be positive", factor.start(2))
+        if exponent > MAX_WORD_LEN - len(letters):
+            raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", start)
+        letters += [index] * exponent
+    end = _SPACE.match(text, end).end()
+    if run is None:  # no first factor
+        raise _missing("expected an operator like 'A1'", text, end)
+    if text.startswith("*", end):  # no factor after it
+        raise _missing("expected an operator like 'A1'", text, _SPACE.match(text, end + 1).end())
+    if not text.startswith(")", end):
+        raise TraceParseError("expected ')'", end)
+    return tuple(letters), end + 1
 
 
 def parse_trace_expr(text: str) -> TraceExpr:
-    """Parse e.g. "Tr(A1) - 3*Tr(A2*A1*A2)" into a canonical TraceExpr."""
-    return _TraceParser(text).parse_expr()
+    """Parse e.g. "Tr(A1) - 3*Tr(A2*A1*A2)" into a canonical TraceExpr.
+
+    One pass: each step of the grammar is a compiled pattern matched at the
+    current position, and an error names the token found there.
+    """
+    bad = _OUTSIDE.search(text)
+    if bad is not None:
+        raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
+    terms = []
+    negative = False
+    pos = _SPACE.match(text).end()
+    while True:
+        trace = _TRACE.match(text, pos)
+        if trace is not None:
+            coeff = ONE
+        else:
+            # optionally parenthesized, so canonical renderings re-parse
+            parens = text.startswith("(", pos)
+            try:
+                coeff, pos = scan_scalar(text, _SPACE.match(text, pos + 1).end() if parens else pos)
+            except ScalarParseError as exc:
+                raise TraceParseError(exc.message, exc.position) from exc
+            pos = _SPACE.match(text, pos).end()
+            if parens:
+                if not text.startswith(")", pos):
+                    raise TraceParseError("expected ')'", pos)
+                pos = _SPACE.match(text, pos + 1).end()
+            if not text.startswith("*", pos):
+                raise TraceParseError("expected '*'", pos)
+            pos = _SPACE.match(text, pos + 1).end()
+            trace = _TRACE.match(text, pos)
+            if trace is None:
+                raise TraceParseError("expected 'Tr'", pos)
+        if trace[1] is None:
+            raise TraceParseError("expected '('", trace.end())
+        word, pos = _read_word(text, trace.end())
+        terms.append((canonicalize_cyclic(word), -coeff if negative else coeff))
+        pos = _SPACE.match(text, pos).end()
+        if pos == len(text):
+            return TraceExpr._of(accumulate({}, terms))
+        if text[pos] not in "+-":
+            raise TraceParseError(f"unexpected token {_TOKEN_RE.match(text, pos).group()!r}", pos)
+        negative = text[pos] == "-"
+        pos = _SPACE.match(text, pos + 1).end()
 
 
 def parse_identity_file(text: str) -> list[TraceExpr]:

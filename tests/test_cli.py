@@ -1,6 +1,11 @@
+import io
+import re
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frames import scaled
 from willmore import cli, sweep, tracealg
@@ -33,6 +38,32 @@ operator B1
 1 0
 0 0
 """
+
+
+# Tokens of the trace grammar, for mutating valid inputs token by token.
+TRACE_TOKEN = re.compile(r"A\d+|[A-Za-z_]\w*|\d+|\s+|.", re.DOTALL)
+GOALS = ("Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "(1+sqrt3)*Tr(A1*A2) - 2/3*Tr(A3)", "-1*Tr(A2*A1*A2)")
+RULE_LINES = ("Tr(A1^3) = Tr(A1)", "Tr(A1) - 3*Tr(A1*A2^2) = 0", "Tr(A2) = 0  # trace-free")
+INSERTS = (" ", "0", "00", "9" * 5000, "1000000000", "\x00", "\u00e9", "\u0661", "A0", "^0", "=", "#")
+
+
+@st.composite
+def mutated(draw, texts):
+    """A valid text with tokens deleted, duplicated, swapped or inserted."""
+    tokens = TRACE_TOKEN.findall(draw(st.sampled_from(texts)))
+    for _ in range(draw(st.integers(1, 2))):
+        edit = draw(st.sampled_from(("delete", "duplicate", "swap", "insert")))
+        at = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        if edit == "insert" or not tokens:
+            tokens.insert(at, draw(st.sampled_from(INSERTS)))
+        elif edit == "delete":
+            del tokens[at]
+        elif edit == "duplicate":
+            tokens.insert(at, tokens[at])
+        else:
+            other = draw(st.integers(0, len(tokens) - 1))
+            tokens[at], tokens[other] = tokens[other], tokens[at]
+    return "".join(tokens)
 
 
 @pytest.fixture
@@ -290,6 +321,45 @@ class TestTracecheck:
 
     def test_index_beyond_p(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A5)", "--indices", "2"]) == 2
+
+    def test_index_beyond_p_names_the_word_as_the_goal_line_does(self, capsys, tmp_path):
+        # one letter per factor would print 10,000 factors here
+        assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A5^10000)", "--indices", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: operator index in Tr(A5^10000) exceeds p=2\n"
+        assert len(err) == 50
+        rules = tmp_path / "high.rules"
+        rules.write_text("Tr(A1) = 0\nTr(A2*A3^2*A2) = 0\n", encoding="utf-8")
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "2"]) == 2
+        assert capsys.readouterr().err == "error: operator index in Tr(A2^2*A3^2) exceeds p=2\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_rules(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "one.rules"
+
+
+class TestTracecheckFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(mutated(GOALS), st.none()) | st.tuples(st.sampled_from(GOALS), mutated(RULE_LINES)),
+        st.integers(2, 4),
+    )
+    def test_exit_code_contract(self, fuzz_rules, inputs, p):
+        # exit 0 or 1 with a verdict, or exit 2 with one error line; never a traceback
+        goal, rules = inputs
+        if rules is not None:
+            fuzz_rules.write_text(rules + "\n", encoding="utf-8")
+        argv = ["tracecheck", "--rules", "g4" if rules is None else str(fuzz_rules), f"--goal={goal}", "--indices", str(p)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            assert not out.getvalue()
+        else:
+            assert rc in (0, 1) and not err.getvalue()
+            assert out.getvalue().endswith(f"verdict: {'pass' if rc == 0 else 'FAIL'}\n")
 
 
 class TestPaper:

@@ -1,10 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trace_parser_reference
 from willmore import tracealg
 from willmore.exactnum import QuadExt, accumulate
 from willmore.linalg import Matrix
@@ -20,6 +22,7 @@ from willmore.tracealg import (
     parse_identity_file,
     parse_trace_expr,
     reduce_goal,
+    reduce_goal_with_steps,
     trace_of,
     verify_g4,
 )
@@ -77,14 +80,38 @@ COEFF = st.builds(QuadExt, RATIONAL, RATIONAL)
 
 
 @st.composite
-def relation_with_repeats(draw):
+def relation_with_repeats(draw, words=WORD):
     """A relation summed from terms that may repeat a word, rotate it, or
     cancel an earlier term outright."""
-    terms = draw(st.lists(st.tuples(WORD, COEFF), min_size=1, max_size=5))
+    terms = draw(st.lists(st.tuples(words, COEFF), min_size=1, max_size=5))
     for word, coeff in draw(st.lists(st.sampled_from(terms), max_size=2)):
         shift = draw(st.integers(0, len(word) - 1))
         terms.append((word[shift:] + word[:shift], -coeff))
     return sum((TraceExpr.single(word, coeff) for word, coeff in terms), TraceExpr())
+
+
+# Words over two letters per block: blocks share no letter, so no word.
+BLOCK_WORDS = tuple(
+    st.lists(st.sampled_from((2 * block + 1, 2 * block + 2)), min_size=1, max_size=4).map(tuple) for block in range(4)
+)
+
+
+@st.composite
+def blocks_and_goal(draw):
+    """Relations in up to three disconnected blocks, with repeated and negated
+    rows, and a goal over words of several blocks and words in no relation."""
+    blocks = draw(st.integers(1, 3))
+    relations = []
+    for block in range(blocks):
+        relations += draw(st.lists(relation_with_repeats(BLOCK_WORDS[block]), min_size=1, max_size=4))
+    relations += draw(st.lists(st.sampled_from(relations), max_size=2))
+    relations += [-relation for relation in draw(st.lists(st.sampled_from(relations), max_size=2))]
+    relations = draw(st.permutations(relations))
+    # the words of one more block are in no relation
+    goal = draw(relation_with_repeats(st.one_of(BLOCK_WORDS[: blocks + 1])))
+    for relation, coeff in draw(st.lists(st.tuples(st.sampled_from(relations), COEFF), max_size=3)):
+        goal = goal + relation * coeff
+    return relations, goal
 
 
 class TestCanonicalize:
@@ -116,6 +143,28 @@ class TestCanonicalize:
     def test_least_rotation_equals_min_over_all_rotations(self, letters):
         word = tuple(letters)
         assert canonicalize_cyclic(word) == min(word[k:] + word[:k] for k in range(len(word)))
+
+    def test_short_words_rotate_as_booth_does(self):
+        # words of up to three letters are rotated by tuple comparison, not by Booth
+        for size in (1, 2, 3):
+            for word in itertools.product(range(1, 5), repeat=size):
+                start = tracealg._least_rotation(word)
+                assert canonicalize_cyclic(word) == word[start:] + word[:start]
+                assert canonicalize_cyclic(list(word)) == word[start:] + word[:start]
+
+    @pytest.mark.parametrize(
+        "word, message",
+        [
+            ((), "empty trace word"),
+            ((0,), "operator indices must be positive integers: (0,)"),
+            ((1, "a"), "operator indices must be positive integers: (1, 'a')"),
+            ((2, 1.0, 1), "operator indices must be positive integers: (2, 1.0, 1)"),
+        ],
+    )
+    def test_short_words_are_validated_first(self, word, message):
+        with pytest.raises(ValueError) as info:
+            canonicalize_cyclic(word)
+        assert str(info.value) == message
 
 
 class TestInstantiate:
@@ -207,6 +256,33 @@ class TestReduceGoal:
             assert not any(word in pivots for word in row if word != lead)
         for relation in relations:
             assert not tracealg._normal_form(relation.terms, pivots)[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(blocks_and_goal())
+    def test_block_reduction_equals_the_full_elimination(self, case):
+        relations, goal = case
+        residual, steps = tracealg._normal_form(goal.terms, tracealg._echelon(relations))
+        assert reduce_goal_with_steps(goal, relations) == (TraceExpr._of(residual), tuple(steps))
+
+    def test_willmore_goal_eliminates_only_its_block(self, monkeypatch):
+        # At p=40 the goal Sum_b Tr(A_b^2 A_1) meets the cube, the
+        # trace-freeness and the 39 conjugation relations of index 1, not
+        # all 1,640 relations.
+        p = 40
+        relations = g4_relations(p)
+        goal = TraceExpr({(b, b, 1): 1 for b in range(1, p + 1)})
+        eliminated = []
+
+        def counting(rows):
+            rows = list(rows)
+            eliminated.append(len(rows))
+            return full_echelon(rows)
+
+        full_echelon = tracealg._echelon
+        monkeypatch.setattr(tracealg, "_echelon", counting)
+        residual, steps = reduce_goal_with_steps(goal, relations)
+        assert not residual and steps
+        assert eliminated == [p + 1]
 
     def test_residual_independent_of_relation_order(self):
         rng = random.Random(7)
@@ -317,6 +393,99 @@ class TestParse:
             if not expr:
                 continue  # "0" is not a trace term, only a residual rendering
             assert parse_trace_expr(str(expr)) == expr
+
+
+# Pieces of trace text, valid and not: the grammar's tokens, scalars, digit
+# strings past int()'s limit, a non-ASCII digit (A\u0661 reads as A1) and
+# characters outside the token alphabet.
+FRAGMENTS = (
+    " ", "\t", "Tr", "Trx", "(", ")", "A0", "A12", "A", "^", "^0", "^2", "*", "+", "-", "/", "sqrt3", "2",
+    "3/4", "(2+sqrt3)", "(-1/2*sqrt3)", "1-sqrt3", "9" * 5000, "A\u0661", "\u0661", "$", "\u00e9", "_",
+)
+TERMS = ("Tr(A1)", "3*Tr(A2*A1^2)", "(1+sqrt3)*Tr(A1*A2*A3)", "-2/3*sqrt3*Tr(A2^3)", "Tr( A1 ^ 2 * A2 )")
+
+
+@st.composite
+def trace_texts(draw):
+    """A sum of valid terms edited by inserting fragments, deleting spans and
+    truncating, or a string of fragments alone."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(FRAGMENTS), max_size=10)))
+    text = draw(st.sampled_from(TERMS))
+    for term in draw(st.lists(st.sampled_from(TERMS), max_size=2)):
+        text += draw(st.sampled_from((" + ", "-", " - "))) + term
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "truncate")))
+        if edit == "insert":
+            text = text[:at] + draw(st.sampled_from(FRAGMENTS)) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + draw(st.integers(1, 4)):]
+        else:
+            text = text[:at]
+    return text
+
+
+def parse_outcome(parse, text):
+    """The parse result, or the error's message and positions."""
+    try:
+        return parse(text)
+    except TraceParseError as exc:
+        cause = exc.__cause__
+        return str(exc), exc.position, getattr(cause, "position", None)
+
+
+class TestParserAgainstReference:
+    def test_characters_outside_the_alphabet_are_the_tokenizers_bad_ones(self):
+        every = "".join(map(chr, range(0x110000)))
+        tokens = trace_parser_reference._TOKEN_RE.finditer(every)
+        assert [m.start() for m in tracealg._OUTSIDE.finditer(every)] == [
+            m.start() for m in tokens if m.lastgroup == "bad"
+        ]
+
+    @settings(max_examples=400, deadline=None)
+    @given(trace_texts())
+    def test_expression_equals_the_token_parser(self, text):
+        outcome = parse_outcome(parse_trace_expr, text)
+        assert outcome == parse_outcome(trace_parser_reference.parse_trace_expr, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                trace_texts(),
+                st.sampled_from(("=", " = ", " == ", "")),
+                trace_texts() | st.just(" 0"),
+                st.sampled_from(("", " # a comment")),
+            ),
+            max_size=3,
+        )
+    )
+    def test_identity_file_equals_the_token_parser(self, lines):
+        text = "\n".join("".join(line) for line in lines)
+        outcome = parse_outcome(parse_identity_file, text)
+        assert outcome == parse_outcome(trace_parser_reference.parse_identity_file, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Tr(A2^10000*A1^-1)",  # the missing digits fail before the word's length
+            "Tr(A1^2^3)",
+            "Tr(A0*x)",
+            "Tr(A1*)",
+            "Tr(A1^)",
+            "Tr(A1^ ",
+            "Tr\u0661(A1)",
+            "Tr(A\u0661) - Tr(A1)",
+            "(2*Tr(A1))",
+            "2 Tr(A1)",
+            "Tr(A1) Tr(A2)",
+            "Tr(A1)+",
+            "   ",
+        ],
+    )
+    def test_edge_cases_equal_the_token_parser(self, text):
+        assert parse_outcome(parse_trace_expr, text) == parse_outcome(trace_parser_reference.parse_trace_expr, text)
 
 
 class TestIdentityFile:
