@@ -2,16 +2,22 @@
 
 For a unit normal with coordinates (t1..tp) the shape operator is
 A(t) = sum_a t_a A_a.  Both sweeps take its characteristic polynomial, with
-coefficients in the polynomial ring, from `normal_char_poly`: a
-Faddeev-LeVerrier kernel for A(t) alone, on integer pairs over a common
-denominator, that skips zero entries and zero monomials.  The generic
-`Matrix.char_poly` of `normal_shape_operator(data)` gives the same
-polynomial and serves as its reference.
+coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
+basis into the connected components of the union of the operators' nonzero
+patterns; a permutation makes A(t) block-diagonal with one block per
+component, for every t, so det(lambda I - A(t)) is exactly the product of the
+blocks' characteristic polynomials.  Each block runs a Faddeev-LeVerrier
+kernel for A(t) alone, on integer pairs over a common denominator, that skips
+zero entries and zero monomials.  The generic `Matrix.char_poly` of
+`normal_shape_operator(data)` gives the same polynomial and serves as its
+reference.
 
 The coefficient of lambda^j is homogeneous of degree n - j in t, so the
 symbolic sweep decides its constancy on the unit sphere from its term table
 (`polyring.sphere_constant`); only the first non-constant coefficient is
-reduced modulo the sphere relation, to serve as the witness.  The symbolic
+reduced modulo the sphere relation, to serve as the witness.  The verdict is
+taken on the product, never on a block: blocks that vary over the sphere can
+multiply to a constant polynomial (see `_block_char_poly`).  The symbolic
 verdict is authoritative; the numeric sweep is a seeded floating cross-check
 meant to catch implementation bugs, never to decide.  It builds the Horner
 plan of each coefficient once and runs the plans at every sample.
@@ -22,8 +28,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import mul, or_
 
 from .catalog import ShapeOperatorSet
 from .exactnum import QuadExt
@@ -31,7 +38,9 @@ from .linalg import Matrix, Row, UniPoly, integer_rows
 from .polyring import MultiPoly, eval_plan, horner_plan, reduce_mod_sphere, sphere_constant
 
 # Bound on --samples: the sample points are all held at once, and at the
-# bound a sweep of an n = 20, p = 3 direct sum already takes about 6.5 s.
+# bound a numeric sweep of the n = 20, p = 3 direct sum g6_m2_M2 + g6_m2_M2
+# takes about 10 s on a 2-core Xeon VM, nearly all of it evaluating the
+# Horner plans; its exact char_poly takes 20 ms.
 MAX_SAMPLES = 100_000
 
 
@@ -63,17 +72,66 @@ def _unit(p: int, index: int) -> tuple[int, ...]:
 def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
     """char_poly of A(t) = sum_a t_a A_a, with MultiPoly coefficients.
 
+    The basis splits into the connected components of the union pattern: the
+    graph on 0..n-1 with an edge i-j for every nonzero (i, j) entry of any
+    A_a.  The operators are symmetric, so these are the finest blocks that a
+    permutation P of the basis can make: P^T A(t) P is block-diagonal for
+    every t, with one diagonal block A_B(t) per component B.  Hence
+    det(lambda I - A(t)) = prod_B det(lambda I - A_B(t)) as an identity of
+    polynomials in lambda and t over Q(sqrt3), and `_block_char_poly` runs on
+    each component alone.  The product equals
+    normal_shape_operator(data).char_poly() exactly, term for term.
+    """
+    n, p = data.n, data.p
+    ops, den = integer_rows(data.operators)
+    polys = []
+    for block in _components(ops, n):
+        # block is sorted, so the re-indexed rows stay sorted by column
+        index = {i: r for r, i in enumerate(block)}
+        rows = [[[(index[j], x, y) for j, x, y in op[i]] for i in block] for op in ops]
+        polys.append(_block_char_poly(rows, den, len(block), p))
+    return reduce(mul, polys)
+
+
+def _components(ops: list[list[Row]], n: int) -> list[list[int]]:
+    """Connected components of the union pattern of the operators' rows, each
+    sorted, in the order of their smallest index; one pass over the nonzeros."""
+    seen = [False] * n
+    blocks = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        block = [root]
+        for i in block:  # grows as the component is found
+            for op in ops:
+                for j, _, _ in op[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+        blocks.append(sorted(block))
+    return blocks
+
+
+def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPoly:
+    """char_poly of sum_a t_a A_a for the n x n rows `ops` of A_1..A_p over
+    the denominator op_den, with MultiPoly coefficients.
+
     Faddeev-LeVerrier on A(t) as a polynomial with matrix coefficients:
     P_1 = A and P_(k+1) = A P_k + c_(n-k) A with c_(n-k) = -Tr(P_k) / k.
     P_k(t) = sum_m t^m P_m is kept as {monomial m: sparse rows of P_m} in
     integer pairs over one common denominator, and each product A_a P_m runs
     over the nonzero entries of the rows of A_a and P_m only.  Each step ends
     with one gcd normalisation; zero entries and zero monomials are never
-    stored, and one dense n x n accumulator is alive at a time.  The result
-    equals normal_shape_operator(data).char_poly() exactly.
+    stored, and one dense n x n accumulator is alive at a time.
+
+    `normal_char_poly` calls this once per diagonal block of A(t), and the
+    spectral verdict is taken on the product of the blocks' polynomials,
+    never block by block: a block's polynomial may vary over the sphere
+    while the product does not.  At p = 1 and A = diag(t, -t) the blocks
+    give lambda - t and lambda + t, neither constant on the sphere {1, -1},
+    yet their product lambda^2 - t^2 is lambda^2 - 1 at both points.
     """
-    n, p = data.n, data.p
-    ops, op_den = integer_rows(data.operators)
     active = [(ops[a], _unit(p, a)) for a in range(p) if any(ops[a])]
     product = {unit: rows for rows, unit in active}  # P_1 = A
     den = op_den

@@ -172,6 +172,17 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "constant: l^5 - 10/3*l^3 + l" in out
 
+    def test_constant_product_of_non_constant_blocks_passes(self, capsys, tmp_path):
+        # diag(t, -t) splits into the blocks lambda - t and lambda + t, each
+        # non-constant on the sphere {1, -1}; the verdict is on their product
+        path = tmp_path / "split.dat"
+        path.write_text("dataset split\ndim 2\ncodim 1\noperator B1\n1 0\n0 -1\n", encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "symbolic"]) == 0
+        out = capsys.readouterr().out
+        assert "constant: l^2 - 1\n" in out
+        assert "verdict: pass" in out
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "4"]) == 0
+
     def test_numeric_within_tolerance(self, capsys):
         assert main(["sweep", "g6_m2_M1", "--mode", "numeric", "--samples", "200", "--seed", "0"]) == 0
         out = capsys.readouterr().out

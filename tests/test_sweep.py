@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
@@ -12,7 +12,7 @@ from willmore import sweep
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
 from willmore.cli import NUMERIC_TOLERANCE
 from willmore.exactnum import QuadExt, parse_scalar
-from willmore.linalg import Matrix, UniPoly
+from willmore.linalg import Matrix, UniPoly, integer_rows
 from willmore.polyring import reduce_mod_sphere, sphere_constant
 from willmore.sweep import (
     SweepVerdict,
@@ -50,6 +50,10 @@ def single_normal():
 
 def sum20():
     return direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))
+
+
+def sum30():
+    return direct_sum(sum20(), builtin("g6_m2_M2"))
 
 
 def count_calls(monkeypatch, owner, name):
@@ -91,6 +95,46 @@ def operator_sets(draw):
                     rows[i][j] = rows[j][i] = draw(st.one_of(st.just(QuadExt(0)), SCALAR))
             ops.append(Matrix(rows))
     return ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
+
+
+@st.composite
+def planted_blocks(draw):
+    """Random symmetric operators built from 1-4 planted diagonal blocks of
+    sizes 1-4 (zero blocks and all-zero operators among them), hidden by a
+    random permutation of the basis.  n stays at most 10: the reference
+    `Matrix.char_poly` over MultiPoly takes seconds at n = 16, p = 3."""
+    p = draw(st.integers(1, 3), label="p")
+    sizes = draw(
+        st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(lambda s: sum(s) <= 10), label="block sizes"
+    )
+    n = sum(sizes)
+    order = draw(st.permutations(range(n)), label="basis order")
+    ops = [[[QuadExt(0)] * n for _ in range(n)] for _ in range(p)]
+    start = 0
+    for size in sizes:
+        block = order[start : start + size]
+        start += size
+        for rows in ops:
+            for i in range(size):
+                for j in range(i, size):
+                    entry = draw(st.one_of(st.just(QuadExt(0)), SCALAR))
+                    rows[block[i]][block[j]] = rows[block[j]][block[i]] = entry
+    return ShapeOperatorSet("planted", n, p, tuple(map(Matrix, ops)), tuple(f"B{a + 1}" for a in range(p)))
+
+
+def interleaved():
+    """p=2, n=4 with the blocks {0, 2} and {1, 3}: B1 = diag(1, 1, -1, -1)
+    and B2 couples 0<->2 and 1<->3 with 1; the spectrum is +-|t| twice."""
+    b1 = Matrix.diagonal([S(e) for e in ("1", "1", "-1", "-1")])
+    b2 = Matrix([[S("1" if abs(i - j) == 2 else "0") for j in range(4)] for i in range(4)])
+    return ShapeOperatorSet("interleaved", 4, 2, (b1, b2), ("B1", "B2"))
+
+
+def dense_block():
+    """p=2, n=3, every entry nonzero and some with sqrt3: one block."""
+    b1 = Matrix([[S(e) for e in row.split()] for row in ("1 sqrt3 -2", "sqrt3 1/2 1+sqrt3", "-2 1+sqrt3 -3/2")])
+    b2 = Matrix([[S(e) for e in row.split()] for row in ("-1 2/3 1", "2/3 2*sqrt3 -1", "1 -1 1/3")])
+    return ShapeOperatorSet("dense", 3, 2, (b1, b2), ("B1", "B2"))
 
 
 def convolve(a, b):
@@ -263,6 +307,62 @@ class TestNormalCharPoly:
             ops.append(Matrix(rows))
         data = ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
         assert_kernel_matches_reference(data)
+
+
+class TestBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(planted_blocks())
+    @example(ShapeOperatorSet("flat", 3, 2, (Matrix.filled(3, 3, QuadExt(0)),) * 2, ("B1", "B2")))
+    @example(single_operator(["0", "sqrt3", "0", "-1/2"]))  # 1x1 blocks, two of them zero
+    @example(single_normal())
+    @example(dense_block())
+    @example(interleaved())
+    def test_planted_blocks_match_the_reference(self, data):
+        assert_kernel_matches_reference(data)
+
+    def test_dense_data_is_one_block(self, monkeypatch):
+        data = dense_block()
+        blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
+        normal_char_poly(data)
+        assert [n for _, _, n, _ in blocks] == [data.n]
+
+    def test_interleaved_blocks(self):
+        data = interleaved()
+        ops, _ = integer_rows(data.operators)
+        assert sweep._components(ops, 4) == [[0, 2], [1, 3]]
+        quartic = UniPoly([QuadExt(1), QuadExt(0), QuadExt(-2), QuadExt(0), QuadExt(1)])
+        assert symbolic_sweep(data).char_poly == quartic
+
+    @pytest.mark.parametrize(
+        "make, largest",
+        [(lambda: builtin("g6_m2_M1"), 4), (sum20, 8), (sum30, 8)],
+        ids=["g6_m2_M1", "sum20", "sum30"],
+    )
+    def test_faddeev_leverrier_runs_on_the_largest_block(self, monkeypatch, make, largest):
+        # components [1, 1, 4, 4] for g6_m2_M1 and [1, 1, 8] per g6_m2_M2
+        data = make()
+        calls = count_calls(monkeypatch, sweep, "_product")
+        normal_char_poly(data)
+        assert max(n for _, n, _ in calls) == largest < data.n
+
+    def test_three_copies_are_constant_with_the_cubed_polynomial(self):
+        verdict = symbolic_sweep(sum30())
+        assert verdict.constant
+        m2 = symbolic_sweep(builtin("g6_m2_M2")).char_poly
+        assert verdict.char_poly == m2 * m2 * m2
+
+    def test_verdict_is_taken_on_the_product(self, monkeypatch):
+        # diag(t, -t): each block's lambda -+ t varies over the sphere {1, -1},
+        # their product lambda^2 - t^2 does not
+        data = single_operator(["1", "-1"], "split")
+        blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
+        verdict = symbolic_sweep(data)
+        monkeypatch.undo()
+        assert [n for _, _, n, _ in blocks] == [1, 1]
+        for rows, den, n, p in blocks:
+            assert sphere_constant(sweep._block_char_poly(rows, den, n, p).coeffs[0], 1) is None
+        assert verdict.constant
+        assert str(verdict.char_poly) == "l^2 - 1"
 
 
 class TestNormalOperator:
