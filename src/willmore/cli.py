@@ -30,6 +30,7 @@ from .tracealg import (
     MAX_G4_INDICES,
     TraceParseError,
     _word_str,
+    g4_block,
     g4_relations,
     parse_identity_file,
     parse_trace_expr,
@@ -226,14 +227,20 @@ def cmd_sweep(args) -> int:
     return 0 if ok else 1
 
 
+def _check_indices(words, p: int) -> None:
+    for word in words:
+        if max(word) > p:
+            raise InputError(f"operator index in Tr({_word_str(word)}) exceeds p={p}")
+
+
 def cmd_tracecheck(args) -> int:
     p = args.indices
     if p < 1:
         raise InputError("--indices must be >= 1")
-    if args.rules == "g4":
+    builtin_rules = args.rules == "g4"
+    if builtin_rules:
         if p > MAX_G4_INDICES:
             raise InputError(f"--indices must be <= {MAX_G4_INDICES} for --rules g4")
-        relations = g4_relations(p)
     else:
         path = Path(args.rules)
         if not path.exists():
@@ -247,11 +254,16 @@ def cmd_tracecheck(args) -> int:
         goal = parse_trace_expr(args.goal)
     except TraceParseError as exc:
         raise InputError(f"goal: {exc}") from exc
-    for word in itertools.chain(goal.terms, *(relation.terms for relation in relations)):
-        if max(word) > p:
-            raise InputError(f"operator index in Tr({_word_str(word)}) exceeds p={p}")
+    _check_indices(goal.terms, p)
+    if builtin_rules:
+        # only the blocks the goal's words meet; they hold its whole block
+        relations = g4_relations(p, sorted({g4_block(word) for word in goal.terms} - {None}))
+        count = p * p + p
+    else:
+        _check_indices(itertools.chain(*(relation.terms for relation in relations)), p)
+        count = len(relations)
 
-    lines = [f"tool: willmore {__version__}", f"relations: {len(relations)}", f"goal: {goal}"]
+    lines = [f"tool: willmore {__version__}", f"relations: {count}", f"goal: {goal}"]
     residual, steps = reduce_goal_with_steps(goal, relations)
     for step in steps:
         lines.append(f"step: {step}")

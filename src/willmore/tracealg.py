@@ -47,14 +47,16 @@ class TraceParseError(ValueError):
 def canonicalize_cyclic(word: Iterable[int]) -> Word:
     """Lexicographically smallest rotation; the trace-invariant key of a word."""
     word = tuple(word)
-    if not word:
+    # most traced words are this short: check the letters and compare the
+    # rotations inline; a bad word falls through to the general check
+    if len(word) == 3:
+        a, b, c = word
+        if isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and a >= 1 and b >= 1 and c >= 1:
+            return min(word, (b, c, a), (c, a, b))
+    elif not word:
         raise ValueError("empty trace word")
     if any(not isinstance(i, int) or i < 1 for i in word):
         raise ValueError(f"operator indices must be positive integers: {word}")
-    # most traced words are this short: compare their rotations directly
-    if len(word) == 3:
-        a, b, c = word
-        return min(word, (b, c, a), (c, a, b))
     if len(word) < 3:
         return word if len(word) == 1 or word[0] <= word[1] else word[::-1]
     start = _least_rotation(word)
@@ -223,13 +225,20 @@ def conjugation_identity() -> SchematicIdentity:
     )
 
 
-def instantiate(identity: SchematicIdentity, p: int) -> list[MatrixIdentity]:
-    """All concrete instances over indices 1..p honoring the side conditions."""
+def instantiate(identity: SchematicIdentity, p: int, first: Iterable[int] | None = None) -> list[MatrixIdentity]:
+    """All concrete instances over indices 1..p honoring the side conditions.
+
+    Given `first`, only the instances whose first variable takes one of its
+    values, in that order; the other variables still range over 1..p.
+    """
     if p < 1:
         raise ValueError("p must be >= 1")
     terms = [(QuadExt(coeff), word) for coeff, word in identity.terms]
+    ranges = [range(1, p + 1)] * len(identity.variables)
+    if first is not None:
+        ranges[0] = first
     instances: list[MatrixIdentity] = []
-    for assignment in itertools.product(range(1, p + 1), repeat=len(identity.variables)):
+    for assignment in itertools.product(*ranges):
         env = dict(zip(identity.variables, assignment))
         if any(env[a] == env[b] for a, b in identity.distinct):
             continue
@@ -322,16 +331,52 @@ def reduce_goal_with_steps(
     return TraceExpr._of(residual), tuple(steps)
 
 
-def minimality_relations(p: int) -> list[TraceExpr]:
-    return [TraceExpr.single((a,)) for a in range(1, p + 1)]
+def g4_relations(p: int, letters: Iterable[int] | None = None) -> list[TraceExpr]:
+    """Traced cube and conjugation instances plus trace-freeness, for 1..p.
 
-
-def g4_relations(p: int) -> list[TraceExpr]:
-    """Traced cube and conjugation instances plus trace-freeness, for 1..p."""
-    relations = [trace_of(inst) for inst in instantiate(cube_identity(), p)]
-    relations += [trace_of(inst) for inst in instantiate(conjugation_identity(), p)]
-    relations += minimality_relations(p)
+    Given `letters`, only the blocks of those letters (see `g4_block`), in
+    the order the full set lists them when the letters are ascending; None
+    means every letter, p^2 + p relations.
+    """
+    if letters is None:
+        letters = range(1, p + 1)
+    else:
+        letters = list(letters)
+        if any(not 1 <= a <= p for a in letters):
+            raise ValueError(f"block letters must lie in 1..{p}: {letters}")
+    relations = [trace_of(inst) for inst in instantiate(cube_identity(), p, letters)]
+    relations += [trace_of(inst) for inst in instantiate(conjugation_identity(), p, letters)]
+    relations += [TraceExpr.single((a,)) for a in letters]
     return relations
+
+
+def g4_block(word: Word) -> int | None:
+    """The letter a whose block of `g4_relations` holds the word, or None.
+
+    The relations of block a are the cube of a, the conjugation instances
+    (a, b) for every b != a, and Tr(a) = 0: p + 1 relations, and each
+    relation of the full set lies in exactly one block.  Their words are
+    (a), (a, a, a) and the rotations of (a, b, b) for b != a, in which a is
+    the letter that occurs once.  So no word lies in two blocks, every
+    relation of block a holds the word (a), and the blocks are exactly the
+    connected components of the relations joined through shared words.  A
+    word lies in block a iff it is (a), (a, a, a), or has three letters of
+    which exactly two are equal and a is the odd one out; any other word
+    lies in no block.  The blocks of a goal's words therefore hold the
+    goal's whole component, and `reduce_goal_with_steps` eliminates the same
+    relations, in the same order, as against the full set.
+    """
+    if len(word) == 1:
+        return word[0]
+    if len(word) == 3:
+        a, b, c = word
+        if b == c:
+            return a
+        if a == c:
+            return b
+        if a == b:
+            return c
+    return None
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,7 @@ class TestTracecheck:
     @NEEDS_INDEX_BOUND
     @pytest.mark.parametrize("excess", [1, 99999])
     def test_indices_beyond_the_g4_bound_is_an_input_error(self, capsys, monkeypatch, excess):
-        def unbuilt(p):
+        def unbuilt(*args):
             raise AssertionError("g4 relations built past the bound")
 
         monkeypatch.setattr(cli, "g4_relations", unbuilt)
@@ -324,6 +324,51 @@ class TestTracecheck:
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A1)", "--indices", str(p)]) == 2
         err = capsys.readouterr().err
         assert "--indices" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "goal, rc",
+        [
+            ("Tr(A3^3) + Tr(A1^2*A3) + Tr(A2^2*A3) + Tr(A4^2*A3) + Tr(A5^2*A3) + Tr(A6^2*A3)", 0),
+            ("2*Tr(A2) - 2*Tr(A2^3) + sqrt3*Tr(A4) - 3*sqrt3*Tr(A4*A5^2) + (1/2-sqrt3)*Tr(A6)", 0),
+            ("Tr(A2*A1^50) + Tr(A3)", 1),
+        ],
+        ids=["willmore", "combination", "power"],
+    )
+    def test_builtin_rules_print_what_the_same_rules_file_prints(self, capsys, tmp_path, goal, rc):
+        # the built-in set reads only the goal's blocks, the file all of them
+        rules = tmp_path / "g4.rules"
+        rules.write_text("".join(f"{relation} = 0\n" for relation in tracealg.g4_relations(6)), encoding="utf-8")
+        assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", "6"]) == rc
+        builtin_out = capsys.readouterr().out
+        assert main(["tracecheck", "--rules", str(rules), "--goal", goal, "--indices", "6"]) == rc
+        assert capsys.readouterr().out == builtin_out
+        assert "relations: 42\n" in builtin_out
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_relation_count_is_that_of_the_full_set(self, capsys, p):
+        assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A1)", "--indices", str(p)]) == 0
+        assert f"relations: {len(tracealg.g4_relations(p))}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "goal, p, rc, built",
+        [
+            (" + ".join(f"Tr(A{b}^2*A7)" for b in range(1, 41)), 40, 0, 41),
+            ("Tr(A2*A1^3000)", tracealg.MAX_G4_INDICES, 1, 0),
+        ],
+        ids=["willmore", "power"],
+    )
+    def test_builtin_rules_build_only_the_goal_blocks(self, capsys, monkeypatch, goal, p, rc, built):
+        counts = []
+
+        def counting(*args):
+            relations = tracealg.g4_relations(*args)
+            counts.append(len(relations))
+            return relations
+
+        monkeypatch.setattr(cli, "g4_relations", counting)
+        assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", str(p)]) == rc
+        assert counts == [built]
+        assert f"relations: {p * p + p}\n" in capsys.readouterr().out
 
     def test_rules_file_needs_no_indices_bound(self, capsys, tmp_path):
         rules = tmp_path / "min.rules"

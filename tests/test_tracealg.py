@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trace_parser_reference
@@ -114,6 +114,33 @@ def blocks_and_goal(draw):
     return relations, goal
 
 
+@st.composite
+def g4_goals(draw):
+    """p in 1..8 and a goal over the words of g4 blocks of random letters and
+    over stray words in no block, with rational and sqrt3 coefficients, plus
+    multiples of built-in relations so that some goals close."""
+    p = draw(st.integers(1, 8))
+    letter = st.integers(1, p)
+    words = [
+        letter.map(lambda a: (a,)),
+        letter.map(lambda a: (a, a, a)),
+        st.tuples(letter, letter),
+        st.lists(letter, min_size=4, max_size=9).map(tuple),
+        st.tuples(letter, letter, st.integers(4, 60)).map(lambda t: (t[0],) + (t[1],) * t[2]),
+    ]
+    if p >= 2:
+        # a rotation of (a, b, b) with a != b
+        odd_and_pair = st.lists(letter, min_size=2, max_size=2, unique=True).map(lambda ab: (ab[0], ab[1], ab[1]))
+        words.append(st.tuples(odd_and_pair, st.integers(0, 2)).map(lambda t: t[0][t[1] :] + t[0][: t[1]]))
+    if p >= 3:
+        words.append(st.lists(letter, min_size=3, max_size=3, unique=True).map(tuple))
+    coeff = COEFF | st.builds(QuadExt, st.just(0), RATIONAL.filter(bool))
+    goal = sum((TraceExpr.single(word, c) for word, c in draw(st.lists(st.tuples(st.one_of(words), coeff), max_size=6))), TraceExpr())
+    for relation, c in draw(st.lists(st.tuples(st.sampled_from(g4_relations(p)), coeff), max_size=3)):
+        goal = goal + relation * c
+    return p, goal
+
+
 class TestCanonicalize:
     def test_minimal_rotation(self):
         assert canonicalize_cyclic((2, 2, 1)) == (1, 2, 2)
@@ -159,6 +186,11 @@ class TestCanonicalize:
             ((0,), "operator indices must be positive integers: (0,)"),
             ((1, "a"), "operator indices must be positive integers: (1, 'a')"),
             ((2, 1.0, 1), "operator indices must be positive integers: (2, 1.0, 1)"),
+            # three-letter words are checked inline: a bad letter at each position
+            ((0, 1, 2), "operator indices must be positive integers: (0, 1, 2)"),
+            ((1, "a", 2), "operator indices must be positive integers: (1, 'a', 2)"),
+            ((1, 2, 1.0), "operator indices must be positive integers: (1, 2, 1.0)"),
+            ((1, 2, -3), "operator indices must be positive integers: (1, 2, -3)"),
         ],
     )
     def test_short_words_are_validated_first(self, word, message):
@@ -293,6 +325,39 @@ class TestReduceGoal:
             shuffled = relations[:]
             rng.shuffle(shuffled)
             assert reduce_goal(goal, shuffled) == reference
+
+
+class TestG4Blocks:
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_the_full_set_holds_every_block_once(self, p):
+        blocks = [relation for a in range(1, p + 1) for relation in g4_relations(p, [a])]
+        assert sorted(map(str, blocks)) == sorted(map(str, g4_relations(p)))
+        assert g4_relations(p, range(1, p + 1)) == g4_relations(p)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_each_block_holds_the_words_mapped_to_its_letter(self, p):
+        for a in range(1, p + 1):
+            relations = g4_relations(p, [a])
+            assert len(relations) == p + 1
+            assert {tracealg.g4_block(word) for relation in relations for word in relation.terms} == {a}
+
+    def test_stray_words_lie_in_no_block(self):
+        for word in [(1, 2), (1, 1), (1, 2, 3), (1, 1, 1, 1), (2,) + (1,) * 3000]:
+            assert tracealg.g4_block(word) is None
+
+    @pytest.mark.parametrize("letters", [[0], [5], [1, 5]])
+    def test_letters_outside_one_to_p_rejected(self, letters):
+        with pytest.raises(ValueError):
+            g4_relations(4, letters)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g4_goals())
+    @example((1, TraceExpr()))
+    @example((3, TraceExpr()))
+    def test_blocks_of_the_goal_reduce_as_the_full_set(self, case):
+        p, goal = case
+        letters = sorted({tracealg.g4_block(word) for word in goal.terms} - {None})
+        assert reduce_goal_with_steps(goal, g4_relations(p, letters)) == reduce_goal_with_steps(goal, g4_relations(p))
 
 
 class TestVerifyG4:
