@@ -101,10 +101,6 @@ def expand_blocks(spec: BlockSpec) -> Matrix:
     return Matrix(out)
 
 
-def _s(text: str) -> QuadExt:
-    return parse_scalar(text)
-
-
 def _sym(n: int, entries: dict[tuple[int, int], QuadExt]) -> Matrix:
     zero = QuadExt(0)
     rows = [[zero] * n for _ in range(n)]
@@ -114,80 +110,69 @@ def _sym(n: int, entries: dict[tuple[int, int], QuadExt]) -> Matrix:
     return Matrix(rows)
 
 
-def _build_m1_M1() -> ShapeOperatorSet:
-    a6 = Matrix.diagonal([_s("sqrt3"), _s("1/3*sqrt3"), _s("0"), _s("-1/3*sqrt3"), _s("-sqrt3")])
-    a7 = _sym(5, {(0, 4): _s("sqrt3"), (1, 3): _s("1/3*sqrt3")})
-    return ShapeOperatorSet("g6_m1_M1", 5, 2, (a6, a7), ("A6", "A7"), g_tag=6, m_tag=1)
-
-
-def _build_m1_M2() -> ShapeOperatorSet:
-    a6 = Matrix.diagonal([_s("sqrt3"), _s("1/3*sqrt3"), _s("0"), _s("-1/3*sqrt3"), _s("-sqrt3")])
-    a7 = _sym(5, {(0, 1): _s("1"), (1, 3): _s("-2/3*sqrt3"), (3, 4): _s("1")})
-    return ShapeOperatorSet("g6_m1_M2", 5, 2, (a6, a7), ("A6", "A7"), g_tag=6, m_tag=1)
-
-
-def _build_m2_M1() -> ShapeOperatorSet:
-    s3 = _s("sqrt3")
-    u = _s("1/3*sqrt3")
+def _build_builtins() -> tuple[ShapeOperatorSet, ...]:
+    """The four built-ins.  The first operator, diag(sqrt3, 1/3*sqrt3, 0,
+    -1/3*sqrt3, -sqrt3) tensored with the m x m identity, is A6 of both m = 1
+    sets and A11 of both m = 2 sets; it is built once for each m."""
+    s3 = parse_scalar("sqrt3")
+    u = parse_scalar("1/3*sqrt3")
+    v = parse_scalar("2/3*sqrt3")
+    one = parse_scalar("1")
     Z = None
-    a11 = expand_blocks(BlockSpec((
+    diagonal = (
         (("I", s3), Z, Z, Z, Z),
         (Z, ("I", u), Z, Z, Z),
         (Z, Z, Z, Z, Z),
         (Z, Z, Z, ("I", -u), Z),
         (Z, Z, Z, Z, ("I", -s3)),
-    )))
-    a12 = expand_blocks(BlockSpec((
-        (Z, Z, Z, Z, ("J", s3)),
-        (Z, Z, Z, ("J", u), Z),
-        (Z, Z, Z, Z, Z),
-        (Z, ("J", -u), Z, Z, Z),
-        (("J", -s3), Z, Z, Z, Z),
-    )))
-    a13 = expand_blocks(BlockSpec((
-        (Z, Z, Z, Z, ("I", s3)),
-        (Z, Z, Z, ("I", u), Z),
-        (Z, Z, Z, Z, Z),
-        (Z, ("I", u), Z, Z, Z),
-        (("I", s3), Z, Z, Z, Z),
-    )))
-    return ShapeOperatorSet("g6_m2_M1", 10, 3, (a11, a12, a13), ("A11", "A12", "A13"), g_tag=6, m_tag=2)
+    )
+    a6 = expand_blocks(BlockSpec(diagonal, block=1))
+    a11 = expand_blocks(BlockSpec(diagonal))
+    a7_M1 = _sym(5, {(0, 4): s3, (1, 3): u})
+    a7_M2 = _sym(5, {(0, 1): one, (1, 3): parse_scalar("-2/3*sqrt3"), (3, 4): one})
+    a12_a13_M1 = (
+        expand_blocks(BlockSpec((
+            (Z, Z, Z, Z, ("J", s3)),
+            (Z, Z, Z, ("J", u), Z),
+            (Z, Z, Z, Z, Z),
+            (Z, ("J", -u), Z, Z, Z),
+            (("J", -s3), Z, Z, Z, Z),
+        ))),
+        expand_blocks(BlockSpec((
+            (Z, Z, Z, Z, ("I", s3)),
+            (Z, Z, Z, ("I", u), Z),
+            (Z, Z, Z, Z, Z),
+            (Z, ("I", u), Z, Z, Z),
+            (("I", s3), Z, Z, Z, Z),
+        ))),
+    )
+    a12_a13_M2 = (
+        expand_blocks(BlockSpec((
+            (Z, ("J", one), Z, Z, Z),
+            (("J", -one), Z, Z, ("J", -v), Z),
+            (Z, Z, Z, Z, Z),
+            (Z, ("J", v), Z, Z, ("J", one)),
+            (Z, Z, Z, ("J", -one), Z),
+        ))),
+        expand_blocks(BlockSpec((
+            (Z, ("I", -one), Z, Z, Z),
+            (("I", -one), Z, Z, ("I", v), Z),
+            (Z, Z, Z, Z, Z),
+            (Z, ("I", v), Z, Z, ("I", -one)),
+            (Z, Z, Z, ("I", -one), Z),
+        ))),
+    )
+    m1 = ("A6", "A7")
+    m2 = ("A11", "A12", "A13")
+    return (
+        ShapeOperatorSet("g6_m1_M1", 5, 2, (a6, a7_M1), m1, g_tag=6, m_tag=1),
+        ShapeOperatorSet("g6_m1_M2", 5, 2, (a6, a7_M2), m1, g_tag=6, m_tag=1),
+        ShapeOperatorSet("g6_m2_M1", 10, 3, (a11, *a12_a13_M1), m2, g_tag=6, m_tag=2),
+        ShapeOperatorSet("g6_m2_M2", 10, 3, (a11, *a12_a13_M2), m2, g_tag=6, m_tag=2),
+    )
 
 
-def _build_m2_M2() -> ShapeOperatorSet:
-    s3 = _s("sqrt3")
-    u = _s("1/3*sqrt3")
-    v = _s("2/3*sqrt3")
-    one = _s("1")
-    Z = None
-    a11 = expand_blocks(BlockSpec((
-        (("I", s3), Z, Z, Z, Z),
-        (Z, ("I", u), Z, Z, Z),
-        (Z, Z, Z, Z, Z),
-        (Z, Z, Z, ("I", -u), Z),
-        (Z, Z, Z, Z, ("I", -s3)),
-    )))
-    a12 = expand_blocks(BlockSpec((
-        (Z, ("J", one), Z, Z, Z),
-        (("J", -one), Z, Z, ("J", -v), Z),
-        (Z, Z, Z, Z, Z),
-        (Z, ("J", v), Z, Z, ("J", one)),
-        (Z, Z, Z, ("J", -one), Z),
-    )))
-    a13 = expand_blocks(BlockSpec((
-        (Z, ("I", -one), Z, Z, Z),
-        (("I", -one), Z, Z, ("I", v), Z),
-        (Z, Z, Z, Z, Z),
-        (Z, ("I", v), Z, Z, ("I", -one)),
-        (Z, Z, Z, ("I", -one), Z),
-    )))
-    return ShapeOperatorSet("g6_m2_M2", 10, 3, (a11, a12, a13), ("A11", "A12", "A13"), g_tag=6, m_tag=2)
-
-
-_BUILTINS = {
-    s.name: s
-    for s in (_build_m1_M1(), _build_m1_M2(), _build_m2_M1(), _build_m2_M2())
-}
+_BUILTINS = {s.name: s for s in _build_builtins()}
 
 BUILTIN_NAMES = tuple(_BUILTINS)
 
@@ -239,9 +224,14 @@ def _keyword_line(lines: _Lines, keyword: str) -> tuple[int, str]:
 
 def _int_field(lines: _Lines, keyword: str) -> int:
     number, value = _keyword_line(lines, keyword)
-    if not value.isdigit() or int(value) < 1:
+    try:
+        # ASCII digits only: str.isdigit also passes '²', which int() refuses
+        result = int(value) if value.isascii() and value.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        result = 0
+    if result < 1:
         raise DatasetFormatError(f"{keyword} must be a positive integer, got {value!r}", number)
-    return int(value)
+    return result
 
 
 def parse_dataset(text: str) -> ShapeOperatorSet:

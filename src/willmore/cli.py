@@ -23,7 +23,7 @@ from .catalog import (
     builtin,
     parse_dataset,
 )
-from .curvature import CurvatureReport, curvature_report, riemann_suite
+from .curvature import CurvatureReport, curvature_report, einstein_violation, riemann_suite
 from .exactnum import format_scalar
 from .sweep import MAX_SAMPLES, numeric_sweep, symbolic_sweep
 from .tracealg import (
@@ -133,7 +133,7 @@ def verify_certificate(data: ShapeOperatorSet, timestamp: bool = False) -> tuple
     fields.append(("value", format_scalar(report.square_norm)))
     fields.append(("assumption", "constant over the submanifold (homogeneous point datum)"))
 
-    ok = report.minimal
+    ok = report.verified
     if report.ricci is not None:
         fields = cert.section("ricci")
         _matrix_rows(fields, report.ricci)
@@ -156,7 +156,6 @@ def verify_certificate(data: ShapeOperatorSet, timestamp: bool = False) -> tuple
             fields.append((f"ricci_form.{label}", format_scalar(value)))
         fields.append(("ricci_form_verdict", "pass" if willmore.willmore_ricci_form else "FAIL"))
         fields.append(("consistency", "pass" if willmore.consistent else "FAIL"))
-        ok = ok and willmore.willmore and willmore.willmore_ricci_form and willmore.consistent
 
         checks, count = _riemann_spot_suite(data, report)
         fields = cert.section("riemann")
@@ -171,18 +170,10 @@ def verify_certificate(data: ShapeOperatorSet, timestamp: bool = False) -> tuple
 
 
 def _einstein_witness(ric) -> str:
-    n = ric.nrows
-    for i in range(n):
-        for j in range(n):
-            if i != j and ric[i, j]:
-                return f"entry ({i},{j}) = {format_scalar(ric[i, j])} is nonzero"
-    for i in range(1, n):
-        if ric[i, i] != ric[0, 0]:
-            return (
-                f"entries (0,0) = {format_scalar(ric[0, 0])} and "
-                f"({i},{i}) = {format_scalar(ric[i, i])} differ"
-            )
-    return "none"
+    i, j = einstein_violation(ric)
+    if i != j:
+        return f"entry ({i},{j}) = {format_scalar(ric[i, j])} is nonzero"
+    return f"entries (0,0) = {format_scalar(ric[0, 0])} and ({i},{i}) = {format_scalar(ric[i, i])} differ"
 
 
 def cmd_verify(args) -> int:
@@ -263,43 +254,40 @@ def cmd_tracecheck(args) -> int:
         _check_indices(itertools.chain(*(relation.terms for relation in relations)), p)
         count = len(relations)
 
-    lines = [f"tool: willmore {__version__}", f"relations: {count}", f"goal: {goal}"]
+    cert = Certificate([("tool", f"willmore {__version__}"), ("relations", str(count)), ("goal", str(goal))])
     residual, steps = reduce_goal_with_steps(goal, relations)
     for step in steps:
-        lines.append(f"step: {step}")
-    lines.append(f"residual: {residual}")
-    verdict = not residual
-    lines.append(f"verdict: {'pass' if verdict else 'FAIL'}")
-    sys.stdout.write("\n".join(lines) + "\n")
-    return 0 if verdict else 1
+        cert.add("step", str(step))
+    cert.add("residual", str(residual))
+    cert.add("verdict", "FAIL" if residual else "pass")
+    sys.stdout.write(cert.render("text"))
+    return 1 if residual else 0
 
 
 def cmd_paper(args) -> int:
     ok = True
-    chunks: list[str] = []
+    certificates: list[str] = []
     for name in BUILTIN_NAMES:
         cert, good = verify_certificate(builtin(name))
         ok = ok and good
-        chunks.append(cert.render("text"))
-    lines = ["[sweep]"]
+        certificates.append(cert.render("text"))
+    summary = Certificate()
+    fields = summary.section("sweep")
     for name in BUILTIN_NAMES:
         verdict = symbolic_sweep(builtin(name))
         if verdict.constant:
-            lines.append(f"{name}: pass (constant {verdict.char_poly})")
+            fields.append((name, f"pass (constant {verdict.char_poly})"))
         else:
-            lines.append(f"{name}: FAIL (l^{verdict.witness_power} coefficient {verdict.witness})")
+            fields.append((name, f"FAIL (l^{verdict.witness_power} coefficient {verdict.witness})"))
         ok = ok and verdict.constant
-    lines.append("")
-    lines.append("[g4proof]")
+    fields = summary.section("g4proof")
     for p in range(1, 11):
         report = verify_g4(p)
-        lines.append(f"p{p}: {'pass' if report.verdict else 'FAIL'} ({report.relation_count} relations)")
+        fields.append((f"p{p}", f"{'pass' if report.verdict else 'FAIL'} ({report.relation_count} relations)"))
         ok = ok and report.verdict
-    lines.append("")
-    lines.append("[summary]")
-    lines.append(f"verified: {'yes' if ok else 'no'}")
-    chunks.append("\n".join(lines) + "\n")
-    sys.stdout.write("\n".join(chunks))
+    summary.section("summary").append(("verified", "yes" if ok else "no"))
+    # each section opens with a blank line, which also ends the last certificate
+    sys.stdout.write("\n".join(certificates) + summary.render("text"))
     return 0 if ok else 1
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt
-from .linalg import Matrix, Row, integer_rows
+from .linalg import Matrix, Row, integer_rows, lower_pair_products
 
 
 class NotMinimalError(ValueError):
@@ -109,17 +109,22 @@ def _willmore(
 
 def einstein_check(ric: Matrix) -> QuadExt | None:
     """The constant c with Ric = c*I exactly, or None."""
-    n = ric.nrows
+    return ric[0, 0] if einstein_violation(ric) is None else None
+
+
+def einstein_violation(ric: Matrix) -> tuple[int, int] | None:
+    """The first entry (i, j) of `ric` that Ric = c*I rules out, or None: the
+    first nonzero off-diagonal entry in row order, else the first diagonal
+    entry that differs from (0, 0)."""
+    for i, row in enumerate(ric.rows):
+        for j, entry in enumerate(row):
+            if entry and i != j:
+                return i, j
     c = ric[0, 0]
-    for i in range(n):
-        for j in range(n):
-            entry = ric[i, j]
-            if i == j:
-                if entry != c:
-                    return None
-            elif entry:
-                return None
-    return c
+    for i in range(1, ric.nrows):
+        if ric[i, i] != c:
+            return i, i
+    return None
 
 
 @dataclass(frozen=True)
@@ -209,20 +214,9 @@ def _matrix(m: Pairs, den: int) -> Matrix:
 
 
 def _squared_sum(ops: list[list[Row]], n: int) -> Pairs:
-    """sum_a A_a^2 over D^2 from the nonzero entries of each row only.  The
-    sum is symmetric, so only its lower triangle is accumulated (rows are
-    sorted by column), then mirrored."""
-    accx = [[0] * n for _ in range(n)]
-    accy = [[0] * n for _ in range(n)]
-    for rows in ops:
-        for i, (row, rx, ry) in enumerate(zip(rows, accx, accy)):
-            for j, ax, ay in row:
-                ay3 = 3 * ay
-                for l, bx, by in rows[j]:
-                    if l > i:
-                        break
-                    rx[l] += ax * bx + ay3 * by
-                    ry[l] += ax * by + ay * bx
+    """sum_a A_a^2 over D^2, from nonzero entries only.  The sum is symmetric,
+    so only its lower triangle is accumulated, then mirrored."""
+    accx, accy = lower_pair_products([(rows, rows, (0, 0)) for rows in ops], n, 1)
     for i in range(n):
         for l in range(i):
             accx[l][i] = accx[i][l]

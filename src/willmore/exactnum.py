@@ -39,17 +39,8 @@ class QuadExt:
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0) -> None:
         a = Fraction(a)
         b = Fraction(b)
-        d = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-        x = a.numerator * (d // a.denominator)
-        y = b.numerator * (d // b.denominator)
-        g = math.gcd(math.gcd(x, y), d)
-        if g > 1:
-            x //= g
-            y //= g
-            d //= g
-        self.x = x
-        self.y = y
-        self.d = d
+        q = self._make(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
+        self.x, self.y, self.d = q.x, q.y, q.d
 
     @classmethod
     def _make(cls, x: int, y: int, d: int) -> QuadExt:
@@ -258,6 +249,29 @@ def format_scalar(value: QuadExt) -> str:
     return f"{a}+{mag}" if b > 0 else f"{a}-{mag}"
 
 
+def format_sum(terms: Iterable[tuple[object, str]]) -> str:
+    """Text of the sum of coeff*factor over (nonzero coeff, factor text) pairs,
+    in the given order, as "-c*f + f - c"; "0" for no pairs.  A magnitude
+    with a sign in its text is parenthesized, and a coefficient without
+    `sign` (a MultiPoly) is never negative."""
+    parts: list[str] = []
+    for coeff, factor in terms:
+        negative = coeff.sign() < 0 if hasattr(coeff, "sign") else False
+        mag = -coeff if negative else coeff
+        text = str(mag)
+        if "+" in text or (text.count("-") and not text.startswith("-")):
+            text = f"({text})"
+        if not factor:
+            term = text
+        else:
+            term = factor if mag == 1 else f"{text}*{factor}"
+        if not parts:
+            parts.append(f"-{term}" if negative else term)
+        else:
+            parts.append(f"- {term}" if negative else f"+ {term}")
+    return " ".join(parts) or "0"
+
+
 # One term: "sqrt3", a rational "p" or "p/q", or "p*sqrt3" / "p/q*sqrt3",
 # each with an optional leading minus; whitespace may separate the parts.
 # "sqrt3" must end a word, so "sqrt3x" is no term.  The digits after a '/' may
@@ -277,16 +291,16 @@ def _digits(text: str, position: int) -> int:
 def _term_value(match: re.Match) -> QuadExt:
     negative, root, numerator, denominator, times_root = match.groups()
     if root:
-        value = SQRT3
-    else:
-        if denominator == "":
-            raise ScalarParseError("expected digits after '/'", match.start(4))
-        denominator = _digits(denominator or "1", match.start(4))
-        if denominator == 0:
-            raise ScalarParseError("zero denominator", match.start(4))
-        rational = Fraction(_digits(numerator, match.start(3)), denominator)
-        value = QuadExt(0, rational) if times_root else QuadExt(rational)
-    return -value if negative else value
+        return -SQRT3 if negative else SQRT3
+    if denominator == "":
+        raise ScalarParseError("expected digits after '/'", match.start(4))
+    denominator = _digits(denominator or "1", match.start(4))
+    if denominator == 0:
+        raise ScalarParseError("zero denominator", match.start(4))
+    numerator = _digits(numerator, match.start(3))
+    if negative:
+        numerator = -numerator
+    return QuadExt._make(0, numerator, denominator) if times_root else QuadExt._make(numerator, 0, denominator)
 
 
 def scan_scalar(text: str, pos: int = 0) -> tuple[QuadExt, int]:

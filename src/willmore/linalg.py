@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable
 
+from .exactnum import format_sum
+
 # A sparse matrix row: (column, x, y) for each nonzero entry (x + y*sqrt3)/D,
 # in increasing column order, with the denominator D shared by every row.
 Row = list[tuple[int, int, int]]
@@ -273,30 +275,13 @@ class UniPoly:
             acc = acc * point + c
         return acc
 
-    def render(self, var: str = "l") -> str:
-        """Canonical text, highest degree first; coefficients in scalar grammar."""
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for k in range(self.degree(), -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            negative = c.sign() < 0 if hasattr(c, "sign") else False
-            mag = -c if negative else c
-            text = str(mag)
-            if "+" in text or (text.count("-") and not text.startswith("-")):
-                text = f"({text})"
-            if k == 0:
-                term = text
-            else:
-                power = var if k == 1 else f"{var}^{k}"
-                term = power if mag == 1 else f"{text}*{power}"
-            if not parts:
-                parts.append(f"-{term}" if negative else term)
-            else:
-                parts.append(f"- {term}" if negative else f"+ {term}")
-        return " ".join(parts)
+    def render(self) -> str:
+        """Canonical text in l, highest degree first; coefficients in scalar grammar."""
+        return format_sum(
+            (self.coeffs[k], "" if k == 0 else "l" if k == 1 else f"l^{k}")
+            for k in range(self.degree(), -1, -1)
+            if self.coeffs[k]
+        )
 
     __str__ = render
 
@@ -317,3 +302,28 @@ def integer_rows(matrices: Iterable[Matrix]) -> tuple[list[list[Row]], int]:
         [[(j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e] for row in m.rows]
         for m in matrices
     ], den
+
+
+def lower_pair_products(terms, n: int, k: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Dense (x rows, y rows) of the lower triangle of the sum of k L R - t L
+    over the terms (L, R, t): L and R are `integer_rows` of n x n matrices,
+    t = (tx, ty).  Entries above the diagonal stay 0, for a caller whose sum
+    is symmetric to mirror; each product runs over nonzero entries only, and
+    stops at the diagonal because rows are sorted by column."""
+    accx = [[0] * n for _ in range(n)]
+    accy = [[0] * n for _ in range(n)]
+    for l_rows, r_rows, (tx, ty) in terms:
+        for i, (l_row, rx, ry) in enumerate(zip(l_rows, accx, accy)):
+            for j, ax, ay in l_row:
+                if j <= i and (tx or ty):
+                    rx[j] -= ax * tx + 3 * ay * ty
+                    ry[j] -= ax * ty + ay * tx
+                ax *= k
+                ay *= k
+                ay3 = 3 * ay
+                for l, bx, by in r_rows[j]:
+                    if l > i:
+                        break
+                    rx[l] += ax * bx + ay3 * by
+                    ry[l] += ax * by + ay * bx
+    return accx, accy

@@ -17,7 +17,7 @@ import math
 from itertools import combinations_with_replacement
 from typing import Iterable, Mapping
 
-from .exactnum import QuadExt, ZERO, accumulate
+from .exactnum import QuadExt, ZERO, accumulate, format_sum
 
 
 class MultiPoly:
@@ -150,32 +150,10 @@ class MultiPoly:
         return self.terms.get((0,) * self.nvars, ZERO)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for exps in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            coeff = self.terms[exps]
-            negative = coeff.sign() < 0
-            mag = -coeff if negative else coeff
-            factors = [
-                f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            ]
-            text = str(mag)
-            if "+" in text or (text.count("-") and not text.startswith("-")):
-                text = f"({text})"
-            if not factors:
-                term = text
-            elif mag == 1:
-                term = "*".join(factors)
-            else:
-                term = "*".join([text] + factors)
-            if not parts:
-                parts.append(f"-{term}" if negative else term)
-            else:
-                parts.append(f"- {term}" if negative else f"+ {term}")
-        return " ".join(parts)
+        return format_sum(
+            (self.terms[m], "*".join(f"t{i + 1}" if e == 1 else f"t{i + 1}^{e}" for i, e in enumerate(m) if e))
+            for m in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+        )
 
 
 def reduce_mod_sphere(f: MultiPoly) -> MultiPoly:

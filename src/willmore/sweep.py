@@ -34,7 +34,7 @@ from operator import mul, or_
 
 from .catalog import ShapeOperatorSet
 from .exactnum import QuadExt
-from .linalg import Matrix, Row, UniPoly, integer_rows
+from .linalg import Matrix, Row, UniPoly, integer_rows, lower_pair_products
 from .polyring import MultiPoly, eval_plan, horner_plan, reduce_mod_sphere, sphere_constant
 
 # Bound on --samples: the sample points are all held at once, and at the
@@ -185,23 +185,8 @@ def _trace(rows: list[Row]) -> tuple[int, int]:
 def _product(terms, n: int, k: int) -> list[Row]:
     """Sparse rows of the sum of k A_a N_m - Tr(N_m) A_a over the terms
     (A_a, N_m, Tr(N_m)).  The sum is symmetric, so only its lower triangle
-    is accumulated (rows are sorted by column), then mirrored."""
-    accx = [[0] * n for _ in range(n)]
-    accy = [[0] * n for _ in range(n)]
-    for a_rows, m_rows, (tx, ty) in terms:
-        for i, (a_row, rx, ry) in enumerate(zip(a_rows, accx, accy)):
-            for j, ax, ay in a_row:
-                if j <= i and (tx or ty):
-                    rx[j] -= ax * tx + 3 * ay * ty
-                    ry[j] -= ax * ty + ay * tx
-                ax *= k
-                ay *= k
-                ay3 = 3 * ay
-                for l, mx, my in m_rows[j]:
-                    if l > i:
-                        break
-                    rx[l] += ax * mx + ay3 * my
-                    ry[l] += ax * my + ay * mx
+    is accumulated, then mirrored into sparse rows."""
+    accx, accy = lower_pair_products(terms, n, k)
     rows: list[Row] = []
     for i, (rx, ry) in enumerate(zip(accx, accy)):
         row = [(l, rx[l], ry[l]) for l in compress(range(i + 1), map(or_, rx, ry))]

@@ -113,6 +113,23 @@ class TestVerify:
         assert main(["verify", str(path)]) == 2
         assert "codim" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "dim",
+        [
+            pytest.param("²", id="superscript-two"),
+            pytest.param(TOO_MANY_DIGITS, id="5000-digits", marks=NEEDS_INT_DIGIT_LIMIT),
+            pytest.param("0", id="zero"),
+            pytest.param("-1", id="negative"),
+        ],
+    )
+    def test_dim_that_is_no_positive_integer_is_an_input_error(self, capsys, tmp_path, dim):
+        path = tmp_path / "dim.dat"
+        path.write_text(f"dataset x\ndim {dim}\ncodim 1\n", encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
+        assert "dim must be a positive integer" in err
+
     def test_directory_is_an_input_error(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path)]) == 2
         err = capsys.readouterr().err

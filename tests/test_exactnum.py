@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from frames import direct_sum
+from render_reference import multipoly_str, unipoly_render
+from willmore import exactnum
+from willmore.catalog import BUILTIN_NAMES, builtin, parse_dataset, serialize_dataset
 from willmore.exactnum import QuadExt, ScalarParseError, format_scalar, parse_scalar
+from willmore.linalg import UniPoly
+from willmore.polyring import MultiPoly
 
 
 def rand_quadext(rng, span=20):
@@ -102,10 +108,79 @@ class TestParse:
         assert info.value.position == 4
 
 
-@given(st.fractions(), st.fractions())
+FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+
+
+@given(FRACTIONS, FRACTIONS)
+def test_constructor_is_canonical(a, b):
+    value = QuadExt(a, b)
+    assert value.d > 0 and math.gcd(value.x, value.y, value.d) == 1
+    assert Fraction(value.x, value.d) == a and Fraction(value.y, value.d) == b
+
+
+@given(FRACTIONS, FRACTIONS)
 def test_parse_is_left_inverse_of_formatter(a, b):
     value = QuadExt(a, b)
     assert parse_scalar(format_scalar(value)) == value
+
+
+@pytest.mark.parametrize(
+    "data",
+    [builtin(name) for name in BUILTIN_NAMES] + [direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))],
+    ids=list(BUILTIN_NAMES) + ["n20_sum"],
+)
+def test_parsing_a_dataset_constructs_no_fraction(monkeypatch, data):
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    text = serialize_dataset(data)
+    monkeypatch.setattr(exactnum, "Fraction", CountingFraction)
+    parsed = parse_dataset(text)
+    assert made == []
+    assert parsed.operators == data.operators
+
+
+# Parts of either sign give coefficients such as 1 - sqrt3, which is negative
+# although its rational part is positive; also +-1, 0 (left out of the text)
+# and fractions.
+RENDER_PART = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), Fraction(-2, 3)]) | st.fractions(max_denominator=9)
+RENDER_COEFF = st.builds(QuadExt, RENDER_PART, RENDER_PART)
+
+
+@st.composite
+def multipolys(draw, nvars=None):
+    p = draw(st.integers(1, 3)) if nvars is None else nvars
+    exps = st.tuples(*[st.integers(0, 3)] * p)
+    return MultiPoly(p, draw(st.dictionaries(exps, RENDER_COEFF, max_size=6)))
+
+
+class TestFormatSum:
+    @given(st.lists(RENDER_COEFF, max_size=7))
+    def test_unipoly_text_matches_the_old_renderer(self, coeffs):
+        poly = UniPoly(coeffs)
+        assert str(poly) == unipoly_render(poly)
+
+    @given(st.lists(multipolys(nvars=2), max_size=4))
+    def test_unipoly_over_multipoly_text_matches_the_old_renderer(self, coeffs):
+        poly = UniPoly(coeffs)
+        assert str(poly) == unipoly_render(poly)
+
+    @given(multipolys())
+    def test_multipoly_text_matches_the_old_renderer(self, poly):
+        assert str(poly) == multipoly_str(poly)
+
+    def test_mixed_sign_coefficients(self):
+        one_minus_root = QuadExt(1, -1)
+        assert str(UniPoly([one_minus_root, one_minus_root])) == "-(-1+sqrt3)*l - (-1+sqrt3)"
+        assert str(MultiPoly(2, {(1, 0): QuadExt(1, 1), (0, 1): -QuadExt(1)})) == "(1+sqrt3)*t1 - t2"
 
 
 class TestFloat:
