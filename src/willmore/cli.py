@@ -24,15 +24,15 @@ from .catalog import (
     parse_dataset,
 )
 from .curvature import CurvatureReport, curvature_report, einstein_violation, riemann_suite
-from .exactnum import format_scalar
+from .exactnum import ScalarRenderError, format_scalar
 from .sweep import MAX_SAMPLES, numeric_sweep, symbolic_sweep
 from .tracealg import (
     MAX_G4_INDICES,
+    RulesFile,
     TraceParseError,
     _word_str,
     g4_block,
     g4_relations,
-    parse_identity_file,
     parse_trace_expr,
     reduce_goal_with_steps,
     verify_g4,
@@ -238,7 +238,7 @@ def cmd_tracecheck(args) -> int:
             raise InputError(f"rules file {args.rules!r} not found")
         text = _read_text(path)
         try:
-            relations = parse_identity_file(text)
+            rules = RulesFile(text)
         except TraceParseError as exc:
             raise InputError(f"{args.rules}: {exc}") from exc
     try:
@@ -251,8 +251,10 @@ def cmd_tracecheck(args) -> int:
         relations = g4_relations(p, sorted({g4_block(word) for word in goal.terms} - {None}))
         count = p * p + p
     else:
-        _check_indices(itertools.chain(*(relation.terms for relation in relations)), p)
-        count = len(relations)
+        # a line can only fail the index check if it names a letter above p
+        _check_indices(itertools.chain(*(relation.terms for relation in rules.above(p))), p)
+        relations = rules.component(goal)  # holds the goal's block
+        count = len(rules.lines)
 
     cert = Certificate([("tool", f"willmore {__version__}"), ("relations", str(count)), ("goal", str(goal))])
     residual, steps = reduce_goal_with_steps(goal, relations)
@@ -333,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InputError as exc:
+    except (InputError, ScalarRenderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

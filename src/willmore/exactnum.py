@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Hashable, Iterable
 
@@ -238,15 +239,23 @@ ONE = QuadExt(1, 0)
 SQRT3 = QuadExt(0, 1)
 
 
+class ScalarRenderError(ValueError):
+    """A value with more digits than Python converts from int to text."""
+
+
 def format_scalar(value: QuadExt) -> str:
     """Canonical text form, re-readable by parse_scalar."""
     a, b = value.a, value.b
-    if b == 0:
-        return str(a)
-    mag = "sqrt3" if abs(b) == 1 else f"{abs(b)}*sqrt3"
-    if a == 0:
-        return mag if b > 0 else f"-{mag}"
-    return f"{a}+{mag}" if b > 0 else f"{a}-{mag}"
+    try:
+        if b == 0:
+            return str(a)
+        mag = "sqrt3" if abs(b) == 1 else f"{abs(b)}*sqrt3"
+        if a == 0:
+            return mag if b > 0 else f"-{mag}"
+        return f"{a}+{mag}" if b > 0 else f"{a}-{mag}"
+    except ValueError:  # an int with more digits than str() writes
+        digits = sys.get_int_max_str_digits()
+        raise ScalarRenderError(f"a value has more than {digits} digits and cannot be written") from None
 
 
 def format_sum(terms: Iterable[tuple[object, str]]) -> str:

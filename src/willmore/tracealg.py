@@ -294,6 +294,26 @@ def _normal_form(
     return residual, steps
 
 
+def _joined(rows: list[Iterable], start: Iterable) -> list[int]:
+    """Ascending indices of the rows joined to the start keys through shared
+    keys, grown breadth-first from one key -> rows index."""
+    by_key: dict[object, list[int]] = {}
+    for k, row in enumerate(rows):
+        for key in row:
+            by_key.setdefault(key, []).append(k)
+    keys = list(start)
+    seen = set(keys)
+    block: set[int] = set()
+    for key in keys:  # grows while the loop runs, until the block is closed
+        for k in by_key.get(key, ()):
+            if k not in block:
+                block.add(k)
+                new = [w for w in rows[k] if w not in seen]
+                seen.update(new)
+                keys += new
+    return sorted(block)
+
+
 def reduce_goal(goal: TraceExpr, relations: Iterable[TraceExpr]) -> TraceExpr:
     """Residual of the goal modulo the linear span of the relations."""
     return reduce_goal_with_steps(goal, relations)[0]
@@ -313,21 +333,8 @@ def reduce_goal_with_steps(
     are those of the full elimination.
     """
     relations = list(relations)
-    by_word: dict[Word, list[int]] = {}
-    for k, relation in enumerate(relations):
-        for word in relation.terms:
-            by_word.setdefault(word, []).append(k)
-    words = list(goal.terms)
-    seen = set(words)
-    block: set[int] = set()
-    for word in words:  # grows while the loop runs, until the block is closed
-        for k in by_word.get(word, ()):
-            if k not in block:
-                block.add(k)
-                new = [w for w in relations[k].terms if w not in seen]
-                seen.update(new)
-                words += new
-    residual, steps = _normal_form(goal.terms, _echelon([relations[k] for k in sorted(block)]))
+    block = _joined([relation.terms for relation in relations], goal.terms)
+    residual, steps = _normal_form(goal.terms, _echelon([relations[k] for k in block]))
     return TraceExpr._of(residual), tuple(steps)
 
 
@@ -523,20 +530,81 @@ def parse_trace_expr(text: str) -> TraceExpr:
         pos = _SPACE.match(text, pos + 1).end()
 
 
+def _rule_lines(text: str) -> list[tuple[int, str]]:
+    """(number, text) of each relation line: '#' comments cut, blank lines dropped."""
+    return [(number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.split("#", 1)[0].strip())]
+
+
+def _parse_rule(number: int, line: str) -> TraceExpr:
+    """The relation lhs - rhs of one line, "lhs = 0" or "lhs = rhs"."""
+    parts = line.split("=")
+    if len(parts) != 2:
+        raise TraceParseError(f"line {number}: expected exactly one '='")
+    try:
+        lhs = parse_trace_expr(parts[0])
+        rhs = TraceExpr() if parts[1].strip() == "0" else parse_trace_expr(parts[1])
+    except TraceParseError as exc:
+        raise TraceParseError(f"line {number}: {exc}") from exc
+    return lhs - rhs
+
+
 def parse_identity_file(text: str) -> list[TraceExpr]:
     """One relation per line, "lhs = 0" or "lhs = rhs"; '#' comments."""
-    relations = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split("=")
-        if len(parts) != 2:
-            raise TraceParseError(f"line {number}: expected exactly one '='")
-        try:
-            lhs = parse_trace_expr(parts[0])
-            rhs = TraceExpr() if parts[1].strip() == "0" else parse_trace_expr(parts[1])
-        except TraceParseError as exc:
-            raise TraceParseError(f"line {number}: {exc}") from exc
-        relations.append(lhs - rhs)
-    return relations
+    return [_parse_rule(number, line) for number, line in _rule_lines(text)]
+
+
+# A line `_parse_rule` accepts, read without it: terms [-digits*]Tr(word)
+# joined by '+'/'-' on each side of one '=', or a lone 0 on the right; ASCII,
+# no space in a word, no A0 or ^0, an index below 10^9 and at most 100
+# factors below ^100, so that no word reaches MAX_WORD_LEN.  Compiled on
+# first use (re caches it), which keeps its 1 ms out of `import willmore`.
+_SCAN_FACTOR = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]?)?"
+_SCAN_TERM = rf"\s*(?:-?\s*[0-9]{{1,20}}\s*\*\s*)?Tr\({_SCAN_FACTOR}(?:\*{_SCAN_FACTOR}){{0,99}}\)\s*"
+_SCAN_SIDE = rf"{_SCAN_TERM}(?:[-+]{_SCAN_TERM})*"
+_SCAN_RULE = rf"{_SCAN_SIDE}=(?:\s*0\s*|{_SCAN_SIDE})"
+_SCAN_WORD = re.compile(r"Tr\(([^)]*)\)")
+
+
+def _letters(word: str) -> tuple[str, ...]:
+    """The factors 'A<i>' of a word's text, each repeated by its exponent,
+    sorted: the same for every rotation of the word."""
+    if "^" not in word:
+        return tuple(sorted(word.split("*")))
+    letters: list[str] = []
+    for factor in word.split("*"):
+        name, _, exponent = factor.partition("^")
+        letters += [name] * int(exponent or 1)
+    return tuple(sorted(letters))
+
+
+class RulesFile:
+    """A rules file read goal-locally.  Every line is checked in file order:
+    one the scan pattern accepts cannot fail `_parse_rule`, and any other goes
+    through it.  Relations that share a canonical word share its letter
+    multiset, so the lines joined to the goal through shared multisets hold
+    the goal's block, and only they are parsed."""
+
+    def __init__(self, text: str) -> None:
+        self.lines = _rule_lines(text)
+        scan = re.compile(_SCAN_RULE, re.ASCII)
+        self.relations: list[TraceExpr | None] = []
+        self.multisets: list[list[tuple[str, ...]]] = []  # per line, its words' letters
+        shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # one object per distinct multiset, for memory
+        for number, line in self.lines:
+            relation = None if scan.fullmatch(line) else _parse_rule(number, line)
+            words = _SCAN_WORD.findall(line) if relation is None else map(_word_str, relation.terms)
+            self.relations.append(relation)
+            self.multisets.append([shared.setdefault(key, key) for key in map(_letters, words)])
+
+    def _parsed(self, ks: Iterable[int]) -> list[TraceExpr]:
+        return [self.relations[k] or _parse_rule(*self.lines[k]) for k in ks]
+
+    def above(self, p: int) -> list[TraceExpr]:
+        """The relations of the lines that name a letter above p, in file order."""
+        high = {letter for letter in set().union(*itertools.chain(*self.multisets)) if int(letter[1:]) > p}
+        lines = [k for k, words in enumerate(self.multisets) if high and not high.isdisjoint(itertools.chain(*words))]
+        return self._parsed(lines)
+
+    def component(self, goal: TraceExpr) -> list[TraceExpr]:
+        """The relations of the lines joined to the goal's words through shared multisets, in file order."""
+        return self._parsed(_joined(self.multisets, [_letters(_word_str(word)) for word in goal.terms]))

@@ -66,6 +66,20 @@ def mutated(draw, texts):
     return "".join(tokens)
 
 
+def g4_rules_text(p):
+    """The g=4 relations as a rules file in the form the benchmark writes:
+    cubes as `lhs = rhs`, powers compressed, the rest `= 0`."""
+    lines = [f"Tr(A{a}^3) = Tr(A{a})" for a in range(1, p + 1)]
+    lines += [
+        f"Tr(A{a}) - Tr(A{b}^2*A{a}) - Tr(A{b}*A{a}*A{b}) - Tr(A{a}*A{b}^2) = 0"
+        for a in range(1, p + 1)
+        for b in range(1, p + 1)
+        if a != b
+    ]
+    lines += [f"Tr(A{a}) = 0" for a in range(1, p + 1)]
+    return "# g=4 hypotheses\n" + "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def non_minimal_file(tmp_path):
     path = tmp_path / "lopsided.dat"
@@ -140,6 +154,18 @@ class TestVerify:
         path.write_bytes("dataset caf\xe9\n".encode("latin-1"))
         assert main(["verify", str(path)]) == 2
         assert capsys.readouterr().err.count("\n") == 1
+
+    @NEEDS_INT_DIGIT_LIMIT
+    @pytest.mark.parametrize("command", [["verify"], ["sweep", "--mode", "symbolic"]], ids=["verify", "sweep"])
+    def test_value_too_long_to_write_is_an_input_error(self, capsys, tmp_path, command):
+        # the entry has fewer digits than int() reads, its square more than str() writes
+        big = "1" + "0" * 2198 + "7"
+        path = tmp_path / "big.dat"
+        path.write_text(f"dataset big\ndim 4\ncodim 1\noperator B1\n0 {big} 0 0\n{big} 0 0 0\n0 0 1 0\n0 0 0 -1\n")
+        assert main([command[0], str(path), *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"error: a value has more than {INT_DIGIT_LIMIT} digits and cannot be written\n"
 
     def test_file_dataset_roundtrips_through_cli(self, capsys, tmp_path):
         path = tmp_path / "m1.dat"
@@ -294,6 +320,56 @@ class TestTracecheck:
         rules.write_text("Tr(A1) = 0\n", encoding="utf-8")
         assert main(["tracecheck", "--rules", str(rules), "--goal", "2*Tr(A1)", "--indices", "1"]) == 0
 
+    @NEEDS_INT_DIGIT_LIMIT
+    def test_goal_too_long_to_write_is_an_input_error(self, capsys):
+        # two denominators of 2,501 digits sum to one of about 5,000
+        a, b = "1" + "0" * 2499 + "1", "1" + "0" * 2499 + "3"
+        goal = f"1/{a}*Tr(A2*A1) + 1/{b}*Tr(A2*A1)"
+        assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error: a value has more than") and err.count("\n") == 1
+
+    def test_syntax_error_comes_before_an_index_error_earlier_in_the_file(self, capsys, tmp_path):
+        rules = tmp_path / "order.rules"
+        rules.write_text("Tr(A9) = 0\nTr(A1) = 0\nTr(A1 = 0\n", encoding="utf-8")
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {rules}: line 3: expected ')' (at position 6)\n"
+
+    def test_goal_error_comes_before_a_relation_index_error(self, capsys, tmp_path):
+        rules = tmp_path / "order.rules"
+        rules.write_text("Tr(A9) = 0\n", encoding="utf-8")
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1", "--indices", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: goal: ")
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A3)", "--indices", "2"]) == 2
+        assert capsys.readouterr().err == "error: operator index in Tr(A3) exceeds p=2\n"
+
+    def test_cancelled_word_above_p_passes(self, capsys, tmp_path):
+        # the index check reads the words left after cancellation, as before
+        rules = tmp_path / "cancel.rules"
+        rules.write_text("Tr(A9) = Tr(A9)\nTr(A1) = 0\n", encoding="utf-8")
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "2"]) == 0
+        assert "relations: 2\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "goal, rc, parsed",
+        [(" + ".join(f"Tr(A{b}^2*A7)" for b in range(1, 41)), 0, 41), ("Tr(A2*A1^3000)", 1, 0)],
+        ids=["willmore", "power"],
+    )
+    def test_rules_file_parses_only_the_goal_component(self, capsys, monkeypatch, tmp_path, goal, rc, parsed):
+        rules = tmp_path / "g4.rules"
+        rules.write_text(g4_rules_text(40), encoding="utf-8")
+        lines = []
+
+        def counting(number, line):
+            lines.append(number)
+            return parse_rule(number, line)
+
+        parse_rule = tracealg._parse_rule
+        monkeypatch.setattr(tracealg, "_parse_rule", counting)
+        assert main(["tracecheck", "--rules", str(rules), "--goal", goal, "--indices", "40"]) == rc
+        assert len(lines) == parsed <= 41
+        assert "relations: 1640\n" in capsys.readouterr().out
+
     def test_goal_parse_error(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A0)", "--indices", "2"]) == 2
         assert "goal" in capsys.readouterr().err
@@ -433,6 +509,129 @@ class TestTracecheckFuzz:
         else:
             assert rc in (0, 1) and not err.getvalue()
             assert out.getvalue().endswith(f"verdict: {'pass' if rc == 0 else 'FAIL'}\n")
+
+
+class WholeFile:
+    """The reader the goal-local one replaced: every line parsed, every
+    relation index-checked and handed to the elimination."""
+
+    def __init__(self, text):
+        self.lines = self.relations = tracealg.parse_identity_file(text)
+
+    def above(self, p):
+        return self.relations
+
+    def component(self, goal):
+        return self.relations
+
+
+def rule_inserts(p):
+    """Lines to insert into a rules file over 1..p: bad ones, indices above p,
+    cancelling pairs, sqrt3 coefficients, and text only the parser reads."""
+    high = p + 1
+    return (
+        "Tr(A1 = 0",
+        "Tr(A1) == 0",
+        "Tr(A1)",
+        "1/0*Tr(A1) = 0",
+        "Tr(A0) = 0",
+        "Tr(A1^0) = 0",
+        "Tr(A1)$ = 0",
+        "Tr(" + "*".join(["A1^99"] * 102) + ") = 0",
+        "Tr(A1^5000*A2^5001) = 0",
+        f"Tr(A{high}) = 0",
+        f"Tr(A1*A{high + 2}^2) = Tr(A1)",
+        f"0*Tr(A{high}) = 0",
+        f"Tr(A{high}*A1) = Tr(A1*A{high})",
+        "Tr(A9) = Tr(A9)",
+        "sqrt3*Tr(A1) - Tr(A1^3) = 0",
+        f"(1+sqrt3)*Tr(A1*A{p}) = 0",
+        "Tr(A01) = 0",
+        "Tr(A\u0661) = 0",
+        "Tr(A1)\u00a0= 0",
+        "Tr(A1 ^ 2) = Tr(A1)",
+        "Tr( A1 ) = 0",
+        "- 2*Tr(A1) = -2*Tr(A1^3)",
+        "Tr(A1) + Tr(A1^3) = Tr(A1^3) + Tr(A1)",
+        "# a comment",
+        "Tr(A1) = 0  # trace-free",
+        "   ",
+    )
+
+
+@st.composite
+def mutated_rules(draw):
+    """The g=4 relations over 1..p, p in 1..12, as a rules file with lines
+    deleted, duplicated, swapped or inserted, and a goal over 1..p or not."""
+    p = draw(st.integers(1, 12))
+    lines = []
+    for relation in tracealg.g4_relations(p):
+        # "relation = 0", or its first word alone on the left
+        lead = tracealg.TraceExpr.single(min(relation.terms, key=tracealg._order))
+        lines.append(draw(st.sampled_from((f"{relation} = 0", f"{lead} = {lead - relation}"))))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("delete", "duplicate", "swap", "insert")))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "insert" or not lines:
+            lines.insert(at, draw(st.sampled_from(rule_inserts(p))))
+        elif edit == "delete":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        else:
+            other = draw(st.integers(0, len(lines) - 1))
+            lines[at], lines[other] = lines[other], lines[at]
+    alpha = draw(st.integers(1, p))
+    goal = draw(
+        st.sampled_from(
+            (
+                " + ".join(f"Tr(A{b}^2*A{alpha})" for b in range(1, p + 1)),
+                f"Tr(A{alpha}^3) - Tr(A{alpha})",
+                f"Tr(A1*A{p})",
+                f"Tr(A{p}*A1^30)",
+                f"Tr(A{p + 1})",
+                "Tr(A1",
+            )
+        )
+    )
+    return p, "\n".join(lines) + "\n", goal
+
+
+@pytest.fixture(scope="module")
+def differential_rules(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential") / "g4.rules"
+
+
+def tracecheck_outcomes(path, text, goal, p):
+    """(exit code, stdout, stderr) of tracecheck with the goal-local reader,
+    then with the whole-file one."""
+    path.write_text(text, encoding="utf-8")
+    argv = ["tracecheck", "--rules", str(path), f"--goal={goal}", "--indices", str(p)]
+    outcomes = []
+    for reader in (tracealg.RulesFile, WholeFile):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+            patch.setattr(cli, "RulesFile", reader)
+            rc = main(argv)
+        outcomes.append((rc, out.getvalue(), err.getvalue()))
+    return outcomes
+
+
+class TestRulesReaderAgainstWholeFile:
+    @settings(max_examples=60, deadline=None)
+    @given(mutated_rules())
+    def test_same_bytes_as_parsing_the_whole_file(self, differential_rules, case):
+        p, text, goal = case
+        goal_local, whole_file = tracecheck_outcomes(differential_rules, text, goal, p)
+        assert goal_local == whole_file
+
+    @pytest.mark.parametrize("insert", rule_inserts(3))
+    @pytest.mark.parametrize("goal", ["Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "Tr(A2*A3)"], ids=["willmore", "stray"])
+    def test_each_insert_reads_as_the_whole_file(self, differential_rules, insert, goal):
+        lines = [f"{relation} = 0" for relation in tracealg.g4_relations(3)]
+        lines.insert(5, insert)
+        goal_local, whole_file = tracecheck_outcomes(differential_rules, "\n".join(lines), goal, 3)
+        assert goal_local == whole_file
 
 
 class TestPaper:
