@@ -210,6 +210,9 @@ def cmd_sweep(args) -> int:
             deviation = numeric_sweep(data, args.samples, args.seed)
         except OverflowError as exc:
             raise InputError(f"{args.dataset}: a coefficient is too large for a float: {exc}") from exc
+        except RecursionError as exc:
+            # the Horner plans nest one level per normal direction
+            raise InputError(f"{args.dataset}: codim {data.p} is too large for the numeric sweep") from exc
         fields.append(("max_deviation", repr(deviation)))
         fields.append(("tolerance", repr(NUMERIC_TOLERANCE)))
         ok = deviation < NUMERIC_TOLERANCE

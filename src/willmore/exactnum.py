@@ -127,12 +127,6 @@ class QuadExt:
             self.d * other.d,
         )
 
-    def __rsub__(self, other) -> QuadExt:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> QuadExt:
         other = self._coerce(other)
         if other is None:
@@ -161,12 +155,6 @@ class QuadExt:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __rtruediv__(self, other) -> QuadExt:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, exponent: int) -> QuadExt:
         if not isinstance(exponent, int):
@@ -198,9 +186,6 @@ class QuadExt:
         if x > 0:
             return 1 if x * x > 3 * y * y else -1
         return -1 if x * x > 3 * y * y else 1
-
-    def is_rational(self) -> bool:
-        return self.y == 0
 
     def to_float(self) -> float:
         """Correctly rounded to within 1 ulp (naive float(a) + float(b)*sqrt(3)

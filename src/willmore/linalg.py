@@ -15,7 +15,7 @@ reference the tests hold those kernels to.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .exactnum import format_sum
 
@@ -208,25 +208,6 @@ class UniPoly:
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)})"
 
-    def __add__(self, other: UniPoly) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        long, short = (self.coeffs, other.coeffs)
-        if len(long) < len(short):
-            long, short = short, long
-        merged = list(long)
-        for i, c in enumerate(short):
-            merged[i] = merged[i] + c
-        return UniPoly(merged)
-
-    def __neg__(self) -> UniPoly:
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other: UniPoly) -> UniPoly:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other: UniPoly) -> UniPoly:
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -260,21 +241,6 @@ class UniPoly:
                 rem[k - deg_o + i] = rem[k - deg_o + i] - factor * c
         return UniPoly(quot), UniPoly(rem)
 
-    def __floordiv__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: UniPoly) -> UniPoly:
-        return divmod(self, other)[1]
-
-    def evaluate(self, point):
-        """Horner evaluation at a ring element (or anything the ring scales)."""
-        if not self.coeffs:
-            return point * 0
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * point + c
-        return acc
-
     def render(self) -> str:
         """Canonical text in l, highest degree first; coefficients in scalar grammar."""
         return format_sum(
@@ -302,6 +268,30 @@ def integer_rows(matrices: Iterable[Matrix]) -> tuple[list[list[Row]], int]:
         [[(j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e] for row in m.rows]
         for m in matrices
     ], den
+
+
+def components(rows: Sequence[Iterable[Hashable]]) -> Iterator[list[int]]:
+    """Connected components of the rows joined through shared keys, lazily, as
+    ascending row indices in the order of their first row: breadth-first over
+    one key -> rows index (Pothen & Fan, ACM TOMS 16, 1990) whose entries are
+    each visited once, so that each row is iterated twice in all."""
+    by_key: dict[Hashable, list[int]] = {}
+    for k, row in enumerate(rows):
+        for key in row:
+            by_key.setdefault(key, []).append(k)
+    seen = [False] * len(rows)
+    for root in range(len(rows)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        block = [root]
+        for k in block:  # grows while the loop runs, until the component is closed
+            for key in rows[k]:
+                for j in by_key.pop(key, ()):
+                    if not seen[j]:
+                        seen[j] = True
+                        block.append(j)
+        yield sorted(block)
 
 
 def lower_pair_products(terms, n: int, k: int) -> tuple[list[list[int]], list[list[int]]]:

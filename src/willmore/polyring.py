@@ -108,12 +108,6 @@ class MultiPoly:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> MultiPoly:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other) -> MultiPoly:
         if not isinstance(other, MultiPoly):
             scalar = QuadExt._coerce(other)

@@ -34,7 +34,7 @@ from operator import mul, or_
 
 from .catalog import ShapeOperatorSet
 from .exactnum import QuadExt
-from .linalg import Matrix, Row, UniPoly, integer_rows, lower_pair_products
+from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
 from .polyring import MultiPoly, eval_plan, horner_plan, reduce_mod_sphere, sphere_constant
 
 # Bound on --samples: the sample points are all held at once, and at the
@@ -94,23 +94,9 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
 
 
 def _components(ops: list[list[Row]], n: int) -> list[list[int]]:
-    """Connected components of the union pattern of the operators' rows, each
-    sorted, in the order of their smallest index; one pass over the nonzeros."""
-    seen = [False] * n
-    blocks = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        block = [root]
-        for i in block:  # grows as the component is found
-            for op in ops:
-                for j, _, _ in op[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        block.append(j)
-        blocks.append(sorted(block))
-    return blocks
+    """Connected components of the union pattern: the keys of row i are i and
+    the columns of its nonzeros, so a nonzero (i, j) joins rows i and j."""
+    return list(components([{i}.union(j for op in ops for j, _, _ in op[i]) for i in range(n)]))
 
 
 def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPoly:

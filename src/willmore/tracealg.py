@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .exactnum import _SPACE, ONE, QuadExt, ScalarParseError, accumulate, scan_scalar
+from .linalg import components
 
 Word = tuple[int, ...]
 
@@ -294,26 +295,6 @@ def _normal_form(
     return residual, steps
 
 
-def _joined(rows: list[Iterable], start: Iterable) -> list[int]:
-    """Ascending indices of the rows joined to the start keys through shared
-    keys, grown breadth-first from one key -> rows index."""
-    by_key: dict[object, list[int]] = {}
-    for k, row in enumerate(rows):
-        for key in row:
-            by_key.setdefault(key, []).append(k)
-    keys = list(start)
-    seen = set(keys)
-    block: set[int] = set()
-    for key in keys:  # grows while the loop runs, until the block is closed
-        for k in by_key.get(key, ()):
-            if k not in block:
-                block.add(k)
-                new = [w for w in rows[k] if w not in seen]
-                seen.update(new)
-                keys += new
-    return sorted(block)
-
-
 def reduce_goal(goal: TraceExpr, relations: Iterable[TraceExpr]) -> TraceExpr:
     """Residual of the goal modulo the linear span of the relations."""
     return reduce_goal_with_steps(goal, relations)[0]
@@ -333,8 +314,8 @@ def reduce_goal_with_steps(
     are those of the full elimination.
     """
     relations = list(relations)
-    block = _joined([relation.terms for relation in relations], goal.terms)
-    residual, steps = _normal_form(goal.terms, _echelon([relations[k] for k in block]))
+    block = next(components([goal.terms, *(relation.terms for relation in relations)]))
+    residual, steps = _normal_form(goal.terms, _echelon([relations[k - 1] for k in block[1:]]))
     return TraceExpr._of(residual), tuple(steps)
 
 
@@ -410,17 +391,19 @@ class ProofReport:
 
 
 def verify_g4(p: int) -> ProofReport:
-    """Reduce every Willmore goal Sum_b Tr(A_b^2 A_a) against the g=4 relations."""
+    """Reduce every Willmore goal Sum_b Tr(A_b^2 A_a) against block a of the
+    g=4 relations, which holds all its words (see `g4_block`)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    relations = g4_relations(p)
-    pivots = _echelon(relations)
     goals = []
+    count = 0
     for alpha in range(1, p + 1):
         goal = TraceExpr({(b, b, alpha): 1 for b in range(1, p + 1)})
-        residual, steps = _normal_form(goal.terms, pivots)
-        goals.append(GoalReduction(alpha, goal, tuple(steps), TraceExpr._of(residual)))
-    return ProofReport(p, len(relations), tuple(goals))
+        relations = g4_relations(p, [alpha])
+        count += len(relations)
+        residual, steps = reduce_goal_with_steps(goal, relations)
+        goals.append(GoalReduction(alpha, goal, steps, residual))
+    return ProofReport(p, count, tuple(goals))
 
 
 # Characters that can start or continue a token; the first one outside them
@@ -565,6 +548,11 @@ _SCAN_RULE = rf"{_SCAN_SIDE}=(?:\s*0\s*|{_SCAN_SIDE})"
 _SCAN_WORD = re.compile(r"Tr\(([^)]*)\)")
 
 
+def _multiset(word: Word) -> tuple[str, ...]:
+    """The sorted factor names 'A<i>' of a word, as `_letters` reads its text."""
+    return tuple(sorted(map("A{}".format, word)))
+
+
 def _letters(word: str) -> tuple[str, ...]:
     """The factors 'A<i>' of a word's text, each repeated by its exponent,
     sorted: the same for every rotation of the word."""
@@ -592,9 +580,9 @@ class RulesFile:
         shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # one object per distinct multiset, for memory
         for number, line in self.lines:
             relation = None if scan.fullmatch(line) else _parse_rule(number, line)
-            words = _SCAN_WORD.findall(line) if relation is None else map(_word_str, relation.terms)
+            keys = map(_letters, _SCAN_WORD.findall(line)) if relation is None else map(_multiset, relation.terms)
             self.relations.append(relation)
-            self.multisets.append([shared.setdefault(key, key) for key in map(_letters, words)])
+            self.multisets.append([shared.setdefault(key, key) for key in keys])
 
     def _parsed(self, ks: Iterable[int]) -> list[TraceExpr]:
         return [self.relations[k] or _parse_rule(*self.lines[k]) for k in ks]
@@ -607,4 +595,5 @@ class RulesFile:
 
     def component(self, goal: TraceExpr) -> list[TraceExpr]:
         """The relations of the lines joined to the goal's words through shared multisets, in file order."""
-        return self._parsed(_joined(self.multisets, [_letters(_word_str(word)) for word in goal.terms]))
+        block = next(components([list(map(_multiset, goal.terms)), *self.multisets]))
+        return self._parsed(k - 1 for k in block[1:])

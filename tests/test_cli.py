@@ -39,6 +39,23 @@ operator B1
 0 0
 """
 
+# A = diag(1/sqrt3, -1/sqrt3): minimal, and Ric = I - A^2 = 2/3 I is Einstein.
+EINSTEIN = """\
+dataset einstein
+dim 2
+codim 1
+operator A1
+1/3*sqrt3 0
+0 -1/3*sqrt3
+"""
+
+
+def deep_codim(entry):
+    """dim 1 and codim 500 with every operator `entry`: the numeric sweep's
+    Horner plans nest one level per normal direction."""
+    operators = "".join(f"operator B{a}\n{entry}\n" for a in range(1, 501))
+    return f"dataset deep\ndim 1\ncodim 500\n{operators}"
+
 
 # Tokens of the trace grammar, for mutating valid inputs token by token.
 TRACE_TOKEN = re.compile(r"A\d+|[A-Za-z_]\w*|\d+|\s+|.", re.DOTALL)
@@ -143,6 +160,37 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.count("error:") == 1
         assert "dim must be a positive integer" in err
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("dataset 9x\ndim 1\ncodim 1\noperator B1\n0\n", 1, "bad dataset identifier '9x'"),
+            ("dataset x\ndim 1\ncodim 1\noperator B-1\n0\n", 4, "bad operator label 'B-1'"),
+            ("dataset x\ndim 2\ncodim 2\noperator B1\n0 0\noperator B2\n0 0\n0 0\n", 6, "operator B1 has 1 rows, expected 2"),
+        ],
+        ids=["dataset-identifier", "operator-label", "short-operator"],
+    )
+    def test_dataset_error_names_its_line(self, capsys, tmp_path, text, line, message):
+        path = tmp_path / "bad.dat"
+        path.write_text(text, encoding="utf-8")
+        assert main(["verify", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: {path}: line {line}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "fmt, expected",
+        [
+            ("text", ["[einstein]", "proportional: yes", "constant: 2/3", "verified: yes"]),
+            ("keyvalue", ["einstein.proportional=yes", "einstein.constant=2/3", "result.verified=yes"]),
+        ],
+    )
+    def test_einstein_dataset_reports_its_constant(self, capsys, tmp_path, fmt, expected):
+        path = tmp_path / "einstein.dat"
+        path.write_text(EINSTEIN, encoding="utf-8")
+        assert main(["verify", str(path), "--format", fmt]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert all(line in lines for line in expected)
+        assert not any("witness" in line for line in lines)
 
     def test_directory_is_an_input_error(self, capsys, tmp_path):
         assert main(["verify", str(tmp_path)]) == 2
@@ -277,6 +325,20 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "too large" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("entry", ["0", "1", "-2/3*sqrt3"], ids=["zero", "one", "irrational"])
+    def test_codim_too_deep_for_the_numeric_sweep_is_an_input_error(self, capsys, tmp_path, entry):
+        path = tmp_path / "deep.dat"
+        path.write_text(deep_codim(entry), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error: ") and err.count("\n") == 1 and "codim 500" in err
+
+    def test_codim_too_deep_for_the_numeric_sweep_passes_the_symbolic_one(self, capsys, tmp_path):
+        path = tmp_path / "deep.dat"
+        path.write_text(deep_codim("0"), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "symbolic"]) == 0
+        assert "constant: l\n" in capsys.readouterr().out
+
     def test_scaled_constant_data_passes_the_numeric_check(self, capsys, tmp_path):
         path = tmp_path / "scaled.dat"
         path.write_text(serialize_dataset(scaled(builtin("g6_m2_M2"), 10)), encoding="utf-8")
@@ -373,6 +435,17 @@ class TestTracecheck:
     def test_goal_parse_error(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A0)", "--indices", "2"]) == 2
         assert "goal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rules, p, message",
+        [("g4", "0", "--indices must be >= 1"), ("missing.rules", "1", "rules file 'missing.rules' not found")],
+        ids=["indices-zero", "missing-rules"],
+    )
+    def test_unusable_arguments_are_input_errors(self, capsys, monkeypatch, tmp_path, rules, p, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(["tracecheck", "--rules", rules, "--goal", "Tr(A1)", "--indices", p]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err == f"error: {message}\n"
 
     def test_rules_directory_is_an_input_error(self, capsys, tmp_path):
         assert main(["tracecheck", "--rules", str(tmp_path), "--goal", "Tr(A1)", "--indices", "1"]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from willmore.catalog import builtin
 from willmore.exactnum import QuadExt, parse_scalar
-from willmore.linalg import DimensionError, Matrix, UniPoly
+from willmore.linalg import DimensionError, Matrix, UniPoly, components
 
 S = parse_scalar
 
@@ -191,3 +191,64 @@ class TestUniPoly:
         assert str(quintic) == "l^5 - 10/3*l^3 + l"
         assert str(UniPoly([])) == "0"
         assert str(UniPoly([QuadExt(0, 1), QuadExt(-2)])) == "-2*l + sqrt3"
+
+
+class CountingRow:
+    """A row of keys that counts how often it is iterated."""
+
+    def __init__(self, keys):
+        self.keys = keys
+        self.passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.keys)
+
+
+def reference_components(rows):
+    """Union-find over rows that share a key, sorted by first row."""
+    parent = list(range(len(rows)))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    owner = {}
+    for k, row in enumerate(rows):
+        for key in row:
+            if key in owner:
+                parent[find(k)] = find(owner[key])
+            owner.setdefault(key, k)
+    blocks = {}
+    for k in range(len(rows)):
+        blocks.setdefault(find(k), []).append(k)
+    return sorted(blocks.values())
+
+
+class TestComponents:
+    def test_rows_joined_through_shared_keys_in_order_of_first_row(self):
+        rows = [[1], ["x"], [2, 3], [3, "x"], [], [2], [1]]
+        assert list(components(rows)) == [[0, 6], [1, 2, 3, 5], [4]]
+
+    def test_no_rows(self):
+        assert list(components([])) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_union_find(self, seed):
+        rng = random.Random(seed)
+        keys = rng.randint(1, 30)
+        rows = [rng.sample(range(keys), rng.randint(0, min(3, keys))) for _ in range(rng.randint(0, 40))]
+        assert list(components(rows)) == reference_components(rows)
+
+    def test_components_are_yielded_lazily(self):
+        rows = [CountingRow([k // 2]) for k in range(6)]
+        first = next(components(rows))
+        assert first == [0, 1]
+        assert [row.passes for row in rows] == [2, 2, 1, 1, 1, 1]
+
+    def test_each_row_is_iterated_at_most_twice(self):
+        # an index rebuilt per component would iterate every row once per block
+        rows = [CountingRow([k]) for k in range(3000)]
+        assert list(components(rows)) == [[k] for k in range(3000)]
+        assert max(row.passes for row in rows) <= 2

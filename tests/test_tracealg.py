@@ -383,6 +383,31 @@ class TestVerifyG4:
         with pytest.raises(ValueError):
             verify_g4(0)
 
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_block_replay_equals_the_whole_set_elimination(self, p):
+        pivots = tracealg._echelon(g4_relations(p))
+        report = verify_g4(p)
+        assert [goal.alpha for goal in report.goals] == list(range(1, p + 1))
+        for reduction in report.goals:
+            assert reduction.goal == TraceExpr({(b, b, reduction.alpha): 1 for b in range(1, p + 1)})
+            residual, steps = tracealg._normal_form(reduction.goal.terms, pivots)
+            assert (reduction.residual, reduction.steps) == (TraceExpr._of(residual), tuple(steps))
+        assert report.relation_count == p * p + p
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 12])
+    def test_each_goal_eliminates_only_its_block(self, monkeypatch, p):
+        eliminated = []
+        full_echelon = tracealg._echelon
+
+        def counting(rows):
+            rows = list(rows)
+            eliminated.append(len(rows))
+            return full_echelon(rows)
+
+        monkeypatch.setattr(tracealg, "_echelon", counting)
+        assert verify_g4(p).verdict
+        assert eliminated == [p + 1] * p
+
 
 class TestParse:
     def test_power_word(self):
