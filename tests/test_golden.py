@@ -2,23 +2,39 @@
 
 The determinism tests compare two runs of the same build; these pin the
 bytes across changes to the code.  Numeric sweeps are left out: their
-deviations are platform float output.
+deviations are platform float output.  The built-ins split into sparse
+blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
+10 x 10 block generated by `cayley_dataset`.
 
 After an intended change to a certificate, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
-and review the diff.
+and review the diff; that also rewrites the Cayley dataset.
 """
 
 import contextlib
 import io
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from willmore.catalog import BUILTIN_NAMES
+from frames import cayley_frame, change_frame, rotate_normals
+from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
 from willmore.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
+
+
+def cayley_dataset():
+    """g6_m2_M2 in a Cayley frame, then a Cayley normal rotation, from a
+    fixed seed: every entry nonzero with 45-51-bit denominators, one block."""
+    rng = random.Random(2014)
+    data = change_frame(builtin("g6_m2_M2"), cayley_frame(10, rng))
+    data = rotate_normals(data, cayley_frame(3, rng))
+    return replace(data, name="g6_m2_M2_cayley")
+
 
 NON_MINIMAL = """\
 dataset lopsided
@@ -37,7 +53,8 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 """
 
 # golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
-# stand for files written from NON_MINIMAL and MIXED_RULES
+# stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}" for
+# the committed Cayley dataset
 CASES = {
     **{
         f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
@@ -46,6 +63,7 @@ CASES = {
     },
     **{f"sweep_{name}.txt": (["sweep", name, "--mode", "symbolic"], 0) for name in BUILTIN_NAMES},
     "sweep_lopsided.txt": (["sweep", "{lopsided}", "--mode", "symbolic"], 1),
+    "sweep_g6_m2_M2_cayley.txt": (["sweep", "{cayley}", "--mode", "symbolic"], 0),
     "paper.txt": (["paper"], 0),
     "tracecheck_g4_pass.txt": (
         ["tracecheck", "--rules", "g4", "--goal", "Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "--indices", "3"],
@@ -73,7 +91,7 @@ def render(name, directory):
     argv, code = CASES[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main([arg.format(lopsided=lopsided, mixed=mixed) for arg in argv]) == code
+        assert main([arg.format(lopsided=lopsided, mixed=mixed, cayley=CAYLEY) for arg in argv]) == code
     return out.getvalue()
 
 
@@ -82,10 +100,16 @@ def test_certificate_matches_golden_file(name, tmp_path):
     assert render(name, tmp_path).encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
+def test_cayley_dataset_is_the_generated_one():
+    assert serialize_dataset(cayley_dataset()).encode("utf-8") == CAYLEY.read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
     GOLDEN.mkdir(exist_ok=True)
+    CAYLEY.parent.mkdir(exist_ok=True)
+    CAYLEY.write_bytes(serialize_dataset(cayley_dataset()).encode("utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             (GOLDEN / case).write_bytes(render(case, tmp).encode("utf-8"))
