@@ -216,7 +216,7 @@ def _matrix(m: Pairs, den: int) -> Matrix:
 def _squared_sum(ops: list[list[Row]], n: int) -> Pairs:
     """sum_a A_a^2 over D^2, from nonzero entries only.  The sum is symmetric,
     so only its lower triangle is accumulated, then mirrored."""
-    accx, accy = lower_pair_products([(rows, rows, (0, 0)) for rows in ops], n, 1)
+    accx, accy = lower_pair_products([(rows, rows) for rows in ops], n)
     for i in range(n):
         for l in range(i):
             accx[l][i] = accx[i][l]

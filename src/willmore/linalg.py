@@ -8,8 +8,8 @@ both satisfy it.
 The exact kernels of the curvature pass (`curvature.curvature_report`) and
 of the normal-sphere sweeps (`sweep.normal_char_poly`) do not multiply
 `Matrix` objects: they read QuadExt matrices as sparse integer-pair rows
-from `integer_rows`.  `Matrix @` and `Matrix.char_poly` are the generic
-reference the tests hold those kernels to.
+from `integer_rows`.  `Matrix @` and `Matrix.char_poly` (Faddeev-LeVerrier)
+are the generic reference the tests hold those kernels to.
 """
 
 from __future__ import annotations
@@ -294,22 +294,17 @@ def components(rows: Sequence[Iterable[Hashable]]) -> Iterator[list[int]]:
         yield sorted(block)
 
 
-def lower_pair_products(terms, n: int, k: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Dense (x rows, y rows) of the lower triangle of the sum of k L R - t L
-    over the terms (L, R, t): L and R are `integer_rows` of n x n matrices,
-    t = (tx, ty).  Entries above the diagonal stay 0, for a caller whose sum
-    is symmetric to mirror; each product runs over nonzero entries only, and
-    stops at the diagonal because rows are sorted by column."""
+def lower_pair_products(pairs, n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Dense (x rows, y rows) of the lower triangle of the sum of L R over
+    the pairs (L, R) of `integer_rows` of n x n matrices.  Entries above the
+    diagonal stay 0, for a caller whose sum is symmetric to mirror; each
+    product runs over nonzero entries only, and stops at the diagonal because
+    rows are sorted by column."""
     accx = [[0] * n for _ in range(n)]
     accy = [[0] * n for _ in range(n)]
-    for l_rows, r_rows, (tx, ty) in terms:
+    for l_rows, r_rows in pairs:
         for i, (l_row, rx, ry) in enumerate(zip(l_rows, accx, accy)):
             for j, ax, ay in l_row:
-                if j <= i and (tx or ty):
-                    rx[j] -= ax * tx + 3 * ay * ty
-                    ry[j] -= ax * ty + ay * tx
-                ax *= k
-                ay *= k
                 ay3 = 3 * ay
                 for l, bx, by in r_rows[j]:
                     if l > i:

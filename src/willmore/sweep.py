@@ -6,9 +6,9 @@ coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
 basis into the connected components of the union of the operators' nonzero
 patterns; a permutation makes A(t) block-diagonal with one block per
 component, for every t, so det(lambda I - A(t)) is exactly the product of the
-blocks' characteristic polynomials.  Each block runs a Faddeev-LeVerrier
-kernel for A(t) alone, on integer pairs over a common denominator, that skips
-zero entries and zero monomials.  The generic `Matrix.char_poly` of
+blocks' characteristic polynomials.  Each block forms the powers of A(t) up
+to half its size in integer pairs, skipping zeros, and gets its polynomial
+from their Frobenius products by Newton's identities.  `Matrix.char_poly` of
 `normal_shape_operator(data)` gives the same polynomial and serves as its
 reference.
 
@@ -29,8 +29,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
-from operator import mul, or_
+from itertools import compress, product
+from operator import add, mul, or_
 
 from .catalog import ShapeOperatorSet
 from .exactnum import QuadExt
@@ -100,16 +100,17 @@ def _components(ops: list[list[Row]], n: int) -> list[list[int]]:
 
 
 def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPoly:
-    """char_poly of sum_a t_a A_a for the n x n rows `ops` of A_1..A_p over
-    the denominator op_den, with MultiPoly coefficients.
+    """char_poly of sum_a t_a A_a for the n x n rows `ops` of the symmetric
+    A_1..A_p over the denominator op_den, with MultiPoly coefficients.
 
-    Faddeev-LeVerrier on A(t) as a polynomial with matrix coefficients:
-    P_1 = A and P_(k+1) = A P_k + c_(n-k) A with c_(n-k) = -Tr(P_k) / k.
-    P_k(t) = sum_m t^m P_m is kept as {monomial m: sparse rows of P_m} in
-    integer pairs over one common denominator, and each product A_a P_m runs
-    over the nonzero entries of the rows of A_a and P_m only.  Each step ends
-    with one gcd normalisation; zero entries and zero monomials are never
-    stored, and one dense n x n accumulator is alive at a time.
+    Newton's identities on the power sums S_i = Tr(B^i) of B = op_den A(t) in
+    integer pairs: E_0 = 1, E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) S_i,
+    and lambda^(n-k) has the coefficient (-1)^k E_k / (k! op_den^k).  Every
+    monomial coefficient of A(t)^j is symmetric, so Tr(A^k) is the Frobenius
+    product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(n/2) are formed,
+    each A^j = sum_m t^m M_m as {m: sparse rows of M_m} over one denominator
+    normalised by a gcd.  A monomial m is one int, its exponents the digits
+    in base n+1, so that adding two of them builds no tuple.
 
     `normal_char_poly` calls this once per diagonal block of A(t), and the
     spectral verdict is taken on the product of the blocks' polynomials,
@@ -118,61 +119,65 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
     give lambda - t and lambda + t, neither constant on the sphere {1, -1},
     yet their product lambda^2 - t^2 is lambda^2 - 1 at both points.
     """
-    active = [(ops[a], _unit(p, a)) for a in range(p) if any(ops[a])]
-    product = {unit: rows for rows, unit in active}  # P_1 = A
-    den = op_den
+    base = n + 1
+    active = [(ops[a], base**a) for a in range(p) if any(ops[a])]
+    weights = [1 if l == i else 2 for i in range(n) for l in range(i + 1)]
+    power, den = {unit: rows for rows, unit in active}, op_den  # A^1
+    # packed[j] = (op_den^j / den of A^j, {m: _pack(M_m)}), from A^0 = I
+    packed = [(1, {0: _pack([[(i, 1, 0)] for i in range(n)], weights)})]
+    for j in range(1, (n + 1) // 2 + 1):
+        if j > 1:
+            # the terms of the monomial m' are the (A_a, M_m) with m + e_a = m'
+            sources: dict[int, list] = {}
+            for (m, rows), (a_rows, unit) in product(power.items(), active):
+                sources.setdefault(m + unit, []).append((a_rows, rows))
+            power = {m: rows for m, pairs in sources.items() if any(rows := _product(pairs, n))}
+            entries = (v for rows in power.values() for row in rows for _, x, y in row for v in (x, y))
+            g = math.gcd(den * op_den, *entries)
+            power = {m: [[(l, x // g, y // g) for l, x, y in row] for row in rows] for m, rows in power.items()}
+            den = den * op_den // g
+        packed.append((op_den**j // den, {m: _pack(rows, weights) for m, rows in power.items()}))
+    sums, elementary, d = [None], [[(0, 1, 0)]], 1  # S_i and E_k as [(m, x, y)]
     coeffs = [MultiPoly(p)] * n + [MultiPoly.constant(p, 1)]
-    traces = {m: _trace(rows) for m, rows in product.items()}
     for k in range(1, n + 1):
-        coeffs[n - k] = MultiPoly(
-            p, {m: QuadExt._make(-tx, -ty, k * den) for m, (tx, ty) in traces.items() if tx or ty}
-        )
-        if k == n:
-            break
-        # P_(k+1) = (k A N - Tr(N) A) / (k op_den den) for P_k = N / den;
-        # the terms of the monomial t^m' are the (A_a, N_m) with m + e_a = m'.
-        sources: dict[tuple[int, ...], list] = {}
-        for m, rows in product.items():
-            for a_rows, unit in active:
-                target = tuple(e + f for e, f in zip(m, unit))
-                sources.setdefault(target, []).append((a_rows, rows, traces[m]))
-        den *= k * op_den
-        g = den
-        product = {}
-        for target, terms in sources.items():
-            rows = _product(terms, n, k)
-            if any(rows):
-                product[target] = rows
-                for row in rows:
-                    if g == 1:
-                        break
-                    for _, x, y in row:
-                        g = math.gcd(g, x, y)
-        if g != 1:
-            product = {
-                m: [[(l, x // g, y // g) for l, x, y in row] for row in rows]
-                for m, rows in product.items()
-            }
-            den //= g
-        traces = {m: _trace(rows) for m, rows in product.items()}
+        (scale, left), (scale_b, right) = packed[k // 2], packed[k - k // 2]
+        tx, ty = {}, {}
+        for m, (_, (dx, dy, ds)) in left.items():
+            for m2, ((x, y, s), _) in right.items():
+                xx, yy = sum(map(mul, dx, x)), sum(map(mul, dy, y))
+                tx[m + m2] = tx.get(m + m2, 0) + xx + 3 * yy
+                ty[m + m2] = ty.get(m + m2, 0) + sum(map(mul, ds, s)) - xx - yy
+        sums.append([(m, x * scale * scale_b, ty[m] * scale * scale_b) for m, x in tx.items() if x or ty[m]])
+        ex, ey, f, d = {}, {}, 1, -d * k * op_den  # f = (-1)^(i-1) (k-1)!/(k-i)!, d = (-1)^k k! op_den^k
+        for i in range(1, k + 1):
+            for m, x1, y1 in elementary[k - i]:
+                x1, y1, y3 = x1 * f, y1 * f, 3 * y1 * f
+                for m2, x2, y2 in sums[i]:
+                    ex[m + m2] = ex.get(m + m2, 0) + x1 * x2 + y3 * y2
+                    ey[m + m2] = ey.get(m + m2, 0) + x1 * y2 + y1 * x2
+            f *= i - k
+        elementary.append([(m, x, ey[m]) for m, x in ex.items() if x or ey[m]])
+        terms = {tuple(m // base**a % base for a in range(p)): QuadExt._make(x, y, d) for m, x, y in elementary[k]}
+        coeffs[n - k] = MultiPoly._of(p, terms)
     return UniPoly(coeffs)
 
 
-def _trace(rows: list[Row]) -> tuple[int, int]:
-    tx = ty = 0
+def _pack(rows: list[Row], weights: list[int]) -> tuple:
+    """The lower triangle of a symmetric X as (x, y, x + y), plain and with the
+    off-diagonal doubled: <X, Y>_F is three dot products of doubled X, plain Y."""
+    xs, ys = [0] * len(weights), [0] * len(weights)
     for i, row in enumerate(rows):
         for l, x, y in row:
-            if l == i:
-                tx += x
-                ty += y
-    return tx, ty
+            if l <= i:
+                xs[i * (i + 1) // 2 + l], ys[i * (i + 1) // 2 + l] = x, y
+    plain = (xs, ys, list(map(add, xs, ys)))
+    return plain, tuple(list(map(mul, v, weights)) for v in plain)
 
 
-def _product(terms, n: int, k: int) -> list[Row]:
-    """Sparse rows of the sum of k A_a N_m - Tr(N_m) A_a over the terms
-    (A_a, N_m, Tr(N_m)).  The sum is symmetric, so only its lower triangle
-    is accumulated, then mirrored into sparse rows."""
-    accx, accy = lower_pair_products(terms, n, k)
+def _product(pairs, n: int) -> list[Row]:
+    """Sparse rows of the sum of A_a M_m over the pairs (A_a, M_m): the sum is
+    symmetric, so only its lower triangle is accumulated, then mirrored."""
+    accx, accy = lower_pair_products(pairs, n)
     rows: list[Row] = []
     for i, (rx, ry) in enumerate(zip(accx, accy)):
         row = [(l, rx[l], ry[l]) for l in compress(range(i + 1), map(or_, rx, ry))]

@@ -338,12 +338,12 @@ class TestBlocks:
         [(lambda: builtin("g6_m2_M1"), 4), (sum20, 8), (sum30, 8)],
         ids=["g6_m2_M1", "sum20", "sum30"],
     )
-    def test_faddeev_leverrier_runs_on_the_largest_block(self, monkeypatch, make, largest):
+    def test_the_power_kernel_runs_on_the_largest_block(self, monkeypatch, make, largest):
         # components [1, 1, 4, 4] for g6_m2_M1 and [1, 1, 8] per g6_m2_M2
         data = make()
         calls = count_calls(monkeypatch, sweep, "_product")
         normal_char_poly(data)
-        assert max(n for _, n, _ in calls) == largest < data.n
+        assert max(n for _, n in calls) == largest < data.n
 
     def test_three_copies_are_constant_with_the_cubed_polynomial(self):
         verdict = symbolic_sweep(sum30())
