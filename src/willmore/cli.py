@@ -25,7 +25,7 @@ from .catalog import (
 )
 from .curvature import CurvatureReport, curvature_report, einstein_violation, riemann_suite
 from .exactnum import ScalarRenderError, format_scalar
-from .sweep import MAX_SAMPLES, numeric_sweep, symbolic_sweep
+from .sweep import MAX_SAMPLES, SweepTooLarge, numeric_sweep, symbolic_sweep
 from .tracealg import (
     MAX_G4_INDICES,
     RulesFile,
@@ -338,7 +338,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, ScalarRenderError) as exc:
+    except (InputError, ScalarRenderError, SweepTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
 import io
+import random
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -338,6 +339,28 @@ class TestSweep:
         path.write_text(deep_codim("0"), encoding="utf-8")
         assert main(["sweep", str(path), "--mode", "symbolic"]) == 0
         assert "constant: l\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_sweep_beyond_the_term_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):
+        # one dense 8 x 8 block in 8 operators with entries -1, 0, 1: its
+        # polynomial has C(16, 8) - 1 = 12869 terms, and no block is run
+        rng = random.Random(8)
+        ops = []
+        for _ in range(8):
+            rows = [[0] * 8 for _ in range(8)]
+            for i in range(8):
+                for j in range(i, 8):
+                    rows[i][j] = rows[j][i] = rng.choice((-1, 0, 1))
+            ops.append(Matrix([[QuadExt(v) for v in row] for row in rows]))
+        path = tmp_path / "wide.dat"
+        path.write_text(serialize_dataset(ShapeOperatorSet("wide", 8, 8, tuple(ops), tuple(f"B{a}" for a in range(8)))))
+        blocks = []
+        monkeypatch.setattr(sweep, "_block_char_poly", lambda *args: blocks.append(args))
+        assert main(["sweep", str(path), "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert not out and not blocks
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "12869 terms" in err and str(sweep.MAX_SWEEP_TERMS) in err
 
     def test_scaled_constant_data_passes_the_numeric_check(self, capsys, tmp_path):
         path = tmp_path / "scaled.dat"

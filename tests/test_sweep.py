@@ -122,6 +122,26 @@ def planted_blocks(draw):
     return ShapeOperatorSet("planted", n, p, tuple(map(Matrix, ops)), tuple(f"B{a + 1}" for a in range(p)))
 
 
+@st.composite
+def dense_blocks(draw):
+    """Random symmetric operators of size 1-7 (odd and even), p = 1-4: entries
+    (a + b sqrt3) / D with small rational a, b and one D per operator, up to
+    3^25; zero entries and all-zero operators among them."""
+    n = draw(st.integers(1, 7), label="n")
+    p = draw(st.integers(1, 4), label="p")
+    ops = []
+    for _ in range(p):
+        den = draw(st.sampled_from([1, 7, 10**12 + 39, 3**25]), label="denominator")
+        zero = draw(st.integers(0, 3), label="zero operator") == 0
+        rows = [[QuadExt(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if not zero:
+                    rows[i][j] = rows[j][i] = draw(st.one_of(st.just(QuadExt(0)), SCALAR, SCALAR)) / den
+        ops.append(Matrix(rows))
+    return ShapeOperatorSet("dense", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
+
+
 def interleaved():
     """p=2, n=4 with the blocks {0, 2} and {1, 3}: B1 = diag(1, 1, -1, -1)
     and B2 couples 0<->2 and 1<->3 with 1; the spectrum is +-|t| twice."""
@@ -307,6 +327,35 @@ class TestNormalCharPoly:
             ops.append(Matrix(rows))
         data = ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
         assert_kernel_matches_reference(data)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(dense_blocks())
+    @example(dense_block())
+    def test_random_dense_blocks(self, data):
+        assert_kernel_matches_reference(data)
+
+    def test_no_power_above_half_the_block_is_formed(self, monkeypatch):
+        # n = 3, p = 2: A^2 holds t1^2, t1*t2 and t2^2, one product each;
+        # Tr(A^3) = <A, A^2>_F, so A^3 and its four products are never formed
+        calls = count_calls(monkeypatch, sweep, "_product")
+        normal_char_poly(dense_block())
+        assert len(calls) == 3
+
+
+class TestTermBound:
+    @pytest.mark.parametrize("excess", [0, 1])
+    def test_the_bound_counts_every_term_before_any_block_runs(self, monkeypatch, excess):
+        # dim 1: C(1 + p, p) - 1 = p terms
+        p = sweep.MAX_SWEEP_TERMS + excess
+        data = ShapeOperatorSet("deep", 1, p, (Matrix([[QuadExt(0)]]),) * p, tuple(f"B{a}" for a in range(p)))
+        blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
+        if excess:
+            with pytest.raises(sweep.SweepTooLarge, match=f"{p} terms .* {sweep.MAX_SWEEP_TERMS}"):
+                normal_char_poly(data)
+            assert not blocks
+        else:
+            assert str(normal_char_poly(data)) == "l"
 
 
 class TestBlocks:
