@@ -353,7 +353,8 @@ class TestSweep:
                     rows[i][j] = rows[j][i] = rng.choice((-1, 0, 1))
             ops.append(Matrix([[QuadExt(v) for v in row] for row in rows]))
         path = tmp_path / "wide.dat"
-        path.write_text(serialize_dataset(ShapeOperatorSet("wide", 8, 8, tuple(ops), tuple(f"B{a}" for a in range(8)))))
+        data = ShapeOperatorSet("wide", 8, 8, tuple(ops), tuple(f"B{a}" for a in range(8)))
+        path.write_text(serialize_dataset(data), encoding="utf-8")
         blocks = []
         monkeypatch.setattr(sweep, "_block_char_poly", lambda *args: blocks.append(args))
         assert main(["sweep", str(path), "--mode", mode]) == 2

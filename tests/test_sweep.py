@@ -328,7 +328,6 @@ class TestNormalCharPoly:
         data = ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
         assert_kernel_matches_reference(data)
 
-
     @settings(max_examples=25, deadline=None)
     @given(dense_blocks())
     @example(dense_block())
