@@ -4,11 +4,13 @@ The determinism tests compare two runs of the same build; these pin the
 bytes across changes to the code.  Numeric sweeps are left out: their
 deviations are platform float output.  The built-ins split into sparse
 blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
-10 x 10 block generated by `cayley_dataset`.
+10 x 10 block generated by `cayley_dataset`, and one on
+tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
+generated by `sum20_dataset`.
 
 After an intended change to a certificate, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
-and review the diff; that also rewrites the Cayley dataset.
+and review the diff; that also rewrites both datasets.
 """
 
 import contextlib
@@ -19,12 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from frames import cayley_frame, change_frame, rotate_normals
+from frames import cayley_frame, change_frame, direct_sum, rotate_normals
 from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
 from willmore.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
+SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
 
 
 def cayley_dataset():
@@ -34,6 +37,15 @@ def cayley_dataset():
     data = change_frame(builtin("g6_m2_M2"), cayley_frame(10, rng))
     data = rotate_normals(data, cayley_frame(3, rng))
     return replace(data, name="g6_m2_M2_cayley")
+
+
+def sum20_dataset():
+    """The direct sum of two g6_m2_M2, n = 20: each of its blocks twice."""
+    return replace(direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2")), name="sum20_g6_m2_M2")
+
+
+# committed dataset -> the generator that writes it
+DATASETS = {CAYLEY: cayley_dataset, SUM20: sum20_dataset}
 
 
 NON_MINIMAL = """\
@@ -53,8 +65,8 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 """
 
 # golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
-# stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}" for
-# the committed Cayley dataset
+# stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}" and
+# "{sum20}" for the committed datasets
 CASES = {
     **{
         f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
@@ -64,6 +76,7 @@ CASES = {
     **{f"sweep_{name}.txt": (["sweep", name, "--mode", "symbolic"], 0) for name in BUILTIN_NAMES},
     "sweep_lopsided.txt": (["sweep", "{lopsided}", "--mode", "symbolic"], 1),
     "sweep_g6_m2_M2_cayley.txt": (["sweep", "{cayley}", "--mode", "symbolic"], 0),
+    "sweep_sum20_g6_m2_M2.txt": (["sweep", "{sum20}", "--mode", "symbolic"], 0),
     "paper.txt": (["paper"], 0),
     "tracecheck_g4_pass.txt": (
         ["tracecheck", "--rules", "g4", "--goal", "Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "--indices", "3"],
@@ -91,7 +104,7 @@ def render(name, directory):
     argv, code = CASES[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main([arg.format(lopsided=lopsided, mixed=mixed, cayley=CAYLEY) for arg in argv]) == code
+        assert main([arg.format(lopsided=lopsided, mixed=mixed, cayley=CAYLEY, sum20=SUM20) for arg in argv]) == code
     return out.getvalue()
 
 
@@ -100,8 +113,9 @@ def test_certificate_matches_golden_file(name, tmp_path):
     assert render(name, tmp_path).encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-def test_cayley_dataset_is_the_generated_one():
-    assert serialize_dataset(cayley_dataset()).encode("utf-8") == CAYLEY.read_bytes()
+@pytest.mark.parametrize("path", sorted(DATASETS), ids=lambda path: path.name)
+def test_dataset_is_the_generated_one(path):
+    assert serialize_dataset(DATASETS[path]()).encode("utf-8") == path.read_bytes()
 
 
 if __name__ == "__main__":
@@ -109,7 +123,8 @@ if __name__ == "__main__":
 
     GOLDEN.mkdir(exist_ok=True)
     CAYLEY.parent.mkdir(exist_ok=True)
-    CAYLEY.write_bytes(serialize_dataset(cayley_dataset()).encode("utf-8"))
+    for path, generate in DATASETS.items():
+        path.write_bytes(serialize_dataset(generate()).encode("utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             (GOLDEN / case).write_bytes(render(case, tmp).encode("utf-8"))
