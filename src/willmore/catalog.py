@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cache
 
 from .exactnum import QuadExt, ScalarParseError, format_scalar, parse_scalar
 from .linalg import Matrix
@@ -241,6 +242,7 @@ def parse_dataset(text: str) -> ShapeOperatorSet:
         raise DatasetFormatError(f"bad dataset identifier {name!r}", number)
     n = _int_field(lines, "dim")
     p = _int_field(lines, "codim")
+    parse = cache(parse_scalar)  # once per distinct token; equal tokens share one value
     operators: list[Matrix] = []
     labels: list[str] = []
     for _ in range(p):
@@ -261,7 +263,7 @@ def parse_dataset(text: str) -> ShapeOperatorSet:
                     f"row has {len(tokens)} scalars, expected {n}", number
                 )
             try:
-                rows.append([parse_scalar(tok) for tok in tokens])
+                rows.append([parse(tok) for tok in tokens])
             except ScalarParseError as exc:
                 raise DatasetFormatError(f"bad scalar: {exc}", number) from exc
             row_lines.append(number)

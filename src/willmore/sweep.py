@@ -6,17 +6,18 @@ coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
 basis into the connected components of the union of the operators' nonzero
 patterns; a permutation makes A(t) block-diagonal with one block per
 component, for every t, so det(lambda I - A(t)) is exactly the product of the
-blocks' characteristic polynomials.  Each block forms the powers of A(t) up
-to half its size in integer pairs, skipping zeros, and gets its polynomial
-from their Frobenius products by Newton's identities.  `Matrix.char_poly` of
+blocks' characteristic polynomials.  Each distinct block forms the powers
+of A(t) up to half its size in integer pairs, skipping zeros, and gets its
+polynomial from their Frobenius products by Newton's identities.  `Matrix.char_poly` of
 `normal_shape_operator(data)` gives the same polynomial and serves as its
 reference.
 
 The coefficient of lambda^j is homogeneous of degree n - j in t, so the
 symbolic sweep decides its constancy on the unit sphere from its term table
 (`polyring.sphere_constant`); only the first non-constant coefficient is
-reduced modulo the sphere relation, to serve as the witness.  The verdict is
-taken on the product, never on a block: blocks that vary over the sphere can
+reduced modulo the sphere relation, to serve as the witness.  Blocks that
+are all constant multiply to a constant; otherwise the verdict is taken on
+the product, never on a block: blocks that vary over the sphere can
 multiply to a constant polynomial (see `_block_char_poly`).  The symbolic
 verdict is authoritative; the numeric sweep is a seeded floating cross-check
 meant to catch implementation bugs, never to decide.  It builds the Horner
@@ -28,11 +29,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import combinations_with_replacement, compress, product
 from operator import add, mul, or_
 
 from .catalog import ShapeOperatorSet
-from .exactnum import QuadExt, accumulate
+from .exactnum import ONE, QuadExt, accumulate
 from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
 from .polyring import MultiPoly, eval_plan, horner_plan, reduce_mod_sphere, sphere_constant
 
@@ -87,13 +88,20 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
     permutation P of the basis can make: P^T A(t) P is block-diagonal for
     every t, with one diagonal block A_B(t) per component B.  Hence
     det(lambda I - A(t)) = prod_B det(lambda I - A_B(t)) as an identity of
-    polynomials in lambda and t over Q(sqrt3), and `_block_char_poly` runs on
-    each component alone.  The product equals
+    polynomials in lambda and t over Q(sqrt3), and `_block_char_poly` runs
+    once on each distinct component.  The product equals
     normal_shape_operator(data).char_poly() exactly, term for term.
 
-    SweepTooLarge before any block is run if the blocks' polynomials may
-    hold more than MAX_SWEEP_TERMS monomial terms in all.
+    SweepTooLarge before any block is run if the blocks' polynomials, every
+    copy counted, may hold more than MAX_SWEEP_TERMS monomial terms in all.
     """
+    return _multiply(_distinct_blocks(data))
+
+
+def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
+    """(polynomial, copies) of each distinct diagonal block of A(t), in order of
+    first occurrence: equal re-indexed rows over the common denominator give
+    an equal polynomial, so the kernel runs once for all copies."""
     n, p = data.n, data.p
     ops, den = integer_rows(data.operators)
     blocks = _components(ops, n)
@@ -103,13 +111,25 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
             f"the sweep's characteristic polynomial may have {count} terms over its blocks, "
             f"above the bound of {MAX_SWEEP_TERMS}"
         )
-    coeffs = None  # of the product so far, lowest lambda-power first
+    distinct: dict[tuple, list] = {}  # rows -> [polynomial, copies]
     for block in blocks:
         # block is sorted, so the re-indexed rows stay sorted by column
         index = {i: r for r, i in enumerate(block)}
         rows = [[[(index[j], x, y) for j, x, y in op[i]] for i in block] for op in ops]
-        poly = _block_char_poly(rows, den, len(block), p)
-        coeffs = poly.coeffs if coeffs is None else _times(coeffs, poly)
+        key = tuple(tuple(row) for op in rows for row in op)
+        if key in distinct:
+            distinct[key][1] += 1
+        else:
+            distinct[key] = [_block_char_poly(rows, den, len(block), p), 1]
+    return [(poly, copies) for poly, copies in distinct.values()]
+
+
+def _multiply(blocks: list[tuple[UniPoly, int]]) -> UniPoly:
+    """The product of the blocks' polynomials, each to its multiplicity."""
+    coeffs = None  # of the product so far, lowest lambda-power first
+    for poly, copies in blocks:
+        for _ in range(copies):
+            coeffs = poly.coeffs if coeffs is None else _times(coeffs, poly)
     return UniPoly(coeffs)
 
 
@@ -143,10 +163,10 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
     normalised by a gcd.  A monomial m is one int, its exponents the digits
     in base n+1, so that adding two of them builds no tuple.
 
-    `normal_char_poly` calls this once per diagonal block of A(t), and the
-    spectral verdict is taken on the product of the blocks' polynomials,
-    never block by block: a block's polynomial may vary over the sphere
-    while the product does not.  At p = 1 and A = diag(t, -t) the blocks
+    `normal_char_poly` calls this once per distinct diagonal block of A(t).
+    A FAIL is taken on the product of the blocks' polynomials, never block
+    by block: a block's polynomial may vary over the sphere while the
+    product does not.  At p = 1 and A = diag(t, -t) the blocks
     give lambda - t and lambda + t, neither constant on the sphere {1, -1},
     yet their product lambda^2 - t^2 is lambda^2 - 1 at both points.
     """
@@ -172,12 +192,15 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
     coeffs = [MultiPoly(p)] * n + [MultiPoly.constant(p, 1)]
     for k in range(1, n + 1):
         (scale, left), (scale_b, right) = packed[k // 2], packed[k - k // 2]
+        # for even k both sides are A^(k/2): the pairs (m, m2) and (m2, m) agree
+        even = k % 2 == 0
+        pairs = combinations_with_replacement(left.items(), 2) if even else product(left.items(), right.items())
         tx, ty = {}, {}
-        for m, (_, (dx, dy, ds)) in left.items():
-            for m2, ((x, y, s), _) in right.items():
-                xx, yy = sum(map(mul, dx, x)), sum(map(mul, dy, y))
-                tx[m + m2] = tx.get(m + m2, 0) + xx + 3 * yy
-                ty[m + m2] = ty.get(m + m2, 0) + sum(map(mul, ds, s)) - xx - yy
+        for (m, (_, (dx, dy, ds))), (m2, ((x, y, s), _)) in pairs:
+            w = 2 if even and m != m2 else 1
+            xx, yy = w * sum(map(mul, dx, x)), w * sum(map(mul, dy, y))
+            tx[m + m2] = tx.get(m + m2, 0) + xx + 3 * yy
+            ty[m + m2] = ty.get(m + m2, 0) + w * sum(map(mul, ds, s)) - xx - yy
         sums.append([(m, x * scale * scale_b, ty[m] * scale * scale_b) for m, x in tx.items() if x or ty[m]])
         ex, ey, f, d = {}, {}, 1, -d * k * op_den  # f = (-1)^(i-1) (k-1)!/(k-i)!, d = (-1)^k k! op_den^k
         for i in range(1, k + 1):
@@ -220,9 +243,22 @@ def _product(pairs, n: int) -> list[Row]:
 
 
 def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:
-    """Exact verdict: is char_poly(A(t)) the same for every unit normal t?"""
+    """Exact verdict: is char_poly(A(t)) the same for every unit normal t?
+
+    If every block is constant on the sphere, their constant polynomials
+    multiply over QuadExt; otherwise the verdict is taken on the product."""
+    blocks = _distinct_blocks(data)
+    constant = UniPoly([ONE])
+    for poly, copies in blocks:
+        values = [sphere_constant(c, poly.degree() - j) for j, c in enumerate(poly.coeffs)]
+        if None in values:
+            break
+        for _ in range(copies):
+            constant = constant * UniPoly(values)
+    else:
+        return SweepVerdict(True, constant, None, None)
     constants = []
-    for power, coeff in enumerate(normal_char_poly(data).coeffs):
+    for power, coeff in enumerate(_multiply(blocks).coeffs):
         value = sphere_constant(coeff, data.n - power)
         if value is None:
             return SweepVerdict(False, None, reduce_mod_sphere(coeff), power)

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import pytest
 
+from willmore import catalog
 from willmore.catalog import (
     BUILTIN_NAMES,
     BlockSpec,
@@ -14,6 +17,8 @@ from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix
 
 S = parse_scalar
+
+SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
 
 
 def squares_sum(data):
@@ -160,6 +165,25 @@ class TestParseErrors:
         assert "bad scalar" in str(info.value)
         assert info.value.line == 6
 
+    def test_bad_scalar_on_two_lines_reports_the_first(self):
+        bad = GOOD.replace("0 1\n1 0", "0 zebra\nzebra 0")
+        with pytest.raises(DatasetFormatError) as info:
+            parse_dataset(bad)
+        assert "bad scalar" in str(info.value)
+        assert info.value.line == 5
+
+    def test_asymmetric_operator_of_shared_tokens(self):
+        # every token occurs more than once, (0, 2) reads 3 and (2, 0) reads 2
+        bad = "dataset shared\ndim 3\ncodim 1\noperator B1\n1 2 3\n2 1 2\n2 2 1\n"
+        with pytest.raises(DatasetFormatError) as info:
+            parse_dataset(bad)
+        assert "not symmetric at (0,2)" in str(info.value)
+        assert info.value.line == 5
+
+    def test_equal_values_of_different_text_are_symmetric(self):
+        data = parse_dataset(GOOD.replace("0 1\n1 0", "0 1/2\n2/4 0"))
+        assert data.operators[0][0, 1] == data.operators[0][1, 0] == S("1/2")
+
     def test_missing_header(self):
         with pytest.raises(DatasetFormatError):
             parse_dataset("dim 2\ncodim 1\n")
@@ -188,3 +212,24 @@ class TestValidation:
         ident = Matrix.identity(2, QuadExt(1))
         with pytest.raises(ValueError):
             ShapeOperatorSet("bad", 2, 2, (ident,), ("B1", "B2"))
+
+
+class TestParseOnce:
+    def test_each_distinct_token_is_parsed_once(self, monkeypatch):
+        text = SUM20.read_text(encoding="utf-8")
+        tokens = [
+            token
+            for line in text.splitlines()
+            if line.split()[0] not in ("dataset", "dim", "codim", "operator")
+            for token in line.split()
+        ]
+        assert len(tokens) == 20 * 20 * 3
+        calls = []
+        monkeypatch.setattr(catalog, "parse_scalar", lambda token: calls.append(token) or parse_scalar(token))
+        data = parse_dataset(text)
+        monkeypatch.undo()
+        assert sorted(calls) == sorted(set(tokens))
+        # equal tokens share one value, so each distinct value converts to float once
+        entries = [entry for op in data.operators for row in op.rows for entry in row]
+        assert len({id(entry) for entry in entries}) == len(set(tokens))
+        assert serialize_dataset(data) == text

@@ -13,7 +13,7 @@ from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
 from willmore.cli import NUMERIC_TOLERANCE
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly, integer_rows
-from willmore.polyring import reduce_mod_sphere, sphere_constant
+from willmore.polyring import MultiPoly, reduce_mod_sphere, sphere_constant
 from willmore.sweep import (
     SweepVerdict,
     normal_char_poly,
@@ -140,6 +140,49 @@ def dense_blocks(draw):
                     rows[i][j] = rows[j][i] = draw(st.one_of(st.just(QuadExt(0)), SCALAR, SCALAR)) / den
         ops.append(Matrix(rows))
     return ShapeOperatorSet("dense", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
+
+
+def reference_symbolic_sweep(data):
+    """The verdict decided on the product's coefficients alone, block by block
+    never consulted: the symbolic sweep before constant blocks multiplied."""
+    constants = []
+    for power, coeff in enumerate(normal_char_poly(data).coeffs):
+        value = sphere_constant(coeff, data.n - power)
+        if value is None:
+            return SweepVerdict(False, None, reduce_mod_sphere(coeff), power)
+        constants.append(value)
+    return SweepVerdict(True, UniPoly(constants), None, None)
+
+
+@st.composite
+def block_sums(draw):
+    """Direct sums of 2-4 pieces at p = 2, repeats likely: the two m = 1
+    built-ins, the constant pair diag(c, -c), [[0, c], [c, 0]], and a random
+    symmetric 1 x 1 or 2 x 2 block, which may vary over the sphere."""
+    zero = QuadExt(0)
+
+    def piece():
+        kind = draw(st.sampled_from(["g6_m1_M1", "g6_m1_M2", "pair", "random"]), label="piece")
+        if kind.startswith("g6"):
+            return builtin(kind)
+        c = draw(st.sampled_from([QuadExt(1), S("sqrt3"), S("-1/2")]), label="c")
+        if kind == "pair":
+            ops = (Matrix([[c, zero], [zero, -c]]), Matrix([[zero, c], [c, zero]]))
+            return ShapeOperatorSet("pair", 2, 2, ops, ("B1", "B2"))
+        n = draw(st.integers(1, 2), label="n")
+        ops = []
+        for _ in range(2):
+            rows = [[zero] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j] = rows[j][i] = draw(st.sampled_from([zero, c, -c]))
+            ops.append(Matrix(rows))
+        return ShapeOperatorSet("random", n, 2, tuple(ops), ("B1", "B2"))
+
+    data = piece()
+    for _ in range(draw(st.integers(1, 3), label="more pieces")):
+        data = direct_sum(data, piece())
+    return data
 
 
 def interleaved():
@@ -398,6 +441,52 @@ class TestBlocks:
         assert verdict.constant
         m2 = symbolic_sweep(builtin("g6_m2_M2")).char_poly
         assert verdict.char_poly == m2 * m2 * m2
+
+    def test_each_distinct_block_runs_once(self, monkeypatch):
+        # the components of g6_m2_M2 are [1, 1, 8], and the 1 x 1 blocks are
+        # zero: the sum of two copies runs one 1 x 1 and one 8 x 8 block
+        data = sum20()
+        ops, _ = integer_rows(data.operators)
+        assert sorted(map(len, sweep._components(ops, data.n))) == [1, 1, 1, 1, 8, 8]
+        blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
+        poly = normal_char_poly(data)
+        monkeypatch.undo()
+        assert sorted(n for _, _, n, _ in blocks) == [1, 8]
+        m2 = normal_char_poly(builtin("g6_m2_M2"))
+        assert poly == m2 * m2
+
+    @pytest.mark.parametrize(
+        "make", [lambda name=name: builtin(name) for name in BUILTIN_NAMES] + [sum20, sum30, interleaved],
+        ids=list(BUILTIN_NAMES) + ["sum20", "sum30", "interleaved"],
+    )
+    def test_constant_blocks_multiply_no_multipoly(self, monkeypatch, make):
+        data = make()
+        products = count_calls(monkeypatch, MultiPoly, "__mul__")
+        verdict = symbolic_sweep(data)
+        monkeypatch.undo()
+        assert verdict.constant
+        assert not products
+        assert verdict == reference_symbolic_sweep(data)
+
+    def test_a_varying_block_among_constant_copies(self, monkeypatch):
+        # lambda - t1 times the constant polynomial of sum20: its lambda^4
+        # coefficient -t1 (t1^2 + t2^2 + t3^2)^8 is the first to vary
+        zero = Matrix([[QuadExt(0)]])
+        varying = ShapeOperatorSet("varying", 1, 3, (Matrix([[S("1")]]), zero, zero), ("B1", "B2", "B3"))
+        data = direct_sum(sum20(), varying)
+        blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
+        verdict = symbolic_sweep(data)
+        monkeypatch.undo()
+        assert sorted(n for _, _, n, _ in blocks) == [1, 1, 8]
+        assert not verdict.constant
+        assert verdict.witness_power == 4
+        assert str(verdict.witness) == "-t1"
+        assert verdict == reference_symbolic_sweep(data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_sums())
+    def test_verdict_equals_the_verdict_on_the_product(self, data):
+        assert symbolic_sweep(data) == reference_symbolic_sweep(data)
 
     def test_verdict_is_taken_on_the_product(self, monkeypatch):
         # diag(t, -t): each block's lambda -+ t varies over the sphere {1, -1},
