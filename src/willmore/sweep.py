@@ -8,9 +8,9 @@ patterns; a permutation makes A(t) block-diagonal with one block per
 component, for every t, so det(lambda I - A(t)) is exactly the product of the
 blocks' characteristic polynomials.  Each distinct block forms the powers
 of A(t) up to half its size in integer pairs, skipping zeros, and gets its
-polynomial from their Frobenius products by Newton's identities.  `Matrix.char_poly` of
-`normal_shape_operator(data)` gives the same polynomial and serves as its
-reference.
+polynomial from their Frobenius products by Newton's identities.
+`Matrix.char_poly` of `normal_shape_operator(data)` gives the same
+polynomial and serves as its reference.
 
 The coefficient of lambda^j is homogeneous of degree n - j in t, so the
 symbolic sweep decides its constancy on the unit sphere from its term table
