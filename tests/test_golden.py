@@ -6,11 +6,13 @@ deviations are platform float output.  The built-ins split into sparse
 blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
 10 x 10 block generated by `cayley_dataset`, and one on
 tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
-generated by `sum20_dataset`.
+generated by `sum20_dataset`.  One tracecheck reads tests/data/g4_p4.rules,
+the g=4 relations at p=4 in the form the benchmark writes, whose every line
+the rules reader's scan pattern accepts.
 
 After an intended change to a certificate, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
-and review the diff; that also rewrites both datasets.
+and review the diff; that also rewrites the committed input files.
 """
 
 import contextlib
@@ -22,12 +24,14 @@ from pathlib import Path
 import pytest
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals
+from g4_rules import g4_rules_text
 from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
 from willmore.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
 SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
+G4_P4 = Path(__file__).parent / "data" / "g4_p4.rules"
 
 
 def cayley_dataset():
@@ -44,8 +48,12 @@ def sum20_dataset():
     return replace(direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2")), name="sum20_g6_m2_M2")
 
 
-# committed dataset -> the generator that writes it
-DATASETS = {CAYLEY: cayley_dataset, SUM20: sum20_dataset}
+# committed input file -> the generator of its text
+DATASETS = {
+    CAYLEY: lambda: serialize_dataset(cayley_dataset()),
+    SUM20: lambda: serialize_dataset(sum20_dataset()),
+    G4_P4: lambda: g4_rules_text(4),
+}
 
 
 NON_MINIMAL = """\
@@ -65,8 +73,8 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 """
 
 # golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
-# stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}" and
-# "{sum20}" for the committed datasets
+# stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}",
+# "{sum20}" and "{g4_p4}" for the committed input files
 CASES = {
     **{
         f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
@@ -92,6 +100,12 @@ CASES = {
          "--indices", "2"],
         1,
     ),
+    # a goal in the blocks of A2 and A3
+    "tracecheck_g4_p4_rules.txt": (
+        ["tracecheck", "--rules", "{g4_p4}", "--goal",
+         "Tr(A2^3) + Tr(A1^2*A2) + Tr(A3^2*A2) + Tr(A4^2*A2) - 3*Tr(A1^2*A3)", "--indices", "4"],
+        0,
+    ),
 }
 
 
@@ -101,10 +115,11 @@ def render(name, directory):
     lopsided.write_text(NON_MINIMAL, encoding="utf-8")
     mixed = Path(directory) / "mixed.rules"
     mixed.write_text(MIXED_RULES, encoding="utf-8")
+    paths = {"lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "g4_p4": G4_P4}
     argv, code = CASES[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main([arg.format(lopsided=lopsided, mixed=mixed, cayley=CAYLEY, sum20=SUM20) for arg in argv]) == code
+        assert main([arg.format(**paths) for arg in argv]) == code
     return out.getvalue()
 
 
@@ -115,7 +130,7 @@ def test_certificate_matches_golden_file(name, tmp_path):
 
 @pytest.mark.parametrize("path", sorted(DATASETS), ids=lambda path: path.name)
 def test_dataset_is_the_generated_one(path):
-    assert serialize_dataset(DATASETS[path]()).encode("utf-8") == path.read_bytes()
+    assert DATASETS[path]().encode("utf-8") == path.read_bytes()
 
 
 if __name__ == "__main__":
@@ -124,7 +139,7 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     CAYLEY.parent.mkdir(exist_ok=True)
     for path, generate in DATASETS.items():
-        path.write_bytes(serialize_dataset(generate()).encode("utf-8"))
+        path.write_bytes(generate().encode("utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             (GOLDEN / case).write_bytes(render(case, tmp).encode("utf-8"))
