@@ -9,6 +9,7 @@ grammar, and floats appear only as numeric-sweep deviations.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 import time
@@ -319,16 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser("tracecheck", help="reduce a trace-expression goal against relations")
     trace.add_argument("--rules", required=True, help="identity file path, or 'g4' for the built-in set")
-    trace.add_argument("--goal", required=True, help="trace expression, e.g. 'Tr(A1^3)+Tr(A2^2*A1)'")
+    trace.add_argument(
+        "--goal",
+        required=True,
+        help="trace expression, e.g. 'Tr(A1^3)+Tr(A2^2*A1)'; one that starts with '-' goes after '=', "
+        "as in --goal=-1*Tr(A2)",
+    )
     trace.add_argument("--indices", type=int, required=True, metavar="P", help="number of operator indices")
 
     sub.add_parser("paper", help="verify all built-in datasets and replay the trace proof")
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in the process, built on the first."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "verify": cmd_verify,
         "sweep": cmd_sweep,

@@ -1,8 +1,11 @@
+import argparse
 import io
 import random
 import re
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 from frames import scaled
 from g4_rules import g4_rules_text
+import willmore
 from willmore import cli, sweep, tracealg
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main, verify_certificate
@@ -716,6 +720,60 @@ class TestRulesReaderAgainstWholeFile:
         lines.insert(5, insert)
         goal_local, whole_file = tracecheck_outcomes(differential_rules, "\n".join(lines), goal, 3)
         assert goal_local == whole_file
+
+
+class TestOneParser:
+    """`main` parses with one parser per process, built on its first call."""
+
+    def test_several_calls_construct_one_parser(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser()
+        one = len(built)  # the parser and its subcommands' parsers
+        built.clear()
+        cli._parser.cache_clear()
+        assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A1)", "--indices", "1"]) == 0
+        assert main(["verify", "g6_m1_M1"]) == 0
+        with pytest.raises(SystemExit):
+            main(["sweep"])
+        assert main(["paper"]) == 0
+        assert built.count("willmore") == 1 and len(built) == one
+
+    def test_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["paper"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == (Path(__file__).parent / "golden" / "paper.txt").read_bytes()
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = lambda self, *a, **k: (built.append(1), init(self, *a, **k))[1]\n"
+            "import willmore.cli\n"
+            "print(len(built))\n"
+        )
+        src = str(Path(willmore.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + script],
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == "0\n"
+
+    def test_goal_with_a_leading_minus_is_passed_with_equals(self, capsys):
+        # argparse reads "-1*Tr(A2)" after a space as an option, not as the value
+        assert main(["tracecheck", "--rules", "g4", "--goal=-1*Tr(A2)", "--indices", "2"]) == 0
+        assert "goal: -1*Tr(A2)\n" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["tracecheck", "--rules", "g4", "--goal", "-1*Tr(A2)", "--indices", "2"])
+        assert exc.value.code == 2
 
 
 class TestPaper:
