@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -570,30 +571,72 @@ class RulesFile:
     one the scan pattern accepts cannot fail `_parse_rule`, and any other goes
     through it.  Relations that share a canonical word share its letter
     multiset, so the lines joined to the goal through shared multisets hold
-    the goal's block, and only they are parsed."""
+    the goal's block, and only they are parsed.  Reading the file indexes
+    each line by the letters it names; a line's multisets are read only when
+    a search first needs one of those letters."""
 
     def __init__(self, text: str) -> None:
         self.lines = _rule_lines(text)
         scan = re.compile(_SCAN_RULE, re.ASCII)
+        names = re.compile(r"A[0-9]+").findall
         self.relations: list[TraceExpr | None] = []
-        self.multisets: list[list[tuple[str, ...]]] = []  # per line, its words' letters
-        shared: dict[tuple[str, ...], tuple[str, ...]] = {}  # one object per distinct multiset, for memory
-        for number, line in self.lines:
+        self.index: dict[str, list[int]] = {}  # letter -> the lines that name it, ascending
+        for k, (number, line) in enumerate(self.lines):
             relation = None if scan.fullmatch(line) else _parse_rule(number, line)
-            keys = map(_letters, _SCAN_WORD.findall(line)) if relation is None else map(_multiset, relation.terms)
             self.relations.append(relation)
-            self.multisets.append([shared.setdefault(key, key) for key in keys])
+            letters = names(line) if relation is None else map("A{}".format, set().union(*relation.terms))
+            for letter in set(letters):
+                self.index.setdefault(letter, []).append(k)
+        # Filled as letters are walked: each line's multisets, read once, and
+        # for each multiset the lines read that hold it.  Once one letter of a
+        # multiset is walked, every line that holds it has been read.
+        self._multisets: list[list[tuple[str, ...]] | None] = [None] * len(self.lines)
+        self._holders: dict[tuple[str, ...], list[int]] = {}
+        self._walked: set[str] = set()
 
     def _parsed(self, ks: Iterable[int]) -> list[TraceExpr]:
         return [self.relations[k] or _parse_rule(*self.lines[k]) for k in ks]
 
+    def _walk(self, letter: str) -> None:
+        """Read the multisets of every line that names the letter, once."""
+        self._walked.add(letter)
+        for k in self.index.get(letter, ()):
+            if self._multisets[k] is None:
+                relation = self.relations[k]
+                if relation is None:
+                    keys = map(_letters, _SCAN_WORD.findall(self.lines[k][1]))
+                else:
+                    keys = map(_multiset, relation.terms)
+                self._multisets[k] = list(dict.fromkeys(keys))
+                for key in self._multisets[k]:
+                    self._holders.setdefault(key, []).append(k)
+
     def above(self, p: int) -> list[TraceExpr]:
         """The relations of the lines that name a letter above p, in file order."""
-        high = {letter for letter in set().union(*itertools.chain(*self.multisets)) if int(letter[1:]) > p}
-        lines = [k for k, words in enumerate(self.multisets) if high and not high.isdisjoint(itertools.chain(*words))]
-        return self._parsed(lines)
+        high = [lines for letter, lines in self.index.items() if int(letter[1:]) > p]
+        return self._parsed(sorted(set().union(*high)))
 
     def component(self, goal: TraceExpr) -> list[TraceExpr]:
-        """The relations of the lines joined to the goal's words through shared multisets, in file order."""
-        block = next(components([list(map(_multiset, goal.terms)), *self.multisets]))
-        return self._parsed(k - 1 for k in block[1:])
+        """The relations of the lines joined to the goal's words through
+        shared multisets, in file order.
+
+        Breadth-first over multisets.  Every line that holds a multiset names
+        each of its letters, so walking one letter's lines finds them all; the
+        letter walked has the fewest lines, then is held the fewest times (the
+        block letter of a g=4 word).  Each line is read and each letter walked
+        at most once, so the search is linear in the lines it reads."""
+        queue = list(dict.fromkeys(map(_multiset, goal.terms)))
+        seen = set(queue)
+        block: set[int] = set()
+        for key in queue:  # grows while the loop runs, until the component is closed
+            counts = Counter(key)
+            letter = min(counts, key=lambda name: (len(self.index.get(name, ())), counts[name]))
+            if letter not in self._walked:
+                self._walk(letter)
+            for k in self._holders.get(key, ()):
+                if k not in block:
+                    block.add(k)
+                    fresh = [other for other in self._multisets[k] if other not in seen]
+                    seen.update(fresh)
+                    queue += fresh
+        return self._parsed(sorted(block))

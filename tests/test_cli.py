@@ -447,6 +447,54 @@ class TestTracecheck:
         assert len(lines) == parsed <= 41
         assert "relations: 1640\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "goal, rc",
+        [(" + ".join(f"Tr(A{b}^2*A7)" for b in range(1, 41)), 0), ("Tr(A2*A1^3000)", 1)],
+        ids=["willmore", "power"],
+    )
+    def test_rules_file_reads_the_words_of_one_letter(self, capsys, monkeypatch, tmp_path, goal, rc):
+        # the 80 lines that name A7 (or A2) hold 315 of the file's 6,360 words
+        rules = tmp_path / "g4.rules"
+        rules.write_text(g4_rules_text(40), encoding="utf-8")
+        words = []
+
+        def counting(word):
+            words.append(word)
+            return letters(word)
+
+        letters = tracealg._letters
+        monkeypatch.setattr(tracealg, "_letters", counting)
+        assert main(["tracecheck", "--rules", str(rules), "--goal", goal, "--indices", "40"]) == rc
+        assert len(words) <= 315
+        assert "relations: 1640\n" in capsys.readouterr().out
+
+    def test_rules_file_reads_each_line_once_on_a_chain(self, monkeypatch):
+        # one component of 1,727 lines, each naming A1, A2 and A3: a search
+        # that walks a letter's lines once per multiset walks them 1,728 times
+        words = [f"Tr(A1^{a}*A2^{b}*A3^{c})" for a in range(1, 13) for b in range(1, 13) for c in range(1, 13)]
+        rules = tracealg.RulesFile("".join(f"{u} = {v}\n" for u, v in zip(words, words[1:])))
+        walks = []
+
+        class Walked(list):
+            def __iter__(self):
+                walks.append(self.letter)
+                return super().__iter__()
+
+        for letter, lines in rules.index.items():
+            rules.index[letter] = Walked(lines)
+            rules.index[letter].letter = letter
+        read = []
+
+        def counting(word):
+            read.append(word)
+            return letters(word)
+
+        letters = tracealg._letters
+        monkeypatch.setattr(tracealg, "_letters", counting)
+        assert len(rules.component(tracealg.parse_trace_expr("Tr(A1*A2*A3)"))) == 1727
+        assert len(read) == 2 * 1727
+        assert len(walks) == len(set(walks)) <= 3
+
     def test_goal_parse_error(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A0)", "--indices", "2"]) == 2
         assert "goal" in capsys.readouterr().err
@@ -615,7 +663,9 @@ class WholeFile:
 
 def rule_inserts(p):
     """Lines to insert into a rules file over 1..p: bad ones, indices above p,
-    cancelling pairs, sqrt3 coefficients, and text only the parser reads."""
+    cancelling pairs, sqrt3 coefficients, text only the parser reads, lines
+    that name a goal's letters but share no multiset with its block, and one
+    that joins two blocks through their one-letter words."""
     high = p + 1
     return (
         "Tr(A1 = 0",
@@ -644,6 +694,9 @@ def rule_inserts(p):
         "# a comment",
         "Tr(A1) = 0  # trace-free",
         "   ",
+        "Tr(A1*A2*A3) = 0",
+        "Tr(A1^2*A2^2) = 0",
+        "Tr(A1) = Tr(A2)",
     )
 
 
@@ -720,6 +773,20 @@ class TestRulesReaderAgainstWholeFile:
         lines.insert(5, insert)
         goal_local, whole_file = tracecheck_outcomes(differential_rules, "\n".join(lines), goal, 3)
         assert goal_local == whole_file
+
+    def test_one_reader_answers_several_goals(self):
+        text = g4_rules_text(5) + "Tr(A1*A2*A3) = 0\nTr(A1) = Tr(A2)\nTr(A6) = 0\n"
+        rules = tracealg.RulesFile(text)
+        goals = [
+            " + ".join(f"Tr(A{b}^2*A1)" for b in range(1, 6)),
+            "Tr(A1*A2*A3) + Tr(A4^3)",
+            "Tr(A2^2*A1^2)",
+            " + ".join(f"Tr(A{b}^2*A2)" for b in range(1, 6)),
+            "Tr(A6) - Tr(A3)",
+        ]
+        for goal in map(tracealg.parse_trace_expr, goals):
+            assert rules.component(goal) == tracealg.RulesFile(text).component(goal)
+            assert len(rules.above(5)) == 1
 
 
 class TestOneParser:
