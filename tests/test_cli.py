@@ -90,6 +90,20 @@ def mutated(draw, texts):
 
 
 @pytest.fixture
+def words_read(monkeypatch):
+    """The word texts whose letter multisets the rules reader computes."""
+    words = []
+
+    def counting(word):
+        words.append(word)
+        return letters(word)
+
+    letters = tracealg._letters
+    monkeypatch.setattr(tracealg, "_letters", counting)
+    return words
+
+
+@pytest.fixture
 def non_minimal_file(tmp_path):
     path = tmp_path / "lopsided.dat"
     path.write_text(NON_MINIMAL, encoding="utf-8")
@@ -452,23 +466,15 @@ class TestTracecheck:
         [(" + ".join(f"Tr(A{b}^2*A7)" for b in range(1, 41)), 0), ("Tr(A2*A1^3000)", 1)],
         ids=["willmore", "power"],
     )
-    def test_rules_file_reads_the_words_of_one_letter(self, capsys, monkeypatch, tmp_path, goal, rc):
+    def test_rules_file_reads_the_words_of_one_letter(self, capsys, tmp_path, words_read, goal, rc):
         # the 80 lines that name A7 (or A2) hold 315 of the file's 6,360 words
         rules = tmp_path / "g4.rules"
         rules.write_text(g4_rules_text(40), encoding="utf-8")
-        words = []
-
-        def counting(word):
-            words.append(word)
-            return letters(word)
-
-        letters = tracealg._letters
-        monkeypatch.setattr(tracealg, "_letters", counting)
         assert main(["tracecheck", "--rules", str(rules), "--goal", goal, "--indices", "40"]) == rc
-        assert len(words) <= 315
+        assert len(words_read) <= 315
         assert "relations: 1640\n" in capsys.readouterr().out
 
-    def test_rules_file_reads_each_line_once_on_a_chain(self, monkeypatch):
+    def test_rules_file_reads_each_line_once_on_a_chain(self, words_read):
         # one component of 1,727 lines, each naming A1, A2 and A3: a search
         # that walks a letter's lines once per multiset walks them 1,728 times
         words = [f"Tr(A1^{a}*A2^{b}*A3^{c})" for a in range(1, 13) for b in range(1, 13) for c in range(1, 13)]
@@ -483,16 +489,8 @@ class TestTracecheck:
         for letter, lines in rules.index.items():
             rules.index[letter] = Walked(lines)
             rules.index[letter].letter = letter
-        read = []
-
-        def counting(word):
-            read.append(word)
-            return letters(word)
-
-        letters = tracealg._letters
-        monkeypatch.setattr(tracealg, "_letters", counting)
         assert len(rules.component(tracealg.parse_trace_expr("Tr(A1*A2*A3)"))) == 1727
-        assert len(read) == 2 * 1727
+        assert len(words_read) == 2 * 1727
         assert len(walks) == len(set(walks)) <= 3
 
     def test_goal_parse_error(self, capsys):
