@@ -26,7 +26,7 @@ from .catalog import (
 )
 from .curvature import CurvatureReport, curvature_report, einstein_violation, riemann_suite
 from .exactnum import ScalarRenderError, format_scalar
-from .sweep import MAX_SAMPLES, SweepTooLarge, numeric_sweep, symbolic_sweep
+from .sweep import MAX_NUMERIC_CODIM, MAX_SAMPLES, SweepTooLarge, numeric_sweep, symbolic_sweep
 from .tracealg import (
     MAX_G4_INDICES,
     RulesFile,
@@ -205,6 +205,8 @@ def cmd_sweep(args) -> int:
             raise InputError("--samples must be >= 2 (one sample has nothing to compare with)")
         if args.samples > MAX_SAMPLES:
             raise InputError(f"--samples must be <= {MAX_SAMPLES}")
+        if data.p > MAX_NUMERIC_CODIM:
+            raise InputError(f"{args.dataset}: codim {data.p} exceeds the numeric sweep's bound of {MAX_NUMERIC_CODIM}")
         fields.append(("samples", str(args.samples)))
         fields.append(("seed", str(args.seed)))
         try:
@@ -212,7 +214,7 @@ def cmd_sweep(args) -> int:
         except OverflowError as exc:
             raise InputError(f"{args.dataset}: a coefficient is too large for a float: {exc}") from exc
         except RecursionError as exc:
-            # the Horner plans nest one level per normal direction
+            # the Horner plans nest one level per normal direction; for a caller deep in its stack
             raise InputError(f"{args.dataset}: codim {data.p} is too large for the numeric sweep") from exc
         fields.append(("max_deviation", repr(deviation)))
         fields.append(("tolerance", repr(NUMERIC_TOLERANCE)))

@@ -8,13 +8,14 @@ cut out by r is irreducible and the real sphere is Zariski-dense in it, so no
 nonconstant remainder can vanish on every unit normal.  For a homogeneous
 polynomial `sphere_constant` decides the same from the term table alone,
 without rewriting.  Floating evaluation runs a Horner plan (`horner_plan`),
-which holds every coefficient already converted to float.
+which holds every coefficient already converted to float, at one point
+(`eval_plan`) or at many at once (`eval_plan_columns`).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, repeat
 from typing import Iterable, Mapping
 
 from .exactnum import QuadExt, ZERO, accumulate, format_sum
@@ -222,7 +223,9 @@ def _plan(terms: Mapping[tuple[int, ...], QuadExt]):
     groups: dict[int, dict[tuple[int, ...], QuadExt]] = {}
     for exps, coeff in terms.items():
         groups.setdefault(exps[0], {})[exps[1:]] = coeff
-    return tuple(_plan(groups[e]) if e in groups else None for e in range(max(groups), -1, -1))
+    for e, sub in groups.items():  # a loop, not a generator: one frame per variable
+        groups[e] = _plan(sub)
+    return tuple(groups.get(e) for e in range(max(groups), -1, -1))
 
 
 def eval_plan(plan, point: tuple[float, ...], depth: int = 0) -> float:
@@ -238,3 +241,31 @@ def eval_plan(plan, point: tuple[float, ...], depth: int = 0) -> float:
         if sub is not None:
             acc += sub if type(sub) is float else eval_plan(sub, point, depth + 1)
     return acc
+
+
+def eval_plan_columns(plan, columns, depth: int = 0) -> list[float]:
+    """`eval_plan` at many points at once, columns[d] holding coordinate d of
+    every point: entry i is eval_plan(plan, point i) bit for bit, from the
+    same float operations in the same order.  Runs of multiplications by x
+    go two to a pass as a * x * x, which rounds as two passes do.  The
+    recursive call stays outside the comprehensions (frames of their own on
+    Python 3.10 and 3.11), so the depth is one frame per variable."""
+    if type(plan) is float:
+        return [plan] * len(columns[0])
+    xs = columns[depth]
+    acc, k = [0.0] * len(xs), 0  # k multiplications by x not yet made
+    for sub in plan:
+        k += 1
+        if sub is None:
+            continue
+        while k > 2:
+            acc, k = [a * x * x for a, x in zip(acc, xs)], k - 2
+        values = repeat(sub) if type(sub) is float else eval_plan_columns(sub, columns, depth + 1)
+        if k == 2:
+            acc = [a * x * x + v for a, x, v in zip(acc, xs, values)]
+        else:
+            acc = [a * x + v for a, x, v in zip(acc, xs, values)]
+        k = 0
+    while k > 1:
+        acc, k = [a * x * x for a, x in zip(acc, xs)], k - 2
+    return [a * x for a, x in zip(acc, xs)] if k else acc

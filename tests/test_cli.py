@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from frames import scaled
 from g4_rules import g4_rules_text
+from nan_injection import inject_one_nan
 import willmore
 from willmore import cli, sweep, tracealg
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
@@ -56,11 +57,16 @@ operator A1
 """
 
 
-def deep_codim(entry):
-    """dim 1 and codim 500 with every operator `entry`: the numeric sweep's
-    Horner plans nest one level per normal direction."""
-    operators = "".join(f"operator B{a}\n{entry}\n" for a in range(1, 501))
-    return f"dataset deep\ndim 1\ncodim 500\n{operators}"
+def deep_codim(entry, codim=500):
+    """dim 1 and codim `codim` with every operator `entry`: the numeric
+    sweep's Horner plans nest one level per normal direction."""
+    operators = "".join(f"operator B{a}\n{entry}\n" for a in range(1, codim + 1))
+    return f"dataset deep\ndim 1\ncodim {codim}\n{operators}"
+
+
+def deeper(frames, call):
+    """call() with `frames` more frames on the stack."""
+    return deeper(frames - 1, call) if frames else call()
 
 
 # Tokens of the trace grammar, for mutating valid inputs token by token.
@@ -315,11 +321,13 @@ class TestSweep:
         assert err.startswith("error: --samples") and err.count("\n") == 1
 
     def test_nan_deviation_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr("willmore.sweep.eval_plan", lambda coeff, point: float("nan"))
+        # one NaN drift, of the coefficient of lambda^3 at sample 5 (seed 0)
+        hits = inject_one_nan(monkeypatch, sweep.unit_normal_samples(2, 10, 0)[5], 3)
         assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", "10"]) == 1
         out = capsys.readouterr().out
         assert "max_deviation: nan" in out
         assert "verdict: FAIL" in out
+        assert len(hits) == 1
 
     def test_float_overflow_is_an_input_error(self, capsys, tmp_path):
         huge = "1" + "0" * 400
@@ -338,6 +346,40 @@ class TestSweep:
         assert main(["sweep", str(path), "--mode", "numeric", "--samples", "2"]) == 2
         out, err = capsys.readouterr()
         assert not out and err.startswith("error: ") and err.count("\n") == 1 and "codim 500" in err
+
+    @pytest.mark.parametrize("entry, code", [("0", 0), ("1", 1), ("-2/3*sqrt3", 1)], ids=["zero", "one", "irrational"])
+    def test_codim_at_the_numeric_bound_runs_on_a_deep_stack(self, capsys, tmp_path, entry, code):
+        # dim 1: the coefficients are 1 and the linear form -entry*(t1 + ... + tp)
+        path = tmp_path / "deep.dat"
+        path.write_text(deep_codim(entry, sweep.MAX_NUMERIC_CODIM), encoding="utf-8")
+        args = ["sweep", str(path), "--mode", "numeric", "--samples", "3"]
+        assert deeper(600, lambda: main(args)) == code
+        out, err = capsys.readouterr()
+        assert f"verdict: {'pass' if code == 0 else 'FAIL'}" in out and not err
+
+    def test_codim_above_the_numeric_bound_builds_no_plan(self, capsys, monkeypatch, tmp_path):
+        def refused(*args):
+            raise AssertionError("the sweep ran above the codim bound")
+
+        monkeypatch.setattr(sweep, "normal_char_poly", refused)
+        monkeypatch.setattr(sweep, "horner_plan", refused)
+        codim = sweep.MAX_NUMERIC_CODIM + 1
+        path = tmp_path / "deep.dat"
+        path.write_text(deep_codim("0", codim), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert f"codim {codim}" in err and str(sweep.MAX_NUMERIC_CODIM) in err
+
+    def test_recursion_below_the_codim_bound_is_still_an_input_error(self, capsys, monkeypatch):
+        # a caller whose stack is nearly full already
+        def too_deep(plan, columns):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(sweep, "eval_plan_columns", too_deep)
+        assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", "2"]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("error: ") and err.count("\n") == 1 and "codim 2" in err
 
     def test_codim_too_deep_for_the_numeric_sweep_passes_the_symbolic_one(self, capsys, tmp_path):
         path = tmp_path / "deep.dat"

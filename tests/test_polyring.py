@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from horner_reference import _horner
 from willmore.catalog import builtin
 from willmore.exactnum import ZERO, QuadExt
-from willmore.polyring import MultiPoly, eval_float, eval_plan, horner_plan, reduce_mod_sphere, sphere_constant
+from willmore.polyring import (
+    MultiPoly,
+    eval_float,
+    eval_plan,
+    eval_plan_columns,
+    horner_plan,
+    reduce_mod_sphere,
+    sphere_constant,
+)
 
 
 def rand_poly(rng, nvars, max_terms=6, max_exp=4, span=4):
@@ -133,7 +141,43 @@ def polys_and_points(draw):
     return MultiPoly(p, terms), draw(st.tuples(*[COORDINATE] * p), label="point")
 
 
+# zeros of both signs, units, and coordinates that are or whose powers
+# overflow to inf, where inf * 0 and inf - inf give nan
+WIDE_COORDINATE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e160, -1e160, 1e300, -1e300, math.inf, -math.inf]),
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def polys_and_columns(draw):
+    """Polynomials in 1-4 variables with absent powers: sparse term tables, a
+    single homogeneous term, zero and a constant; 1-12 points as columns."""
+    p = draw(st.integers(1, 4), label="p")
+    exps = st.tuples(*[st.integers(0, 6)] * p)
+    terms = draw(
+        st.one_of(
+            st.dictionaries(exps, SCALAR, max_size=8),
+            st.builds(lambda e, c: {e: c}, exps, SCALAR),
+            st.just({}),
+            st.builds(lambda c: {(0,) * p: c}, SCALAR),
+        ),
+        label="terms",
+    )
+    points = draw(st.lists(st.tuples(*[WIDE_COORDINATE] * p), min_size=1, max_size=12), label="points")
+    return MultiPoly(p, terms), points
+
+
 class TestEvalFloat:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polys_and_columns())
+    def test_columns_are_bit_identical_to_the_plan_at_each_point(self, case):
+        f, points = case
+        plan = horner_plan(f)
+        expected = [repr(eval_plan(plan, point)) for point in points]  # repr tells -0.0 from 0.0
+        assert [repr(v) for v in eval_plan_columns(plan, list(zip(*points)))] == expected
+
     @settings(max_examples=300, deadline=None)
     @given(polys_and_points())
     def test_plan_is_bit_identical_to_recursive_horner(self, case):

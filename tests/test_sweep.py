@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
 from horner_reference import reference_numeric_sweep
-from willmore import sweep
+from nan_injection import inject_one_nan
+from willmore import polyring, sweep
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
 from willmore.cli import NUMERIC_TOLERANCE
 from willmore.exactnum import QuadExt, parse_scalar
@@ -531,8 +532,14 @@ class TestNumeric:
             numeric_sweep(single_operator(["1", "0"]), 1, 0)
 
     def test_nan_drift_is_not_dropped(self, monkeypatch):
-        monkeypatch.setattr("willmore.sweep.eval_plan", lambda coeff, point: math.nan)
-        assert math.isnan(numeric_sweep(builtin("g6_m1_M1"), 10, 0))
+        # one NaN among finite drifts, for one coefficient at one point: the
+        # baseline, one in the middle, the last
+        data = builtin("g6_m1_M1")
+        for index in (0, 5, 9):
+            hits = inject_one_nan(monkeypatch, unit_normal_samples(data.p, 10, 0)[index], 3)
+            assert math.isnan(numeric_sweep(data, 10, 0))
+            assert len(hits) == 1
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_symbolically_constant_implies_tiny_deviation(self, name):
@@ -572,6 +579,27 @@ class TestNumeric:
         data = make()
         for samples, seed in ((2, 0), (300, 7)):
             assert repr(numeric_sweep(data, samples, seed)) == repr(reference_numeric_sweep(data, samples, seed))
+
+    @pytest.mark.parametrize("excess", [-1, 0, 1, 2, 5, 6], ids=lambda e: f"chunk{e:+d}")
+    def test_chunks_end_where_they_should(self, monkeypatch, excess):
+        # chunks of 5: point 0 is the baseline, the drifts run from point 1
+        monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
+        samples = 5 + excess
+        for data in (builtin("g6_m2_M1"), single_operator(["1", "0"]), scaled(builtin("g6_m2_M2"), 10)):
+            sizes = count_calls(monkeypatch, sweep, "eval_plan_columns")
+            deviation = numeric_sweep(data, samples, 7)
+            monkeypatch.setattr(sweep, "eval_plan_columns", polyring.eval_plan_columns)
+            assert repr(deviation) == repr(reference_numeric_sweep(data, samples, 7))
+            chunks = [len(columns[0]) for _, columns in sizes]
+            assert max(chunks) <= 5 and sum(chunks) == samples * (data.n + 1)
+
+    def test_no_point_is_evaluated_alone(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("eval_plan called")
+
+        monkeypatch.setattr(polyring, "eval_plan", refused)
+        data = sum20()
+        assert repr(numeric_sweep(data, 300, 7)) == repr(reference_numeric_sweep(data, 300, 7))
 
     @pytest.mark.parametrize("data", [builtin("g6_m2_M1"), scaled(builtin("g6_m2_M2"), 10)], ids=["plain", "scaled"])
     def test_plans_and_conversions_do_not_grow_with_samples(self, monkeypatch, data):
