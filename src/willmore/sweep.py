@@ -51,7 +51,7 @@ CHUNK_POINTS = 4096
 
 # Bound on the numeric sweep's codim: building and running the Horner plans
 # takes a frame per normal direction.  A dim 1 dataset at the bound passes
-# through `cli.main` called 600 frames deep (about 690 at most, Python 3.11).
+# through `cli.main` called 600 frames deep (up to about 690 under pytest, 3.11).
 MAX_NUMERIC_CODIM = 256
 
 # Bound on the monomial terms of the blocks' characteristic polynomials, at
