@@ -213,9 +213,6 @@ def cmd_sweep(args) -> int:
             deviation = numeric_sweep(data, args.samples, args.seed)
         except OverflowError as exc:
             raise InputError(f"{args.dataset}: a coefficient is too large for a float: {exc}") from exc
-        except RecursionError as exc:
-            # below MAX_NUMERIC_CODIM too, for a caller already deep in its own stack
-            raise InputError(f"{args.dataset}: codim {data.p} is too large for the numeric sweep") from exc
         fields.append(("max_deviation", repr(deviation)))
         fields.append(("tolerance", repr(NUMERIC_TOLERANCE)))
         ok = deviation < NUMERIC_TOLERANCE

@@ -8,8 +8,8 @@ cut out by r is irreducible and the real sphere is Zariski-dense in it, so no
 nonconstant remainder can vanish on every unit normal.  For a homogeneous
 polynomial `sphere_constant` decides the same from the term table alone,
 without rewriting.  Floating evaluation runs a Horner plan (`horner_plan`),
-which holds every coefficient already converted to float, at one point
-(`eval_plan`) or at many at once (`eval_plan_columns`).
+the terms with every coefficient already converted to float, at many points
+at once (`eval_plan_columns`), in one loop over the terms with no recursion.
 """
 
 from __future__ import annotations
@@ -199,73 +199,67 @@ def sphere_constant(f: MultiPoly, degree: int) -> QuadExt | None:
 
 
 def eval_float(f: MultiPoly, point: Iterable[float]) -> float:
-    """Floating evaluation, Horner in each variable in turn."""
+    """Floating evaluation at one point, by `eval_plan_columns`."""
     point = tuple(point)
     if len(point) != f.nvars:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.nvars}")
-    return eval_plan(horner_plan(f), point)
+    if not point:  # a polynomial in no variable is its constant term
+        return f.terms[()].to_float() if f.terms else 0.0
+    return eval_plan_columns(horner_plan(f), [(x,) for x in point])[0]
 
 
-def horner_plan(f: MultiPoly):
-    """f as nested Horner tuples for `eval_plan`, coefficients converted once.
-
-    A plan in no variable is a float; a plan in t_i..t_p is a tuple, from the
-    highest power of t_i down to 0, of the plans in t_(i+1)..t_p of the
-    coefficients of those powers, with None for a power that does not occur.
-    The zero polynomial is 0.0.
-    """
-    return _plan(f.terms) if f.terms else 0.0
+def horner_plan(f: MultiPoly) -> list[tuple[tuple[int, ...], float]]:
+    """The terms of f for `eval_plan_columns`, coefficients converted once, in
+    the order in which Horner's rule meets them: exponent vectors descending."""
+    return sorted(((exps, coeff.to_float()) for exps, coeff in f.terms.items()), reverse=True)
 
 
-def _plan(terms: Mapping[tuple[int, ...], QuadExt]):
-    if () in terms:
-        return terms[()].to_float()
-    groups: dict[int, dict[tuple[int, ...], QuadExt]] = {}
-    for exps, coeff in terms.items():
-        groups.setdefault(exps[0], {})[exps[1:]] = coeff
-    for e, sub in groups.items():  # a loop, not a generator: one frame per variable
-        groups[e] = _plan(sub)
-    return tuple(groups.get(e) for e in range(max(groups), -1, -1))
+def eval_plan_columns(plan, columns) -> list[float]:
+    """A `horner_plan` at many points at once, columns[d] holding coordinate d
+    of every point: Horner's rule in t1, its coefficients by Horner's rule in
+    t2, and so on, in one loop over the terms.  levels[d] = [acc, power] is
+    the open loop in t_(d+1), from acc = 0.0, under the exponents of t1..t_d
+    of the term before.  A term opens levels down to its last nonzero
+    exponent only: a coefficient that is one constant c in the later
+    variables adds c, where a loop in each gives 0.0 * x + ... + c, the same
+    at every finite x."""
+    if not plan:
+        return [0.0] * len(columns[0])
+    levels: list[list] = []
+    prev = plan[0][0]
+    for exps, coeff in plan:
+        d = next((i for i, (e, f) in enumerate(zip(exps, prev)) if e != f), 0)
+        _close(levels, d + 1, columns, prev)
+        last = len(exps) - 1
+        while last > d and not exps[last]:
+            last -= 1
+        for j in range(len(levels), last + 1):
+            levels.append([[0.0] * len(columns[0]), exps[j] + 1])
+        _step(levels[last], columns[last], exps[last], repeat(coeff))
+        prev = exps
+    _close(levels, 1, columns, prev)
+    _step(levels[0], columns[0], 0, None)
+    return levels[0][0]
 
 
-def eval_plan(plan, point: tuple[float, ...], depth: int = 0) -> float:
-    """Evaluate a `horner_plan` at a point of its dimension: acc *= x for every
-    power from the highest down to 0, and acc += the coefficient's value where
-    the power occurs."""
-    if type(plan) is float:
-        return plan
-    x = point[depth]
-    acc = 0.0
-    for sub in plan:
-        acc *= x
-        if sub is not None:
-            acc += sub if type(sub) is float else eval_plan(sub, point, depth + 1)
-    return acc
+def _close(levels: list[list], depth: int, columns, prev: tuple[int, ...]) -> None:
+    """Finish levels[depth:], deepest first, each into the one above at prev."""
+    while len(levels) > depth:
+        d = len(levels) - 1
+        _step(levels[d], columns[d], 0, None)
+        _step(levels[d - 1], columns[d - 1], prev[d - 1], levels.pop()[0])
 
 
-def eval_plan_columns(plan, columns, depth: int = 0) -> list[float]:
-    """`eval_plan` at many points at once, columns[d] holding coordinate d of
-    every point: entry i is eval_plan(plan, point i) bit for bit, from the
-    same float operations in the same order.  Runs of multiplications by x
-    go two to a pass as a * x * x, which rounds as two passes do.  The
-    recursive call stays outside the comprehensions (frames of their own on
-    Python 3.10 and 3.11), so the depth is one frame per variable."""
-    if type(plan) is float:
-        return [plan] * len(columns[0])
-    xs = columns[depth]
-    acc, k = [0.0] * len(xs), 0  # k multiplications by x not yet made
-    for sub in plan:
-        k += 1
-        if sub is None:
-            continue
-        while k > 2:
-            acc, k = [a * x * x for a, x in zip(acc, xs)], k - 2
-        values = repeat(sub) if type(sub) is float else eval_plan_columns(sub, columns, depth + 1)
-        if k == 2:
-            acc = [a * x * x + v for a, x, v in zip(acc, xs, values)]
-        else:
-            acc = [a * x + v for a, x, v in zip(acc, xs, values)]
-        k = 0
-    while k > 1:
+def _step(level: list, xs, power: int, values) -> None:
+    """[acc, p] becomes [acc * x^(p - power) + values, power] (values None adds
+    nothing), multiplying two to a pass as a * x * x, which rounds as two do."""
+    acc, k = level[0], level[1] - power
+    while k > 2 or k == 2 and values is None:
         acc, k = [a * x * x for a, x in zip(acc, xs)], k - 2
-    return [a * x for a, x in zip(acc, xs)] if k else acc
+    if values is None:
+        acc = [a * x for a, x in zip(acc, xs)] if k else acc
+    elif k == 2:
+        acc = [a * x * x + v for a, x, v in zip(acc, xs, values)]
+    else:
+        acc = [a * x + v for a, x, v in zip(acc, xs, values)]
+    level[:] = acc, power

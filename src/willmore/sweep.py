@@ -21,9 +21,9 @@ the product, never on a block: blocks that vary over the sphere can
 multiply to a constant polynomial (see `_block_char_poly`).  The symbolic
 verdict is authoritative; the numeric sweep is a seeded floating cross-check
 meant to catch implementation bugs, never to decide.  It builds the Horner
-plan of each coefficient once and runs it over up to CHUNK_POINTS samples at
-once (`polyring.eval_plan_columns`), bit for bit as at each sample alone;
-the plans nest a level per normal direction, hence MAX_NUMERIC_CODIM.
+plan of each coefficient once, draws the samples CHUNK_POINTS at a time and
+runs each plan over a chunk at once (`polyring.eval_plan_columns`), bit for
+bit as at each sample alone.
 """
 
 from __future__ import annotations
@@ -31,27 +31,26 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, product
+from itertools import combinations_with_replacement, compress, islice, product
 from operator import add, mul, or_
+from typing import Iterator
 
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt, accumulate
 from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
 from .polyring import MultiPoly, eval_plan_columns, horner_plan, reduce_mod_sphere, sphere_constant
 
-# Bound on --samples: the sample points are all held at once, and at the
-# bound a numeric sweep of the n = 20, p = 3 direct sum g6_m2_M2 + g6_m2_M2
-# takes about 6.5 s on a 2-core Xeon VM with Python 3.11 (peak RSS 34 MB),
-# nearly all of it evaluating the Horner plans; its exact char_poly takes
-# 20 ms.
+# Bound on --samples: at the bound a numeric sweep of the n = 20, p = 3
+# direct sum g6_m2_M2 + g6_m2_M2 takes about 6.7 s on a 2-core Xeon VM with
+# Python 3.11 (peak RSS 19 MB), nearly all of it evaluating the Horner plans;
+# its exact char_poly takes 20 ms.
 MAX_SAMPLES = 100_000
 
 # The numeric sweep runs each plan over at most this many points at once.
 CHUNK_POINTS = 4096
 
-# Bound on the numeric sweep's codim: building and running the Horner plans
-# takes a frame per normal direction.  A dim 1 dataset at the bound passes
-# through `cli.main` called 600 frames deep (up to about 690 under pytest, 3.11).
+# Bound on the numeric sweep's codim: a chunk holds CHUNK_POINTS x codim
+# coordinates; at the bound a dim 1 dataset peaks at 106 MB RSS.
 MAX_NUMERIC_CODIM = 256
 
 # Bound on the monomial terms of the blocks' characteristic polynomials, at
@@ -222,9 +221,19 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
                     ey[m + m2] = ey.get(m + m2, 0) + x1 * y2 + y1 * x2
             f *= i - k
         elementary.append([(m, x, ey[m]) for m, x in ex.items() if x or ey[m]])
-        terms = {tuple(m // base**a % base for a in range(p)): QuadExt._make(x, y, d) for m, x, y in elementary[k]}
+        terms = {_unpack(m, base, p): QuadExt._make(x, y, d) for m, x, y in elementary[k]}
         coeffs[n - k] = MultiPoly._of(p, terms)
     return UniPoly(coeffs)
+
+
+def _unpack(m: int, base: int, p: int) -> tuple[int, ...]:
+    """The exponent vector of the packed monomial m: its p lowest digits in
+    base `base`, one divmod each."""
+    exps = []
+    for _ in range(p):
+        m, e = divmod(m, base)
+        exps.append(e)
+    return tuple(exps)
 
 
 def _pack(rows: list[Row], weights: list[int]) -> tuple:
@@ -277,29 +286,28 @@ def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:
     return SweepVerdict(True, UniPoly(constants), None, None)
 
 
-def unit_normal_samples(p: int, samples: int, seed: int) -> list[tuple[float, ...]]:
-    """Deterministic unit normals: alternating signs (p=1), jittered angles
-    (p=2), normalized Gaussian deviates (p>=3)."""
+def unit_normal_samples(p: int, samples: int, seed: int) -> Iterator[tuple[float, ...]]:
+    """Deterministic unit normals, each drawn when it is taken: alternating
+    signs (p=1), jittered angles (p=2), normalized Gaussian deviates (p>=3)."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
-    points: list[tuple[float, ...]] = []
     if p == 1:
         for i in range(samples):
-            points.append((1.0 if i % 2 == 0 else -1.0,))
+            yield (1.0 if i % 2 == 0 else -1.0,)
     elif p == 2:
         step = 2.0 * math.pi / samples
         for i in range(samples):
             theta = i * step + rng.uniform(0.0, step)
-            points.append((math.cos(theta), math.sin(theta)))
+            yield (math.cos(theta), math.sin(theta))
     else:
-        while len(points) < samples:
+        while samples:
             coords = [rng.gauss(0.0, 1.0) for _ in range(p)]
             norm = math.sqrt(math.fsum(c * c for c in coords))
             if norm < 1e-9:
                 continue
-            points.append(tuple(c / norm for c in coords))
-    return points
+            samples -= 1
+            yield tuple(c / norm for c in coords)
 
 
 def _scale_exponent(data: ShapeOperatorSet) -> int:
@@ -333,10 +341,10 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
         coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
     plans = [horner_plan(c) for c in coeffs]
     points = unit_normal_samples(data.p, samples, seed)
-    baseline = [eval_plan_columns(plan, [(x,) for x in points[0]])[0] for plan in plans]
+    first = [(x,) for x in next(points)]
+    baseline = [eval_plan_columns(plan, first)[0] for plan in plans]
     deviation = 0.0
-    for start in range(1, samples, CHUNK_POINTS):
-        columns = list(zip(*points[start : start + CHUNK_POINTS]))
+    while columns := list(zip(*islice(points, CHUNK_POINTS))):
         for base, plan in zip(baseline, plans):
             drifts = [abs(v - base) for v in eval_plan_columns(plan, columns)]
             total = sum(drifts)  # NaN iff a drift is: none is negative

@@ -36,7 +36,7 @@ def reference_numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int) -> 
     e = _scale_exponent(data)
     if e:
         coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
-    points = unit_normal_samples(data.p, samples, seed)
+    points = list(unit_normal_samples(data.p, samples, seed))
     baseline = [_horner(c.terms, points[0]) for c in coeffs]
     deviation = 0.0
     for point in points[1:]:

@@ -10,8 +10,7 @@ from willmore import sweep
 
 def inject_one_nan(monkeypatch, point: tuple[float, ...], power: int) -> list[int]:
     """Patch `sweep` so that the plan of the coefficient of lambda^power gives
-    NaN at `point`; returns the record of the chunk positions it was put at.
-    That coefficient must not be constant: equal float plans may be one object."""
+    NaN at `point`; returns the record of the chunk positions it was put at."""
     plans, hits = [], []
     horner_plan, evaluate = sweep.horner_plan, sweep.eval_plan_columns
 

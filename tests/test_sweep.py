@@ -57,6 +57,13 @@ def sum30():
     return direct_sum(sum20(), builtin("g6_m2_M2"))
 
 
+def dim1(codim):
+    """dim 1 and codim `codim`, operator B_a = a % 7 + 1: the coefficient of
+    lambda^0 is a linear form in every normal direction."""
+    ops = tuple(Matrix([[QuadExt(a % 7 + 1)]]) for a in range(1, codim + 1))
+    return ShapeOperatorSet(f"dim1_codim{codim}", 1, codim, ops, tuple(f"B{a}" for a in range(1, codim + 1)))
+
+
 def count_calls(monkeypatch, owner, name):
     """Wrap owner.name so that every call is recorded; returns the record."""
     calls = []
@@ -309,6 +316,15 @@ class TestSymbolic:
 
 
 class TestNormalCharPoly:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 11).flatmap(lambda b: st.tuples(st.just(b), st.lists(st.integers(0, b - 1), max_size=40))))
+    def test_unpacking_equals_the_digit_expression(self, case):
+        # a packed monomial: exponent a of t_(a+1) is digit a in base n + 1
+        base, digits = case
+        m = sum(e * base**a for a, e in enumerate(digits))
+        p = len(digits)
+        assert sweep._unpack(m, base, p) == tuple(m // base**a % base for a in range(p)) == tuple(digits)
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins(self, name):
         assert_kernel_matches_reference(builtin(name))
@@ -536,7 +552,7 @@ class TestNumeric:
         # baseline, one in the middle, the last
         data = builtin("g6_m1_M1")
         for index in (0, 5, 9):
-            hits = inject_one_nan(monkeypatch, unit_normal_samples(data.p, 10, 0)[index], 3)
+            hits = inject_one_nan(monkeypatch, list(unit_normal_samples(data.p, 10, 0))[index], 3)
             assert math.isnan(numeric_sweep(data, 10, 0))
             assert len(hits) == 1
             monkeypatch.undo()
@@ -565,19 +581,24 @@ class TestNumeric:
         assert numeric_sweep(data, 1000, 0) >= NUMERIC_TOLERANCE
 
     @pytest.mark.parametrize(
-        "make",
-        [lambda name=name: builtin(name) for name in BUILTIN_NAMES]
-        + [
-            lambda: single_operator(["1", "0"], "lopsided"),
-            lambda: scaled(builtin("g6_m2_M2"), 10),
-            single_normal,
-            sum20,
-        ],
-        ids=list(BUILTIN_NAMES) + ["lopsided", "scaled10", "p1", "sum20"],
+        "make, runs",
+        [
+            (make, ((2, 0), (300, 7)))
+            for make in [lambda name=name: builtin(name) for name in BUILTIN_NAMES]
+            + [
+                lambda: single_operator(["1", "0"], "lopsided"),
+                lambda: scaled(builtin("g6_m2_M2"), 10),
+                single_normal,
+                sum20,
+            ]
+        ]
+        # the reference recurses through about codim^2 / 4 groups per point
+        + [(lambda: dim1(sweep.MAX_NUMERIC_CODIM), ((50, 0),))],
+        ids=list(BUILTIN_NAMES) + ["lopsided", "scaled10", "p1", "sum20", "codim256"],
     )
-    def test_equals_the_recursive_horner_loop(self, make):
+    def test_equals_the_recursive_horner_loop(self, make, runs):
         data = make()
-        for samples, seed in ((2, 0), (300, 7)):
+        for samples, seed in runs:
             assert repr(numeric_sweep(data, samples, seed)) == repr(reference_numeric_sweep(data, samples, seed))
 
     @pytest.mark.parametrize("excess", [-1, 0, 1, 2, 5, 6], ids=lambda e: f"chunk{e:+d}")
@@ -593,13 +614,36 @@ class TestNumeric:
             chunks = [len(columns[0]) for _, columns in sizes]
             assert max(chunks) <= 5 and sum(chunks) == samples * (data.n + 1)
 
-    def test_no_point_is_evaluated_alone(self, monkeypatch):
-        def refused(*args):
-            raise AssertionError("eval_plan called")
+    def test_points_are_drawn_a_chunk_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
+        draw, evaluate = sweep.unit_normal_samples, sweep.eval_plan_columns
+        drawn, seen = [], []
 
-        monkeypatch.setattr(polyring, "eval_plan", refused)
-        data = sum20()
-        assert repr(numeric_sweep(data, 300, 7)) == repr(reference_numeric_sweep(data, 300, 7))
+        def counted(p, samples, seed):
+            for point in draw(p, samples, seed):
+                drawn.append(point)
+                yield point
+
+        def recorded(plan, columns):
+            seen.append(len(drawn))
+            return evaluate(plan, columns)
+
+        monkeypatch.setattr(sweep, "unit_normal_samples", counted)
+        monkeypatch.setattr(sweep, "eval_plan_columns", recorded)
+        numeric_sweep(builtin("g6_m2_M1"), 16, 0)
+        # the baseline point, then three chunks of five
+        assert sorted(set(seen)) == [1, 6, 11, 16]
+
+    def test_column_passes_grow_linearly_in_codim(self, monkeypatch):
+        # the lambda^0 coefficient is a linear form in every direction: a plan
+        # nested a level per direction made about codim^2 / 2 evaluations
+        passes = []
+        for codim in (64, 128):
+            calls = count_calls(monkeypatch, polyring, "_step")
+            numeric_sweep(dim1(codim), 10, 0)
+            monkeypatch.undo()
+            passes.append(len(calls))
+        assert passes[1] <= 2.1 * passes[0]
 
     @pytest.mark.parametrize("data", [builtin("g6_m2_M1"), scaled(builtin("g6_m2_M2"), 10)], ids=["plain", "scaled"])
     def test_plans_and_conversions_do_not_grow_with_samples(self, monkeypatch, data):
@@ -615,9 +659,9 @@ class TestNumeric:
 
     def test_samples_are_deterministic_and_unit_length(self):
         for p in (1, 2, 3):
-            first = unit_normal_samples(p, 50, 7)
-            second = unit_normal_samples(p, 50, 7)
+            first = list(unit_normal_samples(p, 50, 7))
+            second = list(unit_normal_samples(p, 50, 7))
             assert first == second
             for point in first:
                 assert abs(sum(c * c for c in point) - 1.0) < 1e-12
-        assert unit_normal_samples(1, 4, 0) == [(1.0,), (-1.0,), (1.0,), (-1.0,)]
+        assert list(unit_normal_samples(1, 4, 0)) == [(1.0,), (-1.0,), (1.0,), (-1.0,)]
