@@ -23,9 +23,9 @@ serialize -> parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cache
 
+from ._record import Record
 from .exactnum import QuadExt, ScalarParseError, format_scalar, parse_scalar
 from .linalg import Matrix
 
@@ -40,19 +40,20 @@ class DatasetFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class ShapeOperatorSet:
+class ShapeOperatorSet(Record):
     """A named point-datum: p symmetric n x n shape operators over Q(sqrt(3))."""
 
-    name: str
-    n: int
-    p: int
-    operators: tuple[Matrix, ...]
-    labels: tuple[str, ...]
-    g_tag: int | None = field(default=None, compare=False)
-    m_tag: int | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        n: int,
+        p: int,
+        operators: tuple[Matrix, ...],
+        labels: tuple[str, ...],
+        g_tag: int | None = None,
+        m_tag: int | None = None,
+    ) -> None:
+        self._set(name, n, p, operators, labels, g_tag, m_tag)
         if len(self.operators) != self.p:
             raise ValueError(f"expected {self.p} operators, got {len(self.operators)}")
         if len(self.labels) != self.p:
@@ -63,16 +64,19 @@ class ShapeOperatorSet:
             if not op.is_symmetric():
                 raise ValueError(f"operator {label} is not symmetric")
 
+    def _key(self) -> tuple:
+        # the tags say where a dataset came from: a parsed built-in equals the built-in
+        return self.name, self.n, self.p, self.operators, self.labels
+
 
 # Block cells are None (zero), ("I", q) or ("J", q); "I" expands to q times the
 # identity stencil and "J" to q times the rotation generator [[0, -1], [1, 0]].
 Cell = tuple[str, QuadExt] | None
 
 
-@dataclass(frozen=True)
-class BlockSpec:
-    grid: tuple[tuple[Cell, ...], ...]
-    block: int = 2
+class BlockSpec(Record):
+    def __init__(self, grid: tuple[tuple[Cell, ...], ...], block: int = 2) -> None:
+        self._set(grid, block)
 
 
 def expand_blocks(spec: BlockSpec) -> Matrix:

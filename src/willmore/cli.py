@@ -13,7 +13,6 @@ import functools
 import itertools
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -26,7 +25,14 @@ from .catalog import (
 )
 from .curvature import CurvatureReport, curvature_report, einstein_violation, riemann_suite
 from .exactnum import ScalarRenderError, format_scalar
-from .sweep import MAX_NUMERIC_CODIM, MAX_SAMPLES, SweepTooLarge, numeric_sweep, symbolic_sweep
+from .sweep import (
+    MAX_NUMERIC_CODIM,
+    MAX_SAMPLE_COORDINATES,
+    MAX_SAMPLES,
+    SweepTooLarge,
+    numeric_sweep,
+    symbolic_sweep,
+)
 from .tracealg import (
     MAX_G4_INDICES,
     RulesFile,
@@ -46,10 +52,22 @@ class InputError(Exception):
     pass
 
 
-@dataclass
 class Certificate:
-    header: list[tuple[str, str]] = field(default_factory=list)
-    sections: list[tuple[str, list[tuple[str, str]]]] = field(default_factory=list)
+    def __init__(
+        self,
+        header: list[tuple[str, str]] | None = None,
+        sections: list[tuple[str, list[tuple[str, str]]]] | None = None,
+    ) -> None:
+        self.header = [] if header is None else header
+        self.sections = [] if sections is None else sections
+
+    def __repr__(self) -> str:
+        return f"Certificate(header={self.header!r}, sections={self.sections!r})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.header, self.sections) == (other.header, other.sections)
 
     def add(self, key: str, value: str) -> None:
         self.header.append((key, value))
@@ -207,6 +225,11 @@ def cmd_sweep(args) -> int:
             raise InputError(f"--samples must be <= {MAX_SAMPLES}")
         if data.p > MAX_NUMERIC_CODIM:
             raise InputError(f"{args.dataset}: codim {data.p} exceeds the numeric sweep's bound of {MAX_NUMERIC_CODIM}")
+        if args.samples * data.p > MAX_SAMPLE_COORDINATES:
+            raise InputError(
+                f"--samples {args.samples} at codim {data.p} draws {args.samples * data.p} coordinates, "
+                f"above the numeric sweep's bound of {MAX_SAMPLE_COORDINATES}"
+            )
         fields.append(("samples", str(args.samples)))
         fields.append(("seed", str(args.seed)))
         try:

@@ -18,8 +18,7 @@ products and QuadExt sums, are the reference the tests hold both to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt
 from .linalg import Matrix, Row, integer_rows, lower_pair_products
@@ -70,14 +69,17 @@ def riemann(data: ShapeOperatorSet, i: int, j: int, k: int, l: int) -> QuadExt:
     return value
 
 
-@dataclass(frozen=True)
-class WillmoreReport:
+class WillmoreReport(Record):
     """Both forms of the Willmore traces, plus their exact cross-check."""
 
-    willmore: bool
-    cubic_traces: tuple[QuadExt, ...]   # Tr((sum_b A_b^2) A_a) per normal direction
-    ricci_traces: tuple[QuadExt, ...]   # Tr(Ric A_a) = sum_ij R_ij h_ij^a
-    consistent: bool                    # Tr(Ric A_a) == (n-1) Tr A_a - cubic trace
+    def __init__(
+        self,
+        willmore: bool,
+        cubic_traces: tuple[QuadExt, ...],  # Tr((sum_b A_b^2) A_a) per normal direction
+        ricci_traces: tuple[QuadExt, ...],  # Tr(Ric A_a) = sum_ij R_ij h_ij^a
+        consistent: bool,                   # Tr(Ric A_a) == (n-1) Tr A_a - cubic trace
+    ) -> None:
+        self._set(willmore, cubic_traces, ricci_traces, consistent)
 
     @property
     def willmore_ricci_form(self) -> bool:
@@ -127,15 +129,18 @@ def einstein_violation(ric: Matrix) -> tuple[int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class CurvatureReport:
+class CurvatureReport(Record):
     """One dataset's full pointwise verification record."""
 
-    minimal: bool
-    square_norm: QuadExt
-    ricci: Matrix | None
-    einstein: QuadExt | None
-    willmore: WillmoreReport | None
+    def __init__(
+        self,
+        minimal: bool,
+        square_norm: QuadExt,
+        ricci: Matrix | None,
+        einstein: QuadExt | None,
+        willmore: WillmoreReport | None,
+    ) -> None:
+        self._set(minimal, square_norm, ricci, einstein, willmore)
 
     @property
     def verified(self) -> bool:

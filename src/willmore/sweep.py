@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, islice, product
 from operator import add, mul, or_
 from typing import Iterator
 
+from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt, accumulate
 from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
@@ -45,6 +45,12 @@ from .polyring import MultiPoly, eval_plan_columns, horner_plan, reduce_mod_sphe
 # Python 3.11 (peak RSS 19 MB), nearly all of it evaluating the Horner plans;
 # its exact char_poly takes 20 ms.
 MAX_SAMPLES = 100_000
+
+# Bound on --samples x codim, the Gaussian deviates a numeric sweep draws,
+# one at a time, about 1 us each: at the bound a dim 1 dataset at codim
+# MAX_NUMERIC_CODIM with 4,000 samples takes about 2 s on a 2-core Xeon VM
+# with Python 3.11; 100,000 samples at that codim took 52 s.
+MAX_SAMPLE_COORDINATES = 1_024_000
 
 # The numeric sweep runs each plan over at most this many points at once.
 CHUNK_POINTS = 4096
@@ -64,14 +70,15 @@ class SweepTooLarge(ValueError):
     """The blocks' characteristic polynomials may hold more than MAX_SWEEP_TERMS terms."""
 
 
-@dataclass(frozen=True)
-class SweepVerdict:
-    constant: bool
-    char_poly: UniPoly | None          # over QuadExt, set iff constant
-    witness: MultiPoly | None          # first non-constant reduced coefficient
-    witness_power: int | None          # lambda-power of the witness
-
-    def __post_init__(self) -> None:
+class SweepVerdict(Record):
+    def __init__(
+        self,
+        constant: bool,
+        char_poly: UniPoly | None,      # over QuadExt, set iff constant
+        witness: MultiPoly | None,      # first non-constant reduced coefficient
+        witness_power: int | None,      # lambda-power of the witness
+    ) -> None:
+        self._set(constant, char_poly, witness, witness_power)
         if self.constant != (self.char_poly is not None) or self.constant != (self.witness is None):
             raise ValueError("verdict fields do not match the constant flag")
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 import itertools
 import re
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._record import Record
 from .exactnum import _SPACE, ONE, QuadExt, ScalarParseError, accumulate, scan_scalar
 from .linalg import components
 
@@ -188,20 +188,21 @@ class TraceExpr:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SchematicIdentity:
+class SchematicIdentity(Record):
     """A matrix identity schema over index variables, asserted zero.
 
     `terms` are (coefficient, word-of-variable-symbols); `distinct` lists
     variable pairs that an instantiation must keep different.
     """
 
-    name: str
-    variables: tuple[str, ...]
-    terms: tuple[tuple[int, tuple[str, ...]], ...]
-    distinct: tuple[tuple[str, str], ...] = ()
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        name: str,
+        variables: tuple[str, ...],
+        terms: tuple[tuple[int, tuple[str, ...]], ...],
+        distinct: tuple[tuple[str, str], ...] = (),
+    ) -> None:
+        self._set(name, variables, terms, distinct)
         symbols = set(self.variables)
         for _, word in self.terms:
             unknown = set(word) - symbols
@@ -368,23 +369,18 @@ def g4_block(word: Word) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class GoalReduction:
-    alpha: int
-    goal: TraceExpr
-    steps: tuple[str, ...]
-    residual: TraceExpr
+class GoalReduction(Record):
+    def __init__(self, alpha: int, goal: TraceExpr, steps: tuple[str, ...], residual: TraceExpr) -> None:
+        self._set(alpha, goal, steps, residual)
 
     @property
     def closed(self) -> bool:
         return not self.residual
 
 
-@dataclass(frozen=True)
-class ProofReport:
-    p: int
-    relation_count: int
-    goals: tuple[GoalReduction, ...]
+class ProofReport(Record):
+    def __init__(self, p: int, relation_count: int, goals: tuple[GoalReduction, ...]) -> None:
+        self._set(p, relation_count, goals)
 
     @property
     def verdict(self) -> bool:

@@ -11,22 +11,26 @@ from willmore.sweep import _scale_exponent, normal_char_poly, unit_normal_sample
 
 
 def _horner(terms, point):
-    if not terms:
-        return 0.0
-    if not point:
-        coeff = terms.get(())
-        return coeff.to_float() if coeff is not None else 0.0
+    """The MultiPoly term table `terms` at `point`."""
+    return _horner_from(list(terms.items()), point, 0) if terms else 0.0
+
+
+def _horner_from(terms, point, d):
+    """Horner's rule in point[d] over the (exponents, coefficient) pairs
+    `terms`, whose exponents agree before d: its coefficients grouped by
+    exps[d], each by Horner's rule in the later coordinates."""
+    if d == len(point):
+        return terms[0][1].to_float()
     groups = {}
-    for exps, coeff in terms.items():
-        groups.setdefault(exps[0], {})[exps[1:]] = coeff
-    x = point[0]
-    rest = point[1:]
+    for term in terms:
+        groups.setdefault(term[0][d], []).append(term)
+    x = point[d]
     acc = 0.0
     for e in range(max(groups), -1, -1):
         acc *= x
         sub = groups.get(e)
         if sub is not None:
-            acc += _horner(sub, rest)
+            acc += _horner_from(sub, point, d + 1)
     return acc
 
 

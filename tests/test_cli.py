@@ -380,6 +380,32 @@ class TestSweep:
         assert not out and err.count("\n") == 1
         assert f"codim {codim}" in err and str(sweep.MAX_NUMERIC_CODIM) in err
 
+    def test_samples_times_codim_at_the_bound_runs(self, capsys, tmp_path):
+        codim = sweep.MAX_NUMERIC_CODIM
+        samples = sweep.MAX_SAMPLE_COORDINATES // codim
+        assert samples * codim == sweep.MAX_SAMPLE_COORDINATES
+        path = tmp_path / "deep.dat"
+        path.write_text(deep_codim("1", codim), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", str(samples)]) == 1
+        out, err = capsys.readouterr()
+        assert f"samples: {samples}\n" in out and "verdict: FAIL" in out and not err
+
+    def test_samples_times_codim_above_the_bound_draws_no_sample(self, capsys, monkeypatch, tmp_path):
+        def refused(*args):
+            raise AssertionError("the sweep ran above the bound on samples x codim")
+
+        monkeypatch.setattr(sweep, "normal_char_poly", refused)
+        monkeypatch.setattr(sweep, "unit_normal_samples", refused)
+        codim, samples = 127, 8063
+        assert codim * samples == sweep.MAX_SAMPLE_COORDINATES + 1
+        path = tmp_path / "deep.dat"
+        path.write_text(deep_codim("1", codim), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", str(samples)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert err.startswith(f"error: --samples {samples} at codim {codim}")
+        assert str(sweep.MAX_SAMPLE_COORDINATES) in err
+
     def test_codim_too_deep_for_the_numeric_sweep_passes_the_symbolic_one(self, capsys, tmp_path):
         path = tmp_path / "deep.dat"
         path.write_text(deep_codim("0"), encoding="utf-8")

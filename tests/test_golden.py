@@ -18,14 +18,13 @@ and review the diff; that also rewrites the committed input files.
 import contextlib
 import io
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals
 from g4_rules import g4_rules_text
-from willmore.catalog import BUILTIN_NAMES, builtin, serialize_dataset
+from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -40,12 +39,13 @@ def cayley_dataset():
     rng = random.Random(2014)
     data = change_frame(builtin("g6_m2_M2"), cayley_frame(10, rng))
     data = rotate_normals(data, cayley_frame(3, rng))
-    return replace(data, name="g6_m2_M2_cayley")
+    return ShapeOperatorSet("g6_m2_M2_cayley", data.n, data.p, data.operators, data.labels)
 
 
 def sum20_dataset():
     """The direct sum of two g6_m2_M2, n = 20: each of its blocks twice."""
-    return replace(direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2")), name="sum20_g6_m2_M2")
+    data = direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))
+    return ShapeOperatorSet("sum20_g6_m2_M2", data.n, data.p, data.operators, data.labels)
 
 
 # committed input file -> the generator of its text
