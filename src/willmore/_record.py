@@ -1,11 +1,13 @@
 """The base of the package's immutable result records.
 
 A record's fields are the parameters of its `__init__`, in order, which
-validates its arguments and stores them with `_set`.  The base gives each
-record a `Name(field=value, ...)` repr, equality and a hash over `_key()`
-(every field unless the record says otherwise), and an AttributeError on
-assigning or deleting an attribute.  Pickling and copying need nothing
-more: they restore the instance `__dict__` without calling `__setattr__`.
+validates its arguments and stores them with `_set`; their names are kept
+in `__match_args__`, which class patterns in `match` read too.  The base
+gives each record a `Name(field=value, ...)` repr, equality and a hash
+over `_key()` (every field unless the record says otherwise), and an
+AttributeError on assigning or deleting an attribute.  Pickling and
+copying need nothing more: they restore the instance `__dict__` without
+calling `__setattr__`.
 """
 
 from __future__ import annotations

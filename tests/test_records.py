@@ -133,6 +133,7 @@ def test_record_behaves_as_its_dataclass_did(cls):
         del mutable.sections
         assert not hasattr(mutable, "sections")
     else:
+        assert cls.__match_args__ == fields  # positional class patterns in `match`
         for name in [*fields, "extra"]:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
@@ -156,13 +157,6 @@ def test_shape_operator_set_tags_are_not_compared():
     assert parse_dataset(serialize_dataset(data)) == data
     renamed = ShapeOperatorSet("other", data.n, data.p, data.operators, data.labels, 6, 2)
     assert renamed != data
-
-
-def test_properties_survive_pickling():
-    report = pickle.loads(pickle.dumps(verify_g4(3)))
-    assert report.verdict and all(goal.closed for goal in report.goals)
-    assert pickle.loads(pickle.dumps(curvature_report(builtin("g6_m2_M2")))).verified
-    assert pickle.loads(pickle.dumps(willmore_check(builtin("g6_m2_M2")))).willmore_ricci_form
 
 
 ONE = Matrix([[QuadExt(1)]])
