@@ -7,15 +7,16 @@ the unit sphere exactly when its remainder is a constant: the complex quadric
 cut out by r is irreducible and the real sphere is Zariski-dense in it, so no
 nonconstant remainder can vanish on every unit normal.  For a homogeneous
 polynomial `sphere_constant` decides the same from the term table alone,
-without rewriting.  Floating evaluation runs a Horner plan (`horner_plan`),
-the terms with every coefficient already converted to float, at many points
-at once (`eval_plan_columns`), in one loop over the terms with no recursion.
+without rewriting.  Floating evaluation takes the terms with every
+coefficient converted to float once (`float_terms`) and adds them up at many
+points at once (`eval_terms`), in loops, with no recursion.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement, repeat
+from operator import add, mul
 from typing import Iterable, Mapping
 
 from .exactnum import QuadExt, ZERO, accumulate, format_sum
@@ -199,67 +200,36 @@ def sphere_constant(f: MultiPoly, degree: int) -> QuadExt | None:
 
 
 def eval_float(f: MultiPoly, point: Iterable[float]) -> float:
-    """Floating evaluation at one point, by `eval_plan_columns`."""
+    """Floating evaluation at one point, by `eval_terms`."""
     point = tuple(point)
     if len(point) != f.nvars:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.nvars}")
-    if not point:  # a polynomial in no variable is its constant term
-        return f.terms[()].to_float() if f.terms else 0.0
-    return eval_plan_columns(horner_plan(f), [(x,) for x in point])[0]
+    return eval_terms(float_terms(f), [(x,) for x in point], 1)[0]
 
 
-def horner_plan(f: MultiPoly) -> list[tuple[tuple[int, ...], float]]:
-    """The terms of f for `eval_plan_columns`, coefficients converted once, in
-    the order in which Horner's rule meets them: exponent vectors descending."""
-    return sorted(((exps, coeff.to_float()) for exps, coeff in f.terms.items()), reverse=True)
+def float_terms(f: MultiPoly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+    """The terms of f for `eval_terms`, exponent vectors descending: each
+    coefficient converted to float once, with the (variable, exponent) pairs
+    of its nonzero exponents."""
+    return [
+        (coeff.to_float(), tuple((d, e) for d, e in enumerate(exps) if e))
+        for exps, coeff in sorted(f.terms.items(), reverse=True)
+    ]
 
 
-def eval_plan_columns(plan, columns) -> list[float]:
-    """A `horner_plan` at many points at once, columns[d] holding coordinate d
-    of every point: Horner's rule in t1, its coefficients by Horner's rule in
-    t2, and so on, in one loop over the terms.  levels[d] = [acc, power] is
-    the open loop in t_(d+1), from acc = 0.0, under the exponents of t1..t_d
-    of the term before.  A term opens levels down to its last nonzero
-    exponent only: a coefficient that is one constant c in the later
-    variables adds c, where a loop in each gives 0.0 * x + ... + c, the same
-    at every finite x."""
-    if not plan:
-        return [0.0] * len(columns[0])
-    levels: list[list] = []
-    prev = plan[0][0]
-    for exps, coeff in plan:
-        d = next((i for i, (e, f) in enumerate(zip(exps, prev)) if e != f), 0)
-        _close(levels, d + 1, columns, prev)
-        last = len(exps) - 1
-        while last > d and not exps[last]:
-            last -= 1
-        for j in range(len(levels), last + 1):
-            levels.append([[0.0] * len(columns[0]), exps[j] + 1])
-        _step(levels[last], columns[last], exps[last], repeat(coeff))
-        prev = exps
-    _close(levels, 1, columns, prev)
-    _step(levels[0], columns[0], 0, None)
-    return levels[0][0]
-
-
-def _close(levels: list[list], depth: int, columns, prev: tuple[int, ...]) -> None:
-    """Finish levels[depth:], deepest first, each into the one above at prev."""
-    while len(levels) > depth:
-        d = len(levels) - 1
-        _step(levels[d], columns[d], 0, None)
-        _step(levels[d - 1], columns[d - 1], prev[d - 1], levels.pop()[0])
-
-
-def _step(level: list, xs, power: int, values) -> None:
-    """[acc, p] becomes [acc * x^(p - power) + values, power] (values None adds
-    nothing), multiplying two to a pass as a * x * x, which rounds as two do."""
-    acc, k = level[0], level[1] - power
-    while k > 2 or k == 2 and values is None:
-        acc, k = [a * x * x for a, x in zip(acc, xs)], k - 2
-    if values is None:
-        acc = [a * x for a, x in zip(acc, xs)] if k else acc
-    elif k == 2:
-        acc = [a * x * x + v for a, x, v in zip(acc, xs, values)]
-    else:
-        acc = [a * x + v for a, x, v in zip(acc, xs, values)]
-    level[:] = acc, power
+def eval_terms(terms, columns, size: int) -> list[float]:
+    """`float_terms` at `size` points at once, columns[d] holding coordinate d
+    of every point: each term is its coefficient times its power columns, one
+    map chain over the points, and the terms are added in their order.  The
+    power column x^e is x^(e-1) * x, built once, in a loop."""
+    powers = [[None, column] for column in columns]  # powers[d][e] = x_d^e
+    total = [0.0] * size
+    for coeff, factors in terms:
+        value = repeat(coeff, size)
+        for d, e in factors:
+            ladder = powers[d]
+            while len(ladder) <= e:
+                ladder.append(list(map(mul, ladder[-1], columns[d])))
+            value = map(mul, value, ladder[e])
+        total = list(map(add, total, value))
+    return total

@@ -20,10 +20,10 @@ are all constant multiply to a constant; otherwise the verdict is taken on
 the product, never on a block: blocks that vary over the sphere can
 multiply to a constant polynomial (see `_block_char_poly`).  The symbolic
 verdict is authoritative; the numeric sweep is a seeded floating cross-check
-meant to catch implementation bugs, never to decide.  It builds the Horner
-plan of each coefficient once, draws the samples CHUNK_POINTS at a time and
-runs each plan over a chunk at once (`polyring.eval_plan_columns`), bit for
-bit as at each sample alone.
+meant to catch implementation bugs, never to decide.  It converts each
+coefficient's terms to float once (`polyring.float_terms`), draws the
+samples CHUNK_POINTS at a time and adds up each coefficient's terms over a
+chunk at once (`polyring.eval_terms`), bit for bit as at each sample alone.
 """
 
 from __future__ import annotations
@@ -38,11 +38,11 @@ from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt, accumulate
 from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
-from .polyring import MultiPoly, eval_plan_columns, horner_plan, reduce_mod_sphere, sphere_constant
+from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere, sphere_constant
 
 # Bound on --samples: at the bound a numeric sweep of the n = 20, p = 3
 # direct sum g6_m2_M2 + g6_m2_M2 takes about 6.7 s on a 2-core Xeon VM with
-# Python 3.11 (peak RSS 19 MB), nearly all of it evaluating the Horner plans;
+# Python 3.11 (peak RSS 19 MB), nearly all of it evaluating the float terms;
 # its exact char_poly takes 20 ms.
 MAX_SAMPLES = 100_000
 
@@ -52,7 +52,7 @@ MAX_SAMPLES = 100_000
 # with Python 3.11; 100,000 samples at that codim took 52 s.
 MAX_SAMPLE_COORDINATES = 1_024_000
 
-# The numeric sweep runs each plan over at most this many points at once.
+# The numeric sweep evaluates the terms at no more than this many points at once.
 CHUNK_POINTS = 4096
 
 # Bound on the numeric sweep's codim: a chunk holds CHUNK_POINTS x codim
@@ -346,14 +346,14 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
     if e:
         # char_poly(A / 2^e) has the coefficient of lambda^j divided by 2^(e(n-j))
         coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
-    plans = [horner_plan(c) for c in coeffs]
+    terms = [float_terms(c) for c in coeffs]
     points = unit_normal_samples(data.p, samples, seed)
     first = [(x,) for x in next(points)]
-    baseline = [eval_plan_columns(plan, first)[0] for plan in plans]
+    baseline = [eval_terms(t, first, 1)[0] for t in terms]
     deviation = 0.0
     while columns := list(zip(*islice(points, CHUNK_POINTS))):
-        for base, plan in zip(baseline, plans):
-            drifts = [abs(v - base) for v in eval_plan_columns(plan, columns)]
+        for base, t in zip(baseline, terms):
+            drifts = [abs(v - base) for v in eval_terms(t, columns, len(columns[0]))]
             total = sum(drifts)  # NaN iff a drift is: none is negative
             if total != total:
                 return total

@@ -1,7 +1,7 @@
 """A fault for the numeric sweep: NaN from the column evaluator at one sample
-point of one Horner plan, and nowhere else.  A single NaN among finite
-drifts is what `max` loses (it compares False both ways), so the tests that
-use it show that the sweep still reports NaN."""
+point of one coefficient's float terms, and nowhere else.  A single NaN
+among finite drifts is what `max` loses (it compares False both ways), so
+the tests that use it show that the sweep still reports NaN."""
 
 import math
 
@@ -9,24 +9,24 @@ from willmore import sweep
 
 
 def inject_one_nan(monkeypatch, point: tuple[float, ...], power: int) -> list[int]:
-    """Patch `sweep` so that the plan of the coefficient of lambda^power gives
+    """Patch `sweep` so that the terms of the coefficient of lambda^power give
     NaN at `point`; returns the record of the chunk positions it was put at."""
-    plans, hits = [], []
-    horner_plan, evaluate = sweep.horner_plan, sweep.eval_plan_columns
+    tables, hits = [], []
+    float_terms, evaluate = sweep.float_terms, sweep.eval_terms
 
-    def planned(coeff):
-        plans.append(horner_plan(coeff))
-        return plans[-1]
+    def converted(coeff):
+        tables.append(float_terms(coeff))
+        return tables[-1]
 
-    def injected(plan, columns):
-        values = evaluate(plan, columns)
-        if plan is plans[power]:
+    def injected(terms, columns, size):
+        values = evaluate(terms, columns, size)
+        if terms is tables[power]:
             for i, coords in enumerate(zip(*columns)):
                 if coords == point:
                     values[i] = math.nan
                     hits.append(i)
         return values
 
-    monkeypatch.setattr(sweep, "horner_plan", planned)
-    monkeypatch.setattr(sweep, "eval_plan_columns", injected)
+    monkeypatch.setattr(sweep, "float_terms", converted)
+    monkeypatch.setattr(sweep, "eval_terms", injected)
     return hits

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from frames import scaled
 from g4_rules import g4_rules_text
 from nan_injection import inject_one_nan
+from stack import deeper, stack_depth
 import willmore
 from willmore import cli, sweep, tracealg
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
@@ -62,19 +63,6 @@ def deep_codim(entry, codim=500):
     lambda^0 is a linear form in every normal direction."""
     operators = "".join(f"operator B{a}\n{entry}\n" for a in range(1, codim + 1))
     return f"dataset deep\ndim 1\ncodim {codim}\n{operators}"
-
-
-def deeper(frames, call):
-    """call() with `frames` more frames on the stack."""
-    return deeper(frames - 1, call) if frames else call()
-
-
-def stack_depth():
-    """The number of frames on the stack of the caller."""
-    frame, depth = sys._getframe(1), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
 
 
 # Tokens of the trace grammar, for mutating valid inputs token by token.
@@ -366,12 +354,12 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert f"verdict: {'pass' if code == 0 else 'FAIL'}" in out and not err
 
-    def test_codim_above_the_numeric_bound_builds_no_plan(self, capsys, monkeypatch, tmp_path):
+    def test_codim_above_the_numeric_bound_runs_nothing(self, capsys, monkeypatch, tmp_path):
         def refused(*args):
             raise AssertionError("the sweep ran above the codim bound")
 
         monkeypatch.setattr(sweep, "normal_char_poly", refused)
-        monkeypatch.setattr(sweep, "horner_plan", refused)
+        monkeypatch.setattr(sweep, "float_terms", refused)
         codim = sweep.MAX_NUMERIC_CODIM + 1
         path = tmp_path / "deep.dat"
         path.write_text(deep_codim("0", codim), encoding="utf-8")

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horner_reference import _horner
+from stack import deeper, stack_depth
 from willmore.catalog import builtin
 from willmore.exactnum import ZERO, QuadExt
 from willmore.polyring import (
     MultiPoly,
     eval_float,
-    eval_plan_columns,
-    horner_plan,
+    eval_terms,
+    float_terms,
     reduce_mod_sphere,
     sphere_constant,
 )
@@ -126,18 +127,32 @@ class TestReduceModSphere:
                 assert abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
-RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+RATIONAL = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 6))  # in [-24, 24]
 SCALAR = st.builds(QuadExt, RATIONAL, st.one_of(st.just(Fraction(0)), RATIONAL))
-COORDINATE = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+# k/q for |k| <= q <= 64, with 0 and +-1 drawn often
+UNIT_RATIONAL = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.builds(lambda k, q: Fraction(k % (2 * q + 1) - q, q), st.integers(0, 128), st.integers(1, 64)),
+)
 
 
 @st.composite
-def polys_and_points(draw):
-    """Sparse polynomials with exponent gaps (the zero polynomial too) and
-    points with zero and negative coordinates."""
-    p = draw(st.integers(0, 4), label="p")
-    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 6)] * p), SCALAR, max_size=8), label="terms")
-    return MultiPoly(p, terms), draw(st.tuples(*[COORDINATE] * p), label="point")
+def exponents(draw, p, degree):
+    """An exponent vector in p variables of total degree at most `degree`."""
+    left, exps = draw(st.integers(0, degree)), []
+    for _ in range(p):
+        exps.append(draw(st.integers(0, left)))
+        left -= exps[-1]
+    return tuple(exps)
+
+
+@st.composite
+def polys_and_rational_points(draw):
+    """Polynomials in 1-4 variables of degree at most 8 (zero too), and points
+    with rational coordinates in [-1, 1], 0 and +-1 among them."""
+    p = draw(st.integers(1, 4), label="p")
+    terms = dict(draw(st.lists(st.tuples(exponents(p, 8), SCALAR), max_size=8), label="terms"))
+    return MultiPoly(p, terms), draw(st.tuples(*[UNIT_RATIONAL] * p), label="point")
 
 
 # zeros of both signs, units, and coordinates that are or whose powers
@@ -170,23 +185,45 @@ def polys_and_columns(draw):
 
 class TestEvalFloat:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(polys_and_columns())
-    def test_columns_are_bit_identical_to_the_plan_at_each_point(self, case):
-        f, points = case
-        plan = horner_plan(f)
-        together = [repr(v) for v in eval_plan_columns(plan, list(zip(*points)))]  # repr tells -0.0 from 0.0
-        assert together == [repr(eval_plan_columns(plan, [(x,) for x in point])[0]) for point in points]
-        # at an infinite coordinate a constant coefficient adds c where 0.0 * inf + c is nan
-        for point, value in zip(points, together):
-            if all(map(math.isfinite, point)):
-                assert value == repr(_horner(f.terms, point))
-
-    @settings(max_examples=300, deadline=None)
-    @given(polys_and_points())
-    def test_plan_is_bit_identical_to_recursive_horner(self, case):
+    @given(polys_and_rational_points())
+    def test_within_rounding_of_the_exact_value(self, case):
+        # each term is its coefficient, rounded once, times at most 8 rounded
+        # coordinates, each product rounded; then the terms are added up
         f, point = case
-        assert repr(eval_float(f, point)) == repr(_horner(f.terms, point))  # repr tells -0.0 from 0.0
+        exact, magnitude = ZERO, 0.0
+        for exps, coeff in f.terms.items():
+            monomial = math.prod(x**e for x, e in zip(point, exps))
+            exact = exact + coeff * monomial
+            magnitude += abs(coeff.to_float() * monomial)
+        slack = 4 * sys.float_info.epsilon * (max(f.degree(), 0) + len(f.terms) + 2) * magnitude
+        assert abs(eval_float(f, map(float, point)) - exact.to_float()) <= slack
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(polys_and_columns())
+    def test_columns_are_bit_identical_to_each_point_alone(self, case):
+        f, points = case
+        terms = float_terms(f)
+        together = [repr(v) for v in eval_terms(terms, list(zip(*points)), len(points))]  # repr tells -0.0 from 0.0
+        assert together == [repr(eval_terms(terms, [(x,) for x in point], 1)[0]) for point in points]
+        assert together == [repr(eval_float(f, point)) for point in points]
+
+    def test_terms_are_added_in_exponent_order(self):
+        # 1e16 + 1 + 1 is 1e16 in floats, 1 + 1 + 1e16 is 1e16 + 2: the value
+        # depends on the polynomial, not on the order its table was built in
+        big, one = QuadExt(10**16), QuadExt(1)
+        tables = [{(2,): big, (1,): one, (0,): one}, {(0,): one, (1,): one, (2,): big}]
+        assert [eval_float(MultiPoly(1, t), (1.0,)) for t in tables] == [1e16, 1e16]
+
+    def test_a_high_power_needs_no_stack(self):
+        # t1^1500, entered with at most 60 frames left below the recursion limit
+        f = MultiPoly.monomial(1, (1500,), QuadExt(1))
+        frames = sys.getrecursionlimit() - 60 - stack_depth()
+        assert deeper(frames, lambda: eval_float(f, (-1.0,))) == 1.0
+        assert deeper(frames, lambda: eval_float(f, (1.001,))) == pytest.approx(1.001**1500, rel=1e-12)
+
+    def test_no_variable(self):
+        assert eval_float(MultiPoly.constant(0, Fraction(1, 3)), ()) == 1 / 3
+        assert eval_float(MultiPoly(0), ()) == 0.0
 
     def test_unit_circle_point(self):
         f = sphere_relation(2) + 1

@@ -7,16 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
-from horner_reference import reference_numeric_sweep
 from nan_injection import inject_one_nan
 from willmore import polyring, sweep
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
 from willmore.cli import NUMERIC_TOLERANCE
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly, integer_rows
-from willmore.polyring import MultiPoly, reduce_mod_sphere, sphere_constant
+from willmore.polyring import MultiPoly, eval_float, reduce_mod_sphere, sphere_constant
 from willmore.sweep import (
     SweepVerdict,
+    _scale_exponent,
     normal_char_poly,
     normal_shape_operator,
     numeric_sweep,
@@ -75,6 +75,25 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def pointwise_numeric_sweep(data, samples, seed):
+    """`numeric_sweep` as a loop over the points, one `eval_float` for each
+    coefficient at each point."""
+    coeffs = normal_char_poly(data).coeffs
+    e = _scale_exponent(data)
+    if e:
+        coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
+    points = list(unit_normal_samples(data.p, samples, seed))
+    baseline = [eval_float(c, points[0]) for c in coeffs]
+    deviation = 0.0
+    for point in points[1:]:
+        for base, coeff in zip(baseline, coeffs):
+            drift = abs(eval_float(coeff, point) - base)
+            if math.isnan(drift):
+                return drift
+            deviation = max(deviation, drift)
+    return deviation
 
 
 RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -570,8 +589,6 @@ class TestNumeric:
         assert numeric_sweep(data, 1000, 0) < NUMERIC_TOLERANCE
 
     def test_entries_below_two_are_not_scaled(self):
-        from willmore.sweep import _scale_exponent
-
         for name in BUILTIN_NAMES:
             assert _scale_exponent(builtin(name)) == 0  # largest entry sqrt3
         assert _scale_exponent(scaled(builtin("g6_m2_M2"), 10)) == 4  # 10*sqrt3 / 16 < 2
@@ -592,14 +609,13 @@ class TestNumeric:
                 sum20,
             ]
         ]
-        # the reference recurses through about codim^2 / 4 groups per point
         + [(lambda: dim1(sweep.MAX_NUMERIC_CODIM), ((50, 0),))],
         ids=list(BUILTIN_NAMES) + ["lopsided", "scaled10", "p1", "sum20", "codim256"],
     )
-    def test_equals_the_recursive_horner_loop(self, make, runs):
+    def test_equals_a_loop_over_the_points(self, make, runs):
         data = make()
         for samples, seed in runs:
-            assert repr(numeric_sweep(data, samples, seed)) == repr(reference_numeric_sweep(data, samples, seed))
+            assert repr(numeric_sweep(data, samples, seed)) == repr(pointwise_numeric_sweep(data, samples, seed))
 
     @pytest.mark.parametrize("excess", [-1, 0, 1, 2, 5, 6], ids=lambda e: f"chunk{e:+d}")
     def test_chunks_end_where_they_should(self, monkeypatch, excess):
@@ -607,16 +623,16 @@ class TestNumeric:
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
         samples = 5 + excess
         for data in (builtin("g6_m2_M1"), single_operator(["1", "0"]), scaled(builtin("g6_m2_M2"), 10)):
-            sizes = count_calls(monkeypatch, sweep, "eval_plan_columns")
+            calls = count_calls(monkeypatch, sweep, "eval_terms")
             deviation = numeric_sweep(data, samples, 7)
-            monkeypatch.setattr(sweep, "eval_plan_columns", polyring.eval_plan_columns)
-            assert repr(deviation) == repr(reference_numeric_sweep(data, samples, 7))
-            chunks = [len(columns[0]) for _, columns in sizes]
+            monkeypatch.setattr(sweep, "eval_terms", polyring.eval_terms)
+            assert repr(deviation) == repr(pointwise_numeric_sweep(data, samples, 7))
+            chunks = [size for _, _, size in calls]
             assert max(chunks) <= 5 and sum(chunks) == samples * (data.n + 1)
 
     def test_points_are_drawn_a_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
-        draw, evaluate = sweep.unit_normal_samples, sweep.eval_plan_columns
+        draw, evaluate = sweep.unit_normal_samples, sweep.eval_terms
         drawn, seen = [], []
 
         def counted(p, samples, seed):
@@ -624,37 +640,37 @@ class TestNumeric:
                 drawn.append(point)
                 yield point
 
-        def recorded(plan, columns):
+        def recorded(terms, columns, size):
             seen.append(len(drawn))
-            return evaluate(plan, columns)
+            return evaluate(terms, columns, size)
 
         monkeypatch.setattr(sweep, "unit_normal_samples", counted)
-        monkeypatch.setattr(sweep, "eval_plan_columns", recorded)
+        monkeypatch.setattr(sweep, "eval_terms", recorded)
         numeric_sweep(builtin("g6_m2_M1"), 16, 0)
         # the baseline point, then three chunks of five
         assert sorted(set(seen)) == [1, 6, 11, 16]
 
-    def test_column_passes_grow_linearly_in_codim(self, monkeypatch):
-        # the lambda^0 coefficient is a linear form in every direction: a plan
-        # nested a level per direction made about codim^2 / 2 evaluations
-        passes = []
+    def test_multiplications_grow_linearly_in_codim(self, monkeypatch):
+        # the lambda^0 coefficient is a linear form in every direction: an
+        # evaluation nested a level per direction made about codim^2 / 2 passes
+        products = []
         for codim in (64, 128):
-            calls = count_calls(monkeypatch, polyring, "_step")
+            calls = count_calls(monkeypatch, polyring, "mul")
             numeric_sweep(dim1(codim), 10, 0)
             monkeypatch.undo()
-            passes.append(len(calls))
-        assert passes[1] <= 2.1 * passes[0]
+            products.append(len(calls))
+        assert 0 < products[1] <= 2.1 * products[0]
 
     @pytest.mark.parametrize("data", [builtin("g6_m2_M1"), scaled(builtin("g6_m2_M2"), 10)], ids=["plain", "scaled"])
-    def test_plans_and_conversions_do_not_grow_with_samples(self, monkeypatch, data):
+    def test_term_tables_and_conversions_do_not_grow_with_samples(self, monkeypatch, data):
         entries = data.n * data.n * data.p  # _scale_exponent reads each once
         terms = sum(len(c.terms) for c in normal_char_poly(data).coeffs)
         for samples in (2, 300):
-            plans = count_calls(monkeypatch, sweep, "horner_plan")
+            tables = count_calls(monkeypatch, sweep, "float_terms")
             floats = count_calls(monkeypatch, QuadExt, "to_float")
             numeric_sweep(data, samples, 0)
             monkeypatch.undo()
-            assert len(plans) == data.n + 1
+            assert len(tables) == data.n + 1
             assert len(floats) == entries + terms
 
     def test_samples_are_deterministic_and_unit_length(self):
