@@ -41,8 +41,8 @@ from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_p
 from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere, sphere_constant
 
 # Bound on --samples: at the bound a numeric sweep of the n = 20, p = 3
-# direct sum g6_m2_M2 + g6_m2_M2 takes about 6.7 s on a 2-core Xeon VM with
-# Python 3.11 (peak RSS 19 MB), nearly all of it evaluating the float terms;
+# direct sum g6_m2_M2 + g6_m2_M2 takes about 5.5 s on a 2-core Xeon VM with
+# Python 3.11 (peak RSS 24 MB), nearly all of it evaluating the float terms;
 # its exact char_poly takes 20 ms.
 MAX_SAMPLES = 100_000
 
@@ -56,7 +56,7 @@ MAX_SAMPLE_COORDINATES = 1_024_000
 CHUNK_POINTS = 4096
 
 # Bound on the numeric sweep's codim: a chunk holds CHUNK_POINTS x codim
-# coordinates; at the bound a dim 1 dataset peaks at 106 MB RSS.
+# coordinates; at the bound a dim 1 dataset peaks at 64 MB RSS at 4,000 samples.
 MAX_NUMERIC_CODIM = 256
 
 # Bound on the monomial terms of the blocks' characteristic polynomials, at
@@ -65,9 +65,16 @@ MAX_NUMERIC_CODIM = 256
 # at p = 7 (6,434 terms) and 2.4 s at p = 8 (12,869 terms, refused).
 MAX_SWEEP_TERMS = 5_000
 
+# Bound on --samples x the float terms of char_poly, the term evaluations of
+# a numeric sweep, about 0.3 us each: on a 2-core Xeon VM with Python 3.11 a
+# dense 8 x 8 block at p = 6 (3,000 terms, a 1 KB file) takes about 5 s at
+# 6,666 samples, the most under the bound; the n = 20 sum (165 terms) stays
+# under it at MAX_SAMPLES.
+MAX_SAMPLE_TERMS = 20_000_000
+
 
 class SweepTooLarge(ValueError):
-    """The blocks' characteristic polynomials may hold more than MAX_SWEEP_TERMS terms."""
+    """The sweep may exceed MAX_SWEEP_TERMS terms or MAX_SAMPLE_TERMS term evaluations."""
 
 
 class SweepVerdict(Record):
@@ -337,7 +344,8 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
 
     NaN as soon as one drift is NaN (an evaluation overflowed both ways), so
     that no tolerance test can pass it.  At least two samples are needed:
-    one sample has nothing to be compared with.
+    one sample has nothing to be compared with.  SweepTooLarge before any
+    sample is drawn if samples x terms exceeds MAX_SAMPLE_TERMS.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -347,6 +355,12 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
         # char_poly(A / 2^e) has the coefficient of lambda^j divided by 2^(e(n-j))
         coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
     terms = [float_terms(c) for c in coeffs]
+    count = sum(map(len, terms))
+    if samples * count > MAX_SAMPLE_TERMS:
+        raise SweepTooLarge(
+            f"{samples} samples of the {count} terms of the characteristic polynomial are "
+            f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
+        )
     points = unit_normal_samples(data.p, samples, seed)
     first = [(x,) for x in next(points)]
     baseline = [eval_terms(t, first, 1)[0] for t in terms]

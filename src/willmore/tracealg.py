@@ -138,6 +138,9 @@ class TraceExpr:
             return NotImplemented
         return self.terms == other.terms
 
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
     def __neg__(self) -> TraceExpr:
         return TraceExpr._of({w: -c for w, c in self.terms.items()})
 

@@ -58,6 +58,13 @@ operator A1
 """
 
 
+# one dense 8 x 8 block in 6 operators with entries -1, 0, 1, as built in CI
+DENSE_8_BY_8 = "dataset dense\ndim 8\ncodim 6\n" + "".join(
+    f"operator B{a}\n" + "".join(" ".join(str(pow(i + j + a, 3, 7) % 3 - 1) for j in range(8)) + "\n" for i in range(8))
+    for a in range(1, 7)
+)
+
+
 def deep_codim(entry, codim=500):
     """dim 1 and codim `codim` with every operator `entry`: the coefficient of
     lambda^0 is a linear form in every normal direction."""
@@ -393,6 +400,19 @@ class TestSweep:
         assert not out and err.count("\n") == 1
         assert err.startswith(f"error: --samples {samples} at codim {codim}")
         assert str(sweep.MAX_SAMPLE_COORDINATES) in err
+
+    def test_samples_times_terms_above_the_bound_draws_no_sample(self, capsys, monkeypatch, tmp_path):
+        # a dense 8 x 8 block at p = 6, 1 KB: its char_poly has 1,032 terms
+        def refused(*args):
+            raise AssertionError("the sweep drew samples above the bound on samples x terms")
+
+        monkeypatch.setattr(sweep, "unit_normal_samples", refused)
+        path = tmp_path / "dense.dat"
+        path.write_text(DENSE_8_BY_8, encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", str(sweep.MAX_SAMPLES)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert f"{sweep.MAX_SAMPLES} samples of the 1032 terms" in err and str(sweep.MAX_SAMPLE_TERMS) in err
 
     def test_codim_too_deep_for_the_numeric_sweep_passes_the_symbolic_one(self, capsys, tmp_path):
         path = tmp_path / "deep.dat"

@@ -566,6 +566,33 @@ class TestNumeric:
         with pytest.raises(ValueError):
             numeric_sweep(single_operator(["1", "0"]), 1, 0)
 
+    @pytest.mark.parametrize("excess", [0, 1], ids=["at", "above"])
+    def test_samples_times_terms_is_bounded_before_any_sample_is_drawn(self, monkeypatch, excess):
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
+        monkeypatch.setattr(sweep, "unit_normal_samples", drawn)
+        data = ShapeOperatorSet("flat", 3, 1, (Matrix.filled(3, 3, QuadExt(0)),), ("B1",))  # lambda^3: one term
+        samples = sweep.MAX_SAMPLE_TERMS + excess
+        if excess:
+            with pytest.raises(sweep.SweepTooLarge, match=f"{samples} term evaluations, .* {sweep.MAX_SAMPLE_TERMS}$"):
+                numeric_sweep(data, samples, 0)
+        else:
+            with pytest.raises(Drawn):
+                numeric_sweep(data, samples, 0)
+
+    def test_the_largest_tested_sweeps_are_under_the_term_bound(self):
+        # the n = 20 sum at --samples MAX_SAMPLES, and dim 1 at the codim bound
+        # with the most samples MAX_SAMPLE_COORDINATES allows
+        terms = sum(len(c.terms) for c in normal_char_poly(sum20()).coeffs)
+        assert terms * sweep.MAX_SAMPLES <= sweep.MAX_SAMPLE_TERMS
+        codim = sweep.MAX_NUMERIC_CODIM
+        terms = sum(len(c.terms) for c in normal_char_poly(dim1(codim)).coeffs)
+        assert terms * (sweep.MAX_SAMPLE_COORDINATES // codim) <= sweep.MAX_SAMPLE_TERMS
+
     def test_nan_drift_is_not_dropped(self, monkeypatch):
         # one NaN among finite drifts, for one coefficient at one point: the
         # baseline, one in the middle, the last

@@ -237,6 +237,13 @@ class TestTraceOf:
     def test_zero_identity(self):
         assert trace_of(()) == TraceExpr()
 
+    def test_equal_expressions_hash_alike(self):
+        # the same terms in another order and in another rotation of a word
+        first = TraceExpr({(1,): 1, (1, 2, 2): -3})
+        second = TraceExpr({(2, 1, 2): -3, (1,): QuadExt(1)})
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, TraceExpr({(1,): 1})}) == 2
+
     def test_cyclicity_soundness_on_random_matrices(self):
         rng = random.Random(101)
         for _ in range(100):
