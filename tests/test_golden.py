@@ -8,7 +8,9 @@ blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
 tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
 generated by `sum20_dataset`.  One tracecheck reads tests/data/g4_p4.rules,
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
-the rules reader's scan pattern accepts.
+the rules reader's scan pattern accepts.  Two more files pin the package's
+fixed data: the four built-ins as `serialize_dataset` writes them, and the
+g=4 relations at p=4 as `str` renders them, one per line, in order.
 
 After an intended change to a certificate, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
@@ -26,6 +28,7 @@ from frames import cayley_frame, change_frame, direct_sum, rotate_normals
 from g4_rules import g4_rules_text
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main
+from willmore.tracealg import g4_relations
 
 GOLDEN = Path(__file__).parent / "golden"
 CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
@@ -53,6 +56,12 @@ DATASETS = {
     CAYLEY: lambda: serialize_dataset(cayley_dataset()),
     SUM20: lambda: serialize_dataset(sum20_dataset()),
     G4_P4: lambda: g4_rules_text(4),
+}
+
+# golden file -> the generator of the fixed data it pins
+FIXED_DATA = {
+    "builtins.dat": lambda: "".join(serialize_dataset(builtin(name)) for name in BUILTIN_NAMES),
+    "g4_relations_p4.txt": lambda: "".join(f"{relation}\n" for relation in g4_relations(4)),
 }
 
 
@@ -133,6 +142,11 @@ def test_dataset_is_the_generated_one(path):
     assert DATASETS[path]().encode("utf-8") == path.read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(FIXED_DATA))
+def test_fixed_data_matches_golden_file(name):
+    assert FIXED_DATA[name]().encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -140,6 +154,8 @@ if __name__ == "__main__":
     CAYLEY.parent.mkdir(exist_ok=True)
     for path, generate in DATASETS.items():
         path.write_bytes(generate().encode("utf-8"))
+    for name, generate in FIXED_DATA.items():
+        (GOLDEN / name).write_bytes(generate().encode("utf-8"))
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
             (GOLDEN / case).write_bytes(render(case, tmp).encode("utf-8"))
