@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .catalog import (
     BUILTIN_NAMES,
-    BlockSpec,
     DatasetFormatError,
     ShapeOperatorSet,
     builtin,
-    expand_blocks,
     parse_dataset,
     serialize_dataset,
 )
@@ -32,23 +30,19 @@ from .polyring import MultiPoly, eval_float, reduce_mod_sphere
 from .sweep import SweepVerdict, numeric_sweep, symbolic_sweep
 from .tracealg import (
     ProofReport,
-    SchematicIdentity,
     TraceExpr,
     TraceParseError,
     canonicalize_cyclic,
     g4_relations,
-    instantiate,
     parse_trace_expr,
     reduce_goal,
     reduce_goal_with_steps,
-    trace_of,
     verify_g4,
 )
 
 __all__ = [
     "__version__",
     "BUILTIN_NAMES",
-    "BlockSpec",
     "CurvatureReport",
     "DatasetFormatError",
     "DimensionError",
@@ -59,7 +53,6 @@ __all__ = [
     "QuadExt",
     "Rational",
     "ScalarParseError",
-    "SchematicIdentity",
     "ShapeOperatorSet",
     "SweepVerdict",
     "TraceExpr",
@@ -71,10 +64,8 @@ __all__ = [
     "curvature_report",
     "einstein_check",
     "eval_float",
-    "expand_blocks",
     "format_scalar",
     "g4_relations",
-    "instantiate",
     "minimality_check",
     "numeric_sweep",
     "parse_dataset",
@@ -89,7 +80,6 @@ __all__ = [
     "serialize_dataset",
     "square_norm",
     "symbolic_sweep",
-    "trace_of",
     "verify_g4",
     "willmore_check",
 ]

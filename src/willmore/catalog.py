@@ -3,8 +3,11 @@
 The four built-ins are the focal submanifolds of the isoparametric families
 of S^7 and S^13 with six distinct principal curvatures (multiplicity 1 and 2),
 each given pointwise by its shape operators in a fixed orthonormal frame.
-Entries are stored with rationalized denominators: 1/sqrt(3) is (1/3)*sqrt3,
--2/sqrt(3) is -2/3*sqrt3.
+Each m = 2 operator is the Kronecker product of an m = 1 pattern with a
+2 x 2 cell: A11 = A6 (x) I, A12 = A7^ (x) J with J = [[0, -1], [1, 0]] and
+A7^ the antisymmetric matrix with A7's upper triangle, and A13 = +A7 (x) I
+for M1, -A7 (x) I for M2.  Entries are stored with rationalized
+denominators: 1/sqrt(3) is (1/3)*sqrt3, -2/sqrt(3) is -2/3*sqrt3.
 
 Dataset file format (line-oriented, UTF-8, '#' starts a comment line):
 
@@ -69,111 +72,47 @@ class ShapeOperatorSet(Record):
         return self.name, self.n, self.p, self.operators, self.labels
 
 
-# Block cells are None (zero), ("I", q) or ("J", q); "I" expands to q times the
-# identity stencil and "J" to q times the rotation generator [[0, -1], [1, 0]].
-Cell = tuple[str, QuadExt] | None
-
-
-class BlockSpec(Record):
-    def __init__(self, grid: tuple[tuple[Cell, ...], ...], block: int = 2) -> None:
-        self._set(grid, block)
-
-
-def expand_blocks(spec: BlockSpec) -> Matrix:
-    if spec.block not in (1, 2):
-        raise DatasetFormatError(f"block size must be 1 or 2, got {spec.block}")
-    grid = spec.grid
-    if not grid or any(len(row) != len(grid[0]) for row in grid):
-        raise DatasetFormatError("ragged block grid")
-    b = spec.block
+def _tensor(upper: dict[tuple[int, int], QuadExt], mirror: int, cell: tuple[tuple[int, int, int], ...]) -> Matrix:
+    """The 5 x 5 pattern with the upper-triangle entries `upper` and the lower
+    triangle `mirror` times their mirror image (1 symmetric, -1
+    antisymmetric), tensored with the cell, given by its nonzero entries
+    (row, column, sign), one in each row; only nonzero cells are written."""
+    b = len(cell)
     zero = QuadExt(0)
-    out = [[zero] * (len(grid[0]) * b) for _ in range(len(grid) * b)]
-    for gi, row in enumerate(grid):
-        for gj, cell in enumerate(row):
-            if cell is None:
-                continue
-            kind, q = cell
-            if kind == "I":
-                for t in range(b):
-                    out[gi * b + t][gj * b + t] = q
-            elif kind == "J":
-                if b != 2:
-                    raise DatasetFormatError("'J' cells need block size 2")
-                out[gi * b][gj * b + 1] = -q
-                out[gi * b + 1][gj * b] = q
-            else:
-                raise DatasetFormatError(f"unknown cell kind {kind!r}")
-    return Matrix(out)
-
-
-def _sym(n: int, entries: dict[tuple[int, int], QuadExt]) -> Matrix:
-    zero = QuadExt(0)
-    rows = [[zero] * n for _ in range(n)]
-    for (i, j), value in entries.items():
-        rows[i][j] = value
-        rows[j][i] = value
+    rows = [[zero] * (5 * b) for _ in range(5 * b)]
+    for (i, j), value in upper.items():
+        for r, c, sign in cell:
+            rows[i * b + r][j * b + c] = value if sign > 0 else -value
+            rows[j * b + r][i * b + c] = value if sign * mirror > 0 else -value
     return Matrix(rows)
 
 
 def _build_builtins() -> tuple[ShapeOperatorSet, ...]:
-    """The four built-ins.  The first operator, diag(sqrt3, 1/3*sqrt3, 0,
-    -1/3*sqrt3, -sqrt3) tensored with the m x m identity, is A6 of both m = 1
-    sets and A11 of both m = 2 sets; it is built once for each m."""
+    """The four built-ins.  A6 = diag(sqrt3, 1/3*sqrt3, 0, -1/3*sqrt3, -sqrt3)
+    and A7 of M1 or M2 are the m = 1 sets; each m = 2 operator is an m = 1
+    pattern tensored with a 2 x 2 cell: A11 = A6 (x) I, A12 = A7^ (x) J, where
+    A7^ is A7's upper triangle minus its lower triangle, and A13 = A7 (x) I
+    for M1, -A7 (x) I for M2."""
     s3 = parse_scalar("sqrt3")
     u = parse_scalar("1/3*sqrt3")
-    v = parse_scalar("2/3*sqrt3")
     one = parse_scalar("1")
-    Z = None
-    diagonal = (
-        (("I", s3), Z, Z, Z, Z),
-        (Z, ("I", u), Z, Z, Z),
-        (Z, Z, Z, Z, Z),
-        (Z, Z, Z, ("I", -u), Z),
-        (Z, Z, Z, Z, ("I", -s3)),
-    )
-    a6 = expand_blocks(BlockSpec(diagonal, block=1))
-    a11 = expand_blocks(BlockSpec(diagonal))
-    a7_M1 = _sym(5, {(0, 4): s3, (1, 3): u})
-    a7_M2 = _sym(5, {(0, 1): one, (1, 3): parse_scalar("-2/3*sqrt3"), (3, 4): one})
-    a12_a13_M1 = (
-        expand_blocks(BlockSpec((
-            (Z, Z, Z, Z, ("J", s3)),
-            (Z, Z, Z, ("J", u), Z),
-            (Z, Z, Z, Z, Z),
-            (Z, ("J", -u), Z, Z, Z),
-            (("J", -s3), Z, Z, Z, Z),
-        ))),
-        expand_blocks(BlockSpec((
-            (Z, Z, Z, Z, ("I", s3)),
-            (Z, Z, Z, ("I", u), Z),
-            (Z, Z, Z, Z, Z),
-            (Z, ("I", u), Z, Z, Z),
-            (("I", s3), Z, Z, Z, Z),
-        ))),
-    )
-    a12_a13_M2 = (
-        expand_blocks(BlockSpec((
-            (Z, ("J", one), Z, Z, Z),
-            (("J", -one), Z, Z, ("J", -v), Z),
-            (Z, Z, Z, Z, Z),
-            (Z, ("J", v), Z, Z, ("J", one)),
-            (Z, Z, Z, ("J", -one), Z),
-        ))),
-        expand_blocks(BlockSpec((
-            (Z, ("I", -one), Z, Z, Z),
-            (("I", -one), Z, Z, ("I", v), Z),
-            (Z, Z, Z, Z, Z),
-            (Z, ("I", v), Z, Z, ("I", -one)),
-            (Z, Z, Z, ("I", -one), Z),
-        ))),
-    )
-    m1 = ("A6", "A7")
-    m2 = ("A11", "A12", "A13")
+    # the cells 1, I, -I and J = [[0, -1], [1, 0]] by their nonzero entries
+    cell_1, cell_i = ((0, 0, 1),), ((0, 0, 1), (1, 1, 1))
+    cell_minus_i, cell_j = ((0, 0, -1), (1, 1, -1)), ((0, 1, -1), (1, 0, 1))
+    diagonal = {(0, 0): s3, (1, 1): u, (3, 3): -u, (4, 4): -s3}
+    a7_M1 = {(0, 4): s3, (1, 3): u}
+    a7_M2 = {(0, 1): one, (1, 3): parse_scalar("-2/3*sqrt3"), (3, 4): one}
+    a6, a11 = _tensor(diagonal, 1, cell_1), _tensor(diagonal, 1, cell_i)
+    m1, m2 = ("A6", "A7"), ("A11", "A12", "A13")
     return (
-        ShapeOperatorSet("g6_m1_M1", 5, 2, (a6, a7_M1), m1, g_tag=6, m_tag=1),
-        ShapeOperatorSet("g6_m1_M2", 5, 2, (a6, a7_M2), m1, g_tag=6, m_tag=1),
-        ShapeOperatorSet("g6_m2_M1", 10, 3, (a11, *a12_a13_M1), m2, g_tag=6, m_tag=2),
-        ShapeOperatorSet("g6_m2_M2", 10, 3, (a11, *a12_a13_M2), m2, g_tag=6, m_tag=2),
+        ShapeOperatorSet("g6_m1_M1", 5, 2, (a6, _tensor(a7_M1, 1, cell_1)), m1, g_tag=6, m_tag=1),
+        ShapeOperatorSet("g6_m1_M2", 5, 2, (a6, _tensor(a7_M2, 1, cell_1)), m1, g_tag=6, m_tag=1),
+        ShapeOperatorSet(
+            "g6_m2_M1", 10, 3, (a11, _tensor(a7_M1, -1, cell_j), _tensor(a7_M1, 1, cell_i)), m2, g_tag=6, m_tag=2
+        ),
+        ShapeOperatorSet(
+            "g6_m2_M2", 10, 3, (a11, _tensor(a7_M2, -1, cell_j), _tensor(a7_M2, 1, cell_minus_i)), m2, g_tag=6, m_tag=2
+        ),
     )
 
 

@@ -2,10 +2,10 @@
 
 Linear combinations of trace words Sum c_w * Tr(w), where a word is a product
 of abstract symmetric operators A1..Ap and trace cyclicity identifies each
-word with its rotations.  Schematic operator identities are instantiated over
-concrete indices, traced term-wise, and used as linear relations; exact
-Gaussian elimination over the canonical word basis then decides whether a
-goal trace expression is a consequence.
+word with its rotations.  An operator identity becomes a linear relation by
+writing its untraced words into a `TraceExpr`, whose canonicalization traces
+them; exact Gaussian elimination over the canonical word basis then decides
+whether a goal trace expression is a consequence.
 
 The built-in relation set encodes the hypotheses available for the focal
 submanifolds with four distinct principal curvatures: every shape operator
@@ -16,7 +16,6 @@ A_a = A_b^2 A_a + A_b A_a A_b + A_a A_b^2, and every operator is trace-free.
 
 from __future__ import annotations
 
-import itertools
 import re
 from collections import Counter
 from typing import Iterable, Mapping
@@ -34,10 +33,6 @@ MAX_WORD_LEN = 10_000
 # Largest p for which the built-in g=4 relations are built: there are about
 # p^2 of them, so a short --indices must not ask for an unbounded set.
 MAX_G4_INDICES = 300
-
-# A concrete matrix identity: a formal combination sum c_i * word_i == 0.
-MatrixIdentity = tuple[tuple[QuadExt, Word], ...]
-
 
 class TraceParseError(ValueError):
     def __init__(self, message: str, position: int | None = None) -> None:
@@ -191,72 +186,6 @@ class TraceExpr:
         return " ".join(parts)
 
 
-class SchematicIdentity(Record):
-    """A matrix identity schema over index variables, asserted zero.
-
-    `terms` are (coefficient, word-of-variable-symbols); `distinct` lists
-    variable pairs that an instantiation must keep different.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        variables: tuple[str, ...],
-        terms: tuple[tuple[int, tuple[str, ...]], ...],
-        distinct: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        self._set(name, variables, terms, distinct)
-        symbols = set(self.variables)
-        for _, word in self.terms:
-            unknown = set(word) - symbols
-            if unknown:
-                raise ValueError(f"identity {self.name}: unlisted variables {sorted(unknown)}")
-        for a, b in self.distinct:
-            if a not in symbols or b not in symbols:
-                raise ValueError(f"identity {self.name}: distinctness on unlisted variables")
-
-
-def cube_identity() -> SchematicIdentity:
-    """A_a - A_a^3 = 0 for every a (operators with eigenvalues 1, 0, -1)."""
-    return SchematicIdentity("cube", ("a",), ((1, ("a",)), (-1, ("a", "a", "a"))))
-
-
-def conjugation_identity() -> SchematicIdentity:
-    """A_a - A_b^2 A_a - A_b A_a A_b - A_a A_b^2 = 0 for all a != b."""
-    return SchematicIdentity(
-        "conjugation",
-        ("a", "b"),
-        ((1, ("a",)), (-1, ("b", "b", "a")), (-1, ("b", "a", "b")), (-1, ("a", "b", "b"))),
-        distinct=(("a", "b"),),
-    )
-
-
-def instantiate(identity: SchematicIdentity, p: int, first: Iterable[int] | None = None) -> list[MatrixIdentity]:
-    """All concrete instances over indices 1..p honoring the side conditions.
-
-    Given `first`, only the instances whose first variable takes one of its
-    values, in that order; the other variables still range over 1..p.
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    terms = [(QuadExt(coeff), word) for coeff, word in identity.terms]
-    ranges = [range(1, p + 1)] * len(identity.variables)
-    if first is not None:
-        ranges[0] = first
-    instances: list[MatrixIdentity] = []
-    for assignment in itertools.product(*ranges):
-        env = dict(zip(identity.variables, assignment))
-        if any(env[a] == env[b] for a, b in identity.distinct):
-            continue
-        instances.append(tuple((coeff, tuple(env[s] for s in word)) for coeff, word in terms))
-    return instances
-
-
-def trace_of(identity: MatrixIdentity) -> TraceExpr:
-    """Apply Tr term-wise; cyclic canonicalization merges rotated words."""
-    return TraceExpr._of(accumulate({}, ((canonicalize_cyclic(word), coeff) for coeff, word in identity)))
-
-
 def _echelon(relations: Iterable[TraceExpr]) -> dict[Word, dict[Word, QuadExt]]:
     """Reduced row echelon form of the relation span.
 
@@ -325,22 +254,31 @@ def reduce_goal_with_steps(
 
 
 def g4_relations(p: int, letters: Iterable[int] | None = None) -> list[TraceExpr]:
-    """Traced cube and conjugation instances plus trace-freeness, for 1..p.
+    """The traces of A_a - A_a^3 for every a, of A_a - A_b^2 A_a - A_b A_a A_b
+    - A_a A_b^2 for every a and b != a, and Tr(A_a) for every a, in 1..p.
 
     Given `letters`, only the blocks of those letters (see `g4_block`), in
     the order the full set lists them when the letters are ascending; None
     means every letter, p^2 + p relations.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     if letters is None:
         letters = range(1, p + 1)
     else:
         letters = list(letters)
         if any(not 1 <= a <= p for a in letters):
             raise ValueError(f"block letters must lie in 1..{p}: {letters}")
-    relations = [trace_of(inst) for inst in instantiate(cube_identity(), p, letters)]
-    relations += [trace_of(inst) for inst in instantiate(conjugation_identity(), p, letters)]
-    relations += [TraceExpr.single((a,)) for a in letters]
-    return relations
+    # The untraced words of each identity: TraceExpr's cyclic canonicalization
+    # traces them, and the three rotations in a conjugation add up to -3.
+    cubes = [TraceExpr({(a,): 1, (a, a, a): -1}) for a in letters]
+    conjugations = [
+        TraceExpr({(a,): 1, (b, b, a): -1, (b, a, b): -1, (a, b, b): -1})
+        for a in letters
+        for b in range(1, p + 1)
+        if b != a
+    ]
+    return cubes + conjugations + [TraceExpr({(a,): 1}) for a in letters]
 
 
 def g4_block(word: Word) -> int | None:

@@ -5,11 +5,9 @@ import pytest
 from willmore import catalog
 from willmore.catalog import (
     BUILTIN_NAMES,
-    BlockSpec,
     DatasetFormatError,
     ShapeOperatorSet,
     builtin,
-    expand_blocks,
     parse_dataset,
     serialize_dataset,
 )
@@ -82,33 +80,6 @@ class TestBuiltins:
                     is_scaled_identity = b == zero and c == zero and a == d
                     is_scaled_rotation = a == zero and d == zero and b == -c
                     assert is_scaled_identity or is_scaled_rotation
-
-
-class TestExpandBlocks:
-    def test_identity_cell(self):
-        spec = BlockSpec(((("I", S("sqrt3")),),))
-        assert expand_blocks(spec) == Matrix.diagonal([S("sqrt3"), S("sqrt3")])
-
-    def test_rotation_cell(self):
-        spec = BlockSpec(((("J", S("sqrt3")),),))
-        expected = Matrix([[S("0"), S("-sqrt3")], [S("sqrt3"), S("0")]])
-        assert expand_blocks(spec) == expected
-
-    def test_all_zero_grid(self):
-        spec = BlockSpec(((None, None), (None, None)))
-        assert expand_blocks(spec) == Matrix.filled(4, 4, QuadExt(0))
-
-    def test_block_size_one(self):
-        spec = BlockSpec(((("I", S("2")), None),), block=1)
-        assert expand_blocks(spec) == Matrix([[S("2"), S("0")]])
-
-    def test_rotation_needs_block_size_two(self):
-        with pytest.raises(DatasetFormatError):
-            expand_blocks(BlockSpec(((("J", S("1")),),), block=1))
-
-    def test_ragged_grid(self):
-        with pytest.raises(DatasetFormatError):
-            expand_blocks(BlockSpec(((None, None), (None,))))
 
 
 class TestRoundTrip:

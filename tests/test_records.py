@@ -11,20 +11,13 @@ from pathlib import Path
 import pytest
 
 import willmore
-from willmore.catalog import BlockSpec, ShapeOperatorSet, builtin, parse_dataset, serialize_dataset
+from willmore.catalog import ShapeOperatorSet, builtin, parse_dataset, serialize_dataset
 from willmore.cli import Certificate
 from willmore.curvature import CurvatureReport, WillmoreReport, curvature_report, willmore_check
 from willmore.exactnum import QuadExt
 from willmore.linalg import Matrix, UniPoly
 from willmore.sweep import SweepVerdict, symbolic_sweep
-from willmore.tracealg import (
-    GoalReduction,
-    ProofReport,
-    SchematicIdentity,
-    conjugation_identity,
-    cube_identity,
-    verify_g4,
-)
+from willmore.tracealg import GoalReduction, ProofReport, verify_g4
 
 
 def certificate(*fields):
@@ -32,8 +25,6 @@ def certificate(*fields):
     cert.section("verdict").extend(fields)
     return cert
 
-
-GRID = ((("I", QuadExt(1)), None), (None, ("J", QuadExt(2))))
 
 # class -> (an instance, its repr as a dataclass, a different instance, the
 # constructor's parameters); equality and the hash compare every field but
@@ -46,12 +37,6 @@ RECORDS = {
         "0 0 0 0 0; 0 1/3*sqrt3 0 0 0; sqrt3 0 0 0 0]), labels=('A6', 'A7'), g_tag=6, m_tag=1)",
         lambda: builtin("g6_m1_M2"),
         ("name", "n", "p", "operators", "labels", "g_tag", "m_tag"),
-    ),
-    BlockSpec: (
-        lambda: BlockSpec(GRID),
-        "BlockSpec(grid=((('I', QuadExt(1, 0)), None), (None, ('J', QuadExt(2, 0)))), block=2)",
-        lambda: BlockSpec(GRID, 1),
-        ("grid", "block"),
     ),
     WillmoreReport: (
         lambda: willmore_check(builtin("g6_m1_M1")),
@@ -75,13 +60,6 @@ RECORDS = {
         "QuadExt(-10/3, 0), QuadExt(0, 0), QuadExt(1, 0)]), witness=None, witness_power=None)",
         lambda: symbolic_sweep(builtin("g6_m2_M2")),
         ("constant", "char_poly", "witness", "witness_power"),
-    ),
-    SchematicIdentity: (
-        conjugation_identity,
-        "SchematicIdentity(name='conjugation', variables=('a', 'b'), terms=((1, ('a',)), "
-        "(-1, ('b', 'b', 'a')), (-1, ('b', 'a', 'b')), (-1, ('a', 'b', 'b'))), distinct=(('a', 'b'),))",
-        cube_identity,
-        ("name", "variables", "terms", "distinct"),
     ),
     GoalReduction: (
         lambda: verify_g4(2).goals[0],
@@ -166,11 +144,6 @@ ASYMMETRIC = Matrix([[QuadExt(0), QuadExt(1)], [QuadExt(0), QuadExt(0)]])
         (lambda: ShapeOperatorSet("bad", 2, 1, (ASYMMETRIC,), ("B1",)), "operator B1 is not symmetric"),
         (lambda: SweepVerdict(True, None, None, None), "verdict fields do not match the constant flag"),
         (lambda: SweepVerdict(False, UniPoly([QuadExt(1)]), None, 0), "verdict fields do not match the constant flag"),
-        (lambda: SchematicIdentity("s", ("a",), ((1, ("a", "b")),)), "identity s: unlisted variables ['b']"),
-        (
-            lambda: SchematicIdentity("s", ("a",), ((1, ("a",)),), distinct=(("a", "c"),)),
-            "identity s: distinctness on unlisted variables",
-        ),
     ],
 )
 def test_validation_messages(build, message):

@@ -11,19 +11,14 @@ from willmore import tracealg
 from willmore.exactnum import QuadExt, accumulate
 from willmore.linalg import Matrix
 from willmore.tracealg import (
-    SchematicIdentity,
     TraceExpr,
     TraceParseError,
     canonicalize_cyclic,
-    conjugation_identity,
-    cube_identity,
     g4_relations,
-    instantiate,
     parse_identity_file,
     parse_trace_expr,
     reduce_goal,
     reduce_goal_with_steps,
-    trace_of,
     verify_g4,
 )
 
@@ -199,44 +194,7 @@ class TestCanonicalize:
         assert str(info.value) == message
 
 
-class TestInstantiate:
-    def test_cube_over_two_indices(self):
-        instances = instantiate(cube_identity(), 2)
-        assert len(instances) == 2
-        assert instances[0] == ((QuadExt(1), (1,)), (QuadExt(-1), (1, 1, 1)))
-
-    def test_conjugation_over_two_indices_gives_ordered_pairs(self):
-        instances = instantiate(conjugation_identity(), 2)
-        assert len(instances) == 2
-        first_words = [word for _, word in instances[0]]
-        assert first_words == [(1,), (2, 2, 1), (2, 1, 2), (1, 2, 2)]
-        second_words = [word for _, word in instances[1]]
-        assert second_words == [(2,), (1, 1, 2), (1, 2, 1), (2, 1, 1)]
-
-    def test_conjugation_needs_two_distinct_indices(self):
-        assert instantiate(conjugation_identity(), 1) == []
-
-    def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            instantiate(cube_identity(), 0)
-
-    def test_unlisted_variable_rejected(self):
-        with pytest.raises(ValueError):
-            SchematicIdentity("bad", ("a",), ((1, ("a", "b")),))
-
-
 class TestTraceOf:
-    def test_conjugation_collapses_to_coefficient_three(self):
-        instance = instantiate(conjugation_identity(), 2)[0]
-        assert trace_of(instance) == TraceExpr({(1,): 1, (1, 2, 2): -3})
-
-    def test_cube_traces_termwise(self):
-        instance = instantiate(cube_identity(), 2)[0]
-        assert trace_of(instance) == TraceExpr({(1,): 1, (1, 1, 1): -1})
-
-    def test_zero_identity(self):
-        assert trace_of(()) == TraceExpr()
-
     def test_equal_expressions_hash_alike(self):
         # the same terms in another order and in another rotation of a word
         first = TraceExpr({(1,): 1, (1, 2, 2): -3})
@@ -356,6 +314,11 @@ class TestG4Blocks:
     def test_letters_outside_one_to_p_rejected(self, letters):
         with pytest.raises(ValueError):
             g4_relations(4, letters)
+
+    @pytest.mark.parametrize("args", [(0,), (0, []), (-1, None)])
+    def test_p_below_one_rejected(self, args):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            g4_relations(*args)
 
     @settings(max_examples=150, deadline=None)
     @given(g4_goals())
