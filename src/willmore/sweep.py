@@ -62,7 +62,8 @@ MAX_NUMERIC_CODIM = 256
 # Bound on the monomial terms of the blocks' characteristic polynomials, at
 # most C(m + p, p) - 1 for a block of size m in codim p; it caps the growth
 # of the cost in p.  On a 2-core Xeon VM a dense block of size 8 takes 1.0 s
-# at p = 7 (6,434 terms) and 2.4 s at p = 8 (12,869 terms, refused).
+# at p = 7 (6,434 terms) and 2.4 s at p = 8 (12,869 terms, refused).  It
+# bounds each partial product of the blocks' polynomials too.
 MAX_SWEEP_TERMS = 5_000
 
 # Bound on --samples x the float terms of char_poly, the term evaluations of
@@ -117,7 +118,8 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
     normal_shape_operator(data).char_poly() exactly, term for term.
 
     SweepTooLarge before any block is run if the blocks' polynomials, every
-    copy counted, may hold more than MAX_SWEEP_TERMS monomial terms in all.
+    copy counted, may hold more than MAX_SWEEP_TERMS monomial terms in all,
+    and as soon as a partial product of them holds more (see `_multiply`).
     """
     return _multiply(_distinct_blocks(data))
 
@@ -149,11 +151,21 @@ def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
 
 
 def _multiply(blocks: list[tuple[UniPoly, int]]) -> UniPoly:
-    """The product of the blocks' polynomials, each to its multiplicity."""
+    """The product of the blocks' polynomials, each to its multiplicity.
+
+    SweepTooLarge as soon as a partial product holds more than
+    MAX_SWEEP_TERMS monomial terms: n blocks that are linear forms in p
+    directions multiply to up to C(n + p, p) terms, far more than they hold."""
     coeffs = None  # of the product so far, lowest lambda-power first
     for poly, copies in blocks:
         for _ in range(copies):
             coeffs = poly.coeffs if coeffs is None else _times(coeffs, poly)
+            count = sum(len(coeff.terms) for coeff in coeffs)
+            if count > MAX_SWEEP_TERMS:
+                raise SweepTooLarge(
+                    f"a partial product of the blocks' characteristic polynomials has {count} terms, "
+                    f"above the bound of {MAX_SWEEP_TERMS}"
+                )
     return UniPoly(coeffs)
 
 

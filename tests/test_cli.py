@@ -64,6 +64,14 @@ DENSE_8_BY_8 = "dataset dense\ndim 8\ncodim 6\n" + "".join(
     for a in range(1, 7)
 )
 
+# n = p = 9, one 1 x 1 block per row, each a linear form in the nine normal
+# directions (1.6 KB): their product holds 47,232 terms
+DIAGONAL_9 = "dataset diagonal\ndim 9\ncodim 9\n" + "".join(
+    f"operator B{a}\n" + "".join(" ".join(str((7 * i + 3 * a) % 5 - 2) if j == i else "0" for j in range(9)) + "\n"
+                                  for i in range(9))
+    for a in range(1, 10)
+)
+
 
 def deep_codim(entry, codim=500):
     """dim 1 and codim `codim` with every operator `entry`: the coefficient of
@@ -442,6 +450,26 @@ class TestSweep:
         assert not out and not blocks
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "12869 terms" in err and str(sweep.MAX_SWEEP_TERMS) in err
+
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_partial_product_beyond_the_term_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):
+        # the blocks hold 81 terms, under the bound; their product would not
+        times = sweep._times
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return times(*args)
+
+        monkeypatch.setattr(sweep, "_times", counted)
+        path = tmp_path / "diagonal.dat"
+        path.write_text(DIAGONAL_9, encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", mode]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        count = re.fullmatch(rf"error: .* has (\d+) terms, above the bound of {sweep.MAX_SWEEP_TERMS}\n", err)
+        assert count and int(count[1]) > sweep.MAX_SWEEP_TERMS
+        assert len(calls) <= 6
 
     def test_scaled_constant_data_passes_the_numeric_check(self, capsys, tmp_path):
         path = tmp_path / "scaled.dat"

@@ -1,6 +1,7 @@
 """The result records as plain classes: the repr, equality, hash, immutability,
-pickling, copying and validation that they had as dataclasses, and an import
-of the package that loads neither `dataclasses` nor what it pulls in."""
+pickling, copying and validation that they had as dataclasses, an import
+of the package that loads neither `dataclasses` nor what it pulls in, and
+the package's public names."""
 
 import copy
 import pickle
@@ -165,3 +166,13 @@ def test_import_loads_no_dataclasses():
     done = subprocess.run([sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r})\n" + script],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_public_names_are_the_star_import():
+    assert len(set(willmore.__all__)) == len(willmore.__all__)
+    missing = [name for name in willmore.__all__ if not hasattr(willmore, name)]
+    assert not missing
+    namespace = {}
+    exec("from willmore import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(willmore.__all__)
