@@ -82,6 +82,44 @@ class TestBuiltins:
                     assert is_scaled_identity or is_scaled_rotation
 
 
+class TestExpandBlocks:
+    """catalog._tensor: a 5 x 5 pattern tensored with a cell, the Kronecker
+    product that writes the m = 2 built-ins from the m = 1 patterns."""
+
+    CELL_1 = ((0, 0, 1),)
+    CELL_I = ((0, 0, 1), (1, 1, 1))
+    CELL_J = ((0, 1, -1), (1, 0, 1))
+
+    @staticmethod
+    def entries(matrix):
+        zero = QuadExt(0)
+        return {(i, j): e for i, row in enumerate(matrix.rows) for j, e in enumerate(row) if e != zero}
+
+    def test_identity_cell(self):
+        got = catalog._tensor({(0, 0): S("sqrt3"), (1, 3): S("2")}, 1, self.CELL_I)
+        assert (got.nrows, got.ncols) == (10, 10)
+        assert self.entries(got) == {
+            (0, 0): S("sqrt3"), (1, 1): S("sqrt3"),
+            (2, 6): S("2"), (3, 7): S("2"), (6, 2): S("2"), (7, 3): S("2"),
+        }
+
+    def test_rotation_cell(self):
+        # [[0, s], [-s, 0]] (x) J with J = [[0, -1], [1, 0]]
+        got = catalog._tensor({(0, 1): S("sqrt3")}, -1, self.CELL_J)
+        assert self.entries(got) == {
+            (0, 3): S("-sqrt3"), (1, 2): S("sqrt3"), (2, 1): S("sqrt3"), (3, 0): S("-sqrt3"),
+        }
+        assert got.is_symmetric()
+
+    def test_all_zero_grid(self):
+        assert catalog._tensor({}, 1, self.CELL_I) == Matrix.filled(10, 10, QuadExt(0))
+
+    def test_block_size_one(self):
+        got = catalog._tensor({(0, 0): S("2"), (0, 4): S("-1")}, 1, self.CELL_1)
+        assert (got.nrows, got.ncols) == (5, 5)
+        assert self.entries(got) == {(0, 0): S("2"), (0, 4): S("-1"), (4, 0): S("-1")}
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_parse_of_serialize_is_identity(self, name):

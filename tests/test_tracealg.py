@@ -194,7 +194,50 @@ class TestCanonicalize:
         assert str(info.value) == message
 
 
+class TestInstantiate:
+    """g4_relations instantiates the identities over the letters 1..p."""
+
+    def test_cube_over_two_indices(self):
+        cubes = g4_relations(2)[:2]
+        assert cubes == [TraceExpr({(1,): 1, (1, 1, 1): -1}), TraceExpr({(2,): 1, (2, 2, 2): -1})]
+
+    def test_conjugation_over_two_indices_gives_ordered_pairs(self):
+        relations = g4_relations(2)
+        assert len(relations) == 6
+        # (a, b) = (1, 2), then (2, 1)
+        assert relations[2:4] == [TraceExpr({(1,): 1, (1, 2, 2): -3}), TraceExpr({(2,): 1, (2, 1, 1): -3})]
+
+    def test_conjugation_needs_two_distinct_indices(self):
+        assert g4_relations(1) == [TraceExpr({(1,): 1, (1, 1, 1): -1}), TraceExpr({(1,): 1})]
+
+    def test_p_below_one_rejected(self):
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            g4_relations(0)
+
+    def test_unlisted_variable_rejected(self):
+        with pytest.raises(ValueError) as info:
+            g4_relations(2, [1, 3])
+        assert str(info.value) == "block letters must lie in 1..2: [1, 3]"
+
+
 class TestTraceOf:
+    """TraceExpr traces untraced words: its canonicalization merges rotations."""
+
+    def test_conjugation_collapses_to_coefficient_three(self):
+        untraced = TraceExpr({(2,): 1, (3, 3, 2): -1, (3, 2, 3): -1, (2, 3, 3): -1})
+        assert untraced == TraceExpr({(2,): 1, (2, 3, 3): -3})
+        assert untraced.terms == {(2,): QuadExt(1), (2, 3, 3): QuadExt(-3)}
+
+    def test_cube_traces_termwise(self):
+        cube = TraceExpr({(1,): 1, (1, 1, 1): -1})
+        assert cube.terms == {(1,): QuadExt(1), (1, 1, 1): QuadExt(-1)}
+
+    def test_zero_identity(self):
+        assert TraceExpr({}) == TraceExpr()
+        # two rotations of one word with opposite signs cancel
+        cancelled = TraceExpr({(1, 2, 2): 1, (2, 1, 2): -1})
+        assert not cancelled and cancelled == TraceExpr()
+
     def test_equal_expressions_hash_alike(self):
         # the same terms in another order and in another rotation of a word
         first = TraceExpr({(1,): 1, (1, 2, 2): -3})
@@ -315,7 +358,7 @@ class TestG4Blocks:
         with pytest.raises(ValueError):
             g4_relations(4, letters)
 
-    @pytest.mark.parametrize("args", [(0,), (0, []), (-1, None)])
+    @pytest.mark.parametrize("args", [(0, []), (-1, None)])
     def test_p_below_one_rejected(self, args):
         with pytest.raises(ValueError, match="p must be >= 1"):
             g4_relations(*args)
