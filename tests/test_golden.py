@@ -6,7 +6,10 @@ deviations are platform float output.  The built-ins split into sparse
 blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
 10 x 10 block generated by `cayley_dataset`, and one on
 tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
-generated by `sum20_dataset`.  One tracecheck reads tests/data/g4_p4.rules,
+generated by `sum20_dataset`.  One sweep fails: on
+tests/data/dense14_p3.dat, random symmetric +-1 operators generated by
+`dense14_dataset`, whose witness is a long polynomial of degree 14 in three
+variables.  One tracecheck reads tests/data/g4_p4.rules,
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
 the rules reader's scan pattern accepts.  Two more files pin the package's
 fixed data: the four built-ins as `serialize_dataset` writes them, and the
@@ -28,11 +31,14 @@ from frames import cayley_frame, change_frame, direct_sum, rotate_normals
 from g4_rules import g4_rules_text
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main
+from willmore.exactnum import QuadExt
+from willmore.linalg import Matrix
 from willmore.tracealg import g4_relations
 
 GOLDEN = Path(__file__).parent / "golden"
 CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
 SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
+DENSE14 = Path(__file__).parent / "data" / "dense14_p3.dat"
 G4_P4 = Path(__file__).parent / "data" / "g4_p4.rules"
 
 
@@ -51,10 +57,26 @@ def sum20_dataset():
     return ShapeOperatorSet("sum20_g6_m2_M2", data.n, data.p, data.operators, data.labels)
 
 
+def dense14_dataset():
+    """Three symmetric 14 x 14 operators with every entry -1 or 1, from a
+    fixed seed: one block, not constant on the sphere."""
+    rng = random.Random(0)
+    n, p = 14, 3
+    ops = []
+    for _ in range(p):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice((-1, 1))
+        ops.append(Matrix([[QuadExt(v) for v in row] for row in rows]))
+    return ShapeOperatorSet("dense14_p3", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
+
+
 # committed input file -> the generator of its text
 DATASETS = {
     CAYLEY: lambda: serialize_dataset(cayley_dataset()),
     SUM20: lambda: serialize_dataset(sum20_dataset()),
+    DENSE14: lambda: serialize_dataset(dense14_dataset()),
     G4_P4: lambda: g4_rules_text(4),
 }
 
@@ -83,7 +105,7 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 
 # golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
 # stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}",
-# "{sum20}" and "{g4_p4}" for the committed input files
+# "{sum20}", "{dense14}" and "{g4_p4}" for the committed input files
 CASES = {
     **{
         f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
@@ -94,6 +116,7 @@ CASES = {
     "sweep_lopsided.txt": (["sweep", "{lopsided}", "--mode", "symbolic"], 1),
     "sweep_g6_m2_M2_cayley.txt": (["sweep", "{cayley}", "--mode", "symbolic"], 0),
     "sweep_sum20_g6_m2_M2.txt": (["sweep", "{sum20}", "--mode", "symbolic"], 0),
+    "sweep_dense14_p3.txt": (["sweep", "{dense14}", "--mode", "symbolic"], 1),
     "paper.txt": (["paper"], 0),
     "tracecheck_g4_pass.txt": (
         ["tracecheck", "--rules", "g4", "--goal", "Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "--indices", "3"],
@@ -124,7 +147,9 @@ def render(name, directory):
     lopsided.write_text(NON_MINIMAL, encoding="utf-8")
     mixed = Path(directory) / "mixed.rules"
     mixed.write_text(MIXED_RULES, encoding="utf-8")
-    paths = {"lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "g4_p4": G4_P4}
+    paths = {
+        "lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "g4_p4": G4_P4
+    }
     argv, code = CASES[name]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
