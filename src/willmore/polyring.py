@@ -5,17 +5,16 @@ reduction modulo the single relation polynomial r = t1^2 + ... + tp^2 - 1
 (lex order, t1 highest, leading monomial t1^2).  A polynomial is constant on
 the unit sphere exactly when its remainder is a constant: the complex quadric
 cut out by r is irreducible and the real sphere is Zariski-dense in it, so no
-nonconstant remainder can vanish on every unit normal.  For a homogeneous
-polynomial `sphere_constant` decides the same from the term table alone,
-without rewriting.  Floating evaluation takes the terms with every
-coefficient converted to float once (`float_terms`) and adds them up at many
-points at once (`eval_terms`), in loops, with no recursion.
+nonconstant remainder can vanish on every unit normal.  The remainder both
+decides constancy and, when it is not constant, is the witness.  Floating
+evaluation takes the terms with every coefficient converted to float once
+(`float_terms`) and adds them up at many points at once (`eval_terms`), in
+loops, with no recursion.
 """
 
 from __future__ import annotations
 
-import math
-from itertools import combinations_with_replacement, repeat
+from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Mapping
 
@@ -155,48 +154,25 @@ class MultiPoly:
 def reduce_mod_sphere(f: MultiPoly) -> MultiPoly:
     """Canonical remainder of f modulo t1^2 + ... + tp^2 - 1.
 
-    Substitutes t1^2 -> 1 - t2^2 - ... - tp^2 until no monomial is divisible
-    by t1^2; this is the unique lex normal form for the principal ideal, so f
-    is constant on the unit sphere iff the result is a constant.
+    Substitutes t1^2 -> 1 - t2^2 - ... - tp^2 level by level, from the
+    highest exponent of t1 down, expanding each monomial once, after every
+    contribution to its level has merged.  Levels 1 and 0 are the unique
+    remainder of division by the relation, alone a Groebner basis of its
+    ideal: f is constant c on the unit sphere iff the result is the constant c.
     """
     p = f.nvars
     if p < 1:
         raise ValueError("need at least one variable")
-    work = dict(f.terms)
-    done: dict[tuple[int, ...], QuadExt] = {}
-    while work:
-        exps, coeff = work.popitem()
-        if exps[0] >= 2:
-            base = (exps[0] - 2,) + exps[1:]
+    levels: dict[int, dict[tuple[int, ...], QuadExt]] = {}  # exponent of t1 -> terms
+    for exps, coeff in f.terms.items():
+        levels.setdefault(exps[0], {})[exps] = coeff
+    for e in range(max(levels, default=0), 1, -1):
+        below = levels.setdefault(e - 2, {})
+        for exps, coeff in levels.pop(e, {}).items():
+            base = (e - 2,) + exps[1:]
             raised = [(base[:j] + (base[j] + 2,) + base[j + 1 :], -coeff) for j in range(1, p)]
-            accumulate(work, [(base, coeff)] + raised)
-        else:
-            accumulate(done, [(exps, coeff)])
-    return MultiPoly._of(p, done)
-
-
-def sphere_constant(f: MultiPoly, degree: int) -> QuadExt | None:
-    """f(e1) if f = f(e1) * (t1^2 + ... + tp^2)^(degree/2), else None.
-
-    For f homogeneous of degree k this is exactly constancy on the unit
-    sphere, at p = 1 too: f(t) = |t|^k f(t/|t|), so f is constant c on the
-    sphere iff f = c |t|^k.  For odd k that is a polynomial only if c = 0; for
-    k = 2h the multinomial expansion of (sum t_a^2)^h gives t^(2m) the
-    coefficient c h! / prod m_a! for |m| = h, and no other monomial.  The
-    whole term table is compared, so a polynomial that is not homogeneous of
-    degree k is never reported constant.
-    """
-    if not f.terms:
-        return ZERO
-    lead = f.terms.get((degree,) + (0,) * (f.nvars - 1))
-    if degree % 2 or lead is None:
-        return None
-    half = degree // 2
-    expected = {}
-    for combo in combinations_with_replacement(range(f.nvars), half):
-        m = [combo.count(a) for a in range(f.nvars)]
-        expected[tuple(2 * e for e in m)] = lead * (math.factorial(half) // math.prod(map(math.factorial, m)))
-    return lead if f.terms == expected else None
+            accumulate(below, [(base, coeff)] + raised)
+    return MultiPoly._of(p, {**levels.get(1, {}), **levels.get(0, {})})
 
 
 def eval_float(f: MultiPoly, point: Iterable[float]) -> float:

@@ -12,18 +12,18 @@ polynomial from their Frobenius products by Newton's identities.
 `Matrix.char_poly` of `normal_shape_operator(data)` gives the same
 polynomial and serves as its reference.
 
-The coefficient of lambda^j is homogeneous of degree n - j in t, so the
-symbolic sweep decides its constancy on the unit sphere from its term table
-(`polyring.sphere_constant`); only the first non-constant coefficient is
-reduced modulo the sphere relation, to serve as the witness.  Blocks that
-are all constant multiply to a constant; otherwise the verdict is taken on
-the product, never on a block: blocks that vary over the sphere can
-multiply to a constant polynomial (see `_block_char_poly`).  The symbolic
-verdict is authoritative; the numeric sweep is a seeded floating cross-check
-meant to catch implementation bugs, never to decide.  It converts each
-coefficient's terms to float once (`polyring.float_terms`), draws the
-samples CHUNK_POINTS at a time and adds up each coefficient's terms over a
-chunk at once (`polyring.eval_terms`), bit for bit as at each sample alone.
+The symbolic sweep decides each coefficient by its remainder modulo the
+sphere relation (`polyring.reduce_mod_sphere`): it is constant on the unit
+sphere iff the remainder is a constant, and the first remainder that is not
+is the witness, as it stands.  Blocks that are all constant multiply to a
+constant; otherwise the verdict is taken on the product, never on a block:
+blocks that vary over the sphere can multiply to a constant polynomial (see
+`_block_char_poly`).  The symbolic verdict is authoritative; the numeric
+sweep is a seeded floating cross-check meant to catch implementation bugs,
+never to decide.  It converts each coefficient's terms to float once
+(`polyring.float_terms`), draws the samples CHUNK_POINTS at a time and adds
+up each coefficient's terms over a chunk at once (`polyring.eval_terms`),
+bit for bit as at each sample alone.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt, accumulate
 from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
-from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere, sphere_constant
+from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere
 
 # Bound on --samples: at the bound a numeric sweep of the n = 20, p = 3
 # direct sum g6_m2_M2 + g6_m2_M2 takes about 5.5 s on a 2-core Xeon VM with
@@ -62,9 +62,13 @@ MAX_NUMERIC_CODIM = 256
 # Bound on the monomial terms of the blocks' characteristic polynomials, at
 # most C(m + p, p) - 1 for a block of size m in codim p; it caps the growth
 # of the cost in p.  On a 2-core Xeon VM a dense block of size 8 takes 1.0 s
-# at p = 7 (6,434 terms) and 2.4 s at p = 8 (12,869 terms, refused).  It
-# bounds each partial product of the blocks' polynomials too.
+# at p = 7 (6,434 terms) and 2.4 s at p = 8 (12,869 terms, refused).
 MAX_SWEEP_TERMS = 5_000
+
+# Bound on a step of the blocks' product, checked before it: the partial
+# product's terms times the block's.  The n = 50 sum of g6_m2_M2 needs 33,915;
+# 4,364 terms times a dense 11 x 11 block at p = 5 took 74.7 s on a 2-core VM.
+MAX_SWEEP_PAIRS = 50_000
 
 # Bound on --samples x the float terms of char_poly, the term evaluations of
 # a numeric sweep, about 0.3 us each: on a 2-core Xeon VM with Python 3.11 a
@@ -75,7 +79,7 @@ MAX_SAMPLE_TERMS = 20_000_000
 
 
 class SweepTooLarge(ValueError):
-    """The sweep may exceed MAX_SWEEP_TERMS terms or MAX_SAMPLE_TERMS term evaluations."""
+    """The sweep may exceed MAX_SWEEP_TERMS, MAX_SWEEP_PAIRS or MAX_SAMPLE_TERMS."""
 
 
 class SweepVerdict(Record):
@@ -119,7 +123,7 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
 
     SweepTooLarge before any block is run if the blocks' polynomials, every
     copy counted, may hold more than MAX_SWEEP_TERMS monomial terms in all,
-    and as soon as a partial product of them holds more (see `_multiply`).
+    and before a step of their product above MAX_SWEEP_PAIRS (`_multiply`).
     """
     return _multiply(_distinct_blocks(data))
 
@@ -153,19 +157,19 @@ def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
 def _multiply(blocks: list[tuple[UniPoly, int]]) -> UniPoly:
     """The product of the blocks' polynomials, each to its multiplicity.
 
-    SweepTooLarge as soon as a partial product holds more than
-    MAX_SWEEP_TERMS monomial terms: n blocks that are linear forms in p
+    SweepTooLarge before a step whose partial product's terms times the
+    block's terms exceed MAX_SWEEP_PAIRS: n blocks that are linear forms in p
     directions multiply to up to C(n + p, p) terms, far more than they hold."""
     coeffs = None  # of the product so far, lowest lambda-power first
     for poly, copies in blocks:
         for _ in range(copies):
-            coeffs = poly.coeffs if coeffs is None else _times(coeffs, poly)
-            count = sum(len(coeff.terms) for coeff in coeffs)
-            if count > MAX_SWEEP_TERMS:
+            count, block = sum(len(c.terms) for c in coeffs or ()), sum(len(c.terms) for c in poly.coeffs)
+            if count * block > MAX_SWEEP_PAIRS:
                 raise SweepTooLarge(
-                    f"a partial product of the blocks' characteristic polynomials has {count} terms, "
-                    f"above the bound of {MAX_SWEEP_TERMS}"
+                    f"a partial product of the blocks' characteristic polynomials with {count} terms times a "
+                    f"block with {block} terms makes {count * block} term pairs, above the bound of {MAX_SWEEP_PAIRS}"
                 )
+            coeffs = poly.coeffs if coeffs is None else _times(coeffs, poly)
     return UniPoly(coeffs)
 
 
@@ -292,23 +296,26 @@ def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:
     """Exact verdict: is char_poly(A(t)) the same for every unit normal t?
 
     If every block is constant on the sphere, their constant polynomials
-    multiply over QuadExt; otherwise the verdict is taken on the product."""
-    blocks = _distinct_blocks(data)
-    constant = UniPoly([ONE])
+    multiply over QuadExt; otherwise the verdict is taken on the product, the
+    varying block itself when it is the only block."""
+    blocks, factors = _distinct_blocks(data), []
     for poly, copies in blocks:
-        values = [sphere_constant(c, poly.degree() - j) for j, c in enumerate(poly.coeffs)]
-        if None in values:
-            break
-        for _ in range(copies):
-            constant = constant * UniPoly(values)
-    else:
-        return SweepVerdict(True, constant, None, None)
+        verdict = _decide(poly)
+        if not verdict.constant:
+            return verdict if len(blocks) == 1 and copies == 1 else _decide(_multiply(blocks))
+        factors += [verdict.char_poly] * copies
+    return SweepVerdict(True, math.prod(factors, start=UniPoly([ONE])), None, None)
+
+
+def _decide(poly: UniPoly) -> SweepVerdict:
+    """The verdict on each coefficient's remainder modulo the sphere relation,
+    lowest lambda-power first: the first that is not a constant is the witness."""
     constants = []
-    for power, coeff in enumerate(_multiply(blocks).coeffs):
-        value = sphere_constant(coeff, data.n - power)
-        if value is None:
-            return SweepVerdict(False, None, reduce_mod_sphere(coeff), power)
-        constants.append(value)
+    for power, coeff in enumerate(poly.coeffs):
+        reduced = reduce_mod_sphere(coeff)
+        if not reduced.is_constant():
+            return SweepVerdict(False, None, reduced, power)
+        constants.append(reduced.constant_value())
     return SweepVerdict(True, UniPoly(constants), None, None)
 
 

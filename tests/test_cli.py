@@ -72,6 +72,18 @@ DIAGONAL_9 = "dataset diagonal\ndim 9\ncodim 9\n" + "".join(
     for a in range(1, 10)
 )
 
+# n = 22, p = 5, as built in CI (5.1 KB): eleven 1 x 1 blocks, each a linear
+# form in the five directions, and one dense 11 x 11 block with entries -1, 0,
+# 1.  The blocks hold 4,418 terms, under the bound; the partial product of the
+# eleven small ones has 4,282 terms and the dense block 4,359, 19 million pairs
+STEPS_22 = "dataset steps\ndim 22\ncodim 5\n" + "".join(
+    f"operator B{a}\n" + "".join(" ".join(str(
+        pow(i * j + (i + j) * a + a, 7, 23) % 3 - 1 if min(i, j) > 10
+        else (i * a * a + 3 * i + a) % 11 - 5 if i == j else 0
+    ) for j in range(22)) + "\n" for i in range(22))
+    for a in range(1, 6)
+)
+
 
 def deep_codim(entry, codim=500):
     """dim 1 and codim `codim` with every operator `entry`: the coefficient of
@@ -452,24 +464,32 @@ class TestSweep:
         assert "12869 terms" in err and str(sweep.MAX_SWEEP_TERMS) in err
 
     @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
-    def test_partial_product_beyond_the_term_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):
-        # the blocks hold 81 terms, under the bound; their product would not
+    @pytest.mark.parametrize("name, text, steps", [("diagonal", DIAGONAL_9, 6), ("steps", STEPS_22, 10)])
+    def test_partial_product_beyond_the_term_bound_is_an_input_error(
+        self, capsys, monkeypatch, tmp_path, mode, name, text, steps
+    ):
+        # the blocks hold fewer terms than the bound; the term pairs of a step of
+        # their product would not, and that step makes no term product
         times = sweep._times
-        calls = []
+        degrees = []
 
-        def counted(*args):
-            calls.append(None)
-            return times(*args)
+        def counted(coeffs, poly):
+            degrees.append(poly.degree())
+            return times(coeffs, poly)
 
         monkeypatch.setattr(sweep, "_times", counted)
-        path = tmp_path / "diagonal.dat"
-        path.write_text(DIAGONAL_9, encoding="utf-8")
+        path = tmp_path / f"{name}.dat"
+        path.write_text(text, encoding="utf-8")
         assert main(["sweep", str(path), "--mode", mode]) == 2
         out, err = capsys.readouterr()
         assert not out and err.count("\n") == 1
-        count = re.fullmatch(rf"error: .* has (\d+) terms, above the bound of {sweep.MAX_SWEEP_TERMS}\n", err)
-        assert count and int(count[1]) > sweep.MAX_SWEEP_TERMS
-        assert len(calls) <= 6
+        pairs = re.fullmatch(
+            rf"error: .* with (\d+) terms times a block with (\d+) terms makes (\d+) term pairs, "
+            rf"above the bound of {sweep.MAX_SWEEP_PAIRS}\n",
+            err,
+        )
+        assert pairs and int(pairs[1]) * int(pairs[2]) == int(pairs[3]) > sweep.MAX_SWEEP_PAIRS
+        assert len(degrees) <= steps and set(degrees) == {1}
 
     def test_scaled_constant_data_passes_the_numeric_check(self, capsys, tmp_path):
         path = tmp_path / "scaled.dat"

@@ -8,17 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sphere_reference import sphere_constant
 from stack import deeper, stack_depth
+from willmore import polyring
 from willmore.catalog import builtin
 from willmore.exactnum import ZERO, QuadExt
-from willmore.polyring import (
-    MultiPoly,
-    eval_float,
-    eval_terms,
-    float_terms,
-    reduce_mod_sphere,
-    sphere_constant,
-)
+from willmore.polyring import MultiPoly, eval_float, eval_terms, float_terms, reduce_mod_sphere
 
 
 def rand_poly(rng, nvars, max_terms=6, max_exp=4, span=4):
@@ -113,6 +108,27 @@ class TestReduceModSphere:
             p = rng.randint(1, 3)
             f = rand_poly(rng, p)
             assert not reduce_mod_sphere(f * sphere_relation(p))
+
+    @pytest.mark.parametrize("degree", [30, 40])
+    def test_each_monomial_is_expanded_once(self, monkeypatch, degree):
+        # every monomial of a dense homogeneous polynomial at p = 2; expanding a
+        # monomial before the others that reach it have merged costs about
+        # 2^(degree/2) calls (98,302 at degree 30)
+        rng = random.Random(degree)
+        coeffs = [QuadExt(rng.choice((-9, -1, 1, 9)), rng.randint(-3, 3)) for _ in range(degree + 1)]
+        f = MultiPoly(2, {(e, degree - e): coeff for e, coeff in enumerate(coeffs)})
+        accumulate, calls = polyring.accumulate, []
+
+        def counted(*args):
+            calls.append(None)
+            return accumulate(*args)
+
+        monkeypatch.setattr(polyring, "accumulate", counted)
+        reduced = reduce_mod_sphere(f)
+        monkeypatch.undo()
+        assert len(calls) <= len(f.terms) * degree
+        assert max(e for e, _ in reduced.terms) <= 1
+        assert not reduce_mod_sphere(f - reduced)
 
     def test_agrees_with_original_on_sphere_points(self):
         rng = random.Random(23)

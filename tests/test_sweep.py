@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
 from nan_injection import inject_one_nan
+from sphere_reference import sphere_constant
 from willmore import polyring, sweep
-from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
+from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, parse_dataset
 from willmore.cli import NUMERIC_TOLERANCE
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly, integer_rows
-from willmore.polyring import MultiPoly, eval_float, reduce_mod_sphere, sphere_constant
+from willmore.polyring import MultiPoly, eval_float, reduce_mod_sphere
 from willmore.sweep import (
     SweepVerdict,
     _scale_exponent,
@@ -47,6 +49,11 @@ def assert_kernel_matches_reference(data):
 def single_normal():
     m = Matrix([[S("1"), S("sqrt3"), S("0")], [S("sqrt3"), S("-1/2"), S("2/3")], [S("0"), S("2/3"), S("1/2")]])
     return ShapeOperatorSet("p1", 3, 1, (m,), ("B1",))
+
+
+def dense14():
+    """The committed dense n = 14, p = 3 file of the golden sweep that fails."""
+    return parse_dataset((Path(__file__).parent / "data" / "dense14_p3.dat").read_text(encoding="utf-8"))
 
 
 def sum20():
@@ -171,7 +178,8 @@ def dense_blocks(draw):
 
 def reference_symbolic_sweep(data):
     """The verdict decided on the product's coefficients alone, block by block
-    never consulted: the symbolic sweep before constant blocks multiplied."""
+    never consulted, by the independent oracle `sphere_constant`; a coefficient
+    is reduced modulo the sphere only to give the witness."""
     constants = []
     for power, coeff in enumerate(normal_char_poly(data).coeffs):
         value = sphere_constant(coeff, data.n - power)
@@ -317,17 +325,31 @@ class TestSymbolic:
                 assert value == reduced.constant_value()
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("sum20",))
-    def test_constant_data_is_never_reduced(self, monkeypatch, name):
+    def test_constant_data_reduces_each_distinct_block_coefficient(self, monkeypatch, name):
         data = sum20() if name == "sum20" else builtin(name)
+        coeffs = [coeff for poly, _ in sweep._distinct_blocks(data) for coeff in poly.coeffs]
         calls = count_calls(monkeypatch, sweep, "reduce_mod_sphere")
         assert symbolic_sweep(data).constant
-        assert calls == []
+        assert [coeff for (coeff,) in calls] == coeffs
 
-    def test_only_the_witness_is_reduced(self, monkeypatch):
-        calls = count_calls(monkeypatch, sweep, "reduce_mod_sphere")
-        verdict = symbolic_sweep(single_operator(["1", "0"], "lopsided"))
+    @pytest.mark.parametrize(
+        "make", [lambda: single_operator(["1", "0"], "lopsided"), dense14], ids=["lopsided", "dense14"]
+    )
+    def test_each_coefficient_is_reduced_at_most_once(self, monkeypatch, make):
+        # lopsided: the varying block, then the product; dense14: one block, the product itself
+        data = make()
+        reduce, calls = sweep.reduce_mod_sphere, []
+
+        def recorded(coeff):
+            calls.append((coeff, reduce(coeff)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(sweep, "reduce_mod_sphere", recorded)
+        verdict = symbolic_sweep(data)
         assert not verdict.constant
-        assert len(calls) == 1
+        assert len({id(coeff) for coeff, _ in calls}) == len(calls)
+        assert verdict.witness is calls[-1][1]
+        assert calls[-1][0] == normal_char_poly(data).coeffs[verdict.witness_power]
 
     def test_verdict_fields_must_match_flag(self):
         with pytest.raises(ValueError):
