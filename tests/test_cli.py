@@ -464,10 +464,7 @@ class TestSweep:
         assert "12869 terms" in err and str(sweep.MAX_SWEEP_TERMS) in err
 
     @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
-    @pytest.mark.parametrize("name, text, steps", [("diagonal", DIAGONAL_9, 6), ("steps", STEPS_22, 10)])
-    def test_partial_product_beyond_the_term_bound_is_an_input_error(
-        self, capsys, monkeypatch, tmp_path, mode, name, text, steps
-    ):
+    def test_partial_product_beyond_the_term_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):
         # the blocks hold fewer terms than the bound; the term pairs of a step of
         # their product would not, and that step makes no term product
         times = sweep._times
@@ -478,18 +475,20 @@ class TestSweep:
             return times(coeffs, poly)
 
         monkeypatch.setattr(sweep, "_times", counted)
-        path = tmp_path / f"{name}.dat"
-        path.write_text(text, encoding="utf-8")
-        assert main(["sweep", str(path), "--mode", mode]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err.count("\n") == 1
-        pairs = re.fullmatch(
-            rf"error: .* with (\d+) terms times a block with (\d+) terms makes (\d+) term pairs, "
-            rf"above the bound of {sweep.MAX_SWEEP_PAIRS}\n",
-            err,
-        )
-        assert pairs and int(pairs[1]) * int(pairs[2]) == int(pairs[3]) > sweep.MAX_SWEEP_PAIRS
-        assert len(degrees) <= steps and set(degrees) == {1}
+        for name, text, steps in [("diagonal", DIAGONAL_9, 6), ("steps", STEPS_22, 10)]:
+            degrees.clear()
+            path = tmp_path / f"{name}.dat"
+            path.write_text(text, encoding="utf-8")
+            assert main(["sweep", str(path), "--mode", mode]) == 2
+            out, err = capsys.readouterr()
+            assert not out and err.count("\n") == 1
+            pairs = re.fullmatch(
+                rf"error: .* with (\d+) terms times a block with (\d+) terms makes (\d+) term pairs, "
+                rf"above the bound of {sweep.MAX_SWEEP_PAIRS}\n",
+                err,
+            )
+            assert pairs and int(pairs[1]) * int(pairs[2]) == int(pairs[3]) > sweep.MAX_SWEEP_PAIRS
+            assert len(degrees) <= steps and set(degrees) == {1}
 
     def test_scaled_constant_data_passes_the_numeric_check(self, capsys, tmp_path):
         path = tmp_path / "scaled.dat"
