@@ -25,14 +25,7 @@ from .catalog import (
 )
 from .curvature import CurvatureReport, curvature_report, einstein_violation, riemann_suite
 from .exactnum import ScalarRenderError, format_scalar
-from .sweep import (
-    MAX_NUMERIC_CODIM,
-    MAX_SAMPLE_COORDINATES,
-    MAX_SAMPLES,
-    SweepTooLarge,
-    numeric_sweep,
-    symbolic_sweep,
-)
+from .sweep import SweepTooLarge, numeric_sweep, symbolic_sweep
 from .tracealg import (
     MAX_G4_INDICES,
     RulesFile,
@@ -221,15 +214,6 @@ def cmd_sweep(args) -> int:
     else:
         if args.samples < 2:
             raise InputError("--samples must be >= 2 (one sample has nothing to compare with)")
-        if args.samples > MAX_SAMPLES:
-            raise InputError(f"--samples must be <= {MAX_SAMPLES}")
-        if data.p > MAX_NUMERIC_CODIM:
-            raise InputError(f"{args.dataset}: codim {data.p} exceeds the numeric sweep's bound of {MAX_NUMERIC_CODIM}")
-        if args.samples * data.p > MAX_SAMPLE_COORDINATES:
-            raise InputError(
-                f"--samples {args.samples} at codim {data.p} draws {args.samples * data.p} coordinates, "
-                f"above the numeric sweep's bound of {MAX_SAMPLE_COORDINATES}"
-            )
         fields.append(("samples", str(args.samples)))
         fields.append(("seed", str(args.seed)))
         try:

@@ -24,6 +24,11 @@ never to decide.  It converts each coefficient's terms to float once
 (`polyring.float_terms`), draws the samples CHUNK_POINTS at a time and adds
 up each coefficient's terms over a chunk at once (`polyring.eval_terms`),
 bit for bit as at each sample alone.
+
+Four bounds refuse a sweep with SweepTooLarge, each before the work it
+counts: MAX_SWEEP_WORK the blocks' kernel, MAX_SWEEP_PAIRS each step of their
+product, and in the numeric sweep MAX_SAMPLE_COORDINATES the deviates drawn
+and MAX_SAMPLE_TERMS the term evaluations.
 """
 
 from __future__ import annotations
@@ -40,46 +45,38 @@ from .exactnum import ONE, QuadExt, accumulate
 from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
 from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere
 
-# Bound on --samples: at the bound a numeric sweep of the n = 20, p = 3
-# direct sum g6_m2_M2 + g6_m2_M2 takes about 5.5 s on a 2-core Xeon VM with
-# Python 3.11 (peak RSS 24 MB), nearly all of it evaluating the float terms;
-# its exact char_poly takes 20 ms.
-MAX_SAMPLES = 100_000
-
 # Bound on --samples x codim, the Gaussian deviates a numeric sweep draws,
-# one at a time, about 1 us each: at the bound a dim 1 dataset at codim
-# MAX_NUMERIC_CODIM with 4,000 samples takes about 2 s on a 2-core Xeon VM
-# with Python 3.11; 100,000 samples at that codim took 52 s.
+# one at a time, about 1 us each, and the coordinates a chunk of points holds:
+# on a 2-core Xeon VM with Python 3.11 a dim 1 dataset at codim 500 with
+# 2,048 samples takes about 1.2 s and peaks at 66 MB RSS.
 MAX_SAMPLE_COORDINATES = 1_024_000
 
 # The numeric sweep evaluates the terms at no more than this many points at once.
 CHUNK_POINTS = 4096
 
-# Bound on the numeric sweep's codim: a chunk holds CHUNK_POINTS x codim
-# coordinates; at the bound a dim 1 dataset peaks at 64 MB RSS at 4,000 samples.
-MAX_NUMERIC_CODIM = 256
-
-# Bound on the monomial terms of the blocks' characteristic polynomials, at
-# most C(m + p, p) - 1 for a block of size m in codim p; it caps the growth
-# of the cost in p.  On a 2-core Xeon VM a dense block of size 8 takes 1.0 s
-# at p = 7 (6,434 terms) and 2.4 s at p = 8 (12,869 terms, refused).
-MAX_SWEEP_TERMS = 5_000
+# Bound on the kernel's work, counted before any block runs: a block of size m
+# in codim p, every copy counted, adds C(m + p, p) (m^2 + p), its terms at most
+# times its matrix entries plus the length of an exponent vector.  On a 2-core
+# Xeon VM a dense block takes about 0.6 s at m = 8, p = 7 (456,885) and 2.1 to
+# 2.8 s at m = 34, p = 2 (729,540); m = 40, p = 2 (1,379,322) took 5.3 s.
+MAX_SWEEP_WORK = 800_000
 
 # Bound on a step of the blocks' product, checked before it: the partial
 # product's terms times the block's.  The n = 50 sum of g6_m2_M2 needs 33,915;
 # 4,364 terms times a dense 11 x 11 block at p = 5 took 74.7 s on a 2-core VM.
 MAX_SWEEP_PAIRS = 50_000
 
-# Bound on --samples x the float terms of char_poly, the term evaluations of
-# a numeric sweep, about 0.3 us each: on a 2-core Xeon VM with Python 3.11 a
-# dense 8 x 8 block at p = 6 (3,000 terms, a 1 KB file) takes about 5 s at
-# 6,666 samples, the most under the bound; the n = 20 sum (165 terms) stays
-# under it at MAX_SAMPLES.
+# Bound on --samples x (the float terms of char_poly + its coefficients), the
+# term evaluations of a numeric sweep, about 0.3 us each, and its passes over
+# the samples, one per coefficient: on a 2-core Xeon VM with Python 3.11 a
+# dense 8 x 8 block at p = 6 (2,962 terms and 9 coefficients, a 1 KB file)
+# takes about 4 s at 6,731 samples, the most under the bound.
 MAX_SAMPLE_TERMS = 20_000_000
 
 
 class SweepTooLarge(ValueError):
-    """The sweep may exceed MAX_SWEEP_TERMS, MAX_SWEEP_PAIRS or MAX_SAMPLE_TERMS."""
+    """The sweep may exceed MAX_SWEEP_WORK or MAX_SWEEP_PAIRS, or a numeric
+    sweep MAX_SAMPLE_COORDINATES or MAX_SAMPLE_TERMS."""
 
 
 class SweepVerdict(Record):
@@ -121,9 +118,9 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
     once on each distinct component.  The product equals
     normal_shape_operator(data).char_poly() exactly, term for term.
 
-    SweepTooLarge before any block is run if the blocks' polynomials, every
-    copy counted, may hold more than MAX_SWEEP_TERMS monomial terms in all,
-    and before a step of their product above MAX_SWEEP_PAIRS (`_multiply`).
+    SweepTooLarge before any block is run if the blocks, every copy counted,
+    may take more than MAX_SWEEP_WORK, and before a step of their product
+    above MAX_SWEEP_PAIRS (`_multiply`).
     """
     return _multiply(_distinct_blocks(data))
 
@@ -135,11 +132,11 @@ def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
     n, p = data.n, data.p
     ops, den = integer_rows(data.operators)
     blocks = _components(ops, n)
-    count = sum(math.comb(len(block) + p, p) - 1 for block in blocks)
-    if count > MAX_SWEEP_TERMS:
+    work = sum(math.comb(len(block) + p, p) * (len(block) ** 2 + p) for block in blocks)
+    if work > MAX_SWEEP_WORK:
         raise SweepTooLarge(
-            f"the sweep's characteristic polynomial may have {count} terms over its blocks, "
-            f"above the bound of {MAX_SWEEP_TERMS}"
+            f"the sweep's blocks may take {work} units of work, terms times entries, "
+            f"above the bound of {MAX_SWEEP_WORK}"
         )
     distinct: dict[tuple, list] = {}  # rows -> [polynomial, copies]
     for block in blocks:
@@ -363,21 +360,28 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
 
     NaN as soon as one drift is NaN (an evaluation overflowed both ways), so
     that no tolerance test can pass it.  At least two samples are needed:
-    one sample has nothing to be compared with.  SweepTooLarge before any
-    sample is drawn if samples x terms exceeds MAX_SAMPLE_TERMS.
+    one sample has nothing to be compared with.  SweepTooLarge before
+    `normal_char_poly` if samples x codim exceeds MAX_SAMPLE_COORDINATES, and
+    before any sample is drawn if samples x (terms + coefficients) exceeds
+    MAX_SAMPLE_TERMS.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
+    if samples * data.p > MAX_SAMPLE_COORDINATES:
+        raise SweepTooLarge(
+            f"--samples {samples} at codim {data.p} draws {samples * data.p} coordinates, "
+            f"above the numeric sweep's bound of {MAX_SAMPLE_COORDINATES}"
+        )
     coeffs = normal_char_poly(data).coeffs
     e = _scale_exponent(data)
     if e:
         # char_poly(A / 2^e) has the coefficient of lambda^j divided by 2^(e(n-j))
         coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
     terms = [float_terms(c) for c in coeffs]
-    count = sum(map(len, terms))
+    count = sum(map(len, terms)) + len(terms)
     if samples * count > MAX_SAMPLE_TERMS:
         raise SweepTooLarge(
-            f"{samples} samples of the {count} terms of the characteristic polynomial are "
+            f"{samples} samples of the {count} terms and coefficients of the characteristic polynomial are "
             f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
         )
     points = unit_normal_samples(data.p, samples, seed)

@@ -1,6 +1,5 @@
 import argparse
 import io
-import random
 import re
 import subprocess
 import sys
@@ -15,6 +14,7 @@ from frames import scaled
 from g4_rules import g4_rules_text
 from nan_injection import inject_one_nan
 from stack import deeper, stack_depth
+from sweep_inputs import DENSE_8_BY_8, DIAGONAL_9, STEPS_22, dense_file
 import willmore
 from willmore import cli, sweep, tracealg
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
@@ -29,9 +29,6 @@ NEEDS_WORD_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_WORD_LEN"), rea
 
 # Code without the --indices bound would build about 10^10 g=4 relations.
 NEEDS_INDEX_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_G4_INDICES"), reason="no --indices bound")
-
-# Code without the --samples bound would draw 10^9 sample points.
-NEEDS_SAMPLES_BOUND = pytest.mark.skipif(not hasattr(sweep, "MAX_SAMPLES"), reason="no --samples bound")
 
 # int() refuses digit strings longer than this (0: no limit, as before Python 3.11)
 INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -56,33 +53,6 @@ operator A1
 1/3*sqrt3 0
 0 -1/3*sqrt3
 """
-
-
-# one dense 8 x 8 block in 6 operators with entries -1, 0, 1, as built in CI
-DENSE_8_BY_8 = "dataset dense\ndim 8\ncodim 6\n" + "".join(
-    f"operator B{a}\n" + "".join(" ".join(str(pow(i + j + a, 3, 7) % 3 - 1) for j in range(8)) + "\n" for i in range(8))
-    for a in range(1, 7)
-)
-
-# n = p = 9, one 1 x 1 block per row, each a linear form in the nine normal
-# directions (1.6 KB): their product holds 47,232 terms
-DIAGONAL_9 = "dataset diagonal\ndim 9\ncodim 9\n" + "".join(
-    f"operator B{a}\n" + "".join(" ".join(str((7 * i + 3 * a) % 5 - 2) if j == i else "0" for j in range(9)) + "\n"
-                                  for i in range(9))
-    for a in range(1, 10)
-)
-
-# n = 22, p = 5, as built in CI (5.1 KB): eleven 1 x 1 blocks, each a linear
-# form in the five directions, and one dense 11 x 11 block with entries -1, 0,
-# 1.  The blocks hold 4,418 terms, under the bound; the partial product of the
-# eleven small ones has 4,282 terms and the dense block 4,359, 19 million pairs
-STEPS_22 = "dataset steps\ndim 22\ncodim 5\n" + "".join(
-    f"operator B{a}\n" + "".join(" ".join(str(
-        pow(i * j + (i + j) * a + a, 7, 23) % 3 - 1 if min(i, j) > 10
-        else (i * a * a + 3 * i + a) % 11 - 5 if i == j else 0
-    ) for j in range(22)) + "\n" for i in range(22))
-    for a in range(1, 6)
-)
 
 
 def deep_codim(entry, codim=500):
@@ -331,14 +301,15 @@ class TestSweep:
         assert main(["sweep", non_minimal_file, "--mode", "numeric", "--samples", "1"]) == 2
         assert "--samples" in capsys.readouterr().err
 
-    @NEEDS_SAMPLES_BOUND
     @pytest.mark.parametrize("excess", [1, 999_999_999])
     def test_samples_beyond_the_bound_is_an_input_error(self, capsys, monkeypatch, excess):
-        def undrawn(p, samples, seed):
+        # the bound on samples x codim: 10^9 samples would draw 10^9 points
+        def undrawn(*args):
             raise AssertionError("sample points drawn past the bound")
 
+        monkeypatch.setattr(sweep, "normal_char_poly", undrawn)
         monkeypatch.setattr(sweep, "unit_normal_samples", undrawn)
-        samples = sweep.MAX_SAMPLES + excess
+        samples = sweep.MAX_SAMPLE_COORDINATES // builtin("g6_m1_M1").p + excess
         assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", str(samples)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --samples") and err.count("\n") == 1
@@ -362,42 +333,44 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "too large" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("entry", ["0", "1", "-2/3*sqrt3"], ids=["zero", "one", "irrational"])
-    def test_codim_too_deep_for_the_numeric_sweep_is_an_input_error(self, capsys, tmp_path, entry):
+    @pytest.mark.parametrize("entry, code", [("0", 0), ("1", 1), ("-2/3*sqrt3", 1)], ids=["zero", "one", "irrational"])
+    def test_codim_500_is_decided_in_both_modes(self, capsys, tmp_path, entry, code):
         path = tmp_path / "deep.dat"
         path.write_text(deep_codim(entry), encoding="utf-8")
-        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "2"]) == 2
-        out, err = capsys.readouterr()
-        assert not out and err.startswith("error: ") and err.count("\n") == 1 and "codim 500" in err
+        for mode in ("numeric", "symbolic"):
+            assert main(["sweep", str(path), "--mode", mode, "--samples", "2"]) == code
+            out, err = capsys.readouterr()
+            assert f"verdict: {'pass' if code == 0 else 'FAIL'}" in out and not err
+        assert ("constant: l\n" in out) == (code == 0)
 
     @pytest.mark.parametrize("entry, code", [("0", 0), ("1", 1), ("-2/3*sqrt3", 1)], ids=["zero", "one", "irrational"])
-    def test_codim_at_the_numeric_bound_runs_on_a_deep_stack(self, capsys, tmp_path, entry, code):
+    def test_codim_256_runs_on_a_deep_stack(self, capsys, tmp_path, entry, code):
         # dim 1: the coefficients are 1 and the linear form -entry*(t1 + ... + tp)
         path = tmp_path / "deep.dat"
-        path.write_text(deep_codim(entry, sweep.MAX_NUMERIC_CODIM), encoding="utf-8")
+        path.write_text(deep_codim(entry, 256), encoding="utf-8")
         args = ["sweep", str(path), "--mode", "numeric", "--samples", "3"]
         # main is entered with at most 60 frames left below the recursion limit
         assert deeper(sys.getrecursionlimit() - 60 - stack_depth(), lambda: main(args)) == code
         out, err = capsys.readouterr()
         assert f"verdict: {'pass' if code == 0 else 'FAIL'}" in out and not err
 
-    def test_codim_above_the_numeric_bound_runs_nothing(self, capsys, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+    def test_codim_above_the_work_bound_runs_nothing(self, capsys, monkeypatch, tmp_path, mode):
+        # dim 1 at codim 894: (894 + 1)^2 = 801,025 units of work
         def refused(*args):
-            raise AssertionError("the sweep ran above the codim bound")
+            raise AssertionError("the sweep ran above the work bound")
 
-        monkeypatch.setattr(sweep, "normal_char_poly", refused)
+        monkeypatch.setattr(sweep, "_block_char_poly", refused)
         monkeypatch.setattr(sweep, "float_terms", refused)
-        codim = sweep.MAX_NUMERIC_CODIM + 1
         path = tmp_path / "deep.dat"
-        path.write_text(deep_codim("0", codim), encoding="utf-8")
-        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "2"]) == 2
+        path.write_text(deep_codim("1", 894), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", mode, "--samples", "2"]) == 2
         out, err = capsys.readouterr()
         assert not out and err.count("\n") == 1
-        assert f"codim {codim}" in err and str(sweep.MAX_NUMERIC_CODIM) in err
+        assert "801025 units of work" in err and str(sweep.MAX_SWEEP_WORK) in err
 
     def test_samples_times_codim_at_the_bound_runs(self, capsys, tmp_path):
-        codim = sweep.MAX_NUMERIC_CODIM
-        samples = sweep.MAX_SAMPLE_COORDINATES // codim
+        codim, samples = 256, 4000
         assert samples * codim == sweep.MAX_SAMPLE_COORDINATES
         path = tmp_path / "deep.dat"
         path.write_text(deep_codim("1", codim), encoding="utf-8")
@@ -422,46 +395,31 @@ class TestSweep:
         assert str(sweep.MAX_SAMPLE_COORDINATES) in err
 
     def test_samples_times_terms_above_the_bound_draws_no_sample(self, capsys, monkeypatch, tmp_path):
-        # a dense 8 x 8 block at p = 6, 1 KB: its char_poly has 1,032 terms
+        # a dense 8 x 8 block at p = 6, 1 KB: its char_poly has 1,032 terms and 9 coefficients
         def refused(*args):
             raise AssertionError("the sweep drew samples above the bound on samples x terms")
 
         monkeypatch.setattr(sweep, "unit_normal_samples", refused)
         path = tmp_path / "dense.dat"
         path.write_text(DENSE_8_BY_8, encoding="utf-8")
-        assert main(["sweep", str(path), "--mode", "numeric", "--samples", str(sweep.MAX_SAMPLES)]) == 2
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "100000"]) == 2
         out, err = capsys.readouterr()
         assert not out and err.count("\n") == 1
-        assert f"{sweep.MAX_SAMPLES} samples of the 1032 terms" in err and str(sweep.MAX_SAMPLE_TERMS) in err
-
-    def test_codim_too_deep_for_the_numeric_sweep_passes_the_symbolic_one(self, capsys, tmp_path):
-        path = tmp_path / "deep.dat"
-        path.write_text(deep_codim("0"), encoding="utf-8")
-        assert main(["sweep", str(path), "--mode", "symbolic"]) == 0
-        assert "constant: l\n" in capsys.readouterr().out
+        assert "100000 samples of the 1041 terms and coefficients" in err and str(sweep.MAX_SAMPLE_TERMS) in err
 
     @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
-    def test_sweep_beyond_the_term_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):
-        # one dense 8 x 8 block in 8 operators with entries -1, 0, 1: its
-        # polynomial has C(16, 8) - 1 = 12869 terms, and no block is run
-        rng = random.Random(8)
-        ops = []
-        for _ in range(8):
-            rows = [[0] * 8 for _ in range(8)]
-            for i in range(8):
-                for j in range(i, 8):
-                    rows[i][j] = rows[j][i] = rng.choice((-1, 0, 1))
-            ops.append(Matrix([[QuadExt(v) for v in row] for row in rows]))
+    def test_sweep_beyond_the_work_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):
+        # one dense 8 x 8 block in 8 operators: C(16, 8) (8^2 + 8) = 926,640
+        # units of work, and no block is run
         path = tmp_path / "wide.dat"
-        data = ShapeOperatorSet("wide", 8, 8, tuple(ops), tuple(f"B{a}" for a in range(8)))
-        path.write_text(serialize_dataset(data), encoding="utf-8")
+        path.write_text(dense_file(8, 8), encoding="utf-8")
         blocks = []
         monkeypatch.setattr(sweep, "_block_char_poly", lambda *args: blocks.append(args))
         assert main(["sweep", str(path), "--mode", mode]) == 2
         out, err = capsys.readouterr()
         assert not out and not blocks
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "12869 terms" in err and str(sweep.MAX_SWEEP_TERMS) in err
+        assert "926640 units of work" in err and str(sweep.MAX_SWEEP_WORK) in err
 
     @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
     def test_partial_product_beyond_the_term_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):

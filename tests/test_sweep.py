@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
 from nan_injection import inject_one_nan
 from sphere_reference import sphere_constant
+from sweep_inputs import DENSE_8_BY_8, DIAGONAL_9, STEPS_22, dense_file
 from willmore import polyring, sweep
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, parse_dataset
 from willmore.cli import NUMERIC_TOLERANCE
@@ -443,19 +445,68 @@ class TestNormalCharPoly:
         assert len(calls) == 3
 
 
-class TestTermBound:
+def framed(name, rng, frame):
+    """A built-in in a random frame with a random normal rotation, as the benchmark builds them."""
+    base = builtin(name)
+    return rotate_normals(change_frame(base, frame(base.n, rng)), frame(base.p, rng))
+
+
+def seeded_sum(names, seed):
+    rng = random.Random(seed)
+    return functools.reduce(direct_sum, [framed(name, rng, signed_permutation) for name in names])
+
+
+def data_file(name):
+    return lambda: parse_dataset((Path(__file__).parent / "data" / name).read_text(encoding="utf-8"))
+
+
+# input -> the work MAX_SWEEP_WORK counts for it: C(m + p, p) (m^2 + p) per block
+WORK = {
+    **{name: (lambda name=name: builtin(name), work) for name, work in zip(BUILTIN_NAMES, (81, 279, 1362, 11087))},
+    "lopsided": (lambda: single_operator(["1", "0"], "lopsided"), 8),
+    "cayley": (data_file("g6_m2_M2_cayley.dat"), 29_458),
+    "sum20": (data_file("sum20_g6_m2_M2.dat"), 22_174),
+    "dense14_p3": (dense14, 135_320),
+    "steps22": (lambda: parse_dataset(STEPS_22), 550_764),
+    "dense8_p6": (lambda: parse_dataset(DENSE_8_BY_8), 210_210),
+    "diagonal9": (lambda: parse_dataset(DIAGONAL_9), 900),
+    "sum50": (lambda: functools.reduce(direct_sum, [builtin("g6_m2_M2")] * 5), 55_435),
+    **{f"sum20_m1_seed{seed}": (lambda seed=seed: seeded_sum(["g6_m1_M1", "g6_m1_M2"] * 2, seed), 720) for seed in (1, 2)},
+    **{f"sum20_m2_seed{seed}": (lambda seed=seed: seeded_sum(["g6_m2_M1", "g6_m2_M2"], seed), 12_449) for seed in (1, 2)},
+    **{f"{name}_cayley_seed{seed}": (lambda name=name, seed=seed: framed(name, random.Random(seed), cayley_frame), work)
+       for name, work in zip(BUILTIN_NAMES, (567, 567, 29_458, 29_458)) for seed in (1, 2)},
+    "dense40_p2": (lambda: parse_dataset(dense_file(40, 2)), 1_379_322),
+    "dense8_p8": (lambda: parse_dataset(dense_file(8, 8)), 926_640),
+}
+REFUSED = {"dense40_p2", "dense8_p8"}
+
+
+class TestWorkBound:
     @pytest.mark.parametrize("excess", [0, 1])
-    def test_the_bound_counts_every_term_before_any_block_runs(self, monkeypatch, excess):
-        # dim 1: C(1 + p, p) - 1 = p terms
-        p = sweep.MAX_SWEEP_TERMS + excess
+    def test_the_bound_counts_the_work_before_any_block_runs(self, monkeypatch, excess):
+        # dim 1: C(1 + p, p) (1 + p) = (p + 1)^2, 799,236 at codim 893
+        p = 893 + excess
         data = ShapeOperatorSet("deep", 1, p, (Matrix([[QuadExt(0)]]),) * p, tuple(f"B{a}" for a in range(p)))
         blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
         if excess:
-            with pytest.raises(sweep.SweepTooLarge, match=f"{p} terms .* {sweep.MAX_SWEEP_TERMS}"):
+            with pytest.raises(sweep.SweepTooLarge, match=f" {(p + 1) ** 2} units of work, .* {sweep.MAX_SWEEP_WORK}$"):
                 normal_char_poly(data)
             assert not blocks
         else:
             assert str(normal_char_poly(data)) == "l"
+
+    @pytest.mark.parametrize("name", list(WORK))
+    def test_the_work_of_named_inputs(self, monkeypatch, name):
+        make, work = WORK[name]
+        data = make()
+        blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
+        for bound in (0, sweep.MAX_SWEEP_WORK):
+            monkeypatch.setattr(sweep, "MAX_SWEEP_WORK", bound)
+            if work > bound:
+                with pytest.raises(sweep.SweepTooLarge, match=f" {work} units of work, .* {bound}$"):
+                    normal_char_poly(data)
+        assert not blocks
+        assert (work > sweep.MAX_SWEEP_WORK) == (name in REFUSED)
 
 
 class TestBlocks:
@@ -597,23 +648,23 @@ class TestNumeric:
             raise Drawn
 
         monkeypatch.setattr(sweep, "unit_normal_samples", drawn)
-        data = ShapeOperatorSet("flat", 3, 1, (Matrix.filled(3, 3, QuadExt(0)),), ("B1",))  # lambda^3: one term
-        samples = sweep.MAX_SAMPLE_TERMS + excess
+        # lambda^23: one term and 24 coefficients; 800,000 samples at p = 1 are within the coordinate bound
+        data = ShapeOperatorSet("flat", 23, 1, (Matrix.filled(23, 23, QuadExt(0)),), ("B1",))
+        assert 25 * 800_000 == sweep.MAX_SAMPLE_TERMS
+        samples = 800_000 + excess
         if excess:
-            with pytest.raises(sweep.SweepTooLarge, match=f"{samples} term evaluations, .* {sweep.MAX_SAMPLE_TERMS}$"):
+            with pytest.raises(sweep.SweepTooLarge, match=f"{samples * 25} term evaluations, .* {sweep.MAX_SAMPLE_TERMS}$"):
                 numeric_sweep(data, samples, 0)
         else:
             with pytest.raises(Drawn):
                 numeric_sweep(data, samples, 0)
 
     def test_the_largest_tested_sweeps_are_under_the_term_bound(self):
-        # the n = 20 sum at --samples MAX_SAMPLES, and dim 1 at the codim bound
-        # with the most samples MAX_SAMPLE_COORDINATES allows
-        terms = sum(len(c.terms) for c in normal_char_poly(sum20()).coeffs)
-        assert terms * sweep.MAX_SAMPLES <= sweep.MAX_SAMPLE_TERMS
-        codim = sweep.MAX_NUMERIC_CODIM
-        terms = sum(len(c.terms) for c in normal_char_poly(dim1(codim)).coeffs)
-        assert terms * (sweep.MAX_SAMPLE_COORDINATES // codim) <= sweep.MAX_SAMPLE_TERMS
+        # the n = 20 sum at 100,000 samples, and dim 1 at codim 256 with 4,000
+        for data, samples in ((sum20(), 100_000), (dim1(256), 4_000)):
+            coeffs = normal_char_poly(data).coeffs
+            assert samples * data.p <= sweep.MAX_SAMPLE_COORDINATES
+            assert samples * (sum(len(c.terms) for c in coeffs) + len(coeffs)) <= sweep.MAX_SAMPLE_TERMS
 
     def test_nan_drift_is_not_dropped(self, monkeypatch):
         # one NaN among finite drifts, for one coefficient at one point: the
@@ -658,7 +709,7 @@ class TestNumeric:
                 sum20,
             ]
         ]
-        + [(lambda: dim1(sweep.MAX_NUMERIC_CODIM), ((50, 0),))],
+        + [(lambda: dim1(256), ((50, 0),))],
         ids=list(BUILTIN_NAMES) + ["lopsided", "scaled10", "p1", "sum20", "codim256"],
     )
     def test_equals_a_loop_over_the_points(self, make, runs):
