@@ -117,6 +117,8 @@ CASES = {
     "sweep_g6_m2_M2_cayley.txt": (["sweep", "{cayley}", "--mode", "symbolic"], 0),
     "sweep_sum20_g6_m2_M2.txt": (["sweep", "{sum20}", "--mode", "symbolic"], 0),
     "sweep_dense14_p3.txt": (["sweep", "{dense14}", "--mode", "symbolic"], 1),
+    "verify_g6_m2_M2_cayley_text.txt": (["verify", "{cayley}"], 0),
+    "verify_sum20_g6_m2_M2_text.txt": (["verify", "{sum20}"], 0),
     "paper.txt": (["paper"], 0),
     "tracecheck_g4_pass.txt": (
         ["tracecheck", "--rules", "g4", "--goal", "Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "--indices", "3"],
