@@ -10,13 +10,19 @@ normal direction a; constancy of the norm is an assumption carried by the
 datasets (single points of homogeneous spaces), not something checked here.
 
 `curvature_report` computes everything a certificate prints in one pass on
-integer pairs (see `linalg.integer_rows`), and `riemann_suite` checks the
-curvature tensor on the same integer pairs.  The functions
+integer pairs (see `linalg.integer_rows`).  `riemann_suite` checks the
+curvature tensor on the same pairs: one Gram table of the sampled index
+pairs gives every sampled component, and each symmetry compares that table
+with a permuted gather of itself.  The functions
 `squared_operator_sum`, `ricci`, `riemann` and `willmore_check`, on `Matrix`
 products and QuadExt sums, are the reference the tests hold both to.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from itertools import product
+from operator import add, itemgetter, neg, sub
 
 from ._record import Record
 from .catalog import ShapeOperatorSet
@@ -177,7 +183,7 @@ def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
     ry = [[-v for v in row] for row in sy]
     for i in range(n):
         rx[i][i] += (n - 1) * den2
-    ric = _matrix((rx, ry), den2)
+    ric = Matrix(tuple(map(QuadExt._make, xs, ys, [den2] * n)) for xs, ys in zip(rx, ry))
     den3 = den2 * den
     cubic = tuple(QuadExt._make(*_trace_product((sx, sy), rows), den3) for rows in ops)
     ricci_form = tuple(QuadExt._make(*_trace_product((rx, ry), rows), den3) for rows in ops)
@@ -187,35 +193,31 @@ def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
 def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool], int]:
     """Curvature-tensor checks by name, and the number of sampled quadruples.
 
-    Antisymmetry, pair symmetry and the first Bianchi identity are checked
-    on every quadruple of the indices 0, s, 2s, ... < n, with the stride
-    s = 1 for n <= 6 and ceil(n / 6) beyond; the full contraction
-    sum_k R_ikjk is compared with `ric`.  Every component comes from the
-    Gauss formula on the operators' integer pairs over D^2, which is exact.
+    R_ijkl is tabled exactly for every quadruple of the indices 0, s, 2s,
+    ... < n, with the stride s = 1 for n <= 6 and ceil(n / 6) beyond (see
+    `_gram_table`).  Antisymmetry, pair symmetry and the first Bianchi
+    identity compare the table with permuted gathers of itself: R_jikl and
+    R_ijlk, R_klij, and R_iklj + R_iljk.  The full contraction sum_k R_ikjk
+    is compared with `ric`.
     """
     n = data.n
     ops, den = integer_rows(data.operators)
+    indices = range(0, n, 1 if n <= 6 else (n + 5) // 6)
     den2 = den * den
-    stride = 1 if n <= 6 else (n + 5) // 6
-    table = _riemann_table(ops, den2, range(0, n, stride))
+    table = _gram_table(ops, den, indices)
+    jikl, ijlk, klij, iklj, iljk = _layout(len(indices))[2:]
+    negated = tuple(map(neg, table))
     checks = {
-        "antisymmetry": all(
-            table[j, i, k, l] == (-x, -y) and table[i, j, l, k] == (-x, -y)
-            for (i, j, k, l), (x, y) in table.items()
+        "antisymmetry": jikl(table) == negated == ijlk(table),
+        "pair_symmetry": klij(table) == table,
+        "bianchi": tuple(map(add, iklj(table), iljk(table))) == negated,
+        "contraction": all(
+            e.x * den2 == x * e.d and e.y * den2 == y * e.d
+            for row, *pairs in zip(ric.rows, *_ricci_contraction(ops, den2, n))
+            for e, x, y in zip(row, *pairs)
         ),
-        "pair_symmetry": all(table[k, l, i, j] == value for (i, j, k, l), value in table.items()),
-        "bianchi": all(
-            not any(map(sum, zip(value, table[i, k, l, j], table[i, l, j, k])))
-            for (i, j, k, l), value in table.items()
-        ),
-        "contraction": _matrix(_ricci_contraction(ops, den2, n), den2) == ric,
     }
-    return checks, len(table)
-
-
-def _matrix(m: Pairs, den: int) -> Matrix:
-    """The QuadExt matrix of integer pairs over `den`."""
-    return Matrix(tuple(map(QuadExt._make, xs, ys, [den] * len(xs))) for xs, ys in zip(*m))
+    return checks, len(table) // 2
 
 
 def _squared_sum(ops: list[list[Row]], n: int) -> Pairs:
@@ -240,66 +242,88 @@ def _trace_product(m: Pairs, rows: list[Row]) -> tuple[int, int]:
     return tx, ty
 
 
-def _riemann_table(
-    ops: list[list[Row]], den2: int, indices: range
-) -> dict[tuple[int, int, int, int], tuple[int, int]]:
-    """R_ijkl over D^2 for every quadruple of `indices`, each from the Gauss
-    formula delta_ik delta_jl - delta_il delta_jk + sum_a (A_ik A_jl - A_il A_jk)
-    on the operator entries; a product with a zero factor is skipped."""
-    p = len(ops)
-    picked = set(indices)
-    # entries[i, k]: (A_a)_ik as (x, y) for every a, where one of them is nonzero
-    entries: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for a, rows in enumerate(ops):
-        for i in indices:
-            for k, x, y in rows[i]:
-                if k in picked:
-                    entries.setdefault((i, k), [(0, 0)] * p)[a] = (x, y)
-    table = {}
-    for i in indices:
-        for j in indices:
-            for k in indices:
-                ik = entries.get((i, k))
-                jk = entries.get((j, k))
-                for l in indices:
-                    x = den2 * ((i == k and j == l) - (i == l and j == k))
-                    y = 0
-                    jl = entries.get((j, l))
-                    if ik and jl:
-                        for (ax, ay), (bx, by) in zip(ik, jl):
-                            x += ax * bx + 3 * ay * by
-                            y += ax * by + ay * bx
-                    il = entries.get((i, l))
-                    if il and jk:
-                        for (ax, ay), (bx, by) in zip(il, jk):
-                            x -= ax * bx + 3 * ay * by
-                            y -= ax * by + ay * bx
-                    table[i, j, k, l] = (x, y)
-    return table
+def _gram_table(ops: list[list[Row]], den: int, indices: range) -> tuple[int, ...]:
+    """R_ijkl over D^2 for the quadruples of `indices` in row-major order, x
+    parts then y parts, by the Gauss formula R_ijkl = G(ik, jl) - G(il, jk)
+    with G(u, v) = sum_a (A_a)_u (A_a)_v.  The identity counts among the A_a:
+    its products are the sphere's delta_ik delta_jl - delta_il delta_jk.  The
+    operators are symmetric, so G is formed once for each unordered pair of
+    unordered pairs u, v of `indices`."""
+    rows = [[dict((j, (x, y)) for j, x, y in op[i]) for op in ops] for i in indices]
+    vectors = [  # (A_a)_ik for the unordered pairs {i, k}, in the order of _tri
+        [(den * (i == k), 0)] + [entries.get(k, (0, 0)) for entries in row]
+        for s, (i, row) in enumerate(zip(indices, rows))
+        for k in indices[: s + 1]
+    ]
+    gram = [_dot(a, b) for u, a in enumerate(vectors) for b in vectors[: u + 1]]
+    flat = [x for x, _ in gram] + [y for _, y in gram]
+    first, second = _layout(len(indices))[:2]
+    return tuple(map(sub, first(flat), second(flat)))
+
+
+def _dot(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> tuple[int, int]:
+    """sum_a (A_a)_u (A_a)_v, one entry of the Gram table."""
+    x = y = 0
+    for (ax, ay), (bx, by) in zip(a, b):
+        x += ax * bx + 3 * ay * by
+        y += ax * by + ay * bx
+    return x, y
+
+
+def _tri(u: int, v: int) -> int:
+    """The position of the unordered pair {u, v} in a lower triangle read by rows."""
+    return max(u, v) * (max(u, v) + 1) // 2 + min(u, v)
+
+
+@cache
+def _layout(m: int) -> tuple[itemgetter, ...]:
+    """Gathers over the m^4 quadruples (i, j, k, l) of m indices in row-major
+    order: of G(ik, jl) and G(il, jk) from the Gram table, and of the
+    entries jikl, ijlk, klij, iklj and iljk from the Riemann table.  Each
+    takes x parts, then y parts: two entries or more, so a tuple at m = 1."""
+    quads = list(product(range(m), repeat=4))
+    gram = _tri(0, _tri(0, m))  # the Gram table's size: q(q + 1)/2 for q = m(m + 1)/2
+
+    def gather(order: list[int], size: int) -> itemgetter:
+        return itemgetter(*order, *(f + size for f in order))
+
+    return (
+        gather([_tri(_tri(i, k), _tri(j, l)) for i, j, k, l in quads], gram),
+        gather([_tri(_tri(i, l), _tri(j, k)) for i, j, k, l in quads], gram),
+        *(
+            gather([((t[a] * m + t[b]) * m + t[c]) * m + t[d] for t in quads], m**4)
+            for a, b, c, d in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (0, 2, 3, 1), (0, 3, 1, 2))
+        ),
+    )
 
 
 def _ricci_contraction(ops: list[list[Row]], den2: int, n: int) -> Pairs:
     """sum_k R_ikjk over D^2 for every (i, j), as the sum of its components.
 
     Each component delta_ij delta_kk - delta_ik delta_kj + sum_a (A_ij A_kk -
-    A_ik A_kj) contributes every product of two nonzero operator entries; the
-    products with a zero factor are skipped, and the delta parts over k add
-    up to (n - 1) delta_ij.  Nothing here reads sum_a A_a^2.
+    A_ik A_kj) contributes every product of two nonzero operator entries, with
+    sum_k A_ij A_kk = A_ij Tr(A_a); the delta parts over k add up to (n - 1)
+    delta_ij.  The sum is symmetric, so only its lower triangle is
+    accumulated, then mirrored.  Nothing here reads sum_a A_a^2.
     """
-    cx = [[0] * n for _ in range(n)]
+    cx = [[(n - 1) * den2 * (i == j) for j in range(n)] for i in range(n)]
     cy = [[0] * n for _ in range(n)]
-    for i in range(n):
-        cx[i][i] = (n - 1) * den2
     for rows in ops:
-        diagonal = [(x, y) for k, row in enumerate(rows) for l, x, y in row if l == k]
-        for row, rx, ry in zip(rows, cx, cy):
-            for j, ax, ay in row:  # + A_ij A_kk
-                for dx, dy in diagonal:
-                    rx[j] += ax * dx + 3 * ay * dy
-                    ry[j] += ax * dy + ay * dx
-            for k, ax, ay in row:  # - A_ik A_kj
+        tx = sum(x for k, row in enumerate(rows) for l, x, _ in row if l == k)
+        ty = sum(y for k, row in enumerate(rows) for l, _, y in row if l == k)
+        for i, (row, rx, ry) in enumerate(zip(rows, cx, cy)):
+            for k, ax, ay in row:
+                if k <= i:  # + A_ij Tr(A_a) at j = k
+                    rx[k] += ax * tx + 3 * ay * ty
+                    ry[k] += ax * ty + ay * tx
                 ay3 = 3 * ay
-                for j, bx, by in rows[k]:
+                for j, bx, by in rows[k]:  # - A_ik A_kj
+                    if j > i:
+                        break
                     rx[j] -= ax * bx + ay3 * by
                     ry[j] -= ax * by + ay * bx
+    for i in range(n):
+        for j in range(i):
+            cx[j][i] = cx[i][j]
+            cy[j][i] = cy[i][j]
     return cx, cy

@@ -363,7 +363,8 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
     one sample has nothing to be compared with.  SweepTooLarge before
     `normal_char_poly` if samples x codim exceeds MAX_SAMPLE_COORDINATES, and
     before any sample is drawn if samples x (terms + coefficients) exceeds
-    MAX_SAMPLE_TERMS.
+    MAX_SAMPLE_TERMS; both count every sample, although at p = 1 only the
+    first two are evaluated, since the samples alternate between +1 and -1.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -384,7 +385,7 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
             f"{samples} samples of the {count} terms and coefficients of the characteristic polynomial are "
             f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
         )
-    points = unit_normal_samples(data.p, samples, seed)
+    points = unit_normal_samples(data.p, 2 if data.p == 1 else samples, seed)
     first = [(x,) for x in next(points)]
     baseline = [eval_terms(t, first, 1)[0] for t in terms]
     deviation = 0.0

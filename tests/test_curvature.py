@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, signed_permutation
 from willmore import curvature
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
+from willmore.cli import verify_certificate
 from willmore.curvature import (
     NotMinimalError,
-    _riemann_table,
+    _gram_table,
     _ricci_contraction,
     curvature_report,
     einstein_check,
@@ -250,11 +252,33 @@ def sampled_indices(n):
     return range(0, n, stride)
 
 
+def assert_components_match_riemann(data):
+    """Every entry of the Gram table equals riemann() at its quadruple (the
+    x parts of the quadruples in row-major order, then the y parts), and the
+    contraction the sums of riemann(), minimal data or not."""
+    n = data.n
+    ops, den = integer_rows(data.operators)
+    indices = sampled_indices(n)
+    quadruples = list(itertools.product(indices, repeat=4))
+    table = _gram_table(ops, den, indices)
+    assert len(table) == 2 * len(quadruples) == 2 * len(indices) ** 4
+    for f, (i, j, k, l) in enumerate(quadruples):
+        assert QuadExt._make(table[f], table[f + len(quadruples)], den * den) == riemann(data, i, j, k, l)
+    cx, cy = _ricci_contraction(ops, den * den, n)
+    for i in range(n):
+        for j in range(n):
+            total = riemann(data, i, 0, j, 0)
+            for k in range(1, n):
+                total = total + riemann(data, i, k, j, k)
+            assert QuadExt._make(cx[i][j], cy[i][j], den * den) == total
+
+
 def assert_pass_matches_reference(data):
     """curvature_report and riemann_suite against Matrix products, QuadExt
     sums and riemann(); returns the report and the suite's quadruple count
     (None for non-minimal data, which gets no suite)."""
     n = data.n
+    assert_components_match_riemann(data)
     report = curvature_report(data)
     assert report.square_norm == squared_operator_sum(data).trace() == square_norm(data)
     assert report.minimal == minimality_check(data)
@@ -264,18 +288,6 @@ def assert_pass_matches_reference(data):
     assert report.ricci == ricci(data)
     assert report.einstein == einstein_check(ricci(data))
     assert report.willmore == willmore_check(data)
-    ops, den = integer_rows(data.operators)
-    den2 = den * den
-    table = _riemann_table(ops, den2, range(n) if n <= 6 else sampled_indices(n))
-    for (i, j, k, l), (x, y) in table.items():
-        assert QuadExt._make(x, y, den2) == riemann(data, i, j, k, l)
-    cx, cy = _ricci_contraction(ops, den2, n)
-    for i in range(n):
-        for j in range(n):
-            total = riemann(data, i, 0, j, 0)
-            for k in range(1, n):
-                total = total + riemann(data, i, k, j, k)
-            assert QuadExt._make(cx[i][j], cy[i][j], den2) == total
     checks, count = riemann_suite(data, report.ricci)
     assert count == len(sampled_indices(n)) ** 4
     assert all(checks.values())
@@ -337,6 +349,32 @@ class TestCurvaturePass:
         data = ShapeOperatorSet("eight", 8, 2, tuple(trace_free(op) for op in data.operators), data.labels)
         assert assert_pass_matches_reference(data)[1] == 4 ** 4
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (6, 6), (7, 4)])
+    def test_table_at_the_stride_edges(self, n, m):
+        # n = 1: one index, whose gathers take one x and one y part; n = 6:
+        # every index; n = 7: the stride turns 2
+        rng = random.Random(n)
+        data = rand_dataset(rng, n, 2)
+        assert len(sampled_indices(n)) == m
+        assert_components_match_riemann(data)
+        data = ShapeOperatorSet("edge", n, 2, tuple(trace_free(op) for op in data.operators), data.labels)
+        assert assert_pass_matches_reference(data)[1] == m ** 4
+
+    @pytest.mark.parametrize("n, products", [(1, 1), (6, 231), (7, 55), (10, 120)])
+    def test_the_gram_table_forms_one_product_per_unordered_pair_of_pairs(self, monkeypatch, n, products):
+        # m sampled indices make q = m(m + 1)/2 unordered pairs and q(q + 1)/2
+        # products of p + 1 entries (the identity's among them): 120 at m = 5,
+        # on n = 10 data whose every entry is nonzero, against 625 quadruples
+        rng = random.Random(n)
+        data = rand_dataset(rng, n, 3)
+        if n == 10:
+            data = rotate_normals(change_frame(builtin("g6_m2_M2"), cayley_frame(n, rng)), cayley_frame(3, rng))
+            assert all(e for op in data.operators for row in op.rows for e in row)
+        lengths, dot = [], curvature._dot
+        monkeypatch.setattr(curvature, "_dot", lambda a, b: lengths.append(len(a)) or dot(a, b))
+        riemann_suite(data, Matrix.identity(n, QuadExt(1)))
+        assert lengths == [3 + 1] * products
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_symmetric_operators(self, draw):
@@ -356,22 +394,47 @@ class TestCurvaturePass:
         data = ShapeOperatorSet("random", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
         assert_pass_matches_reference(data)
 
+    @pytest.mark.parametrize("error", [QuadExt(1), QuadExt(0, 1)], ids=["rational", "sqrt3"])
     @pytest.mark.parametrize("name", ["g6_m1_M1", "g6_m2_M2"])
-    def test_a_wrong_ricci_entry_fails_the_contraction(self, name):
+    def test_a_wrong_ricci_entry_fails_the_contraction(self, name, error):
         data = builtin(name)
         ric = ricci(data)
         assert riemann_suite(data, ric)[0]["contraction"]
         rows = [list(row) for row in ric.rows]
-        rows[2][0] = rows[2][0] + QuadExt(1)
+        rows[2][0] = rows[2][0] + error
         checks, _ = riemann_suite(data, Matrix(rows))
         assert checks == {"antisymmetry": True, "pair_symmetry": True, "bianchi": True, "contraction": False}
 
-    def test_a_wrong_table_entry_fails_the_symmetry_checks(self, monkeypatch):
+    @pytest.mark.parametrize("errors", [{(0, 1, 2, 3): 1}, {(0, 1, 2, 3): 1, (1, 0, 2, 3): -1}], ids=["one", "ij_pair"])
+    @pytest.mark.parametrize("part", [0, 1], ids=["x", "y"])
+    def test_a_wrong_table_entry_fails_the_symmetry_checks(self, monkeypatch, part, errors):
+        # the pair of errors keeps R_jikl = -R_ijkl: antisymmetry fails on R_ijlk
         data = builtin("g6_m1_M1")
+        n = data.n
         ops, den = integer_rows(data.operators)
-        table = _riemann_table(ops, den * den, range(data.n))
-        x, y = table[0, 1, 2, 3]
-        table[0, 1, 2, 3] = (x + 1, y)
-        monkeypatch.setattr(curvature, "_riemann_table", lambda *args: table)
+        table = list(_gram_table(ops, den, range(n)))
+        for (i, j, k, l), error in errors.items():
+            table[part * n**4 + ((i * n + j) * n + k) * n + l] += error
+        monkeypatch.setattr(curvature, "_gram_table", lambda *args: tuple(table))
         checks, _ = riemann_suite(data, ricci(data))
         assert checks == {"antisymmetry": False, "pair_symmetry": False, "bianchi": False, "contraction": True}
+
+    @pytest.mark.parametrize("name", ["g6_m1_M1", "g6_m2_M2"])
+    def test_a_wrong_squared_sum_fails_the_contraction(self, monkeypatch, name):
+        # the contraction is summed from the operators, not from sum_a A_a^2:
+        # a wrong sum makes a wrong Ricci tensor, which it tells apart
+        data = builtin(name)
+        squared_sum = curvature._squared_sum
+
+        def wrong(ops, n):
+            sx, sy = squared_sum(ops, n)
+            sx[1][0] += 1
+            sx[0][1] += 1
+            return sx, sy
+
+        monkeypatch.setattr(curvature, "_squared_sum", wrong)
+        cert, ok = verify_certificate(data)
+        assert not ok
+        assert "contraction: FAIL" in cert.render("text").splitlines()
+        checks, _ = riemann_suite(data, curvature_report(data).ricci)
+        assert checks == {"antisymmetry": True, "pair_symmetry": True, "bianchi": True, "contraction": False}

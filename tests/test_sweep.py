@@ -14,7 +14,7 @@ from sphere_reference import sphere_constant
 from sweep_inputs import DENSE_8_BY_8, DIAGONAL_9, STEPS_22, dense_file
 from willmore import polyring, sweep
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, parse_dataset
-from willmore.cli import NUMERIC_TOLERANCE
+from willmore.cli import NUMERIC_TOLERANCE, main
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly, integer_rows
 from willmore.polyring import MultiPoly, eval_float, reduce_mod_sphere
@@ -728,7 +728,24 @@ class TestNumeric:
             monkeypatch.setattr(sweep, "eval_terms", polyring.eval_terms)
             assert repr(deviation) == repr(pointwise_numeric_sweep(data, samples, 7))
             chunks = [size for _, _, size in calls]
-            assert max(chunks) <= 5 and sum(chunks) == samples * (data.n + 1)
+            # at p = 1 the samples alternate between +1 and -1, and only those two are evaluated
+            assert max(chunks) <= 5 and sum(chunks) == (samples if data.p > 1 else 2) * (data.n + 1)
+
+    def test_at_p1_only_the_two_unit_normals_are_evaluated(self, monkeypatch, capsys, tmp_path):
+        # the samples alternate between +1 and -1: 1,024,000 of them, at the
+        # coordinate bound, read the deviation that 2 read, from 2 points
+        path = tmp_path / "lopsided.dat"
+        path.write_text("dataset lopsided\ndim 2\ncodim 1\noperator B1\n1 0\n0 0\n", encoding="utf-8")
+        deviations, sizes = [], []
+        for samples in (2, sweep.MAX_SAMPLE_COORDINATES):
+            calls = count_calls(monkeypatch, sweep, "eval_terms")
+            assert main(["sweep", str(path), "--mode", "numeric", "--samples", str(samples)]) == 1
+            monkeypatch.undo()
+            deviations.append([line for line in capsys.readouterr().out.splitlines() if line.startswith("max_deviation")])
+            sizes.append([size for _, _, size in calls])
+        assert sweep.MAX_SAMPLE_COORDINATES == 1_024_000
+        assert deviations[0] == deviations[1] == ["max_deviation: 2.0"]
+        assert sizes[0] == sizes[1] == [1] * 2 * 3  # the baseline, then one point, for each of 3 coefficients
 
     def test_points_are_drawn_a_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
