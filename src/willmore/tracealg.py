@@ -16,7 +16,9 @@ A_a = A_b^2 A_a + A_b A_a A_b + A_a A_b^2, and every operator is trace-free.
 
 from __future__ import annotations
 
+import itertools
 import re
+from bisect import bisect_right
 from collections import Counter
 from typing import Iterable, Mapping
 
@@ -253,6 +255,11 @@ def reduce_goal_with_steps(
     return TraceExpr._of(residual), tuple(steps)
 
 
+# The coefficients of the g=4 relations, shared by all of them.
+_MINUS_ONE = QuadExt._make(-1, 0, 1)
+_MINUS_THREE = QuadExt._make(-3, 0, 1)
+
+
 def g4_relations(p: int, letters: Iterable[int] | None = None) -> list[TraceExpr]:
     """The traces of A_a - A_a^3 for every a, of A_a - A_b^2 A_a - A_b A_a A_b
     - A_a A_b^2 for every a and b != a, and Tr(A_a) for every a, in 1..p.
@@ -260,6 +267,14 @@ def g4_relations(p: int, letters: Iterable[int] | None = None) -> list[TraceExpr
     Given `letters`, only the blocks of those letters (see `g4_block`), in
     the order the full set lists them when the letters are ascending; None
     means every letter, p^2 + p relations.
+
+    The relations are written in canonical form: the three rotations of
+    A_a A_b^2 trace to one word, (a, b, b) if a < b and (b, b, a) if not,
+    with coefficient -3.  So
+    TraceExpr({(1,): 1, (2, 2, 1): -1, (2, 1, 2): -1, (1, 2, 2): -1}), the
+    untraced words of (a, b) = (1, 2), is the relation Tr(A1) - 3*Tr(A1*A2^2)
+    listed here.  Each relation holds (a,) first; the coefficients are
+    shared constants.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -267,18 +282,17 @@ def g4_relations(p: int, letters: Iterable[int] | None = None) -> list[TraceExpr
         letters = range(1, p + 1)
     else:
         letters = list(letters)
-        if any(not 1 <= a <= p for a in letters):
+        if any(not isinstance(a, int) or not 1 <= a <= p for a in letters):
             raise ValueError(f"block letters must lie in 1..{p}: {letters}")
-    # The untraced words of each identity: TraceExpr's cyclic canonicalization
-    # traces them, and the three rotations in a conjugation add up to -3.
-    cubes = [TraceExpr({(a,): 1, (a, a, a): -1}) for a in letters]
+    of = TraceExpr._of
+    cubes = [of({(a,): ONE, (a, a, a): _MINUS_ONE}) for a in letters]
     conjugations = [
-        TraceExpr({(a,): 1, (b, b, a): -1, (b, a, b): -1, (a, b, b): -1})
+        of({(a,): ONE, (a, b, b) if a < b else (b, b, a): _MINUS_THREE})
         for a in letters
         for b in range(1, p + 1)
         if b != a
     ]
-    return cubes + conjugations + [TraceExpr({(a,): 1}) for a in letters]
+    return cubes + conjugations + [of({(a,): ONE}) for a in letters]
 
 
 def g4_block(word: Word) -> int | None:
@@ -344,19 +358,18 @@ def verify_g4(p: int) -> ProofReport:
     return ProofReport(p, count, tuple(goals))
 
 
-# Characters that can start or continue a token; the first one outside them
-# is reported before any other error in the text.
-_OUTSIDE = re.compile(r"[^\s\dA-Za-z_()*/^+\-]")
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)",
-    re.DOTALL,
-)
-# 'Tr' as a whole name, then its '(' if there is one
-_TRACE = re.compile(r"Tr(?![A-Za-z0-9_])\s*(\()?\s*")
-# The longest run of factors A_i or A_i^k joined by '*'; _FACTOR reads them.
-# A '^' without digits ends a factor, so that it fails in its turn.
-_WORD = re.compile(r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*")
-_FACTOR = re.compile(r"A(\d+)(?:\s*\^\s*(\d*))?")
+# The parser's patterns, compiled on first use (re caches them).  Characters
+# that can start or continue a token; the first one outside them is reported
+# before any other error in the text.
+_OUTSIDE = r"[^\s\dA-Za-z_()*/^+\-]"
+# The stepwise reader's: the token an error names,
+_TOKEN = r"(?s)(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)"
+# 'Tr' as a whole name, then its '(' if there is one,
+_TRACE = r"Tr(?![A-Za-z0-9_])\s*(\()?\s*"
+# and the longest run of factors A_i or A_i^k joined by '*', which _FACTOR
+# reads; a '^' without digits ends a factor, so that it fails in its turn.
+_WORD = r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*"
+_FACTOR = r"A(\d+)(?:\s*\^\s*(\d*))?"
 
 
 def _missing(expected: str, text: str, at: int) -> TraceParseError:
@@ -370,10 +383,10 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
     Errors come in text order: those of the factors read, then the token at
     which the run of factors stops short of the ')'.
     """
-    run = _WORD.match(text, pos)
+    run = re.compile(_WORD).match(text, pos)
     end = run.end() if run else pos
     letters: list[int] = []
-    for factor in _FACTOR.finditer(text, pos, end):
+    for factor in re.compile(_FACTOR).finditer(text, pos, end):
         start = factor.start()
         try:
             index = int(factor[1])
@@ -404,49 +417,113 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
     return tuple(letters), end + 1
 
 
+# A well-formed term in its common spelling, read by one match: an optional
+# coefficient, a plain or parenthesized scalar, then '*'; then Tr(word) with
+# no space inside the word, no A0 or ^0, an index below 10^9 and exponents
+# below 10^4; then the space after it.  Whatever it does not match, the
+# stepwise reader reads.  Compiled on first use, as _SCAN_RULE is.
+_FAST_FACTOR = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]{0,3})?"
+_FAST_TERM = (
+    r"(?:(?:\((?P<inner>[^()]*)\)|(?P<plain>-?[0-9]+(?:/[0-9]+)?))\s*\*\s*)?"
+    rf"Tr\s*\(\s*(?P<word>{_FAST_FACTOR}(?:\*{_FAST_FACTOR})*)\s*\)\s*"
+)
+
+
+def _fast_term(text: str, match: re.Match) -> tuple[Word, QuadExt] | None:
+    """(canonical word, coefficient) of a term `_FAST_TERM` matched, or None
+    where the stepwise reader must read it: a coefficient the scalar scanner
+    does not end where the pattern does, or a word longer than MAX_WORD_LEN."""
+    inner, plain, word = match.groups()
+    coeff = ONE
+    if inner is not None or plain is not None:
+        start, end = match.span("plain" if inner is None else "inner")
+        try:
+            coeff, stop = scan_scalar(text, _SPACE.match(text, start).end())
+        except ScalarParseError:
+            return None
+        if _SPACE.match(text, stop).end() != end:
+            return None
+    if "^" not in word:
+        letters = tuple(map(int, word[1:].split("*A")))
+    else:
+        expanded: list[int] = []
+        for factor in word[1:].split("*A"):
+            index, _, exponent = factor.partition("^")
+            expanded += [int(index)] * int(exponent or 1)
+            if len(expanded) > MAX_WORD_LEN:  # before 1,000 factors ^9999 are built
+                return None
+        letters = tuple(expanded)
+    if len(letters) > MAX_WORD_LEN:
+        return None
+    return canonicalize_cyclic(letters), coeff
+
+
+def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
+    """(canonical word, coefficient, end) of the term at text[pos], read step
+    by step: each step of the grammar is a compiled pattern matched at the
+    current position, and an error names the token found there."""
+    trace = re.compile(_TRACE).match(text, pos)
+    if trace is not None:
+        coeff = ONE
+    else:
+        # optionally parenthesized, so canonical renderings re-parse
+        parens = text.startswith("(", pos)
+        try:
+            coeff, pos = scan_scalar(text, _SPACE.match(text, pos + 1).end() if parens else pos)
+        except ScalarParseError as exc:
+            raise TraceParseError(exc.message, exc.position) from exc
+        pos = _SPACE.match(text, pos).end()
+        if parens:
+            if not text.startswith(")", pos):
+                raise TraceParseError("expected ')'", pos)
+            pos = _SPACE.match(text, pos + 1).end()
+        if not text.startswith("*", pos):
+            raise TraceParseError("expected '*'", pos)
+        pos = _SPACE.match(text, pos + 1).end()
+        trace = re.compile(_TRACE).match(text, pos)
+        if trace is None:
+            raise TraceParseError("expected 'Tr'", pos)
+    if trace[1] is None:
+        raise TraceParseError("expected '('", trace.end())
+    word, pos = _read_word(text, trace.end())
+    return canonicalize_cyclic(word), coeff, pos
+
+
 def parse_trace_expr(text: str) -> TraceExpr:
     """Parse e.g. "Tr(A1) - 3*Tr(A2*A1*A2)" into a canonical TraceExpr.
 
-    One pass: each step of the grammar is a compiled pattern matched at the
-    current position, and an error names the token found there.
+    The single parser of the trace grammar, in one pass.  A character
+    outside the token alphabet is reported first.  Then each term is read
+    by one compiled pattern (`_FAST_TERM`) where it is spelled as most terms
+    are; from a term the pattern does not match, the stepwise reader
+    (`_read_term`) reads what the pattern does not cover, or raises the
+    message of the first failing token at its position.  The pattern accepts
+    a subset of the grammar and gives the same term as the stepwise reader,
+    so the result and every error are those of a token-by-token reading.
     """
-    bad = _OUTSIDE.search(text)
+    bad = re.compile(_OUTSIDE).search(text)
     if bad is not None:
         raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
+    fast = re.compile(_FAST_TERM).match
     terms = []
     negative = False
     pos = _SPACE.match(text).end()
     while True:
-        trace = _TRACE.match(text, pos)
-        if trace is not None:
-            coeff = ONE
+        match = fast(text, pos)
+        term = match and _fast_term(text, match)
+        if term:
+            word, coeff = term
+            pos = match.end()
         else:
-            # optionally parenthesized, so canonical renderings re-parse
-            parens = text.startswith("(", pos)
-            try:
-                coeff, pos = scan_scalar(text, _SPACE.match(text, pos + 1).end() if parens else pos)
-            except ScalarParseError as exc:
-                raise TraceParseError(exc.message, exc.position) from exc
+            word, coeff, pos = _read_term(text, pos)
             pos = _SPACE.match(text, pos).end()
-            if parens:
-                if not text.startswith(")", pos):
-                    raise TraceParseError("expected ')'", pos)
-                pos = _SPACE.match(text, pos + 1).end()
-            if not text.startswith("*", pos):
-                raise TraceParseError("expected '*'", pos)
-            pos = _SPACE.match(text, pos + 1).end()
-            trace = _TRACE.match(text, pos)
-            if trace is None:
-                raise TraceParseError("expected 'Tr'", pos)
-        if trace[1] is None:
-            raise TraceParseError("expected '('", trace.end())
-        word, pos = _read_word(text, trace.end())
-        terms.append((canonicalize_cyclic(word), -coeff if negative else coeff))
-        pos = _SPACE.match(text, pos).end()
+        if negative:
+            coeff = _MINUS_ONE if coeff is ONE else -coeff
+        terms.append((word, coeff))
         if pos == len(text):
             return TraceExpr._of(accumulate({}, terms))
         if text[pos] not in "+-":
-            raise TraceParseError(f"unexpected token {_TOKEN_RE.match(text, pos).group()!r}", pos)
+            raise TraceParseError(f"unexpected token {re.compile(_TOKEN).match(text, pos).group()!r}", pos)
         negative = text[pos] == "-"
         pos = _SPACE.match(text, pos + 1).end()
 
@@ -463,7 +540,9 @@ def _parse_rule(number: int, line: str) -> TraceExpr:
         raise TraceParseError(f"line {number}: expected exactly one '='")
     try:
         lhs = parse_trace_expr(parts[0])
-        rhs = TraceExpr() if parts[1].strip() == "0" else parse_trace_expr(parts[1])
+        if parts[1].strip() == "0":
+            return lhs
+        rhs = parse_trace_expr(parts[1])
     except TraceParseError as exc:
         raise TraceParseError(f"line {number}: {exc}") from exc
     return lhs - rhs
@@ -483,7 +562,7 @@ _SCAN_FACTOR = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]?)?"
 _SCAN_TERM = rf"\s*(?:-?\s*[0-9]{{1,20}}\s*\*\s*)?Tr\({_SCAN_FACTOR}(?:\*{_SCAN_FACTOR}){{0,99}}\)\s*"
 _SCAN_SIDE = rf"{_SCAN_TERM}(?:[-+]{_SCAN_TERM})*"
 _SCAN_RULE = rf"{_SCAN_SIDE}=(?:\s*0\s*|{_SCAN_SIDE})"
-_SCAN_WORD = re.compile(r"Tr\(([^)]*)\)")
+_SCAN_WORD = r"Tr\(([^)]*)\)"
 
 
 def _multiset(word: Word) -> tuple[str, ...]:
@@ -503,77 +582,121 @@ def _letters(word: str) -> tuple[str, ...]:
     return tuple(sorted(letters))
 
 
+def _above(p: int) -> str:
+    """A pattern for the factor names A<i> with i > p, no leading zero."""
+    digits = str(p)
+    # more digits than p, or as many with a larger digit after a common prefix
+    larger = [f"[1-9][0-9]{{{len(digits)},}}"] + [
+        f"{digits[:i]}[{int(digit) + 1}-9][0-9]{{{len(digits) - i - 1}}}"
+        for i, digit in enumerate(digits)
+        if digit != "9"
+    ]
+    return f"A(?:{'|'.join(larger)})(?![0-9])"
+
+
+def _rarest(key: tuple[str, ...]) -> str:
+    """The letter a multiset holds fewest times, the first such in its order
+    (for a g=4 word, its block letter)."""
+    counts = Counter(key)
+    return min(counts, key=counts.__getitem__)
+
+
 class RulesFile:
-    """A rules file read goal-locally.  Every line is checked in file order:
-    one the scan pattern accepts cannot fail `_parse_rule`, and any other goes
-    through it.  Relations that share a canonical word share its letter
-    multiset, so the lines joined to the goal through shared multisets hold
-    the goal's block, and only they are parsed.  Reading the file indexes
-    each line by the letters it names; a line's multisets are read only when
-    a search first needs one of those letters."""
+    """A rules file read goal-locally, in three steps.
+
+    1. Reading checks every line in file order: one the scan pattern accepts
+       cannot fail `_parse_rule`, and any other goes through it at once.  The
+       lines are kept as one joined text; nothing is indexed.
+    2. `component` finds the lines joined to the goal through shared letter
+       multisets; relations that share a canonical word share its multiset,
+       so they hold the goal's block.  The lines that name a letter are found
+       when the search first needs that letter: all letters of one
+       breadth-first round by one regex search of the joined text.
+    3. Only those lines are parsed.
+
+    `above(p)` finds the lines that name a letter above p by one search of
+    the joined text with a pattern built for p."""
 
     def __init__(self, text: str) -> None:
         self.lines = _rule_lines(text)
-        scan = re.compile(_SCAN_RULE, re.ASCII)
-        names = re.compile(r"A[0-9]+").findall
-        self.relations: list[TraceExpr | None] = []
-        self.index: dict[str, list[int]] = {}  # letter -> the lines that name it, ascending
-        for k, (number, line) in enumerate(self.lines):
-            relation = None if scan.fullmatch(line) else _parse_rule(number, line)
-            self.relations.append(relation)
-            letters = names(line) if relation is None else map("A{}".format, set().union(*relation.terms))
-            for letter in set(letters):
-                self.index.setdefault(letter, []).append(k)
+        scan = re.compile(_SCAN_RULE, re.ASCII).fullmatch
+        self.relations: list[TraceExpr | None] = [
+            None if scan(line) else _parse_rule(number, line) for number, line in self.lines
+        ]
+        texts = [line for _, line in self.lines]
+        self._text = "\n".join(texts)
+        self._starts = list(itertools.accumulate([len(line) + 1 for line in texts], initial=0))
         # Filled as letters are walked: each line's multisets, read once, and
         # for each multiset the lines read that hold it.  Once one letter of a
         # multiset is walked, every line that holds it has been read.
-        self._multisets: list[list[tuple[str, ...]] | None] = [None] * len(self.lines)
+        self._multisets: list[list[tuple[str, ...]] | None] = [None] * len(texts)
         self._holders: dict[tuple[str, ...], list[int]] = {}
         self._walked: set[str] = set()
+        # The lines the scan rejected are parsed already: their multisets are
+        # read now, from their relations, so no search needs to find them.
+        self._rejected = [k for k, relation in enumerate(self.relations) if relation is not None]
+        for k in self._rejected:
+            self._read(k, map(_multiset, self.relations[k].terms))
 
     def _parsed(self, ks: Iterable[int]) -> list[TraceExpr]:
         return [self.relations[k] or _parse_rule(*self.lines[k]) for k in ks]
 
-    def _walk(self, letter: str) -> None:
-        """Read the multisets of every line that names the letter, once."""
-        self._walked.add(letter)
-        for k in self.index.get(letter, ()):
+    def _read(self, k: int, keys: Iterable[tuple[str, ...]]) -> None:
+        self._multisets[k] = keys = list(dict.fromkeys(keys))
+        for key in keys:
+            self._holders.setdefault(key, []).append(k)
+
+    def _search(self, pattern: str) -> list[int]:
+        """The lines in which the pattern matches, ascending: one search of
+        the joined text, each match run on to the end of its line."""
+        starts = self._starts
+        matches = re.finditer(pattern + r"[^\n]*", self._text)
+        return [bisect_right(starts, match.start()) - 1 for match in matches]
+
+    def _walk(self, letters: set[str]) -> None:
+        """Read the multisets of every line that names one of the letters, by
+        one search of the joined text."""
+        self._walked |= letters
+        names = "|".join(letter[1:] for letter in letters)
+        words = re.compile(_SCAN_WORD).findall
+        for k in self._search(f"A(?:{names})(?![0-9])"):
             if self._multisets[k] is None:
-                relation = self.relations[k]
-                if relation is None:
-                    keys = map(_letters, _SCAN_WORD.findall(self.lines[k][1]))
-                else:
-                    keys = map(_multiset, relation.terms)
-                self._multisets[k] = list(dict.fromkeys(keys))
-                for key in self._multisets[k]:
-                    self._holders.setdefault(key, []).append(k)
+                self._read(k, map(_letters, words(self.lines[k][1])))
 
     def above(self, p: int) -> list[TraceExpr]:
-        """The relations of the lines that name a letter above p, in file order."""
-        high = [lines for letter, lines in self.index.items() if int(letter[1:]) > p]
-        return self._parsed(sorted(set().union(*high)))
+        """The relations of the lines that name a letter above p, in file
+        order (a parsed line by the words of its relation)."""
+        # The scan accepts no index of ten digits, so a larger p needs no
+        # longer pattern: the lines it finds beyond are checked after parsing.
+        high = set(self._search(_above(min(p, 10**9))))
+        high.update(k for k in self._rejected if max(map(max, self.relations[k].terms), default=0) > p)
+        return self._parsed(sorted(high))
 
     def component(self, goal: TraceExpr) -> list[TraceExpr]:
         """The relations of the lines joined to the goal's words through
         shared multisets, in file order.
 
-        Breadth-first over multisets.  Every line that holds a multiset names
-        each of its letters, so walking one letter's lines finds them all; the
-        letter walked has the fewest lines, then is held the fewest times (the
-        block letter of a g=4 word).  Each line is read and each letter walked
-        at most once, so the search is linear in the lines it reads."""
-        queue = list(dict.fromkeys(map(_multiset, goal.terms)))
-        seen = set(queue)
+        Breadth-first over multisets, one round at a time.  Every line that
+        holds a multiset names each of its letters, so walking one letter's
+        lines finds them all; the letter walked is the one the multiset holds
+        fewest times.  The unwalked letters of a round are walked together,
+        each line is read and each letter walked at most once, so the search
+        is linear in the lines it reads."""
+        frontier = list(dict.fromkeys(map(_multiset, goal.terms)))
+        seen = set(frontier)
         block: set[int] = set()
-        for key in queue:  # grows while the loop runs, until the component is closed
-            counts = Counter(key)
-            letter = min(counts, key=lambda name: (len(self.index.get(name, ())), counts[name]))
-            if letter not in self._walked:
-                self._walk(letter)
-            for k in self._holders.get(key, ()):
-                if k not in block:
-                    block.add(k)
-                    fresh = [other for other in self._multisets[k] if other not in seen]
-                    seen.update(fresh)
-                    queue += fresh
+        while frontier:
+            letters = {_rarest(key) for key in frontier} - self._walked
+            if letters:
+                self._walk(letters)
+            fresh = []
+            for key in frontier:
+                for k in self._holders.get(key, ()):
+                    if k not in block:
+                        block.add(k)
+                        for other in self._multisets[k]:
+                            if other not in seen:
+                                seen.add(other)
+                                fresh.append(other)
+            frontier = fresh
         return self._parsed(sorted(block))

@@ -103,6 +103,20 @@ def words_read(monkeypatch):
 
 
 @pytest.fixture
+def walks(monkeypatch):
+    """The letters of each search the rules reader makes of its text."""
+    searches = []
+
+    def counting(self, letters):
+        searches.append(set(letters))
+        return walk(self, letters)
+
+    walk = tracealg.RulesFile._walk
+    monkeypatch.setattr(tracealg.RulesFile, "_walk", counting)
+    return searches
+
+
+@pytest.fixture
 def non_minimal_file(tmp_path):
     path = tmp_path / "lopsided.dat"
     path.write_text(NON_MINIMAL, encoding="utf-8")
@@ -554,24 +568,34 @@ class TestTracecheck:
         assert len(words_read) <= 315
         assert "relations: 1640\n" in capsys.readouterr().out
 
-    def test_rules_file_reads_each_line_once_on_a_chain(self, words_read):
+    def test_rules_file_reads_each_line_once_on_a_chain(self, words_read, walks):
         # one component of 1,727 lines, each naming A1, A2 and A3: a search
         # that walks a letter's lines once per multiset walks them 1,728 times
         words = [f"Tr(A1^{a}*A2^{b}*A3^{c})" for a in range(1, 13) for b in range(1, 13) for c in range(1, 13)]
         rules = tracealg.RulesFile("".join(f"{u} = {v}\n" for u, v in zip(words, words[1:])))
-        walks = []
-
-        class Walked(list):
-            def __iter__(self):
-                walks.append(self.letter)
-                return super().__iter__()
-
-        for letter, lines in rules.index.items():
-            rules.index[letter] = Walked(lines)
-            rules.index[letter].letter = letter
         assert len(rules.component(tracealg.parse_trace_expr("Tr(A1*A2*A3)"))) == 1727
         assert len(words_read) == 2 * 1727
-        assert len(walks) == len(set(walks)) <= 3
+        walked = [letter for letters in walks for letter in letters]
+        assert len(walked) == len(set(walked)) <= 3
+
+    def test_rules_file_searches_the_text_once_per_round(self, monkeypatch, walks):
+        # a binary tree of 15 lines over A1..A31, Tr(Ai) = Tr(A2i) + Tr(A2i+1):
+        # from Tr(A1) the search takes 5 breadth-first rounds, and round r
+        # walks the 2^(r-1) letters of its level in one search of the text
+        # (A1 beside A10-A19, A2 beside A20-A29, A3 beside A30 and A31)
+        text = "".join(f"Tr(A{i}) = Tr(A{2 * i}) + Tr(A{2 * i + 1})\n" for i in range(1, 16))
+        rules = tracealg.RulesFile(text)
+        searches = []
+        search = tracealg.RulesFile._search
+
+        def counting(self, pattern):
+            searches.append(pattern)
+            return search(self, pattern)
+
+        monkeypatch.setattr(tracealg.RulesFile, "_search", counting)
+        assert len(rules.component(tracealg.parse_trace_expr("Tr(A1)"))) == 15
+        assert walks == [{f"A{i}" for i in range(2 ** r, 2 ** (r + 1))} for r in range(5)]
+        assert len(searches) == 5
 
     def test_goal_parse_error(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A0)", "--indices", "2"]) == 2
@@ -612,8 +636,16 @@ class TestTracecheck:
             pytest.param(f"Tr(A{TOO_MANY_DIGITS})", marks=NEEDS_INT_DIGIT_LIMIT),
             pytest.param(f"{TOO_MANY_DIGITS}*Tr(A1)", marks=NEEDS_INT_DIGIT_LIMIT),
             pytest.param(f"1/{TOO_MANY_DIGITS}*Tr(A1)", marks=NEEDS_INT_DIGIT_LIMIT),
+            # after a well-formed term, which the one-pattern reader reads
+            f"Tr(A2) + Tr(A1^{TOO_MANY_DIGITS})",
+            pytest.param(f"Tr(A2) + Tr(A{TOO_MANY_DIGITS})", marks=NEEDS_INT_DIGIT_LIMIT),
+            pytest.param(f"Tr(A2) - {TOO_MANY_DIGITS}*Tr(A1)", marks=NEEDS_INT_DIGIT_LIMIT),
+            pytest.param(f"Tr(A2) + ({TOO_MANY_DIGITS})*Tr(A1)", marks=NEEDS_INT_DIGIT_LIMIT),
         ],
-        ids=["exponent", "index", "numerator", "denominator"],
+        ids=[
+            "exponent", "index", "numerator", "denominator",
+            "exponent-after-a-term", "index-after-a-term", "numerator-after-a-term", "parenthesized-after-a-term",
+        ],
     )
     def test_digit_string_beyond_the_int_limit_is_an_input_error(self, capsys, goal):
         assert main(["tracecheck", "--rules", "g4", "--goal", goal, "--indices", "2"]) == 2
@@ -681,6 +713,21 @@ class TestTracecheck:
         rules = tmp_path / "min.rules"
         rules.write_text("Tr(A1) = 0\n", encoding="utf-8")
         assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "99999"]) == 0
+
+    def test_a_long_p_builds_a_short_pattern(self, capsys, monkeypatch, tmp_path):
+        # the lines above p are found by a pattern built for p, with about as
+        # many alternatives as p has digits: capped where the scan's indices
+        # stop, so that a p of 4,001 digits does not build 8 million characters
+        rules = tmp_path / "min.rules"
+        rules.write_text("Tr(A1) = 0\nTr(A2000000000) = 0\n", encoding="utf-8")
+        patterns = []
+        above = tracealg._above
+        monkeypatch.setattr(tracealg, "_above", lambda p: patterns.append(above(p)) or patterns[-1])
+        p = "1" + "0" * 4000
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", p]) == 0
+        assert len(patterns) == 1 and len(patterns[0]) < 300
+        assert main(["tracecheck", "--rules", str(rules), "--goal", "Tr(A1)", "--indices", "1999999999"]) == 2
+        assert capsys.readouterr().err == "error: operator index in Tr(A2000000000) exceeds p=1999999999\n"
 
     def test_index_beyond_p(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A5)", "--indices", "2"]) == 2
@@ -756,6 +803,7 @@ def rule_inserts(p):
         "Tr(" + "*".join(["A1^99"] * 102) + ") = 0",
         "Tr(A1^5000*A2^5001) = 0",
         f"Tr(A{high}) = 0",
+        f"Tr(A0{high}) = 0",
         f"Tr(A1*A{high + 2}^2) = Tr(A1)",
         f"0*Tr(A{high}) = 0",
         f"Tr(A{high}*A1) = Tr(A1*A{high})",
@@ -836,6 +884,24 @@ def tracecheck_outcomes(path, text, goal, p):
     return outcomes
 
 
+# Rules files in which one letter's digits start another's.
+DIGIT_FILES = {
+    "A1-beside-A10": [
+        "Tr(A1^3) = Tr(A1)",
+        "Tr(A10*A1^2) = Tr(A10)",
+        "Tr(A10) - Tr(A11^2*A10) - Tr(A11*A10*A11) - Tr(A10*A11^2) = 0",
+        "Tr(A12^3) = Tr(A12)",
+        "Tr(A1) = Tr(A11)",
+    ],
+    "A10-beside-A100": [
+        "Tr(A10^3) = Tr(A10)",
+        "Tr(A100*A10^2) = 0",
+        "Tr(A100) = Tr(A10)",
+        "Tr(A100^3) = Tr(A100)",
+    ],
+}
+
+
 class TestRulesReaderAgainstWholeFile:
     @settings(max_examples=60, deadline=None)
     @given(mutated_rules())
@@ -851,6 +917,44 @@ class TestRulesReaderAgainstWholeFile:
         lines.insert(5, insert)
         goal_local, whole_file = tracecheck_outcomes(differential_rules, "\n".join(lines), goal, 3)
         assert goal_local == whole_file
+
+    @pytest.mark.parametrize("p", [9, 10, 99, 100])
+    @pytest.mark.parametrize("name", DIGIT_FILES)
+    @pytest.mark.parametrize("kept", ["within-p", "high-line", "all"])
+    @pytest.mark.parametrize("goal", ["Tr(A1^3) - Tr(A1)", "Tr(A10^3) + Tr(A1*A10^2)", "Tr(A11*A10^2) + Tr(A100)"])
+    def test_letters_across_a_digit_count(self, differential_rules, p, name, kept, goal):
+        # a letter and the letters that extend its digits, at p where the
+        # digit count changes: the lines that name no letter above p, those
+        # and a high line, or every line; the high line, far from the goal in
+        # the file and joined to no goal word, names a letter just above p
+        lines = DIGIT_FILES[name]
+        if kept != "all":
+            lines = [line for line in lines if max(map(int, re.findall(r"A([0-9]+)", line))) <= p]
+        lines = lines + g4_rules_text(3).splitlines()
+        if kept == "high-line":
+            lines.append(f"Tr(A{p + 1}) - Tr(A{p + 1}^3) = 0")
+        text = "\n".join(lines) + "\n"
+        goal_local, whole_file = tracecheck_outcomes(differential_rules, text, goal, p)
+        assert goal_local == whole_file
+        above = max(map(int, re.findall(r"A([0-9]+)", text + goal))) > p
+        assert (goal_local[0] == 2) == above
+
+    @pytest.mark.parametrize(
+        "line, goal",
+        [
+            ("Tr(A01) = 0", "Tr(A1)"),
+            ("Tr(A\u0662^3) = Tr(A2)", "Tr(A2^3) - Tr(A2)"),
+            ("Tr( A3 ) = 0", "Tr(A3)"),
+            ("(1+sqrt3)*Tr(A1*A2^2) = 0", "Tr(A2^2*A1)"),
+        ],
+        ids=["leading-zero", "arabic-indic-digit", "spaces", "sqrt3"],
+    )
+    def test_a_line_only_the_parser_reads_joins_by_its_words(self, differential_rules, line, goal):
+        # the goal closes only through the line the scan pattern rejects
+        text = f"Tr(A4) = Tr(A5)\n{line}\nTr(A6^3) = Tr(A6)\n"
+        goal_local, whole_file = tracecheck_outcomes(differential_rules, text, goal, 6)
+        assert goal_local == whole_file
+        assert goal_local[0] == 0
 
     def test_one_reader_answers_several_goals(self):
         text = g4_rules_text(5) + "Tr(A1*A2*A3) = 0\nTr(A1) = Tr(A2)\nTr(A6) = 0\n"

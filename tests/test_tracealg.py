@@ -1,5 +1,9 @@
 import itertools
 import random
+import re
+import sys
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import trace_parser_reference
+from g4_rules import g4_relations_untraced
 from willmore import tracealg
 from willmore.exactnum import QuadExt, accumulate
 from willmore.linalg import Matrix
@@ -218,6 +223,39 @@ class TestInstantiate:
         with pytest.raises(ValueError) as info:
             g4_relations(2, [1, 3])
         assert str(info.value) == "block letters must lie in 1..2: [1, 3]"
+
+
+class TestG4RelationsAgainstUntraced:
+    """g4_relations writes canonical words; the untraced construction is the reference."""
+
+    @staticmethod
+    def assert_same(relations, reference):
+        # equal terms in the same order, and equal lists in the same order
+        assert [list(relation.terms.items()) for relation in relations] == [
+            list(relation.terms.items()) for relation in reference
+        ]
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_full_set(self, p):
+        self.assert_same(g4_relations(p), g4_relations_untraced(p))
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_subsets_of_letters(self, p):
+        rng = random.Random(p)
+        subsets = [[], [p], [1, p], list(range(p, 0, -1)), [1, 1]]
+        subsets += [rng.sample(range(1, p + 1), rng.randint(1, p)) for _ in range(5)]
+        for letters in subsets:
+            self.assert_same(g4_relations(p, letters), g4_relations_untraced(p, letters))
+
+    @pytest.mark.parametrize(
+        "args", [(0,), (-3,), (0, []), (2, [0]), (2, [3]), (4, [1, 5]), (4, [-1]), (12, [13])]
+    )
+    def test_errors(self, args):
+        with pytest.raises(ValueError) as expected:
+            g4_relations_untraced(*args)
+        with pytest.raises(ValueError) as info:
+            g4_relations(*args)
+        assert str(info.value) == str(expected.value)
 
 
 class TestTraceOf:
@@ -457,7 +495,13 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "text",
-        ["Tr(A2*A1^10000)", "Tr(A1^5000*A2^5000*A1)", pytest.param("Tr(A2*A1^1000000000)", marks=NEEDS_WORD_BOUND)],
+        [
+            "Tr(A2*A1^10000)",
+            "Tr(A1^5000*A2^5000*A1)",
+            "Tr(" + "A1*" * 10_000 + "A2)",
+            "Tr(A1) + Tr(" + "A1^9999*" * 100 + "A2)",
+            pytest.param("Tr(A2*A1^1000000000)", marks=NEEDS_WORD_BOUND),
+        ],
     )
     def test_word_beyond_the_length_bound(self, text):
         with pytest.raises(TraceParseError) as info:
@@ -542,7 +586,7 @@ class TestParserAgainstReference:
     def test_characters_outside_the_alphabet_are_the_tokenizers_bad_ones(self):
         every = "".join(map(chr, range(0x110000)))
         tokens = trace_parser_reference._TOKEN_RE.finditer(every)
-        assert [m.start() for m in tracealg._OUTSIDE.finditer(every)] == [
+        assert [m.start() for m in re.compile(tracealg._OUTSIDE).finditer(every)] == [
             m.start() for m in tokens if m.lastgroup == "bad"
         ]
 
@@ -589,6 +633,92 @@ class TestParserAgainstReference:
     )
     def test_edge_cases_equal_the_token_parser(self, text):
         assert parse_outcome(parse_trace_expr, text) == parse_outcome(trace_parser_reference.parse_trace_expr, text)
+
+
+# Before Python 3.11 int() reads any number of digits.
+NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+
+
+def malformed(term, message, marks=()):
+    return pytest.param(term, message, id=message, marks=marks)
+
+
+# A malformed term for each error the token parser raises, and the message;
+# each follows one or more well-formed terms.
+MALFORMED_TERMS = [
+    malformed("Tr(A2$)", "unexpected character '$'"),
+    malformed("Tr(", "unexpected end of expression"),
+    malformed("Tr(B1)", "expected an operator like 'A1'"),
+    malformed("Tr(A2*)", "expected an operator like 'A1'"),
+    malformed("Tr(A" + "9" * 5000 + ")", "operator index has too many digits", NEEDS_INT_DIGIT_LIMIT),
+    malformed("Tr(A0)", "operator index must be positive"),
+    malformed("Tr(A2^)", "expected digits after '^'"),
+    malformed("Tr(A2^10001)", "trace word longer than 10000 letters"),
+    malformed("Tr(A2^5000*A1^5001)", "trace word longer than 10000 letters"),
+    malformed("Tr(A2^0)", "exponent must be positive"),
+    malformed("Tr A2", "expected '('"),
+    malformed("Tr(A2 A3)", "expected ')'"),
+    malformed("(2*Tr(A2)", "expected ')'"),
+    malformed("2 Tr(A2)", "expected '*'"),
+    malformed("2*Foo(A2)", "expected 'Tr'"),
+    malformed("x*Tr(A2)", "expected a rational or 'sqrt3'"),
+    malformed("1/0*Tr(A2)", "zero denominator"),
+    malformed("(1/)*Tr(A2)", "expected digits after '/'"),
+    malformed("9" * 5000 + "*Tr(A2)", "number has too many digits", NEEDS_INT_DIGIT_LIMIT),
+    malformed("(sqrt3+sqrt3)*Tr(A2)", "'sqrt3' may appear at most once"),
+    malformed("Tr(A2) Tr(A3)", "unexpected token 'Tr'"),
+]
+WELL_FORMED = ["Tr(A1) + ", "(1/2)*Tr(A2^2*A1) - ", "3*Tr(A1*A2*A3) + (1+sqrt3)*Tr(A2) - ", "Tr( A1 ^ 2 ) + "]
+
+
+class TestTermAfterAWellFormedOne:
+    """The one-pattern reader of well-formed terms hands a malformed term to
+    the stepwise reader, which raises the token parser's message at its
+    position."""
+
+    @pytest.mark.parametrize("head", WELL_FORMED, ids=range(len(WELL_FORMED)))
+    @pytest.mark.parametrize("term, message", MALFORMED_TERMS)
+    def test_same_error_as_the_token_parser(self, head, term, message):
+        text = head + term
+        outcome = parse_outcome(parse_trace_expr, text)
+        assert outcome == parse_outcome(trace_parser_reference.parse_trace_expr, text)
+        assert message in outcome[0]
+        assert outcome[1] >= len(head)  # in the malformed term
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" + " " * 2_000 + "1",
+            "(" + " " * 2_000 + "1" + " " * 2_000 + ")*Tr(A1)",
+            "Tr(A1) + (1" + " " * 2_000 + "*Tr(A1)",
+            "Tr(" + " " * 2_000 + "A1" + " " * 2_000,
+            "Tr(A1" + "*A1" * 3_000 + " x",
+        ],
+        ids=["open-parenthesis", "parenthesized", "unclosed", "word", "long-word"],
+    )
+    def test_long_runs_read_in_linear_time(self, text):
+        # a pattern whose space runs overlap backtracks in cubic time here: seconds at 2,000 spaces
+        start = time.perf_counter()
+        outcome = parse_outcome(parse_trace_expr, text)
+        assert time.perf_counter() - start < 2.0
+        assert outcome == parse_outcome(trace_parser_reference.parse_trace_expr, text)
+
+    def test_a_long_word_is_refused_before_it_is_built(self):
+        # 1,000 factors A1^9999 in 8 KB of text would expand to 10 million letters
+        tracemalloc.start()
+        try:
+            with pytest.raises(TraceParseError, match="longer than 10000"):
+                parse_trace_expr("Tr(A1) + Tr(" + "A1^9999*" * 1_000 + "A2)")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+
+    @pytest.mark.parametrize("head", WELL_FORMED, ids=range(len(WELL_FORMED)))
+    def test_well_formed_terms_read_as_the_token_parser_reads_them(self, head):
+        for tail in ("Tr(A3)", "(-2/3*sqrt3)*Tr(A2*A1^2)", "7*Tr(A1*A2^9999)", "Tr( A1*A2 )"):
+            text = head + tail
+            assert parse_trace_expr(text) == trace_parser_reference.parse_trace_expr(text)
 
 
 class TestIdentityFile:
