@@ -20,6 +20,7 @@ import itertools
 import re
 from bisect import bisect_right
 from collections import Counter
+from functools import cache
 from typing import Iterable, Mapping
 
 from ._record import Record
@@ -358,18 +359,26 @@ def verify_g4(p: int) -> ProofReport:
     return ProofReport(p, count, tuple(goals))
 
 
-# The parser's patterns, compiled on first use (re caches them).  Characters
-# that can start or continue a token; the first one outside them is reported
-# before any other error in the text.
-_OUTSIDE = r"[^\s\dA-Za-z_()*/^+\-]"
-# The stepwise reader's: the token an error names,
-_TOKEN = r"(?s)(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)"
-# 'Tr' as a whole name, then its '(' if there is one,
-_TRACE = r"Tr(?![A-Za-z0-9_])\s*(\()?\s*"
-# and the longest run of factors A_i or A_i^k joined by '*', which _FACTOR
-# reads; a '^' without digits ends a factor, so that it fails in its turn.
-_WORD = r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*"
-_FACTOR = r"A(\d+)(?:\s*\^\s*(\d*))?"
+# Characters that can start or continue a token; the first one outside them
+# is reported before any other error in the text.
+_OUTSIDE = re.compile(r"[^\s\dA-Za-z_()*/^+\-]")
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)",
+    re.DOTALL,
+)
+# 'Tr' as a whole name, then its '(' if there is one
+_TRACE = re.compile(r"Tr(?![A-Za-z0-9_])\s*(\()?\s*")
+# The longest run of factors A_i or A_i^k joined by '*'; _FACTOR reads them.
+# A '^' without digits ends a factor, so that it fails in its turn.
+_WORD = re.compile(r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*")
+_FACTOR = re.compile(r"A(\d+)(?:\s*\^\s*(\d*))?")
+
+
+@cache
+def _compiled(pattern: str, flags: int = 0) -> re.Pattern:
+    """A long pattern, compiled on first use rather than at import, and kept
+    whatever re's own cache drops."""
+    return re.compile(pattern, flags)
 
 
 def _missing(expected: str, text: str, at: int) -> TraceParseError:
@@ -383,10 +392,10 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
     Errors come in text order: those of the factors read, then the token at
     which the run of factors stops short of the ')'.
     """
-    run = re.compile(_WORD).match(text, pos)
+    run = _WORD.match(text, pos)
     end = run.end() if run else pos
     letters: list[int] = []
-    for factor in re.compile(_FACTOR).finditer(text, pos, end):
+    for factor in _FACTOR.finditer(text, pos, end):
         start = factor.start()
         try:
             index = int(factor[1])
@@ -417,11 +426,12 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
     return tuple(letters), end + 1
 
 
-# A well-formed term in its common spelling, read by one match: an optional
-# coefficient, a plain or parenthesized scalar, then '*'; then Tr(word) with
-# no space inside the word, no A0 or ^0, an index below 10^9 and exponents
-# below 10^4; then the space after it.  Whatever it does not match, the
-# stepwise reader reads.  Compiled on first use, as _SCAN_RULE is.
+# A well-formed term in one spelling, that of the g=4 relations and of
+# `TraceExpr`'s text, read by one match: an optional coefficient, a plain or
+# parenthesized scalar, then '*'; then Tr(word) with no space inside the
+# word, no A0 or ^0, an index below 10^9 and exponents below 10^4; then the
+# space after it.  Whatever it does not match, the stepwise reader reads.
+# Compiled on first use by `_compiled`, as _SCAN_RULE is.
 _FAST_FACTOR = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]{0,3})?"
 _FAST_TERM = (
     r"(?:(?:\((?P<inner>[^()]*)\)|(?P<plain>-?[0-9]+(?:/[0-9]+)?))\s*\*\s*)?"
@@ -441,7 +451,7 @@ def _fast_term(text: str, match: re.Match) -> tuple[Word, QuadExt] | None:
             coeff, stop = scan_scalar(text, _SPACE.match(text, start).end())
         except ScalarParseError:
             return None
-        if _SPACE.match(text, stop).end() != end:
+        if _SPACE.match(text, stop).end() != _SPACE.match(text, end).end():
             return None
     if "^" not in word:
         letters = tuple(map(int, word[1:].split("*A")))
@@ -462,7 +472,7 @@ def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
     """(canonical word, coefficient, end) of the term at text[pos], read step
     by step: each step of the grammar is a compiled pattern matched at the
     current position, and an error names the token found there."""
-    trace = re.compile(_TRACE).match(text, pos)
+    trace = _TRACE.match(text, pos)
     if trace is not None:
         coeff = ONE
     else:
@@ -480,7 +490,7 @@ def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
         if not text.startswith("*", pos):
             raise TraceParseError("expected '*'", pos)
         pos = _SPACE.match(text, pos + 1).end()
-        trace = re.compile(_TRACE).match(text, pos)
+        trace = _TRACE.match(text, pos)
         if trace is None:
             raise TraceParseError("expected 'Tr'", pos)
     if trace[1] is None:
@@ -494,17 +504,19 @@ def parse_trace_expr(text: str) -> TraceExpr:
 
     The single parser of the trace grammar, in one pass.  A character
     outside the token alphabet is reported first.  Then each term is read
-    by one compiled pattern (`_FAST_TERM`) where it is spelled as most terms
-    are; from a term the pattern does not match, the stepwise reader
-    (`_read_term`) reads what the pattern does not cover, or raises the
-    message of the first failing token at its position.  The pattern accepts
+    by one compiled pattern (`_FAST_TERM`) where it is spelled as
+    `g4_relations` and `TraceExpr`'s text spell it (`Tr(A1)`,
+    `3 * Tr(A2^2*A1)`: no space inside the word); from a term the pattern
+    does not match, the stepwise reader (`_read_term`) reads what the
+    pattern does not cover, or raises the message of the first failing
+    token at its position.  The pattern accepts
     a subset of the grammar and gives the same term as the stepwise reader,
     so the result and every error are those of a token-by-token reading.
     """
-    bad = re.compile(_OUTSIDE).search(text)
+    bad = _OUTSIDE.search(text)
     if bad is not None:
         raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
-    fast = re.compile(_FAST_TERM).match
+    fast = _compiled(_FAST_TERM).match
     terms = []
     negative = False
     pos = _SPACE.match(text).end()
@@ -523,7 +535,7 @@ def parse_trace_expr(text: str) -> TraceExpr:
         if pos == len(text):
             return TraceExpr._of(accumulate({}, terms))
         if text[pos] not in "+-":
-            raise TraceParseError(f"unexpected token {re.compile(_TOKEN).match(text, pos).group()!r}", pos)
+            raise TraceParseError(f"unexpected token {_TOKEN_RE.match(text, pos).group()!r}", pos)
         negative = text[pos] == "-"
         pos = _SPACE.match(text, pos + 1).end()
 
@@ -557,12 +569,12 @@ def parse_identity_file(text: str) -> list[TraceExpr]:
 # joined by '+'/'-' on each side of one '=', or a lone 0 on the right; ASCII,
 # no space in a word, no A0 or ^0, an index below 10^9 and at most 100
 # factors below ^100, so that no word reaches MAX_WORD_LEN.  Compiled on
-# first use (re caches it), which keeps its 1 ms out of `import willmore`.
+# first use by `_compiled`, which keeps its 1 ms out of `import willmore`.
 _SCAN_FACTOR = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]?)?"
 _SCAN_TERM = rf"\s*(?:-?\s*[0-9]{{1,20}}\s*\*\s*)?Tr\({_SCAN_FACTOR}(?:\*{_SCAN_FACTOR}){{0,99}}\)\s*"
 _SCAN_SIDE = rf"{_SCAN_TERM}(?:[-+]{_SCAN_TERM})*"
 _SCAN_RULE = rf"{_SCAN_SIDE}=(?:\s*0\s*|{_SCAN_SIDE})"
-_SCAN_WORD = r"Tr\(([^)]*)\)"
+_SCAN_WORD = re.compile(r"Tr\(([^)]*)\)")
 
 
 def _multiset(word: Word) -> tuple[str, ...]:
@@ -601,6 +613,12 @@ def _rarest(key: tuple[str, ...]) -> str:
     return min(counts, key=counts.__getitem__)
 
 
+# Rounds of a reader's searches that each search the whole text; the next
+# round indexes every line's letters in one pass, and later rounds look their
+# letters up, so that a deep component costs time linear in the text.
+_SEARCHED_ROUNDS = 2
+
+
 class RulesFile:
     """A rules file read goal-locally, in three steps.
 
@@ -611,7 +629,9 @@ class RulesFile:
        multisets; relations that share a canonical word share its multiset,
        so they hold the goal's block.  The lines that name a letter are found
        when the search first needs that letter: all letters of one
-       breadth-first round by one regex search of the joined text.
+       breadth-first round by one regex search of the joined text.  Past
+       `_SEARCHED_ROUNDS` such rounds, one pass indexes every line's letters,
+       and later rounds look theirs up.
     3. Only those lines are parsed.
 
     `above(p)` finds the lines that name a letter above p by one search of
@@ -619,7 +639,7 @@ class RulesFile:
 
     def __init__(self, text: str) -> None:
         self.lines = _rule_lines(text)
-        scan = re.compile(_SCAN_RULE, re.ASCII).fullmatch
+        scan = _compiled(_SCAN_RULE, re.ASCII).fullmatch
         self.relations: list[TraceExpr | None] = [
             None if scan(line) else _parse_rule(number, line) for number, line in self.lines
         ]
@@ -632,6 +652,8 @@ class RulesFile:
         self._multisets: list[list[tuple[str, ...]] | None] = [None] * len(texts)
         self._holders: dict[tuple[str, ...], list[int]] = {}
         self._walked: set[str] = set()
+        self._searched_rounds = 0
+        self._index: dict[str, list[int]] | None = None  # letter -> lines, once built
         # The lines the scan rejected are parsed already: their multisets are
         # read now, from their relations, so no search needs to find them.
         self._rejected = [k for k, relation in enumerate(self.relations) if relation is not None]
@@ -653,13 +675,29 @@ class RulesFile:
         matches = re.finditer(pattern + r"[^\n]*", self._text)
         return [bisect_right(starts, match.start()) - 1 for match in matches]
 
+    def _letter_index(self) -> dict[str, list[int]]:
+        """Each letter's lines, ascending, by one pass over the lines."""
+        index: dict[str, list[int]] = {}
+        names = re.compile(r"A[0-9]+").findall
+        for k, (_, line) in enumerate(self.lines):
+            for letter in set(names(line)):
+                index.setdefault(letter, []).append(k)
+        return index
+
     def _walk(self, letters: set[str]) -> None:
         """Read the multisets of every line that names one of the letters, by
-        one search of the joined text."""
+        one search of the joined text, or from the index once it is built."""
         self._walked |= letters
-        names = "|".join(letter[1:] for letter in letters)
-        words = re.compile(_SCAN_WORD).findall
-        for k in self._search(f"A(?:{names})(?![0-9])"):
+        if self._searched_rounds < _SEARCHED_ROUNDS:
+            self._searched_rounds += 1
+            names = "|".join(letter[1:] for letter in letters)
+            lines = self._search(f"A(?:{names})(?![0-9])")
+        else:
+            if self._index is None:
+                self._index = self._letter_index()
+            lines = [k for letter in letters for k in self._index.get(letter, ())]
+        words = _SCAN_WORD.findall
+        for k in lines:
             if self._multisets[k] is None:
                 self._read(k, map(_letters, words(self.lines[k][1])))
 
@@ -680,8 +718,9 @@ class RulesFile:
         holds a multiset names each of its letters, so walking one letter's
         lines finds them all; the letter walked is the one the multiset holds
         fewest times.  The unwalked letters of a round are walked together,
-        each line is read and each letter walked at most once, so the search
-        is linear in the lines it reads."""
+        each line is read and each letter walked at most once, and the text
+        is searched whole at most `_SEARCHED_ROUNDS` + 1 times (the last to
+        index it), so the search is linear in the size of the file."""
         frontier = list(dict.fromkeys(map(_multiset, goal.terms)))
         seen = set(frontier)
         block: set[int] = set()

@@ -3,6 +3,7 @@ import io
 import re
 import subprocess
 import sys
+import timeit
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -114,6 +115,26 @@ def walks(monkeypatch):
     walk = tracealg.RulesFile._walk
     monkeypatch.setattr(tracealg.RulesFile, "_walk", counting)
     return searches
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Each pass the rules reader makes over its whole text: a search's
+    pattern, or "index" for the one pass that indexes every line's letters."""
+    made = []
+
+    def searching(self, pattern):
+        made.append(pattern)
+        return search(self, pattern)
+
+    def indexing(self):
+        made.append("index")
+        return index(self)
+
+    search, index = tracealg.RulesFile._search, tracealg.RulesFile._letter_index
+    monkeypatch.setattr(tracealg.RulesFile, "_search", searching)
+    monkeypatch.setattr(tracealg.RulesFile, "_letter_index", indexing)
+    return made
 
 
 @pytest.fixture
@@ -578,24 +599,39 @@ class TestTracecheck:
         walked = [letter for letters in walks for letter in letters]
         assert len(walked) == len(set(walked)) <= 3
 
-    def test_rules_file_searches_the_text_once_per_round(self, monkeypatch, walks):
+    def test_rules_file_searches_the_text_once_per_round(self, passes, walks):
         # a binary tree of 15 lines over A1..A31, Tr(Ai) = Tr(A2i) + Tr(A2i+1):
         # from Tr(A1) the search takes 5 breadth-first rounds, and round r
-        # walks the 2^(r-1) letters of its level in one search of the text
-        # (A1 beside A10-A19, A2 beside A20-A29, A3 beside A30 and A31)
+        # walks the 2^(r-1) letters of its level (A1 beside A10-A19, A2
+        # beside A20-A29, A3 beside A30 and A31); the first two rounds search
+        # the text, the third indexes it and the last two pass over no text
         text = "".join(f"Tr(A{i}) = Tr(A{2 * i}) + Tr(A{2 * i + 1})\n" for i in range(1, 16))
         rules = tracealg.RulesFile(text)
-        searches = []
-        search = tracealg.RulesFile._search
-
-        def counting(self, pattern):
-            searches.append(pattern)
-            return search(self, pattern)
-
-        monkeypatch.setattr(tracealg.RulesFile, "_search", counting)
         assert len(rules.component(tracealg.parse_trace_expr("Tr(A1)"))) == 15
         assert walks == [{f"A{i}" for i in range(2 ** r, 2 ** (r + 1))} for r in range(5)]
-        assert len(searches) == 5
+        assert [set(re.fullmatch(r"A\(\?:(.*)\)\(\?!\[0-9\]\)", pattern)[1].split("|")) for pattern in passes[:2]] == [
+            {"1"},
+            {"2", "3"},
+        ]
+        assert passes[2:] == ["index"]
+
+    def test_rules_file_reads_a_deep_chain_in_linear_time(self, passes):
+        # Tr(Ak) = Tr(Ak+1) for k = 1..5000: from Tr(A1), 5,000 rounds of one
+        # new letter each.  Three passes over the text read them all, so the
+        # goal-local reader takes about twice the whole-file parse (it scans
+        # and parses every line); a search of the text per round took 12
+        # times as long.
+        text = "".join(f"Tr(A{k}) = Tr(A{k + 1})\n" for k in range(1, 5001))
+        goal = tracealg.parse_trace_expr("Tr(A1)")
+        assert tracealg.RulesFile(text).component(goal) == WholeFile(text).component(goal)
+        assert len(passes) == 3
+
+        def best(read):
+            return min(timeit.repeat(read, number=1, repeat=3))
+
+        goal_local = best(lambda: tracealg.RulesFile(text).component(goal))
+        whole_file = best(lambda: WholeFile(text).component(goal))
+        assert goal_local < 4 * whole_file
 
     def test_goal_parse_error(self, capsys):
         assert main(["tracecheck", "--rules", "g4", "--goal", "Tr(A0)", "--indices", "2"]) == 2
