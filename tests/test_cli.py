@@ -105,7 +105,7 @@ def words_read(monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The letters of each search the rules reader makes of its text."""
+    """The letters the rules reader walks in each breadth-first round."""
     searches = []
 
     def counting(self, letters):
@@ -991,6 +991,21 @@ class TestRulesReaderAgainstWholeFile:
         goal_local, whole_file = tracecheck_outcomes(differential_rules, text, goal, 6)
         assert goal_local == whole_file
         assert goal_local[0] == 0
+
+    @pytest.mark.parametrize("p", [99, 100, 110])
+    @pytest.mark.parametrize("goal", ["Tr(A1) - Tr(A100)", "Tr(A1) - Tr(A12)", "Tr(A10^3)"])
+    def test_a_deep_component_across_a_digit_count(self, differential_rules, passes, p, goal):
+        # a chain A1 - A2 - A10 - A11 - A100 beside lines that name A1, A10
+        # or A100 in other multisets: from Tr(A1) the third round indexes
+        # the text, and the index keeps A1, A10, A100 and A110 apart
+        text = (
+            "Tr(A1) = Tr(A2)\nTr(A110) = Tr(A101)\nTr(A2) = Tr(A10)\nTr(A12*A1^2) = 0\n"
+            "Tr(A10) = Tr(A11)\nTr(A100*A10^2) = Tr(A12)\nTr(A11) = Tr(A100)\nTr(A100) = Tr(A1^3)\n"
+        )
+        goal_local, whole_file = tracecheck_outcomes(differential_rules, text, goal, p)
+        assert goal_local == whole_file
+        assert goal_local[0] == (2 if p < 110 else 0 if goal == "Tr(A1) - Tr(A100)" else 1)
+        assert ("index" in passes) == (p == 110 and goal != "Tr(A10^3)")
 
     def test_one_reader_answers_several_goals(self):
         text = g4_rules_text(5) + "Tr(A1*A2*A3) = 0\nTr(A1) = Tr(A2)\nTr(A6) = 0\n"
