@@ -45,7 +45,9 @@ class TraceParseError(ValueError):
 
 
 def canonicalize_cyclic(word: Iterable[int]) -> Word:
-    """Lexicographically smallest rotation; the trace-invariant key of a word."""
+    """Lexicographically smallest rotation; the trace-invariant key of a word:
+    three-letter words compare their rotations inline, others of any length
+    go through `_least_rotation`."""
     word = tuple(word)
     # most traced words are this short: check the letters and compare the
     # rotations inline; a bad word falls through to the general check
@@ -57,32 +59,29 @@ def canonicalize_cyclic(word: Iterable[int]) -> Word:
         raise ValueError("empty trace word")
     if any(not isinstance(i, int) or i < 1 for i in word):
         raise ValueError(f"operator indices must be positive integers: {word}")
-    if len(word) < 3:
-        return word if len(word) == 1 or word[0] <= word[1] else word[::-1]
     start = _least_rotation(word)
     return word[start:] + word[:start]
 
 
 def _least_rotation(word: Word) -> int:
-    """Start of the lexicographically least rotation, in linear time (Booth,
-    Inf. Process. Lett. 10, 1980): a failure function over word + word."""
-    doubled = word + word
-    fail = [-1] * len(doubled)
-    start = 0
-    for j in range(1, len(doubled)):
-        letter = doubled[j]
-        i = fail[j - start - 1]
-        while i != -1 and letter != doubled[start + i + 1]:
-            if letter < doubled[start + i + 1]:
-                start = j - i - 1
-            i = fail[i]
-        if letter != doubled[start + i + 1]:  # here i == -1
-            if letter < doubled[start]:
-                start = j
-            fail[j - start] = -1
+    """Start of the lexicographically least rotation, by a two-pointer scan
+    in linear time: candidate starts i < j agree on k letters; where they
+    first differ, the start with the larger letter and the k after it are
+    ruled out, so it moves past them.  Every start below j but i is ruled
+    out, so the scan ends when j passes the word or the rotations agree."""
+    n = len(word)
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = word[(i + k) % n], word[(j + k) % n]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i, j = j, max(j, i + k) + 1
         else:
-            fail[j - start] = i + 1
-    return start
+            j += k + 1
+        k = 0
+    return i
 
 
 def _coefficient(value) -> QuadExt:
@@ -613,9 +612,9 @@ def _rarest(key: tuple[str, ...]) -> str:
     return min(counts, key=counts.__getitem__)
 
 
-# Rounds of a reader's searches that each search the whole text; the next
-# round indexes every line's letters in one pass, and later rounds look their
-# letters up, so that a deep component costs time linear in the text.
+# Rounds of a reader's walks that each search the whole text; the next round
+# reads every line not yet read, and no later round walks, so that a deep
+# component costs time linear in the text.
 _SEARCHED_ROUNDS = 2
 
 
@@ -630,8 +629,8 @@ class RulesFile:
        so they hold the goal's block.  The lines that name a letter are found
        when the search first needs that letter: all letters of one
        breadth-first round by one regex search of the joined text.  Past
-       `_SEARCHED_ROUNDS` such rounds, one pass indexes every line's letters,
-       and later rounds look theirs up.
+       `_SEARCHED_ROUNDS` such rounds, one pass reads every line not yet
+       read, and later rounds, and later goals, look up the multisets read.
     3. Only those lines are parsed.
 
     `above(p)` finds the lines that name a letter above p by one search of
@@ -652,8 +651,7 @@ class RulesFile:
         self._multisets: list[list[tuple[str, ...]] | None] = [None] * len(texts)
         self._holders: dict[tuple[str, ...], list[int]] = {}
         self._walked: set[str] = set()
-        self._searched_rounds = 0
-        self._index: dict[str, list[int]] | None = None  # letter -> lines, once built
+        self._rounds = 0  # rounds walked; the one past _SEARCHED_ROUNDS reads every line
         # The lines the scan rejected are parsed already: their multisets are
         # read now, from their relations, so no search needs to find them.
         self._rejected = [k for k, relation in enumerate(self.relations) if relation is not None]
@@ -675,27 +673,17 @@ class RulesFile:
         matches = re.finditer(pattern + r"[^\n]*", self._text)
         return [bisect_right(starts, match.start()) - 1 for match in matches]
 
-    def _letter_index(self) -> dict[str, list[int]]:
-        """Each letter's lines, ascending, by one pass over the lines."""
-        index: dict[str, list[int]] = {}
-        names = re.compile(r"A[0-9]+").findall
-        for k, (_, line) in enumerate(self.lines):
-            for letter in set(names(line)):
-                index.setdefault(letter, []).append(k)
-        return index
-
     def _walk(self, letters: set[str]) -> None:
         """Read the multisets of every line that names one of the letters, by
-        one search of the joined text, or from the index once it is built."""
+        one search of the joined text; past `_SEARCHED_ROUNDS` rounds, read
+        those of every line not yet read instead."""
         self._walked |= letters
-        if self._searched_rounds < _SEARCHED_ROUNDS:
-            self._searched_rounds += 1
+        self._rounds += 1
+        if self._rounds <= _SEARCHED_ROUNDS:
             names = "|".join(letter[1:] for letter in letters)
             lines = self._search(f"A(?:{names})(?![0-9])")
         else:
-            if self._index is None:
-                self._index = self._letter_index()
-            lines = [k for letter in letters for k in self._index.get(letter, ())]
+            lines = range(len(self.lines))
         words = _SCAN_WORD.findall
         for k in lines:
             if self._multisets[k] is None:
@@ -719,15 +707,17 @@ class RulesFile:
         lines finds them all; the letter walked is the one the multiset holds
         fewest times.  The unwalked letters of a round are walked together,
         each line is read and each letter walked at most once, and the text
-        is searched whole at most `_SEARCHED_ROUNDS` + 1 times (the last to
-        index it), so the search is linear in the size of the file."""
+        is searched whole in at most `_SEARCHED_ROUNDS` rounds; the next
+        reads every line, and no later round walks, so the search is linear
+        in the size of the file."""
         frontier = list(dict.fromkeys(map(_multiset, goal.terms)))
         seen = set(frontier)
         block: set[int] = set()
         while frontier:
-            letters = {_rarest(key) for key in frontier} - self._walked
-            if letters:
-                self._walk(letters)
+            if self._rounds <= _SEARCHED_ROUNDS:  # past it every line is read
+                letters = {_rarest(key) for key in frontier} - self._walked
+                if letters:
+                    self._walk(letters)
             fresh = []
             for key in frontier:
                 for k in self._holders.get(key, ()):

@@ -120,20 +120,24 @@ def walks(monkeypatch):
 @pytest.fixture
 def passes(monkeypatch):
     """Each pass the rules reader makes over its whole text: a search's
-    pattern, or "index" for the one pass that indexes every line's letters."""
+    pattern, or "read" for the one pass that reads every line not yet read
+    (a walk that searches nothing, after which every line has been read)."""
     made = []
 
     def searching(self, pattern):
         made.append(pattern)
         return search(self, pattern)
 
-    def indexing(self):
-        made.append("index")
-        return index(self)
+    def walking(self, letters):
+        before = len(made)
+        walk(self, letters)
+        if len(made) == before:
+            assert None not in self._multisets
+            made.append("read")
 
-    search, index = tracealg.RulesFile._search, tracealg.RulesFile._letter_index
+    search, walk = tracealg.RulesFile._search, tracealg.RulesFile._walk
     monkeypatch.setattr(tracealg.RulesFile, "_search", searching)
-    monkeypatch.setattr(tracealg.RulesFile, "_letter_index", indexing)
+    monkeypatch.setattr(tracealg.RulesFile, "_walk", walking)
     return made
 
 
@@ -602,29 +606,32 @@ class TestTracecheck:
     def test_rules_file_searches_the_text_once_per_round(self, passes, walks):
         # a binary tree of 15 lines over A1..A31, Tr(Ai) = Tr(A2i) + Tr(A2i+1):
         # from Tr(A1) the search takes 5 breadth-first rounds, and round r
-        # walks the 2^(r-1) letters of its level (A1 beside A10-A19, A2
+        # needs the 2^(r-1) letters of its level (A1 beside A10-A19, A2
         # beside A20-A29, A3 beside A30 and A31); the first two rounds search
-        # the text, the third indexes it and the last two pass over no text
+        # the text, the third reads every line, and the last two walk nothing
+        # and pass over no text
         text = "".join(f"Tr(A{i}) = Tr(A{2 * i}) + Tr(A{2 * i + 1})\n" for i in range(1, 16))
         rules = tracealg.RulesFile(text)
-        assert len(rules.component(tracealg.parse_trace_expr("Tr(A1)"))) == 15
-        assert walks == [{f"A{i}" for i in range(2 ** r, 2 ** (r + 1))} for r in range(5)]
+        goal = tracealg.parse_trace_expr("Tr(A1)")
+        assert rules.component(goal) == WholeFile(text).component(goal)
+        assert walks == [{f"A{i}" for i in range(2 ** r, 2 ** (r + 1))} for r in range(3)]
         assert [set(re.fullmatch(r"A\(\?:(.*)\)\(\?!\[0-9\]\)", pattern)[1].split("|")) for pattern in passes[:2]] == [
             {"1"},
             {"2", "3"},
         ]
-        assert passes[2:] == ["index"]
+        assert passes[2:] == ["read"]
 
-    def test_rules_file_reads_a_deep_chain_in_linear_time(self, passes):
+    def test_rules_file_reads_a_deep_chain_in_linear_time(self, passes, words_read):
         # Tr(Ak) = Tr(Ak+1) for k = 1..5000: from Tr(A1), 5,000 rounds of one
-        # new letter each.  Three passes over the text read them all, so the
-        # goal-local reader takes about twice the whole-file parse (it scans
-        # and parses every line); a search of the text per round took 12
-        # times as long.
+        # new letter each.  Two searches and one full read of the text read
+        # them all, each line's words once, so the goal-local reader takes
+        # about 1.5 times the whole-file parse (it scans and parses every
+        # line); a search of the text per round took 12 times as long.
         text = "".join(f"Tr(A{k}) = Tr(A{k + 1})\n" for k in range(1, 5001))
         goal = tracealg.parse_trace_expr("Tr(A1)")
         assert tracealg.RulesFile(text).component(goal) == WholeFile(text).component(goal)
-        assert len(passes) == 3
+        assert passes[2:] == ["read"]
+        assert sorted(words_read) == sorted(f"A{k + d}" for k in range(1, 5001) for d in (0, 1))
 
         def best(read):
             return min(timeit.repeat(read, number=1, repeat=3))
@@ -996,8 +1003,8 @@ class TestRulesReaderAgainstWholeFile:
     @pytest.mark.parametrize("goal", ["Tr(A1) - Tr(A100)", "Tr(A1) - Tr(A12)", "Tr(A10^3)"])
     def test_a_deep_component_across_a_digit_count(self, differential_rules, passes, p, goal):
         # a chain A1 - A2 - A10 - A11 - A100 beside lines that name A1, A10
-        # or A100 in other multisets: from Tr(A1) the third round indexes
-        # the text, and the index keeps A1, A10, A100 and A110 apart
+        # or A100 in other multisets: from Tr(A1) the third round reads
+        # every line, and the multisets read keep A1, A10, A100 and A110 apart
         text = (
             "Tr(A1) = Tr(A2)\nTr(A110) = Tr(A101)\nTr(A2) = Tr(A10)\nTr(A12*A1^2) = 0\n"
             "Tr(A10) = Tr(A11)\nTr(A100*A10^2) = Tr(A12)\nTr(A11) = Tr(A100)\nTr(A100) = Tr(A1^3)\n"
@@ -1005,7 +1012,7 @@ class TestRulesReaderAgainstWholeFile:
         goal_local, whole_file = tracecheck_outcomes(differential_rules, text, goal, p)
         assert goal_local == whole_file
         assert goal_local[0] == (2 if p < 110 else 0 if goal == "Tr(A1) - Tr(A100)" else 1)
-        assert ("index" in passes) == (p == 110 and goal != "Tr(A10^3)")
+        assert ("read" in passes) == (p == 110 and goal != "Tr(A10^3)")
 
     def test_one_reader_answers_several_goals(self):
         text = g4_rules_text(5) + "Tr(A1*A2*A3) = 0\nTr(A1) = Tr(A2)\nTr(A6) = 0\n"

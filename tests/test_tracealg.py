@@ -140,9 +140,20 @@ def g4_goals(draw):
     return p, goal
 
 
+class LetterReads(tuple):
+    """A word that counts the letters read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
 class TestCanonicalize:
     def test_minimal_rotation(self):
         assert canonicalize_cyclic((2, 2, 1)) == (1, 2, 2)
+        assert canonicalize_cyclic((2, 1)) == (1, 2)
 
     def test_already_minimal(self):
         assert canonicalize_cyclic((1, 2, 1, 2)) == (1, 2, 1, 2)
@@ -170,8 +181,33 @@ class TestCanonicalize:
         word = tuple(letters)
         assert canonicalize_cyclic(word) == min(word[k:] + word[:k] for k in range(len(word)))
 
-    def test_short_words_rotate_as_booth_does(self):
-        # words of up to three letters are rotated by tuple comparison, not by Booth
+    @pytest.mark.parametrize(
+        "word",
+        [
+            *((j,) + (i,) * length for i, j in ((1, 2), (2, 1)) for length in (200, 3000)),
+            (1, 2) * 1500,
+            (5,) * 3000,
+            tuple(random.Random(25).choice((1, 2)) for _ in range(3000)),
+        ],
+        ids=["power-2-1x200", "power-2-1x3000", "power-1-2x200", "power-1-2x3000", "period-2", "one-letter", "random"],
+    )
+    def test_least_rotation_of_long_words_equals_min_over_all_rotations(self, word):
+        # in linear time: each comparison of two letters raises i + j + k,
+        # which stays below 3n, so the scan reads at most 6n letters
+        counted = LetterReads(word)
+        start = tracealg._least_rotation(counted)
+        assert counted.reads <= 6 * len(word)
+        assert word[start:] + word[:start] == min(word[k:] + word[:k] for k in range(len(word)))
+
+    @pytest.mark.parametrize(
+        "word", [*((a,) for a in range(1, 5)), *itertools.product(range(1, 5), repeat=2), (7, 3)]
+    )
+    def test_one_and_two_letter_words(self, word):
+        expected = (min(word), max(word)) if len(word) == 2 else word
+        assert canonicalize_cyclic(word) == canonicalize_cyclic(list(word)) == expected
+
+    def test_short_words_rotate_as_the_scan_does(self):
+        # words of three letters are rotated by tuple comparison, not by the scan
         for size in (1, 2, 3):
             for word in itertools.product(range(1, 5), repeat=size):
                 start = tracealg._least_rotation(word)
