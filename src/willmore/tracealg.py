@@ -375,7 +375,8 @@ _FACTOR = re.compile(r"A(\d+)(?:\s*\^\s*(\d*))?")
 
 @cache
 def _compiled(pattern: str, flags: int = 0) -> re.Pattern:
-    """A long pattern, compiled on first use rather than at import, and kept
+    """A pattern built from `_TERM`, compiled on first use rather than at
+    import, which keeps its milliseconds out of `import willmore`, and kept
     whatever re's own cache drops."""
     return re.compile(pattern, flags)
 
@@ -407,9 +408,8 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
             if not factor[2]:
                 raise _missing("expected digits after '^'", text, factor.start(2))
             digits = factor[2].lstrip("0")
-            if len(digits) > len(str(MAX_WORD_LEN)):
-                raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", start)
-            exponent = int(digits or "0")
+            # more digits than the bound has fail its check below: int() may refuse them
+            exponent = int(digits or "0") if len(digits) <= len(str(MAX_WORD_LEN)) else MAX_WORD_LEN + 1
             if exponent < 1:
                 raise TraceParseError("exponent must be positive", factor.start(2))
         if exponent > MAX_WORD_LEN - len(letters):
@@ -426,45 +426,33 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
 
 
 # A well-formed term in one spelling, that of the g=4 relations and of
-# `TraceExpr`'s text, read by one match: an optional coefficient, a plain or
-# parenthesized scalar, then '*'; then Tr(word) with no space inside the
-# word, no A0 or ^0, an index below 10^9 and exponents below 10^4; then the
-# space after it.  Whatever it does not match, the stepwise reader reads.
-# Compiled on first use by `_compiled`, as _SCAN_RULE is.
-_FAST_FACTOR = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]{0,3})?"
-_FAST_TERM = (
-    r"(?:(?:\((?P<inner>[^()]*)\)|(?P<plain>-?[0-9]+(?:/[0-9]+)?))\s*\*\s*)?"
-    rf"Tr\s*\(\s*(?P<word>{_FAST_FACTOR}(?:\*{_FAST_FACTOR})*)\s*\)\s*"
-)
+# `TraceExpr`'s text, as one pattern text: the parser's one-match path and
+# the rules reader's line check both compile it.  An optional coefficient, a
+# plain or parenthesized scalar in its canonical spelling (rationals of at
+# most 20 digits, a denominator with a nonzero first digit, at most one
+# sqrt3), then '*'; then Tr(word) with no space inside the parentheses, no
+# A0 or ^0, an index below 10^9 and at most 100 factors below ^100; then
+# the space after it.  So every match parses without error, and no word it
+# admits reaches MAX_WORD_LEN.  No group captures, and a lookahead skips the
+# coefficient of a term that starts with 'Tr': both keep the line check fast.
+# `_SCAN_WORD` reads the words of a line the line check accepts.
+_RATIONAL = r"[0-9]{1,20}(?:/[1-9][0-9]{0,19})?"
+_SQRT3 = rf"(?:{_RATIONAL}\*)?sqrt3"
+_SCALAR = rf"-?(?:{_RATIONAL}(?:[-+](?:{_RATIONAL}|{_SQRT3}))?|{_SQRT3}(?:[-+]{_RATIONAL})?)"
+_POWER = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]?)?"
+_TERM = rf"(?:(?=[-(0-9s])(?:{_SCALAR}|\({_SCALAR}\))\s*\*\s*)?Tr\({_POWER}(?:\*{_POWER}){{0,99}}\)\s*"
+_SCAN_WORD = re.compile(r"Tr\(([^)]*)\)")
 
 
-def _fast_term(text: str, match: re.Match) -> tuple[Word, QuadExt] | None:
-    """(canonical word, coefficient) of a term `_FAST_TERM` matched, or None
-    where the stepwise reader must read it: a coefficient the scalar scanner
-    does not end where the pattern does, or a word longer than MAX_WORD_LEN."""
-    inner, plain, word = match.groups()
-    coeff = ONE
-    if inner is not None or plain is not None:
-        start, end = match.span("plain" if inner is None else "inner")
-        try:
-            coeff, stop = scan_scalar(text, _SPACE.match(text, start).end())
-        except ScalarParseError:
-            return None
-        if _SPACE.match(text, stop).end() != _SPACE.match(text, end).end():
-            return None
+def _factors(word: str) -> list[int]:
+    """The letters of a word's text, exponents expanded: [2, 2, 1] for 'A2^2*A1'."""
     if "^" not in word:
-        letters = tuple(map(int, word[1:].split("*A")))
-    else:
-        expanded: list[int] = []
-        for factor in word[1:].split("*A"):
-            index, _, exponent = factor.partition("^")
-            expanded += [int(index)] * int(exponent or 1)
-            if len(expanded) > MAX_WORD_LEN:  # before 1,000 factors ^9999 are built
-                return None
-        letters = tuple(expanded)
-    if len(letters) > MAX_WORD_LEN:
-        return None
-    return canonicalize_cyclic(letters), coeff
+        return list(map(int, word[1:].split("*A")))
+    letters: list[int] = []
+    for factor in word[1:].split("*A"):
+        index, _, exponent = factor.partition("^")
+        letters += [int(index)] * int(exponent or 1)
+    return letters
 
 
 def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
@@ -503,28 +491,30 @@ def parse_trace_expr(text: str) -> TraceExpr:
 
     The single parser of the trace grammar, in one pass.  A character
     outside the token alphabet is reported first.  Then each term is read
-    by one compiled pattern (`_FAST_TERM`) where it is spelled as
-    `g4_relations` and `TraceExpr`'s text spell it (`Tr(A1)`,
-    `3 * Tr(A2^2*A1)`: no space inside the word); from a term the pattern
-    does not match, the stepwise reader (`_read_term`) reads what the
-    pattern does not cover, or raises the message of the first failing
-    token at its position.  The pattern accepts
-    a subset of the grammar and gives the same term as the stepwise reader,
-    so the result and every error are those of a token-by-token reading.
+    by one compiled pattern (`_TERM`) where it is spelled as `g4_relations`
+    and `TraceExpr`'s text spell it (`Tr(A1)`, `3 * Tr(A2^2*A1)`,
+    `(1/2+sqrt3)*Tr(A1*A2)`: no space inside the parentheses, exponents
+    below 100); any other term, a power word such as `Tr(A2*A1^3000)`
+    included, is read by the stepwise reader (`_read_term`), which raises
+    the message of the first failing token at its position.  Every term the
+    pattern matches parses, to the term the stepwise reader gives, so the
+    result and every error are those of a token-by-token reading.
     """
     bad = _OUTSIDE.search(text)
     if bad is not None:
         raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
-    fast = _compiled(_FAST_TERM).match
+    fast = _compiled(_TERM).match
     terms = []
     negative = False
     pos = _SPACE.match(text).end()
     while True:
         match = fast(text, pos)
-        term = match and _fast_term(text, match)
-        if term:
-            word, coeff = term
-            pos = match.end()
+        if match:
+            # the scalar scanner reads the coefficient, if there is one, and `_factors` the word
+            start, pos = match.span()
+            opened = text.index("Tr(", start, pos) + 3
+            coeff = ONE if opened == start + 3 else scan_scalar(text, start + 1 if text[start] == "(" else start)[0]
+            word = canonicalize_cyclic(_factors(text[opened : text.index(")", opened)]))
         else:
             word, coeff, pos = _read_term(text, pos)
             pos = _SPACE.match(text, pos).end()
@@ -564,33 +554,10 @@ def parse_identity_file(text: str) -> list[TraceExpr]:
     return [_parse_rule(number, line) for number, line in _rule_lines(text)]
 
 
-# A line `_parse_rule` accepts, read without it: terms [-digits*]Tr(word)
-# joined by '+'/'-' on each side of one '=', or a lone 0 on the right; ASCII,
-# no space in a word, no A0 or ^0, an index below 10^9 and at most 100
-# factors below ^100, so that no word reaches MAX_WORD_LEN.  Compiled on
-# first use by `_compiled`, which keeps its 1 ms out of `import willmore`.
-_SCAN_FACTOR = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]?)?"
-_SCAN_TERM = rf"\s*(?:-?\s*[0-9]{{1,20}}\s*\*\s*)?Tr\({_SCAN_FACTOR}(?:\*{_SCAN_FACTOR}){{0,99}}\)\s*"
-_SCAN_SIDE = rf"{_SCAN_TERM}(?:[-+]{_SCAN_TERM})*"
-_SCAN_RULE = rf"{_SCAN_SIDE}=(?:\s*0\s*|{_SCAN_SIDE})"
-_SCAN_WORD = re.compile(r"Tr\(([^)]*)\)")
-
-
-def _multiset(word: Word) -> tuple[str, ...]:
-    """The sorted factor names 'A<i>' of a word, as `_letters` reads its text."""
-    return tuple(sorted(map("A{}".format, word)))
-
-
-def _letters(word: str) -> tuple[str, ...]:
-    """The factors 'A<i>' of a word's text, each repeated by its exponent,
-    sorted: the same for every rotation of the word."""
-    if "^" not in word:
-        return tuple(sorted(word.split("*")))
-    letters: list[str] = []
-    for factor in word.split("*"):
-        name, _, exponent = factor.partition("^")
-        letters += [name] * int(exponent or 1)
-    return tuple(sorted(letters))
+def _letters(word: str) -> Word:
+    """The sorted letters of a word's text, `tuple(sorted(word))` of the word
+    it spells: the same for every rotation."""
+    return tuple(sorted(_factors(word)))
 
 
 def _above(p: int) -> str:
@@ -605,7 +572,7 @@ def _above(p: int) -> str:
     return f"A(?:{'|'.join(larger)})(?![0-9])"
 
 
-def _rarest(key: tuple[str, ...]) -> str:
+def _rarest(key: Word) -> int:
     """The letter a multiset holds fewest times, the first such in its order
     (for a g=4 word, its block letter)."""
     counts = Counter(key)
@@ -621,9 +588,11 @@ _SEARCHED_ROUNDS = 2
 class RulesFile:
     """A rules file read goal-locally, in three steps.
 
-    1. Reading checks every line in file order: one the scan pattern accepts
-       cannot fail `_parse_rule`, and any other goes through it at once.  The
-       lines are kept as one joined text; nothing is indexed.
+    1. Reading checks every line in file order against terms of `_TERM`
+       joined by '+'/'-' on each side of one '=', or a lone 0 on the right,
+       in ASCII: a line it accepts cannot fail `_parse_rule`, and any other
+       goes through it at once.  The lines are kept as one joined text;
+       nothing is indexed.
     2. `component` finds the lines joined to the goal through shared letter
        multisets; relations that share a canonical word share its multiset,
        so they hold the goal's block.  The lines that name a letter are found
@@ -638,7 +607,8 @@ class RulesFile:
 
     def __init__(self, text: str) -> None:
         self.lines = _rule_lines(text)
-        scan = _compiled(_SCAN_RULE, re.ASCII).fullmatch
+        side = rf"\s*{_TERM}(?:[-+]\s*{_TERM})*"
+        scan = _compiled(rf"{side}=(?:\s*0\s*|{side})", re.ASCII).fullmatch
         self.relations: list[TraceExpr | None] = [
             None if scan(line) else _parse_rule(number, line) for number, line in self.lines
         ]
@@ -648,20 +618,20 @@ class RulesFile:
         # Filled as letters are walked: each line's multisets, read once, and
         # for each multiset the lines read that hold it.  Once one letter of a
         # multiset is walked, every line that holds it has been read.
-        self._multisets: list[list[tuple[str, ...]] | None] = [None] * len(texts)
-        self._holders: dict[tuple[str, ...], list[int]] = {}
-        self._walked: set[str] = set()
+        self._multisets: list[list[Word] | None] = [None] * len(texts)
+        self._holders: dict[Word, list[int]] = {}
+        self._walked: set[int] = set()
         self._rounds = 0  # rounds walked; the one past _SEARCHED_ROUNDS reads every line
         # The lines the scan rejected are parsed already: their multisets are
         # read now, from their relations, so no search needs to find them.
         self._rejected = [k for k, relation in enumerate(self.relations) if relation is not None]
         for k in self._rejected:
-            self._read(k, map(_multiset, self.relations[k].terms))
+            self._read(k, (tuple(sorted(word)) for word in self.relations[k].terms))
 
     def _parsed(self, ks: Iterable[int]) -> list[TraceExpr]:
         return [self.relations[k] or _parse_rule(*self.lines[k]) for k in ks]
 
-    def _read(self, k: int, keys: Iterable[tuple[str, ...]]) -> None:
+    def _read(self, k: int, keys: Iterable[Word]) -> None:
         self._multisets[k] = keys = list(dict.fromkeys(keys))
         for key in keys:
             self._holders.setdefault(key, []).append(k)
@@ -673,15 +643,14 @@ class RulesFile:
         matches = re.finditer(pattern + r"[^\n]*", self._text)
         return [bisect_right(starts, match.start()) - 1 for match in matches]
 
-    def _walk(self, letters: set[str]) -> None:
+    def _walk(self, letters: set[int]) -> None:
         """Read the multisets of every line that names one of the letters, by
         one search of the joined text; past `_SEARCHED_ROUNDS` rounds, read
         those of every line not yet read instead."""
         self._walked |= letters
         self._rounds += 1
         if self._rounds <= _SEARCHED_ROUNDS:
-            names = "|".join(letter[1:] for letter in letters)
-            lines = self._search(f"A(?:{names})(?![0-9])")
+            lines = self._search(f"A(?:{'|'.join(map(str, letters))})(?![0-9])")
         else:
             lines = range(len(self.lines))
         words = _SCAN_WORD.findall
@@ -710,7 +679,7 @@ class RulesFile:
         is searched whole in at most `_SEARCHED_ROUNDS` rounds; the next
         reads every line, and no later round walks, so the search is linear
         in the size of the file."""
-        frontier = list(dict.fromkeys(map(_multiset, goal.terms)))
+        frontier = list(dict.fromkeys(tuple(sorted(word)) for word in goal.terms))
         seen = set(frontier)
         block: set[int] = set()
         while frontier:

@@ -3,6 +3,7 @@ import io
 import re
 import subprocess
 import sys
+import time
 import timeit
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -105,7 +106,7 @@ def words_read(monkeypatch):
 
 @pytest.fixture
 def walks(monkeypatch):
-    """The letters the rules reader walks in each breadth-first round."""
+    """The letters (indices) the rules reader walks in each breadth-first round."""
     searches = []
 
     def counting(self, letters):
@@ -614,7 +615,7 @@ class TestTracecheck:
         rules = tracealg.RulesFile(text)
         goal = tracealg.parse_trace_expr("Tr(A1)")
         assert rules.component(goal) == WholeFile(text).component(goal)
-        assert walks == [{f"A{i}" for i in range(2 ** r, 2 ** (r + 1))} for r in range(3)]
+        assert walks == [set(range(2 ** r, 2 ** (r + 1))) for r in range(3)]
         assert [set(re.fullmatch(r"A\(\?:(.*)\)\(\?!\[0-9\]\)", pattern)[1].split("|")) for pattern in passes[:2]] == [
             {"1"},
             {"2", "3"},
@@ -927,6 +928,9 @@ def tracecheck_outcomes(path, text, goal, p):
     return outcomes
 
 
+# A space run long enough that a quadratic-time line check takes seconds.
+SPACES = " " * 40_000
+
 # Rules files in which one letter's digits start another's.
 DIGIT_FILES = {
     "A1-beside-A10": [
@@ -989,11 +993,13 @@ class TestRulesReaderAgainstWholeFile:
             ("Tr(A\u0662^3) = Tr(A2)", "Tr(A2^3) - Tr(A2)"),
             ("Tr( A3 ) = 0", "Tr(A3)"),
             ("(1+sqrt3)*Tr(A1*A2^2) = 0", "Tr(A2^2*A1)"),
+            ("(1 + sqrt3)*Tr(A1*A2^2) = 0", "Tr(A2^2*A1)"),
         ],
-        ids=["leading-zero", "arabic-indic-digit", "spaces", "sqrt3"],
+        ids=["leading-zero", "arabic-indic-digit", "spaces", "sqrt3", "spaced-sqrt3"],
     )
     def test_a_line_only_the_parser_reads_joins_by_its_words(self, differential_rules, line, goal):
-        # the goal closes only through the line the scan pattern rejects
+        # the goal closes only through the middle line, which the line check
+        # rejects, but for "sqrt3": a canonical coefficient, which it accepts
         text = f"Tr(A4) = Tr(A5)\n{line}\nTr(A6^3) = Tr(A6)\n"
         goal_local, whole_file = tracecheck_outcomes(differential_rules, text, goal, 6)
         assert goal_local == whole_file
@@ -1013,6 +1019,29 @@ class TestRulesReaderAgainstWholeFile:
         assert goal_local == whole_file
         assert goal_local[0] == (2 if p < 110 else 0 if goal == "Tr(A1) - Tr(A100)" else 1)
         assert ("read" in passes) == (p == 110 and goal != "Tr(A10^3)")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            SPACES + "x = 0",
+            "Tr(A1) =" + SPACES + "x",
+            "Tr(A1) +" + SPACES + "x = 0",
+            "Tr(A1) -" + SPACES + "x = 0",
+            "3*" + SPACES + "x = 0",
+            "3" + SPACES + "x*Tr(A1) = 0",
+            "Tr(A1)" + SPACES + "x = 0",
+        ],
+        ids=["line-start", "after-equals", "after-plus", "after-minus", "after-star", "before-star", "before-equals"],
+    )
+    def test_a_long_space_run_is_checked_in_linear_time(self, differential_rules, line):
+        # 40,000 spaces, then a token the line check rejects, at each place it
+        # reads a space run: a check with two adjacent space runs backtracks in
+        # quadratic time, about 16 s here
+        start = time.perf_counter()
+        goal_local, whole_file = tracecheck_outcomes(differential_rules, f"Tr(A1) = 0\n{line}\n", "Tr(A1)", 1)
+        assert time.perf_counter() - start < 1.0
+        assert goal_local == whole_file
+        assert goal_local[0] == 2 and goal_local[2].startswith(f"error: {differential_rules}: line 2: ")
 
     def test_one_reader_answers_several_goals(self):
         text = g4_rules_text(5) + "Tr(A1*A2*A3) = 0\nTr(A1) = Tr(A2)\nTr(A6) = 0\n"

@@ -788,3 +788,130 @@ class TestIdentityFile:
     def test_missing_equals(self):
         with pytest.raises(TraceParseError):
             parse_identity_file("Tr(A1)\n")
+
+
+# Pieces of rules-file lines on both sides of the line check's bounds: an
+# index of nine digits and one of ten, exponents 99 and 100, numbers of 20
+# digits and of 21, zero and leading-zero spellings, 100 and 101 factors,
+# spaces inside the parentheses, and scalars with two sqrt3 or a signed
+# second term.
+def mostly(good, bad):
+    """One of the values, a bad one rarely."""
+    return st.sampled_from(good * 8 + bad + good * 8)
+
+
+INDEX = mostly(("1", "2", "7", "12", "999999999"), ("1000000000", "0", "01"))
+EXPONENT = mostly(("", "", "^2", "^3", "^99"), ("^100", "^0", "^02"))
+NUMBER = mostly(("1", "2", "3", "0", "007", "9" * 20), ("1" + "0" * 20,))
+DENOMINATOR = mostly(("2", "3", "9" * 20), ("0", "07", "1" + "0" * 20))
+LONG_WORDS = (["A1^99"] * 100, ["A1^99"] * 101, ["A2"] * 101, ["A2", "A1^99"] * 50)
+
+
+@st.composite
+def scalar_texts(draw):
+    """One scalar term, or two joined by '+' or '-': a rational, sqrt3 or a
+    rational times sqrt3, each with an optional minus."""
+
+    def term():
+        rational = draw(NUMBER)
+        if draw(st.booleans()):
+            rational += "/" + draw(DENOMINATOR)
+        body = draw(st.sampled_from((rational,) * 4 + ("sqrt3", f"{rational}*sqrt3")))
+        return draw(st.sampled_from(("", "", "-"))) + body
+
+    text = term()
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(("+", "-", "+", "-", " + "))) + term()
+    return text
+
+
+@st.composite
+def term_texts(draw):
+    factors = draw(st.sampled_from((None,) * 12 + LONG_WORDS))
+    if factors is None:
+        factors = draw(st.lists(st.builds("A{}{}".format, INDEX, EXPONENT), min_size=1, max_size=3))
+    inner = draw(st.sampled_from(("",) * 7 + (" ",)))
+    trace = f"Tr({inner}{'*'.join(factors)}{inner})"
+    coefficient = draw(st.sampled_from(("none", "plain", "parenthesized")))
+    if coefficient == "none":
+        return trace
+    scalar = draw(scalar_texts())
+    if coefficient == "parenthesized":
+        scalar = f"({scalar})"
+    return scalar + draw(st.sampled_from(("*", "*", " * "))) + trace
+
+
+@st.composite
+def side_texts(draw):
+    first, *rest = draw(st.lists(term_texts(), min_size=1, max_size=3))
+    return first + "".join(draw(st.sampled_from((" + ", " - ", "+", "-", " -"))) + term for term in rest)
+
+
+RULE_LINES = st.builds("{}{}{}".format, side_texts(), st.sampled_from((" = ", "=")), side_texts() | st.just("0"))
+
+
+class TestLineCheck:
+    """The rules reader's line check, terms of `_TERM` on each side of one
+    '=': a line it accepts is parsed only when a goal's component needs it,
+    and must then parse, to the relation a whole-file parse gives; any other
+    line is parsed at read time, in file order."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(RULE_LINES, min_size=1, max_size=3))
+    def test_an_unparsed_line_parses_to_the_whole_file_relation(self, lines):
+        text = "\n".join(lines)
+        outcome = parse_outcome(parse_identity_file, text)
+        assert outcome == parse_outcome(trace_parser_reference.parse_identity_file, text)
+        if not isinstance(outcome, list):  # an error, which reading raises too
+            with pytest.raises(TraceParseError) as info:
+                tracealg.RulesFile(text)
+            assert str(info.value) == outcome[0]
+            return
+        rules = tracealg.RulesFile(text)
+        for (number, line), relation, expected in zip(rules.lines, rules.relations, outcome):
+            if relation is not None:
+                assert relation == expected
+                continue
+            assert tracealg._parse_rule(number, line) == expected
+            # the reader finds every word of the line, and reads its multiset
+            words = tracealg._SCAN_WORD.findall(line)
+            assert len(words) == line.count("Tr")
+            assert {tuple(sorted(word)) for word in expected.terms} <= set(map(tracealg._letters, words))
+
+    @pytest.mark.parametrize(
+        "line, accepted",
+        [
+            ("Tr(" + "*".join(["A1^99"] * 100) + ") = 0", True),
+            ("Tr(" + "*".join(["A1^99"] * 101) + ") = 0", False),
+            ("Tr(A2*A1^99) = Tr(A2*A1^100)", False),
+            ("Tr(A999999999) = Tr(A1)", True),
+            ("Tr(A1000000000) = Tr(A1)", False),
+            ("9" * 20 + "*Tr(A1) = -" + "9" * 20 + "/" + "9" * 20 + "*Tr(A2)", True),
+            ("1" + "0" * 20 + "*Tr(A1) = 0", False),
+            ("(1/" + "1" + "0" * 20 + ")*Tr(A1) = 0", False),
+            ("(1/2+sqrt3)*Tr(A7*A8) = 2/3*sqrt3-1*Tr(A1) - sqrt3*Tr(A2)", True),
+            ("Tr( A1 ) = 0", False),
+            ("- 2*Tr(A1) = 0", False),
+            ("(1/02)*Tr(A1) = 0", False),
+        ],
+        ids=[
+            "100-factors", "101-factors", "exponent-100", "index-999999999", "index-10-digits", "20-digits",
+            "21-digits", "21-digit-denominator", "sqrt3", "spaces-in-parentheses", "spaced-minus", "leading-zero",
+        ],
+    )
+    def test_bounds(self, line, accepted):
+        rules = tracealg.RulesFile(line)
+        assert (rules.relations[0] is None) == accepted
+        assert rules._parsed([0]) == parse_identity_file(line)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [("(1/0)*Tr(A7*A8) = 0", "zero denominator"), ("(sqrt3+sqrt3)*Tr(A1) = 0", "'sqrt3' may appear at most once")],
+        ids=["zero-denominator", "two-sqrt3"],
+    )
+    def test_a_line_that_fails_is_parsed_at_read_time_in_file_order(self, line, message):
+        text = f"Tr(A1) = 0\n{line}\nTr(A1 = 0\n"
+        with pytest.raises(TraceParseError) as info:
+            tracealg.RulesFile(text)
+        assert str(info.value) == parse_outcome(parse_identity_file, text)[0]
+        assert str(info.value).startswith("line 2: ") and message in str(info.value)
