@@ -31,8 +31,9 @@ class QuadExt:
     """An element a + b*sqrt(3) of Q(sqrt(3)) with rational a, b.
 
     Internally stored as (x + y*sqrt(3)) / d with integers x, y and d > 0,
-    gcd(x, y, d) = 1, so equal values always have identical representations.
-    Arithmetic coerces int and Fraction operands.
+    gcd(x, y, d) = 1, so equal values always have identical representations;
+    every result but a negation goes through the one normalizer `_reduced`.
+    Arithmetic coerces int and Fraction operands; a QuadExt is used as it is.
     """
 
     __slots__ = ("x", "y", "d", "_float")
@@ -45,28 +46,19 @@ class QuadExt:
 
     @classmethod
     def _make(cls, x: int, y: int, d: int) -> QuadExt:
+        """(x + y*sqrt(3)) / d in canonical form, for any nonzero d."""
         if d < 0:
             x, y, d = -x, -y, -d
-        if d != 1:
-            g = math.gcd(math.gcd(x, y), d)
-            if g > 1:
-                x //= g
-                y //= g
-                d //= g
-        obj = object.__new__(cls)
-        obj.x = x
-        obj.y = y
-        obj.d = d
-        return obj
+        return _reduced(x, y, d)
 
     @classmethod
     def _coerce(cls, value) -> QuadExt | None:
         if isinstance(value, QuadExt):
             return value
         if isinstance(value, int):
-            return cls._make(value, 0, 1)
+            return _reduced(value, 0, 1)
         if isinstance(value, Fraction):
-            return cls._make(value.numerator, 0, value.denominator)
+            return _reduced(value.numerator, 0, value.denominator)
         return None
 
     @property
@@ -84,9 +76,10 @@ class QuadExt:
         return format_scalar(self)
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not QuadExt:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self.x == other.x and self.y == other.y and self.d == other.d
 
     def __hash__(self) -> int:
@@ -99,15 +92,19 @@ class QuadExt:
         return self.x != 0 or self.y != 0
 
     def __neg__(self) -> QuadExt:
-        return self._make(-self.x, -self.y, self.d)
+        # negation keeps the form reduced: no gcd
+        obj = object.__new__(QuadExt)
+        obj.x, obj.y, obj.d = -self.x, -self.y, self.d
+        return obj
 
     def __add__(self, other) -> QuadExt:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not QuadExt:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.d == other.d:
-            return self._make(self.x + other.x, self.y + other.y, self.d)
-        return self._make(
+            return _reduced(self.x + other.x, self.y + other.y, self.d)
+        return _reduced(
             self.x * other.d + other.x * self.d,
             self.y * other.d + other.y * self.d,
             self.d * other.d,
@@ -116,22 +113,24 @@ class QuadExt:
     __radd__ = __add__
 
     def __sub__(self, other) -> QuadExt:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not QuadExt:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         if self.d == other.d:
-            return self._make(self.x - other.x, self.y - other.y, self.d)
-        return self._make(
+            return _reduced(self.x - other.x, self.y - other.y, self.d)
+        return _reduced(
             self.x * other.d - other.x * self.d,
             self.y * other.d - other.y * self.d,
             self.d * other.d,
         )
 
     def __mul__(self, other) -> QuadExt:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self._make(
+        if other.__class__ is not QuadExt:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _reduced(
             self.x * other.x + 3 * self.y * other.y,
             self.x * other.y + self.y * other.x,
             self.d * other.d,
@@ -199,7 +198,7 @@ class QuadExt:
         except AttributeError:
             pass
         if self.y == 0:
-            value = float(Fraction(self.x, self.d))
+            value = self.x / self.d  # int true division rounds correctly
         else:
             bits = 128
             previous = None
@@ -207,7 +206,7 @@ class QuadExt:
                 scale = 1 << bits
                 root = math.isqrt(3 * self.y * self.y * scale * scale)
                 numerator = self.x * scale + (root if self.y > 0 else -root)
-                value = float(Fraction(numerator, self.d * scale))
+                value = numerator / (self.d * scale)
                 if value == previous:
                     break
                 previous = value
@@ -217,6 +216,17 @@ class QuadExt:
 
     def __float__(self) -> float:
         return self.to_float()
+
+
+def _reduced(x: int, y: int, d: int) -> QuadExt:
+    """(x + y*sqrt(3)) / d divided by gcd(x, y, d), for d > 0: the one
+    normalizer of the canonical form."""
+    g = math.gcd(d, x, y)  # d first: math.gcd skips the rest once it reads 1
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    obj = object.__new__(QuadExt)
+    obj.x, obj.y, obj.d = x, y, d
+    return obj
 
 
 ZERO = QuadExt(0, 0)

@@ -46,8 +46,8 @@ class TraceParseError(ValueError):
 
 def canonicalize_cyclic(word: Iterable[int]) -> Word:
     """Lexicographically smallest rotation; the trace-invariant key of a word:
-    three-letter words compare their rotations inline, others of any length
-    go through `_least_rotation`."""
+    one- and three-letter words are checked and rotated inline, others of any
+    length go through `_least_rotation`.  Every letter must be a positive int."""
     word = tuple(word)
     # most traced words are this short: check the letters and compare the
     # rotations inline; a bad word falls through to the general check
@@ -55,9 +55,13 @@ def canonicalize_cyclic(word: Iterable[int]) -> Word:
         a, b, c = word
         if isinstance(a, int) and isinstance(b, int) and isinstance(c, int) and a >= 1 and b >= 1 and c >= 1:
             return min(word, (b, c, a), (c, a, b))
+    elif len(word) == 1:
+        if isinstance(word[0], int) and word[0] >= 1:
+            return word
     elif not word:
         raise ValueError("empty trace word")
-    if any(not isinstance(i, int) or i < 1 for i in word):
+    # the letters' types first, at C speed, so that min() compares ints only
+    if not all(map(isinstance, word, itertools.repeat(int))) or min(word) < 1:
         raise ValueError(f"operator indices must be positive integers: {word}")
     start = _least_rotation(word)
     return word[start:] + word[:start]
@@ -97,13 +101,9 @@ def _order(word: Word) -> tuple[int, Word]:
 
 def _word_str(word: Word) -> str:
     parts = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        parts.append(f"A{word[i]}" + (f"^{j - i}" if j - i > 1 else ""))
-        i = j
+    for letter, run in itertools.groupby(word):
+        k = len(list(run))
+        parts.append(f"A{letter}^{k}" if k > 1 else f"A{letter}")
     return "*".join(parts)
 
 
@@ -176,11 +176,11 @@ class TraceExpr:
                 continue
             negative = coeff.sign() < 0
             mag = -coeff if negative else coeff
-            term = trace if mag == 1 else f"{mag}*{trace}"
+            term = trace if mag == ONE else f"{mag}*{trace}"
             if not parts:
                 # a leading bare minus is not a scalar; spell the -1 out
                 if negative:
-                    parts.append(f"-{term}" if mag != 1 else f"-1*{trace}")
+                    parts.append(f"-{term}" if mag != ONE else f"-1*{trace}")
                 else:
                     parts.append(term)
             else:
@@ -450,8 +450,11 @@ def _factors(word: str) -> list[int]:
         return list(map(int, word[1:].split("*A")))
     letters: list[int] = []
     for factor in word[1:].split("*A"):
-        index, _, exponent = factor.partition("^")
-        letters += [int(index)] * int(exponent or 1)
+        if "^" in factor:
+            index, _, exponent = factor.partition("^")
+            letters += [int(index)] * int(exponent)
+        else:
+            letters.append(int(factor))
     return letters
 
 
@@ -498,12 +501,16 @@ def parse_trace_expr(text: str) -> TraceExpr:
     included, is read by the stepwise reader (`_read_term`), which raises
     the message of the first failing token at its position.  Every term the
     pattern matches parses, to the term the stepwise reader gives, so the
-    result and every error are those of a token-by-token reading.
+    result and every error are those of a token-by-token reading.  Each
+    spelling of a coefficient is scanned once per call, and the terms are
+    summed by `accumulate`, which drops those that cancel.
     """
     bad = _OUTSIDE.search(text)
     if bad is not None:
         raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
     fast = _compiled(_TERM).match
+    # each spelling of a coefficient, through its "Tr(", is scanned once per call
+    coefficients = {"Tr(": ONE}
     terms = []
     negative = False
     pos = _SPACE.match(text).end()
@@ -513,7 +520,9 @@ def parse_trace_expr(text: str) -> TraceExpr:
             # the scalar scanner reads the coefficient, if there is one, and `_factors` the word
             start, pos = match.span()
             opened = text.index("Tr(", start, pos) + 3
-            coeff = ONE if opened == start + 3 else scan_scalar(text, start + 1 if text[start] == "(" else start)[0]
+            coeff = coefficients.get(spelling := text[start:opened])
+            if coeff is None:
+                coeff = coefficients[spelling] = scan_scalar(text, start + 1 if text[start] == "(" else start)[0]
             word = canonicalize_cyclic(_factors(text[opened : text.index(")", opened)]))
         else:
             word, coeff, pos = _read_term(text, pos)
@@ -546,7 +555,7 @@ def _parse_rule(number: int, line: str) -> TraceExpr:
         rhs = parse_trace_expr(parts[1])
     except TraceParseError as exc:
         raise TraceParseError(f"line {number}: {exc}") from exc
-    return lhs - rhs
+    return TraceExpr._of(accumulate(lhs.terms, rhs.terms.items(), _MINUS_ONE))
 
 
 def parse_identity_file(text: str) -> list[TraceExpr]:

@@ -1,9 +1,10 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frames import direct_sum
@@ -128,6 +129,78 @@ def test_parse_is_left_inverse_of_formatter(a, b):
     assert parse_scalar(format_scalar(value)) == value
 
 
+# ratios of two ints of about 40 digits, which no float holds exactly
+FORTY_DIGITS = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(10**39, 10**40))
+QUADS = st.builds(QuadExt, FRACTIONS, FRACTIONS)
+INTS = st.integers(-20, 20) | st.integers(-(10**40), 10**40)
+# (a + b*sqrt3) op (c + e*sqrt3) as the pair of its rational parts; the
+# quotient is the product with (c - e*sqrt3) / (c^2 - 3e^2)
+OPERATIONS = {
+    "+": (operator.add, lambda a, b, c, e: (a + c, b + e)),
+    "-": (operator.sub, lambda a, b, c, e: (a - c, b - e)),
+    "*": (operator.mul, lambda a, b, c, e: (a * c + 3 * b * e, a * e + b * c)),
+    "/": (operator.truediv, lambda a, b, c, e: tuple(t / (c * c - 3 * e * e) for t in (a * c - 3 * b * e, b * c - a * e))),
+}
+OPERANDS = st.tuples(QUADS, QUADS) | st.tuples(QUADS, INTS) | st.tuples(INTS, QUADS) | st.tuples(QUADS, FRACTIONS)
+
+
+def rational_parts(value) -> tuple[Fraction, Fraction]:
+    """(a, b) of a + b*sqrt3, for a QuadExt, an int or a Fraction."""
+    if isinstance(value, QuadExt):
+        return Fraction(value.x, value.d), Fraction(value.y, value.d)
+    return Fraction(value), Fraction(0)
+
+
+def assert_canonical(value) -> None:
+    assert type(value) is QuadExt
+    assert value.d > 0 and math.gcd(value.x, value.y, value.d) == 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(OPERANDS, st.sampled_from(sorted(OPERATIONS)))
+def test_binary_operations_match_a_pair_of_fractions(operands, op):
+    left, right = operands
+    # an int on the left reaches only the reflected + and *
+    assume(isinstance(left, QuadExt) or op in "+*")
+    function, reference = OPERATIONS[op]
+    (a, b), (c, e) = rational_parts(left), rational_parts(right)
+    assert (left == right) is (right == left) is ((a, b) == (c, e))
+    if op == "/" and not (c or e):
+        with pytest.raises(ZeroDivisionError):
+            function(left, right)
+        return
+    result = function(left, right)
+    assert_canonical(result)
+    assert rational_parts(result) == reference(a, b, c, e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(QUADS)
+def test_negation_and_inverse_match_a_pair_of_fractions(value):
+    a, b = rational_parts(value)
+    negated = -value
+    assert_canonical(negated)
+    assert rational_parts(negated) == (-a, -b)
+    if not value:
+        with pytest.raises(ZeroDivisionError):
+            value.inverse()
+        return
+    inverse = value.inverse()
+    assert_canonical(inverse)
+    assert rational_parts(inverse) == (a / (a * a - 3 * b * b), -b / (a * a - 3 * b * b))
+
+
+@pytest.mark.parametrize("foreign", [1.5, 2.0, "1", None, 1j, object()], ids=repr)
+def test_a_foreign_operand_raises_type_error_and_compares_unequal(foreign):
+    value = QuadExt(2)
+    for function in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            function(value, foreign)
+        with pytest.raises(TypeError):
+            function(foreign, value)
+    assert (value == foreign) is False and (foreign == value) is False
+
+
 @pytest.mark.parametrize(
     "data",
     [builtin(name) for name in BUILTIN_NAMES] + [direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))],
@@ -198,6 +271,24 @@ class TestFloat:
         got = QuadExt(26, -15).to_float()
         want = float(Fraction(26) - 15 * Fraction(math.isqrt(3 * 4**100), 2**100))
         assert abs(got - want) <= math.ulp(want)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(FRACTIONS | FORTY_DIGITS, FRACTIONS | FORTY_DIGITS | st.just(Fraction(0)))
+    def test_equals_rounding_through_fraction(self, a, b):
+        # the same refinement of sqrt(3), each quotient rounded by float(Fraction(...))
+        value = QuadExt(a, b)
+        x, y, d = value.x, value.y, value.d
+        if y == 0:
+            want = float(Fraction(x, d))
+        else:
+            bits, values = 128, [None]
+            while len(values) < 3 or values[-1] != values[-2]:
+                scale = 1 << bits
+                root = math.isqrt(3 * y * y * scale * scale)
+                values.append(float(Fraction(x * scale + (root if y > 0 else -root), d * scale)))
+                bits *= 2
+            want = values[-1]
+        assert value.to_float() == want
 
     def test_product_agreement_within_four_ulps(self):
         rng = random.Random(7)

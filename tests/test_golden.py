@@ -11,7 +11,9 @@ tests/data/dense14_p3.dat, random symmetric +-1 operators generated by
 `dense14_dataset`, whose witness is a long polynomial of degree 14 in three
 variables.  One tracecheck reads tests/data/g4_p4.rules,
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
-the rules reader's line check (terms of `tracealg._TERM`) accepts.  Two more files pin the package's
+the rules reader's line check (terms of `tracealg._TERM`) accepts, and one
+the hand-written tests/data/coefficients.rules, whose coefficients have sqrt3
+and fractional parts and repeat on a line.  Two more files pin the package's
 fixed data: the four built-ins as `serialize_dataset` writes them, and the
 g=4 relations at p=4 as `str` renders them, one per line, in order.
 
@@ -40,6 +42,7 @@ CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
 SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
 DENSE14 = Path(__file__).parent / "data" / "dense14_p3.dat"
 G4_P4 = Path(__file__).parent / "data" / "g4_p4.rules"
+COEFFICIENTS = Path(__file__).parent / "data" / "coefficients.rules"
 
 
 def cayley_dataset():
@@ -105,7 +108,7 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 
 # golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
 # stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}",
-# "{sum20}", "{dense14}" and "{g4_p4}" for the committed input files
+# "{sum20}", "{dense14}", "{g4_p4}" and "{coefficients}" for the committed input files
 CASES = {
     **{
         f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
@@ -140,6 +143,12 @@ CASES = {
          "Tr(A2^3) + Tr(A1^2*A2) + Tr(A3^2*A2) + Tr(A4^2*A2) - 3*Tr(A1^2*A3)", "--indices", "4"],
         0,
     ),
+    "tracecheck_coefficients_rules.txt": (
+        ["tracecheck", "--rules", "{coefficients}", "--goal",
+         "Tr(A1^2*A2) + 4*sqrt3*Tr(A1*A3^2) - 3*Tr(A2*A3^2) + Tr(A1^3) + 2/3*Tr(A2*A1*A3)"
+         " + (1-sqrt3)*Tr(A2^2*A3) - Tr(A1*A2^2)", "--indices", "3"],
+        1,
+    ),
 }
 
 
@@ -150,7 +159,8 @@ def render(name, directory):
     mixed = Path(directory) / "mixed.rules"
     mixed.write_text(MIXED_RULES, encoding="utf-8")
     paths = {
-        "lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "g4_p4": G4_P4
+        "lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "g4_p4": G4_P4,
+        "coefficients": COEFFICIENTS,
     }
     argv, code = CASES[name]
     out = io.StringIO()

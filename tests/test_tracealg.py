@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import trace_parser_reference
 from g4_rules import g4_relations_untraced
 from willmore import tracealg
-from willmore.exactnum import QuadExt, accumulate
+from willmore.exactnum import QuadExt, accumulate, scan_scalar
 from willmore.linalg import Matrix
 from willmore.tracealg import (
     TraceExpr,
@@ -226,12 +226,31 @@ class TestCanonicalize:
             ((1, "a", 2), "operator indices must be positive integers: (1, 'a', 2)"),
             ((1, 2, 1.0), "operator indices must be positive integers: (1, 2, 1.0)"),
             ((1, 2, -3), "operator indices must be positive integers: (1, 2, -3)"),
+            # and so are one-letter words
+            ((-1,), "operator indices must be positive integers: (-1,)"),
+            (("a",), "operator indices must be positive integers: ('a',)"),
+            ((1.0,), "operator indices must be positive integers: (1.0,)"),
         ],
     )
     def test_short_words_are_validated_first(self, word, message):
         with pytest.raises(ValueError) as info:
             canonicalize_cyclic(word)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("at", [0, 1500, 2999], ids=["start", "middle", "end"])
+    @pytest.mark.parametrize("letter", [1.0, 0, -1, True, "a"], ids=repr)
+    def test_every_letter_of_a_long_word_is_checked(self, letter, at):
+        word = [2] * 3000
+        word[at] = letter
+        word = tuple(word)
+        if letter is True:
+            # an int equal to 1, as bool is: the word rotates to start there
+            assert canonicalize_cyclic((True,)) == (True,)
+            assert canonicalize_cyclic(word) == word[at:] + word[:at]
+            return
+        with pytest.raises(ValueError) as info:
+            canonicalize_cyclic(word)
+        assert str(info.value) == f"operator indices must be positive integers: {word}"
 
 
 class TestInstantiate:
@@ -505,6 +524,29 @@ class TestParse:
 
     def test_cyclic_cancellation(self):
         assert not parse_trace_expr("Tr(A1*A2) - Tr(A2*A1)")
+
+    @pytest.mark.parametrize(
+        "text, scans",
+        [
+            ("0*Tr(A1) + Tr(A2)", 1),  # the zero term is dropped
+            ("(1/2)*Tr(A1) - (1/2)*Tr(A1)", 1),  # parses to 0
+            ("(1)*Tr(A1) - (1)*Tr(A2) + (1)*Tr(A3)", 1),  # the sign is applied to a copy
+            ("2*Tr(A1) + 2 * Tr(A2)", 2),  # one value in two spellings
+        ],
+    )
+    def test_each_coefficient_spelling_is_scanned_once_per_call(self, monkeypatch, text, scans):
+        expected = trace_parser_reference.parse_trace_expr(text)
+        scanned = []
+        monkeypatch.setattr(tracealg, "scan_scalar", lambda *args: scanned.append(args) or scan_scalar(*args))
+        for calls in (1, 2):  # no value outlives its call: a second parse scans again
+            expr = parse_trace_expr(text)
+            assert expr == expected and all(expr.terms.values())
+            assert len(scanned) == calls * scans
+
+    def test_a_rule_line_is_lhs_minus_rhs(self):
+        line = "Tr(A1^3) = Tr(A1)"
+        assert parse_identity_file(line) == trace_parser_reference.parse_identity_file(line)
+        assert parse_identity_file(line) == [TraceExpr({(1, 1, 1): 1, (1,): -1})]
 
     def test_quadratic_field_coefficients(self):
         expr = parse_trace_expr("2/3*sqrt3*Tr(A1) + 1+1*sqrt3*Tr(A2)")
