@@ -11,7 +11,7 @@ tests/data/dense14_p3.dat, random symmetric +-1 operators generated by
 `dense14_dataset`, whose witness is a long polynomial of degree 14 in three
 variables.  One tracecheck reads tests/data/g4_p4.rules,
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
-the rules reader's line check (terms of `tracealg._TERM`) accepts, and one
+the rules reader's line check (terms of `tracealg._TERM`) accepts, and one reads
 the hand-written tests/data/coefficients.rules, whose coefficients have sqrt3
 and fractional parts and repeat on a line.  Two more files pin the package's
 fixed data: the four built-ins as `serialize_dataset` writes them, and the
