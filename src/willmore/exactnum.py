@@ -125,6 +125,10 @@ class QuadExt:
             self.d * other.d,
         )
 
+    def __rsub__(self, other) -> QuadExt:
+        other = self._coerce(other)
+        return NotImplemented if other is None else other - self
+
     def __mul__(self, other) -> QuadExt:
         if other.__class__ is not QuadExt:
             other = self._coerce(other)
@@ -154,6 +158,10 @@ class QuadExt:
         if other is None:
             return NotImplemented
         return self * other.inverse()
+
+    def __rtruediv__(self, other) -> QuadExt:
+        other = self._coerce(other)
+        return NotImplemented if other is None else other * self.inverse()
 
     def __pow__(self, exponent: int) -> QuadExt:
         if not isinstance(exponent, int):

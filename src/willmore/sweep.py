@@ -6,9 +6,10 @@ coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
 basis into the connected components of the union of the operators' nonzero
 patterns; a permutation makes A(t) block-diagonal with one block per
 component, for every t, so det(lambda I - A(t)) is exactly the product of the
-blocks' characteristic polynomials.  Each distinct block forms the powers
-of A(t) up to half its size in integer pairs, skipping zeros, and gets its
-polynomial from their Frobenius products by Newton's identities.
+blocks' characteristic polynomials.  Each distinct block gets its
+polynomial by Newton's identities from the Frobenius products of the powers
+of A(t), formed in integer pairs, skipping zeros, up to half the joint rank
+of its operators: no k x k minor of A(t) is nonzero above that rank.
 `Matrix.char_poly` of `normal_shape_operator(data)` gives the same
 polynomial and serves as its reference.
 
@@ -193,9 +194,13 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
 
     Newton's identities on the power sums S_i = Tr(B^i) of B = op_den A(t) in
     integer pairs: E_0 = 1, E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) S_i,
-    and lambda^(n-k) has the coefficient (-1)^k E_k / (k! op_den^k).  Every
+    and lambda^(n-k) has the coefficient (-1)^k E_k / (k! op_den^k).  E_k is
+    the sum of the k x k principal minors of A(t), so it is zero for k above
+    rank A(t) <= rho = rank M, M = [A_1 | ... | A_p], which is rank M M^T, of
+    G = sum_a A_a^2, the sum of A^2's coefficients at the t_a^2 (`_psd_rank`):
+    the identities stop at k = rho, and lambda^0..lambda^(n-rho-1) stay zero.  Every
     monomial coefficient of A(t)^j is symmetric, so Tr(A^k) is the Frobenius
-    product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(n/2) are formed,
+    product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(rho/2) are formed,
     each A^j = sum_m t^m M_m as {m: sparse rows of M_m} over one denominator
     normalised by a gcd.  A monomial m is one int, its exponents the digits
     in base n+1, so that adding two of them builds no tuple.
@@ -210,10 +215,12 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
     base = n + 1
     active = [(ops[a], base**a) for a in range(p) if any(ops[a])]
     weights = [1 if l == i else 2 for i in range(n) for l in range(i + 1)]
-    power, den = {unit: rows for rows, unit in active}, op_den  # A^1
+    power, den, rank = {unit: rows for rows, unit in active}, op_den, n  # A^1; rho once A^2 is formed
     # packed[j] = (op_den^j / den of A^j, {m: _pack(M_m)}), from A^0 = I
     packed = [(1, {0: _pack([[(i, 1, 0)] for i in range(n)], weights)})]
     for j in range(1, (n + 1) // 2 + 1):
+        if j > (rank + 1) // 2:
+            break
         if j > 1:
             # the terms of the monomial m' are the (A_a, M_m) with m + e_a = m'
             sources: dict[int, list] = {}
@@ -224,10 +231,11 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
             g = math.gcd(den * op_den, *entries)
             power = {m: [[(l, x // g, y // g) for l, x, y in row] for row in rows] for m, rows in power.items()}
             den = den * op_den // g
+            rank = _psd_rank([power[2 * unit] for _, unit in active], n) if j == 2 else rank
         packed.append((op_den**j // den, {m: _pack(rows, weights) for m, rows in power.items()}))
     sums, elementary, d = [None], [[(0, 1, 0)]], 1  # S_i and E_k as [(m, x, y)]
     coeffs = [MultiPoly(p)] * n + [MultiPoly.constant(p, 1)]
-    for k in range(1, n + 1):
+    for k in range(1, rank + 1):
         (scale, left), (scale_b, right) = packed[k // 2], packed[k - k // 2]
         # for even k both sides are A^(k/2): the pairs (m, m2) and (m2, m) agree
         even = k % 2 == 0
@@ -251,6 +259,30 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
         terms = {_unpack(m, base, p): QuadExt._make(x, y, d) for m, x, y in elementary[k]}
         coeffs[n - k] = MultiPoly._of(p, terms)
     return UniPoly(coeffs)
+
+
+def _psd_rank(mats: list[list[Row]], n: int) -> int:
+    """The rank of the sum G of the n x n integer-pair rows `mats`, squares A_a^2
+    of symmetric A_a: G is positive semidefinite, and so is each Schur complement
+    in its symmetric elimination with diagonal pivots (free of fractions, a row
+    divided by its content), whose zero pivots thus have zero rows."""
+    xs, ys = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    for rows in mats:
+        for row, rx, ry in zip(rows, xs, ys):
+            for l, x, y in row:
+                rx[l], ry[l] = rx[l] + x, ry[l] + y
+    rank = 0
+    for i, (px, py) in enumerate(zip(xs, ys)):
+        a, b, cols = px[i], py[i], range(i + 1, n)
+        rank += bool(a or b)
+        for rx, ry in zip(xs[i + 1:], ys[i + 1:]):
+            c, d = rx[i], ry[i]
+            if c or d:  # then a or b: row r becomes (a + b sqrt3) row r - (c + d sqrt3) row i
+                x = [a * rx[l] + 3 * (b * ry[l] - d * py[l]) - c * px[l] for l in cols]
+                y = [a * ry[l] + b * rx[l] - c * py[l] - d * px[l] for l in cols]
+                g = math.gcd(*x, *y) or 1
+                rx[i + 1:], ry[i + 1:] = [v // g for v in x], [v // g for v in y]
+    return rank
 
 
 def _unpack(m: int, base: int, p: int) -> tuple[int, ...]:

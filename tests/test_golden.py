@@ -9,7 +9,10 @@ tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
 generated by `sum20_dataset`.  One sweep fails: on
 tests/data/dense14_p3.dat, random symmetric +-1 operators generated by
 `dense14_dataset`, whose witness is a long polynomial of degree 14 in three
-variables.  One tracecheck reads tests/data/g4_p4.rules,
+variables, and one on tests/data/g6_m2_M2_raised_cayley.dat, generated by
+`raised_cayley_dataset`: dense, yet its operators share a 2-dimensional
+kernel, and its witness is the lowest coefficient that the kernel's rank
+leaves nonzero.  One tracecheck reads tests/data/g4_p4.rules,
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
 the rules reader's line check (terms of `tracealg._TERM`) accepts, and one reads
 the hand-written tests/data/coefficients.rules, whose coefficients have sqrt3
@@ -41,6 +44,7 @@ GOLDEN = Path(__file__).parent / "golden"
 CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
 SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
 DENSE14 = Path(__file__).parent / "data" / "dense14_p3.dat"
+RAISED = Path(__file__).parent / "data" / "g6_m2_M2_raised_cayley.dat"
 G4_P4 = Path(__file__).parent / "data" / "g4_p4.rules"
 COEFFICIENTS = Path(__file__).parent / "data" / "coefficients.rules"
 
@@ -75,11 +79,26 @@ def dense14_dataset():
     return ShapeOperatorSet("dense14_p3", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
 
 
+def raised_cayley_dataset():
+    """g6_m2_M2 with 1 added to (0, 1) and (1, 0) of B1, in a Cayley frame,
+    then a Cayley normal rotation, from a fixed seed: every entry nonzero, the
+    operators' joint rank still 8 of 10 (rows 4 and 5 stay zero before the
+    frame change), and not constant on the sphere, first at lambda^2."""
+    base = builtin("g6_m2_M2")
+    rows = [list(row) for row in base.operators[0].rows]
+    rows[0][1] = rows[1][0] = rows[0][1] + 1
+    data = ShapeOperatorSet(base.name, base.n, base.p, (Matrix(rows),) + base.operators[1:], base.labels)
+    rng = random.Random(2015)
+    data = rotate_normals(change_frame(data, cayley_frame(10, rng)), cayley_frame(3, rng))
+    return ShapeOperatorSet("g6_m2_M2_raised_cayley", data.n, data.p, data.operators, data.labels)
+
+
 # committed input file -> the generator of its text
 DATASETS = {
     CAYLEY: lambda: serialize_dataset(cayley_dataset()),
     SUM20: lambda: serialize_dataset(sum20_dataset()),
     DENSE14: lambda: serialize_dataset(dense14_dataset()),
+    RAISED: lambda: serialize_dataset(raised_cayley_dataset()),
     G4_P4: lambda: g4_rules_text(4),
 }
 
@@ -108,7 +127,7 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 
 # golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
 # stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}",
-# "{sum20}", "{dense14}", "{g4_p4}" and "{coefficients}" for the committed input files
+# "{sum20}", "{dense14}", "{raised}", "{g4_p4}" and "{coefficients}" for the committed input files
 CASES = {
     **{
         f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
@@ -120,6 +139,7 @@ CASES = {
     "sweep_g6_m2_M2_cayley.txt": (["sweep", "{cayley}", "--mode", "symbolic"], 0),
     "sweep_sum20_g6_m2_M2.txt": (["sweep", "{sum20}", "--mode", "symbolic"], 0),
     "sweep_dense14_p3.txt": (["sweep", "{dense14}", "--mode", "symbolic"], 1),
+    "sweep_g6_m2_M2_raised_cayley.txt": (["sweep", "{raised}", "--mode", "symbolic"], 1),
     "verify_g6_m2_M2_cayley_text.txt": (["verify", "{cayley}"], 0),
     "verify_sum20_g6_m2_M2_text.txt": (["verify", "{sum20}"], 0),
     "paper.txt": (["paper"], 0),
@@ -159,8 +179,8 @@ def render(name, directory):
     mixed = Path(directory) / "mixed.rules"
     mixed.write_text(MIXED_RULES, encoding="utf-8")
     paths = {
-        "lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "g4_p4": G4_P4,
-        "coefficients": COEFFICIENTS,
+        "lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "raised": RAISED,
+        "g4_p4": G4_P4, "coefficients": COEFFICIENTS,
     }
     argv, code = CASES[name]
     out = io.StringIO()

@@ -245,6 +245,58 @@ def convolve(a, b):
     return out
 
 
+@st.composite
+def planted_kernels(draw):
+    """Operators with a planted common kernel: random symmetric r x r blocks,
+    or at p <= 2 the pair diag(c, -c), [[0, c], [c, 0]], whose spectrum +-c|t|
+    is constant, padded with m = 1-3 zero rows and columns, n = r + m at most
+    6, then a Cayley frame and a Cayley normal rotation from a drawn seed:
+    every entry nonzero as a rule, yet the joint rank is at most r."""
+    p = draw(st.integers(1, 3), label="p")
+    constant = p <= 2 and draw(st.booleans(), label="constant pair")
+    if constant:
+        c, zero = draw(SCALAR.filter(bool), label="c"), QuadExt(0)
+        blocks = ([[c, zero], [zero, -c]], [[zero, c], [c, zero]])[:p]
+    else:
+        r = draw(st.integers(1, 4), label="r")
+        blocks = [[[QuadExt(0)] * r for _ in range(r)] for _ in range(p)]
+        for rows in blocks:
+            for i in range(r):
+                for j in range(i, r):
+                    rows[i][j] = rows[j][i] = draw(st.one_of(st.just(QuadExt(0)), SCALAR))
+    r = len(blocks[0])
+    m = draw(st.integers(1, min(3, 6 - r)), label="m")
+    pad = [QuadExt(0)] * m
+    ops = tuple(Matrix([list(row) + pad for row in rows] + [[QuadExt(0)] * (r + m)] * m) for rows in blocks)
+    rng = random.Random(draw(st.integers(0, 2**32), label="seed"))
+    data = ShapeOperatorSet("kernel", r + m, p, ops, tuple(f"B{a + 1}" for a in range(p)))
+    return rotate_normals(change_frame(data, cayley_frame(r + m, rng)), cayley_frame(p, rng)), constant
+
+
+def pair_rank(rows):
+    """Rank over Q(sqrt3) of a matrix of Fraction pairs (a, b), a + b sqrt3:
+    Gaussian elimination on whole rows, any nonzero pivot in its column."""
+    rows, rank = [list(row) for row in rows], 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        a, b = rows[rank][col]
+        norm = a * a - 3 * b * b
+        for r in range(rank + 1, len(rows)):
+            c, e = rows[r][col]
+            # f = (c + e sqrt3) / (a + b sqrt3); row r -= f row rank
+            f, g = (c * a - 3 * e * b) / norm, (e * a - c * b) / norm
+            rows[r] = [(x - f * u - 3 * g * v, y - f * v - g * u) for (x, y), (u, v) in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_pairs(m):
+    return [[(Fraction(e.x, e.d), Fraction(e.y, e.d)) for e in row] for row in m.rows]
+
+
 class TestSymbolic:
     def test_m1_M1_constant_quintic(self):
         verdict = symbolic_sweep(builtin("g6_m1_M1"))
@@ -479,6 +531,56 @@ WORK = {
     "dense8_p8": (lambda: parse_dataset(dense_file(8, 8)), 926_640),
 }
 REFUSED = {"dense40_p2", "dense8_p8"}
+
+
+class TestJointRank:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(planted_kernels() | dense_blocks().map(lambda data: (data, False)))
+    @example((ShapeOperatorSet("flat", 3, 2, (Matrix.filled(3, 3, QuadExt(0)),) * 2, ("B1", "B2")), False))
+    @example((single_operator(["0", "sqrt3", "0", "-1/2"]), False))
+    @example((dense_block(), False))
+    def test_the_rank_step_equals_a_fraction_elimination(self, case):
+        # G = sum_a A_a^2 as integer pairs over one denominator, as the kernel
+        # sums it; its rank is that of the stacked [A_1 | ... | A_p]
+        data, _ = case
+        squares = [op @ op for op in data.operators]
+        rank = sweep._psd_rank(integer_rows(squares)[0], data.n)
+        gram = functools.reduce(Matrix.__add__, squares)
+        stacked = [sum(rows, []) for rows in zip(*map(fraction_pairs, data.operators))]
+        assert rank == pair_rank(fraction_pairs(gram)) == pair_rank(stacked)
+
+    @pytest.mark.parametrize(
+        "operators, rank",
+        [
+            (["0 0 0; 0 0 0; 0 0 0"], 0),
+            (["1 0 0; 0 -1 0; 0 0 sqrt3"], 3),
+            (["sqrt3 0 0; 0 0 0; 0 0 1/2*sqrt3"], 2),
+            # G = [[4, 4 sqrt3], [4 sqrt3, 12]]: an off-diagonal entry with no rational part
+            (["1 sqrt3; sqrt3 3"], 1),
+            (["1 sqrt3; sqrt3 3", "0 0; 0 1"], 2),
+            (["1 1+sqrt3 0; 1+sqrt3 4+2*sqrt3 0; 0 0 0", "0 0 0; 0 0 0; 0 0 0"], 1),
+        ],
+    )
+    def test_the_rank_of_small_operators(self, operators, rank):
+        ops = [Matrix([[S(e) for e in row.split()] for row in op.split(";")]) for op in operators]
+        squares, _ = integer_rows([op @ op for op in ops])
+        assert sweep._psd_rank(squares, ops[0].nrows) == rank
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(planted_kernels())
+    def test_planted_kernels_match_the_reference(self, case):
+        data, constant = case
+        assert_kernel_matches_reference(data)
+        if constant:
+            assert symbolic_sweep(data).constant
+
+    def test_the_cayley_file_forms_powers_to_half_its_joint_rank(self, monkeypatch):
+        # n = 10, p = 3 and joint rank 8: A^2, A^3 and A^4 take 6 + 10 + 15
+        # products, one per monomial; A^5 and its 21 would only feed E_9 = E_10 = 0
+        calls = count_calls(monkeypatch, sweep, "_product")
+        poly = normal_char_poly(data_file("g6_m2_M2_cayley.dat")())
+        assert len(calls) == 31
+        assert not poly.coeffs[0] and not poly.coeffs[1] and poly.coeffs[2]
 
 
 class TestWorkBound:
