@@ -26,11 +26,11 @@ serialize -> parse -> serialize is byte-identical.
 from __future__ import annotations
 
 import re
-from functools import cache
+from functools import cache, cached_property
 
 from ._record import Record
 from .exactnum import QuadExt, ScalarParseError, format_scalar, parse_scalar
-from .linalg import Matrix
+from .linalg import Matrix, Row, integer_rows
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -70,6 +70,11 @@ class ShapeOperatorSet(Record):
     def _key(self) -> tuple:
         # the tags say where a dataset came from: a parsed built-in equals the built-in
         return self.name, self.n, self.p, self.operators, self.labels
+
+    @cached_property
+    def integer_form(self) -> tuple[tuple[tuple[Row, ...], ...], int]:
+        """`integer_rows` of the operators, for every exact kernel: built on first use, not at import, and kept."""
+        return integer_rows(self.operators)
 
 
 def _tensor(upper: dict[tuple[int, int], QuadExt], mirror: int, cell: tuple[tuple[int, int, int], ...]) -> Matrix:

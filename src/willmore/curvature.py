@@ -10,10 +10,10 @@ normal direction a; constancy of the norm is an assumption carried by the
 datasets (single points of homogeneous spaces), not something checked here.
 
 `curvature_report` computes everything a certificate prints in one pass on
-integer pairs (see `linalg.integer_rows`).  `riemann_suite` checks the
-curvature tensor on the same pairs: one Gram table of the sampled index
-pairs gives every sampled component, and each symmetry compares that table
-with a permuted gather of itself.  The functions
+the integer pairs the dataset holds (`ShapeOperatorSet.integer_form`).
+`riemann_suite` checks the curvature tensor on the same pairs: one Gram
+table of the sampled index pairs gives every sampled component, and each
+symmetry compares that table with a permuted gather of itself.  The functions
 `squared_operator_sum`, `ricci`, `riemann` and `willmore_check`, on `Matrix`
 products and QuadExt sums, are the reference the tests hold both to.
 """
@@ -27,7 +27,7 @@ from operator import add, itemgetter, neg, sub
 from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt
-from .linalg import Matrix, Row, integer_rows, lower_pair_products
+from .linalg import Matrix, Row, lower_pair_products
 
 
 class NotMinimalError(ValueError):
@@ -167,13 +167,13 @@ Pairs = tuple[list[list[int]], list[list[int]]]
 def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
     """Every pointwise quantity a certificate prints, in one pass.
 
-    The operators are read once as sparse integer pairs over a common
-    denominator D.  sum_a A_a^2 and Ric are kept over D^2 and the traces
+    The operators are read as the dataset's sparse integer pairs over a
+    common denominator D.  sum_a A_a^2 and Ric are kept over D^2 and the traces
     Tr(M A_a) over D^3; only the values the certificate prints become
     QuadExt.
     """
     n = data.n
-    ops, den = integer_rows(data.operators)
+    ops, den = data.integer_form
     den2 = den * den
     sx, sy = _squared_sum(ops, n)
     norm = QuadExt._make(sum(sx[i][i] for i in range(n)), sum(sy[i][i] for i in range(n)), den2)
@@ -201,7 +201,7 @@ def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool],
     is compared with `ric`.
     """
     n = data.n
-    ops, den = integer_rows(data.operators)
+    ops, den = data.integer_form
     indices = range(0, n, 1 if n <= 6 else (n + 5) // 6)
     den2 = den * den
     table = _gram_table(ops, den, indices)
@@ -220,7 +220,7 @@ def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool],
     return checks, len(table) // 2
 
 
-def _squared_sum(ops: list[list[Row]], n: int) -> Pairs:
+def _squared_sum(ops: tuple[tuple[Row, ...], ...], n: int) -> Pairs:
     """sum_a A_a^2 over D^2, from nonzero entries only.  The sum is symmetric,
     so only its lower triangle is accumulated, then mirrored."""
     accx, accy = lower_pair_products([(rows, rows) for rows in ops], n)
@@ -231,7 +231,7 @@ def _squared_sum(ops: list[list[Row]], n: int) -> Pairs:
     return accx, accy
 
 
-def _trace_product(m: Pairs, rows: list[Row]) -> tuple[int, int]:
+def _trace_product(m: Pairs, rows: tuple[Row, ...]) -> tuple[int, int]:
     """Tr(M A) = sum_ij M_ij A_ij for a symmetric A, over the nonzero A_ij."""
     tx = ty = 0
     for row, row_x, row_y in zip(rows, *m):
@@ -242,7 +242,7 @@ def _trace_product(m: Pairs, rows: list[Row]) -> tuple[int, int]:
     return tx, ty
 
 
-def _gram_table(ops: list[list[Row]], den: int, indices: range) -> tuple[int, ...]:
+def _gram_table(ops: tuple[tuple[Row, ...], ...], den: int, indices: range) -> tuple[int, ...]:
     """R_ijkl over D^2 for the quadruples of `indices` in row-major order, x
     parts then y parts, by the Gauss formula R_ijkl = G(ik, jl) - G(il, jk)
     with G(u, v) = sum_a (A_a)_u (A_a)_v.  The identity counts among the A_a:
@@ -297,7 +297,7 @@ def _layout(m: int) -> tuple[itemgetter, ...]:
     )
 
 
-def _ricci_contraction(ops: list[list[Row]], den2: int, n: int) -> Pairs:
+def _ricci_contraction(ops: tuple[tuple[Row, ...], ...], den2: int, n: int) -> Pairs:
     """sum_k R_ikjk over D^2 for every (i, j), as the sum of its components.
 
     Each component delta_ij delta_kk - delta_ik delta_kj + sum_a (A_ij A_kk -

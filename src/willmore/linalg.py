@@ -7,9 +7,9 @@ both satisfy it.
 
 The exact kernels of the curvature pass (`curvature.curvature_report`) and
 of the normal-sphere sweeps (`sweep.normal_char_poly`) do not multiply
-`Matrix` objects: they read QuadExt matrices as sparse integer-pair rows
-from `integer_rows`.  `Matrix @` and `Matrix.char_poly` (Faddeev-LeVerrier)
-are the generic reference the tests hold those kernels to.
+`Matrix` objects: they read the sparse integer-pair rows of `integer_rows`,
+which each dataset holds, built once (`ShapeOperatorSet.integer_form`).
+`Matrix @` and `Matrix.char_poly` (Faddeev-LeVerrier) are their reference.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .exactnum import format_sum
 
 # A sparse matrix row: (column, x, y) for each nonzero entry (x + y*sqrt3)/D,
 # in increasing column order, with the denominator D shared by every row.
-Row = list[tuple[int, int, int]]
+Row = Sequence[tuple[int, int, int]]
 
 
 class DimensionError(ValueError):
@@ -252,11 +252,11 @@ class UniPoly:
     __str__ = render
 
 
-def integer_rows(matrices: Iterable[Matrix]) -> tuple[list[list[Row]], int]:
+def integer_rows(matrices: Iterable[Matrix]) -> tuple[tuple[tuple[Row, ...], ...], int]:
     """Sparse integer-pair rows of QuadExt matrices over one common denominator.
 
-    Returns (rows of each matrix, D): the entry (x + y*sqrt3)/D at (i, j) of a
-    matrix is (j, x, y) in its row i; zero entries are left out.
+    Returns (rows of each matrix, D), in tuples: the entry (x + y*sqrt3)/D at
+    (i, j) of a matrix is (j, x, y) in its row i; zero entries are left out.
     """
     matrices = tuple(matrices)
     den = 1
@@ -264,10 +264,10 @@ def integer_rows(matrices: Iterable[Matrix]) -> tuple[list[list[Row]], int]:
         for row in m.rows:
             for e in row:
                 den = math.lcm(den, e.d)
-    return [
-        [[(j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e] for row in m.rows]
+    return tuple(
+        tuple(tuple((j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e) for row in m.rows)
         for m in matrices
-    ], den
+    ), den
 
 
 def components(rows: Sequence[Iterable[Hashable]]) -> Iterator[list[int]]:

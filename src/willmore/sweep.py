@@ -3,13 +3,13 @@
 For a unit normal with coordinates (t1..tp) the shape operator is
 A(t) = sum_a t_a A_a.  Both sweeps take its characteristic polynomial, with
 coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
-basis into the connected components of the union of the operators' nonzero
-patterns; a permutation makes A(t) block-diagonal with one block per
-component, for every t, so det(lambda I - A(t)) is exactly the product of the
-blocks' characteristic polynomials.  Each distinct block gets its
-polynomial by Newton's identities from the Frobenius products of the powers
-of A(t), formed in integer pairs, skipping zeros, up to half the joint rank
-of its operators: no k x k minor of A(t) is nonzero above that rank.
+basis into the connected components of the operators' joint nonzero pattern
+in the integer pairs the dataset holds (`integer_form`); a permutation makes
+A(t) block-diagonal with one block per component, for every t, so
+det(lambda I - A(t)) is exactly the product of the blocks' characteristic
+polynomials.  Each distinct block gets its polynomial by Newton's identities
+from the Frobenius products of the powers of A(t), skipping zeros, up to half
+the joint rank of its operators: no k x k minor of A(t) is nonzero above it.
 `Matrix.char_poly` of `normal_shape_operator(data)` gives the same
 polynomial and serves as its reference.
 
@@ -43,7 +43,7 @@ from typing import Iterator
 from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, QuadExt, accumulate
-from .linalg import Matrix, Row, UniPoly, components, integer_rows, lower_pair_products
+from .linalg import Matrix, Row, UniPoly, components, lower_pair_products
 from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere
 
 # Bound on --samples x codim, the Gaussian deviates a numeric sweep draws,
@@ -131,7 +131,7 @@ def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
     first occurrence: equal re-indexed rows over the common denominator give
     an equal polynomial, so the kernel runs once for all copies."""
     n, p = data.n, data.p
-    ops, den = integer_rows(data.operators)
+    ops, den = data.integer_form
     blocks = _components(ops, n)
     work = sum(math.comb(len(block) + p, p) * (len(block) ** 2 + p) for block in blocks)
     if work > MAX_SWEEP_WORK:
@@ -182,7 +182,7 @@ def _times(coeffs: list[MultiPoly], poly: UniPoly) -> list[MultiPoly]:
     return [MultiPoly._of(a.nvars, terms) for terms in out]
 
 
-def _components(ops: list[list[Row]], n: int) -> list[list[int]]:
+def _components(ops: tuple[tuple[Row, ...], ...], n: int) -> list[list[int]]:
     """Connected components of the union pattern: the keys of row i are i and
     the columns of its nonzeros, so a nonzero (i, j) joins rows i and j."""
     return list(components([{i}.union(j for op in ops for j, _, _ in op[i]) for i in range(n)]))

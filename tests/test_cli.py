@@ -18,13 +18,13 @@ from nan_injection import inject_one_nan
 from stack import deeper, stack_depth
 from sweep_inputs import DENSE_8_BY_8, DIAGONAL_9, STEPS_22, dense_file
 import willmore
-from willmore import cli, sweep, tracealg
+from willmore import catalog, cli, curvature, linalg, sweep, tracealg
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main, verify_certificate
 from willmore.curvature import curvature_report
 from willmore.exactnum import QuadExt
 from willmore.linalg import Matrix
-from willmore.sweep import symbolic_sweep
+from willmore.sweep import numeric_sweep, symbolic_sweep
 
 # Code without the word bound would expand A1^1000000000 into 8 GB.
 NEEDS_WORD_BOUND = pytest.mark.skipif(not hasattr(tracealg, "MAX_WORD_LEN"), reason="no trace-word bound")
@@ -1144,3 +1144,35 @@ class TestPaper:
         first = capsys.readouterr().out
         assert main(["paper"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestOneIntegerForm:
+    """The exact kernels read the integer pairs each dataset holds: it is
+    converted once per process, whatever runs on it."""
+
+    @pytest.fixture
+    def conversions(self, monkeypatch):
+        calls = []
+        # every module that holds `integer_rows` counts, so that a second builder anywhere shows
+        for module in (catalog, curvature, linalg, sweep):
+            if hasattr(module, "integer_rows"):
+                convert = module.integer_rows
+                monkeypatch.setattr(module, "integer_rows", lambda ops, f=convert: calls.append(1) or f(ops))
+        return calls
+
+    def test_verify_and_both_sweeps_convert_a_parsed_file_once(self, conversions, tmp_path):
+        path = tmp_path / "g6_m2_M2.dat"
+        path.write_text(serialize_dataset(builtin("g6_m2_M2")), encoding="utf-8")
+        data = cli.load_dataset(str(path))
+        assert verify_certificate(data)[1]
+        assert symbolic_sweep(data).constant
+        assert numeric_sweep(data, 16, 0) < cli.NUMERIC_TOLERANCE
+        assert len(conversions) == 1
+
+    def test_paper_converts_each_builtin_once_per_process(self, conversions, monkeypatch, capsys):
+        for name in BUILTIN_NAMES:  # as a fresh process has them
+            monkeypatch.delitem(vars(builtin(name)), "integer_form", raising=False)
+        assert main(["paper"]) == 0
+        assert len(conversions) == len(BUILTIN_NAMES) == 4
+        assert main(["paper"]) == 0
+        assert len(conversions) == 4

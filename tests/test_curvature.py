@@ -25,7 +25,7 @@ from willmore.curvature import (
     willmore_check,
 )
 from willmore.exactnum import QuadExt, parse_scalar
-from willmore.linalg import Matrix, integer_rows
+from willmore.linalg import Matrix
 
 S = parse_scalar
 
@@ -257,7 +257,7 @@ def assert_components_match_riemann(data):
     x parts of the quadruples in row-major order, then the y parts), and the
     contraction the sums of riemann(), minimal data or not."""
     n = data.n
-    ops, den = integer_rows(data.operators)
+    ops, den = data.integer_form
     indices = sampled_indices(n)
     quadruples = list(itertools.product(indices, repeat=4))
     table = _gram_table(ops, den, indices)
@@ -340,7 +340,7 @@ class TestCurvaturePass:
         ])
         b = Matrix([[S("0"), S("3/4"), S("-1/6*sqrt3")], [S("3/4"), S("1/9"), S("1")], [S("-1/6*sqrt3"), S("1"), S("-1/9")]])
         data = ShapeOperatorSet("mixed", 3, 2, (a, b), ("B1", "B2"))
-        assert integer_rows(data.operators)[1] > 1
+        assert data.integer_form[1] > 1
         assert assert_pass_matches_reference(data)[0].minimal
 
     def test_sampled_table_above_six(self):
@@ -411,7 +411,7 @@ class TestCurvaturePass:
         # the pair of errors keeps R_jikl = -R_ijkl: antisymmetry fails on R_ijlk
         data = builtin("g6_m1_M1")
         n = data.n
-        ops, den = integer_rows(data.operators)
+        ops, den = data.integer_form
         table = list(_gram_table(ops, den, range(n)))
         for (i, j, k, l), error in errors.items():
             table[part * n**4 + ((i * n + j) * n + k) * n + l] += error

@@ -89,9 +89,25 @@ RECORDS = {
 }
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-def test_record_behaves_as_its_dataclass_did(cls):
-    make, text, make_other, fields = RECORDS[cls]
+def formed(name):
+    """A new copy of a built-in, whose integer form is computed and kept."""
+    data = builtin(name)
+    data = ShapeOperatorSet(*(getattr(data, field) for field in ShapeOperatorSet.__match_args__))
+    data.integer_form
+    return data
+
+
+# the ShapeOperatorSet entry again, with the integer form computed before use
+CASES = {cls.__name__: (cls, *entry) for cls, entry in RECORDS.items()}
+CASES["ShapeOperatorSet-formed"] = (
+    ShapeOperatorSet, lambda: formed("g6_m1_M1"), RECORDS[ShapeOperatorSet][1], lambda: formed("g6_m1_M2"),
+    RECORDS[ShapeOperatorSet][3],
+)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_record_behaves_as_its_dataclass_did(case):
+    cls, make, text, make_other, fields = CASES[case]
     record = make()
     assert type(record) is cls and repr(record) == text
     assert cls(**{name: getattr(record, name) for name in fields}) == record == make() != make_other()
@@ -107,12 +123,17 @@ def test_record_behaves_as_its_dataclass_did(cls):
     else:
         assert hash(record) == hash(tuple(getattr(record, name) for name in compared))
         assert cls.__match_args__ == fields  # positional class patterns in `match`
-        for name in [*fields, "extra"]:
+        derived = ["integer_form"] if cls is ShapeOperatorSet else []
+        for name in [*fields, "extra", *derived]:
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
             with pytest.raises(AttributeError):
                 delattr(record, name)
         assert repr(record) == text
+        if case == "ShapeOperatorSet-formed":
+            ops, den = form = record.integer_form
+            assert record.integer_form is form and den == 3  # kept, not built again
+            assert {type(ops), *map(type, ops), *(type(row) for rows in ops for row in rows)} == {tuple}
 
     for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(make())):
         assert type(clone) is cls and clone == make() and repr(clone) == text
@@ -120,6 +141,8 @@ def test_record_behaves_as_its_dataclass_did(cls):
             assert hash(clone) == hash(make())
             with pytest.raises(AttributeError):
                 setattr(clone, fields[0], None)
+        if case == "ShapeOperatorSet-formed":
+            assert clone.integer_form == record.integer_form
 
 
 def test_shape_operator_set_tags_are_not_compared():

@@ -111,9 +111,10 @@ SCALAR = st.builds(QuadExt, RATIONAL, st.one_of(st.just(Fraction(0)), RATIONAL))
 
 @st.composite
 def operator_sets(draw):
-    """Random symmetric operators (all zero at times, p=1 too), or a scaled
-    pair diag(c, -c), [[0, c], [c, 0]] padded with zero operators, whose
-    spectrum +-c|t| is constant."""
+    """Random symmetric operators (all zero at times, p=1 too), or the first p
+    of a scaled pair diag(c, -c), [[0, c], [c, 0]] and a zero operator: the
+    spectrum +-c*sqrt(t1^2 + t2^2) is constant on the sphere for p <= 2 only,
+    and varies with t3 at p = 3."""
     p = draw(st.integers(1, 3), label="p")
     if draw(st.booleans(), label="constant pair"):
         c = draw(SCALAR, label="c")
@@ -630,7 +631,7 @@ class TestBlocks:
 
     def test_interleaved_blocks(self):
         data = interleaved()
-        ops, _ = integer_rows(data.operators)
+        ops, _ = data.integer_form
         assert sweep._components(ops, 4) == [[0, 2], [1, 3]]
         quartic = UniPoly([QuadExt(1), QuadExt(0), QuadExt(-2), QuadExt(0), QuadExt(1)])
         assert symbolic_sweep(data).char_poly == quartic
@@ -657,7 +658,7 @@ class TestBlocks:
         # the components of g6_m2_M2 are [1, 1, 8], and the 1 x 1 blocks are
         # zero: the sum of two copies runs one 1 x 1 and one 8 x 8 block
         data = sum20()
-        ops, _ = integer_rows(data.operators)
+        ops, _ = data.integer_form
         assert sorted(map(len, sweep._components(ops, data.n))) == [1, 1, 1, 1, 8, 8]
         blocks = count_calls(monkeypatch, sweep, "_block_char_poly")
         poly = normal_char_poly(data)
