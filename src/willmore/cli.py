@@ -138,8 +138,8 @@ def verify_certificate(data: ShapeOperatorSet, timestamp: bool = False) -> tuple
 
     fields = cert.section("minimality")
     fields.append(("verdict", "pass" if report.minimal else "FAIL"))
-    for label, op in zip(data.labels, data.operators):
-        fields.append((f"trace.{label}", format_scalar(op.trace())))
+    for label, trace in zip(data.labels, report.traces):
+        fields.append((f"trace.{label}", format_scalar(trace)))
 
     fields = cert.section("square_norm")
     fields.append(("value", format_scalar(report.square_norm)))

@@ -10,12 +10,14 @@ normal direction a; constancy of the norm is an assumption carried by the
 datasets (single points of homogeneous spaces), not something checked here.
 
 `curvature_report` computes everything a certificate prints in one pass on
-the integer pairs the dataset holds (`ShapeOperatorSet.integer_form`).
+the integer pairs the dataset holds (`ShapeOperatorSet.integer_form`), each
+operator's trace once.
 `riemann_suite` checks the curvature tensor on the same pairs: one Gram
 table of the sampled index pairs gives every sampled component, and each
 symmetry compares that table with a permuted gather of itself.  The functions
 `squared_operator_sum`, `ricci`, `riemann` and `willmore_check`, on `Matrix`
-products and QuadExt sums, are the reference the tests hold both to.
+products and QuadExt sums, and `minimality_check`, are the reference the
+tests hold both to.
 """
 
 from __future__ import annotations
@@ -100,18 +102,16 @@ def willmore_check(data: ShapeOperatorSet) -> WillmoreReport:
     ric = _ricci(data.n, squared)
     cubic = tuple((squared @ op).trace() for op in data.operators)
     ricci_form = tuple((ric @ op).trace() for op in data.operators)
-    return _willmore(data, cubic, ricci_form)
+    return _willmore(data.n, tuple(op.trace() for op in data.operators), cubic, ricci_form)
 
 
 def _willmore(
-    data: ShapeOperatorSet, cubic: tuple[QuadExt, ...], ricci_form: tuple[QuadExt, ...]
+    n: int, traces: tuple[QuadExt, ...], cubic: tuple[QuadExt, ...], ricci_form: tuple[QuadExt, ...]
 ) -> WillmoreReport:
-    """The report on the traces Tr((sum_b A_b^2) A_a) and Tr(Ric A_a)."""
-    edge = QuadExt(data.n - 1)
-    consistent = all(
-        rt == edge * op.trace() - ct
-        for rt, ct, op in zip(ricci_form, cubic, data.operators)
-    )
+    """The report on the traces Tr((sum_b A_b^2) A_a) and Tr(Ric A_a), checked
+    against the operators' traces Tr A_a."""
+    edge = QuadExt(n - 1)
+    consistent = all(rt == edge * t - ct for rt, ct, t in zip(ricci_form, cubic, traces))
     return WillmoreReport(all(not t for t in cubic), cubic, ricci_form, consistent)
 
 
@@ -141,12 +141,13 @@ class CurvatureReport(Record):
     def __init__(
         self,
         minimal: bool,
+        traces: tuple[QuadExt, ...],    # Tr A_a per normal direction
         square_norm: QuadExt,
         ricci: Matrix | None,
         einstein: QuadExt | None,
         willmore: WillmoreReport | None,
     ) -> None:
-        self._set(minimal, square_norm, ricci, einstein, willmore)
+        self._set(minimal, traces, square_norm, ricci, einstein, willmore)
 
     @property
     def verified(self) -> bool:
@@ -170,15 +171,17 @@ def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
     The operators are read as the dataset's sparse integer pairs over a
     common denominator D.  sum_a A_a^2 and Ric are kept over D^2 and the traces
     Tr(M A_a) over D^3; only the values the certificate prints become
-    QuadExt.
+    QuadExt.  Each operator's trace is taken once, from its diagonal pairs;
+    `minimality_check` is the reference for the minimal flag.
     """
     n = data.n
     ops, den = data.integer_form
     den2 = den * den
+    traces = tuple(_trace(rows, den) for rows in ops)
     sx, sy = _squared_sum(ops, n)
     norm = QuadExt._make(sum(sx[i][i] for i in range(n)), sum(sy[i][i] for i in range(n)), den2)
-    if not minimality_check(data):
-        return CurvatureReport(False, norm, None, None, None)
+    if any(traces):
+        return CurvatureReport(False, traces, norm, None, None, None)
     rx = [[-v for v in row] for row in sx]
     ry = [[-v for v in row] for row in sy]
     for i in range(n):
@@ -187,7 +190,7 @@ def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
     den3 = den2 * den
     cubic = tuple(QuadExt._make(*_trace_product((sx, sy), rows), den3) for rows in ops)
     ricci_form = tuple(QuadExt._make(*_trace_product((rx, ry), rows), den3) for rows in ops)
-    return CurvatureReport(True, norm, ric, einstein_check(ric), _willmore(data, cubic, ricci_form))
+    return CurvatureReport(True, traces, norm, ric, einstein_check(ric), _willmore(n, traces, cubic, ricci_form))
 
 
 def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool], int]:
@@ -218,6 +221,16 @@ def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool],
         ),
     }
     return checks, len(table) // 2
+
+
+def _trace(rows: tuple[Row, ...], den: int) -> QuadExt:
+    """Tr A over D, the sum of the diagonal pairs of A's sparse rows."""
+    tx = ty = 0
+    for i, row in enumerate(rows):
+        for j, x, y in row:
+            if j == i:
+                tx, ty = tx + x, ty + y
+    return QuadExt._make(tx, ty, den)
 
 
 def _squared_sum(ops: tuple[tuple[Row, ...], ...], n: int) -> Pairs:

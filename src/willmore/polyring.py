@@ -9,7 +9,9 @@ nonconstant remainder can vanish on every unit normal.  The remainder both
 decides constancy and, when it is not constant, is the witness.  Floating
 evaluation takes the terms with every coefficient converted to float once
 (`float_terms`) and adds them up at many points at once (`eval_terms`), in
-loops, with no recursion.
+loops, with no recursion; the caller holds the points' power columns, so
+that several polynomials at the same points share them.  `MultiPoly.__mul__`
+is the reference for the packed product of the sweep's blocks.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ def eval_float(f: MultiPoly, point: Iterable[float]) -> float:
     point = tuple(point)
     if len(point) != f.nvars:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.nvars}")
-    return eval_terms(float_terms(f), [(x,) for x in point], 1)[0]
+    return eval_terms(float_terms(f), [[None, (x,)] for x in point], 1)[0]
 
 
 def float_terms(f: MultiPoly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
@@ -193,19 +195,20 @@ def float_terms(f: MultiPoly) -> list[tuple[float, tuple[tuple[int, int], ...]]]
     ]
 
 
-def eval_terms(terms, columns, size: int) -> list[float]:
-    """`float_terms` at `size` points at once, columns[d] holding coordinate d
-    of every point: each term is its coefficient times its power columns, one
-    map chain over the points, and the terms are added in their order.  The
-    power column x^e is x^(e-1) * x, built once, in a loop."""
-    powers = [[None, column] for column in columns]  # powers[d][e] = x_d^e
+def eval_terms(terms, powers, size: int) -> list[float]:
+    """`float_terms` at `size` points at once: each term is its coefficient
+    times its power columns, one map chain over the points, and the terms are
+    added in their order.  powers[d] = [None, x_d, x_d^2, ...] holds the power
+    columns of coordinate d at the points, x^e = x^(e-1) * x, and is extended in
+    place, in a loop, up to the powers the terms read: term lists evaluated at
+    the same points with the same `powers` build each column once."""
     total = [0.0] * size
     for coeff, factors in terms:
         value = repeat(coeff, size)
         for d, e in factors:
             ladder = powers[d]
             while len(ladder) <= e:
-                ladder.append(list(map(mul, ladder[-1], columns[d])))
+                ladder.append(list(map(mul, ladder[-1], ladder[1])))
             value = map(mul, value, ladder[e])
         total = list(map(add, total, value))
     return total

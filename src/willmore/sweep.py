@@ -10,8 +10,11 @@ det(lambda I - A(t)) is exactly the product of the blocks' characteristic
 polynomials.  Each distinct block gets its polynomial by Newton's identities
 from the Frobenius products of the powers of A(t), skipping zeros, up to half
 the joint rank of its operators: no k x k minor of A(t) is nonzero above it.
-`Matrix.char_poly` of `normal_shape_operator(data)` gives the same
-polynomial and serves as its reference.
+The blocks multiply in packed integer pairs (`_multiply`), each power of
+lambda over one denominator and each monomial one int; one helper,
+`_pair_sum`, multiplies such polynomials in t for the product and for the
+Newton step.  `Matrix.char_poly` of `normal_shape_operator(data)` gives the
+same polynomial and serves as its reference.
 
 The symbolic sweep decides each coefficient by its remainder modulo the
 sphere relation (`polyring.reduce_mod_sphere`): it is constant on the unit
@@ -22,9 +25,10 @@ blocks that vary over the sphere can multiply to a constant polynomial (see
 `_block_char_poly`).  The symbolic verdict is authoritative; the numeric
 sweep is a seeded floating cross-check meant to catch implementation bugs,
 never to decide.  It converts each coefficient's terms to float once
-(`polyring.float_terms`), draws the samples CHUNK_POINTS at a time and adds
-up each coefficient's terms over a chunk at once (`polyring.eval_terms`),
-bit for bit as at each sample alone.
+(`polyring.float_terms`), draws the samples CHUNK_POINTS at a time, builds
+each chunk's power columns once for every coefficient and adds up each
+coefficient's terms over the chunk at once (`polyring.eval_terms`), bit for
+bit as at each sample alone.
 
 Four bounds refuse a sweep with SweepTooLarge, each before the work it
 counts: MAX_SWEEP_WORK the blocks' kernel, MAX_SWEEP_PAIRS each step of their
@@ -36,13 +40,13 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations_with_replacement, compress, islice, product
-from operator import add, mul, or_
+from itertools import combinations_with_replacement, compress, islice, product, repeat
+from operator import add, mul, or_, sub
 from typing import Iterator
 
 from ._record import Record
 from .catalog import ShapeOperatorSet
-from .exactnum import ONE, QuadExt, accumulate
+from .exactnum import ONE, QuadExt
 from .linalg import Matrix, Row, UniPoly, components, lower_pair_products
 from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere
 
@@ -155,31 +159,74 @@ def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
 def _multiply(blocks: list[tuple[UniPoly, int]]) -> UniPoly:
     """The product of the blocks' polynomials, each to its multiplicity.
 
-    SweepTooLarge before a step whose partial product's terms times the
-    block's terms exceed MAX_SWEEP_PAIRS: n blocks that are linear forms in p
-    directions multiply to up to C(n + p, p) terms, far more than they hold."""
-    coeffs = None  # of the product so far, lowest lambda-power first
+    The product runs on packed integer pairs (`_packed`): a QuadExt is made
+    only for each term of the result.  A monomial's exponents are digits in a
+    base above the sum of the blocks' largest exponents, every copy counted,
+    so no digit of a product overflows.  SweepTooLarge before a step whose
+    partial product's terms times the block's terms exceed MAX_SWEEP_PAIRS:
+    n blocks that are linear forms in p directions multiply to up to
+    C(n + p, p) terms, far more than they hold."""
+    first, copies = blocks[0]
+    if len(blocks) == copies == 1:
+        return first
+    p = first.coeffs[0].nvars
+    largest = [max((e for c in poly.coeffs for m in c.terms for e in m), default=0) for poly, _ in blocks]
+    base = 1 + sum(e * copies for e, (_, copies) in zip(largest, blocks))
+    coeffs = None  # of the product so far, lowest lambda-power first, as _packed
     for poly, copies in blocks:
+        packed = [_packed(c, base) for c in poly.coeffs]
+        block = sum(len(terms) for terms, _ in packed)
         for _ in range(copies):
-            count, block = sum(len(c.terms) for c in coeffs or ()), sum(len(c.terms) for c in poly.coeffs)
+            count = sum(len(terms) for terms, _ in coeffs or ())
             if count * block > MAX_SWEEP_PAIRS:
                 raise SweepTooLarge(
                     f"a partial product of the blocks' characteristic polynomials with {count} terms times a "
                     f"block with {block} terms makes {count * block} term pairs, above the bound of {MAX_SWEEP_PAIRS}"
                 )
-            coeffs = poly.coeffs if coeffs is None else _times(coeffs, poly)
-    return UniPoly(coeffs)
+            coeffs = packed if coeffs is None else _convolve(coeffs, packed)
+    return UniPoly(
+        MultiPoly._of(p, {_unpack(m, base, p): QuadExt._make(x, y, den) for m, x, y in terms}) for terms, den in coeffs
+    )
 
 
-def _times(coeffs: list[MultiPoly], poly: UniPoly) -> list[MultiPoly]:
-    """The coefficients of the product of the polynomial in lambda with the
-    coefficients `coeffs` and `poly`: the partial products of each
-    lambda-power accumulate in place into one term table."""
-    out: list[dict] = [{} for _ in range(len(coeffs) + poly.degree())]
-    for i, a in enumerate(coeffs):
-        for j, b in enumerate(poly.coeffs):
-            accumulate(out[i + j], (a * b).terms.items())
-    return [MultiPoly._of(a.nvars, terms) for terms in out]
+def _packed(coeff: MultiPoly, base: int) -> tuple[list[tuple[int, int, int]], int]:
+    """coeff as ([(m, x, y)], den): its terms (x + y sqrt3) / den over their
+    least common denominator, each exponent vector packed into one int m
+    whose digits in base `base` are the exponents (see `_unpack`)."""
+    weights = [base**i for i in range(coeff.nvars)]
+    den = math.lcm(*(c.d for c in coeff.terms.values()))
+    terms = [(sum(map(mul, exps, weights)), c.x * (den // c.d), c.y * (den // c.d)) for exps, c in coeff.terms.items()]
+    return terms, den
+
+
+def _convolve(a: list, b: list) -> list:
+    """The coefficients of the product of two polynomials in lambda whose
+    coefficients are `_packed`: each power of lambda over the least common
+    multiple of its pairs' denominators, each pair's terms multiplied once."""
+    pairs: list[list] = [[] for _ in range(len(a) + len(b) - 1)]  # lambda-power -> its nonzero pairs
+    for i, (left, da) in enumerate(a):
+        for j, (right, db) in enumerate(b):
+            if left and right:
+                pairs[i + j].append((left, right, da * db))
+    out = []
+    for products in pairs:
+        den = math.lcm(*(d for _, _, d in products))
+        out.append((_pair_sum((den // d, left, right) for left, right, d in products), den))
+    return out
+
+
+def _pair_sum(products) -> list[tuple[int, int, int]]:
+    """The terms (m, x, y) of the sum of f * left * right over the (f, left,
+    right) of `products`: left and right are lists of terms x + y sqrt3 at the
+    packed monomial m, multiplied pair by pair; sums that cancel are dropped."""
+    ex, ey = {}, {}
+    for f, left, right in products:
+        for m, x1, y1 in left:
+            x1, y1, y3 = x1 * f, y1 * f, 3 * y1 * f
+            for m2, x2, y2 in right:
+                ex[m + m2] = ex.get(m + m2, 0) + x1 * x2 + y3 * y2
+                ey[m + m2] = ey.get(m + m2, 0) + x1 * y2 + y1 * x2
+    return [(m, x, ey[m]) for m, x in ex.items() if x or ey[m]]
 
 
 def _components(ops: tuple[tuple[Row, ...], ...], n: int) -> list[list[int]]:
@@ -247,15 +294,10 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
             tx[m + m2] = tx.get(m + m2, 0) + xx + 3 * yy
             ty[m + m2] = ty.get(m + m2, 0) + w * sum(map(mul, ds, s)) - xx - yy
         sums.append([(m, x * scale * scale_b, ty[m] * scale * scale_b) for m, x in tx.items() if x or ty[m]])
-        ex, ey, f, d = {}, {}, 1, -d * k * op_den  # f = (-1)^(i-1) (k-1)!/(k-i)!, d = (-1)^k k! op_den^k
-        for i in range(1, k + 1):
-            for m, x1, y1 in elementary[k - i]:
-                x1, y1, y3 = x1 * f, y1 * f, 3 * y1 * f
-                for m2, x2, y2 in sums[i]:
-                    ex[m + m2] = ex.get(m + m2, 0) + x1 * x2 + y3 * y2
-                    ey[m + m2] = ey.get(m + m2, 0) + x1 * y2 + y1 * x2
-            f *= i - k
-        elementary.append([(m, x, ey[m]) for m, x in ex.items() if x or ey[m]])
+        d = -d * k * op_den  # (-1)^k k! op_den^k
+        # E_(k-i) S_i for i = 1..k, with the factors (-1)^(i-1) (k-1)!/(k-i)!
+        factors = [(-1) ** i * math.perm(k - 1, i) for i in range(k)]
+        elementary.append(_pair_sum(zip(factors, reversed(elementary), sums[1:])))
         terms = {_unpack(m, base, p): QuadExt._make(x, y, d) for m, x, y in elementary[k]}
         coeffs[n - k] = MultiPoly._of(p, terms)
     return UniPoly(coeffs)
@@ -374,12 +416,13 @@ def unit_normal_samples(p: int, samples: int, seed: int) -> Iterator[tuple[float
 
 def _scale_exponent(data: ShapeOperatorSet) -> int:
     """Smallest e >= 0 that brings every |entry| / 2^e below 2, in floats
-    (OverflowError for an entry beyond the float range)."""
+    (OverflowError for an entry beyond the float range).  Only the nonzero
+    entries, those of `integer_form`, are converted: a zero never raises e."""
     e = 0
-    for op in data.operators:
-        for row in op.rows:
-            for entry in row:
-                e = max(e, math.frexp(entry.to_float())[1] - 1)
+    for op, rows in zip(data.operators, data.integer_form[0]):
+        for row, entries in zip(op.rows, rows):
+            for j, _, _ in entries:
+                e = max(e, math.frexp(row[j].to_float())[1] - 1)
     return e
 
 
@@ -418,12 +461,13 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
             f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
         )
     points = unit_normal_samples(data.p, 2 if data.p == 1 else samples, seed)
-    first = [(x,) for x in next(points)]
+    first = [[None, (x,)] for x in next(points)]
     baseline = [eval_terms(t, first, 1)[0] for t in terms]
     deviation = 0.0
     while columns := list(zip(*islice(points, CHUNK_POINTS))):
+        powers, size = [[None, column] for column in columns], len(columns[0])  # shared by every coefficient
         for base, t in zip(baseline, terms):
-            drifts = [abs(v - base) for v in eval_terms(t, columns, len(columns[0]))]
+            drifts = list(map(abs, map(sub, eval_terms(t, powers, size), repeat(base))))
             total = sum(drifts)  # NaN iff a drift is: none is negative
             if total != total:
                 return total

@@ -18,10 +18,10 @@ def inject_one_nan(monkeypatch, point: tuple[float, ...], power: int) -> list[in
         tables.append(float_terms(coeff))
         return tables[-1]
 
-    def injected(terms, columns, size):
-        values = evaluate(terms, columns, size)
+    def injected(terms, powers, size):
+        values = evaluate(terms, powers, size)
         if terms is tables[power]:
-            for i, coords in enumerate(zip(*columns)):
+            for i, coords in enumerate(zip(*(ladder[1] for ladder in powers))):
                 if coords == point:
                     values[i] = math.nan
                     hits.append(i)

@@ -465,14 +465,14 @@ class TestSweep:
     def test_partial_product_beyond_the_term_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):
         # the blocks hold fewer terms than the bound; the term pairs of a step of
         # their product would not, and that step makes no term product
-        times = sweep._times
+        convolve = sweep._convolve
         degrees = []
 
-        def counted(coeffs, poly):
-            degrees.append(poly.degree())
-            return times(coeffs, poly)
+        def counted(coeffs, block):
+            degrees.append(len(block) - 1)
+            return convolve(coeffs, block)
 
-        monkeypatch.setattr(sweep, "_times", counted)
+        monkeypatch.setattr(sweep, "_convolve", counted)
         for name, text, steps in [("diagonal", DIAGONAL_9, 6), ("steps", STEPS_22, 10)]:
             degrees.clear()
             path = tmp_path / f"{name}.dat"
@@ -1176,3 +1176,20 @@ class TestOneIntegerForm:
         assert len(conversions) == len(BUILTIN_NAMES) == 4
         assert main(["paper"]) == 0
         assert len(conversions) == 4
+
+    @pytest.mark.parametrize("name", ["sum20_g6_m2_M2.dat", "g6_m2_M2_cayley.dat"])
+    def test_verify_takes_no_operator_trace_from_the_matrix(self, monkeypatch, name):
+        # the report carries Tr A_a from the integer pairs: the certificate's
+        # trace.<label> fields, the minimal flag and the consistency check read
+        # them, and only the Ricci tensor's trace is taken from a Matrix
+        data = cli.load_dataset(str(Path(__file__).parent / "data" / name))
+        traced = []
+        trace = Matrix.trace
+        monkeypatch.setattr(Matrix, "trace", lambda m: traced.append(m) or trace(m))
+        cert, ok = verify_certificate(data)
+        report = curvature_report(data)
+        monkeypatch.undo()
+        assert ok and len(traced) == 1 and traced[0] == report.ricci
+        assert report.traces == tuple(op.trace() for op in data.operators)
+        fields = dict(dict(cert.sections)["minimality"])
+        assert [fields[f"trace.{label}"] for label in data.labels] == ["0"] * data.p

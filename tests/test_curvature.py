@@ -282,6 +282,7 @@ def assert_pass_matches_reference(data):
     report = curvature_report(data)
     assert report.square_norm == squared_operator_sum(data).trace() == square_norm(data)
     assert report.minimal == minimality_check(data)
+    assert report.traces == tuple(op.trace() for op in data.operators)
     if not report.minimal:
         assert report.ricci is report.willmore is None
         return report, None

@@ -12,7 +12,10 @@ tests/data/dense14_p3.dat, random symmetric +-1 operators generated by
 variables, and one on tests/data/g6_m2_M2_raised_cayley.dat, generated by
 `raised_cayley_dataset`: dense, yet its operators share a 2-dimensional
 kernel, and its witness is the lowest coefficient that the kernel's rank
-leaves nonzero.  One tracecheck reads tests/data/g4_p4.rules,
+leaves nonzero.  One more fails on the product of several distinct blocks:
+tests/data/g6_m1_M1_varying_block.dat, generated by `varying_block_dataset`,
+is g6_m1_M1 with a 2 x 2 block of sqrt3 and fractional entries whose
+determinant varies over the sphere.  One tracecheck reads tests/data/g4_p4.rules,
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
 the rules reader's line check (terms of `tracealg._TERM`) accepts, and one reads
 the hand-written tests/data/coefficients.rules, whose coefficients have sqrt3
@@ -36,7 +39,7 @@ from frames import cayley_frame, change_frame, direct_sum, rotate_normals
 from g4_rules import g4_rules_text
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main
-from willmore.exactnum import QuadExt
+from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix
 from willmore.tracealg import g4_relations
 
@@ -45,6 +48,7 @@ CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
 SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
 DENSE14 = Path(__file__).parent / "data" / "dense14_p3.dat"
 RAISED = Path(__file__).parent / "data" / "g6_m2_M2_raised_cayley.dat"
+VARYING = Path(__file__).parent / "data" / "g6_m1_M1_varying_block.dat"
 G4_P4 = Path(__file__).parent / "data" / "g4_p4.rules"
 COEFFICIENTS = Path(__file__).parent / "data" / "coefficients.rules"
 
@@ -93,12 +97,24 @@ def raised_cayley_dataset():
     return ShapeOperatorSet("g6_m2_M2_raised_cayley", data.n, data.p, data.operators, data.labels)
 
 
+def varying_block_dataset():
+    """g6_m1_M1 (blocks {0, 4}, {1, 3} and {2}, each constant on the sphere)
+    direct-summed with the block B1 = [[1/2, sqrt3], [sqrt3, -1/3]], B2 =
+    diag(2/3, -sqrt3), whose determinant varies: the verdict is taken on the
+    product of four distinct blocks, first failing at lambda^1."""
+    block = [[["1/2", "sqrt3"], ["sqrt3", "-1/3"]], [["2/3", "0"], ["0", "-sqrt3"]]]
+    ops = tuple(Matrix([[parse_scalar(e) for e in row] for row in rows]) for rows in block)
+    data = direct_sum(builtin("g6_m1_M1"), ShapeOperatorSet("block", 2, 2, ops, ("B1", "B2")))
+    return ShapeOperatorSet("g6_m1_M1_varying_block", data.n, data.p, data.operators, data.labels)
+
+
 # committed input file -> the generator of its text
 DATASETS = {
     CAYLEY: lambda: serialize_dataset(cayley_dataset()),
     SUM20: lambda: serialize_dataset(sum20_dataset()),
     DENSE14: lambda: serialize_dataset(dense14_dataset()),
     RAISED: lambda: serialize_dataset(raised_cayley_dataset()),
+    VARYING: lambda: serialize_dataset(varying_block_dataset()),
     G4_P4: lambda: g4_rules_text(4),
 }
 
@@ -127,7 +143,8 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 
 # golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
 # stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}",
-# "{sum20}", "{dense14}", "{raised}", "{g4_p4}" and "{coefficients}" for the committed input files
+# "{sum20}", "{dense14}", "{raised}", "{varying}", "{g4_p4}" and "{coefficients}" for the committed
+# input files
 CASES = {
     **{
         f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
@@ -140,6 +157,7 @@ CASES = {
     "sweep_sum20_g6_m2_M2.txt": (["sweep", "{sum20}", "--mode", "symbolic"], 0),
     "sweep_dense14_p3.txt": (["sweep", "{dense14}", "--mode", "symbolic"], 1),
     "sweep_g6_m2_M2_raised_cayley.txt": (["sweep", "{raised}", "--mode", "symbolic"], 1),
+    "sweep_g6_m1_M1_varying_block.txt": (["sweep", "{varying}", "--mode", "symbolic"], 1),
     "verify_g6_m2_M2_cayley_text.txt": (["verify", "{cayley}"], 0),
     "verify_sum20_g6_m2_M2_text.txt": (["verify", "{sum20}"], 0),
     "paper.txt": (["paper"], 0),
@@ -180,7 +198,7 @@ def render(name, directory):
     mixed.write_text(MIXED_RULES, encoding="utf-8")
     paths = {
         "lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "raised": RAISED,
-        "g4_p4": G4_P4, "coefficients": COEFFICIENTS,
+        "varying": VARYING, "g4_p4": G4_P4, "coefficients": COEFFICIENTS,
     }
     argv, code = CASES[name]
     out = io.StringIO()

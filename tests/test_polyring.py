@@ -219,8 +219,9 @@ class TestEvalFloat:
     def test_columns_are_bit_identical_to_each_point_alone(self, case):
         f, points = case
         terms = float_terms(f)
-        together = [repr(v) for v in eval_terms(terms, list(zip(*points)), len(points))]  # repr tells -0.0 from 0.0
-        assert together == [repr(eval_terms(terms, [(x,) for x in point], 1)[0]) for point in points]
+        columns = [[None, column] for column in zip(*points)]
+        together = [repr(v) for v in eval_terms(terms, columns, len(points))]  # repr tells -0.0 from 0.0
+        assert together == [repr(eval_terms(terms, [[None, (x,)] for x in point], 1)[0]) for point in points]
         assert together == [repr(eval_float(f, point)) for point in points]
 
     def test_terms_are_added_in_exponent_order(self):

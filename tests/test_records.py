@@ -48,12 +48,13 @@ RECORDS = {
     ),
     CurvatureReport: (
         lambda: curvature_report(builtin("g6_m1_M1")),
-        "CurvatureReport(minimal=True, square_norm=QuadExt(40/3, 0), ricci=Matrix[-2 0 0 0 0; "
+        "CurvatureReport(minimal=True, traces=(QuadExt(0, 0), QuadExt(0, 0)), square_norm=QuadExt(40/3, 0), "
+        "ricci=Matrix[-2 0 0 0 0; "
         "0 10/3 0 0 0; 0 0 4 0 0; 0 0 0 10/3 0; 0 0 0 0 -2], einstein=None, "
         "willmore=WillmoreReport(willmore=True, cubic_traces=(QuadExt(0, 0), QuadExt(0, 0)), "
         "ricci_traces=(QuadExt(0, 0), QuadExt(0, 0)), consistent=True))",
         lambda: curvature_report(builtin("g6_m2_M2")),
-        ("minimal", "square_norm", "ricci", "einstein", "willmore"),
+        ("minimal", "traces", "square_norm", "ricci", "einstein", "willmore"),
     ),
     SweepVerdict: (
         lambda: symbolic_sweep(builtin("g6_m1_M1")),

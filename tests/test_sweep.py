@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
 from nan_injection import inject_one_nan
+from numeric_reference import reference_numeric_sweep, reference_product
 from sphere_reference import sphere_constant
 from sweep_inputs import DENSE_8_BY_8, DIAGONAL_9, STEPS_22, dense_file
 from willmore import polyring, sweep
@@ -296,6 +297,26 @@ def pair_rank(rows):
 
 def fraction_pairs(m):
     return [[(Fraction(e.x, e.d), Fraction(e.y, e.d)) for e in row] for row in m.rows]
+
+
+@st.composite
+def factor_lists(draw):
+    """1-3 (polynomial in lambda, copies) factors over MultiPoly in p = 1-3
+    variables, as `_multiply` takes the blocks: each coefficient zero, one
+    term or a few, with sqrt3 parts and denominators up to 12, and a nonzero
+    leading coefficient, so that no factor is the zero polynomial."""
+    p = draw(st.integers(1, 3), label="p")
+    part = st.integers(-6, 6)
+    scalar = st.builds(lambda x, y, d: QuadExt(Fraction(x, d), Fraction(y, d)), part, part, st.integers(1, 12))
+    scalar = scalar.filter(bool)
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * p), scalar, max_size=3)
+    coefficient = terms.map(lambda t: MultiPoly(p, t))
+    leading = terms.filter(bool).map(lambda t: MultiPoly(p, t))
+    factors = []
+    for _ in range(draw(st.integers(1, 3), label="factors")):
+        coeffs = draw(st.lists(coefficient, max_size=3), label="lower coefficients") + [draw(leading, label="leading")]
+        factors.append((UniPoly(coeffs), draw(st.integers(1, 2), label="copies")))
+    return factors
 
 
 class TestSymbolic:
@@ -700,6 +721,11 @@ class TestBlocks:
     def test_verdict_equals_the_verdict_on_the_product(self, data):
         assert symbolic_sweep(data) == reference_symbolic_sweep(data)
 
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factor_lists())
+    def test_the_packed_product_equals_the_multipoly_product(self, blocks):
+        assert sweep._multiply(blocks) == reference_product(blocks)
+
     def test_verdict_is_taken_on_the_product(self, monkeypatch):
         # diag(t, -t): each block's lambda -+ t varies over the sphere {1, -1},
         # their product lambda^2 - t^2 does not
@@ -820,6 +846,28 @@ class TestNumeric:
         for samples, seed in runs:
             assert repr(numeric_sweep(data, samples, seed)) == repr(pointwise_numeric_sweep(data, samples, seed))
 
+    @pytest.mark.parametrize(
+        "make, samples",
+        [(lambda name=name: builtin(name), 300) for name in BUILTIN_NAMES]
+        + [
+            (lambda: framed("g6_m2_M1", random.Random(1), signed_permutation), 300),
+            (lambda: framed("g6_m2_M2", random.Random(2), signed_permutation), 300),
+            (data_file("sum20_g6_m2_M2.dat"), 300),
+            (data_file("g6_m2_M2_cayley.dat"), 100),
+            (lambda: scaled(builtin("g6_m2_M2"), 10), 300),
+            (single_normal, 300),
+            (lambda: builtin("g6_m2_M1"), 2 * sweep.CHUNK_POINTS + 3),
+        ],
+        ids=list(BUILTIN_NAMES)
+        + ["g6_m2_M1_perm", "g6_m2_M2_perm", "sum20", "cayley", "scaled10", "p1", "g6_m2_M1_chunks"],
+    )
+    def test_every_bit_equals_the_reference_evaluation(self, make, samples):
+        # the blocks multiplied by MultiPoly.__mul__ and power ladders built
+        # for each coefficient give the same deviation, repr for repr
+        data = make()
+        for seed in (0, 7):
+            assert repr(numeric_sweep(data, samples, seed)) == repr(reference_numeric_sweep(data, samples, seed))
+
     @pytest.mark.parametrize("excess", [-1, 0, 1, 2, 5, 6], ids=lambda e: f"chunk{e:+d}")
     def test_chunks_end_where_they_should(self, monkeypatch, excess):
         # chunks of 5: point 0 is the baseline, the drifts run from point 1
@@ -883,7 +931,8 @@ class TestNumeric:
 
     @pytest.mark.parametrize("data", [builtin("g6_m2_M1"), scaled(builtin("g6_m2_M2"), 10)], ids=["plain", "scaled"])
     def test_term_tables_and_conversions_do_not_grow_with_samples(self, monkeypatch, data):
-        entries = data.n * data.n * data.p  # _scale_exponent reads each once
+        # _scale_exponent converts each nonzero entry once
+        entries = sum(1 for op in data.operators for row in op.rows for entry in row if entry)
         terms = sum(len(c.terms) for c in normal_char_poly(data).coeffs)
         for samples in (2, 300):
             tables = count_calls(monkeypatch, sweep, "float_terms")
