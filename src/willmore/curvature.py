@@ -177,7 +177,7 @@ def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
     n = data.n
     ops, den = data.integer_form
     den2 = den * den
-    traces = tuple(_trace(rows, den) for rows in ops)
+    traces = tuple(QuadExt._make(*_diagonal(rows), den) for rows in ops)
     sx, sy = _squared_sum(ops, n)
     norm = QuadExt._make(sum(sx[i][i] for i in range(n)), sum(sy[i][i] for i in range(n)), den2)
     if any(traces):
@@ -223,14 +223,14 @@ def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool],
     return checks, len(table) // 2
 
 
-def _trace(rows: tuple[Row, ...], den: int) -> QuadExt:
-    """Tr A over D, the sum of the diagonal pairs of A's sparse rows."""
+def _diagonal(rows: tuple[Row, ...]) -> tuple[int, int]:
+    """Tr A over D as (x, y), the sum of the diagonal pairs of A's sparse rows."""
     tx = ty = 0
     for i, row in enumerate(rows):
         for j, x, y in row:
             if j == i:
                 tx, ty = tx + x, ty + y
-    return QuadExt._make(tx, ty, den)
+    return tx, ty
 
 
 def _squared_sum(ops: tuple[tuple[Row, ...], ...], n: int) -> Pairs:
@@ -322,8 +322,7 @@ def _ricci_contraction(ops: tuple[tuple[Row, ...], ...], den2: int, n: int) -> P
     cx = [[(n - 1) * den2 * (i == j) for j in range(n)] for i in range(n)]
     cy = [[0] * n for _ in range(n)]
     for rows in ops:
-        tx = sum(x for k, row in enumerate(rows) for l, x, _ in row if l == k)
-        ty = sum(y for k, row in enumerate(rows) for l, _, y in row if l == k)
+        tx, ty = _diagonal(rows)
         for i, (row, rx, ry) in enumerate(zip(rows, cx, cy)):
             for k, ax, ay in row:
                 if k <= i:  # + A_ij Tr(A_a) at j = k

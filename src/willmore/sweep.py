@@ -10,11 +10,13 @@ det(lambda I - A(t)) is exactly the product of the blocks' characteristic
 polynomials.  Each distinct block gets its polynomial by Newton's identities
 from the Frobenius products of the powers of A(t), skipping zeros, up to half
 the joint rank of its operators: no k x k minor of A(t) is nonzero above it.
-The blocks multiply in packed integer pairs (`_multiply`), each power of
-lambda over one denominator and each monomial one int; one helper,
-`_pair_sum`, multiplies such polynomials in t for the product and for the
-Newton step.  `Matrix.char_poly` of `normal_shape_operator(data)` gives the
-same polynomial and serves as its reference.
+The kernel gives each polynomial packed as the product (`_multiply`) takes
+it: each power of lambda as terms over one denominator, each monomial one
+int whose digits in base n + 1 are its exponents, since the coefficient of
+lambda^(n-k) has total degree k <= n.  `_pair_sum` multiplies such
+polynomials in t for the product and the Newton step, and `_poly` makes a
+UniPoly over MultiPoly of one.  `normal_shape_operator(data).char_poly()`
+is the reference.
 
 The symbolic sweep decides each coefficient by its remainder modulo the
 sphere relation (`polyring.reduce_mod_sphere`): it is constant on the unit
@@ -28,7 +30,7 @@ never to decide.  It converts each coefficient's terms to float once
 (`polyring.float_terms`), draws the samples CHUNK_POINTS at a time, builds
 each chunk's power columns once for every coefficient and adds up each
 coefficient's terms over the chunk at once (`polyring.eval_terms`), bit for
-bit as at each sample alone.
+bit as at each sample alone; a zero or constant coefficient is not evaluated.
 
 Four bounds refuse a sweep with SweepTooLarge, each before the work it
 counts: MAX_SWEEP_WORK the blocks' kernel, MAX_SWEEP_PAIRS each step of their
@@ -127,13 +129,13 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
     may take more than MAX_SWEEP_WORK, and before a step of their product
     above MAX_SWEEP_PAIRS (`_multiply`).
     """
-    return _multiply(_distinct_blocks(data))
+    return _poly(_multiply(_distinct_blocks(data)), data.n + 1, data.p)
 
 
-def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
-    """(polynomial, copies) of each distinct diagonal block of A(t), in order of
-    first occurrence: equal re-indexed rows over the common denominator give
-    an equal polynomial, so the kernel runs once for all copies."""
+def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[list, int]]:
+    """(packed polynomial, copies) of each distinct diagonal block of A(t), in
+    order of first occurrence: equal re-indexed rows over the common
+    denominator give an equal polynomial, so the kernel runs once for all copies."""
     n, p = data.n, data.p
     ops, den = data.integer_form
     blocks = _components(ops, n)
@@ -152,30 +154,19 @@ def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[UniPoly, int]]:
         if key in distinct:
             distinct[key][1] += 1
         else:
-            distinct[key] = [_block_char_poly(rows, den, len(block), p), 1]
+            distinct[key] = [_block_char_poly(rows, den, len(block), n + 1), 1]
     return [(poly, copies) for poly, copies in distinct.values()]
 
 
-def _multiply(blocks: list[tuple[UniPoly, int]]) -> UniPoly:
-    """The product of the blocks' polynomials, each to its multiplicity.
-
-    The product runs on packed integer pairs (`_packed`): a QuadExt is made
-    only for each term of the result.  A monomial's exponents are digits in a
-    base above the sum of the blocks' largest exponents, every copy counted,
-    so no digit of a product overflows.  SweepTooLarge before a step whose
-    partial product's terms times the block's terms exceed MAX_SWEEP_PAIRS:
-    n blocks that are linear forms in p directions multiply to up to
-    C(n + p, p) terms, far more than they hold."""
-    first, copies = blocks[0]
-    if len(blocks) == copies == 1:
-        return first
-    p = first.coeffs[0].nvars
-    largest = [max((e for c in poly.coeffs for m in c.terms for e in m), default=0) for poly, _ in blocks]
-    base = 1 + sum(e * copies for e, (_, copies) in zip(largest, blocks))
-    coeffs = None  # of the product so far, lowest lambda-power first, as _packed
+def _multiply(blocks: list[tuple[list, int]]) -> list:
+    """The product of the blocks' packed polynomials, each to its multiplicity,
+    packed alike: the blocks' monomials share one base.  SweepTooLarge before
+    a step whose partial product's terms times the block's terms exceed
+    MAX_SWEEP_PAIRS: n blocks that are linear forms in p directions multiply
+    to up to C(n + p, p) terms, far more than they hold."""
+    coeffs = None  # of the product so far, lowest lambda-power first
     for poly, copies in blocks:
-        packed = [_packed(c, base) for c in poly.coeffs]
-        block = sum(len(terms) for terms, _ in packed)
+        block = sum(len(terms) for terms, _ in poly)
         for _ in range(copies):
             count = sum(len(terms) for terms, _ in coeffs or ())
             if count * block > MAX_SWEEP_PAIRS:
@@ -183,26 +174,22 @@ def _multiply(blocks: list[tuple[UniPoly, int]]) -> UniPoly:
                     f"a partial product of the blocks' characteristic polynomials with {count} terms times a "
                     f"block with {block} terms makes {count * block} term pairs, above the bound of {MAX_SWEEP_PAIRS}"
                 )
-            coeffs = packed if coeffs is None else _convolve(coeffs, packed)
+            coeffs = poly if coeffs is None else _convolve(coeffs, poly)
+    return coeffs
+
+
+def _poly(coeffs: list, base: int, p: int) -> UniPoly:
+    """The packed polynomial `coeffs` as a UniPoly over MultiPoly in p
+    variables, each term (x + y sqrt3) / den at the exponents of `_unpack`."""
     return UniPoly(
         MultiPoly._of(p, {_unpack(m, base, p): QuadExt._make(x, y, den) for m, x, y in terms}) for terms, den in coeffs
     )
 
 
-def _packed(coeff: MultiPoly, base: int) -> tuple[list[tuple[int, int, int]], int]:
-    """coeff as ([(m, x, y)], den): its terms (x + y sqrt3) / den over their
-    least common denominator, each exponent vector packed into one int m
-    whose digits in base `base` are the exponents (see `_unpack`)."""
-    weights = [base**i for i in range(coeff.nvars)]
-    den = math.lcm(*(c.d for c in coeff.terms.values()))
-    terms = [(sum(map(mul, exps, weights)), c.x * (den // c.d), c.y * (den // c.d)) for exps, c in coeff.terms.items()]
-    return terms, den
-
-
 def _convolve(a: list, b: list) -> list:
-    """The coefficients of the product of two polynomials in lambda whose
-    coefficients are `_packed`: each power of lambda over the least common
-    multiple of its pairs' denominators, each pair's terms multiplied once."""
+    """The coefficients of the product of two packed polynomials in lambda: each
+    power of lambda over the least common multiple of its pairs'
+    denominators, each pair's terms multiplied once."""
     pairs: list[list] = [[] for _ in range(len(a) + len(b) - 1)]  # lambda-power -> its nonzero pairs
     for i, (left, da) in enumerate(a):
         for j, (right, db) in enumerate(b):
@@ -235,9 +222,10 @@ def _components(ops: tuple[tuple[Row, ...], ...], n: int) -> list[list[int]]:
     return list(components([{i}.union(j for op in ops for j, _, _ in op[i]) for i in range(n)]))
 
 
-def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPoly:
+def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> list:
     """char_poly of sum_a t_a A_a for the n x n rows `ops` of the symmetric
-    A_1..A_p over the denominator op_den, with MultiPoly coefficients.
+    A_1..A_p over the denominator op_den, lowest lambda-power first, each as
+    ([(m, x, y)], den): (x + y sqrt3) / den at t^e, e the digits of m in base > n.
 
     Newton's identities on the power sums S_i = Tr(B^i) of B = op_den A(t) in
     integer pairs: E_0 = 1, E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) S_i,
@@ -249,8 +237,7 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
     monomial coefficient of A(t)^j is symmetric, so Tr(A^k) is the Frobenius
     product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(rho/2) are formed,
     each A^j = sum_m t^m M_m as {m: sparse rows of M_m} over one denominator
-    normalised by a gcd.  A monomial m is one int, its exponents the digits
-    in base n+1, so that adding two of them builds no tuple.
+    normalised by a gcd.  Adding two packed monomials builds no tuple.
 
     `normal_char_poly` calls this once per distinct diagonal block of A(t).
     A FAIL is taken on the product of the blocks' polynomials, never block
@@ -259,8 +246,7 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
     give lambda - t and lambda + t, neither constant on the sphere {1, -1},
     yet their product lambda^2 - t^2 is lambda^2 - 1 at both points.
     """
-    base = n + 1
-    active = [(ops[a], base**a) for a in range(p) if any(ops[a])]
+    active = [(rows, base**a) for a, rows in enumerate(ops) if any(rows)]
     weights = [1 if l == i else 2 for i in range(n) for l in range(i + 1)]
     power, den, rank = {unit: rows for rows, unit in active}, op_den, n  # A^1; rho once A^2 is formed
     # packed[j] = (op_den^j / den of A^j, {m: _pack(M_m)}), from A^0 = I
@@ -280,8 +266,7 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
             den = den * op_den // g
             rank = _psd_rank([power[2 * unit] for _, unit in active], n) if j == 2 else rank
         packed.append((op_den**j // den, {m: _pack(rows, weights) for m, rows in power.items()}))
-    sums, elementary, d = [None], [[(0, 1, 0)]], 1  # S_i and E_k as [(m, x, y)]
-    coeffs = [MultiPoly(p)] * n + [MultiPoly.constant(p, 1)]
+    sums, elementary = [None], [[(0, 1, 0)]]  # S_i and E_k as [(m, x, y)]
     for k in range(1, rank + 1):
         (scale, left), (scale_b, right) = packed[k // 2], packed[k - k // 2]
         # for even k both sides are A^(k/2): the pairs (m, m2) and (m2, m) agree
@@ -294,13 +279,11 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, p: int) -> UniPo
             tx[m + m2] = tx.get(m + m2, 0) + xx + 3 * yy
             ty[m + m2] = ty.get(m + m2, 0) + w * sum(map(mul, ds, s)) - xx - yy
         sums.append([(m, x * scale * scale_b, ty[m] * scale * scale_b) for m, x in tx.items() if x or ty[m]])
-        d = -d * k * op_den  # (-1)^k k! op_den^k
         # E_(k-i) S_i for i = 1..k, with the factors (-1)^(i-1) (k-1)!/(k-i)!
         factors = [(-1) ** i * math.perm(k - 1, i) for i in range(k)]
         elementary.append(_pair_sum(zip(factors, reversed(elementary), sums[1:])))
-        terms = {_unpack(m, base, p): QuadExt._make(x, y, d) for m, x, y in elementary[k]}
-        coeffs[n - k] = MultiPoly._of(p, terms)
-    return UniPoly(coeffs)
+    # lambda^(n-k) is E_k / ((-1)^k k! op_den^k); lambda^0..lambda^(n-rho-1) are zero
+    return [([], 1)] * (n - rank) + [(elementary[k], math.factorial(k) * (-op_den) ** k) for k in range(rank, -1, -1)]
 
 
 def _psd_rank(mats: list[list[Row]], n: int) -> int:
@@ -369,11 +352,12 @@ def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:
     If every block is constant on the sphere, their constant polynomials
     multiply over QuadExt; otherwise the verdict is taken on the product, the
     varying block itself when it is the only block."""
+    base, p = data.n + 1, data.p
     blocks, factors = _distinct_blocks(data), []
     for poly, copies in blocks:
-        verdict = _decide(poly)
+        verdict = _decide(_poly(poly, base, p))
         if not verdict.constant:
-            return verdict if len(blocks) == 1 and copies == 1 else _decide(_multiply(blocks))
+            return verdict if len(blocks) == 1 and copies == 1 else _decide(_poly(_multiply(blocks), base, p))
         factors += [verdict.char_poly] * copies
     return SweepVerdict(True, math.prod(factors, start=UniPoly([ONE])), None, None)
 
@@ -460,11 +444,12 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
             f"{samples} samples of the {count} terms and coefficients of the characteristic polynomial are "
             f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
         )
+    terms = [t for t in terms if any(factors for _, factors in t)]  # a zero or constant drifts by exactly 0
     points = unit_normal_samples(data.p, 2 if data.p == 1 else samples, seed)
     first = [[None, (x,)] for x in next(points)]
     baseline = [eval_terms(t, first, 1)[0] for t in terms]
     deviation = 0.0
-    while columns := list(zip(*islice(points, CHUNK_POINTS))):
+    while terms and (columns := list(zip(*islice(points, CHUNK_POINTS)))):
         powers, size = [[None, column] for column in columns], len(columns[0])  # shared by every coefficient
         for base, t in zip(baseline, terms):
             drifts = list(map(abs, map(sub, eval_terms(t, powers, size), repeat(base))))

@@ -1,8 +1,10 @@
 """The numeric sweep as it was evaluated before the blocks were multiplied in
-packed integer pairs and the power columns were shared: the blocks'
-polynomials multiplied by `MultiPoly.__mul__`, and each coefficient's terms
-evaluated with power ladders of their own.  The tests hold `numeric_sweep`
-to it repr for repr, so every float bit of the cross-check stays as it was."""
+packed integer pairs, the power columns were shared and the coefficients
+that are zero or one constant were skipped: each block's polynomial made a
+UniPoly over MultiPoly (`sweep._poly`) and the blocks multiplied by
+`MultiPoly.__mul__`, and every coefficient's terms evaluated with power
+ladders of their own.  The tests hold `numeric_sweep` to it repr for repr, so
+every float bit of the cross-check stays as it was."""
 
 import math
 from itertools import islice, repeat
@@ -51,7 +53,8 @@ def reference_eval_terms(terms, columns, size):
 def reference_numeric_sweep(data, samples, seed):
     """`numeric_sweep` on `reference_product` and `reference_eval_terms`,
     every entry read by the scale exponent, the drifts taken one by one."""
-    coeffs = reference_product(sweep._distinct_blocks(data)).coeffs
+    blocks = [(sweep._poly(poly, data.n + 1, data.p), copies) for poly, copies in sweep._distinct_blocks(data)]
+    coeffs = reference_product(blocks).coeffs
     e = 0
     for op in data.operators:
         for row in op.rows:

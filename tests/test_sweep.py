@@ -300,23 +300,37 @@ def fraction_pairs(m):
 
 
 @st.composite
-def factor_lists(draw):
-    """1-3 (polynomial in lambda, copies) factors over MultiPoly in p = 1-3
-    variables, as `_multiply` takes the blocks: each coefficient zero, one
-    term or a few, with sqrt3 parts and denominators up to 12, and a nonzero
-    leading coefficient, so that no factor is the zero polynomial."""
+def packed_factors(draw):
+    """(blocks, base, p): 1-3 (polynomial in lambda, copies) factors in p = 1-3
+    variables, packed as `_multiply` takes the blocks, and the base of their
+    monomials.  Each coefficient is zero, one term or a few, with sqrt3 parts
+    over a denominator of -12..12 (the kernel's (-1)^k k! op_den^k is negative
+    at odd k), and the leading one is nonzero, so that no factor is the zero
+    polynomial.  Exponents are 0-3: the product's stay below the base, 3 times
+    the copies of all factors plus 1."""
     p = draw(st.integers(1, 3), label="p")
     part = st.integers(-6, 6)
-    scalar = st.builds(lambda x, y, d: QuadExt(Fraction(x, d), Fraction(y, d)), part, part, st.integers(1, 12))
-    scalar = scalar.filter(bool)
-    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * p), scalar, max_size=3)
-    coefficient = terms.map(lambda t: MultiPoly(p, t))
-    leading = terms.filter(bool).map(lambda t: MultiPoly(p, t))
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * p), st.tuples(part, part).filter(any), max_size=3)
+    den = st.integers(-12, 12).filter(bool)
     factors = []
     for _ in range(draw(st.integers(1, 3), label="factors")):
-        coeffs = draw(st.lists(coefficient, max_size=3), label="lower coefficients") + [draw(leading, label="leading")]
-        factors.append((UniPoly(coeffs), draw(st.integers(1, 2), label="copies")))
-    return factors
+        coeffs = draw(st.lists(terms, max_size=3), label="lower coefficients") + [draw(terms.filter(bool), label="leading")]
+        dens = draw(st.lists(den, min_size=len(coeffs), max_size=len(coeffs)), label="denominators")
+        factors.append((list(zip(coeffs, dens)), draw(st.integers(1, 2), label="copies")))
+    base = 1 + 3 * sum(copies for _, copies in factors)
+    blocks = [
+        ([([(sum(e * base**a for a, e in enumerate(exps)), x, y) for exps, (x, y) in t.items()], d) for t, d in poly], copies)
+        for poly, copies in factors
+    ]
+    return blocks, base, p
+
+
+def diagonal_copies(first, second, n=5):
+    """p = 2 and n copies of the 1 x 1 block first t1 + second t2: the lambda^0
+    coefficient of the product, (-first t1 - second t2)^n, holds the exponent
+    n, the largest digit of the base n + 1."""
+    ops = tuple(Matrix.diagonal([QuadExt(c)] * n) for c in (first, second))
+    return ShapeOperatorSet("copies", n, 2, ops, ("B1", "B2"))
 
 
 class TestSymbolic:
@@ -403,7 +417,8 @@ class TestSymbolic:
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("sum20",))
     def test_constant_data_reduces_each_distinct_block_coefficient(self, monkeypatch, name):
         data = sum20() if name == "sum20" else builtin(name)
-        coeffs = [coeff for poly, _ in sweep._distinct_blocks(data) for coeff in poly.coeffs]
+        blocks = sweep._distinct_blocks(data)
+        coeffs = [coeff for poly, _ in blocks for coeff in sweep._poly(poly, data.n + 1, data.p).coeffs]
         calls = count_calls(monkeypatch, sweep, "reduce_mod_sphere")
         assert symbolic_sweep(data).constant
         assert [coeff for (coeff,) in calls] == coeffs
@@ -641,6 +656,9 @@ class TestBlocks:
     @example(single_normal())
     @example(dense_block())
     @example(interleaved())
+    @example(diagonal_copies(1, 0))
+    @example(diagonal_copies(0, 1))
+    @example(diagonal_copies(1, 1))
     def test_planted_blocks_match_the_reference(self, data):
         assert_kernel_matches_reference(data)
 
@@ -722,9 +740,11 @@ class TestBlocks:
         assert symbolic_sweep(data) == reference_symbolic_sweep(data)
 
     @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(factor_lists())
-    def test_the_packed_product_equals_the_multipoly_product(self, blocks):
-        assert sweep._multiply(blocks) == reference_product(blocks)
+    @given(packed_factors())
+    def test_the_packed_product_equals_the_multipoly_product(self, case):
+        blocks, base, p = case
+        factors = [(sweep._poly(poly, base, p), copies) for poly, copies in blocks]
+        assert sweep._poly(sweep._multiply(blocks), base, p) == reference_product(factors)
 
     def test_verdict_is_taken_on_the_product(self, monkeypatch):
         # diag(t, -t): each block's lambda -+ t varies over the sphere {1, -1},
@@ -734,8 +754,8 @@ class TestBlocks:
         verdict = symbolic_sweep(data)
         monkeypatch.undo()
         assert [n for _, _, n, _ in blocks] == [1, 1]
-        for rows, den, n, p in blocks:
-            assert sphere_constant(sweep._block_char_poly(rows, den, n, p).coeffs[0], 1) is None
+        for rows, den, n, base in blocks:
+            assert sphere_constant(sweep._poly(sweep._block_char_poly(rows, den, n, base), base, 1).coeffs[0], 1) is None
         assert verdict.constant
         assert str(verdict.char_poly) == "l^2 - 1"
 
@@ -752,9 +772,15 @@ class TestNumeric:
         deviation = numeric_sweep(builtin("g6_m1_M2"), 1000, 0)
         assert deviation < 1e-9
 
-    def test_zero_operator(self):
-        data = ShapeOperatorSet("flat", 3, 1, (Matrix.filled(3, 3, QuadExt(0)),), ("B1",))
+    def test_zero_operator(self, monkeypatch):
+        # every coefficient is zero or the leading 1: none is evaluated, and no
+        # point is drawn after the baseline
+        data = ShapeOperatorSet("flat", 3, 3, (Matrix.filled(3, 3, QuadExt(0)),) * 3, ("B1", "B2", "B3"))
+        draw, drawn = sweep.unit_normal_samples, []
+        monkeypatch.setattr(sweep, "unit_normal_samples", lambda *args: (drawn.append(x) or x for x in draw(*args)))
+        calls = count_calls(monkeypatch, sweep, "eval_terms")
         assert numeric_sweep(data, 10, 0) == 0.0
+        assert not calls and len(drawn) == 1
 
     def test_parity_deviation_of_non_minimal_single_operator(self):
         deviation = numeric_sweep(single_operator(["1", "0"]), 2, 0)
@@ -874,13 +900,15 @@ class TestNumeric:
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
         samples = 5 + excess
         for data in (builtin("g6_m2_M1"), single_operator(["1", "0"]), scaled(builtin("g6_m2_M2"), 10)):
+            # the coefficients that are zero or one constant drift by exactly 0 and are not evaluated
+            varying = sum(coeff.degree() > 0 for coeff in normal_char_poly(data).coeffs)
             calls = count_calls(monkeypatch, sweep, "eval_terms")
             deviation = numeric_sweep(data, samples, 7)
             monkeypatch.setattr(sweep, "eval_terms", polyring.eval_terms)
             assert repr(deviation) == repr(pointwise_numeric_sweep(data, samples, 7))
             chunks = [size for _, _, size in calls]
             # at p = 1 the samples alternate between +1 and -1, and only those two are evaluated
-            assert max(chunks) <= 5 and sum(chunks) == (samples if data.p > 1 else 2) * (data.n + 1)
+            assert max(chunks) <= 5 and sum(chunks) == (samples if data.p > 1 else 2) * varying < samples * (data.n + 1)
 
     def test_at_p1_only_the_two_unit_normals_are_evaluated(self, monkeypatch, capsys, tmp_path):
         # the samples alternate between +1 and -1: 1,024,000 of them, at the
@@ -896,7 +924,8 @@ class TestNumeric:
             sizes.append([size for _, _, size in calls])
         assert sweep.MAX_SAMPLE_COORDINATES == 1_024_000
         assert deviations[0] == deviations[1] == ["max_deviation: 2.0"]
-        assert sizes[0] == sizes[1] == [1] * 2 * 3  # the baseline, then one point, for each of 3 coefficients
+        # the baseline, then one point, for -t1 at lambda^1: lambda^0 is zero and lambda^2 is 1
+        assert sizes[0] == sizes[1] == [1] * 2
 
     def test_points_are_drawn_a_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
