@@ -159,6 +159,7 @@ CASES = {
     "sweep_g6_m2_M2_raised_cayley.txt": (["sweep", "{raised}", "--mode", "symbolic"], 1),
     "sweep_g6_m1_M1_varying_block.txt": (["sweep", "{varying}", "--mode", "symbolic"], 1),
     "verify_g6_m2_M2_cayley_text.txt": (["verify", "{cayley}"], 0),
+    "verify_g6_m2_M2_cayley_keyvalue.txt": (["verify", "{cayley}", "--format", "keyvalue"], 0),
     "verify_sum20_g6_m2_M2_text.txt": (["verify", "{sum20}"], 0),
     "paper.txt": (["paper"], 0),
     "tracecheck_g4_pass.txt": (
