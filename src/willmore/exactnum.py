@@ -3,7 +3,10 @@
 Every quantity this package computes with lives in Q(sqrt(3)).  Elements are
 kept in a canonical form so that exact equality is plain field-wise equality;
 radicals are never stored in denominators (1/sqrt(3) is held as (1/3)*sqrt(3)).
-The module also holds the one parser of the scalar grammar and `accumulate`,
+The module also holds the scalar text layer, which works on the canonical
+triple (x + y*sqrt(3))/d: `format_scalar` writes it without a Fraction, and
+`parse_scalar` reads the canonical spelling in one match, leaving every other
+spelling and every error to the scanner `scan_scalar`.  And `accumulate`,
 the one helper for sparse linear combinations {key: coefficient}.
 """
 
@@ -39,9 +42,12 @@ class QuadExt:
     __slots__ = ("x", "y", "d", "_float")
 
     def __init__(self, a: Fraction | int = 0, b: Fraction | int = 0) -> None:
-        a = Fraction(a)
-        b = Fraction(b)
-        q = self._make(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
+        if type(a) is int and type(b) is int:  # not bool: x would keep True
+            q = _reduced(a, b, 1)
+        else:
+            a = Fraction(a)
+            b = Fraction(b)
+            q = self._make(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
         self.x, self.y, self.d = q.x, q.y, q.d
 
     @classmethod
@@ -246,16 +252,26 @@ class ScalarRenderError(ValueError):
     """A value with more digits than Python converts from int to text."""
 
 
+def _ratio(n: int, d: int) -> str:
+    """Text of n/d, d > 0, in lowest terms: "n" or "n/d", as str(Fraction(n, d))."""
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
 def format_scalar(value: QuadExt) -> str:
-    """Canonical text form, re-readable by parse_scalar."""
-    a, b = value.a, value.b
+    """Canonical text form, re-readable by parse_scalar: "a", "a+b*sqrt3",
+    "-b*sqrt3" or "a-sqrt3", with a and b in lowest terms, each written from
+    the triple (x, y, d) with one gcd."""
+    x, y, d = value.x, value.y, value.d
     try:
-        if b == 0:
-            return str(a)
-        mag = "sqrt3" if abs(b) == 1 else f"{abs(b)}*sqrt3"
-        if a == 0:
-            return mag if b > 0 else f"-{mag}"
-        return f"{a}+{mag}" if b > 0 else f"{a}-{mag}"
+        if not y:
+            return _ratio(x, d)
+        mag = "sqrt3" if y == d or y == -d else f"{_ratio(abs(y), d)}*sqrt3"
+        if not x:
+            return mag if y > 0 else f"-{mag}"
+        return f"{_ratio(x, d)}+{mag}" if y > 0 else f"{_ratio(x, d)}-{mag}"
     except ValueError:  # an int with more digits than str() writes
         digits = sys.get_int_max_str_digits()
         raise ScalarRenderError(f"a value has more than {digits} digits and cannot be written") from None
@@ -291,6 +307,15 @@ def format_sum(terms: Iterable[tuple[object, str]]) -> str:
 _TERM = re.compile(r"\s*(-\s*)?(?:(sqrt3(?!\w))|(\d+)(?:\s*/\s*(\d*))?(?:\s*\*\s*(sqrt3(?!\w)))?)")
 _SPACE = re.compile(r"\s*")
 _SIGN = re.compile(r"\s*(?:-\s*)?")
+# The canonical spelling that format_scalar writes, read by parse_scalar in
+# one full match: "r", "r+s*sqrt3", "r-sqrt3", "-r*sqrt3", "sqrt3", where r
+# and s are "p" or "p/q".  The first number is read once, whether it turns
+# out a rational or a factor of sqrt3, so a canonical text matches without
+# backtracking.  Runs of ASCII digits only, below the 640 digits that int()
+# converts at its smallest limit, and denominators start with 1-9: every
+# match converts without error.  Any other text goes to scan_scalar.
+_PART = r"([0-9]{1,639})(?:/([1-9][0-9]{0,638}))?"
+_CANONICAL = re.compile(rf"(-)?(?:{_PART}(?:([-+])(?:{_PART}\*)?sqrt3|(\*sqrt3))?|sqrt3)")
 
 
 def _digits(text: str, position: int) -> int:
@@ -340,8 +365,24 @@ def scan_scalar(text: str, pos: int = 0) -> tuple[QuadExt, int]:
 def parse_scalar(text: str) -> QuadExt:
     """Parse scalar text (e.g. "8/3", "-2/3*sqrt3", "2-sqrt3") into QuadExt.
 
-    Whitespace-insensitive; 'sqrt3' may appear at most once.
+    Whitespace-insensitive; 'sqrt3' may appear at most once.  Canonical text
+    is read in one match into one `_reduced` call; every other spelling, and
+    every error, goes through `scan_scalar`.
     """
+    match = _CANONICAL.fullmatch(text)
+    if match is not None:
+        negative, p, q, op, s, t, times_root = match.groups()
+        if p is None:
+            return -SQRT3 if negative else SQRT3
+        x = -int(p) if negative else int(p)
+        q = int(q) if q else 1
+        if times_root:
+            return _reduced(0, x, q)
+        if op is None:
+            return _reduced(x, 0, q)
+        y = int(s) * q if s else q
+        t = int(t) if t else 1
+        return _reduced(x * t, -y if op == "-" else y, q * t)
     value, end = scan_scalar(text)
     end = _SPACE.match(text, end).end()
     if end == len(text):

@@ -1,7 +1,30 @@
-"""The two renderers of signed sums that `exactnum.format_sum` replaces,
-as `UniPoly.render` and `MultiPoly.__str__` had them, with `self` the
-polynomial.  The tests hold `str` of both classes to them character for
-character."""
+"""Renderers that the package's text layer replaced, kept as references.
+
+The two renderers of signed sums that `exactnum.format_sum` replaces, as
+`UniPoly.render` and `MultiPoly.__str__` had them, with `self` the
+polynomial, and `exactnum.format_scalar` as it was when it wrote each part
+through a `Fraction`.  The tests hold the package's text to them character
+for character."""
+
+import sys
+from fractions import Fraction
+
+from willmore.exactnum import ScalarRenderError
+
+
+def format_scalar(value) -> str:
+    """Canonical text of a + b*sqrt3, each part written by str(Fraction)."""
+    a, b = Fraction(value.x, value.d), Fraction(value.y, value.d)
+    try:
+        if b == 0:
+            return str(a)
+        mag = "sqrt3" if abs(b) == 1 else f"{abs(b)}*sqrt3"
+        if a == 0:
+            return mag if b > 0 else f"-{mag}"
+        return f"{a}+{mag}" if b > 0 else f"{a}-{mag}"
+    except ValueError:  # an int with more digits than str() writes
+        digits = sys.get_int_max_str_digits()
+        raise ScalarRenderError(f"a value has more than {digits} digits and cannot be written") from None
 
 
 def unipoly_render(self, var: str = "l") -> str:

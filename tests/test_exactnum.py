@@ -1,6 +1,7 @@
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frames import direct_sum
+import render_reference
 from render_reference import multipoly_str, unipoly_render
 from willmore import exactnum
 from willmore.catalog import BUILTIN_NAMES, builtin, parse_dataset, serialize_dataset
-from willmore.exactnum import QuadExt, ScalarParseError, format_scalar, parse_scalar
+from willmore.cli import verify_certificate
+from willmore.exactnum import QuadExt, ScalarParseError, ScalarRenderError, format_scalar, parse_scalar, scan_scalar
 from willmore.linalg import UniPoly
 from willmore.polyring import MultiPoly
 
@@ -129,6 +132,87 @@ def test_parse_is_left_inverse_of_formatter(a, b):
     assert parse_scalar(format_scalar(value)) == value
 
 
+# Parts of 40 digits, zero parts and parts of +-1, whose sqrt3 part is
+# written "sqrt3" or "-sqrt3" alone.
+TEXT_PART = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(1, 10**40)),
+)
+TEXT_VALUES = st.builds(QuadExt, TEXT_PART, TEXT_PART)
+
+
+def triple(value: QuadExt) -> tuple[int, int, int]:
+    return value.x, value.y, value.d
+
+
+def reference_parse(text: str) -> QuadExt:
+    """The scanner alone, then the trailing-text check: how parse_scalar
+    read every text before it had its one-match path for canonical text."""
+    value, end = scan_scalar(text)
+    end = exactnum._SPACE.match(text, end).end()
+    if end == len(text):
+        return value
+    if text[end] in "+-*/":
+        raise ScalarParseError(f"unexpected text after {text[end]!r}", exactnum._SPACE.match(text, end + 1).end())
+    raise ScalarParseError("unexpected trailing text", end)
+
+
+def outcome(parse, text: str):
+    """The triple that parse reads from text, or its error's message and position."""
+    try:
+        return triple(parse(text))
+    except ScalarParseError as exc:
+        return exc.message, exc.position
+
+
+class TestScalarTextAgainstReferences:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(TEXT_VALUES)
+    @example(QuadExt(0, 1))
+    @example(QuadExt(0, -1))
+    @example(QuadExt(Fraction(-1, 2), -1))
+    @example(QuadExt(0))
+    def test_format_matches_the_fraction_renderer(self, value):
+        assert format_scalar(value) == render_reference.format_scalar(value)
+
+    def test_a_part_beyond_the_digit_limit_raises_render_error(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("int to text has no digit limit in this interpreter")
+        value = QuadExt(1, Fraction(1, 10**limit))
+        with pytest.raises(ScalarRenderError) as info:
+            format_scalar(value)
+        with pytest.raises(ScalarRenderError) as reference:
+            render_reference.format_scalar(value)
+        assert str(info.value) == str(reference.value)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(TEXT_VALUES)
+    def test_parse_of_canonical_text_matches_the_scanner(self, value):
+        text = format_scalar(value)
+        assert outcome(parse_scalar, text) == outcome(reference_parse, text) == triple(value)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "007", "-007", "1/03", "007/0010", "2/4", "-6/4+10/4*sqrt3", "4/2-sqrt3", "3/6*sqrt3", "1*sqrt3",
+            "0-sqrt3", "0/7", "-0", "sqrt3+2", "sqrt3-1/2", "1 - sqrt3", "2/ 3", "- sqrt3", " 1", "1 ",
+            "\u0663", "1/\u0663", "\u0663*sqrt3", "+1", "+sqrt3", "1++sqrt3", "", "1/0", "-1/0*sqrt3", "1/",
+            "1*", "1+sqrt3*", "sqrt3*", "1+2", "1sqrt3", "1+sqrt3x", "sqrt3+sqrt3", "1/2/3", "1.5",
+            "1" * 639, "1" * 640, "1" * 4301, "-" + "1" * 4301, "1/" + "2" * 4301, "1+" + "3" * 4301 + "*sqrt3",
+        ],
+    )
+    def test_parse_of_respellings_matches_the_scanner(self, text):
+        assert outcome(parse_scalar, text) == outcome(reference_parse, text)
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from(["0", "1", "07", "12", "/", "*", "sqrt3", "+", "-", " ", "\u0663", "x"]), max_size=8))
+    def test_parse_of_any_text_from_its_pieces_matches_the_scanner(self, pieces):
+        text = "".join(pieces)
+        assert outcome(parse_scalar, text) == outcome(reference_parse, text)
+
+
 # ratios of two ints of about 40 digits, which no float holds exactly
 FORTY_DIGITS = st.builds(Fraction, st.integers(-(10**40), 10**40), st.integers(10**39, 10**40))
 QUADS = st.builds(QuadExt, FRACTIONS, FRACTIONS)
@@ -224,6 +308,26 @@ def test_parsing_a_dataset_constructs_no_fraction(monkeypatch, data):
     parsed = parse_dataset(text)
     assert made == []
     assert parsed.operators == data.operators
+
+
+@pytest.mark.parametrize(
+    "data",
+    [builtin(name) for name in BUILTIN_NAMES] + [direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))],
+    ids=list(BUILTIN_NAMES) + ["n20_sum"],
+)
+def test_rendering_a_certificate_constructs_no_fraction(monkeypatch, data):
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            made.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(exactnum, "Fraction", CountingFraction)
+    cert, ok = verify_certificate(data)
+    texts = cert.render("text"), cert.render("keyvalue")
+    assert made == []
+    assert ok and all("ricci" in text for text in texts)
 
 
 # Parts of either sign give coefficients such as 1 - sqrt3, which is negative
