@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frames import direct_sum
-import render_reference
-from render_reference import multipoly_str, unipoly_render
+from render_reference import format_scalar as reference_format, multipoly_str, unipoly_render
 from willmore import exactnum
 from willmore.catalog import BUILTIN_NAMES, builtin, parse_dataset, serialize_dataset
 from willmore.cli import verify_certificate
@@ -174,7 +173,7 @@ class TestScalarTextAgainstReferences:
     @example(QuadExt(Fraction(-1, 2), -1))
     @example(QuadExt(0))
     def test_format_matches_the_fraction_renderer(self, value):
-        assert format_scalar(value) == render_reference.format_scalar(value)
+        assert format_scalar(value) == reference_format(value)
 
     def test_a_part_beyond_the_digit_limit_raises_render_error(self):
         limit = sys.get_int_max_str_digits()
@@ -184,7 +183,7 @@ class TestScalarTextAgainstReferences:
         with pytest.raises(ScalarRenderError) as info:
             format_scalar(value)
         with pytest.raises(ScalarRenderError) as reference:
-            render_reference.format_scalar(value)
+            reference_format(value)
         assert str(info.value) == str(reference.value)
 
     @settings(max_examples=400, deadline=None, derandomize=True)
@@ -290,12 +289,9 @@ def test_a_foreign_operand_raises_type_error_and_compares_unequal(foreign):
     assert (value == foreign) is False and (foreign == value) is False
 
 
-@pytest.mark.parametrize(
-    "data",
-    [builtin(name) for name in BUILTIN_NAMES] + [direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))],
-    ids=list(BUILTIN_NAMES) + ["n20_sum"],
-)
-def test_parsing_a_dataset_constructs_no_fraction(monkeypatch, data):
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """The arguments of every Fraction that exactnum constructs from here on."""
     made = []
 
     class CountingFraction(Fraction):
@@ -303,30 +299,29 @@ def test_parsing_a_dataset_constructs_no_fraction(monkeypatch, data):
             made.append(args)
             return super().__new__(cls, *args, **kwargs)
 
-    text = serialize_dataset(data)
     monkeypatch.setattr(exactnum, "Fraction", CountingFraction)
-    parsed = parse_dataset(text)
-    assert made == []
+    return made
+
+
+COUNTED_DATASETS = pytest.mark.parametrize(
+    "data",
+    [builtin(name) for name in BUILTIN_NAMES] + [direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))],
+    ids=list(BUILTIN_NAMES) + ["n20_sum"],
+)
+
+
+@COUNTED_DATASETS
+def test_parsing_a_dataset_constructs_no_fraction(fractions_made, data):
+    parsed = parse_dataset(serialize_dataset(data))
+    assert fractions_made == []
     assert parsed.operators == data.operators
 
 
-@pytest.mark.parametrize(
-    "data",
-    [builtin(name) for name in BUILTIN_NAMES] + [direct_sum(builtin("g6_m2_M2"), builtin("g6_m2_M2"))],
-    ids=list(BUILTIN_NAMES) + ["n20_sum"],
-)
-def test_rendering_a_certificate_constructs_no_fraction(monkeypatch, data):
-    made = []
-
-    class CountingFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            made.append(args)
-            return super().__new__(cls, *args, **kwargs)
-
-    monkeypatch.setattr(exactnum, "Fraction", CountingFraction)
+@COUNTED_DATASETS
+def test_rendering_a_certificate_constructs_no_fraction(fractions_made, data):
     cert, ok = verify_certificate(data)
     texts = cert.render("text"), cert.render("keyvalue")
-    assert made == []
+    assert fractions_made == []
     assert ok and all("ricci" in text for text in texts)
 
 
