@@ -19,7 +19,9 @@ determinant varies over the sphere.  One tracecheck reads tests/data/g4_p4.rules
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
 the rules reader's line check (terms of `tracealg._TERM`) accepts, and one reads
 the hand-written tests/data/coefficients.rules, whose coefficients have sqrt3
-and fractional parts and repeat on a line.  Two more files pin the package's
+and fractional parts and repeat on a line.  One more tracecheck uses the built-in g=4 relations at
+p=12, on a goal over the blocks of the two-digit letters A10-A12 with
+fractional and sqrt3 coefficients and a word in no block.  Two more files pin the package's
 fixed data: the four built-ins as `serialize_dataset` writes them, and the
 g=4 relations at p=4 as `str` renders them, one per line, in order.
 
@@ -181,6 +183,13 @@ CASES = {
         ["tracecheck", "--rules", "{g4_p4}", "--goal",
          "Tr(A2^3) + Tr(A1^2*A2) + Tr(A3^2*A2) + Tr(A4^2*A2) - 3*Tr(A1^2*A3)", "--indices", "4"],
         0,
+    ),
+    # a goal over the blocks of A10, A11 and A12 and one word in no block
+    "tracecheck_g4_p12.txt": (
+        ["tracecheck", "--rules", "g4", "--goal",
+         "Tr(A10^3) + 1/2*Tr(A11^2*A10) + (2-sqrt3)*Tr(A12^2*A11) - sqrt3*Tr(A10^2*A12) + 3/4*Tr(A12)"
+         " - 2/3*Tr(A11*A12) + Tr(A1^2*A11)", "--indices", "12"],
+        1,
     ),
     "tracecheck_coefficients_rules.txt": (
         ["tracecheck", "--rules", "{coefficients}", "--goal",
