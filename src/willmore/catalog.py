@@ -145,9 +145,9 @@ def serialize_dataset(data: ShapeOperatorSet) -> str:
 class _Lines:
     def __init__(self, text: str) -> None:
         self.items = [
-            (number, line.strip())
-            for number, line in enumerate(text.splitlines(), start=1)
-            if line.strip() and not line.lstrip().startswith("#")
+            (number, line)
+            for number, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")
         ]
         self.pos = 0
         self.last = self.items[-1][0] if self.items else 1

@@ -100,11 +100,34 @@ def _order(word: Word) -> tuple[int, Word]:
 
 
 def _word_str(word: Word) -> str:
-    parts = []
-    for letter, run in itertools.groupby(word):
-        k = len(list(run))
-        parts.append(f"A{letter}^{k}" if k > 1 else f"A{letter}")
+    """A word's text, each run of a letter as one power: 'A2^2*A1' for (2, 2, 1)."""
+    parts, letter, k = [], word[0], 0
+    for x in (*word, 0):  # 0 is no letter: it ends the last run
+        if x != letter:
+            parts.append(f"A{letter}^{k}" if k > 1 else f"A{letter}")
+            letter, k = x, 0
+        k += 1
     return "*".join(parts)
+
+
+def _render(terms: Mapping[Word, QuadExt], words: Iterable[Word], parts: list[str]) -> str:
+    """The terms of `words`, in that order, joined after the text in `parts`."""
+    for word in words:
+        coeff = terms[word]
+        trace = f"Tr({_word_str(word)})"
+        if coeff.x and coeff.y:
+            # mixed coefficient: keep the sign inside the parentheses
+            term = f"({coeff})*{trace}"
+            parts.append(f"+ {term}" if parts else term)
+            continue
+        negative = coeff.sign() < 0
+        mag = -coeff if negative else coeff
+        term = trace if mag == ONE else f"{mag}*{trace}"
+        if parts:
+            parts.append(f"- {term}" if negative else f"+ {term}")
+        else:  # a leading bare minus is not a scalar; spell the -1 out
+            parts.append(term if not negative else f"-{term}" if mag != ONE else f"-1*{trace}")
+    return " ".join(parts)
 
 
 class TraceExpr:
@@ -163,57 +186,45 @@ class TraceExpr:
         return f"TraceExpr({self})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for word in sorted(self.terms, key=_order):
-            coeff = self.terms[word]
-            trace = f"Tr({_word_str(word)})"
-            if coeff.x and coeff.y:
-                # mixed coefficient: keep the sign inside the parentheses
-                term = f"({coeff})*{trace}"
-                parts.append(term if not parts else f"+ {term}")
-                continue
-            negative = coeff.sign() < 0
-            mag = -coeff if negative else coeff
-            term = trace if mag == ONE else f"{mag}*{trace}"
-            if not parts:
-                # a leading bare minus is not a scalar; spell the -1 out
-                if negative:
-                    parts.append(f"-{term}" if mag != ONE else f"-1*{trace}")
-                else:
-                    parts.append(term)
-            else:
-                parts.append(f"- {term}" if negative else f"+ {term}")
-        return " ".join(parts)
+        return _render(self.terms, sorted(self.terms, key=_order), []) if self.terms else "0"
+
+
+def _eliminate(row: dict[Word, QuadExt], lead: Word, pivot_row: dict[Word, QuadExt]) -> None:
+    """row -= row[lead] * pivot_row, in place, for a monic pivot row led by its
+    first word: the lead cancels, so it is popped, and only the tail added."""
+    coeff = row.pop(lead)
+    if len(pivot_row) > 1:
+        accumulate(row, itertools.islice(pivot_row.items(), 1, None), -coeff)
 
 
 def _echelon(relations: Iterable[TraceExpr]) -> dict[Word, dict[Word, QuadExt]]:
     """Reduced row echelon form of the relation span.
 
-    Pivots are the smallest words (length, then lex) of monic rows; after
-    back-substitution no row contains another row's pivot.  That form of a
-    span is unique, so the result does not depend on the input order, and
-    the relations are taken sparsest first: the short rows such as Tr(a)
-    become pivots early and reduce the longer rows in one step each.
+    Pivots are the smallest words (length, then lex) of monic rows, each the
+    first word of its row; after back-substitution no row contains another
+    row's pivot.  That form of a span is unique, so the result does not
+    depend on the input order, and the relations are taken sparsest first:
+    the short rows such as Tr(a) become pivots early and reduce the longer
+    rows in one step each, and a row of one term or of lead 1 needs no inverse.
     """
     pivots: dict[Word, dict[Word, QuadExt]] = {}
     for relation in sorted(relations, key=lambda relation: len(relation.terms)):
         row = dict(relation.terms)
         while row:
-            lead = min(row, key=_order)
+            lead = min(row, key=_order) if len(row) > 1 else next(iter(row))
             pivot_row = pivots.get(lead)
             if pivot_row is None:
                 break
-            accumulate(row, pivot_row.items(), -row[lead])
+            _eliminate(row, lead, pivot_row)
         if not row:
             continue
-        inverse = row[lead].inverse()
-        pivots[lead] = {w: c * inverse for w, c in row.items()}
+        coeff = row.pop(lead)
+        pivots[lead] = accumulate({lead: ONE}, row.items(), coeff.inverse() if row and coeff != ONE else None)
     for lead in sorted(pivots, key=_order, reverse=True):
         row = pivots[lead]
-        for word in [w for w in row if w != lead and w in pivots]:
-            accumulate(row, pivots[word].items(), -row[word])
+        if len(row) > 1:
+            for word in [w for w in itertools.islice(row, 1, None) if w in pivots]:
+                _eliminate(row, word, pivots[word])
     return pivots
 
 
@@ -226,8 +237,10 @@ def _normal_form(
         if word not in residual:
             continue
         row = pivots[word]
-        accumulate(residual, row.items(), -residual[word])
-        steps.append(f"eliminate Tr({_word_str(word)}) using {TraceExpr._of(row)} = 0")
+        _eliminate(residual, word, row)
+        trace = f"Tr({_word_str(word)})"
+        text = _render(row, sorted(itertools.islice(row, 1, None), key=_order), [trace]) if len(row) > 1 else trace
+        steps.append(f"eliminate {trace} using {text} = 0")
     return residual, steps
 
 

@@ -1,6 +1,8 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from willmore import catalog
 from willmore.catalog import (
@@ -205,6 +207,28 @@ class TestParseErrors:
         with pytest.raises(DatasetFormatError) as info:
             parse_dataset(GOOD + "leftover\n")
         assert "trailing" in str(info.value)
+
+    # lines of spaces, tabs, form feeds and other Unicode whitespace, '#'
+    # comments indented or not, and text, split at every line break
+    # str.splitlines knows
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([" ", "\t", "\x0c", "\x85", "\u3000", "#", "a", "1 0", "\n", "\r\n", "\x1c", "\u2028"])))
+    def test_lines_are_the_stripped_lines_that_are_not_comments(self, pieces):
+        text = "".join(pieces)
+        lines = catalog._Lines(text)
+        assert lines.items == [
+            (number, line.strip())
+            for number, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.lstrip().startswith("#")
+        ]
+        assert lines.last == (lines.items[-1][0] if lines.items else 1)
+
+    def test_indented_comments_and_blank_lines_keep_line_numbers(self):
+        bad = GOOD.replace("operator B1\n", "operator B1\n  \t\n   # a comment\n\u3000\n", 1).replace("1 0", "1 zebra")
+        with pytest.raises(DatasetFormatError) as info:
+            parse_dataset(bad)
+        assert "bad scalar" in str(info.value)
+        assert info.value.line == 9
 
     def test_non_positive_dim(self):
         with pytest.raises(DatasetFormatError):

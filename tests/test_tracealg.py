@@ -347,7 +347,73 @@ class TestTraceOf:
             )
 
 
+def groupby_word_str(word):
+    """A word's text by itertools.groupby, one list per run."""
+    runs = [(letter, len(list(run))) for letter, run in itertools.groupby(word)]
+    return "*".join(f"A{letter}^{k}" if k > 1 else f"A{letter}" for letter, k in runs)
+
+
+class TestWordText:
+    def test_runs_become_powers(self):
+        assert tracealg._word_str((2, 2, 1)) == "A2^2*A1"
+        assert tracealg._word_str((10, 1, 10)) == "A10*A1*A10"
+        assert tracealg._word_str((7,)) == "A7"
+
+    # runs of 1 to 300 letters over two-digit letters too
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from([1, 2, 3, 12]), st.one_of(st.integers(1, 3), st.integers(100, 300))),
+                    min_size=1, max_size=6))
+    def test_equals_the_groupby_form(self, runs):
+        word = tuple(letter for letter, k in runs for _ in range(k))
+        assert tracealg._word_str(word) == groupby_word_str(word)
+
+    def test_long_power_words(self):
+        for word in [(2,) + (1,) * 3000, (1,) * 100, (1, 2) * 150, (5,) * 10_000]:
+            assert tracealg._word_str(word) == groupby_word_str(word)
+
+
+# Coefficients that take the elimination's fast paths: a lead of 1 needs no
+# inverse, -1 and -3 are those of the g=4 relations, and sqrt3 is irrational;
+# one in four is any other coefficient.
+FAST_COEFF = st.one_of(st.sampled_from([QuadExt(1), QuadExt(-1), QuadExt(-3), QuadExt(0, 1)]), COEFF)
+FAST_WORD = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def fast_path_cases(draw):
+    """Relations with many one-term rows and leads of 1, -1, -3 and sqrt3,
+    and a goal over their words and words in none of them, plus multiples of
+    the relations."""
+    terms = st.lists(st.tuples(FAST_WORD, FAST_COEFF), min_size=1, max_size=4)
+    one_term = st.tuples(FAST_WORD, FAST_COEFF).map(lambda term: [term])
+    relations = [TraceExpr(dict(row)) for row in draw(st.lists(st.one_of(one_term, terms), max_size=8))]
+    goal = TraceExpr(dict(draw(st.lists(st.tuples(FAST_WORD, FAST_COEFF), max_size=6))))
+    multiples = st.lists(st.tuples(st.sampled_from(relations), FAST_COEFF), max_size=3) if relations else st.just([])
+    for relation, coeff in draw(multiples):
+        goal = goal + relation * coeff
+    return relations, goal
+
+
+def reference_normal_form(goal, relations):
+    """Residual and step texts of the goal reduced by `reference_rref`, each
+    step subtracting a whole pivot row and rendering it with `str`."""
+    pivots = reference_rref(relations)
+    residual, steps = goal, []
+    for word in sorted((w for w in goal.terms if w in pivots), key=tracealg._order):
+        if word in residual.terms:
+            row = TraceExpr._of(pivots[word])
+            steps.append(f"eliminate {TraceExpr.single(word)} using {row} = 0")
+            residual = residual - row * residual.terms[word]
+    return residual, tuple(steps)
+
+
 class TestReduceGoal:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(fast_path_cases())
+    def test_fast_paths_match_a_reference_normal_form(self, case):
+        relations, goal = case
+        assert reduce_goal_with_steps(goal, relations) == reference_normal_form(goal, relations)
+
     def test_direct_relation(self):
         goal = TraceExpr({(1,): 1})
         assert not reduce_goal(goal, [TraceExpr({(1,): 1})])
@@ -384,7 +450,7 @@ class TestReduceGoal:
         pivots = tracealg._echelon(relations)
         assert pivots == reference_rref(relations)
         for lead, row in pivots.items():
-            assert min(row, key=tracealg._order) == lead and row[lead] == 1
+            assert min(row, key=tracealg._order) == lead == next(iter(row)) and row[lead] == 1
             assert not any(word in pivots for word in row if word != lead)
         for relation in relations:
             assert not tracealg._normal_form(relation.terms, pivots)[0]
