@@ -374,7 +374,7 @@ class TestWordText:
 
 # Coefficients that take the elimination's fast paths: a lead of 1 needs no
 # inverse, -1 and -3 are those of the g=4 relations, and sqrt3 is irrational;
-# one in four is any other coefficient.
+# the other half are any coefficient of COEFF.
 FAST_COEFF = st.one_of(st.sampled_from([QuadExt(1), QuadExt(-1), QuadExt(-3), QuadExt(0, 1)]), COEFF)
 FAST_WORD = st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple)
 
