@@ -215,13 +215,12 @@ def parse_dataset(text: str) -> ShapeOperatorSet:
             except ScalarParseError as exc:
                 raise DatasetFormatError(f"bad scalar: {exc}", number) from exc
             row_lines.append(number)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rows[i][j] != rows[j][i]:
-                    raise DatasetFormatError(
-                        f"operator {label} is not symmetric at ({i},{j})", row_lines[i]
-                    )
-        operators.append(Matrix(rows))
+        operator = Matrix(rows)
+        if not operator.is_symmetric():
+            # the first asymmetric entry in row-major order names the error
+            i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] != rows[j][i])
+            raise DatasetFormatError(f"operator {label} is not symmetric at ({i},{j})", row_lines[i])
+        operators.append(operator)
         labels.append(label)
     if not lines.done():
         number, line = lines.next("")

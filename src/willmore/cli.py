@@ -257,13 +257,13 @@ def cmd_tracecheck(args) -> int:
         raise InputError(f"goal: {exc}") from exc
     _check_indices(goal.terms, p)
     if builtin_rules:
-        # only the blocks the goal's words meet; they hold its whole block
+        # only the blocks the goal's words meet: together they are its block
         relations = g4_relations(p, sorted({g4_block(word) for word in goal.terms} - {None}))
         count = p * p + p
     else:
         # a line can only fail the index check if it names a letter above p
         _check_indices(itertools.chain(*(relation.terms for relation in rules.above(p))), p)
-        relations = rules.component(goal)  # holds the goal's block
+        relations = rules.component(goal)  # the goal's block
         count = len(rules.lines)
 
     cert = Certificate([("tool", f"willmore {__version__}"), ("relations", str(count)), ("goal", str(goal))])

@@ -155,10 +155,8 @@ class Matrix:
         return acc
 
     def is_symmetric(self) -> bool:
-        n = self._require_square()
-        return all(
-            self.rows[i][j] == self.rows[j][i] for i in range(n) for j in range(i + 1, n)
-        )
+        self._require_square()
+        return self.rows == tuple(zip(*self.rows))
 
     def char_poly(self) -> UniPoly:
         """Monic det(lambda*I - A) by the Faddeev-LeVerrier recurrence.
@@ -259,11 +257,7 @@ def integer_rows(matrices: Iterable[Matrix]) -> tuple[tuple[tuple[Row, ...], ...
     (i, j) of a matrix is (j, x, y) in its row i; zero entries are left out.
     """
     matrices = tuple(matrices)
-    den = 1
-    for m in matrices:
-        for row in m.rows:
-            for e in row:
-                den = math.lcm(den, e.d)
+    den = math.lcm(*{e.d for m in matrices for row in m.rows for e in row})
     return tuple(
         tuple(tuple((j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e) for row in m.rows)
         for m in matrices

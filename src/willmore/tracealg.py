@@ -252,19 +252,10 @@ def reduce_goal(goal: TraceExpr, relations: Iterable[TraceExpr]) -> TraceExpr:
 def reduce_goal_with_steps(
     goal: TraceExpr, relations: Iterable[TraceExpr]
 ) -> tuple[TraceExpr, tuple[str, ...]]:
-    """Residual plus a rendering of each elimination step taken.
-
-    Only the goal's block is eliminated: the relations joined to the goal's
-    words through shared words, as in the block decomposition of sparse
-    systems (Pothen & Fan, ACM TOMS 16, 1990).  The span of all relations is
-    the direct sum of the block spans, on disjoint sets of words, so its
-    reduced row echelon form is the union of the blocks' forms, and reducing
-    the goal looks up no pivot outside its block: the residual and the steps
-    are those of the full elimination.
-    """
-    relations = list(relations)
-    block = next(components([goal.terms, *(relation.terms for relation in relations)]))
-    residual, steps = _normal_form(goal.terms, _echelon([relations[k - 1] for k in block[1:]]))
+    """Residual plus a rendering of each elimination step taken, against
+    every relation given: the callers hand over the goal's block, cut where
+    the relations are built (`g4_block`, `RulesFile.component`)."""
+    residual, steps = _normal_form(goal.terms, _echelon(relations))
     return TraceExpr._of(residual), tuple(steps)
 
 
@@ -320,9 +311,9 @@ def g4_block(word: Word) -> int | None:
     connected components of the relations joined through shared words.  A
     word lies in block a iff it is (a), (a, a, a), or has three letters of
     which exactly two are equal and a is the odd one out; any other word
-    lies in no block.  The blocks of a goal's words therefore hold the
-    goal's whole component, and `reduce_goal_with_steps` eliminates the same
-    relations, in the same order, as against the full set.
+    lies in no block.  Each block of a goal's words is joined to the goal
+    through such a word, so together they are exactly the goal's block (see
+    `RulesFile.component`), which the elimination is handed.
     """
     if len(word) == 1:
         return word[0]
@@ -616,13 +607,14 @@ class RulesFile:
        goes through it at once.  The lines are kept as one joined text;
        nothing is indexed.
     2. `component` finds the lines joined to the goal through shared letter
-       multisets; relations that share a canonical word share its multiset,
-       so they hold the goal's block.  The lines that name a letter are found
-       when the search first needs that letter: all letters of one
-       breadth-first round by one regex search of the joined text.  Past
-       `_SEARCHED_ROUNDS` such rounds, one pass reads every line not yet
-       read, and later rounds, and later goals, look up the multisets read.
-    3. Only those lines are parsed.
+       multisets: relations that share a canonical word share its multiset,
+       so these lines hold the goal's block, and may hold more.  The lines
+       that name a letter are found when the search first needs that letter:
+       all letters of one breadth-first round by one regex search of the
+       joined text.  Past `_SEARCHED_ROUNDS` such rounds, one pass reads
+       every line not yet read, and later rounds, and goals, look up the
+       multisets read.
+    3. Only those lines are parsed, and cut to the goal's block.
 
     `above(p)` finds the lines that name a letter above p by one search of
     the joined text with a pattern built for p."""
@@ -690,17 +682,21 @@ class RulesFile:
         return self._parsed(sorted(high))
 
     def component(self, goal: TraceExpr) -> list[TraceExpr]:
-        """The relations of the lines joined to the goal's words through
-        shared multisets, in file order.
+        """The goal's block, in file order: the relations joined to the goal's
+        words through shared words (Pothen & Fan, ACM TOMS 16, 1990).  The
+        relations' span is the direct sum of the blocks' spans, on disjoint
+        words, so the goal reduces against its block as against the file.
 
-        Breadth-first over multisets, one round at a time.  Every line that
-        holds a multiset names each of its letters, so walking one letter's
-        lines finds them all; the letter walked is the one the multiset holds
-        fewest times.  The unwalked letters of a round are walked together,
-        each line is read and each letter walked at most once, and the text
-        is searched whole in at most `_SEARCHED_ROUNDS` rounds; the next
-        reads every line, and no later round walks, so the search is linear
-        in the size of the file."""
+        The lines that hold it are found breadth-first over multisets, one
+        round at a time.  Every line that holds a multiset names each of its
+        letters, so walking one letter's lines finds them all; the letter
+        walked is the one the multiset holds fewest times.  The unwalked
+        letters of a round are walked together, each line is read and each
+        letter walked at most once, and the text is searched whole in at
+        most `_SEARCHED_ROUNDS` rounds; the next reads every line, and no
+        later round walks, so the search is linear in the size of the file.
+        Of the lines' relations one pass over their words keeps the block: a
+        line over Tr(A1*A3*A2) shares a multiset with Tr(A1*A2*A3), no word."""
         frontier = list(dict.fromkeys(tuple(sorted(word)) for word in goal.terms))
         seen = set(frontier)
         block: set[int] = set()
@@ -719,4 +715,6 @@ class RulesFile:
                                 seen.add(other)
                                 fresh.append(other)
             frontier = fresh
-        return self._parsed(sorted(block))
+        relations = self._parsed(sorted(block))
+        kept = next(components([goal.terms, *(relation.terms for relation in relations)]))
+        return [relations[k - 1] for k in kept[1:]]

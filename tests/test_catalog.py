@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -190,6 +191,46 @@ class TestParseErrors:
             parse_dataset(bad)
         assert "not symmetric at (0,2)" in str(info.value)
         assert info.value.line == 5
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_asymmetry_is_named_as_the_entry_by_entry_rule_names_it(self, seed):
+        # equal values of different text, held by distinct objects, mirror
+        # each other; odd seeds plant asymmetries, and the first in row-major
+        # order of the first operator that has one is named, at its row's line
+        rng = random.Random(seed)
+        n, p = rng.randint(2, 5), rng.randint(1, 2)
+        spellings = (("1", "2/2"), ("0", "0/3"), ("-1/2", "-2/4"), ("sqrt3", "2/2*sqrt3"))
+        ops = []
+        for _ in range(p):
+            rows = [["0"] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    rows[i][j], rows[j][i] = rng.choice(spellings)
+            ops.append(rows)
+        if seed % 2:
+            for _ in range(rng.randint(1, 3)):
+                a, (i, j) = rng.randrange(p), rng.sample(range(n), 2)
+                ops[a][i][j] = "5"
+        text = f"dataset planted\ndim {n}\ncodim {p}\n" + "".join(
+            f"operator B{a}\n" + "".join(" ".join(row) + "\n" for row in rows) for a, rows in enumerate(ops)
+        )
+        first = next(
+            (
+                (a, i, j)
+                for a, rows in enumerate(ops)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if S(rows[i][j]) != S(rows[j][i])
+            ),
+            None,
+        )
+        if first is None:
+            assert all(op.is_symmetric() for op in parse_dataset(text).operators)
+            return
+        a, i, j = first
+        with pytest.raises(DatasetFormatError) as info:
+            parse_dataset(text)
+        assert str(info.value) == f"line {5 + a * (n + 1) + i}: operator B{a} is not symmetric at ({i},{j})"
 
     def test_equal_values_of_different_text_are_symmetric(self):
         data = parse_dataset(GOOD.replace("0 1\n1 0", "0 1/2\n2/4 0"))

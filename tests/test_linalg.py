@@ -6,7 +6,7 @@ import pytest
 
 from willmore.catalog import builtin
 from willmore.exactnum import QuadExt, parse_scalar
-from willmore.linalg import DimensionError, Matrix, UniPoly, components
+from willmore.linalg import DimensionError, Matrix, UniPoly, components, integer_rows
 
 S = parse_scalar
 
@@ -166,6 +166,24 @@ class TestSymmetry:
     def test_diagonal_is_symmetric(self):
         assert Matrix.diagonal([S("sqrt3"), S("-1/2"), S("0")]).is_symmetric()
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_entry_by_entry_rule(self, seed):
+        # mirrored entries are equal values held by distinct objects, such as
+        # QuadExt(1) and 2/2; some seeds plant an asymmetric entry
+        rng = random.Random(seed)
+        n = rng.randint(1, 5)
+        rows = [[QuadExt(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rng.choice([QuadExt(1), S("-1/2"), S("sqrt3"), QuadExt(0)])
+                rows[j][i] = S("2/2") if rows[i][j] == 1 else rows[i][j] + QuadExt(0)
+        if n > 1 and seed % 2:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] = rows[i][j] + S(rng.choice(["1", "sqrt3"]))
+        m = Matrix(rows)
+        assert m.is_symmetric() == all(m[i, j] == m[j, i] for i in range(n) for j in range(n))
+        assert m.is_symmetric() == (n == 1 or not seed % 2)
+
 
 class TestUniPoly:
     def test_strips_trailing_zeros(self):
@@ -203,6 +221,20 @@ class CountingRow:
     def __iter__(self):
         self.passes += 1
         return iter(self.keys)
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize(
+        "matrices, expected",
+        [
+            ([], ((), 1)),
+            ([Matrix([[S("1/4"), S("0")], [S("0"), S("-1/6*sqrt3")]])], (((((0, 3, 0),), ((1, 0, -2),)),), 12)),
+            ([Matrix([[S("2/2")]]), Matrix([[S("1/3+1/2*sqrt3")]])], (((((0, 6, 0),),), (((0, 2, 3),),)), 6)),
+        ],
+        ids=["no-matrices", "lcm-of-4-and-6", "two-matrices"],
+    )
+    def test_rows_over_the_least_common_denominator(self, matrices, expected):
+        assert integer_rows(matrices) == expected
 
 
 def reference_components(rows):

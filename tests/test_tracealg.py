@@ -113,6 +113,18 @@ def blocks_and_goal(draw):
     return relations, goal
 
 
+def reference_block(goal, relations):
+    """The relations joined to the goal's words through shared words, in
+    their order: a fixed point of one scan after another."""
+    words, block = set(goal.terms), set()
+    while True:
+        joined = {k for k, relation in enumerate(relations) if k not in block and words & relation.terms.keys()}
+        if not joined:
+            return [relations[k] for k in sorted(block)]
+        block |= joined
+        words.update(*(relations[k].terms for k in joined))
+
+
 @st.composite
 def g4_goals(draw):
     """p in 1..8 and a goal over the words of g4 blocks of random letters and
@@ -458,29 +470,12 @@ class TestReduceGoal:
     @settings(max_examples=30, deadline=None)
     @given(blocks_and_goal())
     def test_block_reduction_equals_the_full_elimination(self, case):
+        # the fact behind every caller's cut: the goal's block alone gives
+        # the residual and the steps of all the relations
         relations, goal = case
         residual, steps = tracealg._normal_form(goal.terms, tracealg._echelon(relations))
-        assert reduce_goal_with_steps(goal, relations) == (TraceExpr._of(residual), tuple(steps))
-
-    def test_willmore_goal_eliminates_only_its_block(self, monkeypatch):
-        # At p=40 the goal Sum_b Tr(A_b^2 A_1) meets the cube, the
-        # trace-freeness and the 39 conjugation relations of index 1, not
-        # all 1,640 relations.
-        p = 40
-        relations = g4_relations(p)
-        goal = TraceExpr({(b, b, 1): 1 for b in range(1, p + 1)})
-        eliminated = []
-
-        def counting(rows):
-            rows = list(rows)
-            eliminated.append(len(rows))
-            return full_echelon(rows)
-
-        full_echelon = tracealg._echelon
-        monkeypatch.setattr(tracealg, "_echelon", counting)
-        residual, steps = reduce_goal_with_steps(goal, relations)
-        assert not residual and steps
-        assert eliminated == [p + 1]
+        block = reference_block(goal, relations)
+        assert reduce_goal_with_steps(goal, block) == (TraceExpr._of(residual), tuple(steps))
 
     def test_residual_independent_of_relation_order(self):
         rng = random.Random(7)
@@ -1023,3 +1018,49 @@ class TestLineCheck:
             tracealg.RulesFile(text)
         assert str(info.value) == parse_outcome(parse_identity_file, text)[0]
         assert str(info.value).startswith("line 2: ") and message in str(info.value)
+
+
+def shared_multiset_rules(k):
+    """`Tr(A1*A2*A3) = 0`, then k dense lines over the k words Tr(A1*A3*A2),
+    which shares that word's multiset but is another word, and
+    Tr(A4)..Tr(A(k+2)), with coefficients 1..99."""
+    words = ["Tr(A1*A3*A2)"] + [f"Tr(A{j})" for j in range(4, k + 3)]
+    lines = [" + ".join(f"{pow(i * k + j + 2, 5, 1009) % 99 + 1}*{word}" for j, word in enumerate(words)) for i in range(k)]
+    return "Tr(A1*A2*A3) = 0\n" + "".join(f"{line} = 0\n" for line in lines)
+
+
+# Words over 1..3 of which several share a multiset: (1, 2, 3) and (1, 3, 2),
+# (1, 1, 2, 2) and (1, 2, 1, 2), (1, 1, 2) alone; each written in any rotation.
+SHARED_MULTISET_WORDS = ((1, 2, 3), (1, 3, 2), (1, 1, 2, 2), (1, 2, 1, 2), (1, 1, 2), (1,), (2,), (3,))
+
+
+@st.composite
+def shared_multiset_files(draw):
+    """A rules file of lines over `SHARED_MULTISET_WORDS`, rotated, with words
+    on both sides, some repeated so that they cancel; and a goal over them."""
+    word = st.tuples(st.sampled_from(SHARED_MULTISET_WORDS), st.integers(0, 3)).map(
+        lambda t: t[0][t[1] % len(t[0]) :] + t[0][: t[1] % len(t[0])]
+    )
+    term = st.builds("{}*Tr({})".format, st.integers(1, 3), word.map(lambda w: "*".join(f"A{x}" for x in w)))
+    side = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+    lines = draw(st.lists(st.builds("{} = {}".format, side, side | st.just("0")), min_size=1, max_size=8))
+    goal = sum((TraceExpr.single(w, c) for w, c in draw(st.lists(st.tuples(word, COEFF), max_size=3))), TraceExpr())
+    return "\n".join(lines) + "\n", goal
+
+
+class TestRulesFileComponent:
+    """`RulesFile.component` hands the elimination exactly the goal's block."""
+
+    def test_a_shared_multiset_without_a_shared_word_is_cut(self):
+        # the k dense lines share the goal's multiset (1, 2, 3), and no word
+        text = shared_multiset_rules(20)
+        goal = parse_trace_expr("Tr(A1*A2*A3)")
+        assert tracealg.RulesFile(text).component(goal) == [goal]
+        assert len(parse_identity_file(text)) == 21
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(shared_multiset_files())
+    def test_component_is_the_goals_block_in_file_order(self, case):
+        text, goal = case
+        rules = tracealg.RulesFile(text)
+        assert rules.component(goal) == reference_block(goal, parse_identity_file(text))
