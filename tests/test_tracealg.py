@@ -1037,7 +1037,7 @@ SHARED_MULTISET_WORDS = ((1, 2, 3), (1, 3, 2), (1, 1, 2, 2), (1, 2, 1, 2), (1, 1
 @st.composite
 def shared_multiset_files(draw):
     """A rules file of lines over `SHARED_MULTISET_WORDS`, rotated, with words
-    on both sides, some repeated so that they cancel; and a goal over them."""
+    on both sides, which may cancel; and a goal over the same words."""
     word = st.tuples(st.sampled_from(SHARED_MULTISET_WORDS), st.integers(0, 3)).map(
         lambda t: t[0][t[1] % len(t[0]) :] + t[0][: t[1] % len(t[0])]
     )
