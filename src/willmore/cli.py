@@ -18,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .catalog import (
     BUILTIN_NAMES,
-    DatasetFormatError,
     ShapeOperatorSet,
     builtin,
     parse_dataset,
@@ -104,7 +103,7 @@ def load_dataset(name_or_path: str) -> ShapeOperatorSet:
         text = _read_text(path)
         try:
             return parse_dataset(text)
-        except (DatasetFormatError, ValueError) as exc:
+        except ValueError as exc:
             raise InputError(f"{name_or_path}: {exc}") from exc
     raise InputError(
         f"unknown dataset {name_or_path!r} (not a built-in name or an existing file); "

@@ -25,7 +25,6 @@ from typing import Iterable, Mapping
 
 from ._record import Record
 from .exactnum import _SPACE, ONE, QuadExt, ScalarParseError, accumulate, scan_scalar
-from .linalg import components
 
 Word = tuple[int, ...]
 
@@ -606,15 +605,14 @@ class RulesFile:
        in ASCII: a line it accepts cannot fail `_parse_rule`, and any other
        goes through it at once.  The lines are kept as one joined text;
        nothing is indexed.
-    2. `component` finds the lines joined to the goal through shared letter
-       multisets: relations that share a canonical word share its multiset,
-       so these lines hold the goal's block, and may hold more.  The lines
-       that name a letter are found when the search first needs that letter:
-       all letters of one breadth-first round by one regex search of the
-       joined text.  Past `_SEARCHED_ROUNDS` such rounds, one pass reads
-       every line not yet read, and later rounds, and goals, look up the
-       multisets read.
-    3. Only those lines are parsed, and cut to the goal's block.
+    2. `component` walks the goal's block word by word.  The lines that may
+       hold a word hold its letter multiset, so they name its letters; they
+       are found when the walk first needs a letter: all letters of one
+       breadth-first round by one regex search of the joined text.  Past
+       `_SEARCHED_ROUNDS` such rounds, one pass reads every line not yet
+       read, and later rounds, and goals, look up the multisets read.
+    3. A line found is parsed once, and kept.  It joins the block only if its
+       relation holds the word, so the walk is exact and nothing is cut.
 
     `above(p)` finds the lines that name a letter above p by one search of
     the joined text with a pattern built for p."""
@@ -642,8 +640,13 @@ class RulesFile:
         for k in self._rejected:
             self._read(k, (tuple(sorted(word)) for word in self.relations[k].terms))
 
-    def _parsed(self, ks: Iterable[int]) -> list[TraceExpr]:
-        return [self.relations[k] or _parse_rule(*self.lines[k]) for k in ks]
+    def _parsed(self, ks: list[int]) -> list[TraceExpr]:
+        """The lines' relations, each line parsed once and kept."""
+        relations = self.relations
+        for k in ks:
+            if relations[k] is None:
+                relations[k] = _parse_rule(*self.lines[k])
+        return [relations[k] for k in ks]
 
     def _read(self, k: int, keys: Iterable[Word]) -> None:
         self._multisets[k] = keys = list(dict.fromkeys(keys))
@@ -687,34 +690,31 @@ class RulesFile:
         relations' span is the direct sum of the blocks' spans, on disjoint
         words, so the goal reduces against its block as against the file.
 
-        The lines that hold it are found breadth-first over multisets, one
-        round at a time.  Every line that holds a multiset names each of its
-        letters, so walking one letter's lines finds them all; the letter
-        walked is the one the multiset holds fewest times.  The unwalked
-        letters of a round are walked together, each line is read and each
-        letter walked at most once, and the text is searched whole in at
-        most `_SEARCHED_ROUNDS` rounds; the next reads every line, and no
-        later round walks, so the search is linear in the size of the file.
-        Of the lines' relations one pass over their words keeps the block: a
-        line over Tr(A1*A3*A2) shares a multiset with Tr(A1*A2*A3), no word."""
-        frontier = list(dict.fromkeys(tuple(sorted(word)) for word in goal.terms))
+        One breadth-first walk over canonical words, from the goal's.  A
+        word's lines are those that hold its letter multiset; each names every
+        letter of it, so walking one letter's lines finds them all, and the
+        letter walked is the one the multiset holds fewest times.  A line
+        joins the block only if its relation holds the word, which another
+        word of the multiset (Tr(A1*A3*A2) beside Tr(A1*A2*A3)) or a word
+        that cancels on the line does not; the walk goes on from the
+        relation's words.  The unwalked letters of a round are walked
+        together, each line is parsed and each letter walked at most once,
+        and the text is searched whole in at most `_SEARCHED_ROUNDS` rounds
+        (the next reads every line), so the walk is linear in the file."""
+        frontier = list(goal.terms)
         seen = set(frontier)
         block: set[int] = set()
         while frontier:
             if self._rounds <= _SEARCHED_ROUNDS:  # past it every line is read
-                letters = {_rarest(key) for key in frontier} - self._walked
+                letters = {_rarest(tuple(sorted(word))) for word in frontier} - self._walked
                 if letters:
                     self._walk(letters)
             fresh = []
-            for key in frontier:
-                for k in self._holders.get(key, ()):
-                    if k not in block:
+            for word in frontier:
+                for k in self._holders.get(tuple(sorted(word)), ()):
+                    if k not in block and word in self._parsed([k])[0].terms:
                         block.add(k)
-                        for other in self._multisets[k]:
-                            if other not in seen:
-                                seen.add(other)
-                                fresh.append(other)
+                        fresh += (other for other in self.relations[k].terms if other not in seen)
+                        seen.update(self.relations[k].terms)
             frontier = fresh
-        relations = self._parsed(sorted(block))
-        kept = next(components([goal.terms, *(relation.terms for relation in relations)]))
-        return [relations[k - 1] for k in kept[1:]]
+        return self._parsed(sorted(block))

@@ -1020,13 +1020,24 @@ class TestLineCheck:
         assert str(info.value).startswith("line 2: ") and message in str(info.value)
 
 
-def shared_multiset_rules(k):
-    """`Tr(A1*A2*A3) = 0`, then k dense lines over the k words Tr(A1*A3*A2),
-    which shares that word's multiset but is another word, and
+def dense_rules(k, head, first):
+    """The line `head`, then k dense lines over the k words `first` and
     Tr(A4)..Tr(A(k+2)), with coefficients 1..99."""
-    words = ["Tr(A1*A3*A2)"] + [f"Tr(A{j})" for j in range(4, k + 3)]
+    words = [first] + [f"Tr(A{j})" for j in range(4, k + 3)]
     lines = [" + ".join(f"{pow(i * k + j + 2, 5, 1009) % 99 + 1}*{word}" for j, word in enumerate(words)) for i in range(k)]
-    return "Tr(A1*A2*A3) = 0\n" + "".join(f"{line} = 0\n" for line in lines)
+    return f"{head}\n" + "".join(f"{line} = 0\n" for line in lines)
+
+
+def shared_multiset_rules(k):
+    """`Tr(A1*A2*A3) = 0`, then k dense lines over Tr(A1*A3*A2), which shares
+    that word's multiset but is another word, and Tr(A4)..Tr(A(k+2))."""
+    return dense_rules(k, "Tr(A1*A2*A3) = 0", "Tr(A1*A3*A2)")
+
+
+def bridge_rules(k):
+    """`Tr(A1) + Tr(A2) = Tr(A2)`, whose word Tr(A2) cancels, then k dense
+    lines over Tr(A2) and Tr(A4)..Tr(A(k+2))."""
+    return dense_rules(k, "Tr(A1) + Tr(A2) = Tr(A2)", "Tr(A2)")
 
 
 # Words over 1..3 of which several share a multiset: (1, 2, 3) and (1, 3, 2),
@@ -1036,16 +1047,38 @@ SHARED_MULTISET_WORDS = ((1, 2, 3), (1, 3, 2), (1, 1, 2, 2), (1, 2, 1, 2), (1, 1
 
 @st.composite
 def shared_multiset_files(draw):
-    """A rules file of lines over `SHARED_MULTISET_WORDS`, rotated, with words
-    on both sides, which may cancel; and a goal over the same words."""
-    word = st.tuples(st.sampled_from(SHARED_MULTISET_WORDS), st.integers(0, 3)).map(
-        lambda t: t[0][t[1] % len(t[0]) :] + t[0][: t[1] % len(t[0])]
-    )
-    term = st.builds("{}*Tr({})".format, st.integers(1, 3), word.map(lambda w: "*".join(f"A{x}" for x in w)))
-    side = st.lists(term, min_size=1, max_size=3).map(" + ".join)
-    lines = draw(st.lists(st.builds("{} = {}".format, side, side | st.just("0")), min_size=1, max_size=8))
-    goal = sum((TraceExpr.single(w, c) for w, c in draw(st.lists(st.tuples(word, COEFF), max_size=3))), TraceExpr())
-    return "\n".join(lines) + "\n", goal
+    """A rules file and a goal over `SHARED_MULTISET_WORDS`, rotated.  Each
+    line is over letters 1..3 or, shifted, 4..6, with words on both sides,
+    which may cancel; the goal is over 1..3.  Planted among them are one to
+    three bridges `a*Tr(u) + b*Tr(w) = c*Tr(w')`, u over 1..3 and w' a
+    rotation of w over 4..6: mostly c = b, so w cancels and the line joins
+    u's block only."""
+
+    def rotated(word, turn):
+        return word[turn % len(word) :] + word[: turn % len(word)]
+
+    def words(shift):
+        return st.builds(rotated, st.sampled_from(SHARED_MULTISET_WORDS), st.integers(0, 3)).map(
+            lambda word: tuple(x + shift for x in word)
+        )
+
+    def tr(word):
+        return "Tr(" + "*".join(f"A{x}" for x in word) + ")"
+
+    def lines(shift):
+        term = st.builds("{}*{}".format, st.integers(1, 3), words(shift).map(tr))
+        side = st.lists(term, min_size=1, max_size=3).map(" + ".join)
+        return st.builds("{} = {}".format, side, side | st.just("0"))
+
+    @st.composite
+    def bridges(draw):
+        a, b, u, w = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(words(0)), draw(words(3))
+        c = draw(st.sampled_from((b, b, b, b + 1)))
+        return f"{a}*{tr(u)} + {b}*{tr(w)} = {c}*{tr(rotated(w, draw(st.integers(1, 3))))}"
+
+    planted = draw(st.lists(lines(0) | lines(3), min_size=1, max_size=8)) + draw(st.lists(bridges(), min_size=1, max_size=3))
+    goal = sum((TraceExpr.single(w, c) for w, c in draw(st.lists(st.tuples(words(0), COEFF), max_size=3))), TraceExpr())
+    return "\n".join(draw(st.permutations(planted))) + "\n", goal
 
 
 class TestRulesFileComponent:
@@ -1056,6 +1089,24 @@ class TestRulesFileComponent:
         text = shared_multiset_rules(20)
         goal = parse_trace_expr("Tr(A1*A2*A3)")
         assert tracealg.RulesFile(text).component(goal) == [goal]
+        assert len(parse_identity_file(text)) == 21
+
+    def test_a_word_that_cancels_on_its_line_joins_nothing(self):
+        text = "Tr(A1) + Tr(A2) = Tr(A2)\nTr(A3) + Tr(A2) = 0\n"
+        rules = tracealg.RulesFile(text)
+        assert rules.component(parse_trace_expr("Tr(A1)")) == [parse_trace_expr("Tr(A1)")]
+        assert rules.component(parse_trace_expr("Tr(A2)")) == [parse_trace_expr("Tr(A3) + Tr(A2)")]
+
+    def test_the_walk_parses_only_the_lines_of_the_block(self, monkeypatch):
+        # Tr(A2) cancels on line 1, so the k dense lines over it are not read
+        # into the goal's block, and not parsed
+        text = bridge_rules(20)
+        calls, parse_rule = [], tracealg._parse_rule
+        monkeypatch.setattr(tracealg, "_parse_rule", lambda number, line: calls.append(number) or parse_rule(number, line))
+        goal = parse_trace_expr("Tr(A1)")
+        assert tracealg.RulesFile(text).component(goal) == [goal]
+        monkeypatch.undo()
+        assert calls == [1]
         assert len(parse_identity_file(text)) == 21
 
     @settings(max_examples=200, deadline=None, derandomize=True)
