@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_right
-from collections import Counter
 from functools import cache
 from typing import Iterable, Mapping
 
@@ -45,8 +44,9 @@ class TraceParseError(ValueError):
 
 def canonicalize_cyclic(word: Iterable[int]) -> Word:
     """Lexicographically smallest rotation; the trace-invariant key of a word:
-    one- and three-letter words are checked and rotated inline, others of any
-    length go through `_least_rotation`.  Every letter must be a positive int."""
+    one- and three-letter words are checked and rotated inline, a long word
+    whose least letter fills one run takes its start (`_run_start`), others
+    go through `_least_rotation`.  Every letter must be a positive int."""
     word = tuple(word)
     # most traced words are this short: check the letters and compare the
     # rotations inline; a bad word falls through to the general check
@@ -60,10 +60,23 @@ def canonicalize_cyclic(word: Iterable[int]) -> Word:
     elif not word:
         raise ValueError("empty trace word")
     # the letters' types first, at C speed, so that min() compares ints only
-    if not all(map(isinstance, word, itertools.repeat(int))) or min(word) < 1:
+    if not all(map(isinstance, word, itertools.repeat(int))) or (least := min(word)) < 1:
         raise ValueError(f"operator indices must be positive integers: {word}")
-    start = _least_rotation(word)
+    start = _run_start(word, least) if len(word) >= 256 else _least_rotation(word)
     return word[start:] + word[:start]
+
+
+def _run_start(word: Word, least: int) -> int:
+    """Start of a long word's least rotation: that of the least letter's run
+    if it is the one run and does not wrap round the end (a power word
+    A_j*A_i^k), in O(1) Python steps; else the scan's."""
+    start = word.index(least)
+    end = start + word[start : start + 4].count(least)  # a short run's end
+    if end == start + 4:  # a longer run's, if it holds every such letter
+        end = start + word.count(least)
+    if word[start:end] == (least,) * (end - start) and least not in word[end:]:
+        return start
+    return _least_rotation(word)
 
 
 def _least_rotation(word: Word) -> int:
@@ -438,13 +451,13 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
 # the space after it.  So every match parses without error, and no word it
 # admits reaches MAX_WORD_LEN.  No group captures, and a lookahead skips the
 # coefficient of a term that starts with 'Tr': both keep the line check fast.
-# `_SCAN_WORD` reads the words of a line the line check accepts.
 _RATIONAL = r"[0-9]{1,20}(?:/[1-9][0-9]{0,19})?"
 _SQRT3 = rf"(?:{_RATIONAL}\*)?sqrt3"
 _SCALAR = rf"-?(?:{_RATIONAL}(?:[-+](?:{_RATIONAL}|{_SQRT3}))?|{_SQRT3}(?:[-+]{_RATIONAL})?)"
 _POWER = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]?)?"
 _TERM = rf"(?:(?=[-(0-9s])(?:{_SCALAR}|\({_SCALAR}\))\s*\*\s*)?Tr\({_POWER}(?:\*{_POWER}){{0,99}}\)\s*"
-_SCAN_WORD = re.compile(r"Tr\(([^)]*)\)")
+# A term of an accepted line: coefficient spelling through 'Tr(', word text, and the '+', '-' or '=' after it.
+_SCAN_TERM = re.compile(r"\s*([^T]*Tr\()([^)]*)\)\s*([-+=]?)")
 
 
 def _factors(word: str) -> list[int]:
@@ -459,6 +472,15 @@ def _factors(word: str) -> list[int]:
         else:
             letters.append(int(factor))
     return letters
+
+
+def _term(coefficients: dict[str, QuadExt], spelling: str, word: str) -> tuple[Word, QuadExt]:
+    """(canonical word, coefficient) of a term of `_TERM` from its coefficient's
+    spelling through 'Tr(' and its word's text; each spelling is scanned once."""
+    coeff = coefficients.get(spelling)
+    if coeff is None:
+        coeff = coefficients[spelling] = scan_scalar(spelling, 1 if spelling[0] == "(" else 0)[0]
+    return canonicalize_cyclic(_factors(word)), coeff
 
 
 def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
@@ -504,15 +526,13 @@ def parse_trace_expr(text: str) -> TraceExpr:
     included, is read by the stepwise reader (`_read_term`), which raises
     the message of the first failing token at its position.  Every term the
     pattern matches parses, to the term the stepwise reader gives, so the
-    result and every error are those of a token-by-token reading.  Each
-    spelling of a coefficient is scanned once per call, and the terms are
-    summed by `accumulate`, which drops those that cancel.
+    result and every error are those of a token-by-token reading.  The
+    terms are summed by `accumulate`, which drops those that cancel.
     """
     bad = _OUTSIDE.search(text)
     if bad is not None:
         raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
     fast = _compiled(_TERM).match
-    # each spelling of a coefficient, through its "Tr(", is scanned once per call
     coefficients = {"Tr(": ONE}
     terms = []
     negative = False
@@ -520,13 +540,9 @@ def parse_trace_expr(text: str) -> TraceExpr:
     while True:
         match = fast(text, pos)
         if match:
-            # the scalar scanner reads the coefficient, if there is one, and `_factors` the word
             start, pos = match.span()
             opened = text.index("Tr(", start, pos) + 3
-            coeff = coefficients.get(spelling := text[start:opened])
-            if coeff is None:
-                coeff = coefficients[spelling] = scan_scalar(text, start + 1 if text[start] == "(" else start)[0]
-            word = canonicalize_cyclic(_factors(text[opened : text.index(")", opened)]))
+            word, coeff = _term(coefficients, text[start:opened], text[opened : text.index(")", opened)])
         else:
             word, coeff, pos = _read_term(text, pos)
             pos = _SPACE.match(text, pos).end()
@@ -566,12 +582,6 @@ def parse_identity_file(text: str) -> list[TraceExpr]:
     return [_parse_rule(number, line) for number, line in _rule_lines(text)]
 
 
-def _letters(word: str) -> Word:
-    """The sorted letters of a word's text, `tuple(sorted(word))` of the word
-    it spells: the same for every rotation."""
-    return tuple(sorted(_factors(word)))
-
-
 def _above(p: int) -> str:
     """A pattern for the factor names A<i> with i > p, no leading zero."""
     digits = str(p)
@@ -582,13 +592,6 @@ def _above(p: int) -> str:
         if digit != "9"
     ]
     return f"A(?:{'|'.join(larger)})(?![0-9])"
-
-
-def _rarest(key: Word) -> int:
-    """The letter a multiset holds fewest times, the first such in its order
-    (for a g=4 word, its block letter)."""
-    counts = Counter(key)
-    return min(counts, key=counts.__getitem__)
 
 
 # Rounds of a reader's walks that each search the whole text; the next round
@@ -603,19 +606,13 @@ class RulesFile:
     1. Reading checks every line in file order against terms of `_TERM`
        joined by '+'/'-' on each side of one '=', or a lone 0 on the right,
        in ASCII: a line it accepts cannot fail `_parse_rule`, and any other
-       goes through it at once.  The lines are kept as one joined text;
-       nothing is indexed.
-    2. `component` walks the goal's block word by word.  The lines that may
-       hold a word hold its letter multiset, so they name its letters; they
-       are found when the walk first needs a letter: all letters of one
-       breadth-first round by one regex search of the joined text.  Past
-       `_SEARCHED_ROUNDS` such rounds, one pass reads every line not yet
-       read, and later rounds, and goals, look up the multisets read.
-    3. A line found is parsed once, and kept.  It joins the block only if its
-       relation holds the word, so the walk is exact and nothing is cut.
-
-    `above(p)` finds the lines that name a letter above p by one search of
-    the joined text with a pattern built for p."""
+       goes through it at once.
+    2. `component` walks the goal's block word by word.  A letter's lines
+       are found when the walk first needs it, by one regex search of the
+       joined text a round, and each is scanned once (`_scan`): its words
+       canonicalized, and the line indexed by them.
+    3. A line the walk looks up is built into its relation from its scan,
+       once; it joins the block only if the relation holds the word."""
 
     def __init__(self, text: str) -> None:
         self.lines = _rule_lines(text)
@@ -627,31 +624,40 @@ class RulesFile:
         texts = [line for _, line in self.lines]
         self._text = "\n".join(texts)
         self._starts = list(itertools.accumulate([len(line) + 1 for line in texts], initial=0))
-        # Filled as letters are walked: each line's multisets, read once, and
-        # for each multiset the lines read that hold it.  Once one letter of a
-        # multiset is walked, every line that holds it has been read.
-        self._multisets: list[list[Word] | None] = [None] * len(texts)
+        # filled as letters are walked: each line's terms, and each word's lines
+        self._terms: list[list[tuple[Word, QuadExt]] | None] = [None] * len(texts)
         self._holders: dict[Word, list[int]] = {}
+        self._coefficients = {"Tr(": ONE}
         self._walked: set[int] = set()
-        self._rounds = 0  # rounds walked; the one past _SEARCHED_ROUNDS reads every line
-        # The lines the scan rejected are parsed already: their multisets are
-        # read now, from their relations, so no search needs to find them.
+        self._rounds = 0  # rounds walked; the one past _SEARCHED_ROUNDS scans every line
         self._rejected = [k for k, relation in enumerate(self.relations) if relation is not None]
         for k in self._rejected:
-            self._read(k, (tuple(sorted(word)) for word in self.relations[k].terms))
+            self._terms[k] = []
+            for word in self.relations[k].terms:
+                self._holders.setdefault(word, []).append(k)
+
+    def _scan(self, k: int) -> None:
+        """Read line k's terms once, as (canonical word, coefficient) with the
+        right-hand side's negated, and index the line by their words."""
+        terms, rhs, negative = [], False, False
+        for spelling, text, after in _SCAN_TERM.findall(self.lines[k][1]):
+            word, coeff = _term(self._coefficients, spelling, text)
+            terms.append((word, (_MINUS_ONE if coeff is ONE else -coeff) if negative else coeff))
+            rhs = rhs or after == "="
+            negative = rhs != (after == "-")
+        self._terms[k] = terms
+        for word in dict.fromkeys(word for word, _ in terms):
+            self._holders.setdefault(word, []).append(k)
 
     def _parsed(self, ks: list[int]) -> list[TraceExpr]:
-        """The lines' relations, each line parsed once and kept."""
+        """The lines' relations, each built once, from the line's scan, and kept."""
         relations = self.relations
         for k in ks:
             if relations[k] is None:
-                relations[k] = _parse_rule(*self.lines[k])
+                if self._terms[k] is None:
+                    self._scan(k)
+                relations[k] = TraceExpr._of(accumulate({}, self._terms[k]))
         return [relations[k] for k in ks]
-
-    def _read(self, k: int, keys: Iterable[Word]) -> None:
-        self._multisets[k] = keys = list(dict.fromkeys(keys))
-        for key in keys:
-            self._holders.setdefault(key, []).append(k)
 
     def _search(self, pattern: str) -> list[int]:
         """The lines in which the pattern matches, ascending: one search of
@@ -661,19 +667,17 @@ class RulesFile:
         return [bisect_right(starts, match.start()) - 1 for match in matches]
 
     def _walk(self, letters: set[int]) -> None:
-        """Read the multisets of every line that names one of the letters, by
-        one search of the joined text; past `_SEARCHED_ROUNDS` rounds, read
-        those of every line not yet read instead."""
+        """Scan every line that names one of the letters, found by one search
+        of the joined text; past `_SEARCHED_ROUNDS` rounds, every line."""
         self._walked |= letters
         self._rounds += 1
         if self._rounds <= _SEARCHED_ROUNDS:
             lines = self._search(f"A(?:{'|'.join(map(str, letters))})(?![0-9])")
         else:
             lines = range(len(self.lines))
-        words = _SCAN_WORD.findall
         for k in lines:
-            if self._multisets[k] is None:
-                self._read(k, map(_letters, words(self.lines[k][1])))
+            if self._terms[k] is None:
+                self._scan(k)
 
     def above(self, p: int) -> list[TraceExpr]:
         """The relations of the lines that name a letter above p, in file
@@ -691,27 +695,23 @@ class RulesFile:
         words, so the goal reduces against its block as against the file.
 
         One breadth-first walk over canonical words, from the goal's.  A
-        word's lines are those that hold its letter multiset; each names every
-        letter of it, so walking one letter's lines finds them all, and the
-        letter walked is the one the multiset holds fewest times.  A line
-        joins the block only if its relation holds the word, which another
-        word of the multiset (Tr(A1*A3*A2) beside Tr(A1*A2*A3)) or a word
-        that cancels on the line does not; the walk goes on from the
-        relation's words.  The unwalked letters of a round are walked
-        together, each line is parsed and each letter walked at most once,
-        and the text is searched whole in at most `_SEARCHED_ROUNDS` rounds
-        (the next reads every line), so the walk is linear in the file."""
+        line that holds a word names its letters, so one letter's lines hold
+        them all: the odd one out of a three-letter word (a g=4 word's block
+        letter), else the first.  The walk goes on from the words of the
+        relations that hold the word, not where it cancels.  Each line is
+        scanned and built at most once and each letter walked once, in at
+        most `_SEARCHED_ROUNDS` searches of the text: linear in the file."""
         frontier = list(goal.terms)
         seen = set(frontier)
         block: set[int] = set()
         while frontier:
-            if self._rounds <= _SEARCHED_ROUNDS:  # past it every line is read
-                letters = {_rarest(tuple(sorted(word))) for word in frontier} - self._walked
-                if letters:
+            if self._rounds <= _SEARCHED_ROUNDS:  # past it every line is scanned
+                letters = {word[2] if len(word) == 3 and word[0] == word[1] else word[0] for word in frontier}
+                if letters := letters - self._walked:
                     self._walk(letters)
             fresh = []
             for word in frontier:
-                for k in self._holders.get(tuple(sorted(word)), ()):
+                for k in self._holders.get(word, ()):
                     if k not in block and word in self._parsed([k])[0].terms:
                         block.add(k)
                         fresh += (other for other in self.relations[k].terms if other not in seen)

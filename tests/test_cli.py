@@ -92,16 +92,30 @@ def mutated(draw, texts):
 
 @pytest.fixture
 def words_read(monkeypatch):
-    """The word texts whose letter multisets the rules reader computes."""
+    """The canonical words of the terms the rules reader scans, one a term."""
     words = []
 
-    def counting(word):
-        words.append(word)
-        return letters(word)
+    def counting(self, k):
+        scan(self, k)
+        words.extend(word for word, _ in self._terms[k])
 
-    letters = tracealg._letters
-    monkeypatch.setattr(tracealg, "_letters", counting)
+    scan = tracealg.RulesFile._scan
+    monkeypatch.setattr(tracealg.RulesFile, "_scan", counting)
     return words
+
+
+@pytest.fixture
+def readers(monkeypatch):
+    """The rules readers `cli` makes, to count the relations each builds."""
+    made = []
+
+    class Recording(tracealg.RulesFile):
+        def __init__(self, text):
+            super().__init__(text)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "RulesFile", Recording)
+    return made
 
 
 @pytest.fixture
@@ -122,7 +136,7 @@ def walks(monkeypatch):
 def passes(monkeypatch):
     """Each pass the rules reader makes over its whole text: a search's
     pattern, or "read" for the one pass that reads every line not yet read
-    (a walk that searches nothing, after which every line has been read)."""
+    (a walk that searches nothing, after which every line has been scanned)."""
     made = []
 
     def searching(self, pattern):
@@ -133,7 +147,7 @@ def passes(monkeypatch):
         before = len(made)
         walk(self, letters)
         if len(made) == before:
-            assert None not in self._multisets
+            assert None not in self._terms
             made.append("read")
 
     search, walk = tracealg.RulesFile._search, tracealg.RulesFile._walk
@@ -566,19 +580,12 @@ class TestTracecheck:
         [(" + ".join(f"Tr(A{b}^2*A7)" for b in range(1, 41)), 0, 41), ("Tr(A2*A1^3000)", 1, 0)],
         ids=["willmore", "power"],
     )
-    def test_rules_file_parses_only_the_goal_component(self, capsys, monkeypatch, tmp_path, goal, rc, parsed):
+    def test_rules_file_parses_only_the_goal_component(self, capsys, tmp_path, readers, goal, rc, parsed):
         rules = tmp_path / "g4.rules"
         rules.write_text(g4_rules_text(40), encoding="utf-8")
-        lines = []
-
-        def counting(number, line):
-            lines.append(number)
-            return parse_rule(number, line)
-
-        parse_rule = tracealg._parse_rule
-        monkeypatch.setattr(tracealg, "_parse_rule", counting)
         assert main(["tracecheck", "--rules", str(rules), "--goal", goal, "--indices", "40"]) == rc
-        assert len(lines) == parsed <= 41
+        [reader] = readers
+        assert sum(relation is not None for relation in reader.relations) == parsed <= 41
         assert "relations: 1640\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -596,7 +603,7 @@ class TestTracecheck:
 
     def test_rules_file_reads_each_line_once_on_a_chain(self, words_read, walks):
         # one component of 1,727 lines, each naming A1, A2 and A3: a search
-        # that walks a letter's lines once per multiset walks them 1,728 times
+        # that walks a letter's lines once per word walks them 1,728 times
         words = [f"Tr(A1^{a}*A2^{b}*A3^{c})" for a in range(1, 13) for b in range(1, 13) for c in range(1, 13)]
         rules = tracealg.RulesFile("".join(f"{u} = {v}\n" for u, v in zip(words, words[1:])))
         assert len(rules.component(tracealg.parse_trace_expr("Tr(A1*A2*A3)"))) == 1727
@@ -632,7 +639,7 @@ class TestTracecheck:
         goal = tracealg.parse_trace_expr("Tr(A1)")
         assert tracealg.RulesFile(text).component(goal) == WholeFile(text).component(goal)
         assert passes[2:] == ["read"]
-        assert sorted(words_read) == sorted(f"A{k + d}" for k in range(1, 5001) for d in (0, 1))
+        assert sorted(words_read) == sorted((k + d,) for k in range(1, 5001) for d in (0, 1))
 
         def best(read):
             return min(timeit.repeat(read, number=1, repeat=3))
@@ -1009,8 +1016,8 @@ class TestRulesReaderAgainstWholeFile:
     @pytest.mark.parametrize("goal", ["Tr(A1) - Tr(A100)", "Tr(A1) - Tr(A12)", "Tr(A10^3)"])
     def test_a_deep_component_across_a_digit_count(self, differential_rules, passes, p, goal):
         # a chain A1 - A2 - A10 - A11 - A100 beside lines that name A1, A10
-        # or A100 in other multisets: from Tr(A1) the third round reads
-        # every line, and the multisets read keep A1, A10, A100 and A110 apart
+        # or A100 in other words: from Tr(A1) the third round scans every
+        # line, and the words scanned keep A1, A10, A100 and A110 apart
         text = (
             "Tr(A1) = Tr(A2)\nTr(A110) = Tr(A101)\nTr(A2) = Tr(A10)\nTr(A12*A1^2) = 0\n"
             "Tr(A10) = Tr(A11)\nTr(A100*A10^2) = Tr(A12)\nTr(A11) = Tr(A100)\nTr(A100) = Tr(A1^3)\n"

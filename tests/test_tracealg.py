@@ -211,6 +211,36 @@ class TestCanonicalize:
         assert counted.reads <= 6 * len(word)
         assert word[start:] + word[:start] == min(word[k:] + word[:k] for k in range(len(word)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            # power words (j,) + (i,)*L in both letter orders, rotated
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3000), st.integers(0, 3000)).map(
+                lambda t: ((t[0],) + (t[1],) * t[2], t[3])
+            ),
+            # random runs of random letters, up to MAX_WORD_LEN letters
+            st.tuples(
+                st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3000)), min_size=1, max_size=8).map(
+                    lambda runs: tuple(itertools.chain.from_iterable((a,) * k for a, k in runs))[: tracealg.MAX_WORD_LEN]
+                ),
+                st.integers(0, tracealg.MAX_WORD_LEN),
+            ),
+            # one letter, and periodic words
+            st.tuples(
+                st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=4).map(tuple), st.integers(1, 500)).map(
+                    lambda t: t[0] * t[1]
+                ),
+                st.integers(0, 2000),
+            ),
+        )
+    )
+    def test_canonical_rotation_is_the_scans_rotation(self, case):
+        # the run shortcut against the two-pointer scan, on every rotation
+        word, turn = case
+        word = word[turn % len(word) :] + word[: turn % len(word)]
+        start = tracealg._least_rotation(word)
+        assert canonicalize_cyclic(word) == word[start:] + word[:start]
+
     @pytest.mark.parametrize(
         "word", [*((a,) for a in range(1, 5)), *itertools.product(range(1, 5), repeat=2), (7, 3)]
     )
@@ -904,7 +934,7 @@ def mostly(good, bad):
 
 
 INDEX = mostly(("1", "2", "7", "12", "999999999"), ("1000000000", "0", "01"))
-EXPONENT = mostly(("", "", "^2", "^3", "^99"), ("^100", "^0", "^02"))
+EXPONENT = mostly(("", "", "^2", "^3", "^99"), ("^100", "^0", "^02")) | st.integers(2, 99).map("^{}".format)
 NUMBER = mostly(("1", "2", "3", "0", "007", "9" * 20), ("1" + "0" * 20,))
 DENOMINATOR = mostly(("2", "3", "9" * 20), ("0", "07", "1" + "0" * 20))
 LONG_WORDS = (["A1^99"] * 100, ["A1^99"] * 101, ["A2"] * 101, ["A2", "A1^99"] * 50)
@@ -935,9 +965,11 @@ def term_texts(draw):
         factors = draw(st.lists(st.builds("A{}{}".format, INDEX, EXPONENT), min_size=1, max_size=3))
     inner = draw(st.sampled_from(("",) * 7 + (" ",)))
     trace = f"Tr({inner}{'*'.join(factors)}{inner})"
-    coefficient = draw(st.sampled_from(("none", "plain", "parenthesized")))
+    coefficient = draw(st.sampled_from(("none", "plain", "parenthesized", "negative")))
     if coefficient == "none":
         return trace
+    if coefficient == "negative":  # as in -1/2*Tr(A1), which may lead a side
+        return f"-{draw(NUMBER)}{draw(st.sampled_from(('', '/2', '/' + '9' * 20)))}*{trace}"
     scalar = draw(scalar_texts())
     if coefficient == "parenthesized":
         scalar = f"({scalar})"
@@ -950,7 +982,34 @@ def side_texts(draw):
     return first + "".join(draw(st.sampled_from((" + ", " - ", "+", "-", " -"))) + term for term in rest)
 
 
-RULE_LINES = st.builds("{}{}{}".format, side_texts(), st.sampled_from((" = ", "=")), side_texts() | st.just("0"))
+def spelled(word, powers):
+    """A word's text, each run of a letter as one power or letter by letter."""
+    runs = [(letter, len(list(run))) for letter, run in itertools.groupby(word)]
+    return "*".join(f"A{a}^{k}" if powers and k > 1 else "*".join([f"A{a}"] * k) for a, k in runs)
+
+
+@st.composite
+def rotated_lines(draw):
+    """A line whose terms spell rotations of one word, in powers or letter by
+    letter, with coefficients 1..3 on both sides: the same word read several
+    times, which cancels when the coefficients do."""
+    word = tuple(draw(st.lists(st.sampled_from((1, 2, 12)), min_size=1, max_size=5)))
+
+    def term():
+        turn = draw(st.integers(0, len(word) - 1))
+        coefficient = draw(st.sampled_from(("", "2*", "3 * ", "-1*")))
+        return f"{coefficient}Tr({spelled(word[turn:] + word[:turn], draw(st.booleans()))})"
+
+    def side():
+        return term() + "".join(draw(st.sampled_from((" + ", " - "))) + term() for _ in range(draw(st.integers(0, 2))))
+
+    return f"{side()} = {side()}"
+
+
+RULE_LINES = st.one_of(
+    st.builds("{}{}{}".format, side_texts(), st.sampled_from((" = ", "=")), side_texts() | st.just("0")),
+    rotated_lines(),
+)
 
 
 class TestLineCheck:
@@ -971,15 +1030,17 @@ class TestLineCheck:
             assert str(info.value) == outcome[0]
             return
         rules = tracealg.RulesFile(text)
-        for (number, line), relation, expected in zip(rules.lines, rules.relations, outcome):
+        for k, ((number, line), relation, expected) in enumerate(zip(rules.lines, rules.relations, outcome)):
             if relation is not None:
                 assert relation == expected
                 continue
             assert tracealg._parse_rule(number, line) == expected
-            # the reader finds every word of the line, and reads its multiset
-            words = tracealg._SCAN_WORD.findall(line)
-            assert len(words) == line.count("Tr")
-            assert {tuple(sorted(word)) for word in expected.terms} <= set(map(tracealg._letters, words))
+            # the reader's one scan reads every term of the line, indexes the
+            # line by each word left after cancellation, and builds the relation
+            rules._scan(k)
+            assert len(rules._terms[k]) == line.count("Tr")
+            assert all(k in rules._holders[word] for word in expected.terms)
+            assert rules._parsed([k]) == [expected]
 
     @pytest.mark.parametrize(
         "line, accepted",
@@ -1018,6 +1079,11 @@ class TestLineCheck:
             tracealg.RulesFile(text)
         assert str(info.value) == parse_outcome(parse_identity_file, text)[0]
         assert str(info.value).startswith("line 2: ") and message in str(info.value)
+
+
+def built(rules):
+    """The lines of a rules reader whose relations are built, ascending."""
+    return [k for k, relation in enumerate(rules.relations) if relation is not None]
 
 
 def dense_rules(k, head, first):
@@ -1085,10 +1151,13 @@ class TestRulesFileComponent:
     """`RulesFile.component` hands the elimination exactly the goal's block."""
 
     def test_a_shared_multiset_without_a_shared_word_is_cut(self):
-        # the k dense lines share the goal's multiset (1, 2, 3), and no word
+        # the k dense lines share the goal's multiset (1, 2, 3), and no word:
+        # they are scanned, since they name A1, and none is built
         text = shared_multiset_rules(20)
         goal = parse_trace_expr("Tr(A1*A2*A3)")
-        assert tracealg.RulesFile(text).component(goal) == [goal]
+        rules = tracealg.RulesFile(text)
+        assert rules.component(goal) == [goal]
+        assert built(rules) == [0]
         assert len(parse_identity_file(text)) == 21
 
     def test_a_word_that_cancels_on_its_line_joins_nothing(self):
@@ -1099,14 +1168,16 @@ class TestRulesFileComponent:
 
     def test_the_walk_parses_only_the_lines_of_the_block(self, monkeypatch):
         # Tr(A2) cancels on line 1, so the k dense lines over it are not read
-        # into the goal's block, and not parsed
+        # into the goal's block, and not built; line 1 is built from its scan
         text = bridge_rules(20)
         calls, parse_rule = [], tracealg._parse_rule
         monkeypatch.setattr(tracealg, "_parse_rule", lambda number, line: calls.append(number) or parse_rule(number, line))
         goal = parse_trace_expr("Tr(A1)")
-        assert tracealg.RulesFile(text).component(goal) == [goal]
+        rules = tracealg.RulesFile(text)
+        assert rules.component(goal) == [goal]
         monkeypatch.undo()
-        assert calls == [1]
+        assert calls == []
+        assert built(rules) == [0]
         assert len(parse_identity_file(text)) == 21
 
     @settings(max_examples=200, deadline=None, derandomize=True)
