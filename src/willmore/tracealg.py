@@ -44,9 +44,9 @@ class TraceParseError(ValueError):
 
 def canonicalize_cyclic(word: Iterable[int]) -> Word:
     """Lexicographically smallest rotation; the trace-invariant key of a word:
-    one- and three-letter words are checked and rotated inline, a long word
-    whose least letter fills one run takes its start (`_run_start`), others
-    go through `_least_rotation`.  Every letter must be a positive int."""
+    one- and three-letter words are checked and rotated inline, a word whose
+    least letter fills one run takes its start (`_run_start`), others go
+    through `_least_rotation`.  Every letter must be a positive int."""
     word = tuple(word)
     # most traced words are this short: check the letters and compare the
     # rotations inline; a bad word falls through to the general check
@@ -62,14 +62,14 @@ def canonicalize_cyclic(word: Iterable[int]) -> Word:
     # the letters' types first, at C speed, so that min() compares ints only
     if not all(map(isinstance, word, itertools.repeat(int))) or (least := min(word)) < 1:
         raise ValueError(f"operator indices must be positive integers: {word}")
-    start = _run_start(word, least) if len(word) >= 256 else _least_rotation(word)
+    start = _run_start(word, least)
     return word[start:] + word[:start]
 
 
 def _run_start(word: Word, least: int) -> int:
-    """Start of a long word's least rotation: that of the least letter's run
-    if it is the one run and does not wrap round the end (a power word
-    A_j*A_i^k), in O(1) Python steps; else the scan's."""
+    """Start of a word's least rotation: that of the least letter's run if it
+    is the one run and does not wrap round the end (a power word A_j*A_i^k),
+    in O(1) Python steps; else the scan's."""
     start = word.index(least)
     end = start + word[start : start + 4].count(least)  # a short run's end
     if end == start + 4:  # a longer run's, if it holds every such letter

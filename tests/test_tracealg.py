@@ -249,8 +249,9 @@ class TestCanonicalize:
         assert canonicalize_cyclic(word) == canonicalize_cyclic(list(word)) == expected
 
     def test_short_words_rotate_as_the_scan_does(self):
-        # words of three letters are rotated by tuple comparison, not by the scan
-        for size in (1, 2, 3):
+        # words of three letters are rotated by tuple comparison, longer ones
+        # by the run shortcut where it holds, not by the scan
+        for size in range(1, 7):
             for word in itertools.product(range(1, 5), repeat=size):
                 start = tracealg._least_rotation(word)
                 assert canonicalize_cyclic(word) == word[start:] + word[:start]
