@@ -67,6 +67,14 @@ class ShapeOperatorSet(Record):
             if not op.is_symmetric():
                 raise ValueError(f"operator {label} is not symmetric")
 
+    @classmethod
+    def _of(cls, name: str, n: int, p: int, operators: tuple[Matrix, ...], labels: tuple[str, ...]) -> ShapeOperatorSet:
+        """Trusted constructor: p symmetric n x n operators and p labels,
+        which `parse_dataset` has checked."""
+        data = object.__new__(cls)
+        data._set(name, n, p, operators, labels, None, None)
+        return data
+
     def _key(self) -> tuple:
         # the tags say where a dataset came from: a parsed built-in equals the built-in
         return self.name, self.n, self.p, self.operators, self.labels
@@ -225,4 +233,4 @@ def parse_dataset(text: str) -> ShapeOperatorSet:
     if not lines.done():
         number, line = lines.next("")
         raise DatasetFormatError(f"unexpected trailing content {line!r}", number)
-    return ShapeOperatorSet(name, n, p, tuple(operators), tuple(labels))
+    return ShapeOperatorSet._of(name, n, p, tuple(operators), tuple(labels))

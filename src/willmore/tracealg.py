@@ -42,11 +42,13 @@ class TraceParseError(ValueError):
         self.position = position
 
 
-def canonicalize_cyclic(word: Iterable[int]) -> Word:
+def canonicalize_cyclic(word: Iterable[int], *, least: int | None = None) -> Word:
     """Lexicographically smallest rotation; the trace-invariant key of a word:
     one- and three-letter words are checked and rotated inline, a word whose
     least letter fills one run takes its start (`_run_start`), others go
-    through `_least_rotation`.  Every letter must be a positive int."""
+    through `_least_rotation`.  Every letter must be a positive int; a reader
+    that built the word from letters it has checked passes the least one,
+    which skips the check of every letter."""
     word = tuple(word)
     # most traced words are this short: check the letters and compare the
     # rotations inline; a bad word falls through to the general check
@@ -60,7 +62,7 @@ def canonicalize_cyclic(word: Iterable[int]) -> Word:
     elif not word:
         raise ValueError("empty trace word")
     # the letters' types first, at C speed, so that min() compares ints only
-    if not all(map(isinstance, word, itertools.repeat(int))) or (least := min(word)) < 1:
+    if least is None and (not all(map(isinstance, word, itertools.repeat(int))) or (least := min(word)) < 1):
         raise ValueError(f"operator indices must be positive integers: {word}")
     start = _run_start(word, least)
     return word[start:] + word[:start]
@@ -112,14 +114,35 @@ def _order(word: Word) -> tuple[int, Word]:
 
 
 def _word_str(word: Word) -> str:
-    """A word's text, each run of a letter as one power: 'A2^2*A1' for (2, 2, 1)."""
-    parts, letter, k = [], word[0], 0
-    for x in (*word, 0):  # 0 is no letter: it ends the last run
-        if x != letter:
-            parts.append(f"A{letter}^{k}" if k > 1 else f"A{letter}")
-            letter, k = x, 0
-        k += 1
+    """A word's text, each run of a letter as one power: 'A2^2*A1' for (2, 2, 1).
+    A run is read letter by letter up to its fourth letter, the rest of a
+    longer one in slices (`_run_length`)."""
+    parts, i, n = [], 0, len(word)
+    while i < n:
+        letter, k = word[i], 1
+        while i + k < n and word[i + k] == letter:
+            k += 1
+            if k == 4:
+                k = _run_length(word, i)
+                break
+        parts.append(f"A{letter}^{k}" if k > 1 else f"A{letter}")
+        i += k
     return "*".join(parts)
+
+
+def _run_length(word: Word, i: int) -> int:
+    """Length of the run at word[i], known to hold 4 letters: the block after
+    the known run is compared with the run's start, doubling while it
+    matches, then halving back: O(log k) slice comparisons, O(k) letters in all."""
+    n, k = len(word), 4
+    while i + 2 * k <= n and word[i + k : i + 2 * k] == word[i : i + k]:
+        k *= 2
+    step = k  # the run is shorter than k + step
+    while step > 1:
+        step //= 2
+        if i + k + step <= n and word[i + k : i + k + step] == word[i : i + step]:
+            k += step
+    return k
 
 
 def _render(terms: Mapping[Word, QuadExt], words: Iterable[Word], parts: list[str]) -> str:
@@ -390,11 +413,11 @@ _FACTOR = re.compile(r"A(\d+)(?:\s*\^\s*(\d*))?")
 
 
 @cache
-def _compiled(pattern: str, flags: int = 0) -> re.Pattern:
+def _compiled(pattern: str) -> re.Pattern:
     """A pattern built from `_TERM`, compiled on first use rather than at
     import, which keeps its milliseconds out of `import willmore`, and kept
     whatever re's own cache drops."""
-    return re.compile(pattern, flags)
+    return re.compile(pattern)
 
 
 def _missing(expected: str, text: str, at: int) -> TraceParseError:
@@ -402,8 +425,9 @@ def _missing(expected: str, text: str, at: int) -> TraceParseError:
     return TraceParseError("unexpected end of expression" if at == len(text) else expected, at)
 
 
-def _read_word(text: str, pos: int) -> tuple[Word, int]:
-    """The word of a Tr( ) whose '(' ends before pos, and the end of its ')'.
+def _read_word(text: str, pos: int) -> tuple[Word, int, int]:
+    """The word of a Tr( ) whose '(' ends before pos, its least letter, and
+    the end of its ')'.
 
     Errors come in text order: those of the factors read, then the token at
     which the run of factors stops short of the ')'.
@@ -430,6 +454,7 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
                 raise TraceParseError("exponent must be positive", factor.start(2))
         if exponent > MAX_WORD_LEN - len(letters):
             raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", start)
+        least = min(least, index) if letters else index
         letters += [index] * exponent
     end = _SPACE.match(text, end).end()
     if run is None:  # no first factor
@@ -438,7 +463,7 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
         raise _missing("expected an operator like 'A1'", text, _SPACE.match(text, end + 1).end())
     if not text.startswith(")", end):
         raise TraceParseError("expected ')'", end)
-    return tuple(letters), end + 1
+    return tuple(letters), least, end + 1
 
 
 # A well-formed term in one spelling, that of the g=4 relations and of
@@ -451,11 +476,19 @@ def _read_word(text: str, pos: int) -> tuple[Word, int]:
 # the space after it.  So every match parses without error, and no word it
 # admits reaches MAX_WORD_LEN.  No group captures, and a lookahead skips the
 # coefficient of a term that starts with 'Tr': both keep the line check fast.
-_RATIONAL = r"[0-9]{1,20}(?:/[1-9][0-9]{0,19})?"
+# So do the possessive quantifiers, on every run that no backtracking could
+# make match: the coefficient's alternatives backtrack, since in
+# '(1-2/3*sqrt3)' the rational '2/3' must give way to '2/3*sqrt3'.
+_RATIONAL = r"[0-9]{1,20}+(?:/[1-9][0-9]{0,19}+)?"
 _SQRT3 = rf"(?:{_RATIONAL}\*)?sqrt3"
-_SCALAR = rf"-?(?:{_RATIONAL}(?:[-+](?:{_RATIONAL}|{_SQRT3}))?|{_SQRT3}(?:[-+]{_RATIONAL})?)"
-_POWER = r"A[1-9][0-9]{0,8}(?:\^[1-9][0-9]?)?"
-_TERM = rf"(?:(?=[-(0-9s])(?:{_SCALAR}|\({_SCALAR}\))\s*\*\s*)?Tr\({_POWER}(?:\*{_POWER}){{0,99}}\)\s*"
+_SCALAR = rf"-?+(?:{_RATIONAL}(?:[-+](?:{_RATIONAL}|{_SQRT3}))?|{_SQRT3}(?:[-+]{_RATIONAL})?)"
+_POWER = r"A[1-9][0-9]{0,8}+(?:\^[1-9][0-9]?+)?+"
+_TERM = rf"(?:(?=[-(0-9s])(?:{_SCALAR}|\({_SCALAR}\))\s*+\*\s*+)?Tr\({_POWER}(?:\*{_POWER}){{0,99}}+\)\s*+"
+# The rules reader's line check, over a run of lines joined by '\n': terms
+# joined by '+'/'-' on each side of one '=', or a lone 0 on the right.  Its
+# '[ \t]' is the '\s' of `_TERM` within a line, and does not cross its end.
+_SIDE = r"[ \t]*+{0}(?:[-+][ \t]*+{0})*+".format(_TERM.replace(r"\s", r"[ \t]"))
+_LINES = rf"(?:{_SIDE}=(?:[ \t]*+0[ \t]*+|{_SIDE})(?:\n|\Z))*+"
 # A term of an accepted line: coefficient spelling through 'Tr(', word text, and the '+', '-' or '=' after it.
 _SCAN_TERM = re.compile(r"\s*([^T]*Tr\()([^)]*)\)\s*([-+=]?)")
 
@@ -510,8 +543,8 @@ def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
             raise TraceParseError("expected 'Tr'", pos)
     if trace[1] is None:
         raise TraceParseError("expected '('", trace.end())
-    word, pos = _read_word(text, trace.end())
-    return canonicalize_cyclic(word), coeff, pos
+    word, least, pos = _read_word(text, trace.end())
+    return canonicalize_cyclic(word, least=least), coeff, pos
 
 
 def parse_trace_expr(text: str) -> TraceExpr:
@@ -603,10 +636,11 @@ _SEARCHED_ROUNDS = 2
 class RulesFile:
     """A rules file read goal-locally, in three steps.
 
-    1. Reading checks every line in file order against terms of `_TERM`
-       joined by '+'/'-' on each side of one '=', or a lone 0 on the right,
-       in ASCII: a line it accepts cannot fail `_parse_rule`, and any other
-       goes through it at once.
+    1. Reading checks the lines in file order against terms of `_TERM`
+       joined by '+'/'-' on each side of one '=', or a lone 0 on the right
+       (`_LINES`): one match of the joined text passes a whole run of lines
+       it accepts, which cannot fail `_parse_rule`; the line the run stops
+       at goes through it at once, and the next match starts after it.
     2. `component` walks the goal's block word by word.  A letter's lines
        are found when the walk first needs it, by one regex search of the
        joined text a round, and each is scanned once (`_scan`): its words
@@ -616,14 +650,17 @@ class RulesFile:
 
     def __init__(self, text: str) -> None:
         self.lines = _rule_lines(text)
-        side = rf"\s*{_TERM}(?:[-+]\s*{_TERM})*"
-        scan = _compiled(rf"{side}=(?:\s*0\s*|{side})", re.ASCII).fullmatch
-        self.relations: list[TraceExpr | None] = [
-            None if scan(line) else _parse_rule(number, line) for number, line in self.lines
-        ]
         texts = [line for _, line in self.lines]
-        self._text = "\n".join(texts)
-        self._starts = list(itertools.accumulate([len(line) + 1 for line in texts], initial=0))
+        self._text = text = "\n".join(texts)
+        self._starts = starts = list(itertools.accumulate([len(line) + 1 for line in texts], initial=0))
+        run = _compiled(_LINES).match
+        self.relations: list[TraceExpr | None] = [None] * len(texts)
+        pos = 0
+        # each match passes a run of accepted lines; the line it stops at is parsed
+        while (pos := run(text, pos).end()) < len(text):
+            k = bisect_right(starts, pos) - 1
+            self.relations[k] = _parse_rule(*self.lines[k])
+            pos = starts[k + 1]
         # filled as letters are walked: each line's terms, and each word's lines
         self._terms: list[list[tuple[Word, QuadExt]] | None] = [None] * len(texts)
         self._holders: dict[Word, list[int]] = {}

@@ -307,3 +307,14 @@ class TestParseOnce:
         entries = [entry for op in data.operators for row in op.rows for entry in row]
         assert len({id(entry) for entry in entries}) == len(set(tokens))
         assert serialize_dataset(data) == text
+
+    def test_each_operator_is_checked_for_symmetry_once(self, monkeypatch):
+        text = SUM20.read_text(encoding="utf-8")
+        calls, is_symmetric = [], Matrix.is_symmetric
+        monkeypatch.setattr(Matrix, "is_symmetric", lambda self: calls.append(self) or is_symmetric(self))
+        data = parse_dataset(text)
+        monkeypatch.undo()
+        assert [id(op) for op in calls] == [id(op) for op in data.operators]
+        # the parsed dataset equals one built, and checked, by the constructor
+        assert data == ShapeOperatorSet(data.name, data.n, data.p, data.operators, data.labels)
+        assert (data.g_tag, data.m_tag) == (None, None)

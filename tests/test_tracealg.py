@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import line_check_reference
 import trace_parser_reference
 from g4_rules import g4_relations_untraced
 from willmore import tracealg
@@ -295,6 +297,20 @@ class TestCanonicalize:
             canonicalize_cyclic(word)
         assert str(info.value) == f"operator indices must be positive integers: {word}"
 
+    @pytest.mark.parametrize(
+        "text", ["Tr(A21*A23^2088)", "Tr(A23^2088*A21)", "Tr(A5^200*A3*A7^150)", "Tr( A2 * A1^3 )", "Tr(A9^101*A9)"]
+    )
+    def test_a_word_read_step_by_step_hands_over_its_least_letter(self, monkeypatch, text):
+        # the stepwise reader checked every index, so the hooked name is
+        # called with the least letter and checks no letter again
+        calls, canonical = [], tracealg.canonicalize_cyclic
+        monkeypatch.setattr(tracealg, "canonicalize_cyclic", lambda word, **kw: calls.append((word, kw)) or canonical(word, **kw))
+        expr = parse_trace_expr(text)
+        monkeypatch.undo()
+        [(word, kw)] = calls
+        assert kw == {"least": min(word)}
+        assert list(expr.terms) == [canonicalize_cyclic(word)]
+
 
 class TestInstantiate:
     """g4_relations instantiates the identities over the letters 1..p."""
@@ -413,6 +429,13 @@ class TestWordText:
     def test_long_power_words(self):
         for word in [(2,) + (1,) * 3000, (1,) * 100, (1, 2) * 150, (5,) * 10_000]:
             assert tracealg._word_str(word) == groupby_word_str(word)
+
+    def test_every_run_length_at_the_start_middle_and_end(self):
+        # runs past the fourth letter are measured in slices: every length
+        # across the doublings, where a run ends the word and where it does not
+        for k in range(1, 70):
+            for word in [(3,) * k, (3,) * k + (1,), (1,) + (3,) * k, (1,) + (3,) * k + (1, 1), (3,) * k + (1,) + (3,) * k]:
+                assert tracealg._word_str(word) == groupby_word_str(word)
 
 
 # Coefficients that take the elimination's fast paths: a lead of 1 needs no
@@ -1012,6 +1035,76 @@ RULE_LINES = st.one_of(
     rotated_lines(),
 )
 
+# Lines that break a line check made possessive everywhere: a coefficient
+# whose rational must give way to a sqrt3 form, rationals at and past 20
+# digits, a right-hand side that starts with 0 and goes on, factor counts
+# about the bound of 100, and tabs between tokens.
+FACTORS = ["Tr(" + "*".join(["A1^99"] * k) + ")" for k in (99, 100, 101)]
+POSSESSIVE_TRAPS = [
+    "(1-2/3*sqrt3)*Tr(A1) = 0",
+    "Tr(A1) = (2/3+2/3*sqrt3)*Tr(A2) - (1-sqrt3)*Tr(A3)",
+    "2*sqrt3*Tr(A1) = Tr(A2)",
+    "-2/3*sqrt3*Tr(A1) + 2*sqrt3-1*Tr(A2) = 0",
+    "9" * 20 + "*Tr(A1) = " + "9" * 20 + "/" + "9" * 20 + "*Tr(A2)",
+    "9" * 21 + "*Tr(A1) = 0",
+    "(1/" + "9" * 21 + ")*Tr(A1) = 0",
+    "Tr(A1) = 0*Tr(A2)",
+    "Tr(A1) = 0 * Tr(A2) + Tr(A3)",
+    "Tr(A1) = 0 ",
+    "Tr(A1) = 00",
+    *(f"{word} = 0" for word in FACTORS),
+    f"Tr(A1) = {FACTORS[1]}",
+    f"Tr(A1) = {FACTORS[2]}",
+    "Tr(A1)\t=\t0",
+    "2\t*\tTr(A1)\t+\t(1/2+sqrt3)\t*Tr(A2) =\t Tr(A3)",
+    "Tr(A1) -\t2*Tr(A2)\t= 0\t",
+    "Tr(A1) =\t",
+]
+
+# Lines the check rejects that parse, and lines that fail to parse.
+REJECTED_LINES = ["Tr( A1 ) = 0", "- 2*Tr(A1) = 0", "Tr(A2*A1^100) = Tr(A1)", "(1/02)*Tr(A1) = 0", "Tr(A01) = Tr(A1)"]
+FAILING_LINES = ["Tr(A1 = 0", "(1/0)*Tr(A7*A8) = 0", "Tr(A1) = Tr(A2) = 0", "Tr(A1) = x"]
+
+
+def reader_outcome(reader, text):
+    """The lines and relations of `reader`'s reading of the text, or its error."""
+    try:
+        return tracealg._rule_lines(text), reader(text)
+    except TraceParseError as exc:
+        return str(exc)
+
+
+def one_pass_relations(text):
+    return tracealg.RulesFile(text).relations
+
+
+def rejected_but_parses(line):
+    if line_check_reference.accepts(line):
+        return False
+    try:
+        tracealg._parse_rule(1, line)
+    except TraceParseError:
+        return False
+    return True
+
+
+@st.composite
+def mixed_rules_files(draw):
+    """Rules files of runs of accepted lines and runs of rejected lines that
+    parse, now and then a line that fails, and comments and blank lines, so
+    that line numbers are not positions in the list."""
+    lines = {
+        "accepted": RULE_LINES.filter(line_check_reference.accepts),
+        "rejected": st.sampled_from(REJECTED_LINES) | RULE_LINES.filter(rejected_but_parses),
+        "other": st.sampled_from(("", "# a comment", "  ", "Tr(A1) = 0  # a trailing comment")),
+    }
+    runs = []
+    for kind in draw(st.lists(st.sampled_from(("accepted", "accepted", "rejected", "rejected", "other")), min_size=1, max_size=5)):
+        runs.append(draw(st.lists(lines[kind], min_size=1, max_size=3)))
+    if draw(st.sampled_from((False, False, False, True))):  # a line that fails, anywhere
+        runs.insert(draw(st.integers(0, len(runs))), [draw(st.sampled_from(FAILING_LINES))])
+    return "\n".join(itertools.chain.from_iterable(runs)) + draw(st.sampled_from(("", "\n")))
+
 
 class TestLineCheck:
     """The rules reader's line check, terms of `_TERM` on each side of one
@@ -1068,6 +1161,34 @@ class TestLineCheck:
         rules = tracealg.RulesFile(line)
         assert (rules.relations[0] is None) == accepted
         assert rules._parsed([0]) == parse_identity_file(line)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(RULE_LINES | RULE_LINES.map(lambda line: line.replace(" ", "\t")))
+    def test_accepts_the_lines_the_per_line_check_accepts(self, line):
+        accepted = re.compile(tracealg._LINES).match(line).end() == len(line)
+        assert accepted == line_check_reference.accepts(line)
+
+    @pytest.mark.parametrize("line", POSSESSIVE_TRAPS)
+    def test_a_possessive_trap_is_checked_as_the_per_line_check_checks_it(self, line):
+        accepted = re.compile(tracealg._LINES).match(line).end() == len(line)
+        assert accepted == line_check_reference.accepts(line)
+        assert reader_outcome(one_pass_relations, line) == reader_outcome(line_check_reference.relations, line)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(mixed_rules_files())
+    @example("Tr( A1 ) = 0\nTr(A1) = 0\nTr(A2) = Tr(A1)")
+    @example("Tr(A1) = 0\nTr( A1 ) = 0\nTr(A2) = Tr(A1)")
+    @example("Tr(A1) = 0\nTr(A2) = Tr(A1)\nTr( A1 ) = 0")
+    @example("Tr(A1) = 0\n- 2*Tr(A1) = 0\nTr( A2 ) = 0\n(1/02)*Tr(A1) = 0\nTr(A2) = 0\n")
+    @example("Tr( A1 ) = 0\n\n- 2*Tr(A1) = 0\n# comment\nTr(A2*A1^100) = 0")
+    @example("Tr(A1) = 0")
+    @example("Tr( A1 ) = 0")
+    @example("Tr(A1 = 0")
+    @example("Tr(A1) = 0\nTr( A1 ) = 0\nTr(A1 = 0\n(1/0)*Tr(A1) = 0")
+    @example("")
+    @example("# only a comment\n\n")
+    def test_relations_and_errors_equal_the_per_line_readers(self, text):
+        assert reader_outcome(one_pass_relations, text) == reader_outcome(line_check_reference.relations, text)
 
     @pytest.mark.parametrize(
         "line, message",
