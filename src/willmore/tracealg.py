@@ -474,16 +474,17 @@ def _read_word(text: str, pos: int) -> tuple[Word, int, int]:
 # sqrt3), then '*'; then Tr(word) with no space inside the parentheses, no
 # A0 or ^0, an index below 10^9 and at most 100 factors below ^100; then
 # the space after it.  So every match parses without error, and no word it
-# admits reaches MAX_WORD_LEN.  No group captures, and a lookahead skips the
-# coefficient of a term that starts with 'Tr': both keep the line check fast.
-# So do the possessive quantifiers, on every run that no backtracking could
-# make match: the coefficient's alternatives backtrack, since in
-# '(1-2/3*sqrt3)' the rational '2/3' must give way to '2/3*sqrt3'.
+# admits reaches MAX_WORD_LEN.  No group captures, and a term that starts
+# with 'Tr(' takes the first alternative, before any coefficient is tried:
+# both keep the line check fast.  So do the possessive quantifiers, on every
+# run that no backtracking could make match; the coefficient's alternatives
+# backtrack, since in '(1-2/3*sqrt3)' the rational '2/3' must give way to
+# '2/3*sqrt3'.
 _RATIONAL = r"[0-9]{1,20}+(?:/[1-9][0-9]{0,19}+)?"
 _SQRT3 = rf"(?:{_RATIONAL}\*)?sqrt3"
 _SCALAR = rf"-?+(?:{_RATIONAL}(?:[-+](?:{_RATIONAL}|{_SQRT3}))?|{_SQRT3}(?:[-+]{_RATIONAL})?)"
 _POWER = r"A[1-9][0-9]{0,8}+(?:\^[1-9][0-9]?+)?+"
-_TERM = rf"(?:(?=[-(0-9s])(?:{_SCALAR}|\({_SCALAR}\))\s*+\*\s*+)?Tr\({_POWER}(?:\*{_POWER}){{0,99}}+\)\s*+"
+_TERM = rf"(?:Tr\(|(?:{_SCALAR}|\({_SCALAR}\))\s*+\*\s*+Tr\(){_POWER}(?:\*{_POWER}){{0,99}}+\)\s*+"
 # The rules reader's line check, over a run of lines joined by '\n': terms
 # joined by '+'/'-' on each side of one '=', or a lone 0 on the right.  Its
 # '[ \t]' is the '\s' of `_TERM` within a line, and does not cross its end.
@@ -592,7 +593,7 @@ def parse_trace_expr(text: str) -> TraceExpr:
 
 def _rule_lines(text: str) -> list[tuple[int, str]]:
     """(number, text) of each relation line: '#' comments cut, blank lines dropped."""
-    return [(number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.split("#", 1)[0].strip())]
+    return [(number, line) for number, raw in enumerate(text.splitlines(), 1) if (line := raw.partition("#")[0].strip())]
 
 
 def _parse_rule(number: int, line: str) -> TraceExpr:
