@@ -652,13 +652,13 @@ class RulesFile:
     def __init__(self, text: str) -> None:
         self.lines = _rule_lines(text)
         texts = [line for _, line in self.lines]
-        self._text = text = "\n".join(texts)
+        self._text = joined = "\n".join(texts)
         self._starts = starts = list(itertools.accumulate([len(line) + 1 for line in texts], initial=0))
         run = _compiled(_LINES).match
         self.relations: list[TraceExpr | None] = [None] * len(texts)
         pos = 0
         # each match passes a run of accepted lines; the line it stops at is parsed
-        while (pos := run(text, pos).end()) < len(text):
+        while (pos := run(joined, pos).end()) < len(joined):
             k = bisect_right(starts, pos) - 1
             self.relations[k] = _parse_rule(*self.lines[k])
             pos = starts[k + 1]

@@ -1040,26 +1040,26 @@ RULE_LINES = st.one_of(
 # digits, a right-hand side that starts with 0 and goes on, factor counts
 # about the bound of 100, and tabs between tokens.
 FACTORS = ["Tr(" + "*".join(["A1^99"] * k) + ")" for k in (99, 100, 101)]
-POSSESSIVE_TRAPS = [
-    "(1-2/3*sqrt3)*Tr(A1) = 0",
-    "Tr(A1) = (2/3+2/3*sqrt3)*Tr(A2) - (1-sqrt3)*Tr(A3)",
-    "2*sqrt3*Tr(A1) = Tr(A2)",
-    "-2/3*sqrt3*Tr(A1) + 2*sqrt3-1*Tr(A2) = 0",
-    "9" * 20 + "*Tr(A1) = " + "9" * 20 + "/" + "9" * 20 + "*Tr(A2)",
-    "9" * 21 + "*Tr(A1) = 0",
-    "(1/" + "9" * 21 + ")*Tr(A1) = 0",
-    "Tr(A1) = 0*Tr(A2)",
-    "Tr(A1) = 0 * Tr(A2) + Tr(A3)",
-    "Tr(A1) = 0 ",
-    "Tr(A1) = 00",
-    *(f"{word} = 0" for word in FACTORS),
-    f"Tr(A1) = {FACTORS[1]}",
-    f"Tr(A1) = {FACTORS[2]}",
-    "Tr(A1)\t=\t0",
-    "2\t*\tTr(A1)\t+\t(1/2+sqrt3)\t*Tr(A2) =\t Tr(A3)",
-    "Tr(A1) -\t2*Tr(A2)\t= 0\t",
-    "Tr(A1) =\t",
-]
+POSSESSIVE_TRAPS = {
+    "sqrt3-after-rational": "(1-2/3*sqrt3)*Tr(A1) = 0",
+    "sqrt3-forms-on-the-right": "Tr(A1) = (2/3+2/3*sqrt3)*Tr(A2) - (1-sqrt3)*Tr(A3)",
+    "rational-times-sqrt3": "2*sqrt3*Tr(A1) = Tr(A2)",
+    "signed-sqrt3-forms": "-2/3*sqrt3*Tr(A1) + 2*sqrt3-1*Tr(A2) = 0",
+    "20-digits": "9" * 20 + "*Tr(A1) = " + "9" * 20 + "/" + "9" * 20 + "*Tr(A2)",
+    "21-digits": "9" * 21 + "*Tr(A1) = 0",
+    "21-digit-denominator": "(1/" + "9" * 21 + ")*Tr(A1) = 0",
+    "rhs-0-times": "Tr(A1) = 0*Tr(A2)",
+    "rhs-0-times-spaced": "Tr(A1) = 0 * Tr(A2) + Tr(A3)",
+    "rhs-0-space": "Tr(A1) = 0 ",
+    "rhs-00": "Tr(A1) = 00",
+    **{f"{k}-factors": f"{word} = 0" for k, word in zip((99, 100, 101), FACTORS)},
+    "rhs-100-factors": f"Tr(A1) = {FACTORS[1]}",
+    "rhs-101-factors": f"Tr(A1) = {FACTORS[2]}",
+    "tabs": "Tr(A1)\t=\t0",
+    "tabs-around-coefficients": "2\t*\tTr(A1)\t+\t(1/2+sqrt3)\t*Tr(A2) =\t Tr(A3)",
+    "tab-at-the-end": "Tr(A1) -\t2*Tr(A2)\t= 0\t",
+    "tab-and-no-rhs": "Tr(A1) =\t",
+}
 
 # Lines the check rejects that parse, and lines that fail to parse.
 REJECTED_LINES = ["Tr( A1 ) = 0", "- 2*Tr(A1) = 0", "Tr(A2*A1^100) = Tr(A1)", "(1/02)*Tr(A1) = 0", "Tr(A01) = Tr(A1)"]
@@ -1168,7 +1168,7 @@ class TestLineCheck:
         accepted = re.compile(tracealg._LINES).match(line).end() == len(line)
         assert accepted == line_check_reference.accepts(line)
 
-    @pytest.mark.parametrize("line", POSSESSIVE_TRAPS)
+    @pytest.mark.parametrize("line", POSSESSIVE_TRAPS.values(), ids=POSSESSIVE_TRAPS.keys())
     def test_a_possessive_trap_is_checked_as_the_per_line_check_checks_it(self, line):
         accepted = re.compile(tracealg._LINES).match(line).end() == len(line)
         assert accepted == line_check_reference.accepts(line)
