@@ -119,14 +119,18 @@ def _word_str(word: Word) -> str:
     longer one in slices (`_run_length`)."""
     parts, i, n = [], 0, len(word)
     while i < n:
-        letter, k = word[i], 1
-        while i + k < n and word[i + k] == letter:
-            k += 1
-            if k == 4:
-                k = _run_length(word, i)
-                break
-        parts.append(f"A{letter}^{k}" if k > 1 else f"A{letter}")
-        i += k
+        letter, j = word[i], i + 1
+        if j < n and word[j] == letter:
+            j += 1
+            while j < n and word[j] == letter:
+                j += 1
+                if j - i == 4:
+                    j = i + _run_length(word, i)
+                    break
+            parts.append(f"A{letter}^{j - i}")
+        else:  # a letter alone, as most are
+            parts.append(f"A{letter}")
+        i = j
     return "*".join(parts)
 
 
