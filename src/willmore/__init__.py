@@ -1,6 +1,8 @@
 """Exact certification of minimality, Willmore, Einstein and spectral
 properties of submanifold points given by their shape operators."""
 
+import importlib
+
 __version__ = "0.1.0"
 
 from .catalog import (
@@ -24,9 +26,8 @@ from .curvature import (
     square_norm,
     willmore_check,
 )
-from .exactnum import QuadExt, Rational, ScalarParseError, format_scalar, parse_scalar
+from .exactnum import QuadExt, ScalarParseError, format_scalar, parse_scalar
 from .linalg import DimensionError, Matrix, UniPoly
-from .polyring import MultiPoly, eval_float, reduce_mod_sphere
 from .sweep import SweepVerdict, numeric_sweep, symbolic_sweep
 from .tracealg import (
     ProofReport,
@@ -83,3 +84,21 @@ __all__ = [
     "verify_g4",
     "willmore_check",
 ]
+
+# Names whose modules no command needs, each imported on first access:
+# `polyring` serves a FAIL's witness and the tests, and `Rational` is
+# fractions.Fraction, which no command reads.
+_LAZY = {"MultiPoly": "polyring", "eval_float": "polyring", "reduce_mod_sphere": "polyring", "Rational": "exactnum"}
+
+
+def __getattr__(name: str):
+    if name == "polyring":
+        return importlib.import_module(".polyring", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY, "polyring"})

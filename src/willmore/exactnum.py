@@ -15,10 +15,19 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
-from typing import Hashable, Iterable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
-Rational = Fraction
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+
+def __getattr__(name: str):
+    # Rational is fractions.Fraction, imported on first use: no command reads it
+    if name == "Rational":
+        from fractions import Fraction
+
+        return Fraction
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ScalarParseError(ValueError):
@@ -45,6 +54,8 @@ class QuadExt:
         if type(a) is int and type(b) is int:  # not bool: x would keep True
             q = _reduced(a, b, 1)
         else:
+            from fractions import Fraction
+
             a = Fraction(a)
             b = Fraction(b)
             q = self._make(a.numerator * b.denominator, b.numerator * a.denominator, a.denominator * b.denominator)
@@ -63,16 +74,22 @@ class QuadExt:
             return value
         if isinstance(value, int):
             return _reduced(value, 0, 1)
-        if isinstance(value, Fraction):
+        # no Fraction exists before its module is imported
+        fractions = sys.modules.get("fractions")
+        if fractions is not None and isinstance(value, fractions.Fraction):
             return _reduced(value.numerator, 0, value.denominator)
         return None
 
     @property
     def a(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.x, self.d)
 
     @property
     def b(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.y, self.d)
 
     def __repr__(self) -> str:
@@ -91,6 +108,8 @@ class QuadExt:
     def __hash__(self) -> int:
         # a rational value hashes like the int or Fraction it equals
         if not self.y:
+            from fractions import Fraction
+
             return hash(Fraction(self.x, self.d))
         return hash((self.x, self.y, self.d))
 

@@ -5,19 +5,16 @@ reduction modulo the single relation polynomial r = t1^2 + ... + tp^2 - 1
 (lex order, t1 highest, leading monomial t1^2).  A polynomial is constant on
 the unit sphere exactly when its remainder is a constant: the complex quadric
 cut out by r is irreducible and the real sphere is Zariski-dense in it, so no
-nonconstant remainder can vanish on every unit normal.  The remainder both
-decides constancy and, when it is not constant, is the witness.  Floating
-evaluation takes the terms with every coefficient converted to float once
-(`float_terms`) and adds them up at many points at once (`eval_terms`), in
-loops, with no recursion; the caller holds the points' power columns, so
-that several polynomials at the same points share them.  `MultiPoly.__mul__`
-is the reference for the packed product of the sweep's blocks.
+nonconstant remainder can vanish on every unit normal.  The sweeps decide on
+their packed pairs and import this module only for a FAIL's witness, the
+remainder of the first varying coefficient; the tests hold the sweeps to
+it and to `MultiPoly.__mul__`, the reference for the packed product of the
+sweep's blocks.  `float_terms` and `eval_float` evaluate a polynomial in
+floats as the numeric sweep does (`sweep.eval_terms`).
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, mul
 from typing import Iterable, Mapping
 
 from .exactnum import QuadExt, ZERO, accumulate, format_sum
@@ -178,7 +175,9 @@ def reduce_mod_sphere(f: MultiPoly) -> MultiPoly:
 
 
 def eval_float(f: MultiPoly, point: Iterable[float]) -> float:
-    """Floating evaluation at one point, by `eval_terms`."""
+    """Floating evaluation at one point, by the numeric sweep's `eval_terms`."""
+    from .sweep import eval_terms
+
     point = tuple(point)
     if len(point) != f.nvars:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.nvars}")
@@ -186,29 +185,10 @@ def eval_float(f: MultiPoly, point: Iterable[float]) -> float:
 
 
 def float_terms(f: MultiPoly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
-    """The terms of f for `eval_terms`, exponent vectors descending: each
+    """The terms of f for `sweep.eval_terms`, exponent vectors descending: each
     coefficient converted to float once, with the (variable, exponent) pairs
     of its nonzero exponents."""
     return [
         (coeff.to_float(), tuple((d, e) for d, e in enumerate(exps) if e))
         for exps, coeff in sorted(f.terms.items(), reverse=True)
     ]
-
-
-def eval_terms(terms, powers, size: int) -> list[float]:
-    """`float_terms` at `size` points at once: each term is its coefficient
-    times its power columns, one map chain over the points, and the terms are
-    added in their order.  powers[d] = [None, x_d, x_d^2, ...] holds the power
-    columns of coordinate d at the points, x^e = x^(e-1) * x, and is extended in
-    place, in a loop, up to the powers the terms read: term lists evaluated at
-    the same points with the same `powers` build each column once."""
-    total = [0.0] * size
-    for coeff, factors in terms:
-        value = repeat(coeff, size)
-        for d, e in factors:
-            ladder = powers[d]
-            while len(ladder) <= e:
-                ladder.append(list(map(mul, ladder[-1], ladder[1])))
-            value = map(mul, value, ladder[e])
-        total = list(map(add, total, value))
-    return total

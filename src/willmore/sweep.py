@@ -14,23 +14,26 @@ The kernel gives each polynomial packed as the product (`_multiply`) takes
 it: each power of lambda as terms over one denominator, each monomial one
 int whose digits in base n + 1 are its exponents, since the coefficient of
 lambda^(n-k) has total degree k <= n.  `_pair_sum` multiplies such
-polynomials in t for the product and the Newton step, and `_poly` makes a
-UniPoly over MultiPoly of one.  `normal_shape_operator(data).char_poly()`
-is the reference.
+polynomials in t for the product and the Newton step.  Both sweeps work on
+these packed pairs; `_poly` makes a UniPoly over MultiPoly of one, for
+`normal_char_poly`, whose reference is `normal_shape_operator(data).char_poly()`.
 
-The symbolic sweep decides each coefficient by its remainder modulo the
-sphere relation (`polyring.reduce_mod_sphere`): it is constant on the unit
-sphere iff the remainder is a constant, and the first remainder that is not
-is the witness, as it stands.  Blocks that are all constant multiply to a
-constant; otherwise the verdict is taken on the product, never on a block:
-blocks that vary over the sphere can multiply to a constant polynomial (see
-`_block_char_poly`).  The symbolic verdict is authoritative; the numeric
-sweep is a seeded floating cross-check meant to catch implementation bugs,
-never to decide.  It converts each coefficient's terms to float once
-(`polyring.float_terms`), draws the samples CHUNK_POINTS at a time, builds
-each chunk's power columns once for every coefficient and adds up each
-coefficient's terms over the chunk at once (`polyring.eval_terms`), bit for
-bit as at each sample alone; a zero or constant coefficient is not evaluated.
+The symbolic sweep decides each coefficient on its packed pairs
+(`_constants`): the coefficient of lambda^(n-k) is homogeneous of degree k
+in t, so it is constant c on the unit sphere iff it is c |t|^k, that is
+zero for odd k and c (t1^2 + ... + tp^2)^(k/2) term by term for even k.
+The first that is not, reduced modulo the sphere relation
+(`polyring.reduce_mod_sphere`), is the witness: only a FAIL imports
+`polyring`.  Blocks that are all constant multiply to a constant; otherwise
+the verdict is taken on the product, never on a block: blocks that vary over
+the sphere can multiply to a constant polynomial (see `_block_char_poly`).
+The symbolic verdict is authoritative; the numeric sweep is a seeded
+floating cross-check meant to catch implementation bugs, never to decide.
+It converts each coefficient's packed terms to float once (`float_terms`),
+draws the samples CHUNK_POINTS at a time, builds each chunk's power columns
+once for every coefficient and adds up each coefficient's terms over the
+chunk at once (`eval_terms`), bit for bit as at each sample alone; a zero
+or constant coefficient is not evaluated.
 
 Four bounds refuse a sweep with SweepTooLarge, each before the work it
 counts: MAX_SWEEP_WORK the blocks' kernel, MAX_SWEEP_PAIRS each step of their
@@ -44,13 +47,15 @@ import math
 import random
 from itertools import combinations_with_replacement, compress, islice, product, repeat
 from operator import add, mul, or_, sub
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ._record import Record
 from .catalog import ShapeOperatorSet
-from .exactnum import ONE, QuadExt
+from .exactnum import ONE, ZERO, QuadExt
 from .linalg import Matrix, Row, UniPoly, components, lower_pair_products
-from .polyring import MultiPoly, eval_terms, float_terms, reduce_mod_sphere
+
+if TYPE_CHECKING:
+    from .polyring import MultiPoly
 
 # Bound on --samples x codim, the Gaussian deviates a numeric sweep draws,
 # one at a time, about 1 us each, and the coordinates a chunk of points holds:
@@ -100,7 +105,10 @@ class SweepVerdict(Record):
 
 
 def normal_shape_operator(data: ShapeOperatorSet) -> Matrix:
-    """The matrix A(t) = sum_a t_a A_a over MultiPoly in p variables."""
+    """The matrix A(t) = sum_a t_a A_a over MultiPoly in p variables, the
+    reference for `normal_char_poly`; no command runs it."""
+    from .polyring import MultiPoly
+
     p = data.p
     acc = data.operators[0].map(lambda c: MultiPoly.monomial(p, _unit(p, 0), c))
     for a in range(1, p):
@@ -127,7 +135,8 @@ def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
 
     SweepTooLarge before any block is run if the blocks, every copy counted,
     may take more than MAX_SWEEP_WORK, and before a step of their product
-    above MAX_SWEEP_PAIRS (`_multiply`).
+    above MAX_SWEEP_PAIRS (`_multiply`).  The sweeps take the packed product
+    itself; this is its reference form, which no command runs.
     """
     return _poly(_multiply(_distinct_blocks(data)), data.n + 1, data.p)
 
@@ -180,10 +189,16 @@ def _multiply(blocks: list[tuple[list, int]]) -> list:
 
 def _poly(coeffs: list, base: int, p: int) -> UniPoly:
     """The packed polynomial `coeffs` as a UniPoly over MultiPoly in p
+    variables, each coefficient by `_multi`."""
+    return UniPoly(_multi(terms, den, base, p) for terms, den in coeffs)
+
+
+def _multi(terms: list, den: int, base: int, p: int) -> MultiPoly:
+    """The packed coefficient `terms` over `den` as a MultiPoly in p
     variables, each term (x + y sqrt3) / den at the exponents of `_unpack`."""
-    return UniPoly(
-        MultiPoly._of(p, {_unpack(m, base, p): QuadExt._make(x, y, den) for m, x, y in terms}) for terms, den in coeffs
-    )
+    from .polyring import MultiPoly
+
+    return MultiPoly._of(p, {_unpack(m, base, p): QuadExt._make(x, y, den) for m, x, y in terms})
 
 
 def _convolve(a: list, b: list) -> list:
@@ -355,23 +370,59 @@ def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:
     base, p = data.n + 1, data.p
     blocks, factors = _distinct_blocks(data), []
     for poly, copies in blocks:
-        verdict = _decide(_poly(poly, base, p))
-        if not verdict.constant:
-            return verdict if len(blocks) == 1 and copies == 1 else _decide(_poly(_multiply(blocks), base, p))
-        factors += [verdict.char_poly] * copies
+        constants = _constants(poly, base, p)
+        if len(constants) < len(poly):
+            if len(blocks) > 1 or copies > 1:
+                poly = _multiply(blocks)
+                constants = _constants(poly, base, p)
+            return _verdict(poly, constants, base, p)
+        factors += [UniPoly(constants)] * copies
     return SweepVerdict(True, math.prod(factors, start=UniPoly([ONE])), None, None)
 
 
-def _decide(poly: UniPoly) -> SweepVerdict:
-    """The verdict on each coefficient's remainder modulo the sphere relation,
-    lowest lambda-power first: the first that is not a constant is the witness."""
+def _constants(coeffs: list, base: int, p: int) -> list[QuadExt]:
+    """The values on the unit sphere of the packed coefficients, lowest
+    lambda-power first, up to the first that is not constant there.
+
+    The coefficient f of lambda^(n-k) is homogeneous of degree k in t, so
+    f(t) = |t|^k f(t/|t|): f is constant c on the sphere iff f = c |t|^k.
+    For odd k that is a polynomial only if c = 0, and for even k it is
+    c (t1^2 + ... + tp^2)^(k/2), so f must equal it term by term, with c its
+    t1^k coefficient, at the packed monomial k.  The powers of the sum of
+    squares are built as far as a coefficient needs them."""
+    squares, sphere = [2 * base**a for a in range(p)], [{0: 1}]  # sphere[h] = (t1^2 + ... + tp^2)^h
     constants = []
-    for power, coeff in enumerate(poly.coeffs):
-        reduced = reduce_mod_sphere(coeff)
-        if not reduced.is_constant():
-            return SweepVerdict(False, None, reduced, power)
-        constants.append(reduced.constant_value())
-    return SweepVerdict(True, UniPoly(constants), None, None)
+    for power, (terms, den) in enumerate(coeffs):
+        h, odd = divmod(len(coeffs) - 1 - power, 2)
+        if terms:
+            table = {m: (x, y) for m, x, y in terms}
+            if odd or (lead := table.get(2 * h)) is None:
+                break
+            while len(sphere) <= h:
+                step = {}
+                for m, v in sphere[-1].items():
+                    for square in squares:
+                        step[m + square] = step.get(m + square, 0) + v
+                sphere.append(step)
+            x, y = lead
+            if len(table) != len(sphere[h]) or any(table.get(m) != (x * v, y * v) for m, v in sphere[h].items()):
+                break
+            constants.append(QuadExt._make(x, y, den))
+        else:
+            constants.append(ZERO)
+    return constants
+
+
+def _verdict(coeffs: list, constants: list[QuadExt], base: int, p: int) -> SweepVerdict:
+    """The verdict on the packed polynomial `coeffs` from its `_constants`: if
+    one is missing, the coefficient in its place reduced modulo the sphere
+    relation is the witness, the one job of `polyring` on a command's path."""
+    if len(constants) == len(coeffs):
+        return SweepVerdict(True, UniPoly(constants), None, None)
+    from .polyring import reduce_mod_sphere
+
+    power = len(constants)
+    return SweepVerdict(False, None, reduce_mod_sphere(_multi(*coeffs[power], base, p)), power)
 
 
 def unit_normal_samples(p: int, samples: int, seed: int) -> Iterator[tuple[float, ...]]:
@@ -432,12 +483,10 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
             f"--samples {samples} at codim {data.p} draws {samples * data.p} coordinates, "
             f"above the numeric sweep's bound of {MAX_SAMPLE_COORDINATES}"
         )
-    coeffs = normal_char_poly(data).coeffs
+    coeffs = _multiply(_distinct_blocks(data))
     e = _scale_exponent(data)
-    if e:
-        # char_poly(A / 2^e) has the coefficient of lambda^j divided by 2^(e(n-j))
-        coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
-    terms = [float_terms(c) for c in coeffs]
+    # char_poly(A / 2^e) has the coefficient of lambda^j divided by 2^(e(n-j))
+    terms = [float_terms(c, data.n + 1, data.p, e * (data.n - j)) for j, c in enumerate(coeffs)]
     count = sum(map(len, terms)) + len(terms)
     if samples * count > MAX_SAMPLE_TERMS:
         raise SweepTooLarge(
@@ -458,3 +507,39 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
                 return total
             deviation = max(deviation, max(drifts))
     return deviation
+
+
+def float_terms(
+    coeff: tuple[list, int], base: int, p: int, shift: int
+) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+    """The terms of the packed coefficient `coeff` divided by 2^shift for
+    `eval_terms`, exponent vectors descending: each coefficient made
+    canonical and converted to float once, with the (variable, exponent)
+    pairs of its nonzero exponents.  A canonical form is unique, so these
+    are the floats of `polyring.float_terms` on the coefficient's MultiPoly
+    divided by 2^shift, in its order."""
+    terms, den = coeff
+    den <<= shift
+    return [
+        (QuadExt._make(x, y, den).to_float(), tuple((d, e) for d, e in enumerate(exps) if e))
+        for exps, x, y in sorted(((_unpack(m, base, p), x, y) for m, x, y in terms), reverse=True)
+    ]
+
+
+def eval_terms(terms, powers, size: int) -> list[float]:
+    """`float_terms` at `size` points at once: each term is its coefficient
+    times its power columns, one map chain over the points, and the terms are
+    added in their order.  powers[d] = [None, x_d, x_d^2, ...] holds the power
+    columns of coordinate d at the points, x^e = x^(e-1) * x, and is extended in
+    place, in a loop, up to the powers the terms read: term lists evaluated at
+    the same points with the same `powers` build each column once."""
+    total = [0.0] * size
+    for coeff, factors in terms:
+        value = repeat(coeff, size)
+        for d, e in factors:
+            ladder = powers[d]
+            while len(ladder) <= e:
+                ladder.append(list(map(mul, ladder[-1], ladder[1])))
+            value = map(mul, value, ladder[e])
+        total = list(map(add, total, value))
+    return total

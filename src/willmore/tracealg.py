@@ -403,24 +403,22 @@ def verify_g4(p: int) -> ProofReport:
 
 # Characters that can start or continue a token; the first one outside them
 # is reported before any other error in the text.
-_OUTSIDE = re.compile(r"[^\s\dA-Za-z_()*/^+\-]")
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)",
-    re.DOTALL,
-)
+# The patterns of the trace grammar are texts, compiled by `_compiled`.
+_OUTSIDE = r"[^\s\dA-Za-z_()*/^+\-]"
+_TOKEN_RE = r"(?s)(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)"
 # 'Tr' as a whole name, then its '(' if there is one
-_TRACE = re.compile(r"Tr(?![A-Za-z0-9_])\s*(\()?\s*")
+_TRACE = r"Tr(?![A-Za-z0-9_])\s*(\()?\s*"
 # The longest run of factors A_i or A_i^k joined by '*'; _FACTOR reads them.
 # A '^' without digits ends a factor, so that it fails in its turn.
-_WORD = re.compile(r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*")
-_FACTOR = re.compile(r"A(\d+)(?:\s*\^\s*(\d*))?")
+_WORD = r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*"
+_FACTOR = r"A(\d+)(?:\s*\^\s*(\d*))?"
 
 
 @cache
 def _compiled(pattern: str) -> re.Pattern:
-    """A pattern built from `_TERM`, compiled on first use rather than at
-    import, which keeps its milliseconds out of `import willmore`, and kept
-    whatever re's own cache drops."""
+    """A pattern of this module, compiled on first use rather than at import,
+    which keeps its milliseconds out of `import willmore` (only `tracecheck`
+    reads them), and kept whatever re's own cache drops."""
     return re.compile(pattern)
 
 
@@ -436,10 +434,10 @@ def _read_word(text: str, pos: int) -> tuple[Word, int, int]:
     Errors come in text order: those of the factors read, then the token at
     which the run of factors stops short of the ')'.
     """
-    run = _WORD.match(text, pos)
+    run = _compiled(_WORD).match(text, pos)
     end = run.end() if run else pos
     letters: list[int] = []
-    for factor in _FACTOR.finditer(text, pos, end):
+    for factor in _compiled(_FACTOR).finditer(text, pos, end):
         start = factor.start()
         try:
             index = int(factor[1])
@@ -495,7 +493,7 @@ _TERM = rf"(?:Tr\(|(?:{_SCALAR}|\({_SCALAR}\))\s*+\*\s*+Tr\(){_POWER}(?:\*{_POWE
 _SIDE = r"[ \t]*+{0}(?:[-+][ \t]*+{0})*+".format(_TERM.replace(r"\s", r"[ \t]"))
 _LINES = rf"(?:{_SIDE}=(?:[ \t]*+0[ \t]*+|{_SIDE})(?:\n|\Z))*+"
 # A term of an accepted line: coefficient spelling through 'Tr(', word text, and the '+', '-' or '=' after it.
-_SCAN_TERM = re.compile(r"\s*([^T]*Tr\()([^)]*)\)\s*([-+=]?)")
+_SCAN_TERM = r"\s*([^T]*Tr\()([^)]*)\)\s*([-+=]?)"
 
 
 def _factors(word: str) -> list[int]:
@@ -525,7 +523,8 @@ def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
     """(canonical word, coefficient, end) of the term at text[pos], read step
     by step: each step of the grammar is a compiled pattern matched at the
     current position, and an error names the token found there."""
-    trace = _TRACE.match(text, pos)
+    read_trace = _compiled(_TRACE).match
+    trace = read_trace(text, pos)
     if trace is not None:
         coeff = ONE
     else:
@@ -543,7 +542,7 @@ def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
         if not text.startswith("*", pos):
             raise TraceParseError("expected '*'", pos)
         pos = _SPACE.match(text, pos + 1).end()
-        trace = _TRACE.match(text, pos)
+        trace = read_trace(text, pos)
         if trace is None:
             raise TraceParseError("expected 'Tr'", pos)
     if trace[1] is None:
@@ -567,7 +566,7 @@ def parse_trace_expr(text: str) -> TraceExpr:
     result and every error are those of a token-by-token reading.  The
     terms are summed by `accumulate`, which drops those that cancel.
     """
-    bad = _OUTSIDE.search(text)
+    bad = _compiled(_OUTSIDE).search(text)
     if bad is not None:
         raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
     fast = _compiled(_TERM).match
@@ -590,7 +589,7 @@ def parse_trace_expr(text: str) -> TraceExpr:
         if pos == len(text):
             return TraceExpr._of(accumulate({}, terms))
         if text[pos] not in "+-":
-            raise TraceParseError(f"unexpected token {_TOKEN_RE.match(text, pos).group()!r}", pos)
+            raise TraceParseError(f"unexpected token {_compiled(_TOKEN_RE).match(text, pos).group()!r}", pos)
         negative = text[pos] == "-"
         pos = _SPACE.match(text, pos + 1).end()
 
@@ -682,7 +681,7 @@ class RulesFile:
         """Read line k's terms once, as (canonical word, coefficient) with the
         right-hand side's negated, and index the line by their words."""
         terms, rhs, negative = [], False, False
-        for spelling, text, after in _SCAN_TERM.findall(self.lines[k][1]):
+        for spelling, text, after in _compiled(_SCAN_TERM).findall(self.lines[k][1]):
             word, coeff = _term(self._coefficients, spelling, text)
             terms.append((word, (_MINUS_ONE if coeff is ONE else -coeff) if negative else coeff))
             rhs = rhs or after == "="

@@ -14,8 +14,8 @@ def inject_one_nan(monkeypatch, point: tuple[float, ...], power: int) -> list[in
     tables, hits = [], []
     float_terms, evaluate = sweep.float_terms, sweep.eval_terms
 
-    def converted(coeff):
-        tables.append(float_terms(coeff))
+    def converted(*args):
+        tables.append(float_terms(*args))
         return tables[-1]
 
     def injected(terms, powers, size):

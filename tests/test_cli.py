@@ -361,7 +361,7 @@ class TestSweep:
         def undrawn(*args):
             raise AssertionError("sample points drawn past the bound")
 
-        monkeypatch.setattr(sweep, "normal_char_poly", undrawn)
+        monkeypatch.setattr(sweep, "_distinct_blocks", undrawn)
         monkeypatch.setattr(sweep, "unit_normal_samples", undrawn)
         samples = sweep.MAX_SAMPLE_COORDINATES // builtin("g6_m1_M1").p + excess
         assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", str(samples)]) == 2
@@ -436,7 +436,7 @@ class TestSweep:
         def refused(*args):
             raise AssertionError("the sweep ran above the bound on samples x codim")
 
-        monkeypatch.setattr(sweep, "normal_char_poly", refused)
+        monkeypatch.setattr(sweep, "_distinct_blocks", refused)
         monkeypatch.setattr(sweep, "unit_normal_samples", refused)
         codim, samples = 127, 8063
         assert codim * samples == sweep.MAX_SAMPLE_COORDINATES + 1

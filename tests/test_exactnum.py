@@ -1,3 +1,4 @@
+import fractions
 import math
 import operator
 import random
@@ -291,7 +292,8 @@ def test_a_foreign_operand_raises_type_error_and_compares_unequal(foreign):
 
 @pytest.fixture
 def fractions_made(monkeypatch):
-    """The arguments of every Fraction that exactnum constructs from here on."""
+    """The arguments of every Fraction that exactnum constructs from here on:
+    it imports fractions.Fraction where it makes one."""
     made = []
 
     class CountingFraction(Fraction):
@@ -299,7 +301,7 @@ def fractions_made(monkeypatch):
             made.append(args)
             return super().__new__(cls, *args, **kwargs)
 
-    monkeypatch.setattr(exactnum, "Fraction", CountingFraction)
+    monkeypatch.setattr(fractions, "Fraction", CountingFraction)
     return made
 
 

@@ -1,0 +1,84 @@
+"""What a cold process imports.  No passing command needs `polyring`, which
+serves a failing sweep's witness and the tests, nor `fractions` and
+`decimal`, which no command reads: `import willmore` and each command of the
+benchmark's workloads leave them unloaded, while every public name still
+resolves on first access.  Each case runs in a fresh interpreter that writes
+no bytecode, as a cold console-script process does."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import willmore
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(willmore.__file__).resolve().parents[1]
+UNNEEDED = {"willmore.polyring", "fractions", "decimal"}
+
+# `python -m willmore <args>`, reporting on stderr's last line the modules it loaded
+RUN_MAIN = (
+    "import runpy, sys\n"
+    "before = set(sys.modules)\n"
+    "try:\n"
+    "    runpy.run_module('willmore', run_name='__main__', alter_sys=True)\n"
+    "finally:\n"
+    "    sys.stderr.write('\\nloaded: ' + ' '.join(sorted(set(sys.modules) - before)))\n"
+)
+
+
+def cold(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=120,
+                          env=env, cwd=ROOT)
+
+
+def loaded(done: subprocess.CompletedProcess) -> set[str]:
+    return set(done.stderr.rpartition("\nloaded: ")[2].split())
+
+
+def test_import_loads_no_unneeded_module():
+    done = cold("import sys\nbefore = set(sys.modules)\nimport willmore\nprint(*set(sys.modules) - before)")
+    modules = set(done.stdout.split())
+    assert "willmore.sweep" in modules and not UNNEEDED & modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["paper"],
+        ["verify", "g6_m2_M2"],
+        ["sweep", "g6_m2_M2", "--mode", "symbolic"],
+        ["sweep", "g6_m2_M2", "--mode", "numeric", "--samples", "300"],
+        ["sweep", "tests/data/sum20_g6_m2_M2.dat", "--mode", "symbolic"],
+        ["sweep", "tests/data/sum20_g6_m2_M2.dat", "--mode", "numeric", "--samples", "300"],
+        ["tracecheck", "--rules", "g4", "--goal", "Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "--indices", "3"],
+    ],
+    ids=" ".join,
+)
+def test_a_command_loads_no_unneeded_module(argv):
+    done = cold(RUN_MAIN, *argv)
+    modules = loaded(done)
+    assert done.returncode == 0, done.stderr
+    assert "willmore.cli" in modules and not UNNEEDED & modules
+
+
+def test_a_failing_sweep_loads_polyring_for_its_witness():
+    done = cold(RUN_MAIN, "sweep", "tests/data/g6_m1_M1_varying_block.dat", "--mode", "symbolic")
+    assert done.returncode == 1
+    assert "willmore.polyring" in loaded(done)
+    assert done.stdout == (ROOT / "tests" / "golden" / "sweep_g6_m1_M1_varying_block.txt").read_text(encoding="utf-8")
+
+
+def test_deferred_names_resolve_in_a_fresh_interpreter():
+    script = (
+        "import willmore\n"
+        "print(willmore.MultiPoly.__module__, willmore.Rational.__module__, willmore.polyring.__name__)\n"
+        "print(sorted(set(willmore.__all__) - set(dir(willmore))))\n"
+        "from willmore import eval_float, reduce_mod_sphere\n"
+        "print(reduce_mod_sphere is willmore.polyring.reduce_mod_sphere, eval_float is willmore.eval_float)\n"
+    )
+    assert cold(script).stdout == "willmore.polyring fractions willmore.polyring\n[]\nTrue True\n"

@@ -13,7 +13,8 @@ from stack import deeper, stack_depth
 from willmore import polyring
 from willmore.catalog import builtin
 from willmore.exactnum import ZERO, QuadExt
-from willmore.polyring import MultiPoly, eval_float, eval_terms, float_terms, reduce_mod_sphere
+from willmore.polyring import MultiPoly, eval_float, float_terms, reduce_mod_sphere
+from willmore.sweep import eval_terms
 
 
 def rand_poly(rng, nvars, max_terms=6, max_exp=4, span=4):

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+from itertools import combinations_with_replacement
 from fractions import Fraction
 from pathlib import Path
 
@@ -333,6 +334,53 @@ def diagonal_copies(first, second, n=5):
     return ShapeOperatorSet("copies", n, 2, ops, ("B1", "B2"))
 
 
+@st.composite
+def packed_polynomials(draw):
+    """A packed polynomial in lambda of degree n = 0-10 at p = 1-4, as the
+    kernel gives it, lowest lambda-power first, with each coefficient of
+    lambda^(n-k) homogeneous of degree k.  Below a drawn power every
+    coefficient is constant on the sphere: c (t1^2 + ... + tp^2)^(k/2) with c
+    in Q(sqrt3), zero included, or zero at odd k.  From that power on each is
+    such a polynomial alone, with one coefficient changed (or dropped) or
+    with one monomial of an odd exponent added, or random terms, at odd k
+    too.  Returns (coefficients, base, p, MultiPolys)."""
+    p, n = draw(st.integers(1, 4), label="p"), draw(st.integers(0, 10), label="n")
+    base = n + 1 + draw(st.integers(0, 2), label="base above n")
+    first = draw(st.integers(0, n + 1), label="first power drawn freely")
+    coeffs, polys = [], []
+    for k in range(n, -1, -1):
+        monomials = [tuple(combo.count(a) for a in range(p)) for combo in combinations_with_replacement(range(p), k)]
+        den = draw(st.sampled_from([1, 3, -6, 35]), label="den")
+        pair = st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+        if n - k < first:
+            kind = "zero" if k % 2 else "sphere"
+        else:
+            kind = draw(st.sampled_from(["sphere", "changed", "odd", "random"] if k % 2 == 0 else ["random"]))
+        table = {}
+        if kind == "zero":
+            pass
+        elif kind == "random":
+            for exps in draw(st.lists(st.sampled_from(monomials), max_size=6, unique=True), label="monomials"):
+                table[exps] = draw(pair, label="coefficient")
+        else:
+            x, y = draw(pair, label="c")
+            for combo in combinations_with_replacement(range(p), k // 2):
+                halves = [combo.count(a) for a in range(p)]
+                v = math.factorial(k // 2) // math.prod(map(math.factorial, halves))
+                table[tuple(2 * e for e in halves)] = (x * v, y * v)
+            odd = [exps for exps in monomials if any(e % 2 for e in exps)]
+            if kind == "odd" and odd:
+                table[draw(st.sampled_from(odd), label="odd monomial")] = draw(pair.filter(any), label="its coefficient")
+            elif kind != "sphere":
+                exps = draw(st.sampled_from(sorted(table)), label="changed monomial")
+                table[exps] = draw(pair.filter(lambda c, old=table[exps]: c != old), label="its new coefficient")
+        table = {exps: c for exps, c in table.items() if any(c)}
+        order = draw(st.permutations(sorted(table)), label="term order")
+        coeffs.append(([(sum(e * base**a for a, e in enumerate(exps)), *table[exps]) for exps in order], den))
+        polys.append(MultiPoly(p, {exps: QuadExt._make(*table[exps], den) for exps in order}))
+    return coeffs, base, p, polys
+
+
 class TestSymbolic:
     def test_m1_M1_constant_quintic(self):
         verdict = symbolic_sweep(builtin("g6_m1_M1"))
@@ -415,36 +463,54 @@ class TestSymbolic:
                 assert value == reduced.constant_value()
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES + ("sum20",))
-    def test_constant_data_reduces_each_distinct_block_coefficient(self, monkeypatch, name):
+    def test_constant_data_decides_each_distinct_block_and_reduces_nothing(self, monkeypatch, name):
         data = sum20() if name == "sum20" else builtin(name)
         blocks = sweep._distinct_blocks(data)
-        coeffs = [coeff for poly, _ in blocks for coeff in sweep._poly(poly, data.n + 1, data.p).coeffs]
-        calls = count_calls(monkeypatch, sweep, "reduce_mod_sphere")
+        decided = count_calls(monkeypatch, sweep, "_constants")
+        reduced = count_calls(monkeypatch, polyring, "reduce_mod_sphere")
         assert symbolic_sweep(data).constant
-        assert [coeff for (coeff,) in calls] == coeffs
+        assert [poly for poly, _, _ in decided] == [poly for poly, _ in blocks]
+        assert not reduced
 
     @pytest.mark.parametrize(
         "make", [lambda: single_operator(["1", "0"], "lopsided"), dense14], ids=["lopsided", "dense14"]
     )
-    def test_each_coefficient_is_reduced_at_most_once(self, monkeypatch, make):
+    def test_only_the_witness_is_reduced(self, monkeypatch, make):
         # lopsided: the varying block, then the product; dense14: one block, the product itself
         data = make()
-        reduce, calls = sweep.reduce_mod_sphere, []
+        reduce, calls = polyring.reduce_mod_sphere, []
 
         def recorded(coeff):
             calls.append((coeff, reduce(coeff)))
             return calls[-1][1]
 
-        monkeypatch.setattr(sweep, "reduce_mod_sphere", recorded)
+        monkeypatch.setattr(polyring, "reduce_mod_sphere", recorded)
         verdict = symbolic_sweep(data)
         assert not verdict.constant
-        assert len({id(coeff) for coeff, _ in calls}) == len(calls)
-        assert verdict.witness is calls[-1][1]
-        assert calls[-1][0] == normal_char_poly(data).coeffs[verdict.witness_power]
+        assert len(calls) == 1
+        assert verdict.witness is calls[0][1]
+        assert calls[0][0] == normal_char_poly(data).coeffs[verdict.witness_power]
 
     def test_verdict_fields_must_match_flag(self):
         with pytest.raises(ValueError):
             SweepVerdict(True, None, None, None)
+
+
+class TestPackedDecision:
+    @settings(max_examples=300, deadline=None)
+    @given(packed_polynomials())
+    def test_constants_equal_those_of_the_reduction_and_the_reference(self, case):
+        # the constants up to the first coefficient that is not constant on the sphere
+        coeffs, base, p, polys = case
+        expected = []
+        for power, f in enumerate(polys):
+            reduced = reduce_mod_sphere(f)
+            value = reduced.constant_value() if reduced.is_constant() else None
+            assert sphere_constant(f, len(polys) - 1 - power) == value
+            if value is None:
+                break
+            expected.append(value)
+        assert sweep._constants(coeffs, base, p) == expected
 
 
 class TestNormalCharPoly:
@@ -902,9 +968,10 @@ class TestNumeric:
         for data in (builtin("g6_m2_M1"), single_operator(["1", "0"]), scaled(builtin("g6_m2_M2"), 10)):
             # the coefficients that are zero or one constant drift by exactly 0 and are not evaluated
             varying = sum(coeff.degree() > 0 for coeff in normal_char_poly(data).coeffs)
+            evaluate = sweep.eval_terms
             calls = count_calls(monkeypatch, sweep, "eval_terms")
             deviation = numeric_sweep(data, samples, 7)
-            monkeypatch.setattr(sweep, "eval_terms", polyring.eval_terms)
+            monkeypatch.setattr(sweep, "eval_terms", evaluate)
             assert repr(deviation) == repr(pointwise_numeric_sweep(data, samples, 7))
             chunks = [size for _, _, size in calls]
             # at p = 1 the samples alternate between +1 and -1, and only those two are evaluated
@@ -952,7 +1019,7 @@ class TestNumeric:
         # evaluation nested a level per direction made about codim^2 / 2 passes
         products = []
         for codim in (64, 128):
-            calls = count_calls(monkeypatch, polyring, "mul")
+            calls = count_calls(monkeypatch, sweep, "mul")
             numeric_sweep(dim1(codim), 10, 0)
             monkeypatch.undo()
             products.append(len(calls))

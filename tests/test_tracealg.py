@@ -778,7 +778,7 @@ class TestParserAgainstReference:
     def test_characters_outside_the_alphabet_are_the_tokenizers_bad_ones(self):
         every = "".join(map(chr, range(0x110000)))
         tokens = trace_parser_reference._TOKEN_RE.finditer(every)
-        assert [m.start() for m in tracealg._OUTSIDE.finditer(every)] == [
+        assert [m.start() for m in tracealg._compiled(tracealg._OUTSIDE).finditer(every)] == [
             m.start() for m in tokens if m.lastgroup == "bad"
         ]
 
