@@ -401,11 +401,13 @@ def verify_g4(p: int) -> ProofReport:
     return ProofReport(p, count, tuple(goals))
 
 
+# The patterns of the trace grammar are texts, compiled by `_compiled`.
 # Characters that can start or continue a token; the first one outside them
 # is reported before any other error in the text.
-# The patterns of the trace grammar are texts, compiled by `_compiled`.
 _OUTSIDE = r"[^\s\dA-Za-z_()*/^+\-]"
-_TOKEN_RE = r"(?s)(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)"
+_TOKEN_RE = (
+    r"(?s)(?P<ws>\s+)|(?P<gen>A\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<op>[-+*/^()])|(?P<bad>.)"
+)
 # 'Tr' as a whole name, then its '(' if there is one
 _TRACE = r"Tr(?![A-Za-z0-9_])\s*(\()?\s*"
 # The longest run of factors A_i or A_i^k joined by '*'; _FACTOR reads them.
@@ -589,7 +591,8 @@ def parse_trace_expr(text: str) -> TraceExpr:
         if pos == len(text):
             return TraceExpr._of(accumulate({}, terms))
         if text[pos] not in "+-":
-            raise TraceParseError(f"unexpected token {_compiled(_TOKEN_RE).match(text, pos).group()!r}", pos)
+            token = _compiled(_TOKEN_RE).match(text, pos).group()
+            raise TraceParseError(f"unexpected token {token!r}", pos)
         negative = text[pos] == "-"
         pos = _SPACE.match(text, pos + 1).end()
 

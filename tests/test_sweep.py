@@ -370,7 +370,8 @@ def packed_polynomials(draw):
                 table[tuple(2 * e for e in halves)] = (x * v, y * v)
             odd = [exps for exps in monomials if any(e % 2 for e in exps)]
             if kind == "odd" and odd:
-                table[draw(st.sampled_from(odd), label="odd monomial")] = draw(pair.filter(any), label="its coefficient")
+                exps = draw(st.sampled_from(odd), label="odd monomial")
+                table[exps] = draw(pair.filter(any), label="its coefficient")
             elif kind != "sphere":
                 exps = draw(st.sampled_from(sorted(table)), label="changed monomial")
                 table[exps] = draw(pair.filter(lambda c, old=table[exps]: c != old), label="its new coefficient")
