@@ -15,7 +15,7 @@ which each dataset holds, built once (`ShapeOperatorSet.integer_form`).
 from __future__ import annotations
 
 import math
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactnum import format_sum
 
@@ -262,30 +262,6 @@ def integer_rows(matrices: Iterable[Matrix]) -> tuple[tuple[tuple[Row, ...], ...
         tuple(tuple((j, e.x * (den // e.d), e.y * (den // e.d)) for j, e in enumerate(row) if e) for row in m.rows)
         for m in matrices
     ), den
-
-
-def components(rows: Sequence[Iterable[Hashable]]) -> Iterator[list[int]]:
-    """Connected components of the rows joined through shared keys, lazily, as
-    ascending row indices in the order of their first row: breadth-first over
-    one key -> rows index (Pothen & Fan, ACM TOMS 16, 1990) whose entries are
-    each visited once, so that each row is iterated twice in all."""
-    by_key: dict[Hashable, list[int]] = {}
-    for k, row in enumerate(rows):
-        for key in row:
-            by_key.setdefault(key, []).append(k)
-    seen = [False] * len(rows)
-    for root in range(len(rows)):
-        if seen[root]:
-            continue
-        seen[root] = True
-        block = [root]
-        for k in block:  # grows while the loop runs, until the component is closed
-            for key in rows[k]:
-                for j in by_key.pop(key, ()):
-                    if not seen[j]:
-                        seen[j] = True
-                        block.append(j)
-        yield sorted(block)
 
 
 def lower_pair_products(pairs, n: int) -> tuple[list[list[int]], list[list[int]]]:

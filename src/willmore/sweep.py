@@ -4,7 +4,8 @@ For a unit normal with coordinates (t1..tp) the shape operator is
 A(t) = sum_a t_a A_a.  Both sweeps take its characteristic polynomial, with
 coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
 basis into the connected components of the operators' joint nonzero pattern
-in the integer pairs the dataset holds (`integer_form`); a permutation makes
+in the integer pairs the dataset holds (`integer_form`), by a breadth-first
+search over each row's nonzero columns (`_components`); a permutation makes
 A(t) block-diagonal with one block per component, for every t, so
 det(lambda I - A(t)) is exactly the product of the blocks' characteristic
 polynomials.  Each distinct block gets its polynomial by Newton's identities
@@ -52,7 +53,7 @@ from typing import TYPE_CHECKING, Iterator
 from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, ZERO, QuadExt
-from .linalg import Matrix, Row, UniPoly, components, lower_pair_products
+from .linalg import Matrix, Row, UniPoly, lower_pair_products
 
 if TYPE_CHECKING:
     from .polyring import MultiPoly
@@ -232,9 +233,24 @@ def _pair_sum(products) -> list[tuple[int, int, int]]:
 
 
 def _components(ops: tuple[tuple[Row, ...], ...], n: int) -> list[list[int]]:
-    """Connected components of the union pattern: the keys of row i are i and
-    the columns of its nonzeros, so a nonzero (i, j) joins rows i and j."""
-    return list(components([{i}.union(j for op in ops for j, _, _ in op[i]) for i in range(n)]))
+    """Connected components of the union pattern, in which a nonzero (i, j)
+    joins rows i and j, each ascending, in order of least row: breadth-first
+    over each row's nonzero columns, which the symmetric operators hold both
+    ways, so that each row is read once per operator."""
+    seen = [False] * n
+    blocks = []
+    for root in range(n):
+        if not seen[root]:
+            seen[root] = True
+            block = [root]
+            for i in block:  # grows while the loop runs, until the component is closed
+                for op in ops:
+                    for j, _, _ in op[i]:
+                        if not seen[j]:
+                            seen[j] = True
+                            block.append(j)
+            blocks.append(sorted(block))
+    return blocks
 
 
 def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> list:

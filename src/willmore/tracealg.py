@@ -273,8 +273,6 @@ def _normal_form(
     residual = dict(goal_terms)
     steps: list[str] = []
     for word in sorted((w for w in residual if w in pivots), key=_order):
-        if word not in residual:
-            continue
         row = pivots[word]
         _eliminate(residual, word, row)
         trace = f"Tr({_word_str(word)})"
@@ -429,16 +427,14 @@ def _missing(expected: str, text: str, at: int) -> TraceParseError:
     return TraceParseError("unexpected end of expression" if at == len(text) else expected, at)
 
 
-def _read_word(text: str, pos: int) -> tuple[Word, int, int]:
-    """The word of a Tr( ) whose '(' ends before pos, its least letter, and
-    the end of its ')'.
-
-    Errors come in text order: those of the factors read, then the token at
-    which the run of factors stops short of the ')'.
-    """
+def _read_word(text: str, pos: int) -> tuple[list[int], int, int]:
+    """The word of a Tr( ) whose '(' ends before pos, its least letter, and the
+    end of its ')'.  Errors come in text order: those of the factors read, then
+    the token at which the run of factors stops short of the ')'.  The letters
+    are counted, and the run expanded by `_factors`, its spaces cut."""
     run = _compiled(_WORD).match(text, pos)
     end = run.end() if run else pos
-    letters: list[int] = []
+    count = 0
     for factor in _compiled(_FACTOR).finditer(text, pos, end):
         start = factor.start()
         try:
@@ -456,10 +452,10 @@ def _read_word(text: str, pos: int) -> tuple[Word, int, int]:
             exponent = int(digits or "0") if len(digits) <= len(str(MAX_WORD_LEN)) else MAX_WORD_LEN + 1
             if exponent < 1:
                 raise TraceParseError("exponent must be positive", factor.start(2))
-        if exponent > MAX_WORD_LEN - len(letters):
+        if exponent > MAX_WORD_LEN - count:
             raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", start)
-        least = min(least, index) if letters else index
-        letters += [index] * exponent
+        least = min(least, index) if count else index
+        count += exponent
     end = _SPACE.match(text, end).end()
     if run is None:  # no first factor
         raise _missing("expected an operator like 'A1'", text, end)
@@ -467,34 +463,35 @@ def _read_word(text: str, pos: int) -> tuple[Word, int, int]:
         raise _missing("expected an operator like 'A1'", text, _SPACE.match(text, end + 1).end())
     if not text.startswith(")", end):
         raise TraceParseError("expected ')'", end)
-    return tuple(letters), least, end + 1
+    word = "".join(run[0].split())  # then an exponent's leading zeros: int() refuses thousands of digits
+    return _factors(word if "^0" not in word else re.sub(r"\^0+", "^", word)), least, end + 1
 
 
 # A well-formed term in one spelling, that of the g=4 relations and of
-# `TraceExpr`'s text, as one pattern text: the parser's one-match path and
-# the rules reader's line check both compile it.  An optional coefficient, a
+# `TraceExpr`'s text, as one pattern text: the parser's one-pass path and
+# the rules reader's line check are built on it.  An optional coefficient, a
 # plain or parenthesized scalar in its canonical spelling (rationals of at
 # most 20 digits, a denominator with a nonzero first digit, at most one
 # sqrt3), then '*'; then Tr(word) with no space inside the parentheses, no
 # A0 or ^0, an index below 10^9 and at most 100 factors below ^100; then
-# the space after it.  So every match parses without error, and no word it
-# admits reaches MAX_WORD_LEN.  No group captures, and a term that starts
-# with 'Tr(' takes the first alternative, before any coefficient is tried:
-# both keep the line check fast.  So do the possessive quantifiers, on every
-# run that no backtracking could make match; the coefficient's alternatives
-# backtrack, since in '(1-2/3*sqrt3)' the rational '2/3' must give way to
-# '2/3*sqrt3'.
+# the spaces after it, which do not cross a line's end.  So every match
+# parses without error, and no word it admits reaches MAX_WORD_LEN.  No
+# group captures, and a term that starts with 'Tr(' takes the first
+# alternative, before any coefficient is tried: both keep the line check
+# fast.  So do the possessive quantifiers, on every run that no backtracking
+# could make match; the coefficient's alternatives backtrack, since in
+# '(1-2/3*sqrt3)' the rational '2/3' must give way to '2/3*sqrt3'.
 _RATIONAL = r"[0-9]{1,20}+(?:/[1-9][0-9]{0,19}+)?"
 _SQRT3 = rf"(?:{_RATIONAL}\*)?sqrt3"
 _SCALAR = rf"-?+(?:{_RATIONAL}(?:[-+](?:{_RATIONAL}|{_SQRT3}))?|{_SQRT3}(?:[-+]{_RATIONAL})?)"
 _POWER = r"A[1-9][0-9]{0,8}+(?:\^[1-9][0-9]?+)?+"
-_TERM = rf"(?:Tr\(|(?:{_SCALAR}|\({_SCALAR}\))\s*+\*\s*+Tr\(){_POWER}(?:\*{_POWER}){{0,99}}+\)\s*+"
-# The rules reader's line check, over a run of lines joined by '\n': terms
-# joined by '+'/'-' on each side of one '=', or a lone 0 on the right.  Its
-# '[ \t]' is the '\s' of `_TERM` within a line, and does not cross its end.
-_SIDE = r"[ \t]*+{0}(?:[-+][ \t]*+{0})*+".format(_TERM.replace(r"\s", r"[ \t]"))
+_TERM = rf"(?:Tr\(|(?:{_SCALAR}|\({_SCALAR}\))[ \t]*+\*[ \t]*+Tr\(){_POWER}(?:\*{_POWER}){{0,99}}+\)[ \t]*+"
+# Terms joined by '+'/'-': a whole expression the parser scans in one pass,
+# and each side of a rules line, one '=' and a lone 0 on the right allowed
+# (`_LINES`, over a run of lines joined by '\n').
+_SIDE = rf"[ \t]*+{_TERM}(?:[-+][ \t]*+{_TERM})*+"
 _LINES = rf"(?:{_SIDE}=(?:[ \t]*+0[ \t]*+|{_SIDE})(?:\n|\Z))*+"
-# A term of an accepted line: coefficient spelling through 'Tr(', word text, and the '+', '-' or '=' after it.
+# A term of an accepted text: coefficient spelling through 'Tr(', word text, and the '+', '-' or '=' after it.
 _SCAN_TERM = r"\s*([^T]*Tr\()([^)]*)\)\s*([-+=]?)"
 
 
@@ -519,6 +516,19 @@ def _term(coefficients: dict[str, QuadExt], spelling: str, word: str) -> tuple[W
     if coeff is None:
         coeff = coefficients[spelling] = scan_scalar(spelling, 1 if spelling[0] == "(" else 0)[0]
     return canonicalize_cyclic(_factors(word)), coeff
+
+
+def _scan_terms(coefficients: dict[str, QuadExt], text: str) -> list[tuple[Word, QuadExt]]:
+    """(canonical word, coefficient) of each term of a text `_SIDE` or a line
+    `_LINES` accepts, the right side's negated: one findall, each term through
+    `_term`, and the sign carried across '+', '-' and '='."""
+    terms, rhs, negative = [], False, False
+    for spelling, word, after in _compiled(_SCAN_TERM).findall(text):
+        word, coeff = _term(coefficients, spelling, word)
+        terms.append((word, (_MINUS_ONE if coeff is ONE else -coeff) if negative else coeff))
+        rhs = rhs or after == "="
+        negative = rhs != (after == "-")
+    return terms
 
 
 def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
@@ -556,35 +566,29 @@ def _read_term(text: str, pos: int) -> tuple[Word, QuadExt, int]:
 def parse_trace_expr(text: str) -> TraceExpr:
     """Parse e.g. "Tr(A1) - 3*Tr(A2*A1*A2)" into a canonical TraceExpr.
 
-    The single parser of the trace grammar, in one pass.  A character
-    outside the token alphabet is reported first.  Then each term is read
-    by one compiled pattern (`_TERM`) where it is spelled as `g4_relations`
-    and `TraceExpr`'s text spell it (`Tr(A1)`, `3 * Tr(A2^2*A1)`,
-    `(1/2+sqrt3)*Tr(A1*A2)`: no space inside the parentheses, exponents
-    below 100); any other term, a power word such as `Tr(A2*A1^3000)`
-    included, is read by the stepwise reader (`_read_term`), which raises
-    the message of the first failing token at its position.  Every term the
-    pattern matches parses, to the term the stepwise reader gives, so the
-    result and every error are those of a token-by-token reading.  The
-    terms are summed by `accumulate`, which drops those that cancel.
+    The single parser of the trace grammar, on one of two paths.  A text
+    whose every term is spelled as `g4_relations` and `TraceExpr`'s text
+    spell it (`Tr(A1)`, `3 * Tr(A2^2*A1)`, `(1/2+sqrt3)*Tr(A1*A2)`: no space
+    inside the parentheses, exponents below 100), which one compiled pattern
+    (`_SIDE`) accepts whole, is read by the rules reader's scan
+    (`_scan_terms`); it parses without error.  Any other text, a power word
+    such as `Tr(A2*A1^3000)` included, is read term by term by the stepwise
+    reader (`_read_term`): a character outside the token alphabet is
+    reported first, then the message of the first failing token at its
+    position.  Both paths give the terms of a token-by-token reading, summed
+    by `accumulate`, which drops those that cancel.
     """
+    if _compiled(_SIDE).fullmatch(text):
+        return TraceExpr._of(accumulate({}, _scan_terms({"Tr(": ONE}, text)))
     bad = _compiled(_OUTSIDE).search(text)
     if bad is not None:
         raise TraceParseError(f"unexpected character {bad.group()!r}", bad.start())
-    fast = _compiled(_TERM).match
-    coefficients = {"Tr(": ONE}
     terms = []
     negative = False
     pos = _SPACE.match(text).end()
     while True:
-        match = fast(text, pos)
-        if match:
-            start, pos = match.span()
-            opened = text.index("Tr(", start, pos) + 3
-            word, coeff = _term(coefficients, text[start:opened], text[opened : text.index(")", opened)])
-        else:
-            word, coeff, pos = _read_term(text, pos)
-            pos = _SPACE.match(text, pos).end()
+        word, coeff, pos = _read_term(text, pos)
+        pos = _SPACE.match(text, pos).end()
         if negative:
             coeff = _MINUS_ONE if coeff is ONE else -coeff
         terms.append((word, coeff))
@@ -650,8 +654,8 @@ class RulesFile:
        at goes through it at once, and the next match starts after it.
     2. `component` walks the goal's block word by word.  A letter's lines
        are found when the walk first needs it, by one regex search of the
-       joined text a round, and each is scanned once (`_scan`): its words
-       canonicalized, and the line indexed by them.
+       joined text a round, and each is scanned once (`_scan_terms`, the
+       parser's one-pass path): its words canonicalized, and the line indexed by them.
     3. A line the walk looks up is built into its relation from its scan,
        once; it joins the block only if the relation holds the word."""
 
@@ -681,15 +685,8 @@ class RulesFile:
                 self._holders.setdefault(word, []).append(k)
 
     def _scan(self, k: int) -> None:
-        """Read line k's terms once, as (canonical word, coefficient) with the
-        right-hand side's negated, and index the line by their words."""
-        terms, rhs, negative = [], False, False
-        for spelling, text, after in _compiled(_SCAN_TERM).findall(self.lines[k][1]):
-            word, coeff = _term(self._coefficients, spelling, text)
-            terms.append((word, (_MINUS_ONE if coeff is ONE else -coeff) if negative else coeff))
-            rhs = rhs or after == "="
-            negative = rhs != (after == "-")
-        self._terms[k] = terms
+        """Read line k's terms once (`_scan_terms`) and index the line by their words."""
+        self._terms[k] = terms = _scan_terms(self._coefficients, self.lines[k][1])
         for word in dict.fromkeys(word for word, _ in terms):
             self._holders.setdefault(word, []).append(k)
 

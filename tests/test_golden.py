@@ -1,8 +1,10 @@
 """Certificates compared byte for byte with the files under tests/golden/.
 
 The determinism tests compare two runs of the same build; these pin the
-bytes across changes to the code.  Numeric sweeps are left out: their
-deviations are platform float output.  The built-ins split into sparse
+bytes across changes to the code.  Four numeric sweeps are pinned too, so
+that a change to the samples or to the float evaluation shows: their
+`max_deviation` is float output of a seeded draw, which a platform with
+another libm may round otherwise in its last bits.  The built-ins split into sparse
 blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
 10 x 10 block generated by `cayley_dataset`, and one on
 tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
@@ -160,6 +162,11 @@ CASES = {
     "sweep_dense14_p3.txt": (["sweep", "{dense14}", "--mode", "symbolic"], 1),
     "sweep_g6_m2_M2_raised_cayley.txt": (["sweep", "{raised}", "--mode", "symbolic"], 1),
     "sweep_g6_m1_M1_varying_block.txt": (["sweep", "{varying}", "--mode", "symbolic"], 1),
+    # numeric sweeps at p = 2 and p = 3, passing, and at p = 1 and over four blocks, failing
+    "sweep_g6_m1_M1_numeric.txt": (["sweep", "g6_m1_M1", "--mode", "numeric"], 0),
+    "sweep_g6_m2_M2_numeric.txt": (["sweep", "g6_m2_M2", "--mode", "numeric"], 0),
+    "sweep_lopsided_numeric.txt": (["sweep", "{lopsided}", "--mode", "numeric"], 1),
+    "sweep_g6_m1_M1_varying_block_numeric.txt": (["sweep", "{varying}", "--mode", "numeric", "--samples", "300"], 1),
     "verify_g6_m2_M2_cayley_text.txt": (["verify", "{cayley}"], 0),
     "verify_g6_m2_M2_cayley_keyvalue.txt": (["verify", "{cayley}", "--format", "keyvalue"], 0),
     "verify_sum20_g6_m2_M2_text.txt": (["verify", "{sum20}"], 0),

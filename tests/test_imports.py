@@ -1,8 +1,9 @@
 """What a cold process imports.  No passing command needs `polyring`, which
 serves a failing sweep's witness and the tests, nor `fractions` and
-`decimal`, which no command reads: `import willmore` and each command of the
-benchmark's workloads leave them unloaded, while every public name still
-resolves on first access.  Each case runs in a fresh interpreter that writes
+`decimal`, which no command reads, nor `dataclasses` and what it pulls in
+(`inspect`, `ast`, `dis`, `tokenize`), a third of a cold import:
+`import willmore` and each command of the benchmark's workloads leave them
+unloaded, while every public name still resolves on first access.  Each case runs in a fresh interpreter that writes
 no bytecode, as a cold console-script process does."""
 
 import os
@@ -16,7 +17,7 @@ import willmore
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = Path(willmore.__file__).resolve().parents[1]
-UNNEEDED = {"willmore.polyring", "fractions", "decimal"}
+UNNEEDED = {"willmore.polyring", "fractions", "decimal", "dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 # `python -m willmore <args>`, reporting on stderr's last line the modules it loaded
 RUN_MAIN = (

@@ -715,6 +715,75 @@ class TestWorkBound:
         assert (work > sweep.MAX_SWEEP_WORK) == (name in REFUSED)
 
 
+def reference_components(ops, n):
+    """Union-find over the nonzero positions (i, j) of the operators' rows,
+    each block ascending, sorted by least row."""
+    parent = list(range(n))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for op in ops:
+        for i, row in enumerate(op):
+            for j, _, _ in row:
+                parent[find(i)] = find(j)
+    blocks = {}
+    for k in range(n):
+        blocks.setdefault(find(k), []).append(k)
+    return sorted(blocks.values())
+
+
+def symmetric_rows(n, entries):
+    """Sparse rows of the symmetric n x n pattern with the given (i, j)
+    entries and their mirrors, each 1, in increasing column order."""
+    columns = [set() for _ in range(n)]
+    for i, j in entries:
+        columns[i].add(j)
+        columns[j].add(i)
+    return tuple(tuple((j, 1, 0) for j in sorted(row)) for row in columns)
+
+
+class CountingRows(tuple):
+    """An operator's rows that count how often each is read."""
+
+    def __new__(cls, rows):
+        op = super().__new__(cls, rows)
+        op.reads = [0] * len(op)
+        return op
+
+    def __getitem__(self, i):
+        self.reads[i] += 1
+        return super().__getitem__(i)
+
+
+class TestComponents:
+    def test_rows_joined_through_nonzeros_in_order_of_least_row(self):
+        ops = (symmetric_rows(7, [(0, 6), (1, 3)]), symmetric_rows(7, [(2, 3), (5, 2), (4, 4)]))
+        assert sweep._components(ops, 7) == [[0, 6], [1, 2, 3, 5], [4]]
+
+    def test_no_rows(self):
+        assert sweep._components((), 0) == []
+        assert sweep._components(((),), 0) == []
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_union_find(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 40)
+        ops = tuple(
+            symmetric_rows(n, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, n))])
+            for _ in range(rng.randint(1, 3))
+        )
+        assert sweep._components(ops, n) == reference_components(ops, n)
+
+    def test_each_row_is_read_once_per_operator(self):
+        # a search restarted per component would read every row once per block
+        ops = (CountingRows(symmetric_rows(3000, [(k, k) for k in range(3000)])), CountingRows(((),) * 3000))
+        assert sweep._components(ops, 3000) == [[k] for k in range(3000)]
+        assert max(max(op.reads) for op in ops) == 1
+
+
 class TestBlocks:
     @settings(max_examples=60, deadline=None)
     @given(planted_blocks())

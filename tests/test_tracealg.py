@@ -827,6 +827,36 @@ class TestParserAgainstReference:
         assert parse_outcome(parse_trace_expr, text) == parse_outcome(trace_parser_reference.parse_trace_expr, text)
 
 
+# Canonical texts, which the one-pass pattern (`_SIDE`) accepts whole; with a
+# space after each 'Tr(' the same text goes to the stepwise reader.
+CANONICAL_TEXTS = [
+    "Tr(A1) - 3*Tr(A2*A1*A2)",
+    "sqrt3*Tr(A1) + 2/3*sqrt3*Tr(A2^2*A1) - 1-sqrt3*Tr(A3) + (1-2/3*sqrt3)*Tr(A3^2*A1)",
+    "1/2*Tr(A1^3) + (3/4)*Tr(A2) - 5/7 * Tr(A1*A2) + (1/2+sqrt3) *Tr(A2*A1^2)",
+    "-3*Tr(A1) + Tr(A2) - -1/2*Tr(A3)",
+    "-1*Tr(A2) - Tr(A1)",
+    "Tr(A1*A2) - Tr(A2*A1) + 2*Tr(A1^2*A3) - 2*Tr(A3*A1*A1) + (1/2)*Tr(A2)",
+    "Tr(A1) + 2*Tr(" + "*".join(f"A{k % 7 + 1}^{k % 99 + 1}" for k in range(100)) + ")",
+]
+
+
+class TestReadersAgree:
+    @pytest.mark.parametrize(
+        "text", CANONICAL_TEXTS, ids=["plain", "sqrt3", "fractions", "leading-minus", "minus-one", "cancel", "100-factors"]
+    )
+    def test_one_pass_and_stepwise_readers_give_the_token_parsers_terms(self, text):
+        stepwise = text.replace("Tr(", "Tr( ")
+        side = tracealg._compiled(tracealg._SIDE)
+        assert side.fullmatch(text) and not side.fullmatch(stepwise)
+        expected = trace_parser_reference.parse_trace_expr(text)
+        assert parse_trace_expr(text) == parse_trace_expr(stepwise) == expected
+        assert trace_parser_reference.parse_trace_expr(stepwise) == expected
+
+    def test_an_exponents_leading_zeros_are_read_past_ints_digit_limit(self):
+        text = "Tr(A2*A1^" + "0" * 5_000 + "3)"
+        assert parse_trace_expr(text) == trace_parser_reference.parse_trace_expr(text) == TraceExpr({(1, 1, 1, 2): 1})
+
+
 # Before Python 3.11 int() reads any number of digits.
 NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
 
@@ -864,9 +894,8 @@ WELL_FORMED = ["Tr(A1) + ", "(1/2)*Tr(A2^2*A1) - ", "3*Tr(A1*A2*A3) + (1+sqrt3)*
 
 
 class TestTermAfterAWellFormedOne:
-    """The one-pattern reader of well-formed terms hands a malformed term to
-    the stepwise reader, which raises the token parser's message at its
-    position."""
+    """A malformed term after well-formed ones sends the text to the stepwise
+    reader, which raises the token parser's message at its position."""
 
     @pytest.mark.parametrize("head", WELL_FORMED, ids=range(len(WELL_FORMED)))
     @pytest.mark.parametrize("term, message", MALFORMED_TERMS)
