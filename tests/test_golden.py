@@ -4,8 +4,8 @@ The determinism tests compare two runs of the same build; these pin the
 bytes across changes to the code.  Four numeric sweeps are pinned too, so
 that a change to the samples or to the float evaluation shows: their
 `max_deviation` is float output of a seeded draw, which a platform with
-another libm may round otherwise in its last bits.  The built-ins split into sparse
-blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
+another libm may round otherwise in its last bits.  The built-ins split
+into sparse blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
 10 x 10 block generated by `cayley_dataset`, and one on
 tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
 generated by `sum20_dataset`.  One sweep fails: on

@@ -3,8 +3,9 @@ serves a failing sweep's witness and the tests, nor `fractions` and
 `decimal`, which no command reads, nor `dataclasses` and what it pulls in
 (`inspect`, `ast`, `dis`, `tokenize`), a third of a cold import:
 `import willmore` and each command of the benchmark's workloads leave them
-unloaded, while every public name still resolves on first access.  Each case runs in a fresh interpreter that writes
-no bytecode, as a cold console-script process does."""
+unloaded, while every public name still resolves on first access.  Each
+case runs in a fresh interpreter that writes no bytecode, as a cold
+console-script process does."""
 
 import os
 import subprocess
