@@ -15,16 +15,11 @@ from .catalog import (
 )
 from .curvature import (
     CurvatureReport,
-    NotMinimalError,
     WillmoreReport,
     curvature_report,
     einstein_check,
-    minimality_check,
-    ricci,
     riemann,
     riemann_suite,
-    square_norm,
-    willmore_check,
 )
 from .exactnum import QuadExt, ScalarParseError, format_scalar, parse_scalar
 from .linalg import DimensionError, Matrix, UniPoly
@@ -36,7 +31,6 @@ from .tracealg import (
     canonicalize_cyclic,
     g4_relations,
     parse_trace_expr,
-    reduce_goal,
     reduce_goal_with_steps,
     verify_g4,
 )
@@ -49,7 +43,6 @@ __all__ = [
     "DimensionError",
     "Matrix",
     "MultiPoly",
-    "NotMinimalError",
     "ProofReport",
     "QuadExt",
     "Rational",
@@ -67,22 +60,17 @@ __all__ = [
     "eval_float",
     "format_scalar",
     "g4_relations",
-    "minimality_check",
     "numeric_sweep",
     "parse_dataset",
     "parse_scalar",
     "parse_trace_expr",
-    "reduce_goal",
     "reduce_goal_with_steps",
     "reduce_mod_sphere",
-    "ricci",
     "riemann",
     "riemann_suite",
     "serialize_dataset",
-    "square_norm",
     "symbolic_sweep",
     "verify_g4",
-    "willmore_check",
 ]
 
 # Names whose modules no command needs, each imported on first access:

@@ -14,10 +14,10 @@ the integer pairs the dataset holds (`ShapeOperatorSet.integer_form`), each
 operator's trace once.
 `riemann_suite` checks the curvature tensor on the same pairs: one Gram
 table of the sampled index pairs gives every sampled component, and each
-symmetry compares that table with a permuted gather of itself.  The functions
-`squared_operator_sum`, `ricci`, `riemann` and `willmore_check`, on `Matrix`
-products and QuadExt sums, and `minimality_check`, are the reference the
-tests hold both to.
+symmetry compares that table with a permuted gather of itself.  The
+component function `riemann`, on QuadExt sums, is the reference the tests
+hold the table to; they hold every certificate to `tests/certificate_check.py`,
+a checker that shares no code with this package.
 """
 
 from __future__ import annotations
@@ -28,41 +28,8 @@ from operator import add, itemgetter, neg, sub
 
 from ._record import Record
 from .catalog import ShapeOperatorSet
-from .exactnum import ONE, QuadExt
+from .exactnum import QuadExt
 from .linalg import Matrix, Row, lower_pair_products
-
-
-class NotMinimalError(ValueError):
-    pass
-
-
-def minimality_check(data: ShapeOperatorSet) -> bool:
-    """True iff every shape operator is exactly trace-free."""
-    return all(not op.trace() for op in data.operators)
-
-
-def squared_operator_sum(data: ShapeOperatorSet) -> Matrix:
-    """sum_a A_a^2, the matrix whose trace is the squared norm of the second form."""
-    acc = data.operators[0] @ data.operators[0]
-    for op in data.operators[1:]:
-        acc = acc + op @ op
-    return acc
-
-
-def square_norm(data: ShapeOperatorSet) -> QuadExt:
-    """Squared norm of the second fundamental form: sum_a Tr(A_a^2)."""
-    return squared_operator_sum(data).trace()
-
-
-def ricci(data: ShapeOperatorSet) -> Matrix:
-    """Ricci tensor (n-1)*I - sum_a A_a^2; requires minimal data."""
-    if not minimality_check(data):
-        raise NotMinimalError(f"{data.name}: shape operators are not trace-free")
-    return _ricci(data.n, squared_operator_sum(data))
-
-
-def _ricci(n: int, squared: Matrix) -> Matrix:
-    return Matrix.identity(n, ONE) * QuadExt(n - 1) - squared
 
 
 def riemann(data: ShapeOperatorSet, i: int, j: int, k: int, l: int) -> QuadExt:
@@ -92,17 +59,6 @@ class WillmoreReport(Record):
     @property
     def willmore_ricci_form(self) -> bool:
         return all(not t for t in self.ricci_traces)
-
-
-def willmore_check(data: ShapeOperatorSet) -> WillmoreReport:
-    """Willmore criterion for minimal data (squared norm assumed constant)."""
-    if not minimality_check(data):
-        raise NotMinimalError(f"{data.name}: Willmore criterion needs minimal data")
-    squared = squared_operator_sum(data)
-    ric = _ricci(data.n, squared)
-    cubic = tuple((squared @ op).trace() for op in data.operators)
-    ricci_form = tuple((ric @ op).trace() for op in data.operators)
-    return _willmore(data.n, tuple(op.trace() for op in data.operators), cubic, ricci_form)
 
 
 def _willmore(
@@ -171,8 +127,7 @@ def curvature_report(data: ShapeOperatorSet) -> CurvatureReport:
     The operators are read as the dataset's sparse integer pairs over a
     common denominator D.  sum_a A_a^2 and Ric are kept over D^2 and the traces
     Tr(M A_a) over D^3; only the values the certificate prints become
-    QuadExt.  Each operator's trace is taken once, from its diagonal pairs;
-    `minimality_check` is the reference for the minimal flag.
+    QuadExt.  Each operator's trace is taken once, from its diagonal pairs.
     """
     n = data.n
     ops, den = data.integer_form

@@ -281,11 +281,6 @@ def _normal_form(
     return residual, steps
 
 
-def reduce_goal(goal: TraceExpr, relations: Iterable[TraceExpr]) -> TraceExpr:
-    """Residual of the goal modulo the linear span of the relations."""
-    return reduce_goal_with_steps(goal, relations)[0]
-
-
 def reduce_goal_with_steps(
     goal: TraceExpr, relations: Iterable[TraceExpr]
 ) -> tuple[TraceExpr, tuple[str, ...]]:
@@ -431,14 +426,15 @@ def _read_word(text: str, pos: int) -> tuple[list[int], int, int]:
     """The word of a Tr( ) whose '(' ends before pos, its least letter, and the
     end of its ')'.  Errors come in text order: those of the factors read, then
     the token at which the run of factors stops short of the ')'.  The letters
-    are counted, and the run expanded by `_factors`, its spaces cut."""
+    are counted, and the run expanded by `_factors`, its spaces and leading
+    zeros cut."""
     run = _compiled(_WORD).match(text, pos)
     end = run.end() if run else pos
     count = 0
     for factor in _compiled(_FACTOR).finditer(text, pos, end):
         start = factor.start()
         try:
-            index = int(factor[1])
+            index = int(factor[1].lstrip("0") or "0")  # int() refuses thousands of leading zeros
         except ValueError:  # more digits than int() converts
             raise TraceParseError("operator index has too many digits", start) from None
         if index == 0:
@@ -463,8 +459,10 @@ def _read_word(text: str, pos: int) -> tuple[list[int], int, int]:
         raise _missing("expected an operator like 'A1'", text, _SPACE.match(text, end + 1).end())
     if not text.startswith(")", end):
         raise TraceParseError("expected ')'", end)
-    word = "".join(run[0].split())  # then an exponent's leading zeros: int() refuses thousands of digits
-    return _factors(word if "^0" not in word else re.sub(r"\^0+", "^", word)), least, end + 1
+    word = "".join(run[0].split())
+    if "A0" in word or "^0" in word:  # leading zeros of an index or exponent: int() refuses thousands of digits
+        word = re.sub(r"([A^])0+", r"\1", word)
+    return _factors(word), least, end + 1
 
 
 # A well-formed term in one spelling, that of the g=4 relations and of

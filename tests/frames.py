@@ -47,6 +47,23 @@ def signed_permutation(n, rng):
     )
 
 
+def sqrt3_rotation(n, rng):
+    """A signed permutation times a rotation by +-pi/6 or +-pi/3 in a random
+    coordinate plane: orthogonal over Q(sqrt3), with sqrt3 in its entries,
+    so that moving data by it multiplies sqrt3 parts together."""
+    q = signed_permutation(n, rng)
+    if n < 2:
+        return q
+    i, j = rng.sample(range(n), 2)
+    half, root = QuadExt(Fraction(1, 2)), QuadExt(0, Fraction(1, 2))
+    cos, sin = (root, half) if rng.random() < 0.5 else (half, root)
+    sin = sin if rng.random() < 0.5 else -sin
+    rows = [[QuadExt(int(r == c)) for c in range(n)] for r in range(n)]
+    rows[i][i] = rows[j][j] = cos
+    rows[i][j], rows[j][i] = -sin, sin
+    return q @ Matrix(rows)
+
+
 def change_frame(data, q):
     ops = tuple(q @ op @ q.transpose() for op in data.operators)
     return ShapeOperatorSet(data.name, data.n, data.p, ops, data.labels)

@@ -9,14 +9,7 @@ from fractions import Fraction
 
 from willmore.catalog import BUILTIN_NAMES, builtin, parse_dataset, serialize_dataset
 from willmore.cli import main
-from willmore.curvature import (
-    einstein_check,
-    minimality_check,
-    ricci,
-    riemann,
-    square_norm,
-    willmore_check,
-)
+from willmore.curvature import curvature_report, einstein_check, riemann
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix, UniPoly
 from willmore.sweep import numeric_sweep, symbolic_sweep
@@ -72,7 +65,7 @@ def test_criterion_1_matrix_reproduction():
 def test_criterion_2_willmore_certification():
     ok = True
     for name in BUILTIN_NAMES:
-        result = willmore_check(builtin(name))
+        result = curvature_report(builtin(name)).willmore
         ok = ok and result.willmore and result.willmore_ricci_form and result.consistent
         ok = ok and all(not t for t in result.cubic_traces)
         ok = ok and all(not t for t in result.ricci_traces)
@@ -84,7 +77,7 @@ def test_criterion_3_minimality():
         not op.trace()
         for name in BUILTIN_NAMES
         for op in builtin(name).operators
-    ) and all(minimality_check(builtin(name)) for name in BUILTIN_NAMES)
+    ) and all(curvature_report(builtin(name)).minimal for name in BUILTIN_NAMES)
     report(3, "minimality", ok)
 
 
@@ -97,10 +90,11 @@ def test_criterion_4_derived_scalars():
     for name in BUILTIN_NAMES:
         data = builtin(name)
         m1_family = data.n == 5
-        ok = ok and square_norm(data) == (QuadExt(Fraction(40, 3)) if m1_family else QuadExt(40))
-        ric = ricci(data)
+        result = curvature_report(data)
+        ok = ok and result.square_norm == (QuadExt(Fraction(40, 3)) if m1_family else QuadExt(40))
+        ric = result.ricci
         ok = ok and ric.trace() == (QuadExt(Fraction(20, 3)) if m1_family else QuadExt(50))
-        ok = ok and einstein_check(ric) is None
+        ok = ok and einstein_check(ric) is result.einstein is None
         # every Ricci tensor equals (n-1)*I minus the printed sum
         derived = Matrix.identity(data.n, QuadExt(data.n - 1)) - PRINTED_SUMS[name]
         ok = ok and ric == derived
@@ -166,7 +160,7 @@ def _riemann_suite(data):
             return False
         if value + table[i, k, l, j] + table[i, l, j, k]:
             return False
-    ric = ricci(data)
+    ric = curvature_report(data).ricci
     for i in range(n):
         for j in range(n):
             total = table[i, 0, j, 0]

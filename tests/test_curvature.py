@@ -6,23 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import certificate_check
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, signed_permutation
 from willmore import curvature
-from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin
+from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import verify_certificate
 from willmore.curvature import (
-    NotMinimalError,
     _gram_table,
     _ricci_contraction,
     curvature_report,
     einstein_check,
-    minimality_check,
-    ricci,
     riemann,
     riemann_suite,
-    square_norm,
-    squared_operator_sum,
-    willmore_check,
 )
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix
@@ -56,47 +51,55 @@ ZERO_OPS_5 = ShapeOperatorSet(
 )
 
 
+def report_of(name):
+    return curvature_report(builtin(name))
+
+
+def squares_sum(data):
+    """sum_a A_a^2 by Matrix products."""
+    acc = data.operators[0] @ data.operators[0]
+    for op in data.operators[1:]:
+        acc = acc + op @ op
+    return acc
+
+
 class TestMinimality:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins_are_minimal(self, name):
-        assert minimality_check(builtin(name))
+        assert report_of(name).minimal
 
     def test_nonzero_trace_fails(self):
-        assert not minimality_check(single_operator(["1", "0"]))
+        assert not curvature_report(single_operator(["1", "0"])).minimal
 
 
 class TestSquareNorm:
     def test_m1_value(self):
-        assert square_norm(builtin("g6_m1_M1")) == QuadExt(Fraction(40, 3))
+        assert report_of("g6_m1_M1").square_norm == QuadExt(Fraction(40, 3))
 
     def test_m2_value(self):
-        assert square_norm(builtin("g6_m2_M1")) == QuadExt(40)
+        assert report_of("g6_m2_M1").square_norm == QuadExt(40)
 
     def test_zero_operators(self):
-        assert not square_norm(ZERO_OPS_5)
+        assert not curvature_report(ZERO_OPS_5).square_norm
 
 
 class TestRicci:
     def test_m1_M1_diagonal(self):
         expected = Matrix.diagonal([S(v) for v in "-2 10/3 4 10/3 -2".split()])
-        assert ricci(builtin("g6_m1_M1")) == expected
+        assert report_of("g6_m1_M1").ricci == expected
 
     def test_m2_M2_blocks(self):
         expected = Matrix.diagonal([S(v) for v in "4 4 4 4 9 9 4 4 4 4".split()])
-        assert ricci(builtin("g6_m2_M2")) == expected
+        assert report_of("g6_m2_M2").ricci == expected
 
     def test_zero_operators_give_round_sphere(self):
-        assert ricci(ZERO_OPS_5) == Matrix.identity(5, QuadExt(4))
-
-    def test_rejects_non_minimal_data(self):
-        with pytest.raises(NotMinimalError):
-            ricci(single_operator(["1", "0"]))
+        assert curvature_report(ZERO_OPS_5).ricci == Matrix.identity(5, QuadExt(4))
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_trace_identity(self, name):
-        data = builtin(name)
-        n = data.n
-        assert ricci(data).trace() == QuadExt(n * (n - 1)) - square_norm(data)
+        n = builtin(name).n
+        report = report_of(name)
+        assert report.ricci.trace() == QuadExt(n * (n - 1)) - report.square_norm
 
 
 class TestRiemann:
@@ -138,7 +141,7 @@ class TestRiemann:
     def test_contraction_matches_ricci(self, name):
         data = builtin(name)
         n = data.n
-        ric = ricci(data)
+        ric = curvature_report(data).ricci
         for i in range(n):
             for j in range(n):
                 total = riemann(data, i, 0, j, 0)
@@ -150,7 +153,7 @@ class TestRiemann:
 class TestWillmore:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_builtins_are_willmore_in_both_forms(self, name):
-        report = willmore_check(builtin(name))
+        report = report_of(name).willmore
         assert report.willmore
         assert report.willmore_ricci_form
         assert report.consistent
@@ -160,16 +163,11 @@ class TestWillmore:
 
     def test_willmore_without_einstein(self):
         # diag(1, -1, 0): Tr(A^3) = 0 but Ricci = diag(1, 1, 2)
-        data = single_operator(["1", "-1", "0"])
-        report = willmore_check(data)
-        assert report.willmore
-        assert report.cubic_traces == (QuadExt(0),)
-        assert ricci(data) == Matrix.diagonal([QuadExt(1), QuadExt(1), QuadExt(2)])
-        assert einstein_check(ricci(data)) is None
-
-    def test_rejects_non_minimal_data(self):
-        with pytest.raises(NotMinimalError):
-            willmore_check(single_operator(["1", "0"]))
+        report = curvature_report(single_operator(["1", "-1", "0"]))
+        assert report.willmore.willmore
+        assert report.willmore.cubic_traces == (QuadExt(0),)
+        assert report.ricci == Matrix.diagonal([QuadExt(1), QuadExt(1), QuadExt(2)])
+        assert einstein_check(report.ricci) is report.einstein is None
 
     def test_both_forms_agree_on_random_minimal_sets(self):
         rng = random.Random(43)
@@ -183,8 +181,9 @@ class TestWillmore:
                 shift = raw.trace() / n
                 ops.append(raw - Matrix.identity(n, shift))
             data = ShapeOperatorSet("minimalized", n, p, tuple(ops), tuple(f"B{i}" for i in range(p)))
-            assert minimality_check(data)
-            report = willmore_check(data)
+            full = curvature_report(data)
+            assert full.minimal
+            report = full.willmore
             assert report.willmore == report.willmore_ricci_form
             assert report.consistent
 
@@ -196,7 +195,7 @@ class TestWillmore:
             n = rng.randint(2, 5)
             p = rng.randint(1, 3)
             data = rand_dataset(rng, n, p)
-            squared = squared_operator_sum(data)
+            squared = squares_sum(data)
             generalized_ricci = Matrix.identity(n, QuadExt(n - 1)) - squared
             for op in data.operators:
                 lhs = (generalized_ricci @ op).trace()
@@ -206,13 +205,14 @@ class TestWillmore:
 
 class TestEinstein:
     def test_m1_M1_not_einstein(self):
-        assert einstein_check(ricci(builtin("g6_m1_M1"))) is None
+        assert einstein_check(report_of("g6_m1_M1").ricci) is None
 
     def test_m2_M2_not_einstein(self):
-        assert einstein_check(ricci(builtin("g6_m2_M2"))) is None
+        assert einstein_check(report_of("g6_m2_M2").ricci) is None
 
     def test_round_sphere_constant(self):
-        assert einstein_check(ricci(ZERO_OPS_5)) == QuadExt(4)
+        report = curvature_report(ZERO_OPS_5)
+        assert einstein_check(report.ricci) == report.einstein == QuadExt(4)
 
     def test_off_diagonal_blocks_detection(self):
         m = Matrix([[QuadExt(1), QuadExt(0, 1)], [QuadExt(0, 1), QuadExt(1)]])
@@ -231,16 +231,6 @@ class TestReport:
         assert not report.minimal
         assert not report.verified
         assert report.ricci is None and report.willmore is None
-
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_report_matches_the_public_checks(self, name):
-        data = builtin(name)
-        report = curvature_report(data)
-        assert report.square_norm == square_norm(data)
-        assert report.ricci == ricci(data)
-        assert report.einstein == einstein_check(ricci(data))
-        assert report.willmore == willmore_check(data)
-
 
 
 def trace_free(m):
@@ -273,23 +263,43 @@ def assert_components_match_riemann(data):
             assert QuadExt._make(cx[i][j], cy[i][j], den * den) == total
 
 
+def pair(value):
+    """A QuadExt as the checker's (a, b) pair of Fractions, None as None."""
+    return None if value is None else (value.a, value.b)
+
+
+def pairs(values):
+    return list(map(pair, values))
+
+
 def assert_pass_matches_reference(data):
-    """curvature_report and riemann_suite against Matrix products, QuadExt
-    sums and riemann(); returns the report and the suite's quadruple count
-    (None for non-minimal data, which gets no suite)."""
+    """curvature_report and riemann_suite against the independent checker
+    (`certificate_check`) run on serialize_dataset(data), which also checks
+    the `verify` certificate line by line, and the Gram table against
+    riemann(); returns the report and the suite's quadruple count (None for
+    non-minimal data, which gets no suite)."""
     n = data.n
     assert_components_match_riemann(data)
     report = curvature_report(data)
-    assert report.square_norm == squared_operator_sum(data).trace() == square_norm(data)
-    assert report.minimal == minimality_check(data)
-    assert report.traces == tuple(op.trace() for op in data.operators)
+    cert, ok = verify_certificate(data)
+    checked = certificate_check.check_certificate(serialize_dataset(data), cert.render("text"))
+    assert ok == checked["verified"]
+    assert pair(report.square_norm) == checked["square_norm"]
+    assert report.minimal == checked["minimal"]
+    assert pairs(report.traces) == checked["traces"]
     if not report.minimal:
         assert report.ricci is report.willmore is None
         return report, None
-    assert report.ricci == ricci(data)
-    assert report.einstein == einstein_check(ricci(data))
-    assert report.willmore == willmore_check(data)
+    assert [pairs(row) for row in report.ricci.rows] == checked["ricci"]
+    assert pair(report.einstein) == checked["einstein"]
+    willmore = report.willmore
+    assert (willmore.willmore, willmore.willmore_ricci_form, willmore.consistent) == (
+        checked["willmore"], checked["ricci_form_verdict"], checked["consistency"]
+    )
+    assert pairs(willmore.cubic_traces) == checked["cubic"]
+    assert pairs(willmore.ricci_traces) == checked["ricci_form"]
     checks, count = riemann_suite(data, report.ricci)
+    assert (checks, count) == (checked["riemann"], checked["quadruples"])
     assert count == len(sampled_indices(n)) ** 4
     assert all(checks.values())
     assert report.verified == report.willmore.willmore
@@ -399,7 +409,7 @@ class TestCurvaturePass:
     @pytest.mark.parametrize("name", ["g6_m1_M1", "g6_m2_M2"])
     def test_a_wrong_ricci_entry_fails_the_contraction(self, name, error):
         data = builtin(name)
-        ric = ricci(data)
+        ric = curvature_report(data).ricci
         assert riemann_suite(data, ric)[0]["contraction"]
         rows = [list(row) for row in ric.rows]
         rows[2][0] = rows[2][0] + error
@@ -417,7 +427,7 @@ class TestCurvaturePass:
         for (i, j, k, l), error in errors.items():
             table[part * n**4 + ((i * n + j) * n + k) * n + l] += error
         monkeypatch.setattr(curvature, "_gram_table", lambda *args: tuple(table))
-        checks, _ = riemann_suite(data, ricci(data))
+        checks, _ = riemann_suite(data, curvature_report(data).ricci)
         assert checks == {"antisymmetry": False, "pair_symmetry": False, "bianchi": False, "contraction": True}
 
     @pytest.mark.parametrize("name", ["g6_m1_M1", "g6_m2_M2"])

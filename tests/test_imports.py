@@ -84,3 +84,19 @@ def test_deferred_names_resolve_in_a_fresh_interpreter():
         "print(reduce_mod_sphere is willmore.polyring.reduce_mod_sphere, eval_float is willmore.eval_float)\n"
     )
     assert cold(script).stdout == "willmore.polyring fractions willmore.polyring\n[]\nTrue True\n"
+
+
+def test_the_certificate_checker_loads_no_willmore_module():
+    # the tests' reference shares no code with the package it checks; its
+    # own run on a golden certificate counts too
+    script = (
+        "import runpy, sys\n"
+        "sys.argv = ['certificate_check.py', 'tests/golden/builtins.dat', 'tests/golden/verify_g6_m2_M2_text.txt']\n"
+        "try:\n"
+        "    runpy.run_path('tests/certificate_check.py', run_name='__main__')\n"
+        "finally:\n"
+        "    print(sorted(name for name in sys.modules if name.partition('.')[0] == 'willmore'))\n"
+    )
+    done = cold(script)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "tests/golden/verify_g6_m2_M2_text.txt: checked\n[]\n"

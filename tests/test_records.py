@@ -14,7 +14,7 @@ import pytest
 import willmore
 from willmore.catalog import ShapeOperatorSet, builtin, parse_dataset, serialize_dataset
 from willmore.cli import Certificate
-from willmore.curvature import CurvatureReport, WillmoreReport, curvature_report, willmore_check
+from willmore.curvature import CurvatureReport, WillmoreReport, curvature_report
 from willmore.exactnum import QuadExt
 from willmore.linalg import Matrix, UniPoly
 from willmore.sweep import SweepVerdict, symbolic_sweep
@@ -40,10 +40,10 @@ RECORDS = {
         ("name", "n", "p", "operators", "labels", "g_tag", "m_tag"),
     ),
     WillmoreReport: (
-        lambda: willmore_check(builtin("g6_m1_M1")),
+        lambda: curvature_report(builtin("g6_m1_M1")).willmore,
         "WillmoreReport(willmore=True, cubic_traces=(QuadExt(0, 0), QuadExt(0, 0)), "
         "ricci_traces=(QuadExt(0, 0), QuadExt(0, 0)), consistent=True)",
-        lambda: willmore_check(builtin("g6_m2_M2")),
+        lambda: curvature_report(builtin("g6_m2_M2")).willmore,
         ("willmore", "cubic_traces", "ricci_traces", "consistent"),
     ),
     CurvatureReport: (

@@ -23,7 +23,6 @@ from willmore.tracealg import (
     g4_relations,
     parse_identity_file,
     parse_trace_expr,
-    reduce_goal,
     reduce_goal_with_steps,
     verify_g4,
 )
@@ -482,19 +481,19 @@ class TestReduceGoal:
 
     def test_direct_relation(self):
         goal = TraceExpr({(1,): 1})
-        assert not reduce_goal(goal, [TraceExpr({(1,): 1})])
+        assert not reduce_goal_with_steps(goal, [TraceExpr({(1,): 1})])[0]
 
     def test_willmore_goal_for_three_indices(self):
         goal = TraceExpr({(1, 1, 1): 1, (2, 2, 1): 1, (3, 3, 1): 1})
-        assert not reduce_goal(goal, g4_relations(3))
+        assert not reduce_goal_with_steps(goal, g4_relations(3))[0]
 
     def test_unrelated_goal_unchanged(self):
         goal = TraceExpr({(1, 2, 2): 1})
-        assert reduce_goal(goal, []) == goal
+        assert reduce_goal_with_steps(goal, [])[0] == goal
 
     def test_scaling(self):
         goal = TraceExpr({(1,): 2})
-        assert not reduce_goal(goal, [TraceExpr({(1,): 1})])
+        assert not reduce_goal_with_steps(goal, [TraceExpr({(1,): 1})])[0]
 
     def test_g4_elimination_reduces_each_relation_at_most_once(self, monkeypatch):
         # Sparsest rows first: the Tr(a) pivots come before the rows that
@@ -535,11 +534,11 @@ class TestReduceGoal:
         rng = random.Random(7)
         relations = g4_relations(4)
         goal = TraceExpr({(1, 1, 2): 1, (1,): Fraction(1, 2), (1, 2, 3): 5})
-        reference = reduce_goal(goal, relations)
+        reference = reduce_goal_with_steps(goal, relations)[0]
         for _ in range(10):
             shuffled = relations[:]
             rng.shuffle(shuffled)
-            assert reduce_goal(goal, shuffled) == reference
+            assert reduce_goal_with_steps(goal, shuffled)[0] == reference
 
 
 class TestG4Blocks:
@@ -855,6 +854,28 @@ class TestReadersAgree:
     def test_an_exponents_leading_zeros_are_read_past_ints_digit_limit(self):
         text = "Tr(A2*A1^" + "0" * 5_000 + "3)"
         assert parse_trace_expr(text) == trace_parser_reference.parse_trace_expr(text) == TraceExpr({(1, 1, 1, 2): 1})
+
+    # an index and an exponent, each behind 5,000 leading zeros, read as the numbers they spell
+    LEADING_ZEROS = {
+        "Tr(A" + "0" * 5_000 + "1)": TraceExpr({(1,): 1}),
+        "Tr(A1^" + "0" * 5_000 + "5)": TraceExpr({(1,) * 5: 1}),
+    }
+
+    @pytest.mark.parametrize("text", LEADING_ZEROS, ids=["index", "exponent"])
+    def test_leading_zeros_of_an_index_or_exponent_are_read_past_ints_digit_limit(self, text):
+        assert parse_trace_expr(text) == trace_parser_reference.parse_trace_expr(text) == self.LEADING_ZEROS[text]
+
+    @pytest.mark.parametrize("text", LEADING_ZEROS, ids=["index", "exponent"])
+    def test_leading_zeros_in_a_rules_file_line(self, text):
+        # not the canonical spelling, so the line check rejects the line and `_parse_rule` reads it
+        line = f"{text} = Tr(A2)"
+        assert not line_check_reference.accepts(line)
+        expected = TraceExpr({**self.LEADING_ZEROS[text].terms, (2,): -1})
+        assert tracealg._parse_rule(1, line) == expected
+        assert trace_parser_reference.parse_identity_file(line) == [expected]
+        rules = tracealg.RulesFile(line + "\n")
+        assert rules.relations == [expected]
+        assert rules.component(TraceExpr({(2,): 1})) == [expected]
 
 
 # Before Python 3.11 int() reads any number of digits.

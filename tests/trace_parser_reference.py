@@ -67,7 +67,7 @@ class _TraceParser:
         if token[0] != "gen":
             raise TraceParseError("expected an operator like 'A1'", token[2])
         try:
-            index = int(token[1][1:])
+            index = int(token[1][1:].lstrip("0") or "0")
         except ValueError:  # more digits than int() converts
             raise TraceParseError("operator index has too many digits", token[2]) from None
         if index == 0:
