@@ -29,7 +29,7 @@ from operator import add, itemgetter, neg, sub
 from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import QuadExt
-from .linalg import Matrix, Row, lower_pair_products
+from .linalg import Matrix, Row, lower_pair_products, lower_triangle, symmetric_index
 
 
 def riemann(data: ShapeOperatorSet, i: int, j: int, k: int, l: int) -> QuadExt:
@@ -189,14 +189,12 @@ def _diagonal(rows: tuple[Row, ...]) -> tuple[int, int]:
 
 
 def _squared_sum(ops: tuple[tuple[Row, ...], ...], n: int) -> Pairs:
-    """sum_a A_a^2 over D^2, from nonzero entries only.  The sum is symmetric,
-    so only its lower triangle is accumulated, then mirrored."""
-    accx, accy = lower_pair_products([(rows, rows) for rows in ops], n)
-    for i in range(n):
-        for l in range(i):
-            accx[l][i] = accx[i][l]
-            accy[l][i] = accy[i][l]
-    return accx, accy
+    """sum_a A_a^2 over D^2 by the packed pair product: its lower triangle,
+    mirrored."""
+    lowers = {a: lower_triangle(rows, n) for a, rows in enumerate(ops)}
+    [lower], _ = lower_pair_products(ops, lowers, [[(a, a) for a in lowers]], n)
+    index = symmetric_index(n)[0]
+    return tuple([[part[t] for t in index[k * n : k * n + n]] for k in range(n)] for part in lower)
 
 
 def _trace_product(m: Pairs, rows: tuple[Row, ...]) -> tuple[int, int]:

@@ -8,13 +8,18 @@ both satisfy it.
 The exact kernels of the curvature pass (`curvature.curvature_report`) and
 of the normal-sphere sweeps (`sweep.normal_char_poly`) do not multiply
 `Matrix` objects: they read the sparse integer-pair rows of `integer_rows`,
-which each dataset holds, built once (`ShapeOperatorSet.integer_form`).
+which each dataset holds, built once (`ShapeOperatorSet.integer_form`), and
+share one pair product on rows packed into ints, `lower_pair_products`.
 `Matrix @` and `Matrix.char_poly` (Faddeev-LeVerrier) are their reference.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+from functools import cache
+from itertools import chain, repeat
+from operator import add, itemgetter, lshift, xor
 from typing import Callable, Iterable, Sequence
 
 from .exactnum import format_sum
@@ -264,21 +269,66 @@ def integer_rows(matrices: Iterable[Matrix]) -> tuple[tuple[tuple[Row, ...], ...
     ), den
 
 
-def lower_pair_products(pairs, n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Dense (x rows, y rows) of the lower triangle of the sum of L R over
-    the pairs (L, R) of `integer_rows` of n x n matrices.  Entries above the
-    diagonal stay 0, for a caller whose sum is symmetric to mirror; each
-    product runs over nonzero entries only, and stops at the diagonal because
-    rows are sorted by column."""
-    accx = [[0] * n for _ in range(n)]
-    accy = [[0] * n for _ in range(n)]
-    for l_rows, r_rows in pairs:
-        for i, (l_row, rx, ry) in enumerate(zip(l_rows, accx, accy)):
-            for j, ax, ay in l_row:
-                ay3 = 3 * ay
-                for l, bx, by in r_rows[j]:
-                    if l > i:
-                        break
-                    rx[l] += ax * bx + ay3 * by
-                    ry[l] += ax * by + ay * bx
-    return accx, accy
+def lower_triangle(rows: Sequence[Row], n: int) -> tuple[list[int], list[int]]:
+    """The x and y parts of the entries (i, l <= i) of the integer-pair rows
+    of an n x n matrix, (i, l) at i (i + 1) / 2 + l."""
+    xs, ys = [0] * (n * (n + 1) // 2), [0] * (n * (n + 1) // 2)
+    for i, row in enumerate(rows):
+        for l, x, y in row:
+            if l <= i:
+                xs[i * (i + 1) // 2 + l], ys[i * (i + 1) // 2 + l] = x, y
+    return xs, ys
+
+
+@cache
+def symmetric_index(n: int) -> tuple[tuple[int, ...], Callable]:
+    """Where each (k, l) of a symmetric n x n matrix sits in its `lower_triangle`,
+    and a getter of the digits 0..i of each row i of 2n rows of n digits."""
+    return tuple(max(k, l) * (max(k, l) + 1) // 2 + min(k, l) for k in range(n) for l in range(n)), itemgetter(
+        *(h * n * n + i * n + l for h in range(2) for i in range(n) for l in range(i + 1)))
+
+
+def pair_product_rows(pairs, n: int) -> tuple[list[int], list[int]]:
+    """The packed rows (X, Y) of sum L R over the pairs (L, packed rows of R)."""
+    rows = []
+    for i in range(n):
+        sx = sy = 0
+        for l_rows, (xr, yr) in pairs:
+            for k, x, y in l_rows[i]:  # a zero part multiplies nothing
+                if x:
+                    sx, sy = sx + x * xr[k], sy + x * yr[k]
+                if y:
+                    sx, sy = sx + 3 * y * yr[k], sy + y * xr[k]
+        rows.append((sx, sy))
+    return tuple(zip(*rows))
+
+
+def lower_pair_products(lefts, rights, targets, n: int, held=(0, None)) -> tuple[list, tuple[int, list]]:
+    """The `lower_triangle` of sum L_a R_m over the (a, m) of each target, L_a
+    the integer-pair rows `lefts[a]`, R_m the symmetric `lower_triangle`
+    `rights[m]`; and (w, the sums' `pair_product_rows`), each R_m's rows packed
+    in digits of w words unless held is (w, {m: R_m's rows so packed}).  The
+    width and the exact read-back are proved at `sweep._block_char_poly`."""
+    places, select = symmetric_index(n)
+    r = max((sum(abs(x) + 3 * abs(y) for row in rows for _, x, y in row) for rows in zip(*lefts)), default=0)
+    top = max(map(abs, chain.from_iterable(chain.from_iterable(rights.values()))), default=0)
+    words = ((r * top).bit_length() + 1 + 63) // 64  # the least with W = 64 words >= bit_length(r top) + 1
+    if held[0] != words:  # each part of each row k of each R_m: sum_l e_kl 2^(W l), by Horner's rule
+        digits = list(chain.from_iterable(map(part.__getitem__, places) for lower in rights.values() for part in lower))
+        rows = digits[n - 1 :: n]
+        for l in range(n - 2, -1, -1):
+            rows = list(map(add, digits[l::n], map(lshift, rows, repeat(64 * words))))
+        held = words, {m: (rows[q : q + n], rows[q + n : q + 2 * n]) for m, q in zip(rights, range(0, len(rows), n + n))}
+    sums = [pair_product_rows([(lefts[a], held[1][m]) for a, m in pairs], n) for pairs in targets]
+    # a digit plus 2^(W-1), its top bit flipped, is its two's complement: top word signed, the others not
+    half = ((1 << 64 * words * n) - 1) // ((1 << 64 * words) - 1) << 64 * words - 1  # 2^(W-1) at each place
+    rows = map(xor, map(add, chain.from_iterable(chain(*sums)), repeat(half)), repeat(half))
+    buf = b"".join(map(int.to_bytes, rows, repeat(8 * words * n), repeat("little")))
+    signed, size, out = struct.unpack(f"<{len(buf) // 8}q", buf), 2 * n * n * words, []
+    plain = struct.unpack(f"<{len(buf) // 8}Q", buf) if words > 1 else signed
+    for start in range(0, len(signed), size):
+        lower = select(signed[start + words - 1 : start + size : words])
+        for w in range(words - 2, -1, -1):
+            lower = tuple(map(add, map(lshift, lower, repeat(64)), select(plain[start + w : start + size : words])))
+        out.append((list(lower[: len(lower) // 2]), list(lower[len(lower) // 2 :])))
+    return out, (words, sums)

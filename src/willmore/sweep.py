@@ -4,20 +4,18 @@ For a unit normal with coordinates (t1..tp) the shape operator is
 A(t) = sum_a t_a A_a.  Both sweeps take its characteristic polynomial, with
 coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
 basis into the connected components of the operators' joint nonzero pattern
-in the integer pairs the dataset holds (`integer_form`), by a breadth-first
-search over each row's nonzero columns (`_components`); a permutation makes
-A(t) block-diagonal with one block per component, for every t, so
-det(lambda I - A(t)) is exactly the product of the blocks' characteristic
-polynomials.  Each distinct block gets its polynomial by Newton's identities
-from the Frobenius products of the powers of A(t), skipping zeros, up to half
-the joint rank of its operators: no k x k minor of A(t) is nonzero above it.
-The kernel gives each polynomial packed as the product (`_multiply`) takes
-it: each power of lambda as terms over one denominator, each monomial one
-int whose digits in base n + 1 are its exponents, since the coefficient of
-lambda^(n-k) has total degree k <= n.  `_pair_sum` multiplies such
-polynomials in t for the product and the Newton step.  Both sweeps work on
-these packed pairs; `_poly` makes a UniPoly over MultiPoly of one, for
-`normal_char_poly`, whose reference is `normal_shape_operator(data).char_poly()`.
+in the integer pairs the dataset holds (`integer_form`, `_components`): a
+permutation makes A(t) block-diagonal for every t, so det(lambda I - A(t)) is
+the product of the blocks' characteristic polynomials.  Each distinct block
+gets its polynomial by Newton's identities from the Frobenius products of the
+powers of A(t), multiplied on rows packed into one int per part, up to half
+the joint rank of its operators (`_block_char_poly`).  The kernel gives each
+polynomial packed as the product (`_multiply`) takes it: each power of lambda
+as terms over one denominator, each monomial one int whose digits in base
+n + 1 are its exponents.  `_pair_sum` multiplies such polynomials in t for
+the product and the Newton step.  Both sweeps work on these packed pairs;
+`_poly` makes a UniPoly over MultiPoly of one, for `normal_char_poly`, whose
+reference is `normal_shape_operator(data).char_poly()`.
 
 The symbolic sweep decides each coefficient on its packed pairs
 (`_constants`): the coefficient of lambda^(n-k) is homogeneous of degree k
@@ -46,14 +44,14 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations_with_replacement, compress, islice, product, repeat
-from operator import add, mul, or_, sub
+from itertools import chain, combinations_with_replacement, islice, product, repeat
+from operator import add, floordiv, mul, sub
 from typing import TYPE_CHECKING, Iterator
 
 from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, ZERO, QuadExt
-from .linalg import Matrix, Row, UniPoly, lower_pair_products
+from .linalg import Matrix, Row, UniPoly, lower_pair_products, lower_triangle, symmetric_index
 
 if TYPE_CHECKING:
     from .polyring import MultiPoly
@@ -70,8 +68,9 @@ CHUNK_POINTS = 4096
 # Bound on the kernel's work, counted before any block runs: a block of size m
 # in codim p, every copy counted, adds C(m + p, p) (m^2 + p), its terms at most
 # times its matrix entries plus the length of an exponent vector.  On a 2-core
-# Xeon VM a dense block takes about 0.6 s at m = 8, p = 7 (456,885) and 2.1 to
-# 2.8 s at m = 34, p = 2 (729,540); m = 40, p = 2 (1,379,322) took 5.3 s.
+# Xeon VM a dense block takes about 0.4 s at m = 8, p = 7 (456,885), 0.2 s at
+# m = 34, p = 2 (729,540) and 0.9 s at m = 92, p = 1 (787,245), in process;
+# m = 40, p = 2 (1,379,322) exits 2 at once.
 MAX_SWEEP_WORK = 800_000
 
 # Bound on a step of the blocks' product, checked before it: the partial
@@ -267,8 +266,17 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     the identities stop at k = rho, and lambda^0..lambda^(n-rho-1) stay zero.  Every
     monomial coefficient of A(t)^j is symmetric, so Tr(A^k) is the Frobenius
     product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(rho/2) are formed,
-    each A^j = sum_m t^m M_m as {m: sparse rows of M_m} over one denominator
-    normalised by a gcd.  Adding two packed monomials builds no tuple.
+    each A^j = sum_m t^m M_m over one denominator normalised by a gcd, each M_m
+    the `lower_triangle` that the Frobenius step reads.  M_m' of A^(j+1) sums
+    A_a M_m over m = m' - e_a on packed rows (`linalg.lower_pair_products`):
+    row k of M_m is X_k = sum_l x_kl 2^(W l) and Y_k likewise, so row i of the
+    sum is sum x X_k + 3 y Y_k in x and x Y_k + y X_k in y over the a and the
+    nonzero (k, x, y) of A_a's row i.  With T the largest part of A^j and
+    r = max_i sum_a sum_k (|x| + 3|y|) over the rows i of the A_a, no part of
+    the sum exceeds r T < 2^(W-1), W = bit_length(r T) + 1 rounded up to whole
+    64-bit words.  So its balanced digits, in [-2^(W-1), 2^(W-1)), are unique
+    and are its entries: adding 2^(W-1) at each place makes them the plain
+    base-2^W digits of a sum that carries nothing.
 
     `normal_char_poly` calls this once per distinct diagonal block of A(t).
     A FAIL is taken on the product of the blocks' polynomials, never block
@@ -278,25 +286,28 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     yet their product lambda^2 - t^2 is lambda^2 - 1 at both points.
     """
     active = [(rows, base**a) for a, rows in enumerate(ops) if any(rows)]
-    weights = [1 if l == i else 2 for i in range(n) for l in range(i + 1)]
-    power, den, rank = {unit: rows for rows, unit in active}, op_den, n  # A^1; rho once A^2 is formed
-    # packed[j] = (op_den^j / den of A^j, {m: _pack(M_m)}), from A^0 = I
-    packed = [(1, {0: _pack([[(i, 1, 0)] for i in range(n)], weights)})]
+    weights, held = [1 if l == i else 2 for i in range(n) for l in range(i + 1)], (0, None)
+    power, den, rank = {unit: lower_triangle(rows, n) for rows, unit in active}, op_den, n  # A^1; rho once A^2 is formed
+    # packed[j] = (op_den^j / den of A^j, {m: _frobenius_forms(M_m)}), from A^0 = I
+    packed = [(1, {0: _frobenius_forms(lower_triangle([[(i, 1, 0)] for i in range(n)], n), weights)})]
     for j in range(1, (n + 1) // 2 + 1):
         if j > (rank + 1) // 2:
             break
         if j > 1:
             # the terms of the monomial m' are the (A_a, M_m) with m + e_a = m'
             sources: dict[int, list] = {}
-            for (m, rows), (a_rows, unit) in product(power.items(), active):
-                sources.setdefault(m + unit, []).append((a_rows, rows))
-            power = {m: rows for m, pairs in sources.items() if any(rows := _product(pairs, n))}
-            entries = (v for rows in power.values() for row in rows for _, x, y in row for v in (x, y))
-            g = math.gcd(den * op_den, *entries)
-            power = {m: [[(l, x // g, y // g) for l, x, y in row] for row in rows] for m, rows in power.items()}
+            for m, (a, (_, unit)) in product(power, enumerate(active)):
+                sources.setdefault(m + unit, []).append((a, m))
+            sums, (words, rows) = lower_pair_products([a_rows for a_rows, _ in active], power, sources.values(), n, held)
+            power = {m: lower for m, lower in zip(sources, sums) if any(map(any, lower))}
+            g = math.gcd(den * op_den, *chain.from_iterable(chain.from_iterable(power.values())))
+            power = {m: ([*map(floordiv, x, repeat(g))], [*map(floordiv, y, repeat(g))]) for m, (x, y) in power.items()}
             den = den * op_den // g
             rank = _psd_rank([power[2 * unit] for _, unit in active], n) if j == 2 else rank
-        packed.append((op_den**j // den, {m: _pack(rows, weights) for m, rows in power.items()}))
+            if j < (rank + 1) // 2:  # the products' rows over g are M's for the next power, while their width holds
+                held = words, {m: ([*map(floordiv, x, repeat(g))], [*map(floordiv, y, repeat(g))])
+                               for m, (x, y) in zip(sources, rows)}
+        packed.append((op_den**j // den, {m: _frobenius_forms(lower, weights) for m, lower in power.items()}))
     sums, elementary = [None], [[(0, 1, 0)]]  # S_i and E_k as [(m, x, y)]
     for k in range(1, rank + 1):
         (scale, left), (scale_b, right) = packed[k // 2], packed[k - k // 2]
@@ -317,16 +328,14 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     return [([], 1)] * (n - rank) + [(elementary[k], math.factorial(k) * (-op_den) ** k) for k in range(rank, -1, -1)]
 
 
-def _psd_rank(mats: list[list[Row]], n: int) -> int:
-    """The rank of the sum G of the n x n integer-pair rows `mats`, squares A_a^2
-    of symmetric A_a: G is positive semidefinite, and so is each Schur complement
-    in its symmetric elimination with diagonal pivots (free of fractions, a row
-    divided by its content), whose zero pivots thus have zero rows."""
-    xs, ys = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-    for rows in mats:
-        for row, rx, ry in zip(rows, xs, ys):
-            for l, x, y in row:
-                rx[l], ry[l] = rx[l] + x, ry[l] + y
+def _psd_rank(mats: list[tuple[list[int], list[int]]], n: int) -> int:
+    """The rank of the sum G of the `lower_triangle`s `mats` of n x n squares
+    A_a^2 of symmetric A_a: G is positive semidefinite, and so is each Schur
+    complement in its symmetric elimination with diagonal pivots (free of
+    fractions, a row divided by its content), whose zero pivots thus have zero rows."""
+    index, zero = symmetric_index(n)[0], [0] * (n * (n + 1) // 2)
+    full = ([*map([*map(sum, zip(*part))].__getitem__, index)] for part in zip(*mats, (zero, zero)))
+    xs, ys = ([g[k * n : k * n + n] for k in range(n)] for g in full)
     rank = 0
     for i, (px, py) in enumerate(zip(xs, ys)):
         a, b, cols = px[i], py[i], range(i + 1, n)
@@ -351,30 +360,11 @@ def _unpack(m: int, base: int, p: int) -> tuple[int, ...]:
     return tuple(exps)
 
 
-def _pack(rows: list[Row], weights: list[int]) -> tuple:
+def _frobenius_forms(lower: tuple[list[int], list[int]], weights: list[int]) -> tuple:
     """The lower triangle of a symmetric X as (x, y, x + y), plain and with the
     off-diagonal doubled: <X, Y>_F is three dot products of doubled X, plain Y."""
-    xs, ys = [0] * len(weights), [0] * len(weights)
-    for i, row in enumerate(rows):
-        for l, x, y in row:
-            if l <= i:
-                xs[i * (i + 1) // 2 + l], ys[i * (i + 1) // 2 + l] = x, y
-    plain = (xs, ys, list(map(add, xs, ys)))
+    plain = (*lower, list(map(add, *lower)))
     return plain, tuple(list(map(mul, v, weights)) for v in plain)
-
-
-def _product(pairs, n: int) -> list[Row]:
-    """Sparse rows of the sum of A_a M_m over the pairs (A_a, M_m): the sum is
-    symmetric, so only its lower triangle is accumulated, then mirrored."""
-    accx, accy = lower_pair_products(pairs, n)
-    rows: list[Row] = []
-    for i, (rx, ry) in enumerate(zip(accx, accy)):
-        row = [(l, rx[l], ry[l]) for l in compress(range(i + 1), map(or_, rx, ry))]
-        for l, x, y in row:
-            if l < i:
-                rows[l].append((i, x, y))
-        rows.append(row)
-    return rows
 
 
 def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:

@@ -17,7 +17,10 @@ kernel, and its witness is the lowest coefficient that the kernel's rank
 leaves nonzero.  One more fails on the product of several distinct blocks:
 tests/data/g6_m1_M1_varying_block.dat, generated by `varying_block_dataset`,
 is g6_m1_M1 with a 2 x 2 block of sqrt3 and fractional entries whose
-determinant varies over the sphere.  One tracecheck reads tests/data/g4_p4.rules,
+determinant varies over the sphere.  The widest digits of the sweep's packed
+rows come at p = 1, where the entries of the powers grow fastest: one sweep
+fails on the dense +-1 60 x 60 block of `sweep_inputs.dense_file(60, 1)`,
+its witness at lambda^37.  One tracecheck reads tests/data/g4_p4.rules,
 the g=4 relations at p=4 in the form the benchmark writes, whose every line
 the rules reader's line check (terms of `tracealg._TERM`) accepts, and one reads
 the hand-written tests/data/coefficients.rules, whose coefficients have sqrt3
@@ -41,6 +44,7 @@ import pytest
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals
 from g4_rules import g4_rules_text
+from sweep_inputs import dense_file
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main
 from willmore.exactnum import QuadExt, parse_scalar
@@ -145,8 +149,9 @@ Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
 -1/2*Tr(A2) + sqrt3 * Tr(A1) = 0
 """
 
-# golden file name -> (argv, expected exit code); "{lopsided}" and "{mixed}"
-# stand for files written from NON_MINIMAL and MIXED_RULES, "{cayley}",
+# golden file name -> (argv, expected exit code); "{lopsided}", "{mixed}" and
+# "{dense60}" stand for files written from NON_MINIMAL, MIXED_RULES and
+# dense_file(60, 1), "{cayley}",
 # "{sum20}", "{dense14}", "{raised}", "{varying}", "{g4_p4}" and "{coefficients}" for the committed
 # input files
 CASES = {
@@ -160,6 +165,7 @@ CASES = {
     "sweep_g6_m2_M2_cayley.txt": (["sweep", "{cayley}", "--mode", "symbolic"], 0),
     "sweep_sum20_g6_m2_M2.txt": (["sweep", "{sum20}", "--mode", "symbolic"], 0),
     "sweep_dense14_p3.txt": (["sweep", "{dense14}", "--mode", "symbolic"], 1),
+    "sweep_dense60_p1.txt": (["sweep", "{dense60}", "--mode", "symbolic"], 1),
     "sweep_g6_m2_M2_raised_cayley.txt": (["sweep", "{raised}", "--mode", "symbolic"], 1),
     "sweep_g6_m1_M1_varying_block.txt": (["sweep", "{varying}", "--mode", "symbolic"], 1),
     # numeric sweeps at p = 2 and p = 3, passing, and at p = 1 and over four blocks, failing
@@ -213,8 +219,10 @@ def render(name, directory):
     lopsided.write_text(NON_MINIMAL, encoding="utf-8")
     mixed = Path(directory) / "mixed.rules"
     mixed.write_text(MIXED_RULES, encoding="utf-8")
+    dense60 = Path(directory) / "dense60.dat"
+    dense60.write_text(dense_file(60, 1), encoding="utf-8")
     paths = {
-        "lopsided": lopsided, "mixed": mixed, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "raised": RAISED,
+        "lopsided": lopsided, "mixed": mixed, "dense60": dense60, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "raised": RAISED,
         "varying": VARYING, "g4_p4": G4_P4, "coefficients": COEFFICIENTS,
     }
     argv, code = CASES[name]

@@ -14,11 +14,11 @@ from nan_injection import inject_one_nan
 from numeric_reference import reference_numeric_sweep, reference_product
 from sphere_reference import sphere_constant
 from sweep_inputs import DENSE_8_BY_8, DIAGONAL_9, STEPS_22, dense_file
-from willmore import polyring, sweep
+from willmore import linalg, polyring, sweep
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, parse_dataset
 from willmore.cli import NUMERIC_TOLERANCE, main
 from willmore.exactnum import QuadExt, parse_scalar
-from willmore.linalg import Matrix, UniPoly, integer_rows
+from willmore.linalg import Matrix, UniPoly, integer_rows, lower_triangle
 from willmore.polyring import MultiPoly, eval_float, reduce_mod_sphere
 from willmore.sweep import (
     SweepVerdict,
@@ -596,7 +596,7 @@ class TestNormalCharPoly:
     def test_no_power_above_half_the_block_is_formed(self, monkeypatch):
         # n = 3, p = 2: A^2 holds t1^2, t1*t2 and t2^2, one product each;
         # Tr(A^3) = <A, A^2>_F, so A^3 and its four products are never formed
-        calls = count_calls(monkeypatch, sweep, "_product")
+        calls = count_calls(monkeypatch, linalg, "pair_product_rows")
         normal_char_poly(dense_block())
         assert len(calls) == 3
 
@@ -648,7 +648,7 @@ class TestJointRank:
         # sums it; its rank is that of the stacked [A_1 | ... | A_p]
         data, _ = case
         squares = [op @ op for op in data.operators]
-        rank = sweep._psd_rank(integer_rows(squares)[0], data.n)
+        rank = sweep._psd_rank([lower_triangle(rows, data.n) for rows in integer_rows(squares)[0]], data.n)
         gram = functools.reduce(Matrix.__add__, squares)
         stacked = [sum(rows, []) for rows in zip(*map(fraction_pairs, data.operators))]
         assert rank == pair_rank(fraction_pairs(gram)) == pair_rank(stacked)
@@ -667,8 +667,9 @@ class TestJointRank:
     )
     def test_the_rank_of_small_operators(self, operators, rank):
         ops = [Matrix([[S(e) for e in row.split()] for row in op.split(";")]) for op in operators]
+        n = ops[0].nrows
         squares, _ = integer_rows([op @ op for op in ops])
-        assert sweep._psd_rank(squares, ops[0].nrows) == rank
+        assert sweep._psd_rank([lower_triangle(rows, n) for rows in squares], n) == rank
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(planted_kernels())
@@ -681,7 +682,7 @@ class TestJointRank:
     def test_the_cayley_file_forms_powers_to_half_its_joint_rank(self, monkeypatch):
         # n = 10, p = 3 and joint rank 8: A^2, A^3 and A^4 take 6 + 10 + 15
         # products, one per monomial; A^5 and its 21 would only feed E_9 = E_10 = 0
-        calls = count_calls(monkeypatch, sweep, "_product")
+        calls = count_calls(monkeypatch, linalg, "pair_product_rows")
         poly = normal_char_poly(data_file("g6_m2_M2_cayley.dat")())
         assert len(calls) == 31
         assert not poly.coeffs[0] and not poly.coeffs[1] and poly.coeffs[2]
@@ -819,7 +820,7 @@ class TestBlocks:
     def test_the_power_kernel_runs_on_the_largest_block(self, monkeypatch, make, largest):
         # components [1, 1, 4, 4] for g6_m2_M1 and [1, 1, 8] per g6_m2_M2
         data = make()
-        calls = count_calls(monkeypatch, sweep, "_product")
+        calls = count_calls(monkeypatch, linalg, "pair_product_rows")
         normal_char_poly(data)
         assert max(n for _, n in calls) == largest < data.n
 
