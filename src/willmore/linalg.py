@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import add, itemgetter, lshift, xor
 from typing import Callable, Iterable, Sequence
 
@@ -281,11 +281,13 @@ def lower_triangle(rows: Sequence[Row], n: int) -> tuple[list[int], list[int]]:
 
 
 @cache
-def symmetric_index(n: int) -> tuple[tuple[int, ...], Callable]:
-    """Where each (k, l) of a symmetric n x n matrix sits in its `lower_triangle`,
-    and a getter of the digits 0..i of each row i of 2n rows of n digits."""
-    return tuple(max(k, l) * (max(k, l) + 1) // 2 + min(k, l) for k in range(n) for l in range(n)), itemgetter(
-        *(h * n * n + i * n + l for h in range(2) for i in range(n) for l in range(i + 1)))
+def symmetric_index(n: int) -> tuple[tuple[int, ...], Callable, list[tuple[int, int]]]:
+    """Where each (k, l) of a symmetric n x n matrix sits in its `lower_triangle`;
+    a getter of the digits 0..i of each row i of 2n rows of n digits; and the
+    entry (i, l) at each place of a `lower_triangle`."""
+    lower = [(i, l) for i in range(n) for l in range(i + 1)]
+    places = tuple(max(k, l) * (max(k, l) + 1) // 2 + min(k, l) for k in range(n) for l in range(n))
+    return places, itemgetter(*(h * n * n + i * n + l for h in range(2) for i, l in lower)), lower
 
 
 def pair_product_rows(pairs, n: int) -> tuple[list[int], list[int]]:
@@ -309,16 +311,19 @@ def lower_pair_products(lefts, rights, targets, n: int, held=(0, None)) -> tuple
     `rights[m]`; and (w, the sums' `pair_product_rows`), each R_m's rows packed
     in digits of w words unless held is (w, {m: R_m's rows so packed}).  The
     width and the exact read-back are proved at `sweep._block_char_poly`."""
-    places, select = symmetric_index(n)
+    _, select, coords = symmetric_index(n)
     r = max((sum(abs(x) + 3 * abs(y) for row in rows for _, x, y in row) for rows in zip(*lefts)), default=0)
-    top = max(map(abs, chain.from_iterable(chain.from_iterable(rights.values()))), default=0)
+    parts = list(chain.from_iterable(rights.values()))
+    top = max(max(map(max, parts), default=0), -min(map(min, parts), default=0))
     words = ((r * top).bit_length() + 1 + 63) // 64  # the least with W = 64 words >= bit_length(r top) + 1
-    if held[0] != words:  # each part of each row k of each R_m: sum_l e_kl 2^(W l), by Horner's rule
-        digits = list(chain.from_iterable(map(part.__getitem__, places) for lower in rights.values() for part in lower))
-        rows = digits[n - 1 :: n]
-        for l in range(n - 2, -1, -1):
-            rows = list(map(add, digits[l::n], map(lshift, rows, repeat(64 * words))))
-        held = words, {m: (rows[q : q + n], rows[q + n : q + 2 * n]) for m, q in zip(rights, range(0, len(rows), n + n))}
+    if held[0] != words:  # each part of row k of each R_m: sum_l e_kl 2^(W l), over its nonzero e_kl
+        held = words, {m: ([0] * n, [0] * n) for m in rights}
+        for part, row in zip(parts, chain.from_iterable(held[1].values())):
+            for t in compress(range(len(part)), part):
+                k, l = coords[t]
+                row[k] += part[t] << 64 * words * l
+                if k != l:
+                    row[l] += part[t] << 64 * words * k
     sums = [pair_product_rows([(lefts[a], held[1][m]) for a, m in pairs], n) for pairs in targets]
     # a digit plus 2^(W-1), its top bit flipped, is its two's complement: top word signed, the others not
     half = ((1 << 64 * words * n) - 1) // ((1 << 64 * words) - 1) << 64 * words - 1  # 2^(W-1) at each place
