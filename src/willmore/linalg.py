@@ -290,7 +290,7 @@ def symmetric_index(n: int) -> tuple[tuple[int, ...], Callable, list[tuple[int, 
     return places, itemgetter(*(h * n * n + i * n + l for h in range(2) for i, l in lower)), lower
 
 
-def pair_product_rows(pairs, n: int) -> tuple[list[int], list[int]]:
+def pair_product_rows(pairs, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The packed rows (X, Y) of sum L R over the pairs (L, packed rows of R)."""
     rows = []
     for i in range(n):
