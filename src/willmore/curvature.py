@@ -193,8 +193,7 @@ def _squared_sum(ops: tuple[tuple[Row, ...], ...], n: int) -> Pairs:
     mirrored."""
     lowers = {a: lower_triangle(rows, n) for a, rows in enumerate(ops)}
     [lower], _ = lower_pair_products(ops, lowers, [[(a, a) for a in lowers]], n)
-    index = symmetric_index(n)[0]
-    return tuple([[part[t] for t in index[k * n : k * n + n]] for k in range(n)] for part in lower)
+    return tuple(map(symmetric_index(n).expand, lower))
 
 
 def _trace_product(m: Pairs, rows: tuple[Row, ...]) -> tuple[int, int]:
@@ -216,12 +215,11 @@ def _gram_table(ops: tuple[tuple[Row, ...], ...], den: int, indices: range) -> t
     operators are symmetric, so G is formed once for each unordered pair of
     unordered pairs u, v of `indices`."""
     rows = [[dict((j, (x, y)) for j, x, y in op[i]) for op in ops] for i in indices]
-    vectors = [  # (A_a)_ik for the unordered pairs {i, k}, in the order of _tri
-        [(den * (i == k), 0)] + [entries.get(k, (0, 0)) for entries in row]
-        for s, (i, row) in enumerate(zip(indices, rows))
-        for k in indices[: s + 1]
+    vectors = [  # (A_a)_ik for the unordered pairs {i, k} of `indices`, in their `symmetric_index` order
+        [(den * (s == t), 0)] + [entries.get(indices[t], (0, 0)) for entries in rows[s]]
+        for s, t in symmetric_index(len(indices)).lower
     ]
-    gram = [_dot(a, b) for u, a in enumerate(vectors) for b in vectors[: u + 1]]
+    gram = [_dot(vectors[u], vectors[v]) for u, v in symmetric_index(len(vectors)).lower]
     flat = [x for x, _ in gram] + [y for _, y in gram]
     first, second = _layout(len(indices))[:2]
     return tuple(map(sub, first(flat), second(flat)))
@@ -236,11 +234,6 @@ def _dot(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> tuple[int, int]:
     return x, y
 
 
-def _tri(u: int, v: int) -> int:
-    """The position of the unordered pair {u, v} in a lower triangle read by rows."""
-    return max(u, v) * (max(u, v) + 1) // 2 + min(u, v)
-
-
 @cache
 def _layout(m: int) -> tuple[itemgetter, ...]:
     """Gathers over the m^4 quadruples (i, j, k, l) of m indices in row-major
@@ -248,14 +241,15 @@ def _layout(m: int) -> tuple[itemgetter, ...]:
     entries jikl, ijlk, klij, iklj and iljk from the Riemann table.  Each
     takes x parts, then y parts: two entries or more, so a tuple at m = 1."""
     quads = list(product(range(m), repeat=4))
-    gram = _tri(0, _tri(0, m))  # the Gram table's size: q(q + 1)/2 for q = m(m + 1)/2
+    pair = symmetric_index(m).places  # the place of each unordered pair {i, k}
+    gram = symmetric_index(m * (m + 1) // 2)  # and of each unordered pair of them in the Gram table
 
     def gather(order: list[int], size: int) -> itemgetter:
         return itemgetter(*order, *(f + size for f in order))
 
     return (
-        gather([_tri(_tri(i, k), _tri(j, l)) for i, j, k, l in quads], gram),
-        gather([_tri(_tri(i, l), _tri(j, k)) for i, j, k, l in quads], gram),
+        gather([gram.places[pair[i][k]][pair[j][l]] for i, j, k, l in quads], len(gram.lower)),
+        gather([gram.places[pair[i][l]][pair[j][k]] for i, j, k, l in quads], len(gram.lower)),
         *(
             gather([((t[a] * m + t[b]) * m + t[c]) * m + t[d] for t in quads], m**4)
             for a, b, c, d in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (0, 2, 3, 1), (0, 3, 1, 2))

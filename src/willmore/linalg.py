@@ -6,10 +6,11 @@ int operands (so `e * 0` is the ring zero and `e * 0 + 1` the ring one), and
 both satisfy it.
 
 The exact kernels of the curvature pass (`curvature.curvature_report`) and
-of the normal-sphere sweeps (`sweep.normal_char_poly`) do not multiply
+of the normal-sphere sweeps (`sweep._distinct_blocks`) do not multiply
 `Matrix` objects: they read the sparse integer-pair rows of `integer_rows`,
 which each dataset holds, built once (`ShapeOperatorSet.integer_form`), and
-share one pair product on rows packed into ints, `lower_pair_products`.
+share one pair product on rows packed into ints, `lower_pair_products`,
+each symmetric matrix a lower triangle in the one layout of `symmetric_index`.
 `Matrix @` and `Matrix.char_poly` (Faddeev-LeVerrier) are their reference.
 """
 
@@ -20,7 +21,7 @@ import struct
 from functools import cache
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, lshift, xor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .exactnum import format_sum
 
@@ -90,30 +91,14 @@ class Matrix:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.rows)
         return f"Matrix[{body}]"
 
-    def _same_shape(self, other: Matrix) -> None:
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionError(
-                f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
-
     def __add__(self, other: Matrix) -> Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._same_shape(other)
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise DimensionError(f"shape mismatch: {self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}")
         return Matrix(
             tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
         )
-
-    def __sub__(self, other: Matrix) -> Matrix:
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._same_shape(other)
-        return Matrix(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-
-    def __neg__(self) -> Matrix:
-        return Matrix(tuple(-a for a in row) for row in self.rows)
 
     def __mul__(self, scalar) -> Matrix:
         if isinstance(scalar, Matrix):
@@ -140,9 +125,6 @@ class Matrix:
                 out_row.append(acc)
             out.append(tuple(out_row))
         return Matrix(out)
-
-    def transpose(self) -> Matrix:
-        return Matrix(zip(*self.rows))
 
     def map(self, fn: Callable) -> Matrix:
         return Matrix(tuple(fn(a) for a in row) for row in self.rows)
@@ -223,27 +205,6 @@ class UniPoly:
                 out[i + j] = out[i + j] + a * b
         return UniPoly(out)
 
-    def __divmod__(self, other: UniPoly) -> tuple[UniPoly, UniPoly]:
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        lead = other.coeffs[-1]
-        zero = lead * 0
-        rem = list(self.coeffs)
-        deg_o = other.degree()
-        if self.degree() < deg_o:
-            return UniPoly(()), self
-        quot = [zero] * (self.degree() - deg_o + 1)
-        for k in range(self.degree(), deg_o - 1, -1):
-            factor = rem[k] / lead
-            if not factor:
-                continue
-            quot[k - deg_o] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[k - deg_o + i] = rem[k - deg_o + i] - factor * c
-        return UniPoly(quot), UniPoly(rem)
-
     def render(self) -> str:
         """Canonical text in l, highest degree first; coefficients in scalar grammar."""
         return format_sum(
@@ -269,25 +230,39 @@ def integer_rows(matrices: Iterable[Matrix]) -> tuple[tuple[tuple[Row, ...], ...
     ), den
 
 
-def lower_triangle(rows: Sequence[Row], n: int) -> tuple[list[int], list[int]]:
-    """The x and y parts of the entries (i, l <= i) of the integer-pair rows
-    of an n x n matrix, (i, l) at i (i + 1) / 2 + l."""
-    xs, ys = [0] * (n * (n + 1) // 2), [0] * (n * (n + 1) // 2)
-    for i, row in enumerate(rows):
-        for l, x, y in row:
-            if l <= i:
-                xs[i * (i + 1) // 2 + l], ys[i * (i + 1) // 2 + l] = x, y
-    return xs, ys
+class TriangleLayout(NamedTuple):
+    """A symmetric n x n matrix as its lower triangle read by rows."""
+
+    places: tuple[tuple[int, ...], ...]  # the place of each (k, l), row by row
+    lower: list[tuple[int, int]]  # the entry (i, l <= i) at each place
+    weights: list[int]  # each place's weight in a Frobenius product, 2 off the diagonal
+    select: Callable  # a getter of the digits 0..i of each row i of 2n rows of n digits
+
+    def expand(self, part: Sequence[int]) -> list[list[int]]:
+        """The full rows of the symmetric matrix whose triangle is `part`."""
+        return [[part[t] for t in row] for row in self.places]
 
 
 @cache
-def symmetric_index(n: int) -> tuple[tuple[int, ...], Callable, list[tuple[int, int]]]:
-    """Where each (k, l) of a symmetric n x n matrix sits in its `lower_triangle`;
-    a getter of the digits 0..i of each row i of 2n rows of n digits; and the
-    entry (i, l) at each place of a `lower_triangle`."""
+def symmetric_index(n: int) -> TriangleLayout:
+    """The layout of a symmetric n x n matrix, the one place that computes
+    where (k, l) sits: at max(k, l) (max(k, l) + 1) / 2 + min(k, l)."""
     lower = [(i, l) for i in range(n) for l in range(i + 1)]
-    places = tuple(max(k, l) * (max(k, l) + 1) // 2 + min(k, l) for k in range(n) for l in range(n))
-    return places, itemgetter(*(h * n * n + i * n + l for h in range(2) for i, l in lower)), lower
+    places = tuple(tuple(max(k, l) * (max(k, l) + 1) // 2 + min(k, l) for l in range(n)) for k in range(n))
+    select = itemgetter(*(h * n * n + i * n + l for h in range(2) for i, l in lower))
+    return TriangleLayout(places, lower, [1 if i == l else 2 for i, l in lower], select)
+
+
+def lower_triangle(rows: Sequence[Row], n: int) -> tuple[list[int], list[int]]:
+    """The x and y parts of the entries (i, l <= i) of the integer-pair rows
+    of an n x n matrix, each at its place in `symmetric_index`."""
+    places, size = symmetric_index(n).places, n * (n + 1) // 2
+    xs, ys = [0] * size, [0] * size
+    for i, (row, place) in enumerate(zip(rows, places)):
+        for l, x, y in row:
+            if l <= i:
+                xs[place[l]], ys[place[l]] = x, y
+    return xs, ys
 
 
 def pair_product_rows(pairs, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -311,7 +286,7 @@ def lower_pair_products(lefts, rights, targets, n: int, held=(0, None)) -> tuple
     `rights[m]`; and (w, the sums' `pair_product_rows`), each R_m's rows packed
     in digits of w words unless held is (w, {m: R_m's rows so packed}).  The
     width and the exact read-back are proved at `sweep._block_char_poly`."""
-    _, select, coords = symmetric_index(n)
+    _, coords, _, select = symmetric_index(n)
     r = max((sum(abs(x) + 3 * abs(y) for row in rows for _, x, y in row) for rows in zip(*lefts)), default=0)
     parts = list(chain.from_iterable(rights.values()))
     top = max(max(map(max, parts), default=0), -min(map(min, parts), default=0))

@@ -2,20 +2,21 @@
 
 For a unit normal with coordinates (t1..tp) the shape operator is
 A(t) = sum_a t_a A_a.  Both sweeps take its characteristic polynomial, with
-coefficients in the polynomial ring, from `normal_char_poly`.  It splits the
-basis into the connected components of the operators' joint nonzero pattern
-in the integer pairs the dataset holds (`integer_form`, `_components`): a
-permutation makes A(t) block-diagonal for every t, so det(lambda I - A(t)) is
-the product of the blocks' characteristic polynomials.  Each distinct block
-gets its polynomial by Newton's identities from the Frobenius products of the
-powers of A(t), multiplied on rows packed into one int per part, up to half
-the joint rank of its operators (`_block_char_poly`).  The kernel gives each
-polynomial packed as the product (`_multiply`) takes it: each power of lambda
-as terms over one denominator, each monomial one int whose digits in base
-n + 1 are its exponents.  `_pair_sum` multiplies such polynomials in t for
-the product and the Newton step.  Both sweeps work on these packed pairs;
-`_poly` makes a UniPoly over MultiPoly of one, for `normal_char_poly`, whose
-reference is `normal_shape_operator(data).char_poly()`.
+coefficients in the polynomial ring, from `_multiply(_distinct_blocks(data))`.
+`_distinct_blocks` splits the basis into the connected components of the
+operators' joint nonzero pattern in the integer pairs the dataset holds
+(`integer_form`, `_components`): a permutation makes A(t) block-diagonal for
+every t, so det(lambda I - A(t)) is the product of the blocks'
+characteristic polynomials.  Each distinct block gets its polynomial by
+Newton's identities from the Frobenius products of the powers of A(t),
+multiplied on rows packed into one int per part, up to half the joint rank
+of its operators (`_block_char_poly`).  The kernel gives each polynomial
+packed as the product (`_multiply`) takes it: each power of lambda as terms
+over one denominator, each monomial one int whose digits in base n + 1 are
+its exponents.  `_pair_sum` multiplies such polynomials in t for the
+product and the Newton step.  Both sweeps work on these packed pairs;
+`_poly` makes a UniPoly over MultiPoly of one, for `normal_char_poly`, the
+form the tests compare with `normal_shape_operator(data).char_poly()`.
 
 The symbolic sweep decides each coefficient on its packed pairs
 (`_constants`): the coefficient of lambda^(n-k) is homogeneous of degree k
@@ -278,7 +279,7 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     and are its entries: adding 2^(W-1) at each place makes them the plain
     base-2^W digits of a sum that carries nothing.
 
-    `normal_char_poly` calls this once per distinct diagonal block of A(t).
+    `_distinct_blocks` calls this once per distinct diagonal block of A(t).
     A FAIL is taken on the product of the blocks' polynomials, never block
     by block: a block's polynomial may vary over the sphere while the
     product does not.  At p = 1 and A = diag(t, -t) the blocks
@@ -286,7 +287,7 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     yet their product lambda^2 - t^2 is lambda^2 - 1 at both points.
     """
     active = [(rows, base**a) for a, rows in enumerate(ops) if any(rows)]
-    weights, held = [1 if l == i else 2 for i in range(n) for l in range(i + 1)], (0, None)
+    weights, held = symmetric_index(n).weights, (0, None)
     power, den, rank = {unit: lower_triangle(rows, n) for rows, unit in active}, op_den, n  # A^1; rho once A^2 is formed
     # packed[j] = (op_den^j / den of A^j, {m: _frobenius_forms(M_m)}), from A^0 = I
     packed = [(1, {0: _frobenius_forms(lower_triangle([[(i, 1, 0)] for i in range(n)], n), weights)})]
@@ -333,9 +334,8 @@ def _psd_rank(mats: list[tuple[list[int], list[int]]], n: int) -> int:
     A_a^2 of symmetric A_a: G is positive semidefinite, and so is each Schur
     complement in its symmetric elimination with diagonal pivots (free of
     fractions, a row divided by its content), whose zero pivots thus have zero rows."""
-    index, zero = symmetric_index(n)[0], [0] * (n * (n + 1) // 2)
-    full = ([*map([*map(sum, zip(*part))].__getitem__, index)] for part in zip(*mats, (zero, zero)))
-    xs, ys = ([g[k * n : k * n + n] for k in range(n)] for g in full)
+    zero = [0] * (n * (n + 1) // 2)
+    xs, ys = (symmetric_index(n).expand([*map(sum, zip(*part))]) for part in zip(*mats, (zero, zero)))
     rank = 0
     for i, (px, py) in enumerate(zip(xs, ys)):
         a, b, cols = px[i], py[i], range(i + 1, n)
@@ -476,8 +476,8 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
 
     NaN as soon as one drift is NaN (an evaluation overflowed both ways), so
     that no tolerance test can pass it.  At least two samples are needed:
-    one sample has nothing to be compared with.  SweepTooLarge before
-    `normal_char_poly` if samples x codim exceeds MAX_SAMPLE_COORDINATES, and
+    one sample has nothing to be compared with.  SweepTooLarge before the
+    blocks' kernel runs if samples x codim exceeds MAX_SAMPLE_COORDINATES, and
     before any sample is drawn if samples x (terms + coefficients) exceeds
     MAX_SAMPLE_TERMS; both count every sample, although at p = 1 only the
     first two are evaluated, since the samples alternate between +1 and -1.

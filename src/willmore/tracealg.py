@@ -403,10 +403,9 @@ _TOKEN_RE = (
 )
 # 'Tr' as a whole name, then its '(' if there is one
 _TRACE = r"Tr(?![A-Za-z0-9_])\s*(\()?\s*"
-# The longest run of factors A_i or A_i^k joined by '*'; _FACTOR reads them.
-# A '^' without digits ends a factor, so that it fails in its turn.
-_WORD = r"A\d+(?:\s*\^\s*\d*)?(?:\s*\*\s*A\d+(?:\s*\^\s*\d*)?)*"
-_FACTOR = r"A(\d+)(?:\s*\^\s*(\d*))?"
+# A factor A_i or A_i^k, and the '*' after it if another factor follows.  A
+# '^' without digits ends a factor, so that it fails in its turn.
+_FACTOR = r"A(\d+)(?:\s*\^\s*(\d*))?(\s*\*\s*(?=A\d))?"
 
 
 @cache
@@ -425,13 +424,12 @@ def _missing(expected: str, text: str, at: int) -> TraceParseError:
 def _read_word(text: str, pos: int) -> tuple[list[int], int, int]:
     """The word of a Tr( ) whose '(' ends before pos, its least letter, and the
     end of its ')'.  Errors come in text order: those of the factors read, then
-    the token at which the run of factors stops short of the ')'.  The letters
-    are counted, and the run expanded by `_factors`, its spaces and leading
-    zeros cut."""
-    run = _compiled(_WORD).match(text, pos)
-    end = run.end() if run else pos
-    count = 0
-    for factor in _compiled(_FACTOR).finditer(text, pos, end):
+    the token at which the run of factors stops short of the ')'.  Each factor
+    is checked, its letters counted, then expanded, in one pass."""
+    read = _compiled(_FACTOR).match
+    letters: list[int] = []
+    factor, end = read(text, pos), pos
+    while factor:
         start = factor.start()
         try:
             index = int(factor[1].lstrip("0") or "0")  # int() refuses thousands of leading zeros
@@ -448,21 +446,20 @@ def _read_word(text: str, pos: int) -> tuple[list[int], int, int]:
             exponent = int(digits or "0") if len(digits) <= len(str(MAX_WORD_LEN)) else MAX_WORD_LEN + 1
             if exponent < 1:
                 raise TraceParseError("exponent must be positive", factor.start(2))
-        if exponent > MAX_WORD_LEN - count:
+        if exponent > MAX_WORD_LEN - len(letters):
             raise TraceParseError(f"trace word longer than {MAX_WORD_LEN} letters", start)
-        least = min(least, index) if count else index
-        count += exponent
+        least = min(least, index) if letters else index
+        letters += [index] * exponent
+        end = factor.end()
+        factor = read(text, end) if factor[3] else None
     end = _SPACE.match(text, end).end()
-    if run is None:  # no first factor
+    if not letters:  # no first factor
         raise _missing("expected an operator like 'A1'", text, end)
     if text.startswith("*", end):  # no factor after it
         raise _missing("expected an operator like 'A1'", text, _SPACE.match(text, end + 1).end())
     if not text.startswith(")", end):
         raise TraceParseError("expected ')'", end)
-    word = "".join(run[0].split())
-    if "A0" in word or "^0" in word:  # leading zeros of an index or exponent: int() refuses thousands of digits
-        word = re.sub(r"([A^])0+", r"\1", word)
-    return _factors(word), least, end + 1
+    return letters, least, end + 1
 
 
 # A well-formed term in one spelling, that of the g=4 relations and of

@@ -65,7 +65,8 @@ def sqrt3_rotation(n, rng):
 
 
 def change_frame(data, q):
-    ops = tuple(q @ op @ q.transpose() for op in data.operators)
+    qt = Matrix(zip(*q.rows))
+    ops = tuple(q @ op @ qt for op in data.operators)
     return ShapeOperatorSet(data.name, data.n, data.p, ops, data.labels)
 
 

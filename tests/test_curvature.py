@@ -179,7 +179,7 @@ class TestWillmore:
                 raw = rand_symmetric(rng, n)
                 # project onto trace-free symmetric matrices
                 shift = raw.trace() / n
-                ops.append(raw - Matrix.identity(n, shift))
+                ops.append(raw + Matrix.identity(n, -shift))
             data = ShapeOperatorSet("minimalized", n, p, tuple(ops), tuple(f"B{i}" for i in range(p)))
             full = curvature_report(data)
             assert full.minimal
@@ -196,7 +196,7 @@ class TestWillmore:
             p = rng.randint(1, 3)
             data = rand_dataset(rng, n, p)
             squared = squares_sum(data)
-            generalized_ricci = Matrix.identity(n, QuadExt(n - 1)) - squared
+            generalized_ricci = Matrix.identity(n, QuadExt(n - 1)) + squared * -1
             for op in data.operators:
                 lhs = (generalized_ricci @ op).trace()
                 rhs = QuadExt(n - 1) * op.trace() - (squared @ op).trace()
@@ -234,7 +234,7 @@ class TestReport:
 
 
 def trace_free(m):
-    return m - Matrix.identity(m.nrows, m.trace() / m.nrows)
+    return m + Matrix.identity(m.nrows, -(m.trace() / m.nrows))
 
 
 def sampled_indices(n):

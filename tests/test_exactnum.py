@@ -372,6 +372,12 @@ class TestFloat:
     def test_ten_thirds(self):
         assert QuadExt(Fraction(10, 3)).to_float() == 3.3333333333333335
 
+    def test_float_is_to_float_near_cancellation(self):
+        # 1351 - 780*sqrt(3) ~ 3.7e-4, correctly rounded; a naive float sum is off in the 10th digit
+        q = QuadExt._make(1351, -780, 1)
+        assert float(q) == q.to_float() == 0.0003700962757110486
+        assert float(q) != 1351 - 780 * math.sqrt(3)
+
     def test_survives_catastrophic_cancellation(self):
         # 26 - 15*sqrt(3) ~ 0.0192; a naive float sum is ~1e5 ulps off
         got = QuadExt(26, -15).to_float()

@@ -86,6 +86,10 @@ def test_deferred_names_resolve_in_a_fresh_interpreter():
     assert cold(script).stdout == "willmore.polyring fractions willmore.polyring\n[]\nTrue True\n"
 
 
+def test_dir_lists_every_public_name_and_polyring():
+    assert set(dir(willmore)) >= {*willmore.__all__, "polyring"}
+
+
 def test_the_certificate_checker_loads_no_willmore_module():
     # the tests' reference shares no code with the package it checks; its
     # own run on a golden certificate counts too

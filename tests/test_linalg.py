@@ -190,19 +190,15 @@ class TestUniPoly:
         assert UniPoly([QuadExt(1), QuadExt(0)]).degree() == 0
         assert not UniPoly([QuadExt(0)])
 
-    def test_product_and_exact_division(self):
+    def test_product_of_the_factors(self):
+        # l^5 - 10/3 l^3 + l = l (l^2 - 3) (l^2 - 1/3)
         quintic = builtin("g6_m1_M1").operators[0].char_poly()
-        square = quintic * quintic
-        quotient, remainder = divmod(square, quintic)
-        assert not remainder
-        assert quotient == quintic
-
-    def test_division_by_non_monic(self):
-        two = UniPoly([QuadExt(2)])
-        p = UniPoly([QuadExt(4), QuadExt(6)])
-        quotient, remainder = divmod(p, two)
-        assert not remainder
-        assert quotient == UniPoly([QuadExt(2), QuadExt(3)])
+        lam = UniPoly([QuadExt(0), QuadExt(1)])
+        assert quintic == lam * UniPoly([QuadExt(-3), QuadExt(0), QuadExt(1)]) * UniPoly(
+            [QuadExt(Fraction(-1, 3)), QuadExt(0), QuadExt(1)]
+        )
+        assert UniPoly([QuadExt(2)]) * UniPoly([QuadExt(2), QuadExt(3)]) == UniPoly([QuadExt(4), QuadExt(6)])
+        assert not quintic * UniPoly([])
 
     def test_render(self):
         quintic = builtin("g6_m1_M1").operators[0].char_poly()

@@ -62,6 +62,11 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             MultiPoly.variable(2, 0) + MultiPoly.variable(3, 0)
 
+    def test_repr(self):
+        f = MultiPoly.monomial(2, (1, 0), QuadExt(3)) + MultiPoly.monomial(2, (0, 2), QuadExt(0, 1))
+        assert repr(f) == "MultiPoly(2, sqrt3*t2^2 + 3*t1)"
+        assert repr(MultiPoly(3)) == "MultiPoly(3, 0)"
+
     def test_scalar_coercion(self):
         t1 = MultiPoly.variable(2, 0)
         assert (t1 + 1) - 1 == t1
