@@ -1,23 +1,20 @@
 """Dense exact matrix algebra, generic over the coefficient ring.
 
-Ring contract for entries: they support +, -, * among themselves, tolerate
-int operands (so `e * 0` is the ring zero and `e * 0 + 1` the ring one), and
-`e / k` is exact division by a nonzero Python int.  QuadExt and MultiPoly
-both satisfy it.
+Ring contract for entries: +, -, * among themselves, int operands tolerated
+(`e * 0` is the ring zero, `e * 0 + 1` the ring one), and `e / k` exact
+division by a nonzero Python int; QuadExt and MultiPoly both satisfy it.
 
-The exact kernels of the curvature pass (`curvature.curvature_report`) and
-of the normal-sphere sweeps (`sweep._distinct_blocks`) do not multiply
-`Matrix` objects: they read the sparse integer-pair rows of `integer_rows`,
-which each dataset holds, built once (`ShapeOperatorSet.integer_form`), and
-share one pair product on rows packed into ints, `lower_pair_products`,
-each symmetric matrix a lower triangle in the one layout of `symmetric_index`.
+The exact kernels of the curvature pass and of the normal-sphere sweeps do
+not multiply `Matrix` objects: they read the integer-pair rows of each
+dataset (`integer_rows`, `ShapeOperatorSet.integer_form`) and share one pair
+product, `lower_pair_products`, on rows packed into one int each, every
+symmetric matrix a lower triangle in the layout of `symmetric_index`.
 `Matrix @` and `Matrix.char_poly` (Faddeev-LeVerrier) are their reference.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from functools import cache
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, lshift, xor
@@ -217,11 +214,9 @@ class UniPoly:
 
 
 def integer_rows(matrices: Iterable[Matrix]) -> tuple[tuple[tuple[Row, ...], ...], int]:
-    """Sparse integer-pair rows of QuadExt matrices over one common denominator.
-
-    Returns (rows of each matrix, D), in tuples: the entry (x + y*sqrt3)/D at
-    (i, j) of a matrix is (j, x, y) in its row i; zero entries are left out.
-    """
+    """Sparse integer-pair rows of QuadExt matrices over one common
+    denominator: (rows of each matrix, D), in tuples, the entry (x + y*sqrt3)/D
+    at (i, j) of a matrix (j, x, y) in its row i, zero entries left out."""
     matrices = tuple(matrices)
     den = math.lcm(*{e.d for m in matrices for row in m.rows for e in row})
     return tuple(
@@ -236,7 +231,8 @@ class TriangleLayout(NamedTuple):
     places: tuple[tuple[int, ...], ...]  # the place of each (k, l), row by row
     lower: list[tuple[int, int]]  # the entry (i, l <= i) at each place
     weights: list[int]  # each place's weight in a Frobenius product, 2 off the diagonal
-    select: Callable  # a getter of the digits 0..i of each row i of 2n rows of n digits
+    unit: list[int]  # the identity's triangle
+    select: Callable  # a getter of the x then the y digits 0..i of each row i of n rows of 2n digits
 
     def expand(self, part: Sequence[int]) -> list[list[int]]:
         """The full rows of the symmetric matrix whose triangle is `part`."""
@@ -249,8 +245,8 @@ def symmetric_index(n: int) -> TriangleLayout:
     where (k, l) sits: at max(k, l) (max(k, l) + 1) / 2 + min(k, l)."""
     lower = [(i, l) for i in range(n) for l in range(i + 1)]
     places = tuple(tuple(max(k, l) * (max(k, l) + 1) // 2 + min(k, l) for l in range(n)) for k in range(n))
-    select = itemgetter(*(h * n * n + i * n + l for h in range(2) for i, l in lower))
-    return TriangleLayout(places, lower, [1 if i == l else 2 for i, l in lower], select)
+    select = itemgetter(*(2 * n * i + n * h + l for h in range(2) for i, l in lower))
+    return TriangleLayout(places, lower, [1 if i == l else 2 for i, l in lower], [int(i == l) for i, l in lower], select)
 
 
 def lower_triangle(rows: Sequence[Row], n: int) -> tuple[list[int], list[int]]:
@@ -259,56 +255,74 @@ def lower_triangle(rows: Sequence[Row], n: int) -> tuple[list[int], list[int]]:
     places, size = symmetric_index(n).places, n * (n + 1) // 2
     xs, ys = [0] * size, [0] * size
     for i, (row, place) in enumerate(zip(rows, places)):
-        for l, x, y in row:
-            if l <= i:
-                xs[place[l]], ys[place[l]] = x, y
+        for l, x, y in row:  # in increasing column order
+            if l > i:
+                break
+            xs[place[l]], ys[place[l]] = x, y
     return xs, ys
 
 
-def pair_product_rows(pairs, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The packed rows (X, Y) of sum L R over the pairs (L, packed rows of R)."""
+@cache
+def _offset(n: int, words: int) -> int:
+    """2^(W-1) at each of the 2n places of a packed row, W = 64 words."""
+    return ((1 << 128 * words * n) - 1) // ((1 << 64 * words) - 1) << 64 * words - 1
+
+
+def row_forms(row: int, n: int, words: int) -> tuple[int, int]:
+    """(P, Q) = (X + Y 2^(nW), 3 Y + X 2^(nW)) for a row P of 2n digits in
+    [-2^(W-1), 2^(W-1)): X is the low n places of P plus 2^(W-1) each, less that."""
+    shift = 64 * words * n
+    half = _offset(n, words) >> shift  # at each of n places
+    x = (row + half & (1 << shift) - 1) - half
+    return row, 3 * ((row - x) >> shift) + (x << shift)
+
+
+def pair_product_rows(pairs, n: int) -> list[int]:
+    """The packed rows of sum L R over the pairs (L, `row_forms` of R's rows):
+    x P_k + y Q_k over the nonzero (k, x, y) of each row of L."""
     rows = []
     for i in range(n):
-        sx = sy = 0
-        for l_rows, (xr, yr) in pairs:
+        s = 0
+        for l_rows, forms in pairs:
             for k, x, y in l_rows[i]:  # a zero part multiplies nothing
                 if x:
-                    sx, sy = sx + x * xr[k], sy + x * yr[k]
+                    s += x * forms[k][0]
                 if y:
-                    sx, sy = sx + 3 * y * yr[k], sy + y * xr[k]
-        rows.append((sx, sy))
-    return tuple(zip(*rows))
+                    s += y * forms[k][1]
+        rows.append(s)
+    return rows
 
 
-def lower_pair_products(lefts, rights, targets, n: int, held=(0, None)) -> tuple[list, tuple[int, list]]:
-    """The `lower_triangle` of sum L_a R_m over the (a, m) of each target, L_a
-    the integer-pair rows `lefts[a]`, R_m the symmetric `lower_triangle`
-    `rights[m]`; and (w, the sums' `pair_product_rows`), each R_m's rows packed
-    in digits of w words unless held is (w, {m: R_m's rows so packed}).  The
-    width and the exact read-back are proved at `sweep._block_char_poly`."""
-    _, coords, _, select = symmetric_index(n)
-    r = max((sum(abs(x) + 3 * abs(y) for row in rows for _, x, y in row) for rows in zip(*lefts)), default=0)
+def lower_pair_products(lefts, rights, targets, n: int, held=None) -> tuple[list, tuple]:
+    """The `lower_triangle` of sum L_a R_m over the (a, m) of each target, L_a the integer-pair
+    rows `lefts[a]`, R_m the symmetric `lower_triangle` `rights[m]`; and (r, w, the sums'
+    `pair_product_rows`): r the lefts' row bound or held[0], w words per digit, each R_m packed
+    unless held = (r, w, {m: R_m's rows P}); width and read-back proved at `sweep._block_char_poly`."""
+    _, coords, _, _, select = symmetric_index(n)
+    r = held[0] if held else max((sum(abs(x) + 3 * abs(y) for row in rows for _, x, y in row) for rows in zip(*lefts)), default=0)
     parts = list(chain.from_iterable(rights.values()))
-    top = max(max(map(max, parts), default=0), -min(map(min, parts), default=0))
+    top = max(map(abs, chain.from_iterable(map(compress, parts, parts))), default=0)
     words = ((r * top).bit_length() + 1 + 63) // 64  # the least with W = 64 words >= bit_length(r top) + 1
-    if held[0] != words:  # each part of row k of each R_m: sum_l e_kl 2^(W l), over its nonzero e_kl
-        held = words, {m: ([0] * n, [0] * n) for m in rights}
-        for part, row in zip(parts, chain.from_iterable(held[1].values())):
+    if held and held[1] == words:
+        forms = {m: [row_forms(row, n, words) for row in held[2][m]] for m in rights}
+    else:  # each part of row k of each R_m: sum_l e_kl 2^(W l), over its nonzero e_kl
+        packed, width, shift = {m: ([0] * n, [0] * n) for m in rights}, 64 * words, 64 * words * n
+        for part, row in zip(parts, chain.from_iterable(packed.values())):
             for t in compress(range(len(part)), part):
                 k, l = coords[t]
-                row[k] += part[t] << 64 * words * l
+                row[k] += part[t] << width * l
                 if k != l:
-                    row[l] += part[t] << 64 * words * k
-    sums = [pair_product_rows([(lefts[a], held[1][m]) for a, m in pairs], n) for pairs in targets]
+                    row[l] += part[t] << width * k
+        forms = {m: [(x + (y << shift), 3 * y + (x << shift)) for x, y in zip(*xy)] for m, xy in packed.items()}
+    sums = [pair_product_rows([(lefts[a], forms[m]) for a, m in pairs], n) for pairs in targets]
     # a digit plus 2^(W-1), its top bit flipped, is its two's complement: top word signed, the others not
-    half = ((1 << 64 * words * n) - 1) // ((1 << 64 * words) - 1) << 64 * words - 1  # 2^(W-1) at each place
-    rows = map(xor, map(add, chain.from_iterable(chain(*sums)), repeat(half)), repeat(half))
-    buf = b"".join(map(int.to_bytes, rows, repeat(8 * words * n), repeat("little")))
-    signed, size, out = struct.unpack(f"<{len(buf) // 8}q", buf), 2 * n * n * words, []
-    plain = struct.unpack(f"<{len(buf) // 8}Q", buf) if words > 1 else signed
+    half = _offset(n, words)
+    rows = map(xor, map(add, chain.from_iterable(sums), repeat(half)), repeat(half))
+    buf = memoryview(b"".join(map(int.to_bytes, rows, repeat(16 * words * n), repeat("little"))))
+    signed, plain, size, out = buf.cast("q"), buf.cast("Q"), 2 * n * n * words, []
     for start in range(0, len(signed), size):
         lower = select(signed[start + words - 1 : start + size : words])
         for w in range(words - 2, -1, -1):
             lower = tuple(map(add, map(lshift, lower, repeat(64)), select(plain[start + w : start + size : words])))
         out.append((list(lower[: len(lower) // 2]), list(lower[len(lower) // 2 :])))
-    return out, (words, sums)
+    return out, (r, words, sums)

@@ -8,32 +8,29 @@ operators' joint nonzero pattern in the integer pairs the dataset holds
 (`integer_form`, `_components`): a permutation makes A(t) block-diagonal for
 every t, so det(lambda I - A(t)) is the product of the blocks'
 characteristic polynomials.  Each distinct block gets its polynomial by
-Newton's identities from the Frobenius products of the powers of A(t),
-multiplied on rows packed into one int per part, up to half the joint rank
-of its operators (`_block_char_poly`).  The kernel gives each polynomial
-packed as the product (`_multiply`) takes it: each power of lambda as terms
-over one denominator, each monomial one int whose digits in base n + 1 are
-its exponents.  `_pair_sum` multiplies such polynomials in t for the
-product and the Newton step.  Both sweeps work on these packed pairs;
-`_poly` makes a UniPoly over MultiPoly of one, for `normal_char_poly`, the
-form the tests compare with `normal_shape_operator(data).char_poly()`.
+Newton's identities from the Frobenius products of the powers of A(t), up
+to half the joint rank of its operators (`_block_char_poly`); each Q(sqrt3)
+number that a pair product or a Frobenius product multiplies is one int,
+the rational part in its low digits and the sqrt3 part in its high digits.
+The kernel gives each polynomial packed as the product (`_multiply`) takes
+it: each power of lambda as terms over one denominator, each monomial one
+int whose digits in base n + 1 are its exponents.  `_pair_sum` multiplies
+such polynomials in t for the product and the Newton step.  Both sweeps
+work on these packed pairs; `_poly` makes a UniPoly over MultiPoly of one,
+for `normal_char_poly`, the form the tests compare with
+`normal_shape_operator(data).char_poly()`.
 
 The symbolic sweep decides each coefficient on its packed pairs
-(`_constants`): the coefficient of lambda^(n-k) is homogeneous of degree k
-in t, so it is constant c on the unit sphere iff it is c |t|^k, that is
-zero for odd k and c (t1^2 + ... + tp^2)^(k/2) term by term for even k.
-The first that is not, reduced modulo the sphere relation
-(`polyring.reduce_mod_sphere`), is the witness: only a FAIL imports
-`polyring`.  Blocks that are all constant multiply to a constant; otherwise
-the verdict is taken on the product, never on a block: blocks that vary over
-the sphere can multiply to a constant polynomial (see `_block_char_poly`).
-The symbolic verdict is authoritative; the numeric sweep is a seeded
-floating cross-check meant to catch implementation bugs, never to decide.
-It converts each coefficient's packed terms to float once (`float_terms`),
-draws the samples CHUNK_POINTS at a time, builds each chunk's power columns
-once for every coefficient and adds up each coefficient's terms over the
-chunk at once (`eval_terms`), bit for bit as at each sample alone; a zero
-or constant coefficient is not evaluated.
+(`_constants`).  The first that is not constant on the sphere, reduced
+modulo the sphere relation (`polyring.reduce_mod_sphere`), is the witness:
+only a FAIL imports `polyring`.  Blocks that are all constant multiply to a
+constant; otherwise the verdict is taken on the product, never on a block
+(see `_block_char_poly`).  The symbolic verdict is authoritative; the
+numeric sweep is a seeded floating cross-check meant to catch implementation
+bugs, never to decide.  It converts each coefficient's packed terms to float
+once (`float_terms`) and adds them up over CHUNK_POINTS samples at a time
+(`eval_terms`), bit for bit as at each sample alone; a zero or constant
+coefficient is not evaluated.
 
 Four bounds refuse a sweep with SweepTooLarge, each before the work it
 counts: MAX_SWEEP_WORK the blocks' kernel, MAX_SWEEP_PAIRS each step of their
@@ -45,8 +42,8 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import chain, combinations_with_replacement, islice, product, repeat
-from operator import add, floordiv, mul, sub
+from itertools import chain, combinations_with_replacement, compress, islice, product, repeat
+from operator import add, floordiv, lshift, mul, sub
 from typing import TYPE_CHECKING, Iterator
 
 from ._record import Record
@@ -68,10 +65,9 @@ CHUNK_POINTS = 4096
 
 # Bound on the kernel's work, counted before any block runs: a block of size m
 # in codim p, every copy counted, adds C(m + p, p) (m^2 + p), its terms at most
-# times its matrix entries plus the length of an exponent vector.  On a 2-core
-# Xeon VM a dense block takes about 0.4 s at m = 8, p = 7 (456,885), 0.2 s at
-# m = 34, p = 2 (729,540) and 0.9 s at m = 92, p = 1 (787,245), in process;
-# m = 40, p = 2 (1,379,322) exits 2 at once.
+# times its entries plus an exponent vector's length.  In process on a 2-core
+# Xeon VM a dense block takes about 0.16 s at m = 8, p = 7 (456,885), 0.09 s at
+# m = 34, p = 2 (729,540) and 0.55 s at m = 92, p = 1 (787,245); m = 40, p = 2 exits 2.
 MAX_SWEEP_WORK = 800_000
 
 # Bound on a step of the blocks' product, checked before it: the partial
@@ -93,13 +89,8 @@ class SweepTooLarge(ValueError):
 
 
 class SweepVerdict(Record):
-    def __init__(
-        self,
-        constant: bool,
-        char_poly: UniPoly | None,      # over QuadExt, set iff constant
-        witness: MultiPoly | None,      # first non-constant reduced coefficient
-        witness_power: int | None,      # lambda-power of the witness
-    ) -> None:
+    # char_poly over QuadExt, set iff constant; witness the first non-constant reduced coefficient, at witness_power
+    def __init__(self, constant: bool, char_poly: UniPoly | None, witness: MultiPoly | None, witness_power: int | None) -> None:
         self._set(constant, char_poly, witness, witness_power)
         if self.constant != (self.char_poly is not None) or self.constant != (self.witness is None):
             raise ValueError("verdict fields do not match the constant flag")
@@ -111,33 +102,23 @@ def normal_shape_operator(data: ShapeOperatorSet) -> Matrix:
     from .polyring import MultiPoly
 
     p = data.p
-    acc = data.operators[0].map(lambda c: MultiPoly.monomial(p, _unit(p, 0), c))
+    units = [tuple(int(i == a) for i in range(p)) for a in range(p)]
+    acc = data.operators[0].map(lambda c: MultiPoly.monomial(p, units[0], c))
     for a in range(1, p):
-        acc = acc + data.operators[a].map(lambda c, a=a: MultiPoly.monomial(p, _unit(p, a), c))
+        acc = acc + data.operators[a].map(lambda c, a=a: MultiPoly.monomial(p, units[a], c))
     return acc
-
-
-def _unit(p: int, index: int) -> tuple[int, ...]:
-    return tuple(1 if i == index else 0 for i in range(p))
 
 
 def normal_char_poly(data: ShapeOperatorSet) -> UniPoly:
     """char_poly of A(t) = sum_a t_a A_a, with MultiPoly coefficients.
 
-    The basis splits into the connected components of the union pattern: the
-    graph on 0..n-1 with an edge i-j for every nonzero (i, j) entry of any
-    A_a.  The operators are symmetric, so these are the finest blocks that a
-    permutation P of the basis can make: P^T A(t) P is block-diagonal for
-    every t, with one diagonal block A_B(t) per component B.  Hence
-    det(lambda I - A(t)) = prod_B det(lambda I - A_B(t)) as an identity of
-    polynomials in lambda and t over Q(sqrt3), and `_block_char_poly` runs
-    once on each distinct component.  The product equals
-    normal_shape_operator(data).char_poly() exactly, term for term.
-
-    SweepTooLarge before any block is run if the blocks, every copy counted,
-    may take more than MAX_SWEEP_WORK, and before a step of their product
-    above MAX_SWEEP_PAIRS (`_multiply`).  The sweeps take the packed product
-    itself; this is its reference form, which no command runs.
+    The operators are symmetric, so the components of their union pattern
+    are the finest blocks a permutation P of the basis can make: P^T A(t) P
+    is block-diagonal for every t, and det(lambda I - A(t)) is the product of
+    the blocks' polynomials, an identity over Q(sqrt3), equal to
+    normal_shape_operator(data).char_poly() term for term.  SweepTooLarge as
+    `_distinct_blocks` and `_multiply` raise it.  This is the reference form
+    of the packed product the sweeps take; no command runs it.
     """
     return _poly(_multiply(_distinct_blocks(data)), data.n + 1, data.p)
 
@@ -170,10 +151,9 @@ def _distinct_blocks(data: ShapeOperatorSet) -> list[tuple[list, int]]:
 
 def _multiply(blocks: list[tuple[list, int]]) -> list:
     """The product of the blocks' packed polynomials, each to its multiplicity,
-    packed alike: the blocks' monomials share one base.  SweepTooLarge before
-    a step whose partial product's terms times the block's terms exceed
-    MAX_SWEEP_PAIRS: n blocks that are linear forms in p directions multiply
-    to up to C(n + p, p) terms, far more than they hold."""
+    packed alike in one base.  SweepTooLarge before a step whose partial
+    product's terms times the block's exceed MAX_SWEEP_PAIRS: n blocks that are
+    linear forms in p directions multiply to up to C(n + p, p) terms."""
     coeffs = None  # of the product so far, lowest lambda-power first
     for poly, copies in blocks:
         block = sum(len(terms) for terms, _ in poly)
@@ -233,10 +213,9 @@ def _pair_sum(products) -> list[tuple[int, int, int]]:
 
 
 def _components(ops: tuple[tuple[Row, ...], ...], n: int) -> list[list[int]]:
-    """Connected components of the union pattern, in which a nonzero (i, j)
-    joins rows i and j, each ascending, in order of least row: breadth-first
-    over each row's nonzero columns, which the symmetric operators hold both
-    ways, so that each row is read once per operator."""
+    """Connected components of the union pattern, a nonzero (i, j) joining rows
+    i and j, each ascending, in order of least row: breadth-first over each
+    row's nonzero columns, held both ways, so each row is read once per operator."""
     seen = [False] * n
     blocks = []
     for root in range(n):
@@ -258,26 +237,37 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     A_1..A_p over the denominator op_den, lowest lambda-power first, each as
     ([(m, x, y)], den): (x + y sqrt3) / den at t^e, e the digits of m in base > n.
 
-    Newton's identities on the power sums S_i = Tr(B^i) of B = op_den A(t) in
-    integer pairs: E_0 = 1, E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) S_i,
-    and lambda^(n-k) has the coefficient (-1)^k E_k / (k! op_den^k).  E_k is
-    the sum of the k x k principal minors of A(t), so it is zero for k above
-    rank A(t) <= rho = rank M, M = [A_1 | ... | A_p], which is rank M M^T, of
-    G = sum_a A_a^2, the sum of A^2's coefficients at the t_a^2 (`_psd_rank`):
-    the identities stop at k = rho, and lambda^0..lambda^(n-rho-1) stay zero.  Every
-    monomial coefficient of A(t)^j is symmetric, so Tr(A^k) is the Frobenius
-    product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(rho/2) are formed,
-    each A^j = sum_m t^m M_m over one denominator normalised by a gcd, each M_m
-    the `lower_triangle` that the Frobenius step reads.  M_m' of A^(j+1) sums
-    A_a M_m over m = m' - e_a on packed rows (`linalg.lower_pair_products`):
-    row k of M_m is X_k = sum_l x_kl 2^(W l) and Y_k likewise, so row i of the
-    sum is sum x X_k + 3 y Y_k in x and x Y_k + y X_k in y over the a and the
-    nonzero (k, x, y) of A_a's row i.  With T the largest part of A^j and
-    r = max_i sum_a sum_k (|x| + 3|y|) over the rows i of the A_a, no part of
-    the sum exceeds r T < 2^(W-1), W = bit_length(r T) + 1 rounded up to whole
-    64-bit words.  So its balanced digits, in [-2^(W-1), 2^(W-1)), are unique
-    and are its entries: adding 2^(W-1) at each place makes them the plain
-    base-2^W digits of a sum that carries nothing.
+    Newton's identities on the power sums S_i = Tr(B^i) of B = op_den A(t):
+    E_0 = 1, E_k = sum_i (-1)^(i-1) (k-1)!/(k-i)! E_(k-i) S_i, and lambda^(n-k)
+    has the coefficient (-1)^k E_k / (k! op_den^k).  E_k, the sum of the k x k
+    principal minors of A(t), is zero above rank A(t) <= rho = rank M,
+    M = [A_1 | ... | A_p], which is rank M M^T, of G = sum_a A_a^2, the sum of
+    A^2's coefficients at the t_a^2 (`_psd_rank`): the identities stop at
+    k = rho.  Every monomial coefficient of A(t)^j is symmetric, so Tr(A^k) is
+    the Frobenius product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(rho/2)
+    are formed, each A^j = sum_m t^m M_m over one denominator normalised by a
+    gcd, each M_m a `lower_triangle`.  M_m' of A^(j+1) sums A_a M_m over
+    m = m' - e_a on packed rows (`linalg.lower_pair_products`): row k of M_m
+    is P_k = X_k + Y_k 2^(nW) and Q_k = 3 Y_k + X_k 2^(nW), X_k = sum_l x_kl 2^(W l)
+    and Y_k likewise, so row i of the sum is one int, sum x P_k + y Q_k over
+    the a and the nonzero (k, x, y) of A_a's row i, with the digits
+    sum x x_kl + 3 y y_kl, then sum x y_kl + y x_kl.  With T the largest part
+    of A^j and r = max_i sum_a sum_k (|x| + 3|y|) over the rows i of the A_a,
+    no digit exceeds r T < 2^(W-1), W = bit_length(r T) + 1 rounded up to whole
+    64-bit words.  So the 2n balanced digits, in [-2^(W-1), 2^(W-1)), are
+    unique and are the entries: adding 2^(W-1) at each place makes them the
+    plain base-2^W digits of a sum that carries nothing.
+
+    The Frobenius step reads each M_m of A^0..A^h, h = ceil(rho/2), as one
+    list z = x + y 2^v and dz, z with the off-diagonal doubled: sum dz z' is
+    sum_t w_t (x x' + (x y' + y x') 2^v + y y' 2^(2v)), w the weights of
+    `symmetric_index`, sum_t w_t = n^2.  Summed over the pairs of one output
+    monomial (an unordered even pair doubled, as it stands for two), its
+    digits are d0 = sum w x x', d1 = sum w (x y' + y x') and d2 = sum w y y',
+    the term d0 + 3 d2 in x and d1 in y.  With T the largest part and M the
+    most monomials of any of A^1..A^h, a monomial has at most M pairs, so
+    |d0| <= M n^2 T^2 and |d1| <= 2 M n^2 T^2 < 2^(v-1), v the bit_length of
+    2 M n^2 T^2 plus 1: d0 and d1 are read as the digits above.
 
     `_distinct_blocks` calls this once per distinct diagonal block of A(t).
     A FAIL is taken on the product of the blocks' polynomials, never block
@@ -286,42 +276,52 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     give lambda - t and lambda + t, neither constant on the sphere {1, -1},
     yet their product lambda^2 - t^2 is lambda^2 - 1 at both points.
     """
-    active = [(rows, base**a) for a, rows in enumerate(ops) if any(rows)]
-    weights, held = symmetric_index(n).weights, (0, None)
-    power, den, rank = {unit: lower_triangle(rows, n) for rows, unit in active}, op_den, n  # A^1; rho once A^2 is formed
-    # packed[j] = (op_den^j / den of A^j, {m: _frobenius_forms(M_m)}), from A^0 = I
-    packed = [(1, {0: _frobenius_forms(lower_triangle([[(i, 1, 0)] for i in range(n)], n), weights)})]
-    for j in range(1, (n + 1) // 2 + 1):
+    lefts, units, layout, held = [], [], symmetric_index(n), None  # the operators A_a that are not zero, and base^a
+    for a, rows in enumerate(ops):
+        if any(rows):
+            lefts.append(rows)
+            units.append(base**a)
+    power, den, rank = dict(zip(units, map(lower_triangle, lefts, repeat(n)))), op_den, n  # A^1; rho once A^2 is formed
+    powers = [(1, {0: (layout.unit, [])}), (1, power)]  # (op_den^j / den of A^j, {m: M_m}), from A^0 = I as its dz
+    for j in range(2, (n + 1) // 2 + 1):
+        rank = rank if lefts else 0  # with no active operator A(t) = 0, so G = 0
         if j > (rank + 1) // 2:
             break
-        if j > 1:
-            # the terms of the monomial m' are the (A_a, M_m) with m + e_a = m'
-            sources: dict[int, list] = {}
-            for m, (a, (_, unit)) in product(power, enumerate(active)):
-                sources.setdefault(m + unit, []).append((a, m))
-            sums, (words, rows) = lower_pair_products([a_rows for a_rows, _ in active], power, sources.values(), n, held)
-            power = {m: lower for m, lower in zip(sources, sums) if any(map(any, lower))}
-            g = math.gcd(den * op_den, *chain.from_iterable(chain.from_iterable(power.values())))
-            power = {m: ([*map(floordiv, x, repeat(g))], [*map(floordiv, y, repeat(g))]) for m, (x, y) in power.items()}
-            den = den * op_den // g
-            rank = _psd_rank([power[2 * unit] for _, unit in active], n) if j == 2 else rank
-            if j < (rank + 1) // 2:  # the products' rows over g are M's for the next power, while their width holds
-                held = words, {m: ([*map(floordiv, x, repeat(g))], [*map(floordiv, y, repeat(g))])
-                               for m, (x, y) in zip(sources, rows)}
-        packed.append((op_den**j // den, {m: _frobenius_forms(lower, weights) for m, lower in power.items()}))
-    sums, elementary = [None], [[(0, 1, 0)]]  # S_i and E_k as [(m, x, y)]
+        # the terms of the monomial m' are the (A_a, M_m) with m + e_a = m'
+        sources: dict[int, list] = {}
+        for m, (a, unit) in product(power, enumerate(units)):
+            sources.setdefault(m + unit, []).append((a, m))
+        sums, (r, words, rows) = lower_pair_products(lefts, power, sources.values(), n, held)
+        power = {m: lower for m, lower in zip(sources, sums) if any(map(any, lower))}
+        g = math.gcd(den * op_den, *chain.from_iterable(chain.from_iterable(power.values())))
+        power = {m: ([*map(floordiv, x, repeat(g))], [*map(floordiv, y, repeat(g))]) for m, (x, y) in power.items()}
+        den = den * op_den // g
+        rank = _psd_rank([*map(power.__getitem__, map(add, units, units))], n) if j == 2 else rank
+        if j < (rank + 1) // 2:  # the products' rows over g are the next power's P, while their width holds
+            held = r, words, {m: [*map(floordiv, s, repeat(g))] for m, s in zip(sources, rows)}
+        powers.append((op_den**j // den, power))
+    sums, elementary, forms = [None], [[(0, 1, 0)]], powers  # S_i and E_k as [(m, x, y)]
+    if lefts:  # the (dz, z) of each M_m of A^1..A^h, in the v of the bound above
+        forms, used = powers[:1], powers[1 : (rank + 1) // 2 + 1]
+        parts = list(chain.from_iterable(chain.from_iterable(p.values() for _, p in used)))
+        top = max(map(abs, chain.from_iterable(map(compress, parts, parts))))
+        v = (2 * max(len(p) for _, p in used) * n * n * top * top).bit_length() + 1
+        for scale, p in used:  # z is bound in the first element of each pair, then read in the second
+            forms.append((scale, {m: ([*map(mul, z := [*map(add, x, map(lshift, y, repeat(v)))], layout.weights)], z)
+                                  for m, (x, y) in p.items()}))
+        low, half, offset = (1 << v) - 1, 1 << v - 1, (1 << v - 1) * ((1 << v) + 1)  # offset: half at d0 and d1
     for k in range(1, rank + 1):
-        (scale, left), (scale_b, right) = packed[k // 2], packed[k - k // 2]
+        (scale, left), (scale_b, right) = forms[k // 2], forms[k - k // 2]
         # for even k both sides are A^(k/2): the pairs (m, m2) and (m2, m) agree
         even = k % 2 == 0
         pairs = combinations_with_replacement(left.items(), 2) if even else product(left.items(), right.items())
-        tx, ty = {}, {}
-        for (m, (_, (dx, dy, ds))), (m2, ((x, y, s), _)) in pairs:
-            w = 2 if even and m != m2 else 1
-            xx, yy = w * sum(map(mul, dx, x)), w * sum(map(mul, dy, y))
-            tx[m + m2] = tx.get(m + m2, 0) + xx + 3 * yy
-            ty[m + m2] = ty.get(m + m2, 0) + w * sum(map(mul, ds, s)) - xx - yy
-        sums.append([(m, x * scale * scale_b, ty[m] * scale * scale_b) for m, x in tx.items() if x or ty[m]])
+        total = {}
+        for (m, (dz, _)), (m2, (_, z)) in pairs:
+            f = sum(map(mul, dz, z))
+            total[m + m2] = total.get(m + m2, offset) + (2 * f if even and m != m2 else f)
+        scale *= scale_b  # each total has 2^(v-1) added to d0 and d1, its two low base-2^v digits; d2 is the rest
+        terms = [(m, (t & low) - half + 3 * (t >> 2 * v), (t >> v & low) - half) for m, t in total.items()]
+        sums.append([(m, x * scale, y * scale) for m, x, y in terms if x or y])
         # E_(k-i) S_i for i = 1..k, with the factors (-1)^(i-1) (k-1)!/(k-i)!
         factors = [(-1) ** i * math.perm(k - 1, i) for i in range(k)]
         elementary.append(_pair_sum(zip(factors, reversed(elementary), sums[1:])))
@@ -331,9 +331,8 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
 
 def _psd_rank(mats: list[tuple[list[int], list[int]]], n: int) -> int:
     """The rank of the sum G of the `lower_triangle`s `mats` of n x n squares
-    A_a^2 of symmetric A_a: G is positive semidefinite, and so is each Schur
-    complement in its symmetric elimination with diagonal pivots (free of
-    fractions, a row divided by its content), whose zero pivots thus have zero rows."""
+    A_a^2 of symmetric A_a: G is positive semidefinite, as is each Schur complement in
+    its fraction-free symmetric elimination with diagonal pivots, so zero pivots have zero rows."""
     zero = [0] * (n * (n + 1) // 2)
     xs, ys = (symmetric_index(n).expand([*map(sum, zip(*part))]) for part in zip(*mats, (zero, zero)))
     rank = 0
@@ -358,13 +357,6 @@ def _unpack(m: int, base: int, p: int) -> tuple[int, ...]:
         m, e = divmod(m, base)
         exps.append(e)
     return tuple(exps)
-
-
-def _frobenius_forms(lower: tuple[list[int], list[int]], weights: list[int]) -> tuple:
-    """The lower triangle of a symmetric X as (x, y, x + y), plain and with the
-    off-diagonal doubled: <X, Y>_F is three dot products of doubled X, plain Y."""
-    plain = (*lower, list(map(add, *lower)))
-    return plain, tuple(list(map(mul, v, weights)) for v in plain)
 
 
 def symbolic_sweep(data: ShapeOperatorSet) -> SweepVerdict:
@@ -470,17 +462,15 @@ def _scale_exponent(data: ShapeOperatorSet) -> int:
 def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
     """Max absolute drift of any char_poly coefficient across sampled normals.
 
-    The drift is that of A(t) / 2^e, with e from _scale_exponent: constancy
-    does not depend on scale, and an absolute tolerance then means the same
-    at every scale.  Data whose entries are all below 2 is not scaled.
-
-    NaN as soon as one drift is NaN (an evaluation overflowed both ways), so
-    that no tolerance test can pass it.  At least two samples are needed:
-    one sample has nothing to be compared with.  SweepTooLarge before the
-    blocks' kernel runs if samples x codim exceeds MAX_SAMPLE_COORDINATES, and
-    before any sample is drawn if samples x (terms + coefficients) exceeds
-    MAX_SAMPLE_TERMS; both count every sample, although at p = 1 only the
-    first two are evaluated, since the samples alternate between +1 and -1.
+    The drift is that of A(t) / 2^e, e from _scale_exponent: constancy does
+    not depend on scale, so an absolute tolerance means the same at every
+    scale; entries all below 2 are not scaled.  NaN as soon as one drift is
+    NaN (an evaluation overflowed both ways), so that no tolerance test can
+    pass it.  At least two samples are needed, one has nothing to be compared
+    with.  SweepTooLarge before the blocks' kernel runs if samples x codim
+    exceeds MAX_SAMPLE_COORDINATES, and before any sample is drawn if
+    samples x (terms + coefficients) exceeds MAX_SAMPLE_TERMS; both count every
+    sample, though at p = 1 only the first two, +1 and -1, are evaluated.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -515,15 +505,11 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
     return deviation
 
 
-def float_terms(
-    coeff: tuple[list, int], base: int, p: int, shift: int
-) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+def float_terms(coeff: tuple[list, int], base: int, p: int, shift: int) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
     """The terms of the packed coefficient `coeff` divided by 2^shift for
-    `eval_terms`, exponent vectors descending: each coefficient made
-    canonical and converted to float once, with the (variable, exponent)
-    pairs of its nonzero exponents.  A canonical form is unique, so these
-    are the floats of `polyring.float_terms` on the coefficient's MultiPoly
-    divided by 2^shift, in its order."""
+    `eval_terms`, exponent vectors descending: each coefficient canonical and
+    a float once, with the (variable, exponent) pairs of its nonzero exponents,
+    as `polyring.float_terms` gives them on its MultiPoly, in its order."""
     terms, den = coeff
     den <<= shift
     return [
@@ -534,11 +520,11 @@ def float_terms(
 
 def eval_terms(terms, powers, size: int) -> list[float]:
     """`float_terms` at `size` points at once: each term is its coefficient
-    times its power columns, one map chain over the points, and the terms are
-    added in their order.  powers[d] = [None, x_d, x_d^2, ...] holds the power
-    columns of coordinate d at the points, x^e = x^(e-1) * x, and is extended in
-    place, in a loop, up to the powers the terms read: term lists evaluated at
-    the same points with the same `powers` build each column once."""
+    times its power columns, one map chain over the points, the terms added in
+    their order.  powers[d] = [None, x_d, x_d^2, ...] holds the power columns of
+    coordinate d at the points, x^e = x^(e-1) * x, extended in place up to the
+    powers the terms read: term lists evaluated at the same points with the
+    same `powers` build each column once."""
     total = [0.0] * size
     for coeff, factors in terms:
         value = repeat(coeff, size)

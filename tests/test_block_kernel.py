@@ -2,8 +2,10 @@
 replaced (`block_kernel_reference`), exactly: every term and every
 denominator.  A digit width one bit short corrupts entries without a sign,
 so the blocks drive the parts of their entries to 2^64 - 1, with mixed
-signs and sqrt3 parts, zero rows and zero operators, and one test puts a
-part of the pair product exactly at its bound, on a 64-bit edge."""
+signs and sqrt3 parts, zero rows and zero operators; one test puts a part
+of the pair product exactly at its bound, on a 64-bit edge, one puts the
+Frobenius step's cross digit there, and one checks the Q form of packed
+rows whose x digits are all at the edge of their width."""
 
 import random
 from pathlib import Path
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import block_kernel_reference as reference
 from willmore import sweep
 from willmore.catalog import parse_dataset
-from willmore.linalg import lower_pair_products, lower_triangle
+from willmore.linalg import lower_pair_products, lower_triangle, row_forms
 
 EDGE = 2**64 - 1
 
@@ -66,6 +68,21 @@ def full_rank(n):
     return block(n, 1, lambda a, i, j: (signs[i, j], 0))
 
 
+def frobenius_edge():
+    """A1 = A2 = T (1 + sqrt3) S, S a symmetric +-1 matrix of rank 2 at n = 3.
+
+    Only A^1 = t1 A1 + t2 A2 is read (rho = 2), M = 2 monomials of largest
+    part T, so the bound 2 M n^2 T^2 = 36 T^2 fixes v.  At t1 t2, S_2 has the
+    one unordered pair (t1, t2), doubled, whose cross digit is
+    2 sum_t w_t (x1 y2 + y1 x2) = 2 n^2 2 T^2 = 36 T^2: the bound itself,
+    64 bits long.  A^2 is still formed for the rank, a pair product with
+    sqrt3 parts."""
+    t = 2**32 // 6
+    assert (36 * t * t).bit_length() == 64 and 36 * t * t >= 2**63
+    s = [[1, 1, 1], [1, 1, 1], [1, 1, -1]]
+    return block(3, 2, lambda a, i, j: (t * s[i][j],) * 2)
+
+
 def dense14():
     data = parse_dataset((Path(__file__).parent / "data" / "dense14_p3.dat").read_text(encoding="utf-8"))
     ops, den = data.integer_form
@@ -78,8 +95,35 @@ def dense14():
 # 12 t^2, the parts of A^2 at t = 2^62, are the bound r max|A| with 128 bits: a second word
 @example(alternating(3, 1, 2**62))
 @example(full_rank(24))
+@example(frobenius_edge())
 def test_the_packed_kernel_equals_the_loop_kernel(case):
     assert sweep._block_char_poly(*case) == reference._block_char_poly(*case)
+
+
+def test_a_frobenius_cross_digit_at_its_bound_reads_back_exactly():
+    case = frobenius_edge()
+    t = 2**32 // 6
+    poly = sweep._block_char_poly(*case)
+    assert poly == reference._block_char_poly(*case)
+    # rho = 2: lambda^0 is zero, then E_2 / 2 and -E_1; t1 and t2 are the packed monomials 1 and 4
+    [zero, (e2, two), (e1, minus_one), _] = poly
+    assert (zero, two, minus_one) == (([], 1), 2, -1)
+    # S_1 = E_1 = T (1 + sqrt3) (t1 + t2), and S_2 = S_1^2 - E_2 has at t1 t2 the cross digit 36 T^2 in sqrt3
+    assert sorted(e1) == [(1, t, t), (4, t, t)]
+    assert [(x, y) for m, x, y in e2 if m == 5] == [(8 * t * t - 72 * t * t, 4 * t * t - 36 * t * t)]
+
+
+@pytest.mark.parametrize("words", [1, 2])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_q_form_of_a_row_with_x_digits_at_the_edge(n, sign, words):
+    # P = X + Y 2^(nW) with every x digit +-(2^(W-1) - 1) and y digits over their whole range
+    width = 64 * words
+    xs = [sign * (2 ** (width - 1) - 1)] * n
+    ys = [2 ** (width - 1) - 1 if l % 2 else -(2 ** (width - 1)) for l in range(n)]
+    x, y = (sum(d << width * l for l, d in enumerate(ds)) for ds in (xs, ys))
+    p = x + (y << width * n)
+    assert row_forms(p, n, words) == (p, 3 * y + (x << width * n))
 
 
 def test_the_packed_kernel_on_dense14_p3():
