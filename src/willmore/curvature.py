@@ -13,18 +13,19 @@ datasets (single points of homogeneous spaces), not something checked here.
 the integer pairs the dataset holds (`ShapeOperatorSet.integer_form`), each
 operator's trace once.
 `riemann_suite` checks the curvature tensor on the same pairs: one Gram
-table of the sampled index pairs gives every sampled component, and each
-symmetry compares that table with a permuted gather of itself.  The
-component function `riemann`, on QuadExt sums, is the reference the tests
-hold the table to; they hold every certificate to `tests/certificate_check.py`,
-a checker that shares no code with this package.
+table of the sampled index pairs gives every sampled component as one int
+packing its two parts, and each symmetry compares that table with a permuted
+gather of itself; the contraction is summed, unpacked, from the operators.
+The component function `riemann`, on QuadExt sums, is the reference the tests
+hold the table to, and `tests/certificate_check.py`, a checker that shares no
+code with this package, every certificate.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import product
-from operator import add, itemgetter, neg, sub
+from itertools import chain, product
+from operator import add, itemgetter, mul, neg, sub
 
 from ._record import Record
 from .catalog import ShapeOperatorSet
@@ -162,7 +163,7 @@ def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool],
     ops, den = data.integer_form
     indices = range(0, n, 1 if n <= 6 else (n + 5) // 6)
     den2 = den * den
-    table = _gram_table(ops, den, indices)
+    table, _ = _gram_table(ops, den, indices)
     jikl, ijlk, klij, iklj, iljk = _layout(len(indices))[2:]
     negated = tuple(map(neg, table))
     checks = {
@@ -175,7 +176,7 @@ def riemann_suite(data: ShapeOperatorSet, ric: Matrix) -> tuple[dict[str, bool],
             for e, x, y in zip(row, *pairs)
         ),
     }
-    return checks, len(table) // 2
+    return checks, len(table)
 
 
 def _diagonal(rows: tuple[Row, ...]) -> tuple[int, int]:
@@ -207,31 +208,30 @@ def _trace_product(m: Pairs, rows: tuple[Row, ...]) -> tuple[int, int]:
     return tx, ty
 
 
-def _gram_table(ops: tuple[tuple[Row, ...], ...], den: int, indices: range) -> tuple[int, ...]:
-    """R_ijkl over D^2 for the quadruples of `indices` in row-major order, x
-    parts then y parts, by the Gauss formula R_ijkl = G(ik, jl) - G(il, jk)
-    with G(u, v) = sum_a (A_a)_u (A_a)_v.  The identity counts among the A_a:
-    its products are the sphere's delta_ik delta_jl - delta_il delta_jk.  The
-    operators are symmetric, so G is formed once for each unordered pair of
-    unordered pairs u, v of `indices`."""
+def _gram_table(ops: tuple[tuple[Row, ...], ...], den: int, indices: range) -> tuple[tuple[int, ...], int]:
+    """R_ijkl over D^2 for the quadruples of `indices` in row-major order, each one
+    int x + y 2^v, and v.  By the Gauss formula R_ijkl = G(ik, jl) - G(il, jk),
+    G(u, w) = sum_a (A_a)_u (A_a)_w over the A_a and the identity, whose products are
+    the sphere's delta_ik delta_jl - delta_il delta_jk; G is formed once for each
+    unordered pair of unordered pairs of `indices`, the operators being symmetric.
+
+    G(u, w) is one dot product, as in `sweep._block_char_poly`: of the x, y of each
+    (A_a)_u with the P = x + y 2^v, Q = 3 y + x 2^v of each (A_a)_w, x P + y Q being
+    x x' + 3 y y' + (x y' + y x') 2^v.  With T the largest |x| or |y|, den included,
+    the x part of a G is at most 4 (p + 1) T^2, of an R 8 (p + 1) T^2 and of a sum
+    of two R, as the Bianchi check forms, 16 (p + 1) T^2 < 2^(v-1).  If X + Y 2^v =
+    X' + Y' 2^v with |X|, |X'| < 2^(v-1), then |Y' - Y| 2^v = |X - X'| < 2^v, so
+    Y = Y' and X = X': the checks compare packed ints as they would the parts."""
     rows = [[dict((j, (x, y)) for j, x, y in op[i]) for op in ops] for i in indices]
-    vectors = [  # (A_a)_ik for the unordered pairs {i, k} of `indices`, in their `symmetric_index` order
-        [(den * (s == t), 0)] + [entries.get(indices[t], (0, 0)) for entries in rows[s]]
+    lefts = [  # x, y of (A_a)_ik for the unordered pairs {i, k} of `indices`, in their `symmetric_index` order
+        [den * (s == t), 0, *chain.from_iterable(entries.get(indices[t], (0, 0)) for entries in rows[s])]
         for s, t in symmetric_index(len(indices)).lower
     ]
-    gram = [_dot(vectors[u], vectors[v]) for u, v in symmetric_index(len(vectors)).lower]
-    flat = [x for x, _ in gram] + [y for _, y in gram]
+    v = (16 * (len(ops) + 1) * max(map(abs, chain.from_iterable(lefts))) ** 2).bit_length() + 1
+    rights = [[f for x, y in zip(left[::2], left[1::2]) for f in (x + (y << v), 3 * y + (x << v))] for left in lefts]
+    gram = [sum(map(mul, lefts[u], rights[w])) for u, w in symmetric_index(len(lefts)).lower]
     first, second = _layout(len(indices))[:2]
-    return tuple(map(sub, first(flat), second(flat)))
-
-
-def _dot(a: list[tuple[int, int]], b: list[tuple[int, int]]) -> tuple[int, int]:
-    """sum_a (A_a)_u (A_a)_v, one entry of the Gram table."""
-    x = y = 0
-    for (ax, ay), (bx, by) in zip(a, b):
-        x += ax * bx + 3 * ay * by
-        y += ax * by + ay * bx
-    return x, y
+    return tuple(map(sub, first(gram), second(gram))), v
 
 
 @cache
@@ -239,19 +239,19 @@ def _layout(m: int) -> tuple[itemgetter, ...]:
     """Gathers over the m^4 quadruples (i, j, k, l) of m indices in row-major
     order: of G(ik, jl) and G(il, jk) from the Gram table, and of the
     entries jikl, ijlk, klij, iklj and iljk from the Riemann table.  Each
-    takes x parts, then y parts: two entries or more, so a tuple at m = 1."""
+    gives a sequence, at m = 1 the slice of the one entry 0."""
     quads = list(product(range(m), repeat=4))
     pair = symmetric_index(m).places  # the place of each unordered pair {i, k}
-    gram = symmetric_index(m * (m + 1) // 2)  # and of each unordered pair of them in the Gram table
+    gram = symmetric_index(m * (m + 1) // 2).places  # and of each unordered pair of them in the Gram table
 
-    def gather(order: list[int], size: int) -> itemgetter:
-        return itemgetter(*order, *(f + size for f in order))
+    def gather(order: list[int]) -> itemgetter:
+        return itemgetter(*order) if m > 1 else itemgetter(slice(0, 1))
 
     return (
-        gather([gram.places[pair[i][k]][pair[j][l]] for i, j, k, l in quads], len(gram.lower)),
-        gather([gram.places[pair[i][l]][pair[j][k]] for i, j, k, l in quads], len(gram.lower)),
+        gather([gram[pair[i][k]][pair[j][l]] for i, j, k, l in quads]),
+        gather([gram[pair[i][l]][pair[j][k]] for i, j, k, l in quads]),
         *(
-            gather([((t[a] * m + t[b]) * m + t[c]) * m + t[d] for t in quads], m**4)
+            gather([((t[a] * m + t[b]) * m + t[c]) * m + t[d] for t in quads])
             for a, b, c, d in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (0, 2, 3, 1), (0, 3, 1, 2))
         ),
     )

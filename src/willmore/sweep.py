@@ -267,7 +267,8 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     the term d0 + 3 d2 in x and d1 in y.  With T the largest part and M the
     most monomials of any of A^1..A^h, a monomial has at most M pairs, so
     |d0| <= M n^2 T^2 and |d1| <= 2 M n^2 T^2 < 2^(v-1), v the bit_length of
-    2 M n^2 T^2 plus 1: d0 and d1 are read as the digits above.
+    2 M n^2 T^2 plus 1: d0 and d1 are read as the digits above.  The Riemann
+    table of the curvature pass packs its entries alike (`curvature._gram_table`).
 
     `_distinct_blocks` calls this once per distinct diagonal block of A(t).
     A FAIL is taken on the product of the blocks' polynomials, never block
@@ -281,10 +282,10 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
         if any(rows):
             lefts.append(rows)
             units.append(base**a)
-    power, den, rank = dict(zip(units, map(lower_triangle, lefts, repeat(n)))), op_den, n  # A^1; rho once A^2 is formed
+    # A^1; rho once A^2 is formed, or at once 0 with no active operator: then A(t) = 0, so G = 0
+    power, den, rank = dict(zip(units, map(lower_triangle, lefts, repeat(n)))), op_den, n if lefts else 0
     powers = [(1, {0: (layout.unit, [])}), (1, power)]  # (op_den^j / den of A^j, {m: M_m}), from A^0 = I as its dz
     for j in range(2, (n + 1) // 2 + 1):
-        rank = rank if lefts else 0  # with no active operator A(t) = 0, so G = 0
         if j > (rank + 1) // 2:
             break
         # the terms of the monomial m' are the (A_a, M_m) with m + e_a = m'

@@ -379,14 +379,14 @@ class ProofReport(Record):
 
 
 def verify_g4(p: int) -> ProofReport:
-    """Reduce every Willmore goal Sum_b Tr(A_b^2 A_a) against block a of the
-    g=4 relations, which holds all its words (see `g4_block`)."""
+    """Reduce every Willmore goal Sum_b Tr(A_b^2 A_a), its words canonical as
+    `g4_relations` writes them, against block a of the g=4 relations, which
+    holds all its words (see `g4_block`)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    goals = []
-    count = 0
+    goals, count = [], 0
     for alpha in range(1, p + 1):
-        goal = TraceExpr({(b, b, alpha): 1 for b in range(1, p + 1)})
+        goal = TraceExpr._of({(alpha, b, b) if alpha < b else (b, b, alpha): ONE for b in range(1, p + 1)})
         relations = g4_relations(p, [alpha])
         count += len(relations)
         residual, steps = reduce_goal_with_steps(goal, relations)

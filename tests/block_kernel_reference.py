@@ -1,8 +1,9 @@
 """The block kernel of `willmore.sweep` as it was before its rows were packed:
 `_block_char_poly` with the sparse-row helpers `_product` and `_pack`, and the
 pair product `lower_pair_products` that runs one Python step on each pair of
-entries, copied unchanged.  It is the reference the packed kernel is held to,
-term for term and denominator for denominator."""
+entries, copied unchanged but for one line: a block with no active operator
+takes rank 0 at once, as the packed kernel does.  It is the reference the
+packed kernel is held to, term for term and denominator for denominator."""
 
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     """
     active = [(rows, base**a) for a, rows in enumerate(ops) if any(rows)]
     weights = [1 if l == i else 2 for i in range(n) for l in range(i + 1)]
-    power, den, rank = {unit: rows for rows, unit in active}, op_den, n  # A^1; rho once A^2 is formed
+    # A^1; rho once A^2 is formed, or at once 0 with no active operator: then A(t) = 0, so G = 0
+    power, den, rank = {unit: rows for rows, unit in active}, op_den, n if active else 0
     # packed[j] = (op_den^j / den of A^j, {m: _pack(M_m)}), from A^0 = I
     packed = [(1, {0: _pack([[(i, 1, 0)] for i in range(n)], weights)})]
     for j in range(1, (n + 1) // 2 + 1):

@@ -145,3 +145,12 @@ def test_a_part_at_its_bound_reads_back_exactly(n, sign):
     assert (xs, ys) == ([sign * 4 * n * t] * size, [sign * 2 * n * t] * size)
     expected = reference.lower_pair_products([(l_rows, r_rows)], n)
     assert xs == [expected[0][i][l] for i in range(n) for l in range(i + 1)]
+
+
+@pytest.mark.parametrize("op_den", [1, 6])
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_zero_block_is_lambda_to_the_n_with_every_empty_coefficient_over_1(n, p, op_den):
+    # no active operator: rank 0 at once, whatever n, so no Newton step runs
+    case = [[[] for _ in range(n)] for _ in range(p)], op_den, n, n + 1
+    assert sweep._block_char_poly(*case) == reference._block_char_poly(*case) == [([], 1)] * n + [([(0, 1, 0)], 1)]

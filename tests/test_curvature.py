@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import certificate_check
@@ -242,18 +242,25 @@ def sampled_indices(n):
     return range(0, n, stride)
 
 
+def decode(z, v):
+    """The parts (x, y) of a packed table entry z = x + y 2^v, x in [-2^(v-1), 2^(v-1))."""
+    half = 1 << v - 1
+    x = (z + half & (1 << v) - 1) - half
+    return x, (z - x) >> v
+
+
 def assert_components_match_riemann(data):
-    """Every entry of the Gram table equals riemann() at its quadruple (the
-    x parts of the quadruples in row-major order, then the y parts), and the
-    contraction the sums of riemann(), minimal data or not."""
+    """Every entry of the Gram table, one packed int per quadruple in
+    row-major order, decodes to riemann() at its quadruple, and the
+    contraction is the sums of riemann(), minimal data or not."""
     n = data.n
     ops, den = data.integer_form
     indices = sampled_indices(n)
     quadruples = list(itertools.product(indices, repeat=4))
-    table = _gram_table(ops, den, indices)
-    assert len(table) == 2 * len(quadruples) == 2 * len(indices) ** 4
-    for f, (i, j, k, l) in enumerate(quadruples):
-        assert QuadExt._make(table[f], table[f + len(quadruples)], den * den) == riemann(data, i, j, k, l)
+    table, v = _gram_table(ops, den, indices)
+    assert len(table) == len(quadruples) == len(indices) ** 4
+    for z, (i, j, k, l) in zip(table, quadruples):
+        assert QuadExt._make(*decode(z, v), den * den) == riemann(data, i, j, k, l)
     cx, cy = _ricci_contraction(ops, den * den, n)
     for i in range(n):
         for j in range(n):
@@ -381,10 +388,17 @@ class TestCurvaturePass:
         if n == 10:
             data = rotate_normals(change_frame(builtin("g6_m2_M2"), cayley_frame(n, rng)), cayley_frame(3, rng))
             assert all(e for op in data.operators for row in op.rows for e in row)
-        lengths, dot = [], curvature._dot
-        monkeypatch.setattr(curvature, "_dot", lambda a, b: lengths.append(len(a)) or dot(a, b))
+        # each product is one sum over the x and y parts of the p + 1 entries
+        lengths = []
+
+        def counting(terms):
+            terms = list(terms)
+            lengths.append(len(terms))
+            return sum(terms)
+
+        monkeypatch.setattr(curvature, "sum", counting, raising=False)
         riemann_suite(data, Matrix.identity(n, QuadExt(1)))
-        assert lengths == [3 + 1] * products
+        assert lengths == [2 * (3 + 1)] * products
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -423,10 +437,11 @@ class TestCurvaturePass:
         data = builtin("g6_m1_M1")
         n = data.n
         ops, den = data.integer_form
-        table = list(_gram_table(ops, den, range(n)))
+        table, v = _gram_table(ops, den, range(n))
+        table = list(table)
         for (i, j, k, l), error in errors.items():
-            table[part * n**4 + ((i * n + j) * n + k) * n + l] += error
-        monkeypatch.setattr(curvature, "_gram_table", lambda *args: tuple(table))
+            table[((i * n + j) * n + k) * n + l] += error << part * v  # in the x or the y digit
+        monkeypatch.setattr(curvature, "_gram_table", lambda *args: (tuple(table), v))
         checks, _ = riemann_suite(data, curvature_report(data).ricci)
         assert checks == {"antisymmetry": False, "pair_symmetry": False, "bianchi": False, "contraction": True}
 
@@ -449,3 +464,61 @@ class TestCurvaturePass:
         assert "contraction: FAIL" in cert.render("text").splitlines()
         checks, _ = riemann_suite(data, curvature_report(data).ricci)
         assert checks == {"antisymmetry": True, "pair_symmetry": True, "bianchi": True, "contraction": False}
+
+
+EDGE = 2**64 - 1
+
+
+def operators_of(n, p, part, den=1):
+    """p symmetric n x n operators, the entry (i <= j) of operator a being
+    (part(a, i, j, 0) + part(a, i, j, 1) sqrt3) / den."""
+    ops = []
+    for a in range(p):
+        rows = [[QuadExt(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x, y = (Fraction(part(a, i, j, h), den) for h in (0, 1))
+                rows[i][j] = rows[j][i] = QuadExt(x, y)
+        ops.append(Matrix(rows))
+    return ShapeOperatorSet("bound", n, p, tuple(ops), tuple(f"B{a + 1}" for a in range(p)))
+
+
+@st.composite
+def operators_near_the_bound(draw):
+    """Operators of n <= 7 and p <= 3 whose parts are 0, +-T or between,
+    with sqrt3 parts and mixed signs, T up to 2^64 - 1."""
+    n, p = draw(st.integers(1, 7), label="n"), draw(st.integers(1, 3), label="p")
+    top, den = draw(st.sampled_from([1, 5, EDGE]), label="T"), draw(st.sampled_from([1, 3]), label="den")
+    rng = random.Random(draw(st.integers(0, 2**32 - 1), label="seed"))
+    return operators_of(n, p, lambda a, i, j, h: rng.choice((0, top, -top, rng.randint(-top, top))), den)
+
+
+class TestPackedTable:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(operators_near_the_bound())
+    # every part at +T, then at +-T with the signs mixed between x, y, operators and entries
+    @example(operators_of(5, 3, lambda a, i, j, h: EDGE))
+    @example(operators_of(6, 3, lambda a, i, j, h: (-1) ** (a + i + j + h) * EDGE))
+    # n = 7 samples every other index; n = 1 has one quadruple
+    @example(operators_of(7, 2, lambda a, i, j, h: (-1) ** (i * j + h) * EDGE))
+    @example(operators_of(1, 3, lambda a, i, j, h: (-1) ** (a + h) * EDGE))
+    # parts +-1 over D = 7: the identity's D delta is the largest part, T = D
+    @example(operators_of(5, 2, lambda a, i, j, h: (-1) ** (a + i + h), 7))
+    def test_the_table_decodes_to_riemann_within_its_bound(self, data):
+        # v is the least width whose balanced digits hold 16 (p + 1) T^2, the x
+        # part of a Bianchi sum of two entries, with T read here from the
+        # sampled entries and the identity's D; then every entry decodes to
+        # riemann(), and a sum at the bound itself reads back
+        ops, den = data.integer_form
+        indices = sampled_indices(data.n)
+        sampled = set(indices)
+        top = max([den] + [abs(part) for rows in ops for i in indices for j, x, y in rows[i] if j in sampled for part in (x, y)])
+        bound = 16 * (data.p + 1) * top * top
+        _, v = _gram_table(ops, den, indices)
+        assert 2 ** (v - 2) <= bound < 2 ** (v - 1)
+        for x, y in itertools.product((bound, -bound), repeat=2):
+            entry = x // 2 + (y << v)  # an entry whose x part is at its bound 8 (p + 1) T^2
+            assert decode(entry + entry, v) == (x, 2 * y)
+        assert_components_match_riemann(data)
+        checks, _ = riemann_suite(data, Matrix.identity(data.n, QuadExt(1)))
+        assert checks["antisymmetry"] and checks["pair_symmetry"] and checks["bianchi"]

@@ -613,6 +613,19 @@ class TestVerifyG4:
             assert (reduction.residual, reduction.steps) == (TraceExpr._of(residual), tuple(steps))
         assert report.relation_count == p * p + p
 
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_goals_are_written_as_the_canonicalizing_constructor_writes_them(self, p):
+        # verify_g4 writes each goal's canonical words itself; the report is the
+        # one built from goals that TraceExpr canonicalizes and coerces
+        goals = [TraceExpr({(b, b, alpha): 1 for b in range(1, p + 1)}) for alpha in range(1, p + 1)]
+        report = verify_g4(p)
+        assert [reduction.goal for reduction in report.goals] == goals
+        reductions = []
+        for alpha, goal in enumerate(goals, 1):
+            residual, steps = reduce_goal_with_steps(goal, g4_relations(p, [alpha]))
+            reductions.append(tracealg.GoalReduction(alpha, goal, steps, residual))
+        assert report == tracealg.ProofReport(p, p * p + p, tuple(reductions))
+
     @pytest.mark.parametrize("p", [1, 2, 5, 12])
     def test_each_goal_eliminates_only_its_block(self, monkeypatch, p):
         eliminated = []
