@@ -512,7 +512,8 @@ class TestPackedTable:
         ops, den = data.integer_form
         indices = sampled_indices(data.n)
         sampled = set(indices)
-        top = max([den] + [abs(part) for rows in ops for i in indices for j, x, y in rows[i] if j in sampled for part in (x, y)])
+        parts = [abs(part) for rows in ops for i in indices for j, x, y in rows[i] if j in sampled for part in (x, y)]
+        top = max([den] + parts)
         bound = 16 * (data.p + 1) * top * top
         _, v = _gram_table(ops, den, indices)
         assert 2 ** (v - 2) <= bound < 2 ** (v - 1)
