@@ -24,7 +24,7 @@ from .catalog import (
 )
 from .curvature import CurvatureReport, curvature_report, einstein_violation, riemann_suite
 from .exactnum import ScalarRenderError, format_scalar
-from .sweep import SweepTooLarge, numeric_sweep, symbolic_sweep
+from .sweep import NUMERIC_TOLERANCE, SweepTooLarge, numeric_sweep, symbolic_sweep
 from .tracealg import (
     MAX_G4_INDICES,
     RulesFile,
@@ -36,8 +36,6 @@ from .tracealg import (
     reduce_goal_with_steps,
     verify_g4,
 )
-
-NUMERIC_TOLERANCE = 1e-9
 
 
 class InputError(Exception):

@@ -27,10 +27,15 @@ only a FAIL imports `polyring`.  Blocks that are all constant multiply to a
 constant; otherwise the verdict is taken on the product, never on a block
 (see `_block_char_poly`).  The symbolic verdict is authoritative; the
 numeric sweep is a seeded floating cross-check meant to catch implementation
-bugs, never to decide.  It converts each coefficient's packed terms to float
-once (`float_terms`) and adds them up over CHUNK_POINTS samples at a time
-(`eval_terms`), bit for bit as at each sample alone; a zero or constant
-coefficient is not evaluated.
+bugs, never to decide.  Its max_deviation is the largest drift of any
+coefficient of any distinct block, each evaluated once however many copies
+it has; only if that reaches NUMERIC_TOLERANCE is it the drift of the
+coefficients of the blocks' product, so it fails where the symbolic sweep's
+verdict on the product would, and a direct sum drifts exactly as its
+most drifting summand.  Either pass converts each coefficient's packed terms
+to float once (`float_terms`) and adds them up over CHUNK_POINTS samples at
+a time (`eval_terms`), bit for bit as at each sample alone; a zero or
+constant coefficient is not evaluated.
 
 Four bounds refuse a sweep with SweepTooLarge, each before the work it
 counts: MAX_SWEEP_WORK the blocks' kernel, MAX_SWEEP_PAIRS each step of their
@@ -55,10 +60,15 @@ if TYPE_CHECKING:
     from .polyring import MultiPoly
 
 # Bound on --samples x codim, the Gaussian deviates a numeric sweep draws,
-# one at a time, about 1 us each, and the coordinates a chunk of points holds:
+# one at a time, about 1 us each, and the coordinates a chunk of points holds;
+# a sweep whose blocks drift by the tolerance draws its samples twice, the
+# second time for the blocks' product:
 # on a 2-core Xeon VM with Python 3.11 a dim 1 dataset at codim 500 with
 # 2,048 samples takes about 1.2 s and peaks at 66 MB RSS.
 MAX_SAMPLE_COORDINATES = 1_024_000
+
+# A numeric sweep passes if its max_deviation is below this.
+NUMERIC_TOLERANCE = 1e-9
 
 # The numeric sweep evaluates the terms at no more than this many points at once.
 CHUNK_POINTS = 4096
@@ -75,9 +85,10 @@ MAX_SWEEP_WORK = 800_000
 # 4,364 terms times a dense 11 x 11 block at p = 5 took 74.7 s on a 2-core VM.
 MAX_SWEEP_PAIRS = 50_000
 
-# Bound on --samples x (the float terms of char_poly + its coefficients), the
-# term evaluations of a numeric sweep, about 0.3 us each, and its passes over
-# the samples, one per coefficient: on a 2-core Xeon VM with Python 3.11 a
+# Bound on --samples x (the float terms of char_poly + its coefficients), or
+# of the distinct blocks' polynomials if they have more, the term evaluations
+# of a numeric sweep's pass, about 0.3 us each, and its passes over the
+# samples, one per coefficient: on a 2-core Xeon VM with Python 3.11 a
 # dense 8 x 8 block at p = 6 (2,962 terms and 9 coefficients, a 1 KB file)
 # takes about 4 s at 6,731 samples, the most under the bound.
 MAX_SAMPLE_TERMS = 20_000_000
@@ -463,15 +474,22 @@ def _scale_exponent(data: ShapeOperatorSet) -> int:
 def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
     """Max absolute drift of any char_poly coefficient across sampled normals.
 
-    The drift is that of A(t) / 2^e, e from _scale_exponent: constancy does
-    not depend on scale, so an absolute tolerance means the same at every
-    scale; entries all below 2 are not scaled.  NaN as soon as one drift is
-    NaN (an evaluation overflowed both ways), so that no tolerance test can
-    pass it.  At least two samples are needed, one has nothing to be compared
-    with.  SweepTooLarge before the blocks' kernel runs if samples x codim
-    exceeds MAX_SAMPLE_COORDINATES, and before any sample is drawn if
-    samples x (terms + coefficients) exceeds MAX_SAMPLE_TERMS; both count every
-    sample, though at p = 1 only the first two, +1 and -1, are evaluated.
+    The coefficients are those of each distinct block of `_distinct_blocks`,
+    once however many copies it has; only if one of them drifts by
+    NUMERIC_TOLERANCE or more is the drift that of the blocks' product
+    (`_multiply`), as the symbolic sweep takes its verdict on the product:
+    blocks may swap spectra while the product stays constant.  A single
+    block is the product.  The drift is that of A(t) / 2^e, e from
+    _scale_exponent: constancy does not depend on scale, so an absolute
+    tolerance means the same at every scale; entries all below 2 are not
+    scaled.  NaN as soon as one drift is NaN (an evaluation overflowed both
+    ways), so that no tolerance test can pass it.  At least two samples are
+    needed, one has nothing to be compared with.  SweepTooLarge before the
+    blocks' kernel runs if samples x codim exceeds MAX_SAMPLE_COORDINATES,
+    and before any sample is drawn if samples x (terms + coefficients), of
+    the product or of the blocks, whichever has more, exceeds
+    MAX_SAMPLE_TERMS; both count every sample, though at p = 1 only the
+    first two, +1 and -1, are evaluated.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -480,18 +498,44 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
             f"--samples {samples} at codim {data.p} draws {samples * data.p} coordinates, "
             f"above the numeric sweep's bound of {MAX_SAMPLE_COORDINATES}"
         )
-    coeffs = _multiply(_distinct_blocks(data))
+    blocks = _distinct_blocks(data)
+    coeffs = _multiply(blocks)
     e = _scale_exponent(data)
-    # char_poly(A / 2^e) has the coefficient of lambda^j divided by 2^(e(n-j))
-    terms = [float_terms(c, data.n + 1, data.p, e * (data.n - j)) for j, c in enumerate(coeffs)]
-    count = sum(map(len, terms)) + len(terms)
+    count = max(_term_count(coeffs), sum(_term_count(poly) for poly, _ in blocks))
     if samples * count > MAX_SAMPLE_TERMS:
         raise SweepTooLarge(
             f"{samples} samples of the {count} terms and coefficients of the characteristic polynomial are "
             f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
         )
-    terms = [t for t in terms if any(factors for _, factors in t)]  # a zero or constant drifts by exactly 0
-    points = unit_normal_samples(data.p, 2 if data.p == 1 else samples, seed)
+    base, p = data.n + 1, data.p
+    terms = [t for poly, _ in blocks for t in _scaled_terms(poly, base, p, e)]
+    deviation = _max_drift(terms, p, samples, seed)
+    if deviation >= NUMERIC_TOLERANCE and (len(blocks) > 1 or blocks[0][1] > 1):
+        deviation = _max_drift(_scaled_terms(coeffs, base, p, e), p, samples, seed)
+    return deviation
+
+
+def _term_count(coeffs: list) -> int:
+    """The terms and coefficients of a packed polynomial, which an evaluation
+    at one point reads."""
+    return sum(len(terms) for terms, _ in coeffs) + len(coeffs)
+
+
+def _scaled_terms(coeffs: list, base: int, p: int, e: int) -> list:
+    """The `float_terms` of each packed coefficient of a polynomial of degree
+    b in lambda for A(t) / 2^e: the coefficient of lambda^j is divided by 2^(e(b - j))."""
+    degree = len(coeffs) - 1
+    return [float_terms(c, base, p, e * (degree - j)) for j, c in enumerate(coeffs)]
+
+
+def _max_drift(terms: list, p: int, samples: int, seed: int) -> float:
+    """Max absolute drift of each of the float coefficients `terms` from its
+    value at the first of the samples, or the first NaN drift: the points are
+    drawn CHUNK_POINTS at a time and each chunk's power columns are shared by
+    every coefficient.  A zero or constant coefficient drifts by exactly 0
+    and is not evaluated."""
+    terms = [t for t in terms if any(factors for _, factors in t)]
+    points = unit_normal_samples(p, 2 if p == 1 else samples, seed)
     first = [[None, (x,)] for x in next(points)]
     baseline = [eval_terms(t, first, 1)[0] for t in terms]
     deviation = 0.0

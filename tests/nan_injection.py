@@ -1,5 +1,7 @@
 """A fault for the numeric sweep: NaN from the column evaluator at one sample
-point of one coefficient's float terms, and nowhere else.  A single NaN
+point of one coefficient's float terms, and nowhere else.  The coefficients
+are counted in the order `float_terms` converts them: each distinct block's,
+lowest lambda-power first, then the product's if the blocks drift.  A single NaN
 among finite drifts is what `max` loses (it compares False both ways), so
 the tests that use it show that the sweep still reports NaN."""
 
@@ -8,9 +10,9 @@ import math
 from willmore import sweep
 
 
-def inject_one_nan(monkeypatch, point: tuple[float, ...], power: int) -> list[int]:
-    """Patch `sweep` so that the terms of the coefficient of lambda^power give
-    NaN at `point`; returns the record of the chunk positions it was put at."""
+def inject_one_nan(monkeypatch, point: tuple[float, ...], index: int) -> list[int]:
+    """Patch `sweep` so that the terms of the coefficient converted at `index`
+    give NaN at `point`; returns the record of the chunk positions it was put at."""
     tables, hits = [], []
     float_terms, evaluate = sweep.float_terms, sweep.eval_terms
 
@@ -20,7 +22,7 @@ def inject_one_nan(monkeypatch, point: tuple[float, ...], power: int) -> list[in
 
     def injected(terms, powers, size):
         values = evaluate(terms, powers, size)
-        if terms is tables[power]:
+        if terms is tables[index]:
             for i, coords in enumerate(zip(*(ladder[1] for ladder in powers))):
                 if coords == point:
                     values[i] = math.nan

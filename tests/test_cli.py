@@ -1,4 +1,5 @@
 import argparse
+import functools
 import io
 import re
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frames import scaled
+from frames import direct_sum, scaled
 from g4_rules import g4_rules_text
 from nan_injection import inject_one_nan
 from stack import deeper, stack_depth
@@ -331,7 +332,26 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "constant: l^2 - 1\n" in out
         assert "verdict: pass" in out
+        # the numeric sweep too: the blocks drift by 2, so it falls back to their product, which drifts by 0
         assert main(["sweep", str(path), "--mode", "numeric", "--samples", "4"]) == 0
+        out = capsys.readouterr().out
+        assert "max_deviation: 0.0\n" in out
+        assert "verdict: pass" in out
+
+    @pytest.mark.parametrize("copies", [3, 4, 5], ids=lambda k: f"n{10 * k}")
+    def test_direct_sums_pass_the_numeric_check(self, capsys, tmp_path, copies):
+        # the product of the blocks of k copies of g6_m2_M2 has large coefficients that cancel: evaluated as
+        # floats it drifted by 1.7e-8 at n = 50, above the tolerance; each distinct block drifts as at n = 10
+        path = tmp_path / "sum.dat"
+        path.write_text(serialize_dataset(functools.reduce(direct_sum, [builtin("g6_m2_M2")] * copies)), encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric", "--samples", "300"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: pass" in out
+        assert main(["sweep", "g6_m2_M2", "--mode", "numeric", "--samples", "300"]) == 0
+        single = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("max_deviation")] == [
+            line for line in single.splitlines() if line.startswith("max_deviation")
+        ]
 
     def test_numeric_within_tolerance(self, capsys):
         assert main(["sweep", "g6_m2_M1", "--mode", "numeric", "--samples", "200", "--seed", "0"]) == 0
@@ -369,7 +389,7 @@ class TestSweep:
         assert err.startswith("error: --samples") and err.count("\n") == 1
 
     def test_nan_deviation_fails(self, capsys, monkeypatch):
-        # one NaN drift, of the coefficient of lambda^3 at sample 5 (seed 0)
+        # one NaN drift, of the fourth coefficient converted, lambda^0 of the second 2 x 2 block, at sample 5 (seed 0)
         hits = inject_one_nan(monkeypatch, list(sweep.unit_normal_samples(2, 10, 0))[5], 3)
         assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", "10"]) == 1
         out = capsys.readouterr().out

@@ -4,9 +4,11 @@ A random orthogonal frame change (Cayley, signed permutation, or a rotation
 with sqrt3 entries) and a random rotation of the normals must leave every
 verdict of `verify`, the square norm, the Einstein result and the symbolic
 sweep's char_poly as they are on the built-in data; a direct sum of built-ins
-must stay minimal, Willmore and spectrally constant.  `verify` runs through
-`cli.main` on the moved data's serialized text, and the independent checker
-(`certificate_check`) passes each certificate.
+must stay minimal, Willmore and spectrally constant, and the max_deviation
+of its numeric sweep must be the larger of its summands', bit for bit.
+`verify` and the numeric sweep run through `cli.main` on the moved data's
+serialized text, and the independent checker (`certificate_check`) passes
+each certificate of `verify`.
 
 `tracecheck`, through `cli.main` with `--rules g4` and with the same
 relations as a rules file, keeps its exit code when a goal word is written
@@ -21,6 +23,7 @@ import re
 from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -100,6 +103,36 @@ def test_direct_sum_stays_minimal_willmore_and_spectrally_constant(workdir, name
     assert rc == 0
     assert fields["minimality.verdict"] == fields["willmore.verdict"] == fields["willmore.ricci_form_verdict"] == "pass"
     assert symbolic_sweep(data).constant
+
+
+def numeric_deviation(workdir, data, samples, seed):
+    """The max_deviation line of a passing `sweep --mode numeric` through
+    cli.main on the data's serialized text."""
+    path = workdir / "summand.dat"
+    path.write_text(serialize_dataset(data), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["sweep", str(path), "--mode", "numeric", "--samples", str(samples), "--seed", str(seed)])
+    assert rc == 0
+    (line,) = (line for line in out.getvalue().splitlines() if line.startswith("max_deviation: "))
+    return float(line.removeprefix("max_deviation: "))
+
+
+@pytest.mark.parametrize(
+    "names", [(a, b) for a, b in combinations_with_replacement(BUILTIN_NAMES, 2) if builtin(a).p == builtin(b).p]
+)
+@moved_settings
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**16 - 1))
+def test_numeric_deviation_of_a_direct_sum_is_the_larger_of_its_summands(workdir, names, frames_seed, seed):
+    # each summand in a signed-permutation frame with its normals permuted: the sum's blocks are the
+    # summands', each evaluated at the same points, so the sum drifts by exactly the larger drift
+    rng = random.Random(frames_seed)
+    first, second = (
+        rotate_normals(change_frame(data, signed_permutation(data.n, rng)), signed_permutation(data.p, rng))
+        for data in map(builtin, names)
+    )
+    summands = [numeric_deviation(workdir, data, 300, seed) for data in (first, second)]
+    assert repr(numeric_deviation(workdir, direct_sum(first, second), 300, seed)) == repr(max(summands))
 
 
 @pytest.fixture(scope="module", params=["g4", "file"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals, scaled, signed_permutation
 from nan_injection import inject_one_nan
-from numeric_reference import reference_numeric_sweep, reference_product
+from numeric_reference import blockwise, reference_numeric_sweep, reference_product
 from sphere_reference import sphere_constant
 from sweep_inputs import DENSE_8_BY_8, DIAGONAL_9, STEPS_22, dense_file
 from willmore import linalg, polyring, sweep
@@ -88,23 +88,26 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def pointwise_numeric_sweep(data, samples, seed):
+def pointwise_numeric_sweep(data, samples, seed, passes=None):
     """`numeric_sweep` as a loop over the points, one `eval_float` for each
-    coefficient at each point."""
-    coeffs = normal_char_poly(data).coeffs
-    e = _scale_exponent(data)
-    if e:
-        coeffs = [c / (1 << e * (data.n - j)) for j, c in enumerate(coeffs)]
+    coefficient at each point; `passes`, if given, records the coefficient
+    lists evaluated: the blocks', then the product's if it is taken."""
     points = list(unit_normal_samples(data.p, samples, seed))
-    baseline = [eval_float(c, points[0]) for c in coeffs]
-    deviation = 0.0
-    for point in points[1:]:
-        for base, coeff in zip(baseline, coeffs):
-            drift = abs(eval_float(coeff, point) - base)
-            if math.isnan(drift):
-                return drift
-            deviation = max(deviation, drift)
-    return deviation
+
+    def drift(coeffs):
+        if passes is not None:
+            passes.append(coeffs)
+        baseline = [eval_float(c, points[0]) for c in coeffs]
+        deviation = 0.0
+        for point in points[1:]:
+            for base, coeff in zip(baseline, coeffs):
+                value = abs(eval_float(coeff, point) - base)
+                if math.isnan(value):
+                    return value
+                deviation = max(deviation, value)
+        return deviation
+
+    return blockwise(data, drift)
 
 
 RATIONAL = st.fractions(min_value=-4, max_value=4, max_denominator=6)
@@ -963,6 +966,16 @@ class TestNumeric:
             assert len(hits) == 1
             monkeypatch.undo()
 
+    def test_nan_block_drift_does_not_fall_back_to_the_product(self, monkeypatch):
+        # NaN compares False with the tolerance: the blocks' NaN is the deviation, and the product's
+        # coefficients are never converted
+        data = builtin("g6_m1_M1")
+        hits = inject_one_nan(monkeypatch, list(unit_normal_samples(data.p, 10, 0))[5], 3)
+        tables = count_calls(monkeypatch, sweep, "float_terms")
+        assert math.isnan(numeric_sweep(data, 10, 0))
+        assert len(hits) == 1
+        assert len(tables) == sum(len(poly) for poly, _ in sweep._distinct_blocks(data)) == 8
+
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_symbolically_constant_implies_tiny_deviation(self, name):
         assert symbolic_sweep(builtin(name)).constant
@@ -1032,13 +1045,15 @@ class TestNumeric:
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
         samples = 5 + excess
         for data in (builtin("g6_m2_M1"), single_operator(["1", "0"]), scaled(builtin("g6_m2_M2"), 10)):
-            # the coefficients that are zero or one constant drift by exactly 0 and are not evaluated
-            varying = sum(coeff.degree() > 0 for coeff in normal_char_poly(data).coeffs)
-            evaluate = sweep.eval_terms
+            evaluate, passes = sweep.eval_terms, []
             calls = count_calls(monkeypatch, sweep, "eval_terms")
             deviation = numeric_sweep(data, samples, 7)
             monkeypatch.setattr(sweep, "eval_terms", evaluate)
-            assert repr(deviation) == repr(pointwise_numeric_sweep(data, samples, 7))
+            assert repr(deviation) == repr(pointwise_numeric_sweep(data, samples, 7, passes))
+            # the coefficients that are zero or one constant drift by exactly 0 and are not evaluated; the
+            # blocks', then for diag(t, 0), whose block lambda - t drifts, the product's
+            assert len(passes) == (2 if data.p == 1 else 1)
+            varying = sum(coeff.degree() > 0 for coeffs in passes for coeff in coeffs)
             chunks = [size for _, _, size in calls]
             # at p = 1 the samples alternate between +1 and -1, and only those two are evaluated
             assert max(chunks) <= 5 and sum(chunks) == (samples if data.p > 1 else 2) * varying < samples * (data.n + 1)
@@ -1057,8 +1072,9 @@ class TestNumeric:
             sizes.append([size for _, _, size in calls])
         assert sweep.MAX_SAMPLE_COORDINATES == 1_024_000
         assert deviations[0] == deviations[1] == ["max_deviation: 2.0"]
-        # the baseline, then one point, for -t1 at lambda^1: lambda^0 is zero and lambda^2 is 1
-        assert sizes[0] == sizes[1] == [1] * 2
+        # the baseline, then one point, for the block lambda - t1's -t1, which drifts by 2, then for the
+        # product's -t1 at lambda^1: lambda^0 is zero and lambda^2 is 1
+        assert sizes[0] == sizes[1] == [1] * 4
 
     def test_points_are_drawn_a_chunk_at_a_time(self, monkeypatch):
         monkeypatch.setattr(sweep, "CHUNK_POINTS", 5)
@@ -1093,16 +1109,19 @@ class TestNumeric:
 
     @pytest.mark.parametrize("data", [builtin("g6_m2_M1"), scaled(builtin("g6_m2_M2"), 10)], ids=["plain", "scaled"])
     def test_term_tables_and_conversions_do_not_grow_with_samples(self, monkeypatch, data):
-        # _scale_exponent converts each nonzero entry once
+        # _scale_exponent converts each nonzero entry once, and each distinct block's coefficients are
+        # converted once: the blocks pass, so the product is not converted
         entries = sum(1 for op in data.operators for row in op.rows for entry in row if entry)
-        terms = sum(len(c.terms) for c in normal_char_poly(data).coeffs)
+        passes = []
+        pointwise_numeric_sweep(data, 2, 0, passes)
+        (coeffs,) = passes
         for samples in (2, 300):
             tables = count_calls(monkeypatch, sweep, "float_terms")
             floats = count_calls(monkeypatch, QuadExt, "to_float")
             numeric_sweep(data, samples, 0)
             monkeypatch.undo()
-            assert len(tables) == data.n + 1
-            assert len(floats) == entries + terms
+            assert len(tables) == len(coeffs)
+            assert len(floats) == entries + sum(len(c.terms) for c in coeffs)
 
     def test_samples_are_deterministic_and_unit_length(self):
         for p in (1, 2, 3):
