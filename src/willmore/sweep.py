@@ -30,9 +30,10 @@ numeric sweep is a seeded floating cross-check meant to catch implementation
 bugs, never to decide.  Its max_deviation is the largest drift of any
 coefficient of any distinct block, each evaluated once however many copies
 it has; only if that reaches NUMERIC_TOLERANCE is it the drift of the
-coefficients of the blocks' product, so it fails where the symbolic sweep's
-verdict on the product would, and a direct sum drifts exactly as its
-most drifting summand.  Either pass converts each coefficient's packed terms
+coefficients of the blocks' product, on which the symbolic sweep too takes
+a verdict when a block varies.  So blocks that swap spectra while their
+product stays constant pass, and a direct sum drifts exactly as its most
+drifting summand.  Either pass converts each coefficient's packed terms
 to float once (`float_terms`) and adds them up over CHUNK_POINTS samples at
 a time (`eval_terms`), bit for bit as at each sample alone; a zero or
 constant coefficient is not evaluated.
@@ -60,11 +61,11 @@ if TYPE_CHECKING:
     from .polyring import MultiPoly
 
 # Bound on --samples x codim, the Gaussian deviates a numeric sweep draws,
-# one at a time, about 1 us each, and the coordinates a chunk of points holds;
-# a sweep whose blocks drift by the tolerance draws its samples twice, the
-# second time for the blocks' product:
+# one at a time, about 1 us each, and the coordinates a chunk of points holds:
 # on a 2-core Xeon VM with Python 3.11 a dim 1 dataset at codim 500 with
-# 2,048 samples takes about 1.2 s and peaks at 66 MB RSS.
+# 2,048 samples takes about 1.2 s and peaks at 66 MB RSS.  A sweep whose
+# blocks drift by the tolerance, as every FAIL on more than one block does,
+# draws its samples twice, the second time for the blocks' product.
 MAX_SAMPLE_COORDINATES = 1_024_000
 
 # A numeric sweep passes if its max_deviation is below this.
