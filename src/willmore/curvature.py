@@ -30,7 +30,7 @@ from operator import add, itemgetter, mul, neg, sub
 from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import QuadExt
-from .linalg import Matrix, Row, lower_pair_products, lower_triangle, symmetric_index
+from .linalg import Matrix, Row, forms, lower_pair_products, lower_triangle, symmetric_index, width
 
 
 def riemann(data: ShapeOperatorSet, i: int, j: int, k: int, l: int) -> QuadExt:
@@ -213,22 +213,17 @@ def _gram_table(ops: tuple[tuple[Row, ...], ...], den: int, indices: range) -> t
     int x + y 2^v, and v.  By the Gauss formula R_ijkl = G(ik, jl) - G(il, jk),
     G(u, w) = sum_a (A_a)_u (A_a)_w over the A_a and the identity, whose products are
     the sphere's delta_ik delta_jl - delta_il delta_jk; G is formed once for each
-    unordered pair of unordered pairs of `indices`, the operators being symmetric.
-
-    G(u, w) is one dot product, as in `sweep._block_char_poly`: of the x, y of each
-    (A_a)_u with the P = x + y 2^v, Q = 3 y + x 2^v of each (A_a)_w, x P + y Q being
-    x x' + 3 y y' + (x y' + y x') 2^v.  With T the largest |x| or |y|, den included,
-    the x part of a G is at most 4 (p + 1) T^2, of an R 8 (p + 1) T^2 and of a sum
-    of two R, as the Bianchi check forms, 16 (p + 1) T^2 < 2^(v-1).  If X + Y 2^v =
-    X' + Y' 2^v with |X|, |X'| < 2^(v-1), then |Y' - Y| 2^v = |X - X'| < 2^v, so
-    Y = Y' and X = X': the checks compare packed ints as they would the parts."""
+    unordered pair of unordered pairs of `indices`, the operators being symmetric:
+    one dot product of the x, y of each (A_a)_u with the `linalg.forms` P, Q of each
+    (A_a)_w, its x part x x' + 3 y y' and its y part x y' + y x'."""
     rows = [[dict((j, (x, y)) for j, x, y in op[i]) for op in ops] for i in indices]
     lefts = [  # x, y of (A_a)_ik for the unordered pairs {i, k} of `indices`, in their `symmetric_index` order
         [den * (s == t), 0, *chain.from_iterable(entries.get(indices[t], (0, 0)) for entries in rows[s])]
         for s, t in symmetric_index(len(indices)).lower
     ]
-    v = (16 * (len(ops) + 1) * max(map(abs, chain.from_iterable(lefts))) ** 2).bit_length() + 1
-    rights = [[f for x, y in zip(left[::2], left[1::2]) for f in (x + (y << v), 3 * y + (x << v))] for left in lefts]
+    # the x part of a Bianchi sum of two R is at most 4 |G| <= 16 (p + 1) T^2, T the largest |x|, |y| or den
+    v = width(16 * (len(ops) + 1) * max(map(abs, chain.from_iterable(lefts))) ** 2)
+    rights = [[*chain.from_iterable(zip(*forms(left[::2], left[1::2], v)))] for left in lefts]
     gram = [sum(map(mul, lefts[u], rights[w])) for u, w in symmetric_index(len(lefts)).lower]
     first, second = _layout(len(indices))[:2]
     return tuple(map(sub, first(gram), second(gram))), v

@@ -6,8 +6,8 @@ division by a nonzero Python int; QuadExt and MultiPoly both satisfy it.
 
 The exact kernels of the curvature pass and of the normal-sphere sweeps do
 not multiply `Matrix` objects: they read the integer-pair rows of each
-dataset (`integer_rows`, `ShapeOperatorSet.integer_form`) and share one pair
-product, `lower_pair_products`, on rows packed into one int each, every
+dataset (`integer_rows`, `ShapeOperatorSet.integer_form`), pack them by one
+codec (`width`) and share one pair product, `lower_pair_products`, every
 symmetric matrix a lower triangle in the layout of `symmetric_index`.
 `Matrix @` and `Matrix.char_poly` (Faddeev-LeVerrier) are their reference.
 """
@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import chain, compress, repeat
-from operator import add, itemgetter, lshift, xor
-from typing import Callable, Iterable, NamedTuple, Sequence
+from operator import add, and_, itemgetter, lshift, mul, rshift, sub, xor
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import format_sum
 
@@ -262,62 +262,51 @@ def lower_triangle(rows: Sequence[Row], n: int) -> tuple[list[int], list[int]]:
     return xs, ys
 
 
-@cache
-def _offset(n: int, words: int) -> int:
-    """2^(W-1) at each of the 2n places of a packed row, W = 64 words."""
-    return ((1 << 128 * words * n) - 1) // ((1 << 64 * words) - 1) << 64 * words - 1
+def width(bound: int) -> int:
+    """The least v with 2^(v-1) > bound: the width of packed digits within +-bound.
+
+    The codec of packed Q(sqrt3) ints (Kronecker substitution): x + y sqrt3 is P =
+    x + y 2^v or Q = 3 y + x 2^v (`forms`), so sums of x' P + y' Q pack the parts
+    x x' + 3 y y' and x y' + y x' of products as digits; a row packs its n x and n y
+    parts as digits of w bits (`pack`), at v = n w.  The lemma: if z = sum_i d_i 2^(v i)
+    has |d_i| < 2^(v-1) below its top digit, then z + h, h = 2^(v-1) at each lower
+    place, has the unique plain base-2^v digits d_i + h in [0, 2^v), no place carrying.
+    So `split` and `unpack` read every digit back exactly: equal packed ints mean equal parts.
+    """
+    return bound.bit_length() + 1
 
 
-def row_forms(row: int, n: int, words: int) -> tuple[int, int]:
-    """(P, Q) = (X + Y 2^(nW), 3 Y + X 2^(nW)) for a row P of 2n digits in
-    [-2^(W-1), 2^(W-1)): X is the low n places of P plus 2^(W-1) each, less that."""
-    shift = 64 * words * n
-    half = _offset(n, words) >> shift  # at each of n places
-    x = (row + half & (1 << shift) - 1) - half
-    return row, 3 * ((row - x) >> shift) + (x << shift)
+def forms(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[Iterator[int], Iterator[int]]:
+    """The P = x + y 2^v and the Q = 3 y + x 2^v of the pairs of xs and ys, each lazily."""
+    return map(add, xs, map(lshift, ys, repeat(v))), map(add, map(mul, ys, repeat(3)), map(lshift, xs, repeat(v)))
 
 
-def pair_product_rows(pairs, n: int) -> list[int]:
-    """The packed rows of sum L R over the pairs (L, `row_forms` of R's rows):
-    x P_k + y Q_k over the nonzero (k, x, y) of each row of L."""
-    rows = []
-    for i in range(n):
-        s = 0
-        for l_rows, forms in pairs:
-            for k, x, y in l_rows[i]:  # a zero part multiplies nothing
-                if x:
-                    s += x * forms[k][0]
-                if y:
-                    s += y * forms[k][1]
-        rows.append(s)
+def split(zs: Iterable[int], v: int, places: int = 1) -> tuple[list[int], list[int]]:
+    """The low v bits of each of zs as `places` balanced digits of w bits, and the rest above them."""
+    zs, half = list(zs), ((1 << v) - 1) // ((1 << v // places) - 1) << v // places - 1  # 2^(w-1) at each place
+    low = [*map(sub, map(and_, map(add, zs, repeat(half)), repeat((1 << v) - 1)), repeat(half))]
+    return low, [*map(rshift, map(sub, zs, low), repeat(v))]
+
+
+def pack(parts: Sequence[Sequence[int]], n: int, w: int) -> list[int]:
+    """The n rows of the symmetric matrix of each `lower_triangle` part in turn,
+    row k one int, sum_l e_kl 2^(w l) over its nonzero e_kl."""
+    lower, rows = symmetric_index(n).lower, [0] * (n * len(parts))
+    for start, part in zip(range(0, len(rows), n), parts):
+        for t in compress(range(len(part)), part):
+            k, l = lower[t]
+            rows[start + k] += part[t] << w * l
+            if k != l:
+                rows[start + l] += part[t] << w * k
     return rows
 
 
-def lower_pair_products(lefts, rights, targets, n: int, held=None) -> tuple[list, tuple]:
-    """The `lower_triangle` of sum L_a R_m over the (a, m) of each target, L_a the integer-pair
-    rows `lefts[a]`, R_m the symmetric `lower_triangle` `rights[m]`; and (r, w, the sums'
-    `pair_product_rows`): r the lefts' row bound or held[0], w words per digit, each R_m packed
-    unless held = (r, w, {m: R_m's rows P}); width and read-back proved at `sweep._block_char_poly`."""
-    _, coords, _, _, select = symmetric_index(n)
-    r = held[0] if held else max((sum(abs(x) + 3 * abs(y) for row in rows for _, x, y in row) for rows in zip(*lefts)), default=0)
-    parts = list(chain.from_iterable(rights.values()))
-    top = max(map(abs, chain.from_iterable(map(compress, parts, parts))), default=0)
-    words = ((r * top).bit_length() + 1 + 63) // 64  # the least with W = 64 words >= bit_length(r top) + 1
-    if held and held[1] == words:
-        forms = {m: [row_forms(row, n, words) for row in held[2][m]] for m in rights}
-    else:  # each part of row k of each R_m: sum_l e_kl 2^(W l), over its nonzero e_kl
-        packed, width, shift = {m: ([0] * n, [0] * n) for m in rights}, 64 * words, 64 * words * n
-        for part, row in zip(parts, chain.from_iterable(packed.values())):
-            for t in compress(range(len(part)), part):
-                k, l = coords[t]
-                row[k] += part[t] << width * l
-                if k != l:
-                    row[l] += part[t] << width * k
-        forms = {m: [(x + (y << shift), 3 * y + (x << shift)) for x, y in zip(*xy)] for m, xy in packed.items()}
-    sums = [pair_product_rows([(lefts[a], forms[m]) for a, m in pairs], n) for pairs in targets]
-    # a digit plus 2^(W-1), its top bit flipped, is its two's complement: top word signed, the others not
-    half = _offset(n, words)
-    rows = map(xor, map(add, chain.from_iterable(sums), repeat(half)), repeat(half))
+def unpack(rows: Iterable[int], n: int, words: int) -> list[tuple[list[int], list[int]]]:
+    """The `lower_triangle` parts (x, y) of each n rows in turn of the packed `rows`, n x then n y
+    digits of W = 64 words bits each, by the lemma at `width` in one `to_bytes` pass: a digit plus
+    2^(W-1), top bit flipped, is its two's complement, the top word signed; only the triangle is read."""
+    select, half = symmetric_index(n).select, ((1 << 128 * words * n) - 1) // ((1 << 64 * words) - 1) << 64 * words - 1
+    rows = map(xor, map(add, rows, repeat(half)), repeat(half))
     buf = memoryview(b"".join(map(int.to_bytes, rows, repeat(16 * words * n), repeat("little"))))
     signed, plain, size, out = buf.cast("q"), buf.cast("Q"), 2 * n * n * words, []
     for start in range(0, len(signed), size):
@@ -325,4 +314,38 @@ def lower_pair_products(lefts, rights, targets, n: int, held=None) -> tuple[list
         for w in range(words - 2, -1, -1):
             lower = tuple(map(add, map(lshift, lower, repeat(64)), select(plain[start + w : start + size : words])))
         out.append((list(lower[: len(lower) // 2]), list(lower[len(lower) // 2 :])))
-    return out, (r, words, sums)
+    return out
+
+
+def pair_product_rows(pairs, n: int) -> list[int]:
+    """The packed rows of sum L R over the pairs (L, the `forms` (P, Q) of R's rows):
+    x P_k + y Q_k over the nonzero (k, x, y) of each row of L."""
+    rows = []
+    for i in range(n):
+        s = 0
+        for l_rows, (ps, qs) in pairs:
+            for k, x, y in l_rows[i]:  # a zero part multiplies nothing
+                if x:
+                    s += x * ps[k]
+                if y:
+                    s += y * qs[k]
+        rows.append(s)
+    return rows
+
+
+def lower_pair_products(lefts, rights, targets, n: int, held=None) -> tuple[list, tuple]:
+    """The `lower_triangle` of sum L_a R_m over the (a, m) of each target, L_a the integer-pair rows
+    `lefts[a]`, R_m the symmetric `lower_triangle` `rights[m]`; and (r, w, the sums' rows P): r the
+    lefts' row bound, w words per digit, R_m's rows `pack`ed or `split` from held = (r, w, {m: P})."""
+    r = held[0] if held else max((sum(abs(x) + 3 * abs(y) for row in rows for _, x, y in row) for rows in zip(*lefts)), default=0)
+    parts = list(chain.from_iterable(rights.values()))
+    top = max(map(abs, chain.from_iterable(map(compress, parts, parts))), default=0)
+    words = (width(r * top) + 63) // 64  # a digit sums x e + 3 y e' or x e' + y e over a row of L: |.| <= r T
+    if held and held[1] == words:
+        xs, ys = split(chain.from_iterable(map(held[2].__getitem__, rights)), 64 * words * n, n)
+    else:
+        xs, ys = pack(parts[::2], n, 64 * words), pack(parts[1::2], n, 64 * words)
+    ps, qs = map(list, forms(xs, ys, 64 * words * n))
+    packed = {m: (ps[i : i + n], qs[i : i + n]) for i, m in zip(range(0, len(ps), n), rights)}
+    sums = [pair_product_rows([(lefts[a], packed[m]) for a, m in pairs], n) for pairs in targets]
+    return unpack(chain.from_iterable(sums), n, words), (r, words, sums)

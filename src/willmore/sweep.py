@@ -9,9 +9,8 @@ operators' joint nonzero pattern in the integer pairs the dataset holds
 every t, so det(lambda I - A(t)) is the product of the blocks'
 characteristic polynomials.  Each distinct block gets its polynomial by
 Newton's identities from the Frobenius products of the powers of A(t), up
-to half the joint rank of its operators (`_block_char_poly`); each Q(sqrt3)
-number that a pair product or a Frobenius product multiplies is one int,
-the rational part in its low digits and the sqrt3 part in its high digits.
+to half the joint rank of its operators (`_block_char_poly`), on Q(sqrt3)
+numbers packed into ints by the codec of `linalg.width`.
 The kernel gives each polynomial packed as the product (`_multiply`) takes
 it: each power of lambda as terms over one denominator, each monomial one
 int whose digits in base n + 1 are its exponents.  `_pair_sum` multiplies
@@ -49,13 +48,13 @@ from __future__ import annotations
 import math
 import random
 from itertools import chain, combinations_with_replacement, compress, islice, product, repeat
-from operator import add, floordiv, lshift, mul, sub
+from operator import add, floordiv, mul, sub
 from typing import TYPE_CHECKING, Iterator
 
 from ._record import Record
 from .catalog import ShapeOperatorSet
 from .exactnum import ONE, ZERO, QuadExt
-from .linalg import Matrix, Row, UniPoly, lower_pair_products, lower_triangle, symmetric_index
+from .linalg import Matrix, Row, UniPoly, forms, lower_pair_products, lower_triangle, split, symmetric_index, width
 
 if TYPE_CHECKING:
     from .polyring import MultiPoly
@@ -259,28 +258,12 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
     the Frobenius product <A^(k//2), A^(k-k//2)>_F and only A^1..A^ceil(rho/2)
     are formed, each A^j = sum_m t^m M_m over one denominator normalised by a
     gcd, each M_m a `lower_triangle`.  M_m' of A^(j+1) sums A_a M_m over
-    m = m' - e_a on packed rows (`linalg.lower_pair_products`): row k of M_m
-    is P_k = X_k + Y_k 2^(nW) and Q_k = 3 Y_k + X_k 2^(nW), X_k = sum_l x_kl 2^(W l)
-    and Y_k likewise, so row i of the sum is one int, sum x P_k + y Q_k over
-    the a and the nonzero (k, x, y) of A_a's row i, with the digits
-    sum x x_kl + 3 y y_kl, then sum x y_kl + y x_kl.  With T the largest part
-    of A^j and r = max_i sum_a sum_k (|x| + 3|y|) over the rows i of the A_a,
-    no digit exceeds r T < 2^(W-1), W = bit_length(r T) + 1 rounded up to whole
-    64-bit words.  So the 2n balanced digits, in [-2^(W-1), 2^(W-1)), are
-    unique and are the entries: adding 2^(W-1) at each place makes them the
-    plain base-2^W digits of a sum that carries nothing.
+    m = m' - e_a on packed rows (`linalg.lower_pair_products`).
 
-    The Frobenius step reads each M_m of A^0..A^h, h = ceil(rho/2), as one
-    list z = x + y 2^v and dz, z with the off-diagonal doubled: sum dz z' is
-    sum_t w_t (x x' + (x y' + y x') 2^v + y y' 2^(2v)), w the weights of
-    `symmetric_index`, sum_t w_t = n^2.  Summed over the pairs of one output
-    monomial (an unordered even pair doubled, as it stands for two), its
-    digits are d0 = sum w x x', d1 = sum w (x y' + y x') and d2 = sum w y y',
-    the term d0 + 3 d2 in x and d1 in y.  With T the largest part and M the
-    most monomials of any of A^1..A^h, a monomial has at most M pairs, so
-    |d0| <= M n^2 T^2 and |d1| <= 2 M n^2 T^2 < 2^(v-1), v the bit_length of
-    2 M n^2 T^2 plus 1: d0 and d1 are read as the digits above.  The Riemann
-    table of the curvature pass packs its entries alike (`curvature._gram_table`).
+    The Frobenius step packs each M_m of A^0..A^h, h = ceil(rho/2), as its P forms
+    z = x + y 2^v (`linalg.forms`) and dz, z with the off-diagonal doubled: sum dz z'
+    has the digits d0 = sum w x x', d1 = sum w (x y' + y x') and d2 = sum w y y', w the
+    `symmetric_index` weights, sum w = n^2, the term d0 + 3 d2 in x and d1 in y.
 
     `_distinct_blocks` calls this once per distinct diagonal block of A(t).
     A FAIL is taken on the product of the blocks' polynomials, never block
@@ -313,28 +296,26 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
         if j < (rank + 1) // 2:  # the products' rows over g are the next power's P, while their width holds
             held = r, words, {m: [*map(floordiv, s, repeat(g))] for m, s in zip(sources, rows)}
         powers.append((op_den**j // den, power))
-    sums, elementary, forms = [None], [[(0, 1, 0)]], powers  # S_i and E_k as [(m, x, y)]
-    if lefts:  # the (dz, z) of each M_m of A^1..A^h, in the v of the bound above
-        forms, used = powers[:1], powers[1 : (rank + 1) // 2 + 1]
-        parts = list(chain.from_iterable(chain.from_iterable(p.values() for _, p in used)))
-        top = max(map(abs, chain.from_iterable(map(compress, parts, parts))))
-        v = (2 * max(len(p) for _, p in used) * n * n * top * top).bit_length() + 1
-        for scale, p in used:  # z is bound in the first element of each pair, then read in the second
-            forms.append((scale, {m: ([*map(mul, z := [*map(add, x, map(lshift, y, repeat(v)))], layout.weights)], z)
-                                  for m, (x, y) in p.items()}))
-        low, half, offset = (1 << v) - 1, 1 << v - 1, (1 << v - 1) * ((1 << v) + 1)  # offset: half at d0 and d1
+    sums, elementary = [None], [[(0, 1, 0)]]  # S_i and E_k as [(m, x, y)]
+    sides, used = powers[:1], powers[1 : (rank + 1) // 2 + 1]  # the (dz, z) of each M_m of A^0..A^h
+    parts = list(chain.from_iterable(chain.from_iterable(p.values() for _, p in used)))
+    top = max(map(abs, chain.from_iterable(map(compress, parts, parts))), default=0)
+    # a monomial sums at most M pairs (an even pair doubled), M the most monomials of A^1..A^h: |d0|, |d1| <= 2 M n^2 top^2
+    v = width(2 * max((len(p) for _, p in used), default=0) * n * n * top * top)
+    for scale, p in used:  # z is bound in the first element of each pair, then read in the second
+        sides.append((scale, {m: ([*map(mul, z := [*forms(x, y, v)[0]], layout.weights)], z) for m, (x, y) in p.items()}))
     for k in range(1, rank + 1):
-        (scale, left), (scale_b, right) = forms[k // 2], forms[k - k // 2]
+        (scale, left), (scale_b, right) = sides[k // 2], sides[k - k // 2]
         # for even k both sides are A^(k/2): the pairs (m, m2) and (m2, m) agree
         even = k % 2 == 0
         pairs = combinations_with_replacement(left.items(), 2) if even else product(left.items(), right.items())
         total = {}
         for (m, (dz, _)), (m2, (_, z)) in pairs:
             f = sum(map(mul, dz, z))
-            total[m + m2] = total.get(m + m2, offset) + (2 * f if even and m != m2 else f)
-        scale *= scale_b  # each total has 2^(v-1) added to d0 and d1, its two low base-2^v digits; d2 is the rest
-        terms = [(m, (t & low) - half + 3 * (t >> 2 * v), (t >> v & low) - half) for m, t in total.items()]
-        sums.append([(m, x * scale, y * scale) for m, x, y in terms if x or y])
+            total[m + m2] = total.get(m + m2, 0) + (2 * f if even and m != m2 else f)
+        (d0, rest), scale = split(total.values(), v), scale * scale_b
+        d1, d2 = split(rest, v)
+        sums.append([(m, x * scale, y * scale) for m, x, y in zip(total, map(add, d0, map(mul, d2, repeat(3))), d1) if x or y])
         # E_(k-i) S_i for i = 1..k, with the factors (-1)^(i-1) (k-1)!/(k-i)!
         factors = [(-1) ** i * math.perm(k - 1, i) for i in range(k)]
         elementary.append(_pair_sum(zip(factors, reversed(elementary), sums[1:])))

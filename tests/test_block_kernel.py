@@ -4,8 +4,8 @@ denominator.  A digit width one bit short corrupts entries without a sign,
 so the blocks drive the parts of their entries to 2^64 - 1, with mixed
 signs and sqrt3 parts, zero rows and zero operators; one test puts a part
 of the pair product exactly at its bound, on a 64-bit edge, one puts the
-Frobenius step's cross digit there, and one checks the Q form of packed
-rows whose x digits are all at the edge of their width."""
+Frobenius step's cross digit there, and one reads back packed rows whose
+x digits are all at the edge of their width by the codec of `linalg.width`."""
 
 import random
 from pathlib import Path
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import block_kernel_reference as reference
 from willmore import sweep
 from willmore.catalog import parse_dataset
-from willmore.linalg import lower_pair_products, lower_triangle, row_forms
+from willmore.linalg import forms, lower_pair_products, lower_triangle, split
 
 EDGE = 2**64 - 1
 
@@ -123,7 +123,9 @@ def test_the_q_form_of_a_row_with_x_digits_at_the_edge(n, sign, words):
     ys = [2 ** (width - 1) - 1 if l % 2 else -(2 ** (width - 1)) for l in range(n)]
     x, y = (sum(d << width * l for l, d in enumerate(ds)) for ds in (xs, ys))
     p = x + (y << width * n)
-    assert row_forms(p, n, words) == (p, 3 * y + (x << width * n))
+    # the codec's multi-place split reads X and Y back from P, and Q is rebuilt from them
+    assert split([p], width * n, n) == ([x], [y])
+    assert [[*form] for form in forms([x], [y], width * n)] == [[p], [3 * y + (x << width * n)]]
 
 
 def test_the_packed_kernel_on_dense14_p3():

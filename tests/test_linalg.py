@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from willmore.catalog import builtin
 from willmore.exactnum import QuadExt, parse_scalar
-from willmore.linalg import DimensionError, Matrix, UniPoly, integer_rows
+from willmore.linalg import DimensionError, Matrix, UniPoly, forms, integer_rows, pack, split, unpack, width
 
 S = parse_scalar
 
@@ -219,3 +221,75 @@ class TestIntegerRows:
     )
     def test_rows_over_the_least_common_denominator(self, matrices, expected):
         assert integer_rows(matrices) == expected
+
+
+# digit widths at and around the 64-bit word edges, and two small ones
+WIDTHS = [2, 3, 63, 64, 65, 127, 128, 129]
+
+
+def edge(w):
+    """The largest |digit| that a packed int of w-bit balanced digits holds."""
+    return 2 ** (w - 1) - 1
+
+
+def parts(w, nonzero=False):
+    """Digits of w bits: at the edge +-(2^(w-1) - 1), +-1 or between, mixed signs."""
+    digits = st.sampled_from([edge(w), -edge(w), 1, -1]) | st.integers(-edge(w), edge(w))
+    return digits.filter(bool) if nonzero else digits
+
+
+def packed(xs, ys, v):
+    """The P and Q forms of the pairs of xs and ys at v, as lists."""
+    return [list(form) for form in forms(xs, ys, v)]
+
+
+class TestCodec:
+    @pytest.mark.parametrize("v", WIDTHS)
+    def test_width_is_the_least_whose_digits_hold_the_bound(self, v):
+        assert width(edge(v)) == v and width(edge(v) + 1) == v + 1 and width(0) == 1
+        for digit in (edge(v), -edge(v), -edge(v) - 1):
+            assert split([digit + (5 << v)], v) == ([digit], [5])
+        # a digit one past the edge reads back as another: a width one bit short corrupts
+        assert split([edge(v) + 1 + (5 << v)], v) == ([-edge(v) - 1], [6])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sums_of_packed_products_read_back_exactly(self, data):
+        # sum x' P + y' Q over random pairs, then one P whose x part brings the sum's x digit to a
+        # target at or within the edge: the sum reads back as its two parts, whatever its y part
+        v = data.draw(st.sampled_from(WIDTHS), label="v")
+        terms = data.draw(st.lists(st.tuples(parts(v), parts(v, True), parts(v), parts(v, True)), max_size=6), label="terms")
+        ps, qs = packed([x for _, _, x, _ in terms], [y for _, _, _, y in terms], v)
+        z = sum(a * p + b * q for (a, b, _, _), p, q in zip(terms, ps, qs))
+        x = sum(a * x + 3 * b * y for a, b, x, y in terms)
+        y = sum(a * y + b * x for a, b, x, y in terms)
+        target, last = data.draw(parts(v), label="target"), data.draw(parts(v, True), label="last y")
+        [[p], _] = packed([target - x], [last], v)
+        z, x, y = z + p, target, y + last
+        assert split([z], v) == ([x], [y])
+        # equal packed ints mean equal parts: the parts read back pack to z again
+        assert packed([x], [y], v)[0] == [z]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_row_of_edge_digits_splits_into_its_x_and_y_rows(self, data):
+        # X of n places, every digit +-(2^(w-1) - 1) with mixed signs; Y any nonzero row
+        n, w = data.draw(st.integers(1, 4), label="n"), data.draw(st.sampled_from(WIDTHS), label="w")
+        signs = data.draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n), label="signs")
+        xs = sum(sign * edge(w) << w * l for l, sign in enumerate(signs))
+        ys = data.draw(st.integers(-(2 ** (w * n)), 2 ** (w * n)).filter(bool), label="Y")
+        p = xs + (ys << w * n)
+        assert split([p], w * n, n) == ([xs], [ys])
+        assert packed([xs], [ys], w * n) == [[p], [3 * ys + (xs << w * n)]]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_packed_rows_of_symmetric_matrices_unpack_to_their_triangles(self, data):
+        # the P rows of symmetric n x n matrices, x and y parts at or within +-(2^(W-1) - 1), W = 64 words
+        n, words = data.draw(st.integers(1, 4), label="n"), data.draw(st.sampled_from([1, 2]), label="words")
+        size, w = n * (n + 1) // 2, 64 * words
+        triangle = st.lists(parts(w), min_size=size, max_size=size)
+        matrices = data.draw(st.lists(st.tuples(triangle, triangle), min_size=1, max_size=3), label="matrices")
+        xs, ys = pack([x for x, _ in matrices], n, w), pack([y for _, y in matrices], n, w)
+        rows, _ = packed(xs, ys, w * n)
+        assert unpack(rows, n, words) == [(list(x), list(y)) for x, y in matrices]

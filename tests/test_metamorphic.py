@@ -2,13 +2,13 @@
 
 A random orthogonal frame change (Cayley, signed permutation, or a rotation
 with sqrt3 entries) and a random rotation of the normals must leave every
-verdict of `verify`, the square norm, the Einstein result and the symbolic
-sweep's char_poly as they are on the built-in data; a direct sum of built-ins
-must stay minimal, Willmore and spectrally constant, and the max_deviation
-of its numeric sweep must be the larger of its summands', bit for bit.
-`verify` and the numeric sweep run through `cli.main` on the moved data's
-serialized text, and the independent checker (`certificate_check`) passes
-each certificate of `verify`.
+verdict of `verify`, the square norm and the Einstein result as they are on
+the built-in data, and the symbolic sweep's constant and verdict lines as in
+its golden file; a direct sum of built-ins must stay minimal, Willmore and
+spectrally constant, and the max_deviation of its numeric sweep must be the
+larger of its summands', bit for bit.  `verify` and both sweeps run through
+`cli.main` on the moved data's serialized text, and the independent checker
+(`certificate_check`) passes each certificate of `verify`.
 
 `tracecheck`, through `cli.main` with `--rules g4` and with the same
 relations as a rules file, keeps its exit code when a goal word is written
@@ -24,6 +24,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -38,15 +39,35 @@ from willmore.sweep import symbolic_sweep
 from willmore.tracealg import TraceExpr, g4_relations, parse_trace_expr
 
 
-def invariants(fields, data):
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def invariants(fields):
     verdicts = {key: value for key, value in fields.items() if value in ("pass", "FAIL", "yes", "no")}
-    return verdicts, fields["square_norm.value"], fields.get("einstein.constant"), symbolic_sweep(data).char_poly
+    return verdicts, fields["square_norm.value"], fields.get("einstein.constant")
 
 
 @cache
 def builtin_invariants(name):
     cert, _ = verify_certificate(builtin(name))
-    return invariants(dict(line.split("=", 1) for line in cert.render("keyvalue").splitlines()), builtin(name))
+    return invariants(dict(line.split("=", 1) for line in cert.render("keyvalue").splitlines()))
+
+
+def sweep_lines(text):
+    """The constant: and verdict: lines of a symbolic sweep's certificate."""
+    return [line for line in text.splitlines() if line.startswith(("constant: ", "verdict: "))]
+
+
+def symbolic_sweep_lines(workdir, data):
+    """The `sweep_lines` of `sweep --mode symbolic` through cli.main on the
+    data's serialized text, which must exit 0."""
+    path = workdir / "swept.dat"
+    path.write_text(serialize_dataset(data), encoding="utf-8")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        rc = main(["sweep", str(path), "--mode", "symbolic"])
+    assert rc == 0
+    return sweep_lines(out.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +107,10 @@ def test_frame_change_and_normal_rotation_keep_every_verdict(workdir, name, fram
     moved = rotate_normals(change_frame(data, orthogonal(data.n, rng)), orthogonal(data.p, rng))
     rc, fields = checked_verify(workdir, moved)
     assert rc == 0 and fields["result.verified"] == "yes"
-    assert invariants(fields, moved) == builtin_invariants(name)
+    assert invariants(fields) == builtin_invariants(name)
+    # dense Cayley and sqrt3-rotation entries through the packed kernels: the built-in's polynomial and verdict
+    golden = (GOLDEN / f"sweep_{name}.txt").read_text(encoding="utf-8")
+    assert symbolic_sweep_lines(workdir, moved) == sweep_lines(golden)
 
 
 @settings(moved_settings, max_examples=3)
