@@ -222,8 +222,10 @@ def _gram_table(ops: tuple[tuple[Row, ...], ...], den: int, indices: range) -> t
         for s, t in symmetric_index(len(indices)).lower
     ]
     # the x part of a Bianchi sum of two R is at most 4 |G| <= 16 (p + 1) T^2, T the largest |x|, |y| or den
-    v = width(16 * (len(ops) + 1) * max(map(abs, chain.from_iterable(lefts))) ** 2)
-    rights = [[*chain.from_iterable(zip(*forms(left[::2], left[1::2], v)))] for left in lefts]
+    flat, size = [*chain.from_iterable(lefts)], 2 * len(ops) + 2
+    v = width(16 * (len(ops) + 1) * max(map(abs, flat)) ** 2)
+    packed = [*chain.from_iterable(zip(*forms(flat[::2], flat[1::2], v)))]  # the P, Q of every vector in one pass
+    rights = [packed[i : i + size] for i in range(0, len(packed), size)]
     gram = [sum(map(mul, lefts[u], rights[w])) for u, w in symmetric_index(len(lefts)).lower]
     first, second = _layout(len(indices))[:2]
     return tuple(map(sub, first(gram), second(gram))), v

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from functools import cache
 from itertools import chain, compress, repeat
-from operator import add, and_, itemgetter, lshift, mul, rshift, sub, xor
+from operator import add, itemgetter, lshift, mul, xor
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import format_sum
@@ -281,16 +281,15 @@ def forms(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[Iterator[int], 
     return map(add, xs, map(lshift, ys, repeat(v))), map(add, map(mul, ys, repeat(3)), map(lshift, xs, repeat(v)))
 
 
-def split(zs: Iterable[int], v: int, places: int = 1) -> tuple[list[int], list[int]]:
+def split(zs: Sequence[int], v: int, places: int = 1) -> tuple[list[int], list[int]]:
     """The low v bits of each of zs as `places` balanced digits of w bits, and the rest above them."""
-    zs, half = list(zs), ((1 << v) - 1) // ((1 << v // places) - 1) << v // places - 1  # 2^(w-1) at each place
-    low = [*map(sub, map(and_, map(add, zs, repeat(half)), repeat((1 << v) - 1)), repeat(half))]
-    return low, [*map(rshift, map(sub, zs, low), repeat(v))]
+    half = ((1 << v) - 1) // ((1 << v // places) - 1) << v // places - 1  # 2^(w-1) at each place
+    rest = [(z + half) >> v for z in zs]
+    return [z - (r << v) for z, r in zip(zs, rest)], rest
 
 
 def pack(parts: Sequence[Sequence[int]], n: int, w: int) -> list[int]:
-    """The n rows of the symmetric matrix of each `lower_triangle` part in turn,
-    row k one int, sum_l e_kl 2^(w l) over its nonzero e_kl."""
+    """Row k of the symmetric matrix of each `lower_triangle` part in turn as one int, sum_l e_kl 2^(w l)."""
     lower, rows = symmetric_index(n).lower, [0] * (n * len(parts))
     for start, part in zip(range(0, len(rows), n), parts):
         for t in compress(range(len(part)), part):
@@ -318,8 +317,7 @@ def unpack(rows: Iterable[int], n: int, words: int) -> list[tuple[list[int], lis
 
 
 def pair_product_rows(pairs, n: int) -> list[int]:
-    """The packed rows of sum L R over the pairs (L, the `forms` (P, Q) of R's rows):
-    x P_k + y Q_k over the nonzero (k, x, y) of each row of L."""
+    """The packed rows of sum L R over the pairs (L, R's row `forms` (P, Q)): x P_k + y Q_k per (k, x, y) of L."""
     rows = []
     for i in range(n):
         s = 0
@@ -342,7 +340,7 @@ def lower_pair_products(lefts, rights, targets, n: int, held=None) -> tuple[list
     top = max(map(abs, chain.from_iterable(map(compress, parts, parts))), default=0)
     words = (width(r * top) + 63) // 64  # a digit sums x e + 3 y e' or x e' + y e over a row of L: |.| <= r T
     if held and held[1] == words:
-        xs, ys = split(chain.from_iterable(map(held[2].__getitem__, rights)), 64 * words * n, n)
+        xs, ys = split([*chain.from_iterable(map(held[2].__getitem__, rights))], 64 * words * n, n)
     else:
         xs, ys = pack(parts[::2], n, 64 * words), pack(parts[1::2], n, 64 * words)
     ps, qs = map(list, forms(xs, ys, 64 * words * n))

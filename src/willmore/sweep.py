@@ -315,7 +315,7 @@ def _block_char_poly(ops: list[list[Row]], op_den: int, n: int, base: int) -> li
             total[m + m2] = total.get(m + m2, 0) + (2 * f if even and m != m2 else f)
         (d0, rest), scale = split(total.values(), v), scale * scale_b
         d1, d2 = split(rest, v)
-        sums.append([(m, x * scale, y * scale) for m, x, y in zip(total, map(add, d0, map(mul, d2, repeat(3))), d1) if x or y])
+        sums.append([(m, x * scale, y * scale) for m, a, y, c in zip(total, d0, d1, d2) if (x := a + 3 * c) or y])
         # E_(k-i) S_i for i = 1..k, with the factors (-1)^(i-1) (k-1)!/(k-i)!
         factors = [(-1) ** i * math.perm(k - 1, i) for i in range(k)]
         elementary.append(_pair_sum(zip(factors, reversed(elementary), sums[1:])))
