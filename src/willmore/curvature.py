@@ -221,7 +221,7 @@ def _gram_table(ops: tuple[tuple[Row, ...], ...], den: int, indices: range) -> t
         [den * (s == t), 0, *chain.from_iterable(entries.get(indices[t], (0, 0)) for entries in rows[s])]
         for s, t in symmetric_index(len(indices)).lower
     ]
-    # the x part of a Bianchi sum of two R is at most 4 |G| <= 16 (p + 1) T^2, T the largest |x|, |y| or den
+    # a G's x part is at most 4 (p + 1) T^2, a Bianchi sum of two R's 16 (p + 1) T^2: T the largest |x|, |y| or den
     flat, size = [*chain.from_iterable(lefts)], 2 * len(ops) + 2
     v = width(16 * (len(ops) + 1) * max(map(abs, flat)) ** 2)
     packed = [*chain.from_iterable(zip(*forms(flat[::2], flat[1::2], v)))]  # the P, Q of every vector in one pass

@@ -18,7 +18,7 @@ import math
 from functools import cache
 from itertools import chain, compress, repeat
 from operator import add, itemgetter, lshift, mul, xor
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import format_sum
 
@@ -281,7 +281,7 @@ def forms(xs: Sequence[int], ys: Sequence[int], v: int) -> tuple[Iterator[int], 
     return map(add, xs, map(lshift, ys, repeat(v))), map(add, map(mul, ys, repeat(3)), map(lshift, xs, repeat(v)))
 
 
-def split(zs: Sequence[int], v: int, places: int = 1) -> tuple[list[int], list[int]]:
+def split(zs: Collection[int], v: int, places: int = 1) -> tuple[list[int], list[int]]:
     """The low v bits of each of zs as `places` balanced digits of w bits, and the rest above them."""
     half = ((1 << v) - 1) // ((1 << v // places) - 1) << v // places - 1  # 2^(w-1) at each place
     rest = [(z + half) >> v for z in zs]

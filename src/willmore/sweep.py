@@ -76,8 +76,8 @@ CHUNK_POINTS = 4096
 # Bound on the kernel's work, counted before any block runs: a block of size m
 # in codim p, every copy counted, adds C(m + p, p) (m^2 + p), its terms at most
 # times its entries plus an exponent vector's length.  In process on a 2-core
-# Xeon VM a dense block takes about 0.16 s at m = 8, p = 7 (456,885), 0.09 s at
-# m = 34, p = 2 (729,540) and 0.55 s at m = 92, p = 1 (787,245); m = 40, p = 2 exits 2.
+# Xeon VM a dense block takes about 0.22 s at m = 8, p = 7 (456,885), 0.13 s at
+# m = 34, p = 2 (729,540) and 0.81 s at m = 92, p = 1 (787,245); m = 40, p = 2 exits 2.
 MAX_SWEEP_WORK = 800_000
 
 # Bound on a step of the blocks' product, checked before it: the partial
