@@ -1,5 +1,6 @@
 """The independent certificate checker (`certificate_check`): it passes every
-`verify` certificate the golden files hold, on the dataset each names, and
+`verify` certificate the golden files hold, on the dataset each line of
+tests/golden/MANIFEST names for it, and
 every certificate `willmore verify` writes for minimal, non-minimal,
 non-Willmore and Einstein data; it names the first field of a certificate
 that differs from what it recomputes; its scalar text is the package's."""
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import certificate_check
+import run_manifest
 from willmore.catalog import builtin, serialize_dataset
 from willmore.cli import main
 from willmore.exactnum import QuadExt, format_scalar, parse_scalar
@@ -23,30 +25,27 @@ TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden"
 VERIFY_GOLDEN = sorted(GOLDEN.glob("verify_*.txt"))
 BUILTINS = GOLDEN / "builtins.dat"
+# golden file -> the (dataset file, exit code) of each manifest line that checks it
+CHECKED = {}
+for line in run_manifest.read_manifest():
+    if line.dataset:
+        CHECKED.setdefault(line.golden, []).append((line.dataset, line.code))
 
 
 def read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
 
 
-def dataset_file(certificate: Path) -> Path:
-    """The dataset file of a golden `verify` certificate: tests/data/<name>.dat,
-    else the built-ins."""
-    name = re.fullmatch(r"verify_(.*)_(text|keyvalue)\.txt", certificate.name)[1]
-    path = TESTS / "data" / f"{name}.dat"
-    return path if path.exists() else GOLDEN / "builtins.dat"
+def test_the_golden_files_hold_thirteen_verify_certificates():
+    assert len(VERIFY_GOLDEN) == 13
+    assert set(VERIFY_GOLDEN) <= set(CHECKED)
 
 
-def test_the_golden_files_hold_eleven_verify_certificates():
-    assert len(VERIFY_GOLDEN) == 11
-
-
-@pytest.mark.parametrize("certificate", VERIFY_GOLDEN, ids=lambda path: path.stem)
+@pytest.mark.parametrize("certificate", sorted(CHECKED), ids=lambda path: path.stem)
 def test_every_golden_verify_certificate_checks(certificate):
-    values = certificate_check.check_certificate(
-        read(dataset_file(certificate)), read(certificate)
-    )
-    assert values["verified"]
+    for dataset, code in CHECKED[certificate]:
+        values = certificate_check.check_certificate(read(dataset), read(certificate))
+        assert values["verified"] == (code == 0)
 
 
 def test_the_four_certificates_of_paper_check():

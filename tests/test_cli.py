@@ -38,24 +38,11 @@ INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 NEEDS_INT_DIGIT_LIMIT = pytest.mark.skipif(not INT_DIGIT_LIMIT, reason="int() has no digit limit")
 TOO_MANY_DIGITS = "9" * max(INT_DIGIT_LIMIT + 1, 5000)
 
-NON_MINIMAL = """\
-dataset lopsided
-dim 2
-codim 1
-operator B1
-1 0
-0 0
-"""
-
+DATA = Path(__file__).resolve().parent / "data"
+# A = diag(1, 0): not minimal
+NON_MINIMAL = str(DATA / "lopsided.dat")
 # A = diag(1/sqrt3, -1/sqrt3): minimal, and Ric = I - A^2 = 2/3 I is Einstein.
-EINSTEIN = """\
-dataset einstein
-dim 2
-codim 1
-operator A1
-1/3*sqrt3 0
-0 -1/3*sqrt3
-"""
+EINSTEIN = str(DATA / "einstein.dat")
 
 
 def deep_codim(entry, codim=500):
@@ -157,13 +144,6 @@ def passes(monkeypatch):
     return made
 
 
-@pytest.fixture
-def non_minimal_file(tmp_path):
-    path = tmp_path / "lopsided.dat"
-    path.write_text(NON_MINIMAL, encoding="utf-8")
-    return str(path)
-
-
 class TestVerify:
     def test_builtin_passes(self, capsys):
         assert main(["verify", "g6_m1_M1"]) == 0
@@ -188,8 +168,8 @@ class TestVerify:
         assert "result.verified=yes" in out
         assert "[" not in out
 
-    def test_non_minimal_file_fails(self, capsys, non_minimal_file):
-        assert main(["verify", non_minimal_file]) == 1
+    def test_non_minimal_file_fails(self, capsys):
+        assert main(["verify", NON_MINIMAL]) == 1
         out = capsys.readouterr().out
         assert "verdict: FAIL" in out
         assert "verified: no" in out
@@ -244,10 +224,8 @@ class TestVerify:
             ("keyvalue", ["einstein.proportional=yes", "einstein.constant=2/3", "result.verified=yes"]),
         ],
     )
-    def test_einstein_dataset_reports_its_constant(self, capsys, tmp_path, fmt, expected):
-        path = tmp_path / "einstein.dat"
-        path.write_text(EINSTEIN, encoding="utf-8")
-        assert main(["verify", str(path), "--format", fmt]) == 0
+    def test_einstein_dataset_reports_its_constant(self, capsys, fmt, expected):
+        assert main(["verify", EINSTEIN, "--format", fmt]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert all(line in lines for line in expected)
         assert not any("witness" in line for line in lines)
@@ -358,21 +336,21 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "max_deviation" in out
 
-    def test_non_constant_spectrum_fails(self, capsys, non_minimal_file):
-        assert main(["sweep", non_minimal_file, "--mode", "symbolic"]) == 1
+    def test_non_constant_spectrum_fails(self, capsys):
+        assert main(["sweep", NON_MINIMAL, "--mode", "symbolic"]) == 1
         out = capsys.readouterr().out
         assert "constant: no" in out
         assert "witness" in out
-        assert main(["sweep", non_minimal_file, "--mode", "numeric", "--samples", "4"]) == 1
+        assert main(["sweep", NON_MINIMAL, "--mode", "numeric", "--samples", "4"]) == 1
 
     def test_zero_samples_is_an_input_error(self, capsys):
         assert main(["sweep", "g6_m1_M1", "--mode", "numeric", "--samples", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --samples") and err.count("\n") == 1
 
-    def test_one_sample_is_an_input_error(self, capsys, non_minimal_file):
+    def test_one_sample_is_an_input_error(self, capsys):
         # one sample compares a point with itself and would always pass
-        assert main(["sweep", non_minimal_file, "--mode", "numeric", "--samples", "1"]) == 2
+        assert main(["sweep", NON_MINIMAL, "--mode", "numeric", "--samples", "1"]) == 2
         assert "--samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("excess", [1, 999_999_999])

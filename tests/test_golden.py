@@ -1,66 +1,48 @@
 """Certificates compared byte for byte with the files under tests/golden/.
 
-The determinism tests compare two runs of the same build; these pin the
-bytes across changes to the code.  Five numeric sweeps are pinned too, so
-that a change to the samples or to the float evaluation shows: their
-`max_deviation` is float output of a seeded draw, which a platform with
-another libm may round otherwise in its last bits.  One of them, on the
-dense Cayley block below, pins the large coefficients of a dense block as
-the numeric path evaluates them.  The built-ins split
-into sparse blocks, so one sweep runs on tests/data/g6_m2_M2_cayley.dat, a dense
-10 x 10 block generated by `cayley_dataset`, and one on
-tests/data/sum20_g6_m2_M2.dat, two copies of each block of g6_m2_M2
-generated by `sum20_dataset`.  One sweep fails: on
-tests/data/dense14_p3.dat, random symmetric +-1 operators generated by
-`dense14_dataset`, whose witness is a long polynomial of degree 14 in three
-variables, and one on tests/data/g6_m2_M2_raised_cayley.dat, generated by
-`raised_cayley_dataset`: dense, yet its operators share a 2-dimensional
-kernel, and its witness is the lowest coefficient that the kernel's rank
-leaves nonzero.  One more fails on the product of several distinct blocks:
-tests/data/g6_m1_M1_varying_block.dat, generated by `varying_block_dataset`,
-is g6_m1_M1 with a 2 x 2 block of sqrt3 and fractional entries whose
-determinant varies over the sphere.  The widest digits of the sweep's packed
-rows come at p = 1, where the entries of the powers grow fastest: one sweep
-fails on the dense +-1 60 x 60 block of `sweep_inputs.dense_file(60, 1)`,
-its witness at lambda^37.  One tracecheck reads tests/data/g4_p4.rules,
-the g=4 relations at p=4 in the form the benchmark writes, whose every line
-the rules reader's line check (terms of `tracealg._TERM`) accepts, and one reads
-the hand-written tests/data/coefficients.rules, whose coefficients have sqrt3
-and fractional parts and repeat on a line.  One more tracecheck uses the built-in g=4 relations at
-p=12, on a goal over the blocks of the two-digit letters A10-A12 with
-fractional and sqrt3 coefficients and a word in no block.  Two more files pin the package's
-fixed data: the four built-ins as `serialize_dataset` writes them, and the
-g=4 relations at p=4 as `str` renders them, one per line, in order.
+Every line of tests/golden/MANIFEST, read by tests/run_manifest.py, runs here
+through `cli.main` from the repository root: it must exit with the line's
+code and print its golden file byte for byte.  CI runs the same lines through
+the installed console script.  The input files the lines read are committed;
+those in DATASETS are regenerated here byte for byte, and those in
+HAND_WRITTEN are their own source.  Two more golden files pin the package's
+fixed data (FIXED_DATA).  Every golden file is pinned, and every file a
+line reads is accounted for.  The runner's controls check that it fails on a
+wrong byte, a wrong exit code and a wrong dataset.
 
 After an intended change to a certificate, rewrite the files with
     PYTHONPATH=src python tests/test_golden.py
-and review the diff; that also rewrites the committed input files.
+and review the diff; that also rewrites the generated input files.
 """
 
 import contextlib
 import io
+import os
 import random
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
+import run_manifest
 from frames import cayley_frame, change_frame, direct_sum, rotate_normals
 from g4_rules import g4_rules_text
 from sweep_inputs import dense_file
+import willmore
 from willmore.catalog import BUILTIN_NAMES, ShapeOperatorSet, builtin, serialize_dataset
 from willmore.cli import main
 from willmore.exactnum import QuadExt, parse_scalar
 from willmore.linalg import Matrix
 from willmore.tracealg import g4_relations
 
-GOLDEN = Path(__file__).parent / "golden"
-CAYLEY = Path(__file__).parent / "data" / "g6_m2_M2_cayley.dat"
-SUM20 = Path(__file__).parent / "data" / "sum20_g6_m2_M2.dat"
-DENSE14 = Path(__file__).parent / "data" / "dense14_p3.dat"
-RAISED = Path(__file__).parent / "data" / "g6_m2_M2_raised_cayley.dat"
-VARYING = Path(__file__).parent / "data" / "g6_m1_M1_varying_block.dat"
-G4_P4 = Path(__file__).parent / "data" / "g4_p4.rules"
-COEFFICIENTS = Path(__file__).parent / "data" / "coefficients.rules"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
+DATA = TESTS / "data"
+SRC = Path(willmore.__file__).resolve().parents[1]
+CAYLEY = DATA / "g6_m2_M2_cayley.dat"
+PADDED = DATA / "g6_m2_M2_padded.dat"
+LINES = run_manifest.read_manifest()
 
 
 def cayley_dataset():
@@ -118,15 +100,30 @@ def varying_block_dataset():
     return ShapeOperatorSet("g6_m1_M1_varying_block", data.n, data.p, data.operators, data.labels)
 
 
+def diagonal_dataset(name, label, entries):
+    """One operator, `label`, diagonal with the given entries."""
+    n = len(entries)
+    op = Matrix([[parse_scalar(entries[i]) if i == j else QuadExt(0) for j in range(n)] for i in range(n)])
+    return ShapeOperatorSet(name, n, 1, (op,), (label,))
+
+
 # committed input file -> the generator of its text
 DATASETS = {
     CAYLEY: lambda: serialize_dataset(cayley_dataset()),
-    SUM20: lambda: serialize_dataset(sum20_dataset()),
-    DENSE14: lambda: serialize_dataset(dense14_dataset()),
-    RAISED: lambda: serialize_dataset(raised_cayley_dataset()),
-    VARYING: lambda: serialize_dataset(varying_block_dataset()),
-    G4_P4: lambda: g4_rules_text(4),
+    DATA / "sum20_g6_m2_M2.dat": lambda: serialize_dataset(sum20_dataset()),
+    DATA / "dense14_p3.dat": lambda: serialize_dataset(dense14_dataset()),
+    DATA / "dense60_p1.dat": lambda: dense_file(60, 1),
+    DATA / "g6_m2_M2_raised_cayley.dat": lambda: serialize_dataset(raised_cayley_dataset()),
+    DATA / "g6_m1_M1_varying_block.dat": lambda: serialize_dataset(varying_block_dataset()),
+    # every denominator written with a leading zero
+    PADDED: lambda: re.sub(r"/(\d)", r"/0\1", serialize_dataset(builtin("g6_m2_M2"))),
+    DATA / "lopsided.dat": lambda: serialize_dataset(diagonal_dataset("lopsided", "B1", ["1", "0"])),
+    DATA / "einstein.dat": lambda: serialize_dataset(diagonal_dataset("einstein", "A1", ["1/3*sqrt3", "-1/3*sqrt3"])),
+    DATA / "g4_p4.rules": lambda: g4_rules_text(4),
 }
+
+# committed input files written by hand, each its own source
+HAND_WRITTEN = (DATA / "coefficients.rules", DATA / "mixed.rules")
 
 # golden file -> the generator of the fixed data it pins
 FIXED_DATA = {
@@ -135,109 +132,31 @@ FIXED_DATA = {
 }
 
 
-NON_MINIMAL = """\
-dataset lopsided
-dim 2
-codim 1
-operator B1
-1 0
-0 0
-"""
-
-MIXED_RULES = """\
-# coefficients with rational and sqrt3 parts
-(1+sqrt3)*Tr(A1*A2) - 2/3*sqrt3*Tr(A1^3) = 0
-Tr(A1^3) = 1-sqrt3*Tr(A2^2*A1)   # scalar "1-sqrt3" times a trace
--1/2*Tr(A2) + sqrt3 * Tr(A1) = 0
-"""
-
-# golden file name -> (argv, expected exit code); "{lopsided}", "{mixed}" and
-# "{dense60}" stand for files written from NON_MINIMAL, MIXED_RULES and
-# dense_file(60, 1), "{cayley}",
-# "{sum20}", "{dense14}", "{raised}", "{varying}", "{g4_p4}" and "{coefficients}" for the committed
-# input files
-CASES = {
-    **{
-        f"verify_{name}_{fmt}.txt": (["verify", name, "--format", fmt], 0)
-        for name in BUILTIN_NAMES
-        for fmt in ("text", "keyvalue")
-    },
-    **{f"sweep_{name}.txt": (["sweep", name, "--mode", "symbolic"], 0) for name in BUILTIN_NAMES},
-    "sweep_lopsided.txt": (["sweep", "{lopsided}", "--mode", "symbolic"], 1),
-    "sweep_g6_m2_M2_cayley.txt": (["sweep", "{cayley}", "--mode", "symbolic"], 0),
-    "sweep_sum20_g6_m2_M2.txt": (["sweep", "{sum20}", "--mode", "symbolic"], 0),
-    "sweep_dense14_p3.txt": (["sweep", "{dense14}", "--mode", "symbolic"], 1),
-    "sweep_dense60_p1.txt": (["sweep", "{dense60}", "--mode", "symbolic"], 1),
-    "sweep_g6_m2_M2_raised_cayley.txt": (["sweep", "{raised}", "--mode", "symbolic"], 1),
-    "sweep_g6_m1_M1_varying_block.txt": (["sweep", "{varying}", "--mode", "symbolic"], 1),
-    # numeric sweeps at p = 2 and p = 3, passing, on one dense block too, and at p = 1 and over four blocks, failing
-    "sweep_g6_m1_M1_numeric.txt": (["sweep", "g6_m1_M1", "--mode", "numeric"], 0),
-    "sweep_g6_m2_M2_numeric.txt": (["sweep", "g6_m2_M2", "--mode", "numeric"], 0),
-    "sweep_g6_m2_M2_cayley_numeric.txt": (["sweep", "{cayley}", "--mode", "numeric", "--samples", "300"], 0),
-    "sweep_lopsided_numeric.txt": (["sweep", "{lopsided}", "--mode", "numeric"], 1),
-    "sweep_g6_m1_M1_varying_block_numeric.txt": (["sweep", "{varying}", "--mode", "numeric", "--samples", "300"], 1),
-    "verify_g6_m2_M2_cayley_text.txt": (["verify", "{cayley}"], 0),
-    "verify_g6_m2_M2_cayley_keyvalue.txt": (["verify", "{cayley}", "--format", "keyvalue"], 0),
-    "verify_sum20_g6_m2_M2_text.txt": (["verify", "{sum20}"], 0),
-    "paper.txt": (["paper"], 0),
-    "tracecheck_g4_pass.txt": (
-        ["tracecheck", "--rules", "g4", "--goal", "Tr(A1^3) + Tr(A2^2*A1) + Tr(A3^2*A1)", "--indices", "3"],
-        0,
-    ),
-    "tracecheck_g4_fail.txt": (
-        ["tracecheck", "--rules", "g4", "--goal", "Tr(A1^3) + Tr(A2^3) + 2*Tr(A1*A2) - Tr(A2^2*A1*A2)",
-         "--indices", "2"],
-        1,
-    ),
-    "tracecheck_mixed.txt": (
-        ["tracecheck", "--rules", "{mixed}", "--goal", "Tr(A2*A1) + (2-1/3*sqrt3)*Tr(A1*A2*A2) - Tr(A2)",
-         "--indices", "2"],
-        1,
-    ),
-    # a goal in the blocks of A2 and A3
-    "tracecheck_g4_p4_rules.txt": (
-        ["tracecheck", "--rules", "{g4_p4}", "--goal",
-         "Tr(A2^3) + Tr(A1^2*A2) + Tr(A3^2*A2) + Tr(A4^2*A2) - 3*Tr(A1^2*A3)", "--indices", "4"],
-        0,
-    ),
-    # a goal over the blocks of A10, A11 and A12 and one word in no block
-    "tracecheck_g4_p12.txt": (
-        ["tracecheck", "--rules", "g4", "--goal",
-         "Tr(A10^3) + 1/2*Tr(A11^2*A10) + (2-sqrt3)*Tr(A12^2*A11) - sqrt3*Tr(A10^2*A12) + 3/4*Tr(A12)"
-         " - 2/3*Tr(A11*A12) + Tr(A1^2*A11)", "--indices", "12"],
-        1,
-    ),
-    "tracecheck_coefficients_rules.txt": (
-        ["tracecheck", "--rules", "{coefficients}", "--goal",
-         "Tr(A1^2*A2) + 4*sqrt3*Tr(A1*A3^2) - 3*Tr(A2*A3^2) + Tr(A1^3) + 2/3*Tr(A2*A1*A3)"
-         " + (1-sqrt3)*Tr(A2^2*A3) - Tr(A1*A2^2)", "--indices", "3"],
-        1,
-    ),
-}
-
-
-def render(name, directory):
-    """stdout of the case's command; its exit code is checked too."""
-    lopsided = Path(directory) / "lopsided.dat"
-    lopsided.write_text(NON_MINIMAL, encoding="utf-8")
-    mixed = Path(directory) / "mixed.rules"
-    mixed.write_text(MIXED_RULES, encoding="utf-8")
-    dense60 = Path(directory) / "dense60.dat"
-    dense60.write_text(dense_file(60, 1), encoding="utf-8")
-    paths = {
-        "lopsided": lopsided, "mixed": mixed, "dense60": dense60, "cayley": CAYLEY, "sum20": SUM20, "dense14": DENSE14, "raised": RAISED,
-        "varying": VARYING, "g4_p4": G4_P4, "coefficients": COEFFICIENTS,
-    }
-    argv, code = CASES[name]
+def render(line):
+    """(exit code, stdout) of the line's command through `cli.main`, run from
+    the repository root."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main([arg.format(**paths) for arg in argv]) == code
-    return out.getvalue()
+        code = main(line.argv)
+    return code, out.getvalue()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_certificate_matches_golden_file(name, tmp_path):
-    assert render(name, tmp_path).encode("utf-8") == (GOLDEN / name).read_bytes()
+def line_ids(lines):
+    """Each line's golden file, with its manifest line number where an
+    earlier line pins the same file."""
+    ids, seen = [], set()
+    for line in lines:
+        ids.append(f"{line.golden.name}:{line.number}" if line.golden in seen else line.golden.name)
+        seen.add(line.golden)
+    return ids
+
+
+@pytest.mark.parametrize("line", LINES, ids=line_ids(LINES))
+def test_certificate_matches_golden_file(line, monkeypatch):
+    monkeypatch.chdir(run_manifest.ROOT)
+    code, out = render(line)
+    assert code == line.code
+    assert out.encode("utf-8") == line.golden.read_bytes()
 
 
 @pytest.mark.parametrize("path", sorted(DATASETS), ids=lambda path: path.name)
@@ -250,15 +169,80 @@ def test_fixed_data_matches_golden_file(name):
     assert FIXED_DATA[name]().encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-if __name__ == "__main__":
-    import tempfile
+def test_every_golden_file_is_pinned_and_every_input_is_accounted_for():
+    assert sorted(path.name for path in GOLDEN.iterdir() if path.name != "MANIFEST") == sorted(
+        {line.golden.name for line in LINES} | set(FIXED_DATA)
+    )
+    named = {line.dataset for line in LINES if line.dataset}
+    named |= {run_manifest.ROOT / arg for line in LINES for arg in line.argv if Path(arg).suffix in (".dat", ".rules")}
+    made = {*DATASETS, *HAND_WRITTEN, *(GOLDEN / name for name in FIXED_DATA)}
+    for path in sorted(named):
+        assert path.is_relative_to(TESTS) and path.is_file() and path in made, path
+    assert all(line.reason for line in LINES)
+    assert "/0" in PADDED.read_text(encoding="utf-8")
 
-    GOLDEN.mkdir(exist_ok=True)
-    CAYLEY.parent.mkdir(exist_ok=True)
+
+# three real lines for the runner's controls: a sweep, a tracecheck that
+# exits 1 and a certificate with its checker
+CONTROLS = ("sweep_g6_m1_M1.txt", "tracecheck_g4_fail.txt", "verify_einstein_text.txt")
+
+
+def run_controls(tmp_path, capsys, monkeypatch, target=None, fault=None):
+    """(exit code, stderr, lines) of the runner with `python -m willmore` on
+    a manifest of the CONTROLS lines, `fault` applied to the target's line."""
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    lines = [next(line for line in LINES if line.golden.name == name) for name in CONTROLS]
+    lines = [fault(line, tmp_path) if line.golden.name == target else line for line in lines]
+    manifest = tmp_path / "MANIFEST"
+    manifest.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    code = run_manifest.main([sys.executable, "-m", "willmore"], manifest)
+    return code, capsys.readouterr().err, run_manifest.read_manifest(manifest)
+
+
+def test_the_runner_passes_the_untouched_lines(tmp_path, capsys, monkeypatch):
+    code, err, lines = run_controls(tmp_path, capsys, monkeypatch)
+    assert (code, err) == (0, "")
+    assert [line.golden.name for line in lines] == list(CONTROLS)
+
+
+def flipped_byte(line, tmp_path):
+    copy = tmp_path / line.golden.name
+    data = bytearray(line.golden.read_bytes())
+    data[len(data) // 2] ^= 1
+    copy.write_bytes(bytes(data))
+    return line._replace(golden=copy)
+
+
+@pytest.mark.parametrize(
+    "target, fault, message",
+    [
+        ("sweep_g6_m1_M1.txt", flipped_byte, "stdout differs from the golden file"),
+        ("tracecheck_g4_fail.txt", lambda line, _: line._replace(code=line.code + 1), "exit 1, expected 2"),
+        ("verify_einstein_text.txt", lambda line, _: line._replace(dataset=CAYLEY),
+         "checker: dataset: 'einstein' is not in the dataset text"),
+    ],
+    ids=["golden-byte", "exit-code", "checker-dataset"],
+)
+def test_the_runner_names_the_line_of_each_fault(tmp_path, capsys, monkeypatch, target, fault, message):
+    code, err, lines = run_controls(tmp_path, capsys, monkeypatch, target, fault)
+    number = next(line.number for line in lines if line.golden.name == target)
+    assert code == 1
+    assert err.startswith(f"MANIFEST:{number}: {target}: {message}")
+    assert err.count("MANIFEST:") == 1
+
+
+def test_the_runner_refuses_a_manifest_with_no_lines(tmp_path, capsys):
+    manifest = tmp_path / "MANIFEST"
+    manifest.write_text("# a comment, no line\n", encoding="utf-8")
+    assert run_manifest.main([sys.executable, "-m", "willmore"], manifest) == 2
+    assert "no lines" in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    os.chdir(run_manifest.ROOT)
     for path, generate in DATASETS.items():
         path.write_bytes(generate().encode("utf-8"))
     for name, generate in FIXED_DATA.items():
         (GOLDEN / name).write_bytes(generate().encode("utf-8"))
-    with tempfile.TemporaryDirectory() as tmp:
-        for case in sorted(CASES):
-            (GOLDEN / case).write_bytes(render(case, tmp).encode("utf-8"))
+    for line in LINES:
+        line.golden.write_bytes(render(line)[1].encode("utf-8"))

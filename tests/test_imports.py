@@ -8,6 +8,7 @@ case runs in a fresh interpreter that writes no bytecode, as a cold
 console-script process does."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +105,23 @@ def test_the_certificate_checker_loads_no_willmore_module():
     done = cold(script)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "tests/golden/verify_g6_m2_M2_text.txt: checked\n[]\n"
+
+
+def test_the_manifest_runner_loads_no_willmore_module(tmp_path):
+    # nor does the runner of the pinned certificates, on a line with a
+    # checker dataset; its command runs in a process of its own
+    manifest = tmp_path / "MANIFEST"
+    golden = shlex.quote(str(ROOT / "tests" / "golden" / "verify_g6_m1_M1_text.txt"))
+    manifest.write_text(f"{golden} 0 tests/golden/builtins.dat verify g6_m1_M1\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, 'tests')\n"
+        "import run_manifest\n"
+        "try:\n"
+        "    print(run_manifest.main([sys.executable, '-m', 'willmore'], run_manifest.Path(sys.argv[1])))\n"
+        "finally:\n"
+        "    print(sorted(name for name in sys.modules if name.partition('.')[0] == 'willmore'))\n"
+    )
+    done = cold(script, str(manifest))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "MANIFEST:1: verify_g6_m1_M1_text.txt: ok\n1 of 1 lines pass\n0\n[]\n"
