@@ -1,8 +1,9 @@
 """Spectral invariance over the normal sphere.
 
 For a unit normal with coordinates (t1..tp) the shape operator is
-A(t) = sum_a t_a A_a.  Both sweeps take its characteristic polynomial, with
-coefficients in the polynomial ring, from `_multiply(_distinct_blocks(data))`.
+A(t) = sum_a t_a A_a.  Its characteristic polynomial, with coefficients in
+the polynomial ring, is `_multiply(_distinct_blocks(data))`; both sweeps
+take each distinct block's first and form the product only when they must.
 `_distinct_blocks` splits the basis into the connected components of the
 operators' joint nonzero pattern in the integer pairs the dataset holds
 (`integer_form`, `_components`): a permutation makes A(t) block-diagonal for
@@ -28,9 +29,9 @@ constant; otherwise the verdict is taken on the product, never on a block
 numeric sweep is a seeded floating cross-check meant to catch implementation
 bugs, never to decide.  Its max_deviation is the largest drift of any
 coefficient of any distinct block, each evaluated once however many copies
-it has; only if that reaches NUMERIC_TOLERANCE is it the drift of the
-coefficients of the blocks' product, on which the symbolic sweep too takes
-a verdict when a block varies.  So blocks that swap spectra while their
+it has; only if that reaches NUMERIC_TOLERANCE is the blocks' product formed
+and its coefficients' drift taken, as the symbolic sweep forms it to take a
+verdict when a block varies.  So blocks that swap spectra while their
 product stays constant pass, and a direct sum drifts exactly as its most
 drifting summand.  Either pass converts each coefficient's packed terms
 to float once (`float_terms`) and adds them up over CHUNK_POINTS samples at
@@ -40,7 +41,7 @@ constant coefficient is not evaluated.
 Four bounds refuse a sweep with SweepTooLarge, each before the work it
 counts: MAX_SWEEP_WORK the blocks' kernel, MAX_SWEEP_PAIRS each step of their
 product, and in the numeric sweep MAX_SAMPLE_COORDINATES the deviates drawn
-and MAX_SAMPLE_TERMS the term evaluations.
+and MAX_SAMPLE_TERMS the term evaluations of each pass.
 """
 
 from __future__ import annotations
@@ -81,22 +82,25 @@ CHUNK_POINTS = 4096
 MAX_SWEEP_WORK = 800_000
 
 # Bound on a step of the blocks' product, checked before it: the partial
-# product's terms times the block's.  The n = 50 sum of g6_m2_M2 needs 33,915;
-# 4,364 terms times a dense 11 x 11 block at p = 5 took 74.7 s on a 2-core VM.
+# product's terms times the block's, where a sweep forms it: when a block
+# varies or drifts, so not for the n = 60 sum of g6_m2_M2, which would need
+# 61,985.  4,364 terms times a dense 11 x 11 block at p = 5 took 74.7 s on a
+# 2-core VM.
 MAX_SWEEP_PAIRS = 50_000
 
-# Bound on --samples x (the float terms of char_poly + its coefficients), or
-# of the distinct blocks' polynomials if they have more, the term evaluations
-# of a numeric sweep's pass, about 0.3 us each, and its passes over the
-# samples, one per coefficient: on a 2-core Xeon VM with Python 3.11 a
-# dense 8 x 8 block at p = 6 (2,962 terms and 9 coefficients, a 1 KB file)
-# takes about 4 s at 6,731 samples, the most under the bound.
+# Bound on --samples x (the float terms + coefficients) of what a numeric
+# sweep's pass evaluates, the distinct blocks' polynomials or their product,
+# checked before the pass draws a sample: its term evaluations, about 0.3 us
+# each, and its passes over the samples, one per coefficient.  On a 2-core
+# Xeon VM with Python 3.11 a dense 8 x 8 block at p = 6 (2,962 terms and 9
+# coefficients, a 1 KB file) takes about 4 s at 6,731 samples, the most under the bound.
 MAX_SAMPLE_TERMS = 20_000_000
 
 
 class SweepTooLarge(ValueError):
-    """The sweep may exceed MAX_SWEEP_WORK or MAX_SWEEP_PAIRS, or a numeric
-    sweep MAX_SAMPLE_COORDINATES or MAX_SAMPLE_TERMS."""
+    """The sweep may exceed MAX_SWEEP_WORK, or MAX_SWEEP_PAIRS where it forms
+    the blocks' product, or a numeric sweep MAX_SAMPLE_COORDINATES, or
+    MAX_SAMPLE_TERMS in one of its passes."""
 
 
 class SweepVerdict(Record):
@@ -458,20 +462,22 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
 
     The coefficients are those of each distinct block of `_distinct_blocks`,
     once however many copies it has; only if one of them drifts by
-    NUMERIC_TOLERANCE or more is the drift that of the blocks' product
-    (`_multiply`), as the symbolic sweep takes its verdict on the product:
-    blocks may swap spectra while the product stays constant.  A single
-    block is the product.  The drift is that of A(t) / 2^e, e from
-    _scale_exponent: constancy does not depend on scale, so an absolute
-    tolerance means the same at every scale; entries all below 2 are not
-    scaled.  NaN as soon as one drift is NaN (an evaluation overflowed both
-    ways), so that no tolerance test can pass it.  At least two samples are
-    needed, one has nothing to be compared with.  SweepTooLarge before the
-    blocks' kernel runs if samples x codim exceeds MAX_SAMPLE_COORDINATES,
-    and before any sample is drawn if samples x (terms + coefficients), of
-    the product or of the blocks, whichever has more, exceeds
-    MAX_SAMPLE_TERMS; both count every sample, though at p = 1 only the
-    first two, +1 and -1, are evaluated.
+    NUMERIC_TOLERANCE or more is the blocks' product formed (`_multiply`)
+    and the drift that of its coefficients, as the symbolic sweep forms the
+    product and takes its verdict on it only when a block varies: blocks may
+    swap spectra while the product stays constant.  A single block is the
+    product.  The drift is that of A(t) / 2^e, e from _scale_exponent, so
+    that data above unit scale is compared at unit scale; e >= 0, so data
+    below it is not scaled up, and a drift small only because the data is
+    small passes the absolute tolerance.  NaN as soon as one drift is NaN (an
+    evaluation overflowed both ways), so that no tolerance test can pass it.
+    At least two samples are needed, one has nothing to be compared with.
+    SweepTooLarge before the blocks' kernel runs if samples x codim exceeds
+    MAX_SAMPLE_COORDINATES, before a step of the product as `_multiply`
+    raises it, and before a pass draws any sample if samples x (terms +
+    coefficients) of what it evaluates exceeds MAX_SAMPLE_TERMS; both
+    sample bounds count every sample, though at p = 1 only the first two,
+    +1 and -1, are evaluated.
     """
     if samples < 2:
         raise ValueError("samples must be >= 2")
@@ -481,41 +487,29 @@ def numeric_sweep(data: ShapeOperatorSet, samples: int, seed: int = 0) -> float:
             f"above the numeric sweep's bound of {MAX_SAMPLE_COORDINATES}"
         )
     blocks = _distinct_blocks(data)
-    coeffs = _multiply(blocks)
-    e = _scale_exponent(data)
-    count = max(_term_count(coeffs), sum(_term_count(poly) for poly, _ in blocks))
-    if samples * count > MAX_SAMPLE_TERMS:
-        raise SweepTooLarge(
-            f"{samples} samples of the {count} terms and coefficients of the characteristic polynomial are "
-            f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
-        )
-    base, p = data.n + 1, data.p
-    terms = [t for poly, _ in blocks for t in _scaled_terms(poly, base, p, e)]
-    deviation = _max_drift(terms, p, samples, seed)
+    e, base, p = _scale_exponent(data), data.n + 1, data.p
+    deviation = _max_drift([poly for poly, _ in blocks], base, p, e, samples, seed)
     if deviation >= NUMERIC_TOLERANCE and (len(blocks) > 1 or blocks[0][1] > 1):
-        deviation = _max_drift(_scaled_terms(coeffs, base, p, e), p, samples, seed)
+        deviation = _max_drift([_multiply(blocks)], base, p, e, samples, seed)
     return deviation
 
 
-def _term_count(coeffs: list) -> int:
-    """The terms and coefficients of a packed polynomial, which an evaluation
-    at one point reads."""
-    return sum(len(terms) for terms, _ in coeffs) + len(coeffs)
-
-
-def _scaled_terms(coeffs: list, base: int, p: int, e: int) -> list:
-    """The `float_terms` of each packed coefficient of a polynomial of degree
-    b in lambda for A(t) / 2^e: the coefficient of lambda^j is divided by 2^(e(b - j))."""
-    degree = len(coeffs) - 1
-    return [float_terms(c, base, p, e * (degree - j)) for j, c in enumerate(coeffs)]
-
-
-def _max_drift(terms: list, p: int, samples: int, seed: int) -> float:
-    """Max absolute drift of each of the float coefficients `terms` from its
-    value at the first of the samples, or the first NaN drift: the points are
-    drawn CHUNK_POINTS at a time and each chunk's power columns are shared by
-    every coefficient.  A zero or constant coefficient drifts by exactly 0
-    and is not evaluated."""
+def _max_drift(polys: list, base: int, p: int, e: int, samples: int, seed: int) -> float:
+    """Max absolute drift of each coefficient of the packed polynomials
+    `polys` for A(t) / 2^e from its value at the first of the samples, or the
+    first NaN drift.  SweepTooLarge before any sample is drawn if samples x
+    (their terms + coefficients) exceeds MAX_SAMPLE_TERMS.  The coefficient of
+    lambda^j of a polynomial of degree b is divided by 2^(e(b - j)) and made
+    `float_terms` once; the points are drawn CHUNK_POINTS at a time and each
+    chunk's power columns are shared by every coefficient.  A zero or constant
+    coefficient drifts by exactly 0 and is not evaluated."""
+    count = sum(len(terms) + 1 for poly in polys for terms, _ in poly)
+    if samples * count > MAX_SAMPLE_TERMS:
+        raise SweepTooLarge(
+            f"{samples} samples of the {count} terms and coefficients of the characteristic polynomials are "
+            f"{samples * count} term evaluations, above the numeric sweep's bound of {MAX_SAMPLE_TERMS}"
+        )
+    terms = [float_terms(c, base, p, e * (len(poly) - 1 - j)) for poly in polys for j, c in enumerate(poly)]
     terms = [t for t in terms if any(factors for _, factors in t)]
     points = unit_normal_samples(p, 2 if p == 1 else samples, seed)
     first = [[None, (x,)] for x in next(points)]
@@ -523,8 +517,8 @@ def _max_drift(terms: list, p: int, samples: int, seed: int) -> float:
     deviation = 0.0
     while terms and (columns := list(zip(*islice(points, CHUNK_POINTS)))):
         powers, size = [[None, column] for column in columns], len(columns[0])  # shared by every coefficient
-        for base, t in zip(baseline, terms):
-            drifts = list(map(abs, map(sub, eval_terms(t, powers, size), repeat(base))))
+        for start, t in zip(baseline, terms):
+            drifts = list(map(abs, map(sub, eval_terms(t, powers, size), repeat(start))))
             total = sum(drifts)  # NaN iff a drift is: none is negative
             if total != total:
                 return total

@@ -45,6 +45,18 @@ NON_MINIMAL = str(DATA / "lopsided.dat")
 EINSTEIN = str(DATA / "einstein.dat")
 
 
+# data that varies over the sphere and that the numeric sweep passes: one e >= 0 scales the whole dataset
+# (`sweep._scale_exponent`) and the tolerance is absolute
+SCALE_GAPS = {
+    # a constant 2 x 2 block of entries 1000 t beside the varying 1 x 1 block 10^-8 t1: compared at the
+    # large block's scale, the small one drifts by 3.9e-11
+    "mixed_scales": "dataset mixed\ndim 3\ncodim 2\noperator B1\n1000 0 0\n0 -1000 0\n0 0 1/100000000\n"
+    "operator B2\n0 1000 0\n1000 0 0\n0 0 0\n",
+    # B1 = diag(10^-12, 0), B2 = 0: the block 10^-12 t1 drifts by 2e-12, and e >= 0 never scales it up
+    "below_unit_scale": "dataset small\ndim 2\ncodim 2\noperator B1\n1/1000000000000 0\n0 0\noperator B2\n0 0\n0 0\n",
+}
+
+
 def deep_codim(entry, codim=500):
     """dim 1 and codim `codim` with every operator `entry`: the coefficient of
     lambda^0 is a linear form in every normal direction."""
@@ -316,10 +328,11 @@ class TestSweep:
         assert "max_deviation: 0.0\n" in out
         assert "verdict: pass" in out
 
-    @pytest.mark.parametrize("copies", [3, 4, 5], ids=lambda k: f"n{10 * k}")
+    @pytest.mark.parametrize("copies", [3, 4, 5, 6, 7, 8], ids=lambda k: f"n{10 * k}")
     def test_direct_sums_pass_the_numeric_check(self, capsys, tmp_path, copies):
         # the product of the blocks of k copies of g6_m2_M2 has large coefficients that cancel: evaluated as
-        # floats it drifted by 1.7e-8 at n = 50, above the tolerance; each distinct block drifts as at n = 10
+        # floats it drifted by 1.7e-8 at n = 50, above the tolerance; each distinct block drifts as at n = 10.
+        # From n = 60 a step of the product is above the bound on term pairs, and the blocks pass without it
         path = tmp_path / "sum.dat"
         path.write_text(serialize_dataset(functools.reduce(direct_sum, [builtin("g6_m2_M2")] * copies)), encoding="utf-8")
         assert main(["sweep", str(path), "--mode", "numeric", "--samples", "300"]) == 0
@@ -330,6 +343,20 @@ class TestSweep:
         assert [line for line in out.splitlines() if line.startswith("max_deviation")] == [
             line for line in single.splitlines() if line.startswith("max_deviation")
         ]
+
+    @pytest.mark.parametrize("name", sorted(SCALE_GAPS))
+    def test_scale_gaps_vary_over_the_sphere(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.dat"
+        path.write_text(SCALE_GAPS[name], encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "symbolic"]) == 1
+        assert "verdict: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.xfail(strict=True, reason="one scale e >= 0 for the whole dataset and an absolute tolerance")
+    @pytest.mark.parametrize("name", sorted(SCALE_GAPS))
+    def test_scale_gaps_fail_the_numeric_check(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.dat"
+        path.write_text(SCALE_GAPS[name], encoding="utf-8")
+        assert main(["sweep", str(path), "--mode", "numeric"]) == 1
 
     def test_numeric_within_tolerance(self, capsys):
         assert main(["sweep", "g6_m2_M1", "--mode", "numeric", "--samples", "200", "--seed", "0"]) == 0
@@ -458,6 +485,30 @@ class TestSweep:
         out, err = capsys.readouterr()
         assert not out and err.count("\n") == 1
         assert "100000 samples of the 1041 terms and coefficients" in err and str(sweep.MAX_SAMPLE_TERMS) in err
+
+    def test_each_pass_is_bounded_on_what_it_evaluates(self, capsys, monkeypatch):
+        # the varying-block file drifts, so the product is evaluated after the blocks: with the bound at the
+        # blocks' count the blocks' pass runs, and the product's pass, with more terms, exits 2 before a sample
+        def count(polys):
+            return sum(len(terms) + 1 for poly in polys for terms, _ in poly)
+
+        path, samples = str(DATA / "g6_m1_M1_varying_block.dat"), 300
+        blocks = sweep._distinct_blocks(catalog.parse_dataset(Path(path).read_text(encoding="utf-8")))
+        blocks_count, product_count = count(poly for poly, _ in blocks), count([sweep._multiply(blocks)])
+        assert blocks_count < product_count
+        draws, draw = [], sweep.unit_normal_samples
+        monkeypatch.setattr(sweep, "unit_normal_samples", lambda p, n, seed: draws.append(n) or draw(p, n, seed))
+        monkeypatch.setattr(sweep, "MAX_SAMPLE_TERMS", samples * blocks_count)
+        assert main(["sweep", path, "--mode", "numeric", "--samples", str(samples)]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.count("\n") == 1
+        assert f"{samples} samples of the {product_count} terms and coefficients" in err
+        assert draws == [samples]
+        # at the product's count both passes run, and the product's drift fails
+        monkeypatch.setattr(sweep, "MAX_SAMPLE_TERMS", samples * product_count)
+        assert main(["sweep", path, "--mode", "numeric", "--samples", str(samples)]) == 1
+        assert "verdict: FAIL" in capsys.readouterr().out
+        assert draws == [samples, samples, samples]
 
     @pytest.mark.parametrize("mode", ["symbolic", "numeric"])
     def test_sweep_beyond_the_work_bound_is_an_input_error(self, capsys, monkeypatch, tmp_path, mode):

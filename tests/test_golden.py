@@ -42,6 +42,7 @@ DATA = TESTS / "data"
 SRC = Path(willmore.__file__).resolve().parents[1]
 CAYLEY = DATA / "g6_m2_M2_cayley.dat"
 PADDED = DATA / "g6_m2_M2_padded.dat"
+SPACED = DATA / "g4_p8_spaced.rules"
 LINES = run_manifest.read_manifest()
 
 
@@ -100,6 +101,14 @@ def varying_block_dataset():
     return ShapeOperatorSet("g6_m1_M1_varying_block", data.n, data.p, data.operators, data.labels)
 
 
+def spaced_rules_text():
+    """The g=4 relations at p = 8 with no comment line, the lines in every
+    other pair spelled with a space inside 'Tr( )': runs of lines the line
+    check accepts between pairs it rejects, which the parser reads."""
+    lines = g4_rules_text(8).splitlines()[1:]
+    return "".join((line.replace("Tr(", "Tr( ") if k % 4 in (1, 2) else line) + "\n" for k, line in enumerate(lines))
+
+
 def diagonal_dataset(name, label, entries):
     """One operator, `label`, diagonal with the given entries."""
     n = len(entries)
@@ -120,6 +129,7 @@ DATASETS = {
     DATA / "lopsided.dat": lambda: serialize_dataset(diagonal_dataset("lopsided", "B1", ["1", "0"])),
     DATA / "einstein.dat": lambda: serialize_dataset(diagonal_dataset("einstein", "A1", ["1/3*sqrt3", "-1/3*sqrt3"])),
     DATA / "g4_p4.rules": lambda: g4_rules_text(4),
+    SPACED: spaced_rules_text,
 }
 
 # committed input files written by hand, each its own source
@@ -180,6 +190,7 @@ def test_every_golden_file_is_pinned_and_every_input_is_accounted_for():
         assert path.is_relative_to(TESTS) and path.is_file() and path in made, path
     assert all(line.reason for line in LINES)
     assert "/0" in PADDED.read_text(encoding="utf-8")
+    assert sum("Tr( " in line for line in SPACED.read_text(encoding="utf-8").splitlines()) == 36
 
 
 # three real lines for the runner's controls: a sweep, a tracecheck that

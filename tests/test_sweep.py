@@ -938,12 +938,14 @@ class TestNumeric:
             raise Drawn
 
         monkeypatch.setattr(sweep, "unit_normal_samples", drawn)
-        # lambda^23: one term and 24 coefficients; 800,000 samples at p = 1 are within the coordinate bound
-        data = ShapeOperatorSet("flat", 23, 1, (Matrix.filled(23, 23, QuadExt(0)),), ("B1",))
-        assert 25 * 800_000 == sweep.MAX_SAMPLE_TERMS
-        samples = 800_000 + excess
+        # five distinct 1 x 1 blocks lambda - a t1, two terms and two coefficients each: the blocks' pass alone
+        # counts 20; 1,000,000 samples at p = 1 are within the coordinate bound
+        data = single_operator(["1", "2", "3", "4", "5"])
+        assert sum(len(terms) + 1 for poly, _ in sweep._distinct_blocks(data) for terms, _ in poly) == 20
+        assert 20 * 1_000_000 == sweep.MAX_SAMPLE_TERMS
+        samples = 1_000_000 + excess
         if excess:
-            with pytest.raises(sweep.SweepTooLarge, match=f"{samples * 25} term evaluations, .* {sweep.MAX_SAMPLE_TERMS}$"):
+            with pytest.raises(sweep.SweepTooLarge, match=f"{samples * 20} term evaluations, .* {sweep.MAX_SAMPLE_TERMS}$"):
                 numeric_sweep(data, samples, 0)
         else:
             with pytest.raises(Drawn):
@@ -955,6 +957,21 @@ class TestNumeric:
             coeffs = normal_char_poly(data).coeffs
             assert samples * data.p <= sweep.MAX_SAMPLE_COORDINATES
             assert samples * (sum(len(c.terms) for c in coeffs) + len(coeffs)) <= sweep.MAX_SAMPLE_TERMS
+
+    @pytest.mark.parametrize(
+        "make, formed",
+        [(sum20, 0), (lambda: builtin("g6_m1_M1"), 0), (data_file("g6_m1_M1_varying_block.dat"), 1),
+         (lambda: single_operator(["1", "-1"]), 1), (lambda: single_operator(["1", "0"]), 1),
+         (lambda: single_operator(["1"]), 0)],
+        ids=["sum20", "g6_m1_M1", "varying_block", "split", "lopsided", "one_block"],
+    )
+    def test_the_product_is_formed_only_when_the_blocks_drift(self, monkeypatch, make, formed):
+        # constant blocks pass on their own pass; blocks that drift by the tolerance form their product once,
+        # unless there is one block with one copy, which is the product
+        data = make()
+        calls = count_calls(monkeypatch, sweep, "_multiply")
+        numeric_sweep(data, 10, 0)
+        assert len(calls) == formed
 
     def test_nan_drift_is_not_dropped(self, monkeypatch):
         # one NaN among finite drifts, for one coefficient at one point: the
